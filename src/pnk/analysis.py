@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from .bigstep import Kernel, OutputDist
 from .errors import ConditioningError, WellFormednessError
+from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    desugar, has_choice, is_core, predicate_set,
+    desugar, has_choice, is_core, predicate_set, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -127,7 +128,7 @@ def _set_key(s: PacketSet):
 
 def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
           exact: bool = True, tol: float = FLOAT_TOL,
-          state_budget: int = 200_000) -> Verdict:
+          state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
     """Decide whether the two kernels agree on every input row.
 
     When the spec is all-subsets and neither program contains a
@@ -224,7 +225,7 @@ def dist_leq_bruteforce(mu, nu, packets, exact: bool = True,
 
 def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
         exact: bool = True, tol: float = FLOAT_TOL,
-        state_budget: int = 200_000) -> Verdict:
+        state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
     """Pointwise distribution order over the input rows."""
     kp = _prepare(p, universe, exact, state_budget)
     kq = _prepare(q, universe, exact, state_budget)
@@ -276,7 +277,7 @@ class QuerySpec:
 
 
 def query(p: Program, a: PacketSet, measure: QuerySpec, universe: PacketUniverse,
-          exact: bool = True, state_budget: int = 200_000):
+          exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
     k = _prepare(p, universe, exact, state_budget)
     return query_dist(k.apply(a).as_dict(), measure, universe, exact=exact)
 
@@ -354,11 +355,11 @@ def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet
         case Skip():
             return a
         case Test(f, v):
-            return a & universe.packets_where(f, v)
+            return universe.select(a, f, v)
         case Assign(f, v):
             return universe.modify(a, f, v)
         case Neg(t):
-            return a - predicate_set(t, universe)
+            return a - restrict(t, a, universe)
         case Union(l, r):
             return (_sample(l, a, universe, rng, star_depth)
                     | _sample(r, a, universe, rng, star_depth))

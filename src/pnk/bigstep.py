@@ -15,15 +15,14 @@ from fractions import Fraction
 from . import star as star_mod
 from .errors import WellFormednessError
 from .linalg import SparseMatrix
+from .star import DEFAULT_STATE_BUDGET, FLOAT_MASS_TOL
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    is_core, is_predicate, predicate_set, pretty,
+    is_core, is_predicate, predicate_set, pretty, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
-DEFAULT_STATE_BUDGET = 200_000
 DEFAULT_MATRIX_ROW_CAP = 4096
-FLOAT_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,14 @@ class OutputDist:
     def validate(self, exact: bool = True) -> None:
         for s, p in self.support:
             if p <= 0:
-                raise AssertionError(f"non-positive probability {p}")
+                raise WellFormednessError(f"non-positive probability {p}")
         m = self.mass()
         if exact:
             if m != 1:
-                raise AssertionError(f"total mass {m} != 1")
+                raise WellFormednessError(f"total mass {m} != 1")
         elif abs(m - 1) > FLOAT_MASS_TOL:
-            raise AssertionError(f"total mass {m} not within {FLOAT_MASS_TOL} of 1")
+            raise WellFormednessError(
+                f"total mass {m} not within {FLOAT_MASS_TOL} of 1")
 
     def to_jsonable(self, universe: PacketUniverse, input_set: PacketSet | None = None):
         obj = {
@@ -136,7 +136,6 @@ class Kernel:
         self.exact = exact
         self.state_budget = state_budget
         self._memo: dict = {}
-        self._preds: dict = {}
         self._peeled: dict = {}
 
     # -- scalar helpers ----------------------------------------------------
@@ -146,14 +145,6 @@ class Kernel:
 
     def _one(self):
         return Fraction(1) if self.exact else 1.0
-
-    def _pred_set(self, node: Program) -> PacketSet:
-        key = id(node)
-        s = self._preds.get(key)
-        if s is None:
-            s = predicate_set(node, self.universe)
-            self._preds[key] = s
-        return s
 
     # -- evaluation ----------------------------------------------------------
 
@@ -182,11 +173,11 @@ class Kernel:
             case Skip():
                 return {aset: one}
             case Test(f, v):
-                return {aset & self.universe.packets_where(f, v): one}
+                return {self.universe.select(aset, f, v): one}
             case Assign(f, v):
                 return {self.universe.modify(aset, f, v): one}
             case Neg(t):
-                return {aset - self._pred_set(t): one}
+                return {aset - restrict(t, aset, self.universe): one}
             case Union(l, r):
                 mu = self._eval(l, aset)
                 nu = self._eval(r, aset)
@@ -248,11 +239,11 @@ class Kernel:
         rest: Program | None = node
         while rest is not None:
             if is_predicate(rest):
-                s = self._pred_set(rest)
+                s = predicate_set(rest, self.universe)
                 collect = s if collect is None else collect & s
                 rest = None
             elif isinstance(rest, Seq) and is_predicate(rest.left):
-                s = self._pred_set(rest.left)
+                s = predicate_set(rest.left, self.universe)
                 collect = s if collect is None else collect & s
                 rest = rest.right
             else:

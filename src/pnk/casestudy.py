@@ -11,8 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import netlib
-from .analysis import InputSpec, QuerySpec, equiv, leq, query_dist
+from .analysis import (
+    FLOAT_TOL, InputSpec, QuerySpec, _dist_mismatch, equiv, leq, query_dist,
+)
 from .bigstep import Kernel
+from .errors import ConditioningError
+from .star import DEFAULT_STATE_BUDGET
 from .syntax import desugar, seq
 from .universe import EMPTY
 
@@ -27,10 +31,18 @@ def _parse_k(text: str):
     return None if text in ("inf", "infinity", "oo") else int(text)
 
 
+def _ingress_rows(cm: netlib.CaseModel, exact: bool, state_budget: int) -> list[dict]:
+    """The model's output row on each pinned ingress packet, in
+    ``cm.in_packets`` order."""
+    kern = Kernel(desugar(cm.program), cm.universe, exact=exact,
+                  state_budget=state_budget)
+    return [kern.apply(frozenset({src})).as_dict() for src in cm.in_packets]
+
+
 # -- the overview (three-switch) suite ----------------------------------------
 
 
-def toy_overview(exact: bool = True, state_budget: int = 200_000) -> dict:
+def toy_overview(exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
     """Every §-overview check: the two delivery probabilities under f2 and
     the five (in)equivalences, all in exact mode by default."""
     net = netlib.toy()
@@ -88,57 +100,47 @@ class CellResult:
 
 
 def teleport_cell(variant: str, topo: netlib.Topology, k: int | None,
-                  p_fail: Fraction, exact: bool = True,
-                  state_budget: int = 200_000) -> CellResult:
+                  p_fail: Fraction, exact: bool = True, tol: float = FLOAT_TOL,
+                  state_budget: int = DEFAULT_STATE_BUDGET) -> CellResult:
     """Does the scheme behave like teleportation under failure bound k?
 
     Both sides produce point distributions on every pinned ingress packet
     when they agree (the model delivers with probability one and the
     delivered packet is normalized), so agreement on all ingress singletons
-    settles all ingress subsets.
+    settles all ingress subsets.  In float mode a row agrees with the point
+    mass on the target when every probability is within ``tol`` of it.
     """
     cm = netlib.build_case_model(variant, topo, k, p_fail)
-    kern = Kernel(desugar(cm.program), cm.universe, exact=exact,
-                  state_budget=state_budget)
     target = frozenset({cm.target_packet})
-    worst = None
-    witness = None
-    ok = True
-    for src in cm.in_packets:
-        dist = kern.apply(frozenset({src})).as_dict()
-        delivered = dist.get(target, 0)
-        stray = sum(p for b, p in dist.items() if b and b != target)
-        if stray != 0:
-            ok = False
-        if worst is None or delivered < worst:
-            worst = delivered
-            if delivered != 1 and witness is None:
-                witness = src
-        if delivered != 1:
-            ok = False
-    return CellResult(variant, k, ok, worst, witness)
+    rows = _ingress_rows(cm, exact, state_budget)
+    worst = min((dist.get(target, 0) for dist in rows), default=None)
+    witness = next((src for src, dist in zip(cm.in_packets, rows)
+                    if _dist_mismatch(dist, {target: 1}, exact, tol) is not None),
+                   None)
+    return CellResult(variant, k, witness is None, worst, witness)
 
 
 def _grid_cell(args):
-    topo_name, scheme, k, p_str, exact, state_budget = args
+    topo_name, scheme, k, p_str, exact, tol, state_budget = args
     topo = netlib.topology_by_name(topo_name)
-    return teleport_cell(scheme, topo, k, Fraction(p_str), exact=exact,
+    return teleport_cell(scheme, topo, k, Fraction(p_str), exact=exact, tol=tol,
                          state_budget=state_budget)
 
 
 def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
                     p_fail: Fraction = Fraction(1, 4),
                     schemes=netlib.F10_VARIANTS, exact: bool = True,
-                    state_budget: int = 200_000, jobs: int = 1) -> list[dict]:
+                    tol: float = FLOAT_TOL, state_budget: int = DEFAULT_STATE_BUDGET,
+                    jobs: int = 1) -> list[dict]:
     cells = [(k, scheme) for k in ks for scheme in schemes]
     if jobs > 1 and topo.name:
         from concurrent.futures import ProcessPoolExecutor
-        work = [(topo.name, scheme, k, str(p_fail), exact, state_budget)
+        work = [(topo.name, scheme, k, str(p_fail), exact, tol, state_budget)
                 for k, scheme in cells]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_grid_cell, work))
     else:
-        results = [teleport_cell(scheme, topo, k, p_fail, exact=exact,
+        results = [teleport_cell(scheme, topo, k, p_fail, exact=exact, tol=tol,
                                  state_budget=state_budget)
                    for k, scheme in cells]
     rows = []
@@ -155,21 +157,18 @@ def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
 
 def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
                                p_fail: Fraction = Fraction(1, 4),
-                               exact: bool = True,
-                               state_budget: int = 200_000) -> list[dict]:
+                               exact: bool = True, tol: float = FLOAT_TOL,
+                               state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
     """Per-ingress equivalence of f10_0 and f10_3 under each failure bound;
     on the plain FatTree 3-hop rerouting never fires, so they must agree."""
     out = []
     for k in ks:
         m0 = netlib.build_case_model(netlib.F10_0, topo, k, p_fail)
         m3 = netlib.build_case_model(netlib.F10_3, topo, k, p_fail)
-        k0 = Kernel(desugar(m0.program), m0.universe, exact=exact,
-                    state_budget=state_budget)
-        k3 = Kernel(desugar(m3.program), m3.universe, exact=exact,
-                    state_budget=state_budget)
         same = all(
-            k0.apply(frozenset({s})).as_dict() == k3.apply(frozenset({s})).as_dict()
-            for s in m0.in_packets
+            _dist_mismatch(r0, r3, exact, tol) is None
+            for r0, r3 in zip(_ingress_rows(m0, exact, state_budget),
+                              _ingress_rows(m3, exact, state_budget))
         )
         out.append({"k": _k_label(k), "f10_0_eq_f10_3": "yes" if same else "no"})
     return out
@@ -180,18 +179,15 @@ def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
 
 def delivery_sweep(topo: netlib.Topology, p_values, k: int | None = None,
                    schemes=netlib.F10_VARIANTS, exact: bool = True,
-                   state_budget: int = 200_000) -> list[dict]:
+                   state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
     """Average delivery probability per (scheme, link-failure probability)."""
     rows = []
     for p_fail in p_values:
         row: dict = {"p": p_fail}
         for scheme in schemes:
             cm = netlib.build_case_model(scheme, topo, k, Fraction(p_fail))
-            kern = Kernel(desugar(cm.program), cm.universe, exact=exact,
-                          state_budget=state_budget)
             total = Fraction(0) if exact else 0.0
-            for src in cm.in_packets:
-                dist = kern.apply(frozenset({src})).as_dict()
+            for dist in _ingress_rows(cm, exact, state_budget):
                 total += sum(p for b, p in dist.items() if b)
             row[scheme] = total / len(cm.in_packets)
         rows.append(row)
@@ -201,26 +197,24 @@ def delivery_sweep(topo: netlib.Topology, p_values, k: int | None = None,
 def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
             k: int | None = None, schemes=netlib.F10_VARIANTS,
             max_hops: int = netlib.COUNTER_DOMAIN - 1, exact: bool = True,
-            state_budget: int = 200_000) -> dict:
+            state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
     """Fraction of traffic delivered within each hop count (not conditioned),
     plus the expected hop count conditioned on delivery, per scheme.
     Traffic is uniform over the ingress switches."""
     out: dict = {"max_hops": max_hops, "schemes": {}}
     for scheme in schemes:
         cm = netlib.build_case_model(scheme, topo, k, p_fail, counter=True)
-        kern = Kernel(desugar(cm.program), cm.universe, exact=exact,
-                      state_budget=state_budget)
         n = len(cm.in_packets)
         mass_at = [Fraction(0) if exact else 0.0] * (max_hops + 1)
         delivered_total = Fraction(0) if exact else 0.0
         hops_weighted = Fraction(0) if exact else 0.0
-        for src in cm.in_packets:
-            dist = kern.apply(frozenset({src})).as_dict()
+        for dist in _ingress_rows(cm, exact, state_budget):
             for b, p in dist.items():
                 if not b:
                     continue
                 counts = {cm.universe.field_value(i, "counter") for i in b}
-                assert len(counts) == 1
+                if len(counts) != 1:
+                    raise ConditioningError("hop counter not constant on an outcome set")
                 h = next(iter(counts))
                 mass_at[h] += p / n
                 delivered_total += p / n
@@ -241,7 +235,8 @@ def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
 
 def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
                   p_fail=Fraction(1, 4), p_values=None, exact: bool | None = None,
-                  state_budget: int = 200_000, jobs: int = 1) -> dict:
+                  tol: float = FLOAT_TOL, state_budget: int = DEFAULT_STATE_BUDGET,
+                  jobs: int = 1) -> dict:
     """Dispatch for the CLI; returns a jsonable report.
 
     ``exact=None`` applies the per-study default: verdicts (the overview
@@ -260,11 +255,11 @@ def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
             "topology": topo_name,
             "p_fail": p_fail,
             "grid": resilience_grid(topo, ks, p_fail, exact=exact is not False,
-                                    state_budget=state_budget, jobs=jobs),
+                                    tol=tol, state_budget=state_budget, jobs=jobs),
         }
         if topo_name == "fattree20":
             report["f10_0_eq_f10_3"] = fattree_scheme_equivalence(
-                topo, ks, p_fail, exact=exact is not False,
+                topo, ks, p_fail, exact=exact is not False, tol=tol,
                 state_budget=state_budget)
         return report
     if name == "f10-latency":

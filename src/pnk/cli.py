@@ -25,10 +25,9 @@ from .analysis import InputSpec, QuerySpec, equiv, estimate, leq, query
 from .bigstep import Kernel
 from .errors import PnkError
 from .parser import parse, parse_file_text
+from .star import DEFAULT_STATE_BUDGET
 from .syntax import desugar
 from .universe import PacketUniverse
-
-DEFAULT_STATE_BUDGET = 200_000
 
 
 def _fmt_scalar(x, exact: bool) -> str:
@@ -264,8 +263,8 @@ def _dispatch(args) -> int:
             p_values = [Fraction(x) for x in args.p_values.split(",")]
         report = cs.run_casestudy(
             args.name, topo_name=args.topo, ks=ks, p_fail=Fraction(args.p),
-            p_values=p_values, exact=args.exact, state_budget=args.max_states,
-            jobs=args.jobs)
+            p_values=p_values, exact=args.exact, tol=args.tol,
+            state_budget=args.max_states, jobs=args.jobs)
         _emit(report, fmt)
         return 0
     raise PnkError(f"unknown command {args.cmd!r}")

@@ -12,7 +12,6 @@ is reported on the result.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .errors import DimensionError, SingularMatrixError
@@ -49,13 +48,6 @@ class SparseMatrix:
     def copy(self) -> "SparseMatrix":
         return SparseMatrix(self.nrows, self.ncols, [dict(r) for r in self.rows])
 
-    def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.ncols, self.nrows)
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                out.rows[j][i] = v
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
@@ -74,25 +66,6 @@ class SparseMatrix:
                 if d > worst:
                     worst = d
         return worst
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        entries = []
-        for i, r in enumerate(self.rows):
-            for j in sorted(r):
-                v = r[j]
-                entries.append([i, j, str(v) if isinstance(v, Fraction) else repr(v)])
-        return json.dumps({"rows": self.nrows, "cols": self.ncols, "entries": entries})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparseMatrix":
-        obj = json.loads(text)
-        m = cls(obj["rows"], obj["cols"])
-        for i, j, v in obj["entries"]:
-            s = str(v)
-            m.set(i, j, Fraction(s) if ("/" in s or "." not in s) else float(s))
-        return m
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={sum(map(len, self.rows))})"

@@ -13,7 +13,6 @@ and 5-hop rerouting.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,23 +71,6 @@ class Topology:
         return sorted({flag_name(l) for l in self.failable_links()},
                       key=lambda n: int(n[2:]))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "switches": self.switches,
-            "links": [
-                {"src": l.src, "srcport": l.srcport, "dst": l.dst,
-                 "dstport": l.dstport, "failable": l.failable}
-                for l in self.links
-            ],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Topology":
-        obj = json.loads(text)
-        links = [Link(d["src"], d["srcport"], d["dst"], d["dstport"],
-                      bool(d.get("failable", False))) for d in obj["links"]]
-        return cls(obj["switches"], links)
-
 
 def flag_name(link: Link) -> str:
     return f"up{link.srcport}"
@@ -123,57 +105,6 @@ def refined_model(p: Program, topo: Topology, f: Program) -> Program:
     for flag in reversed(topo.flag_fields()):
         body = Var(flag, 1, body)
     return body
-
-
-# -- failure models ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FailureModel:
-    """Per-link health flips: at most k simultaneous failures (None = no
-    bound), each link failing independently with probability p."""
-
-    k: int | None
-    p: Fraction
-    links: tuple[Link, ...]
-    budget_field: str = "budget"
-
-    def __post_init__(self):
-        if not (0 <= self.p < 1):
-            raise WellFormednessError(f"failure probability {self.p} outside [0, 1)")
-        if self.k is not None and self.k < 0:
-            raise WellFormednessError(f"negative failure bound {self.k}")
-
-
-def _decrement(fld: str, top: int) -> Program:
-    """Total decrement-by-one on a field with domain 0..top (0 stays 0)."""
-    branches = [Seq(Test(fld, v), Assign(fld, v - 1)) for v in range(top, 0, -1)]
-    branches.append(Seq(Test(fld, 0), Skip()))
-    return union(*branches)
-
-
-def failure_program(fm: FailureModel) -> Program:
-    """Flip the flags of fm.links in declaration order.
-
-    k=0 sets every flag up.  Unbounded k flips each flag independently
-    (up with probability 1-p).  Finite k gates each flip on a budget
-    counter that starts at k and decrements per failure.
-    """
-    flags = [flag_name(l) for l in fm.links]
-    if fm.k == 0:
-        return seq(*[Assign(fl, 1) for fl in flags])
-    keep = 1 - fm.p
-    if fm.k is None:
-        return seq(*[Choice(keep, Assign(fl, 1), Assign(fl, 0)) for fl in flags])
-    dec = _decrement(fm.budget_field, fm.k)
-    steps = []
-    for fl in flags:
-        flip = Choice(keep, Assign(fl, 1), Seq(Assign(fl, 0), dec))
-        steps.append(Union(
-            Seq(Neg(Test(fm.budget_field, 0)), flip),
-            Seq(Test(fm.budget_field, 0), Assign(fl, 1)),
-        ))
-    return seq(*steps)
 
 
 # -- the three-switch example network ---------------------------------------
@@ -438,7 +369,9 @@ def f10(variant: str, topo: Topology, dest: int,
 
     def core_policy(s: int) -> Program:
         onpath = min_ports[s]
-        assert len(onpath) == 1, f"core {s} has {len(onpath)} minimum ports"
+        if len(onpath) != 1:
+            raise WellFormednessError(
+                f"core {s} has {len(onpath)} minimum-length ports, expected 1")
         o = onpath[0]
         neighbors = dict(adj[s])
         target_type = topo.agg_type[neighbors[o]]
@@ -496,6 +429,13 @@ def f10(variant: str, topo: Topology, dest: int,
 # -- case-study model assembly -------------------------------------------------
 
 COUNTER_DOMAIN = 16
+
+
+def _decrement(fld: str, top: int) -> Program:
+    """Total decrement-by-one on a field with domain 0..top (0 stays 0)."""
+    branches = [Seq(Test(fld, v), Assign(fld, v - 1)) for v in range(top, 0, -1)]
+    branches.append(Seq(Test(fld, 0), Skip()))
+    return union(*branches)
 
 
 def _saturating_increment(fld: str, top: int) -> Program:
@@ -570,6 +510,10 @@ class CaseModel:
 def build_case_model(variant: str, topo: Topology, k: int | None,
                      p_fail: Fraction = Fraction(1, 4), dest: int = 1,
                      counter: bool = False) -> CaseModel:
+    if not (0 <= p_fail < 1):
+        raise WellFormednessError(f"failure probability {p_fail} outside [0, 1)")
+    if k is not None and k < 0:
+        raise WellFormednessError(f"negative failure bound {k}")
     universe = case_universe(topo, k, counter)
     scheme = f10(variant, topo, dest)
     flags = topo.flag_fields()

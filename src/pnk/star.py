@@ -15,11 +15,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SingularMatrixError
 from .linalg import SparseMatrix, solve_absorption_row
 from .universe import EMPTY, PacketSet
 
 DEFAULT_STATE_BUDGET = 200_000
+FLOAT_MASS_TOL = 1e-9
 
 
 @dataclass
@@ -175,8 +176,10 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     row = solve_absorption_row(Q, R, transient[g.start], exact=exact)
     dist = {abs_keys[c]: p for c, p in row.items() if p != 0}
     total = sum(dist.values())
-    if exact:
-        assert total == 1, f"star row mass {total} != 1"
+    off = (total != 1) if exact else (abs(total - 1) > FLOAT_MASS_TOL)
+    if off:
+        raise SingularMatrixError(
+            f"the absorbing solve gave a star row of mass {total}, not 1")
     return dist
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WellFormednessError
-from .universe import PacketSet, PacketUniverse
+from .universe import EMPTY, PacketSet, PacketUniverse
 
 
 class Program:
@@ -254,45 +254,45 @@ def _desugar_nary(branches) -> Program:
 
 
 def has_choice(p: Program) -> bool:
-    """True iff the program contains a probabilistic choice (after desugaring)."""
+    """True iff the core program contains a probabilistic choice."""
     match p:
         case Choice():
             return True
-        case NaryChoice(branches):
-            return len(branches) > 1 or any(has_choice(q) for q, _ in branches)
-        case Neg(b) | Star(b) | While(_, b) | Var(_, _, b):
+        case Neg(b) | Star(b):
             return has_choice(b)
         case Union(l, r) | Seq(l, r):
             return has_choice(l) or has_choice(r)
-        case If(t, a, b):
-            return has_choice(t) or has_choice(a) or has_choice(b)
-        case DoWhile(b, t):
-            return has_choice(b) or has_choice(t)
         case _:
             return False
 
 
-def predicate_set(t: Program, universe: PacketUniverse) -> PacketSet:
-    """The characteristic packet set of a predicate.
+def restrict(t: Program, aset: PacketSet, universe: PacketUniverse) -> PacketSet:
+    """The members of ``aset`` that pass the predicate ``t``: ``aset & b_t``.
 
-    drop -> {} ; skip -> Pk ; f=n -> {pi | pi.f = n} ; !t -> Pk - b_t ;
-    t&u -> b_t | b_u ; t;u -> b_t & b_u.
+    drop -> {} ; skip -> a ; f=n -> {pi in a | pi.f = n} ; !t -> a - b_t ;
+    t&u -> (a & b_t) | (a & b_u) ; t;u -> (a & b_t) & b_u.
+    The cost grows with ``|aset|``, not with the universe.
     """
     match t:
         case Drop():
-            return frozenset()
+            return EMPTY
         case Skip():
-            return universe.all_packets()
+            return aset
         case Test(f, v):
-            return universe.packets_where(f, v)
+            return universe.select(aset, f, v)
         case Neg(b):
-            return universe.all_packets() - predicate_set(b, universe)
+            return aset - restrict(b, aset, universe)
         case Union(l, r):
-            return predicate_set(l, universe) | predicate_set(r, universe)
+            return restrict(l, aset, universe) | restrict(r, aset, universe)
         case Seq(l, r):
-            return predicate_set(l, universe) & predicate_set(r, universe)
+            return restrict(r, restrict(l, aset, universe), universe)
         case _:
             raise WellFormednessError(f"not a predicate: {pretty(t)}")
+
+
+def predicate_set(t: Program, universe: PacketUniverse) -> PacketSet:
+    """The characteristic packet set ``b_t`` of a predicate."""
+    return restrict(t, universe.all_packets(), universe)
 
 
 # -- pretty-printing --------------------------------------------------------

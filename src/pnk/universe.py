@@ -54,13 +54,12 @@ class PacketUniverse:
             weights.append(w)
             w *= d.size
         self._weights = tuple(weights)
+        self._digits = {d.name: (wd, d.size) for d, wd in zip(decls, weights)}
         self.packet_count = w
         if self.packet_count > cap:
             raise UniverseError(
                 f"universe has {self.packet_count} packets, exceeding the cap of {cap}"
             )
-        self._where_cache: dict[tuple[str, int], PacketSet] = {}
-        self._all: PacketSet | None = None
 
     # -- field lookup -------------------------------------------------
 
@@ -74,11 +73,20 @@ class PacketUniverse:
             raise UniverseError(f"unknown field {name!r}") from None
 
     def check_value(self, name: str, value: int) -> None:
-        f = self.field(name)
-        if not (0 <= value < f.size):
+        self._digit(name, value)
+
+    def _digit(self, name: str, value: int) -> tuple[int, int]:
+        """Weight and domain size of field ``name``, after checking that
+        ``value`` lies in that domain."""
+        try:
+            w, size = self._digits[name]
+        except KeyError:
+            raise UniverseError(f"unknown field {name!r}") from None
+        if not (0 <= value < size):
             raise UniverseError(
-                f"value {value} out of range for field {name!r} (size {f.size})"
+                f"value {value} out of range for field {name!r} (size {size})"
             )
+        return w, size
 
     # -- packet coding ------------------------------------------------
 
@@ -128,34 +136,19 @@ class PacketUniverse:
     # -- packet sets ----------------------------------------------------
 
     def all_packets(self) -> PacketSet:
-        if self._all is None:
-            self._all = frozenset(range(self.packet_count))
-        return self._all
+        return frozenset(range(self.packet_count))
 
-    def packets_where(self, name: str, value: int) -> PacketSet:
-        """The characteristic set of the test ``name = value``."""
-        self.check_value(name, value)
-        key = (name, value)
-        cached = self._where_cache.get(key)
-        if cached is None:
-            cached = frozenset(
-                i for i in range(self.packet_count) if self.field_value(i, name) == value
-            )
-            self._where_cache[key] = cached
-        return cached
+    def select(self, aset: PacketSet, name: str, value: int) -> PacketSet:
+        """Members of ``aset`` that pass the test ``name = value``."""
+        w, size = self._digit(name, value)
+        return frozenset([i for i in aset if (i // w) % size == value])
 
     def modify(self, aset: PacketSet, name: str, value: int) -> PacketSet:
         """Image of ``aset`` under the field update ``name := value``."""
-        self.check_value(name, value)
-        pos = self._pos[name]
-        w = self._weights[pos]
-        size = self.decls[pos].size
+        w, size = self._digit(name, value)
         return frozenset(i - ((i // w) % size) * w + value * w for i in aset)
 
     # -- serialization --------------------------------------------------
-
-    def sorted_set(self, aset: PacketSet) -> list[int]:
-        return sorted(aset)
 
     def set_to_records(self, aset: PacketSet) -> list[dict[str, int]]:
         return [self.record(i) for i in sorted(aset)]

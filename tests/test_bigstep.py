@@ -44,13 +44,19 @@ def test_skip_is_identity(uni2x2):
 
 
 def test_test_filters(uni2x2):
-    a = uni2x2.all_packets()
-    assert row(Test("f", 1), uni2x2, a) == delta(uni2x2.packets_where("f", 1))
+    u = uni2x2
+    a = u.all_packets()
+    assert row(Test("f", 1), u, a) == delta(frozenset({u.packet(f=1, g=0),
+                                                        u.packet(f=1, g=1)}))
+    b = frozenset({u.packet(f=0, g=1), u.packet(f=1, g=1)})
+    assert row(Test("f", 1), u, b) == delta(frozenset({u.packet(f=1, g=1)}))
 
 
 def test_assign_maps(uni2x2):
-    a = uni2x2.all_packets()
-    assert row(Assign("g", 0), uni2x2, a) == delta(uni2x2.packets_where("g", 0))
+    u = uni2x2
+    a = u.all_packets()
+    assert row(Assign("g", 0), u, a) == delta(frozenset({u.packet(f=0, g=0),
+                                                         u.packet(f=1, g=0)}))
 
 
 def test_union_correlates_branches():

@@ -107,6 +107,26 @@ def test_casestudy_csv_format(capsys):
     assert len(lines) == 3
 
 
+def test_casestudy_float_verdicts_honour_tol(capsys):
+    # In float mode several ingress rows deliver 1.0000000000000002; exact
+    # mode says f10_0 "no", f10_3 and f10_35 "yes" for this cell.
+    args = ["casestudy", "f10-resilience", "--float", "--k", "2", "--p", "1/7"]
+    assert main(args) == 0
+    (row,) = json.loads(capsys.readouterr().out)["grid"]
+    assert (row["f10_0"], row["f10_3"], row["f10_35"]) == ("no", "yes", "yes")
+    assert main(args + ["--tol", "0"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["grid"]
+    assert row["f10_3"] == "no"
+
+
+def test_casestudy_rejects_out_of_range_failures(capsys):
+    base = ["casestudy", "f10-resilience", "--topo", "abfattree12"]
+    assert main(base + ["--k", "1", "--p", "3/2"]) == 2
+    assert "failure probability" in capsys.readouterr().err
+    assert main(base + ["--k", "-1"]) == 2
+    assert "failure bound" in capsys.readouterr().err
+
+
 def test_max_states_env(progdir, capsys, monkeypatch):
     monkeypatch.setenv("PNK_MAX_STATES", "2")
     star = progdir("s.pnk", "fields { f : 2 }\n(f:=0 +[1/2] f:=1)*\n")

@@ -147,9 +147,3 @@ def test_singular_system_detected():
     r = from_rows([[0]])
     with pytest.raises(SingularMatrixError):
         solve_absorption(q, r)
-
-
-def test_json_triplet_roundtrip():
-    q = from_rows([[0, Fraction(3, 4)], [Fraction(1, 8), 0]])
-    back = SparseMatrix.from_json(q.to_json())
-    assert back == q

@@ -7,9 +7,8 @@ from pnk.analysis import InputSpec, equiv, leq
 from pnk.bigstep import Kernel
 from pnk.errors import WellFormednessError
 from pnk.netlib import (
-    FailureModel, Link, Topology, abfattree12, abfattree20, case_failure,
-    failure_program, fattree20, link_program, model, refined_model,
-    routing_info, topo_program, toy,
+    Link, Topology, abfattree12, abfattree20, case_failure, fattree20,
+    link_program, model, refined_model, routing_info, topo_program, toy,
 )
 from pnk.syntax import Drop, Seq, desugar, pretty, validate
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
@@ -50,12 +49,6 @@ def test_duplicate_ports_rejected():
         Topology(2, [Link(1, 1, 2, 1), Link(1, 1, 2, 2)])
 
 
-def test_topology_json_roundtrip():
-    t = fattree20()
-    back = Topology.from_json(t.to_json())
-    assert back.switches == t.switches and back.links == t.links
-
-
 # -- failure models --------------------------------------------------------------
 
 def test_f0_yields_all_up_point_mass():
@@ -92,17 +85,22 @@ def test_f1_literal_outcomes():
     }
 
 
+def one_core(ports) -> Topology:
+    """Switch 1 with a failable link out of each of ``ports``."""
+    return Topology(len(ports) + 1,
+                    [Link(1, q, i + 2, 1, True) for i, q in enumerate(ports)])
+
+
 def test_budget_gated_failures():
     # Two links, at most one failure, p = 1/4: no-failure 9/16,
     # first-only 1/4 (second flip is forced up), second-only 3/16.
-    u = PacketUniverse([FieldDecl("up2", 2), FieldDecl("up3", 2),
-                        FieldDecl("budget", 2)])
-    links = (Link(1, 2, 2, 1, True), Link(1, 3, 3, 1, True))
-    f = failure_program(FailureModel(1, Fraction(1, 4), links))
+    u = PacketUniverse([FieldDecl("sw", 2), FieldDecl("up2", 2),
+                        FieldDecl("up3", 2), FieldDecl("budget", 2)])
+    f = case_failure(one_core((2, 3)), 1, Fraction(1, 4))
     validate(f, u)
-    a = frozenset({u.packet(up2=0, up3=0, budget=1)})
-    got = krow(desugar(f), u, a)
-    pk = lambda b2, b3, bud: frozenset({u.packet(up2=b2, up3=b3, budget=bud)})
+    a = frozenset({u.packet(sw=1, up2=0, up3=0, budget=1)})
+    got = krow(f, u, a)
+    pk = lambda b2, b3, bud: frozenset({u.packet(sw=1, up2=b2, up3=b3, budget=bud)})
     assert got == {
         pk(1, 1, 1): Fraction(9, 16),
         pk(0, 1, 0): Fraction(1, 4),
@@ -112,13 +110,12 @@ def test_budget_gated_failures():
 
 def test_unbounded_failure_marginals():
     # Each flag ends down with probability exactly p.
-    u = PacketUniverse([FieldDecl("up2", 2), FieldDecl("up3", 2),
-                        FieldDecl("up4", 2)])
-    links = (Link(1, 2, 2, 1, True), Link(1, 3, 3, 1, True),
-             Link(1, 4, 4, 1, True))
+    u = PacketUniverse([FieldDecl("sw", 2), FieldDecl("up2", 2),
+                        FieldDecl("up3", 2), FieldDecl("up4", 2)])
+    topo = one_core((2, 3, 4))
     for p in (Fraction(1, 5), Fraction(2, 7)):
-        f = failure_program(FailureModel(None, p, links))
-        a = frozenset({u.packet(up2=1, up3=1, up4=1)})
+        f = case_failure(topo, None, p)
+        a = frozenset({u.packet(sw=1, up2=1, up3=1, up4=1)})
         dist = krow(f, u, a)
         for fld in ("up2", "up3", "up4"):
             down = sum(pr for b, pr in dist.items()
@@ -127,10 +124,10 @@ def test_unbounded_failure_marginals():
 
 
 def test_failure_model_validation():
-    with pytest.raises(WellFormednessError):
-        FailureModel(None, Fraction(1), ())
-    with pytest.raises(WellFormednessError):
-        FailureModel(-1, Fraction(1, 2), ())
+    for k, p in ((None, Fraction(1)), (1, Fraction(3, 2)),
+                 (None, Fraction(-1, 4)), (-1, Fraction(1, 2))):
+        with pytest.raises(WellFormednessError):
+            netlib.build_case_model(netlib.F10_0, abfattree12(), k, p)
 
 
 # -- generated topologies ----------------------------------------------------------
@@ -196,6 +193,20 @@ def test_f10_programs_typecheck():
                 cm = netlib.build_case_model(variant, topo, k)
                 validate(cm.program, cm.universe)
                 validate(cm.teleport, cm.universe)
+
+
+def test_f10_rejects_core_with_two_minimum_ports():
+    # Core 4 reaches the destination edge 1 through aggregation switch 2
+    # and through aggregation switch 3 in the same number of hops.
+    links = [Link(1, 1, 2, 1), Link(2, 1, 1, 1), Link(1, 2, 3, 1), Link(3, 1, 1, 2),
+             Link(2, 2, 4, 1), Link(4, 1, 2, 2, True),
+             Link(3, 2, 4, 2), Link(4, 2, 3, 2, True)]
+    topo = Topology(4, links, layers={1: "edge", 2: "agg", 3: "agg", 4: "core"},
+                    agg_type={1: "A", 2: "A", 3: "B"})
+    assert routing_info(topo, 1)[1][4] == [1, 2]
+    for variant in netlib.F10_VARIANTS:
+        with pytest.raises(WellFormednessError):
+            netlib.f10(variant, topo, 1)
 
 
 def test_f10_needs_annotations():

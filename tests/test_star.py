@@ -5,7 +5,7 @@ import pytest
 
 from pnk.analysis import dist_leq
 from pnk.bigstep import Kernel
-from pnk.errors import BudgetExceededError
+from pnk.errors import BudgetExceededError, SingularMatrixError
 from pnk.linalg import SparseMatrix, mat_mul
 from pnk.star import explore, mark_saturated, star_dist, to_dot
 from pnk.syntax import (
@@ -80,6 +80,15 @@ def test_budget_exceeded_names_program():
         star_dist(body_row(FLIP, UF), frozenset({0}), cap=2,
                   program_text=lambda: "offender")
     assert "offender" in str(err.value)
+
+
+def test_star_row_mass_is_checked():
+    # A body row that loses half its mass cannot come from a program; the
+    # star row it induces has mass 1/2, in exact and in float mode.
+    a0 = frozenset({0})
+    for half in (Fraction(1, 2), 0.5):
+        with pytest.raises(SingularMatrixError):
+            star_dist(lambda a: {a: half}, a0, exact=isinstance(half, Fraction))
 
 
 def test_saturation_of_contained_states():

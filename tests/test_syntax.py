@@ -9,11 +9,11 @@ from pnk.parser import parse, parse_file_text
 from pnk.syntax import (
     Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Seq, Skip, Star,
     Test, Union, Var, While, desugar, is_predicate, predicate_set, pretty,
-    validate,
+    restrict, validate,
 )
 from pnk.universe import FieldDecl, PacketUniverse
 
-from conftest import random_predicate
+from conftest import random_predicate, random_set
 
 U = PacketUniverse([FieldDecl("sw", 4), FieldDecl("pt", 4), FieldDecl("f", 8)])
 
@@ -242,3 +242,32 @@ def test_predicate_set_de_morgan():
 def test_predicate_set_rejects_programs():
     with pytest.raises(WellFormednessError):
         predicate_set(Assign("f", 1), U)
+
+
+def passes(t, record) -> bool:
+    """Per-packet reference semantics of a predicate on one field record."""
+    match t:
+        case Drop():
+            return False
+        case Skip():
+            return True
+        case Test(f, v):
+            return record[f] == v
+        case Neg(b):
+            return not passes(b, record)
+        case Union(l, r):
+            return passes(l, record) or passes(r, record)
+        case Seq(l, r):
+            return passes(l, record) and passes(r, record)
+    raise AssertionError(f"not a predicate: {t!r}")
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2)])
+def test_restrict_matches_per_packet_evaluation(sizes):
+    u = PacketUniverse([FieldDecl(n, k) for n, k in zip("fgh", sizes)])
+    rng = random.Random(11)
+    for _ in range(300):
+        t = random_predicate(rng, u, 3)
+        a = random_set(rng, u)
+        expected = frozenset(i for i in a if passes(t, u.record(i)))
+        assert restrict(t, a, u) == expected

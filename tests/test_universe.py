@@ -70,12 +70,21 @@ def test_modify_lands_in_test_set():
     u = make((3, 2))
     every = u.all_packets()
     for v in range(3):
-        assert u.modify(every, "f", v) <= u.packets_where("f", v)
+        moved = u.modify(every, "f", v)
+        assert u.select(moved, "f", v) == moved
 
 
-def test_packets_where():
+def test_select():
     u = make()
-    assert u.packets_where("f", 1) == frozenset({u.packet(f=1, g=0), u.packet(f=1, g=1)})
+    assert u.select(u.all_packets(), "f", 1) == frozenset(
+        {u.packet(f=1, g=0), u.packet(f=1, g=1)})
+    # On a proper subset only its own members can pass.
+    a = frozenset({u.packet(f=0, g=0), u.packet(f=1, g=1)})
+    assert u.select(a, "f", 1) == frozenset({u.packet(f=1, g=1)})
+    assert u.select(a, "g", 1) == frozenset({u.packet(f=1, g=1)})
+    assert u.select(frozenset(), "f", 0) == frozenset()
+    with pytest.raises(UniverseError):
+        u.select(a, "f", 2)
 
 
 def test_universe_json_roundtrip():
