@@ -334,6 +334,7 @@ class TruncatedRun(Exception):
 
 DEFAULT_STAR_DEPTH = 256
 STALL_STEPS = 40
+_TWO_53 = float(1 << 53)
 
 
 def sample_run(p: Program, a: PacketSet, universe: PacketUniverse,
@@ -346,6 +347,13 @@ def sample_run(p: Program, a: PacketSet, universe: PacketUniverse,
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     core = p if is_core(p) else desugar(p)
     return _sample(core, a, universe, rng, star_depth)
+
+
+def _below(r: float, w) -> bool:
+    """``r < w`` for a draw ``r`` of ``random.random()`` and a rational
+    weight ``w``.  The draw is ``k / 2**53`` for an integer ``k``, so the
+    comparison is exact in integers, without building a ``Fraction``."""
+    return int(r * _TWO_53) * w.denominator < w.numerator << 53
 
 
 def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet:
@@ -367,7 +375,7 @@ def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet
             mid = _sample(l, a, universe, rng, star_depth)
             return _sample(r, mid, universe, rng, star_depth)
         case Choice(w, l, r):
-            pick_left = rng.random() < w
+            pick_left = _below(rng.random(), w)
             return _sample(l if pick_left else r, a, universe, rng, star_depth)
         case Star(body):
             acc = EMPTY

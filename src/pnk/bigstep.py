@@ -4,11 +4,30 @@ distributions, with on-demand stochastic matrices over chosen rows.
 A kernel row is a finitely supported distribution over packet sets.  Rows
 are memoized per (node, input set), so repeated sub-evaluations -- which
 dominate star exploration, where the same current set recurs under many
-accumulators -- are computed once.
+accumulators -- are computed once.  Rows are shared: the memo, the rows
+built from them and the star row function may hand out the same dict, so
+code inside this module treats every row as read-only.  ``Kernel.row``
+hands callers a copy.
+
+Every core program is strict: it maps the empty set to the point mass on
+the empty set, and that point mass is the unit of ``&`` (the product of
+the branch rows, pushed forward by union).  A chain of unions is
+evaluated as one n-ary node through a plan made on first use: the guard
+field is the field that most branches test in their leading run of
+tests, each such branch is listed under the value it tests, and the
+other branches are unguarded.  On an input set, only the unguarded
+branches and those listed under a value the guard field takes in the set
+are evaluated; every other branch filters the set to empty, so by
+strictness its row is the unit and leaves the product unchanged.  The
+branches picked are multiplied in their order in the chain, so rows come
+out exactly as a binary left-to-right evaluation gives them.  A point
+mass of probability one on either side of a product, or on the left of
+a bind, skips the multiplication.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +37,8 @@ from .linalg import SparseMatrix
 from .star import DEFAULT_STATE_BUDGET, FLOAT_MASS_TOL
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    is_core, is_predicate, predicate_set, pretty, restrict,
+    is_core, is_predicate, predicate_set, pretty, restrict, union,
+    union_operands,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -108,8 +128,8 @@ def _right_assoc(node: Program, cache: dict) -> Program:
             out = parts[-1]
             for q in reversed(parts[:-1]):
                 out = Seq(q, out)
-        case Union(l, r):
-            out = Union(_right_assoc(l, cache), _right_assoc(r, cache))
+        case Union():
+            out = union(*[_right_assoc(q, cache) for q in union_operands(node)])
         case Choice(w, l, r):
             out = Choice(w, _right_assoc(l, cache), _right_assoc(r, cache))
         case Star(b):
@@ -120,6 +140,18 @@ def _right_assoc(node: Program, cache: dict) -> Program:
             out = node
     cache[id(node)] = out
     return out
+
+
+def _leading_tests(node: Program) -> dict:
+    """Field -> value of the tests a right-associated ``node`` starts with,
+    first test of a field first: ``f=1 ; (g=2 ; p)`` gives ``{f: 1, g: 2}``."""
+    tests: dict = {}
+    while isinstance(node, Seq) and isinstance(node.left, Test):
+        tests.setdefault(node.left.field, node.left.value)
+        node = node.right
+    if isinstance(node, Test):
+        tests.setdefault(node.field, node.value)
+    return tests
 
 
 class Kernel:
@@ -135,16 +167,23 @@ class Kernel:
         self.universe = universe
         self.exact = exact
         self.state_budget = state_budget
+        self._unit = Fraction(1) if exact else 1.0
         self._memo: dict = {}
         self._peeled: dict = {}
+        self._plans: dict = {}
 
     # -- scalar helpers ----------------------------------------------------
 
     def _weight(self, w: Fraction):
         return w if self.exact else float(w)
 
-    def _one(self):
-        return Fraction(1) if self.exact else 1.0
+    def _point(self, row: dict):
+        """The set a row puts probability one on, or None."""
+        if len(row) != 1:
+            return None
+        (s, p), = row.items()
+        unit = self._unit
+        return s if p is unit or p == unit else None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -153,8 +192,9 @@ class Kernel:
         return OutputDist.from_dict(self._eval(self.program, aset))
 
     def row(self, node: Program, aset: PacketSet) -> dict:
-        """Raw row (dict set -> prob) of an arbitrary sub-program."""
-        return self._eval(node, aset)
+        """Raw row (dict set -> prob) of an arbitrary sub-program; a copy
+        the caller may change."""
+        return dict(self._eval(node, aset))
 
     def _eval(self, node: Program, aset: PacketSet) -> dict:
         key = (id(node), aset)
@@ -166,7 +206,7 @@ class Kernel:
         return out
 
     def _eval_uncached(self, node: Program, aset: PacketSet) -> dict:
-        one = self._one()
+        one = self._unit
         match node:
             case Drop():
                 return {EMPTY: one}
@@ -178,15 +218,8 @@ class Kernel:
                 return {self.universe.modify(aset, f, v): one}
             case Neg(t):
                 return {aset - restrict(t, aset, self.universe): one}
-            case Union(l, r):
-                mu = self._eval(l, aset)
-                nu = self._eval(r, aset)
-                out: dict = {}
-                for b1, p1 in mu.items():
-                    for b2, p2 in nu.items():
-                        b = b1 | b2
-                        out[b] = out.get(b, 0) + p1 * p2
-                return out
+            case Union():
+                return self._union(node, aset)
             case Seq(l, r) if isinstance(l, Star):
                 collect, rest = self._peel_predicates(r)
                 if collect is None:
@@ -219,7 +252,73 @@ class Kernel:
             case _:
                 raise WellFormednessError(f"non-core node {node!r}")
 
+    def _union(self, node: Union, aset: PacketSet) -> dict:
+        branches, guard, table, unguarded = self._union_plan(node)
+        picked = unguarded
+        if guard is not None:
+            values = self.universe.values(aset, guard)
+            if len(values) == 1:
+                picked = table.get(next(iter(values)), unguarded)
+            elif values:
+                merged = set(unguarded)
+                for v in values:
+                    merged.update(table.get(v, ()))
+                picked = sorted(merged)
+        out = None
+        for i in picked:
+            row = self._eval(branches[i], aset)
+            out = row if out is None else self._product(out, row)
+        return {EMPTY: self._unit} if out is None else out
+
+    def _union_plan(self, node: Union):
+        """(branches, guard field, value -> branch indices, unguarded
+        indices) of the union chain at ``node``; index lists are in chain
+        order, and each value's list includes the unguarded branches."""
+        plan = self._plans.get(id(node))
+        if plan is not None:
+            return plan
+        branches = union_operands(node)
+        leads = [_leading_tests(b) for b in branches]
+        votes = Counter(f for tests in leads for f in tests)
+        guard = votes.most_common(1)[0][0] if votes else None
+        table: dict = {}
+        unguarded = []
+        for i, tests in enumerate(leads):
+            if guard in tests:
+                table.setdefault(tests[guard], []).append(i)
+            else:
+                unguarded.append(i)
+        for v, listed in table.items():
+            self.universe.check_value(guard, v)
+            table[v] = sorted(listed + unguarded)
+        plan = (branches, guard, table, unguarded)
+        self._plans[id(node)] = plan
+        return plan
+
+    def _product(self, mu: dict, nu: dict) -> dict:
+        """The row of ``l & r`` from the rows of ``l`` and ``r``."""
+        s, other = self._point(nu), mu
+        if s is None:
+            s, other = self._point(mu), nu
+        if s is not None:
+            if not s:
+                return other
+            out: dict = {}
+            for b, p in other.items():
+                b = b | s
+                out[b] = out.get(b, 0) + p
+            return out
+        out = {}
+        for b1, p1 in mu.items():
+            for b2, p2 in nu.items():
+                b = b1 | b2
+                out[b] = out.get(b, 0) + p1 * p2
+        return out
+
     def _bind(self, mu: dict, node: Program) -> dict:
+        c = self._point(mu)
+        if c is not None:
+            return self._eval(node, c)
         out: dict = {}
         for c, p in mu.items():
             for b, q in self._eval(node, c).items():

@@ -112,13 +112,29 @@ class NaryChoice(Program):
 SUGAR = (If, While, DoWhile, Var, NaryChoice)
 
 
+def union_operands(p: Union) -> list[Program]:
+    """The operands of the left-nested union chain rooted at ``p``, left to
+    right, found with a loop: ``((a & b) & c)`` gives ``[a, b, c]``.  A
+    right operand that is itself a union stays one operand, so
+    ``union(*union_operands(p))`` rebuilds ``p``'s shape."""
+    rights = []
+    while isinstance(p, Union):
+        rights.append(p.right)
+        p = p.left
+    rights.append(p)
+    rights.reverse()
+    return rights
+
+
 def is_predicate(p: Program) -> bool:
     match p:
         case Drop() | Skip() | Test():
             return True
         case Neg(body):
             return is_predicate(body)
-        case Union(l, r) | Seq(l, r):
+        case Union():
+            return all(is_predicate(q) for q in union_operands(p))
+        case Seq(l, r):
             return is_predicate(l) and is_predicate(r)
         case _:
             return False
@@ -130,7 +146,9 @@ def is_core(p: Program) -> bool:
             return True
         case Neg(b) | Star(b):
             return is_core(b)
-        case Union(l, r) | Seq(l, r) | Choice(_, l, r):
+        case Union():
+            return all(is_core(q) for q in union_operands(p))
+        case Seq(l, r) | Choice(_, l, r):
             return is_core(l) and is_core(r)
         case _:
             return False
@@ -216,8 +234,8 @@ def desugar(p: Program) -> Program:
             return p
         case Neg(b):
             return Neg(desugar(b))
-        case Union(l, r):
-            return Union(desugar(l), desugar(r))
+        case Union():
+            return union(*[desugar(q) for q in union_operands(p)])
         case Seq(l, r):
             return Seq(desugar(l), desugar(r))
         case Choice(w, l, r):
@@ -260,7 +278,9 @@ def has_choice(p: Program) -> bool:
             return True
         case Neg(b) | Star(b):
             return has_choice(b)
-        case Union(l, r) | Seq(l, r):
+        case Union():
+            return any(has_choice(q) for q in union_operands(p))
+        case Seq(l, r):
             return has_choice(l) or has_choice(r)
         case _:
             return False
@@ -282,8 +302,9 @@ def restrict(t: Program, aset: PacketSet, universe: PacketUniverse) -> PacketSet
             return universe.select(aset, f, v)
         case Neg(b):
             return aset - restrict(b, aset, universe)
-        case Union(l, r):
-            return restrict(l, aset, universe) | restrict(r, aset, universe)
+        case Union():
+            return EMPTY.union(*[restrict(q, aset, universe)
+                                 for q in union_operands(t)])
         case Seq(l, r):
             return restrict(r, restrict(l, aset, universe), universe)
         case _:

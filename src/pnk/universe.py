@@ -143,6 +143,11 @@ class PacketUniverse:
         w, size = self._digit(name, value)
         return frozenset([i for i in aset if (i // w) % size == value])
 
+    def values(self, aset: PacketSet, name: str) -> set[int]:
+        """The values field ``name`` takes on the members of ``aset``."""
+        w, size = self._digit(name, 0)
+        return {(i // w) % size for i in aset}
+
     def modify(self, aset: PacketSet, name: str, value: int) -> PacketSet:
         """Image of ``aset`` under the field update ``name := value``."""
         w, size = self._digit(name, value)

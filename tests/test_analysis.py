@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from pnk.analysis import (
-    InputSpec, QuerySpec, TruncatedRun, dist_leq, dist_leq_bruteforce, equiv,
-    estimate, leq, query, sample_run,
+    InputSpec, QuerySpec, TruncatedRun, _below, dist_leq, dist_leq_bruteforce,
+    equiv, estimate, leq, query, sample_run,
 )
 from pnk.bigstep import Kernel
 from pnk.errors import ConditioningError, WellFormednessError
 from pnk.parser import parse
 from pnk.syntax import (
-    Assign, Choice, Drop, Neg, Skip, Star, Test, Union, desugar,
+    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
+    has_choice, is_core, union, union_operands,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -22,6 +23,26 @@ UF = PacketUniverse([FieldDecl("f", 2)])
 
 def delta(s):
     return {s: Fraction(1)}
+
+
+# -- long union chains --------------------------------------------------------
+
+def test_long_union_chain_decides_without_recursion_error():
+    # 3,000 distinct guarded assignments f=i ; g=j ; h:=k, left-nested.
+    u = PacketUniverse([FieldDecl("f", 15), FieldDecl("g", 10), FieldDecl("h", 20)])
+    branches = [Seq(Test("f", i), Seq(Test("g", j), Assign("h", k)))
+                for i in range(15) for j in range(10) for k in range(20)]
+    p = union(*branches)
+    q = union(*reversed(branches))
+    assert is_core(p) and not has_choice(p)
+    assert union_operands(desugar(p)) == branches
+    rng = random.Random(11)
+    hit = u.packet(f=0, g=0, h=3)  # the first branch maps it to h=0
+    sets = [EMPTY, frozenset({hit}),
+            frozenset(rng.sample(range(u.packet_count), 7)) | {hit}]
+    assert equiv(p, q, InputSpec.of_sets(sets), u).result == "equal"
+    assert equiv(p, union(*branches[1:]), InputSpec.of_sets(sets),
+                 u).result == "not-equal"
 
 
 # -- the distribution order ---------------------------------------------------
@@ -228,6 +249,23 @@ def test_sample_skip_is_identity(uni2x2):
     for _ in range(20):
         a = random_set(rng, uni2x2)
         assert sample_run(Skip(), a, uni2x2, random.Random(1)) == a
+
+
+def test_below_is_exact_comparison():
+    rng = random.Random(12)
+    pairs = [(rng.random(), Fraction(rng.randrange(0, 1000), rng.randrange(1, 1000)))
+             for _ in range(2000)]
+    edge_draws = [0.0, 0.5, 0.25, 1 - 2.0 ** -53, 2.0 ** -53]
+    pairs += [(r, w) for r in edge_draws for w in (Fraction(0), Fraction(1), 0, 1)]
+    pairs += [(0.5, Fraction(1, 2)), (0.25, Fraction(1, 4)),
+              (0.75, Fraction(3, 4))]
+    for r, _ in pairs[:200]:
+        exact = Fraction(r)
+        pairs += [(r, exact), (r, exact + Fraction(1, 2 ** 60)),
+                  (r, exact - Fraction(1, 2 ** 60))]
+    for r, w in pairs:
+        assert _below(r, w) == (r < w), (r, w)
+    assert not _below(0.5, Fraction(1, 2))
 
 
 def test_estimate_bernoulli_within_three_sigma():

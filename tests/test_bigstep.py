@@ -9,11 +9,12 @@ from pnk.bigstep import Kernel, OutputDist
 from pnk.errors import WellFormednessError
 from pnk.linalg import convex, mat_mul
 from pnk.syntax import (
-    Assign, Choice, Drop, Seq, Skip, Test, Union, desugar, predicate_set,
+    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
+    predicate_set, union,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
-from conftest import random_predicate, random_program, random_set
+from conftest import WEIGHTS, random_predicate, random_program, random_set
 
 UF = PacketUniverse([FieldDecl("f", 2)])
 
@@ -150,6 +151,79 @@ def test_union_with_drop_and_drop_seq(uni2x2):
         a = random_set(rng, uni2x2)
         assert row(Union(p, Drop()), uni2x2, a) == row(p, uni2x2, a)
         assert row(Seq(Drop(), p), uni2x2, a) == delta(EMPTY)
+
+
+def _random_branch(rng, u):
+    """A union branch: guarded by a leading run of tests, a bare test, or
+    unguarded (led by a negation, an assignment, a choice or a star)."""
+    tail = lambda: random_program(rng, u, 1, stars=0)
+    d = rng.choice(u.decls)
+    kind = rng.choice(("guarded", "guarded", "guarded", "test", "neg",
+                       "assign", "choice", "star"))
+    if kind == "guarded":
+        body = tail()
+        for e in rng.sample(u.decls, rng.randrange(1, 3)):
+            body = Seq(Test(e.name, rng.randrange(e.size)), body)
+        return body
+    if kind == "test":
+        return Test(d.name, rng.randrange(d.size))
+    if kind == "neg":
+        return Seq(Neg(random_predicate(rng, u, 1)), tail())
+    if kind == "assign":
+        return Seq(Assign(d.name, rng.randrange(d.size)), tail())
+    if kind == "choice":
+        return Choice(rng.choice(WEIGHTS), tail(), tail())
+    return Seq(Star(tail()), tail())
+
+
+def _product_of_rows(rows, unit):
+    out = {EMPTY: unit}
+    for r in rows:
+        nxt = {}
+        for b1, p1 in out.items():
+            for b2, p2 in r.items():
+                nxt[b1 | b2] = nxt.get(b1 | b2, 0) + p1 * p2
+        out = nxt
+    return out
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_union_dispatch_obeys_product_law(exact):
+    # The n-ary union evaluates only the branches whose guard can match;
+    # the expected row multiplies the rows of every branch, each from its
+    # own kernel.
+    u = PacketUniverse([FieldDecl("f", 3), FieldDecl("g", 2), FieldDecl("h", 2)])
+    unit = Fraction(1) if exact else 1.0
+    rng = random.Random(8)
+    for _ in range(300):
+        branches = [_random_branch(rng, u) for _ in range(rng.randrange(2, 9))]
+        k = Kernel(union(*branches), u, exact=exact)
+        inputs = [EMPTY, random_set(rng, u),
+                  frozenset(rng.sample(range(u.packet_count), 1))]
+        for a in inputs:
+            rows = []
+            for b in branches:
+                kb = Kernel(b, u, exact=exact)
+                rows.append(kb.row(kb.program, a))
+            expected = _product_of_rows(rows, unit)
+            got = k.row(k.program, a)
+            if exact:
+                assert got == expected
+            else:
+                assert got.keys() == expected.keys()
+                assert all(abs(got[b] - expected[b]) <= 1e-12 for b in got)
+
+
+def test_row_hands_out_a_copy(uni2x2):
+    k = kernel(Union(Seq(Test("f", 0), Assign("g", 1)),
+                     Choice(Fraction(1, 3), Skip(), Drop())), uni2x2)
+    a = uni2x2.all_packets()
+    first = k.row(k.program, a)
+    original = dict(first)
+    first.clear()
+    first[EMPTY] = Fraction(7)
+    assert k.row(k.program, a) == original
+    assert k.apply(a).as_dict() == original
 
 
 def test_kernel_rejects_sugar(uni2x2):
