@@ -368,12 +368,13 @@ def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet
             return universe.modify(a, f, v)
         case Neg(t):
             return a - restrict(t, a, universe)
-        case Union(l, r):
-            return (_sample(l, a, universe, rng, star_depth)
-                    | _sample(r, a, universe, rng, star_depth))
-        case Seq(l, r):
-            mid = _sample(l, a, universe, rng, star_depth)
-            return _sample(r, mid, universe, rng, star_depth)
+        case Union(parts):
+            return EMPTY.union(*[_sample(q, a, universe, rng, star_depth)
+                                 for q in parts])
+        case Seq(parts):
+            for q in parts:
+                a = _sample(q, a, universe, rng, star_depth)
+            return a
         case Choice(w, l, r):
             pick_left = _below(rng.random(), w)
             return _sample(l if pick_left else r, a, universe, rng, star_depth)

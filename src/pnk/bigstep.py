@@ -9,20 +9,28 @@ built from them and the star row function may hand out the same dict, so
 code inside this module treats every row as read-only.  ``Kernel.row``
 hands callers a copy.
 
-Every core program is strict: it maps the empty set to the point mass on
-the empty set, and that point mass is the unit of ``&`` (the product of
-the branch rows, pushed forward by union).  A chain of unions is
-evaluated as one n-ary node through a plan made on first use: the guard
-field is the field that most branches test in their leading run of
-tests, each such branch is listed under the value it tests, and the
-other branches are unguarded.  On an input set, only the unguarded
-branches and those listed under a value the guard field takes in the set
-are evaluated; every other branch filters the set to empty, so by
-strictness its row is the unit and leaves the product unchanged.  The
-branches picked are multiplied in their order in the chain, so rows come
-out exactly as a binary left-to-right evaluation gives them.  A point
-mass of probability one on either side of a product, or on the left of
-a bind, skips the multiplication.
+``Union`` and ``Seq`` nodes are n-ary; each is evaluated through a plan
+made on first use.  Every core program is strict: it maps the empty set
+to the point mass on the empty set, and that point mass is the unit of
+``&`` (the product of the branch rows, pushed forward by union).  A
+union's plan names a guard field, the field that most branches test in
+their leading run of tests; each such branch is listed under the value
+it tests, and the other branches are unguarded.  On an input set, only
+the unguarded branches and those listed under a value the guard field
+takes in the set are evaluated; every other branch filters the set to
+empty, so by strictness its row is the unit and leaves the product
+unchanged.  The branches picked are multiplied in their order in the
+union.
+
+A sequence is a left-to-right fold of binds (Kleisli composition), one
+per step of its plan.  The plan folds the predicate parts right after a
+star into that star's ``collect`` filter, so ``p* ; t`` is solved as one
+pair chain whose accumulator only gathers packets that pass ``t``; such a
+step's row is memoized per (star, filter, input set).  A point mass of
+probability one on either side of a product, or on the left of a bind,
+skips the multiplication.  Exact rows equal those of any other bracketing
+of the chain, because ``Fraction`` arithmetic is exact; float rows may
+differ in the last bits.
 """
 
 from __future__ import annotations
@@ -37,8 +45,7 @@ from .linalg import SparseMatrix
 from .star import DEFAULT_STATE_BUDGET, FLOAT_MASS_TOL
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    is_core, is_predicate, predicate_set, pretty, restrict, union,
-    union_operands,
+    is_core, is_predicate, predicate_set, pretty, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -107,50 +114,14 @@ class BigStepMatrix:
     col_index: dict
 
 
-def _right_assoc(node: Program, cache: dict) -> Program:
-    """Right-associate all sequences (semantically neutral: sequential
-    composition is monad bind, which is associative).  Puts stars directly
-    in front of whatever follows them, enabling the filtered-star path."""
-    hit = cache.get(id(node))
-    if hit is not None:
-        return hit
-    match node:
-        case Seq():
-            parts: list[Program] = []
-            stack = [node]
-            while stack:
-                n = stack.pop()
-                if isinstance(n, Seq):
-                    stack.append(n.right)
-                    stack.append(n.left)
-                else:
-                    parts.append(_right_assoc(n, cache))
-            out = parts[-1]
-            for q in reversed(parts[:-1]):
-                out = Seq(q, out)
-        case Union():
-            out = union(*[_right_assoc(q, cache) for q in union_operands(node)])
-        case Choice(w, l, r):
-            out = Choice(w, _right_assoc(l, cache), _right_assoc(r, cache))
-        case Star(b):
-            out = Star(_right_assoc(b, cache))
-        case Neg(b):
-            out = Neg(_right_assoc(b, cache))
-        case _:
-            out = node
-    cache[id(node)] = out
-    return out
-
-
 def _leading_tests(node: Program) -> dict:
-    """Field -> value of the tests a right-associated ``node`` starts with,
-    first test of a field first: ``f=1 ; (g=2 ; p)`` gives ``{f: 1, g: 2}``."""
+    """Field -> value of the tests ``node`` starts with, first test of a
+    field first: ``f=1 ; g=2 ; p`` gives ``{f: 1, g: 2}``."""
     tests: dict = {}
-    while isinstance(node, Seq) and isinstance(node.left, Test):
-        tests.setdefault(node.left.field, node.left.value)
-        node = node.right
-    if isinstance(node, Test):
-        tests.setdefault(node.field, node.value)
+    for q in node.parts if isinstance(node, Seq) else (node,):
+        if not isinstance(q, Test):
+            break
+        tests.setdefault(q.field, q.value)
     return tests
 
 
@@ -163,14 +134,18 @@ class Kernel:
             raise WellFormednessError(
                 "kernel requires a core program; run desugar() first"
             )
-        self.program = _right_assoc(program, {})
+        self.program = program
         self.universe = universe
         self.exact = exact
         self.state_budget = state_budget
         self._unit = Fraction(1) if exact else 1.0
+        # The caches key nodes by id(); holding every root a row was asked
+        # for keeps each keyed node (a root or a part of one) alive, so no
+        # id is reused by another node while its entries exist.
+        self._roots: dict = {id(program): program}
         self._memo: dict = {}
-        self._peeled: dict = {}
         self._plans: dict = {}
+        self._stars: dict = {}
 
     # -- scalar helpers ----------------------------------------------------
 
@@ -194,6 +169,7 @@ class Kernel:
     def row(self, node: Program, aset: PacketSet) -> dict:
         """Raw row (dict set -> prob) of an arbitrary sub-program; a copy
         the caller may change."""
+        self._roots[id(node)] = node
         return dict(self._eval(node, aset))
 
     def _eval(self, node: Program, aset: PacketSet) -> dict:
@@ -220,18 +196,11 @@ class Kernel:
                 return {aset - restrict(t, aset, self.universe): one}
             case Union():
                 return self._union(node, aset)
-            case Seq(l, r) if isinstance(l, Star):
-                collect, rest = self._peel_predicates(r)
-                if collect is None:
-                    return self._bind(self._eval(l, aset), rest)
-                cdist = star_mod.star_dist(
-                    lambda a: self._eval(l.body, a), aset,
-                    cap=self.state_budget, exact=self.exact, collect=collect,
-                    program_text=lambda: pretty(node),
-                )
-                return cdist if rest is None else self._bind(cdist, rest)
-            case Seq(l, r):
-                return self._bind(self._eval(l, aset), r)
+            case Seq():
+                row = {aset: one}
+                for part, collect in self._seq_plan(node):
+                    row = self._bind(row, part, collect)
+                return row
             case Choice(w, l, r):
                 w = self._weight(w)
                 out = {}
@@ -277,7 +246,7 @@ class Kernel:
         plan = self._plans.get(id(node))
         if plan is not None:
             return plan
-        branches = union_operands(node)
+        branches = node.parts
         leads = [_leading_tests(b) for b in branches]
         votes = Counter(f for tests in leads for f in tests)
         guard = votes.most_common(1)[0][0] if votes else None
@@ -315,40 +284,47 @@ class Kernel:
                 out[b] = out.get(b, 0) + p1 * p2
         return out
 
-    def _bind(self, mu: dict, node: Program) -> dict:
+    def _seq_plan(self, node: Seq) -> list:
+        """The (part, collect) steps of the sequence at ``node``, in order;
+        ``collect`` is the packet set of the predicate parts folded into the
+        star before them, or None.  Loops end in exactly such a filter."""
+        plan = self._plans.get(id(node))
+        if plan is not None:
+            return plan
+        plan = []
+        for q in node.parts:
+            if plan and isinstance(plan[-1][0], Star) and is_predicate(q):
+                star, collect = plan[-1]
+                s = predicate_set(q, self.universe)
+                plan[-1] = (star, s if collect is None else collect & s)
+            else:
+                plan.append((q, None))
+        self._plans[id(node)] = plan
+        return plan
+
+    def _step(self, node: Program, collect, aset: PacketSet) -> dict:
+        """The row of one sequence step: ``node``, or the star ``node``
+        followed by the filter ``collect``."""
+        if collect is None:
+            return self._eval(node, aset)
+        key = (id(node), collect, aset)
+        hit = self._stars.get(key)
+        if hit is None:
+            hit = self._stars[key] = star_mod.star_dist(
+                lambda a: self._eval(node.body, a), aset,
+                cap=self.state_budget, exact=self.exact, collect=collect,
+                program_text=lambda: pretty(node),
+            )
+        return hit
+
+    def _bind(self, mu: dict, node: Program, collect) -> dict:
         c = self._point(mu)
         if c is not None:
-            return self._eval(node, c)
+            return self._step(node, collect, c)
         out: dict = {}
         for c, p in mu.items():
-            for b, q in self._eval(node, c).items():
+            for b, q in self._step(node, collect, c).items():
                 out[b] = out.get(b, 0) + p * q
-        return out
-
-    def _peel_predicates(self, node: Program):
-        """Split ``node`` into a leading predicate chain (as one packet set)
-        and the remainder.  A star followed by predicates folds the filter
-        into the pair-chain accumulator, which keeps accumulators small when
-        iteration only matters through a final test (loops do exactly this).
-        """
-        hit = self._peeled.get(id(node))
-        if hit is not None:
-            return hit
-        collect = None
-        rest: Program | None = node
-        while rest is not None:
-            if is_predicate(rest):
-                s = predicate_set(rest, self.universe)
-                collect = s if collect is None else collect & s
-                rest = None
-            elif isinstance(rest, Seq) and is_predicate(rest.left):
-                s = predicate_set(rest.left, self.universe)
-                collect = s if collect is None else collect & s
-                rest = rest.right
-            else:
-                break
-        out = (collect, rest)
-        self._peeled[id(node)] = out
         return out
 
     # -- matrices --------------------------------------------------------------

@@ -21,9 +21,13 @@ import sys
 from fractions import Fraction
 
 from . import casestudy as cs
-from .analysis import InputSpec, QuerySpec, equiv, estimate, leq, query
+from .analysis import (
+    DEFAULT_STAR_DEPTH, DEFAULT_SUBSET_CAP, FLOAT_TOL, InputSpec, QuerySpec,
+    equiv, estimate, leq, query,
+)
 from .bigstep import Kernel
 from .errors import PnkError
+from .netlib import TOPOLOGIES
 from .parser import parse, parse_file_text
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import desugar
@@ -141,10 +145,10 @@ def _add_common(sub):
     # except the quantitative case-study sweeps, which default to float).
     sub.add_argument("--exact", dest="exact", action="store_true", default=None)
     sub.add_argument("--float", dest="exact", action="store_false")
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=float, default=FLOAT_TOL)
     sub.add_argument("--max-states", type=int,
                      default=int(os.environ.get("PNK_MAX_STATES", DEFAULT_STATE_BUDGET)))
-    sub.add_argument("--cap-subsets", type=int, default=12)
+    sub.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--jobs", type=int, default=1)
@@ -184,13 +188,12 @@ def main(argv=None) -> int:
     s.add_argument("file1")
     s.add_argument("--on", required=True)
     s.add_argument("-n", "--samples", type=int, default=10_000)
-    s.add_argument("--star-depth", type=int, default=256)
+    s.add_argument("--star-depth", type=int, default=DEFAULT_STAR_DEPTH)
     _add_common(s)
 
     s = subs.add_parser("casestudy", help="run a named case study")
     s.add_argument("name", choices=("toy-overview", "f10-resilience", "f10-latency"))
-    s.add_argument("--topo", default="abfattree20",
-                   choices=("fattree20", "abfattree20", "abfattree12"))
+    s.add_argument("--topo", default="abfattree20", choices=TOPOLOGIES)
     s.add_argument("--k", default=None,
                    help="comma-separated failure bounds, e.g. 0,1,2,inf")
     s.add_argument("--p", default="1/4", help="link failure probability")

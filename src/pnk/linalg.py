@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import DimensionError, SingularMatrixError
 
-FLOAT_TOL = 1e-9
 _PIVOT_EPS = 1e-300
 
 

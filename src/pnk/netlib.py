@@ -554,9 +554,11 @@ def build_case_model(variant: str, topo: Topology, k: int | None,
                      in_packets, target, dest)
 
 
+TOPOLOGIES = {"fattree20": fattree20, "abfattree20": abfattree20,
+              "abfattree12": abfattree12}
+
+
 def topology_by_name(name: str) -> Topology:
-    table = {"fattree20": fattree20, "abfattree20": abfattree20,
-             "abfattree12": abfattree12}
-    if name not in table:
+    if name not in TOPOLOGIES:
         raise WellFormednessError(f"unknown topology {name!r}")
-    return table[name]()
+    return TOPOLOGIES[name]()

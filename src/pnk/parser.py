@@ -3,8 +3,8 @@
 Grammar (loosest binding first):
 
     expr    := union ('+[' weight ']' expr)?          -- right-associative
-    union   := seqexp ('&' seqexp)*                   -- left-associative
-    seqexp  := unary (';' unary)*                     -- left-associative
+    union   := seqexp ('&' seqexp)*                   -- one n-ary node
+    seqexp  := unary (';' unary)*                     -- one n-ary node
     unary   := '!' unary | postfix
     postfix := atom '*'*
     atom    := 'drop' | 'skip' | IDENT '=' NAT | IDENT ':=' NAT
@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .errors import ParseError, WellFormednessError
 from .syntax import (
-    Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Seq, Skip,
-    Star, Test, Union, Var, While, validate,
+    Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Skip, Star,
+    Test, Var, While, seq, union, validate,
 )
 from .universe import FieldDecl, PacketUniverse
 
@@ -175,18 +175,18 @@ class _Parser:
         return left
 
     def union(self) -> Program:
-        out = self.seqexp()
+        parts = [self.seqexp()]
         while self.peek().kind == "&":
             self.next()
-            out = Union(out, self.seqexp())
-        return out
+            parts.append(self.seqexp())
+        return union(*parts)
 
     def seqexp(self) -> Program:
-        out = self.unary()
+        parts = [self.unary()]
         while self.peek().kind == ";":
             self.next()
-            out = Seq(out, self.unary())
-        return out
+            parts.append(self.unary())
+        return seq(*parts)
 
     def unary(self) -> Program:
         if self.peek().kind == "!":

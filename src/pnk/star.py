@@ -42,9 +42,6 @@ class PairStateGraph:
     collect: PacketSet | None = None
     index: dict = field(default_factory=dict)
 
-    def state_count(self) -> int:
-        return len(self.states)
-
 
 def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
             collect: PacketSet | None = None, program_text=None) -> PairStateGraph:

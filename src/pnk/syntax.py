@@ -4,6 +4,12 @@ Core nodes: Drop, Skip, Test, Assign, Neg, Union, Seq, Choice, Star.
 Sugar nodes: If, While, DoWhile, Var, NaryChoice.  ``desugar`` rewrites a
 well-formed program into core nodes only.
 
+``&`` and ``;`` are associative, so ``Union`` and ``Seq`` are n-ary: each
+holds the ``parts`` of a whole chain, two or more, and is flattened on
+construction (an operand of the same class contributes its parts), so
+``Union(Union(a, b), c) == Union(a, Union(b, c)) == Union(a, b, c)``.
+Every pass loops over ``parts``; a long chain costs no recursion depth.
+
 A node is a *predicate* iff it is Drop, Skip, Test, or Neg/Union/Seq of
 predicates.  Choice and Star are never predicates, and Neg may only be
 applied to predicates.
@@ -51,16 +57,35 @@ class Neg(Program):
     body: Program
 
 
-@dataclass(frozen=True)
-class Union(Program):
-    left: Program
-    right: Program
+class _Chain(Program):
+    """An n-ary node of an associative operator: ``parts`` are its two or
+    more operands, and an operand of the node's own class is spliced in."""
+
+    __slots__ = ()
+
+    def __init__(self, *parts: Program):
+        cls = type(self)
+        if cls in map(type, parts):
+            spliced = []
+            for q in parts:
+                if type(q) is cls:
+                    spliced.extend(q.parts)
+                else:
+                    spliced.append(q)
+            parts = tuple(spliced)
+        if len(parts) < 2:
+            raise WellFormednessError(f"{cls.__name__} needs two or more parts")
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Seq(Program):
-    left: Program
-    right: Program
+@dataclass(frozen=True, init=False, slots=True)
+class Union(_Chain):
+    parts: tuple
+
+
+@dataclass(frozen=True, init=False, slots=True)
+class Seq(_Chain):
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -112,30 +137,14 @@ class NaryChoice(Program):
 SUGAR = (If, While, DoWhile, Var, NaryChoice)
 
 
-def union_operands(p: Union) -> list[Program]:
-    """The operands of the left-nested union chain rooted at ``p``, left to
-    right, found with a loop: ``((a & b) & c)`` gives ``[a, b, c]``.  A
-    right operand that is itself a union stays one operand, so
-    ``union(*union_operands(p))`` rebuilds ``p``'s shape."""
-    rights = []
-    while isinstance(p, Union):
-        rights.append(p.right)
-        p = p.left
-    rights.append(p)
-    rights.reverse()
-    return rights
-
-
 def is_predicate(p: Program) -> bool:
     match p:
         case Drop() | Skip() | Test():
             return True
         case Neg(body):
             return is_predicate(body)
-        case Union():
-            return all(is_predicate(q) for q in union_operands(p))
-        case Seq(l, r):
-            return is_predicate(l) and is_predicate(r)
+        case Union(parts) | Seq(parts):
+            return all(is_predicate(q) for q in parts)
         case _:
             return False
 
@@ -146,9 +155,9 @@ def is_core(p: Program) -> bool:
             return True
         case Neg(b) | Star(b):
             return is_core(b)
-        case Union():
-            return all(is_core(q) for q in union_operands(p))
-        case Seq(l, r) | Choice(_, l, r):
+        case Union(parts) | Seq(parts):
+            return all(is_core(q) for q in parts)
+        case Choice(_, l, r):
             return is_core(l) and is_core(r)
         case _:
             return False
@@ -172,9 +181,9 @@ def validate(p: Program, universe: PacketUniverse) -> None:
                 go(b)
                 if not is_predicate(b):
                     raise WellFormednessError("negation applied to a non-predicate")
-            case Union(l, r) | Seq(l, r):
-                go(l)
-                go(r)
+            case Union(parts) | Seq(parts):
+                for q in parts:
+                    go(q)
             case Choice(w, l, r):
                 if not (0 <= w <= 1):
                     raise WellFormednessError(f"choice weight {w} outside [0, 1]")
@@ -225,8 +234,8 @@ def desugar(p: Program) -> Program:
 
     If(t,p,q)    -> (t;p) & (!t;q)
     While(t,p)   -> (t;p)* ; !t
-    DoWhile(p,t) -> p ; (t;p)* ; !t        (left-nested sequence)
-    Var(f,n,p)   -> (f:=n ; p) ; f:=0
+    DoWhile(p,t) -> p ; (t;p)* ; !t
+    Var(f,n,p)   -> f:=n ; p ; f:=0
     NaryChoice   -> right-nested binary Choice with rescaled weights
     """
     match p:
@@ -234,10 +243,10 @@ def desugar(p: Program) -> Program:
             return p
         case Neg(b):
             return Neg(desugar(b))
-        case Union():
-            return union(*[desugar(q) for q in union_operands(p)])
-        case Seq(l, r):
-            return Seq(desugar(l), desugar(r))
+        case Union(parts):
+            return Union(*[desugar(q) for q in parts])
+        case Seq(parts):
+            return Seq(*[desugar(q) for q in parts])
         case Choice(w, l, r):
             return Choice(w, desugar(l), desugar(r))
         case Star(b):
@@ -251,9 +260,9 @@ def desugar(p: Program) -> Program:
         case DoWhile(b, t):
             t = desugar(t)
             b = desugar(b)
-            return Seq(Seq(b, Star(Seq(t, b))), Neg(t))
+            return Seq(b, Star(Seq(t, b)), Neg(t))
         case Var(f, v, b):
-            return Seq(Seq(Assign(f, v), desugar(b)), Assign(f, 0))
+            return Seq(Assign(f, v), desugar(b), Assign(f, 0))
         case NaryChoice(branches):
             return _desugar_nary(list(branches))
         case _:
@@ -278,10 +287,8 @@ def has_choice(p: Program) -> bool:
             return True
         case Neg(b) | Star(b):
             return has_choice(b)
-        case Union():
-            return any(has_choice(q) for q in union_operands(p))
-        case Seq(l, r):
-            return has_choice(l) or has_choice(r)
+        case Union(parts) | Seq(parts):
+            return any(has_choice(q) for q in parts)
         case _:
             return False
 
@@ -302,11 +309,12 @@ def restrict(t: Program, aset: PacketSet, universe: PacketUniverse) -> PacketSet
             return universe.select(aset, f, v)
         case Neg(b):
             return aset - restrict(b, aset, universe)
-        case Union():
-            return EMPTY.union(*[restrict(q, aset, universe)
-                                 for q in union_operands(t)])
-        case Seq(l, r):
-            return restrict(r, restrict(l, aset, universe), universe)
+        case Union(parts):
+            return EMPTY.union(*[restrict(q, aset, universe) for q in parts])
+        case Seq(parts):
+            for q in parts:
+                aset = restrict(q, aset, universe)
+            return aset
         case _:
             raise WellFormednessError(f"not a predicate: {pretty(t)}")
 
@@ -322,19 +330,16 @@ def predicate_set(t: Program, universe: PacketUniverse) -> PacketSet:
 _CHOICE, _UNION, _SEQ, _NEG, _STAR, _ATOM = range(6)
 
 
-def _fmt_weight(w: Fraction) -> str:
-    return str(w)
-
-
 def pretty(p: Program) -> str:
     """Canonical concrete syntax; ``parse(pretty(p))`` returns ``p``."""
     return _pp(p, _CHOICE)
 
 
-def _pp(p: Program, ctx: int) -> str:
-    def wrap(level, text):
-        return f"({text})" if ctx > level else text
+def _wrap(ctx: int, level: int, text: str) -> str:
+    return f"({text})" if ctx > level else text
 
+
+def _pp(p: Program, ctx: int) -> str:
     match p:
         case Drop():
             return "drop"
@@ -345,30 +350,30 @@ def _pp(p: Program, ctx: int) -> str:
         case Assign(f, v):
             return f"{f}:={v}"
         case Neg(b):
-            return wrap(_NEG, f"!{_pp(b, _STAR)}")
+            return _wrap(ctx, _NEG, f"!{_pp(b, _STAR)}")
         case Star(b):
-            return wrap(_STAR, f"{_pp(b, _ATOM)}*")
-        case Seq(l, r):
-            return wrap(_SEQ, f"{_pp(l, _SEQ)} ; {_pp(r, _SEQ + 1)}")
-        case Union(l, r):
-            return wrap(_UNION, f"{_pp(l, _UNION)} & {_pp(r, _UNION + 1)}")
+            return _wrap(ctx, _STAR, f"{_pp(b, _ATOM)}*")
+        case Seq(parts):
+            return _wrap(ctx, _SEQ, " ; ".join([_pp(q, _SEQ + 1) for q in parts]))
+        case Union(parts):
+            return _wrap(ctx, _UNION, " & ".join([_pp(q, _UNION + 1) for q in parts]))
         case Choice(w, l, r):
             # Right-associative.
-            return wrap(
-                _CHOICE, f"{_pp(l, _CHOICE + 1)} +[{_fmt_weight(w)}] {_pp(r, _CHOICE)}"
+            return _wrap(
+                ctx, _CHOICE, f"{_pp(l, _CHOICE + 1)} +[{w}] {_pp(r, _CHOICE)}"
             )
         case If(t, a, b):
             body = f"if {_pp(t, _CHOICE + 1)} then {_pp(a, _CHOICE + 1)} else {_pp(b, _CHOICE)}"
-            return wrap(_CHOICE, body)
+            return _wrap(ctx, _CHOICE, body)
         case While(t, b):
-            return wrap(_CHOICE, f"while {_pp(t, _CHOICE + 1)} do {_pp(b, _CHOICE)}")
+            return _wrap(ctx, _CHOICE, f"while {_pp(t, _CHOICE + 1)} do {_pp(b, _CHOICE)}")
         case DoWhile(b, t):
-            return wrap(_CHOICE, f"do {_pp(b, _CHOICE + 1)} while {_pp(t, _CHOICE)}")
+            return _wrap(ctx, _CHOICE, f"do {_pp(b, _CHOICE + 1)} while {_pp(t, _CHOICE)}")
         case Var(f, v, b):
-            return wrap(_CHOICE, f"var {f}:={v} in {_pp(b, _CHOICE)}")
+            return _wrap(ctx, _CHOICE, f"var {f}:={v} in {_pp(b, _CHOICE)}")
         case NaryChoice(branches):
             inner = ", ".join(
-                f"{_fmt_weight(w)}: {_pp(q, _CHOICE)}" for q, w in branches
+                f"{w}: {_pp(q, _CHOICE)}" for q, w in branches
             )
             return f"choice {{ {inner} }}"
         case _:
@@ -379,23 +384,17 @@ def _pp(p: Program, ctx: int) -> str:
 
 
 def seq(*parts: Program) -> Program:
-    """Left-nested sequence of one or more programs."""
-    if not parts:
-        return Skip()
-    out = parts[0]
-    for q in parts[1:]:
-        out = Seq(out, q)
-    return out
+    """Sequence of any number of programs; the empty sequence is skip."""
+    if len(parts) < 2:
+        return parts[0] if parts else Skip()
+    return Seq(*parts)
 
 
 def union(*parts: Program) -> Program:
-    """Left-nested union; empty union is drop."""
-    if not parts:
-        return Drop()
-    out = parts[0]
-    for q in parts[1:]:
-        out = Union(out, q)
-    return out
+    """Union of any number of programs; the empty union is drop."""
+    if len(parts) < 2:
+        return parts[0] if parts else Drop()
+    return Union(*parts)
 
 
 def uniform(*parts: Program) -> Program:

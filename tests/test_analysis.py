@@ -8,11 +8,12 @@ from pnk.analysis import (
     equiv, estimate, leq, query, sample_run,
 )
 from pnk.bigstep import Kernel
+from pnk.cli import main
 from pnk.errors import ConditioningError, WellFormednessError
 from pnk.parser import parse
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
-    has_choice, is_core, union, union_operands,
+    has_choice, is_core, pretty, seq, union, validate,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -27,15 +28,17 @@ def delta(s):
 
 # -- long union chains --------------------------------------------------------
 
-def test_long_union_chain_decides_without_recursion_error():
-    # 3,000 distinct guarded assignments f=i ; g=j ; h:=k, left-nested.
+def test_long_union_chain_decides_without_recursion_error(tmp_path, capsys):
+    # 3,000 distinct guarded assignments f=i ; g=j ; h:=k in one union.
     u = PacketUniverse([FieldDecl("f", 15), FieldDecl("g", 10), FieldDecl("h", 20)])
     branches = [Seq(Test("f", i), Seq(Test("g", j), Assign("h", k)))
                 for i in range(15) for j in range(10) for k in range(20)]
     p = union(*branches)
     q = union(*reversed(branches))
     assert is_core(p) and not has_choice(p)
-    assert union_operands(desugar(p)) == branches
+    assert desugar(p).parts == tuple(branches)
+    validate(p, u)
+    assert parse(pretty(p), u) == p
     rng = random.Random(11)
     hit = u.packet(f=0, g=0, h=3)  # the first branch maps it to h=0
     sets = [EMPTY, frozenset({hit}),
@@ -43,6 +46,18 @@ def test_long_union_chain_decides_without_recursion_error():
     assert equiv(p, q, InputSpec.of_sets(sets), u).result == "equal"
     assert equiv(p, union(*branches[1:]), InputSpec.of_sets(sets),
                  u).result == "not-equal"
+    out = frozenset(u.packet(f=0, g=0, h=k) for k in range(20))
+    est = estimate(p, frozenset({hit}), u, 5)
+    assert est.counts == {out: 5}
+    path = tmp_path / "chain.pnk"
+    path.write_text("fields { f : 15 ; g : 10 ; h : 20 }\n" + pretty(p))
+    assert main(["dist", str(path), "--on", '[{"f": 0, "g": 0, "h": 3}]']) == 0
+    assert '"support"' in capsys.readouterr().out
+    # 3,000 assignments in one sequence: the last one wins.
+    s = seq(*[Assign("h", k % 20) for k in range(3000)])
+    k = Kernel(s, u)
+    assert k.row(s, frozenset({hit})) == {
+        frozenset({u.packet(f=0, g=0, h=19)}): Fraction(1)}
 
 
 # -- the distribution order ---------------------------------------------------

@@ -226,6 +226,15 @@ def test_row_hands_out_a_copy(uni2x2):
     assert k.apply(a).as_dict() == original
 
 
+def test_row_of_a_freed_node_is_not_reused():
+    # The two Assign nodes are temporaries: the first is gone before the
+    # second is built, and CPython may give the second the first one's id.
+    k = Kernel(Skip(), UF)
+    a = frozenset({UF.packet(f=0)})
+    assert k.row(Assign("f", 0), a) == delta(a)
+    assert k.row(Assign("f", 1), a) == delta(frozenset({UF.packet(f=1)}))
+
+
 def test_kernel_rejects_sugar(uni2x2):
     from pnk.syntax import If
     with pytest.raises(WellFormednessError):

@@ -27,7 +27,7 @@ def test_toy_topology_program_shape():
         "sw=1 ; pt=2 ; sw:=2 ; pt:=1 & sw=1 ; pt=3 ; sw:=3 ; pt:=1"
         " & sw=3 ; pt=2 ; sw:=2 ; pt:=3"
     )
-    assert pretty(net.t_hat).startswith("up2=1 ; (sw=1 ; pt=2")
+    assert pretty(net.t_hat).startswith("up2=1 ; sw=1 ; pt=2 ; sw:=2 ; pt:=1 &")
 
 
 def test_empty_topology_is_drop():
@@ -263,7 +263,7 @@ def test_ingress_init_fixes_marked_packets():
     k = Kernel(desugar(cm.program), u)
     # The pinned ingress predicate rejects it at the model boundary; route
     # the raw wrapped body instead to exercise the scheme itself.
-    body = cm.program.right
+    body = cm.program.parts[-1]
     kb = Kernel(desugar(body), u)
     dist = kb.apply(frozenset({bad})).as_dict()
     ((b, pr),) = dist.items()

@@ -255,10 +255,10 @@ def passes(t, record) -> bool:
             return record[f] == v
         case Neg(b):
             return not passes(b, record)
-        case Union(l, r):
-            return passes(l, record) or passes(r, record)
-        case Seq(l, r):
-            return passes(l, record) and passes(r, record)
+        case Union(parts):
+            return any(passes(q, record) for q in parts)
+        case Seq(parts):
+            return all(passes(q, record) for q in parts)
     raise AssertionError(f"not a predicate: {t!r}")
 
 
