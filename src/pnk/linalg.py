@@ -4,15 +4,19 @@ Matrices are row-major: ``rows[i]`` is a dict column -> nonzero scalar.
 The scalar type is whatever the entries carry (Fraction in exact mode,
 float otherwise); the algorithms are generic over both.
 
-``solve_absorption(Q, R)`` computes A = (I - Q)^-1 R by Gaussian
-elimination with partial pivoting.  In exact mode the result is exact and
-A = Q A + R holds with zero residual; in float mode the estimated residual
-is reported on the result.
+``solve_absorption_row(Q, R, i)`` computes row i of A = (I - Q)^-1 R by
+eliminating every other transient state from the chain, fewest fill first.
+In exact mode the rows are integer numerators over a row denominator, the
+result is exact and A = Q A + R holds with zero residual.  ``mat_mul``,
+``convex`` and ``power_series_absorption`` are independent checks of the
+laws for ``;``, ``+[r]`` and iteration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import DimensionError, SingularMatrixError
 
@@ -107,79 +111,7 @@ def convex(r, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return out
 
 
-# -- Gaussian elimination ---------------------------------------------------
-
-
-def _eliminate(rows: list[dict], rhs_width: int, exact: bool):
-    """In-place forward elimination with partial pivoting on an augmented
-    system.  ``rows[i]`` maps columns ``0..n-1`` (system) and ``n..n+rhs_width-1``
-    (right-hand sides).  Returns the pivot order (list of row ids per column).
-    """
-    n = len(rows)
-    # Occupancy index: system column -> set of undone row ids with a nonzero.
-    occ: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for j in r:
-            if j < n:
-                occ.setdefault(j, set()).add(i)
-    done: list[bool] = [False] * n
-    pivot_of_col: list[int] = [-1] * n
-    for col in range(n):
-        candidates = [i for i in occ.get(col, ()) if not done[i]]
-        if not candidates:
-            raise SingularMatrixError(f"no pivot for column {col}")
-        pivot = max(candidates, key=lambda i: abs(rows[i][col]))
-        pv = rows[pivot][col]
-        if not exact and abs(pv) < _PIVOT_EPS:
-            raise SingularMatrixError(f"pivot for column {col} is numerically zero")
-        done[pivot] = True
-        pivot_of_col[col] = pivot
-        prow = rows[pivot]
-        inv = (Fraction(1) / pv) if exact else (1.0 / pv)
-        for j in list(prow):
-            prow[j] = prow[j] * inv
-        prow[col] = 1 if exact else 1.0
-        for i in [i for i in occ.get(col, ()) if not done[i]]:
-            factor = rows[i].pop(col)
-            occ[col].discard(i)
-            target = rows[i]
-            for j, v in prow.items():
-                if j == col:
-                    continue
-                nv = target.get(j, 0) - factor * v
-                if nv == 0:
-                    target.pop(j, None)
-                    if j < n:
-                        s = occ.get(j)
-                        if s:
-                            s.discard(i)
-                else:
-                    if j not in target and j < n:
-                        occ.setdefault(j, set()).add(i)
-                    target[j] = nv
-    return pivot_of_col
-
-
-def _back_substitute(rows: list[dict], pivot_of_col: list[int], rhs_width: int, exact: bool):
-    """Back-substitution over an eliminated system; returns dense solution rows
-    ``x[col][k]`` for each rhs k (as dicts col -> value)."""
-    n = len(pivot_of_col)
-    x: list[dict] = [dict() for _ in range(n)]
-    for col in range(n - 1, -1, -1):
-        r = rows[pivot_of_col[col]]
-        sol: dict = {}
-        for j, v in r.items():
-            if j >= n:
-                sol[j - n] = sol.get(j - n, 0) + v
-            elif j != col:
-                for k, xv in x[j].items():
-                    nv = sol.get(k, 0) - v * xv
-                    if nv == 0:
-                        sol.pop(k, None)
-                    else:
-                        sol[k] = nv
-        x[col] = sol
-    return x
+# -- state elimination ------------------------------------------------------
 
 
 def solve_absorption(Q: SparseMatrix, R: SparseMatrix, exact: bool = True) -> SparseMatrix:
@@ -187,62 +119,110 @@ def solve_absorption(Q: SparseMatrix, R: SparseMatrix, exact: bool = True) -> Sp
 
     Q is the transient-to-transient block, R the transient-to-absorbing
     block; every transient state must reach an absorbing state (otherwise
-    the system is singular, which signals a bug upstream).
+    the system is singular, which signals a bug upstream).  Row i is
+    ``solve_absorption_row(Q, R, i)``.
     """
-    n = Q.nrows
-    if Q.ncols != n:
-        raise DimensionError("Q must be square")
-    if R.nrows != n:
-        raise DimensionError("R must have as many rows as Q")
-    rows: list[dict] = []
-    one = Fraction(1) if exact else 1.0
-    for i in range(n):
-        r = {j: -v for j, v in Q.rows[i].items()}
-        r[i] = r.get(i, 0) + one
-        if r[i] == 0:
-            del r[i]
-        for j, v in R.rows[i].items():
-            r[n + j] = v
-        rows.append(r)
-    pivots = _eliminate(rows, R.ncols, exact)
-    x = _back_substitute(rows, pivots, R.ncols, exact)
-    out = SparseMatrix(n, R.ncols)
-    for i in range(n):
-        out.rows[i] = {k: v for k, v in x[i].items() if v != 0}
-    return out
+    return SparseMatrix(Q.nrows, R.ncols, [
+        solve_absorption_row(Q, R, i, exact) for i in range(Q.nrows)])
 
 
 def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row: int, exact: bool = True) -> dict:
-    """One row of (I - Q)^-1 R, via the transposed system (I - Q)^T y = e_row.
+    """Row ``row`` of (I - Q)^-1 R, as a dict absorbing column -> value.
 
-    Equivalent to ``solve_absorption(Q, R).rows[row]`` but solves a single
-    right-hand side, which is what the star construction needs.
+    Removes every transient state but the start ``row`` from the chain, the
+    one with the fewest live predecessors x row entries first (ties by
+    index).  Removing state k folds q_ik / (1 - q_kk) * row_k into each live
+    predecessor i; when only the start is left, its row is
+    r_start / (1 - q_ss).  I - Q is a nonsingular M-matrix, so every pivot
+    1 - q_kk is positive; one that is not (the chain has a closed class that
+    never absorbs) raises SingularMatrixError.  In exact mode a row is held
+    as integer numerators over one denominator.
     """
     n = Q.nrows
-    if Q.ncols != n:
-        raise DimensionError("Q must be square")
-    one = Fraction(1) if exact else 1.0
-    rows: list[dict] = [dict() for _ in range(n)]
-    for i in range(n):
-        for j, v in Q.rows[i].items():
-            rows[j][i] = -v
-    for i in range(n):
-        rows[i][i] = rows[i].get(i, 0) + one
-        if rows[i][i] == 0:
-            del rows[i][i]
-    rows[row][n] = one  # single augmented column: e_row
-    pivots = _eliminate(rows, 1, exact)
-    x = _back_substitute(rows, pivots, 1, exact)
-    y = {i: x[i][0] for i in range(n) if x[i].get(0, 0) != 0}
-    dist: dict = {}
-    for i, w in y.items():
-        for j, v in R.rows[i].items():
-            nv = dist.get(j, 0) + w * v
-            if nv == 0:
-                dist.pop(j, None)
-            else:
-                dist[j] = nv
-    return dist
+    if Q.ncols != n or R.nrows != n:
+        raise DimensionError(f"Q is {n}x{Q.ncols} and R has {R.nrows} rows")
+    if not 0 <= row < n:
+        raise DimensionError(f"row {row} outside a {n}-state chain")
+    # rows[i] maps transient column j to q_ij and absorbing column j to r_ij
+    # under key n + j, over denominator den[i] (1.0 in float mode); pred[j]
+    # holds the live i != j with q_ij != 0.
+    rows: list = []
+    den: list = []
+    pred: list[set[int]] = [set() for _ in range(n)]
+    for i, (q, r) in enumerate(zip(Q.rows, R.rows)):
+        for j in q:
+            if j != i:
+                pred[j].add(i)
+        ri = dict(q)
+        for j, v in r.items():
+            ri[n + j] = v
+        if exact:
+            d = lcm(*[v.denominator for v in ri.values()])
+            ri = {j: v.numerator * (d // v.denominator) for j, v in ri.items()}
+        den.append(d if exact else 1.0)
+        rows.append(ri)
+    degree = [len(p) * len(r) for p, r in zip(pred, rows)]
+    heap = [(d, k) for k, d in enumerate(degree) if k != row]
+    heapify(heap)
+    while heap:
+        deg, k = heappop(heap)
+        if rows[k] is None or deg != degree[k]:
+            continue  # a stale heap entry
+        rk = rows[k]
+        rows[k] = None
+        e = _pivot(rk, k, den[k], exact)
+        if exact:
+            g = gcd(e, *rk.values())
+            if g > 1:
+                e //= g
+                rk = {j: v // g for j, v in rk.items()}
+            for i in pred[k]:
+                ri = rows[i]
+                c = ri.pop(k)
+                g = gcd(c, e)
+                c //= g
+                m = e // g
+                if m != 1:
+                    for j in ri:
+                        ri[j] *= m
+                    den[i] *= m
+                for j, v in rk.items():
+                    ri[j] = ri.get(j, 0) + c * v
+                g = gcd(den[i], *ri.values())
+                if g > 1:
+                    den[i] //= g
+                    for j in ri:
+                        ri[j] //= g
+        else:
+            f = 1.0 / e
+            for i in pred[k]:
+                ri = rows[i]
+                c = ri.pop(k) * f
+                for j, v in rk.items():
+                    ri[j] = ri.get(j, 0.0) + c * v
+        succ = [j for j in rk if j < n]
+        for j in succ:
+            pred[j].discard(k)
+            pred[j].update(i for i in pred[k] if i != j)
+        for i in (*pred[k], *succ):
+            if i != row:
+                degree[i] = len(pred[i]) * len(rows[i])
+                heappush(heap, (degree[i], i))
+    rs = rows[row]
+    e = _pivot(rs, row, den[row], exact)
+    if exact:
+        return {j - n: Fraction(v, e) for j, v in sorted(rs.items()) if v}
+    f = 1.0 / e
+    return {j - n: v * f for j, v in sorted(rs.items()) if v}
+
+
+def _pivot(r: dict, k: int, d, exact: bool):
+    """Pops q_kk from row k, held over denominator d, and returns
+    d * (1 - q_kk), which must be positive."""
+    e = d - r.pop(k, 0)
+    if not (e > 0 if exact else e > _PIVOT_EPS):
+        raise SingularMatrixError(f"state {k} never absorbs (1 - q_kk = {e / d})")
+    return e
 
 
 def absorption_residual(Q: SparseMatrix, R: SparseMatrix, A: SparseMatrix):

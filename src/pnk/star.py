@@ -4,9 +4,10 @@ One transition models one unrolling of ``p*``: from state (a, b) the chain
 moves to (a', b | a) with the probability the body's kernel gives to a' on
 input a.  A state is *saturated* once its accumulator can never grow again;
 redirecting every saturated state (a, b) to a canonical absorbing state
-(0, b) turns the chain into an absorbing one, whose absorption
-probabilities -- computed exactly with (I - Q)^-1 R -- are the output
-distribution of ``p*``.
+(0, b) turns the chain into an absorbing one.  The start state's row of its
+absorption probabilities (I - Q)^-1 R is the output distribution of ``p*``;
+``solve_absorption_row`` computes that one row exactly by eliminating every
+other transient state from the chain.
 """
 
 from __future__ import annotations

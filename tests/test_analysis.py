@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from pnk.analysis import (
-    InputSpec, QuerySpec, TruncatedRun, _below, dist_leq, dist_leq_bruteforce,
-    equiv, estimate, leq, query, sample_run,
+    FLOAT_TOL, InputSpec, QuerySpec, TruncatedRun, _below, _dist_mismatch,
+    dist_leq, dist_leq_bruteforce, equiv, estimate, leq, query, sample_run,
 )
 from pnk.bigstep import Kernel
 from pnk.cli import main
@@ -24,6 +24,19 @@ UF = PacketUniverse([FieldDecl("f", 2)])
 
 def delta(s):
     return {s: Fraction(1)}
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-6])
+def test_dist_mismatch_honours_tol(gap):
+    # nu moves `gap` of mu's mass from {0} to {0, 1}; the least differing
+    # set is {0}, and FLOAT_TOL = 1e-9 lies between the two gaps.
+    lo, hi, both = frozenset({0}), frozenset({1}), frozenset({0, 1})
+    mu = {lo: 0.5, hi: 0.5}
+    nu = {lo: 0.5 - gap, hi: 0.5, both: gap}
+    assert _dist_mismatch(mu, mu, False, 0) is None
+    assert _dist_mismatch(mu, nu, False, 0) == lo
+    assert _dist_mismatch(nu, mu, False, 0) == lo
+    assert _dist_mismatch(mu, nu, False, FLOAT_TOL) == (None if gap < FLOAT_TOL else lo)
 
 
 # -- long union chains --------------------------------------------------------

@@ -74,8 +74,9 @@ def test_solve_two_state_symmetric():
                            [Fraction(1, 3), Fraction(2, 3)]])
 
 
-def _random_absorbing(rng, n, na):
-    """Substochastic Q with row sums <= 1/2 plus R making rows stochastic."""
+def _random_absorbing(rng, n, na, q_mass=Fraction(1, 2)):
+    """Substochastic Q with row sums <= q_mass (self-loops included) plus R
+    making rows stochastic."""
     q = SparseMatrix(n, n)
     r = SparseMatrix(n, na)
     for i in range(n):
@@ -83,7 +84,7 @@ def _random_absorbing(rng, n, na):
         for j in range(n):
             if rng.random() < 0.5:
                 v = Fraction(rng.randrange(0, 5), 24)
-                if total + v <= Fraction(1, 2):
+                if total + v <= q_mass:
                     q.set(i, j, v)
                     total += v
         rest = 1 - total
@@ -103,12 +104,29 @@ def test_solve_rows_are_stochastic_and_residual_zero():
         assert absorption_residual(q, r, a) == 0
 
 
+def _floated(m):
+    return SparseMatrix(m.nrows, m.ncols,
+                        [{j: float(v) for j, v in row.items()} for row in m.rows])
+
+
+def test_heavy_cyclic_chains_solve_exactly():
+    # Rows send up to 23/24 of their mass back into the chain, self-loops
+    # included, so most states lie on cycles and elimination fills in.
+    rng = random.Random(17)
+    for n in (8, 16, 24, 40):
+        q, r = _random_absorbing(rng, n, 3, q_mass=Fraction(23, 24))
+        a = solve_absorption(q, r)
+        assert absorption_residual(q, r, a) == 0
+        assert all(sum(row.values()) == 1 for row in a.rows)
+        af = solve_absorption(_floated(q), _floated(r), exact=False)
+        assert af.max_abs_diff(_floated(a)) <= 1e-12
+
+
 def test_solve_matches_truncated_power_series():
     rng = random.Random(5)
     for _ in range(30):
         q, r = _random_absorbing(rng, 6, 2)
-        qf = SparseMatrix(6, 6, [{j: float(v) for j, v in row.items()} for row in q.rows])
-        rf = SparseMatrix(6, 2, [{j: float(v) for j, v in row.items()} for row in r.rows])
+        qf, rf = _floated(q), _floated(r)
         a = solve_absorption(qf, rf, exact=False)
         series = power_series_absorption(qf, rf, 64)
         assert a.max_abs_diff(series) < 1e-9
@@ -116,20 +134,21 @@ def test_solve_matches_truncated_power_series():
 
 def test_solution_independent_of_state_order():
     rng = random.Random(9)
-    q, r = _random_absorbing(rng, 6, 2)
-    a = solve_absorption(q, r)
-    perm = list(range(6))
-    rng.shuffle(perm)
-    qp = SparseMatrix(6, 6)
-    rp = SparseMatrix(6, 2)
-    for i in range(6):
-        for j, v in q.rows[i].items():
-            qp.set(perm[i], perm[j], v)
-        for j, v in r.rows[i].items():
-            rp.set(perm[i], j, v)
-    ap = solve_absorption(qp, rp)
-    for i in range(6):
-        assert ap.rows[perm[i]] == a.rows[i]
+    for n, q_mass in ((6, Fraction(1, 2)), (24, Fraction(23, 24))):
+        q, r = _random_absorbing(rng, n, 2, q_mass)
+        a = solve_absorption(q, r)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        qp = SparseMatrix(n, n)
+        rp = SparseMatrix(n, 2)
+        for i in range(n):
+            for j, v in q.rows[i].items():
+                qp.set(perm[i], perm[j], v)
+            for j, v in r.rows[i].items():
+                rp.set(perm[i], j, v)
+        ap = solve_absorption(qp, rp)
+        for i in range(n):
+            assert ap.rows[perm[i]] == a.rows[i]
 
 
 def test_row_solve_matches_full_solve():
@@ -147,3 +166,28 @@ def test_singular_system_detected():
     r = from_rows([[0]])
     with pytest.raises(SingularMatrixError):
         solve_absorption(q, r)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_row_solve_detects_a_closed_class(exact):
+    # State 0 absorbs with 1/2 and enters {1, 2} with 1/2; states 1 and 2
+    # hand the chain back and forth and never absorb.
+    half, one = (Fraction(1, 2), Fraction(1)) if exact else (0.5, 1.0)
+    q = SparseMatrix(3, 3, [{1: half}, {2: one}, {1: one}])
+    r = SparseMatrix(3, 1, [{0: half}, {}, {}])
+    for start in range(3):
+        with pytest.raises(SingularMatrixError):
+            solve_absorption_row(q, r, start, exact=exact)
+
+
+def test_row_solve_checks_dimensions():
+    q = from_rows([[0, Fraction(1, 2)], [0, 0]])
+    r = from_rows([[Fraction(1, 2)], [1]])
+    assert solve_absorption_row(q, r, 0) == {0: 1}
+    short = from_rows([[Fraction(1, 2)]])
+    long = from_rows([[Fraction(1, 2)], [1], [1]])
+    for rr, row in ((short, 0), (long, 0), (r, 2), (r, -1)):
+        with pytest.raises(DimensionError):
+            solve_absorption_row(q, rr, row)
+    with pytest.raises(DimensionError):
+        solve_absorption_row(SparseMatrix(2, 3), r, 0)
