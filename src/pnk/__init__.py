@@ -10,7 +10,7 @@ from .analysis import (
     Estimate, InputSpec, QuerySpec, Verdict, Witness, dist_leq, equiv,
     estimate, leq, query, sample_run,
 )
-from .bigstep import BigStepMatrix, Kernel, OutputDist
+from .bigstep import Kernel, OutputDist
 from .errors import (
     BudgetExceededError, ConditioningError, DimensionError, ParseError,
     PnkError, SingularMatrixError, UniverseError, WellFormednessError,

@@ -1,5 +1,5 @@
 """Big-step compilation: programs as kernels from packet sets to output
-distributions, with on-demand stochastic matrices over chosen rows.
+distributions.
 
 A kernel row is a finitely supported distribution over packet sets.  Rows
 are memoized per (node, input set), so repeated sub-evaluations -- which
@@ -25,12 +25,16 @@ union.
 A sequence is a left-to-right fold of binds (Kleisli composition), one
 per step of its plan.  The plan folds the predicate parts right after a
 star into that star's ``collect`` filter, so ``p* ; t`` is solved as one
-pair chain whose accumulator only gathers packets that pass ``t``; such a
-step's row is memoized per (star, filter, input set).  A point mass of
-probability one on either side of a product, or on the left of a bind,
-skips the multiplication.  Exact rows equal those of any other bracketing
-of the chain, because ``Fraction`` arithmetic is exact; float rows may
-differ in the last bits.
+pair chain whose accumulator only gathers packets that pass ``t``.  A
+point mass of probability one on either side of a product, or on the
+left of a bind, skips the multiplication.  Exact rows equal those of any
+other bracketing of the chain, because ``Fraction`` arithmetic is exact;
+float rows may differ in the last bits.
+
+Every star goes through the kernel's table of solved rows for its (star
+node, filter), which maps a current set a to the star's row on a; a chain
+solved for one input fills it for every state (a, {}) it meets, and later
+chains stop there (see ``star`` for why that row is shared).
 """
 
 from __future__ import annotations
@@ -41,15 +45,12 @@ from fractions import Fraction
 
 from . import star as star_mod
 from .errors import WellFormednessError
-from .linalg import SparseMatrix
 from .star import DEFAULT_STATE_BUDGET, FLOAT_MASS_TOL
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
     is_core, is_predicate, predicate_set, pretty, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
-
-DEFAULT_MATRIX_ROW_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,6 @@ class OutputDist:
         return obj
 
 
-@dataclass
-class BigStepMatrix:
-    """A stochastic matrix over explicit row/column packet-set indices."""
-
-    matrix: SparseMatrix
-    row_sets: list[PacketSet]
-    col_sets: list[PacketSet]
-    row_index: dict
-    col_index: dict
-
-
 def _leading_tests(node: Program) -> dict:
     """Field -> value of the tests ``node`` starts with, first test of a
     field first: ``f=1 ; g=2 ; p`` gives ``{f: 1, g: 2}``."""
@@ -145,7 +135,7 @@ class Kernel:
         self._roots: dict = {id(program): program}
         self._memo: dict = {}
         self._plans: dict = {}
-        self._stars: dict = {}
+        self._tables: dict = {}
 
     # -- scalar helpers ----------------------------------------------------
 
@@ -212,12 +202,8 @@ class Kernel:
                     for b, p in self._eval(r, aset).items():
                         out[b] = out.get(b, 0) + cw * p
                 return {b: p for b, p in out.items() if p != 0}
-            case Star(body):
-                return star_mod.star_dist(
-                    lambda a: self._eval(body, a), aset,
-                    cap=self.state_budget, exact=self.exact,
-                    program_text=lambda: pretty(node),
-                )
+            case Star():
+                return self._star(node, None, aset)
             case _:
                 raise WellFormednessError(f"non-core node {node!r}")
 
@@ -307,15 +293,20 @@ class Kernel:
         followed by the filter ``collect``."""
         if collect is None:
             return self._eval(node, aset)
-        key = (id(node), collect, aset)
-        hit = self._stars.get(key)
-        if hit is None:
-            hit = self._stars[key] = star_mod.star_dist(
+        return self._star(node, collect, aset)
+
+    def _star(self, node: Star, collect, aset: PacketSet) -> dict:
+        """The row of the star ``node``, then the filter ``collect`` unless
+        None, from the (star, filter) table; a miss solves and fills it."""
+        table = self._tables.setdefault((id(node), collect), {})
+        row = table.get(aset)
+        if row is None:
+            row = star_mod.star_dist(
                 lambda a: self._eval(node.body, a), aset,
                 cap=self.state_budget, exact=self.exact, collect=collect,
-                program_text=lambda: pretty(node),
+                program_text=lambda: pretty(node), table=table,
             )
-        return hit
+        return row
 
     def _bind(self, mu: dict, node: Program, collect) -> dict:
         c = self._point(mu)
@@ -326,36 +317,3 @@ class Kernel:
             for b, q in self._step(node, collect, c).items():
                 out[b] = out.get(b, 0) + p * q
         return out
-
-    # -- matrices --------------------------------------------------------------
-
-    def matrix(self, rows: list[PacketSet]) -> BigStepMatrix:
-        """Stochastic matrix whose i-th row is the kernel applied to rows[i];
-        columns are indexed by the union of all supports."""
-        dists = [self._eval(self.program, a) for a in rows]
-        col_sets: list[PacketSet] = []
-        col_index: dict = {}
-        for d in dists:
-            for s in sorted(d, key=sorted):
-                if s not in col_index:
-                    col_index[s] = len(col_sets)
-                    col_sets.append(s)
-        m = SparseMatrix(len(rows), len(col_sets))
-        for i, d in enumerate(dists):
-            m.rows[i] = {col_index[s]: p for s, p in d.items()}
-        row_index = {a: i for i, a in enumerate(rows)}
-        return BigStepMatrix(m, list(rows), col_sets, row_index, col_index)
-
-    def full_matrix(self, row_cap: int = DEFAULT_MATRIX_ROW_CAP) -> BigStepMatrix:
-        """Matrix over all of 2^Pk, guarded by a row cap (default 4096 rows)."""
-        n = self.universe.packet_count
-        if (1 << n) > row_cap:
-            raise WellFormednessError(
-                f"2^{n} rows exceed the cap of {row_cap}; pass explicit rows"
-            )
-        packets = sorted(self.universe.all_packets())
-        rows = [
-            frozenset(p for b, p in zip(range(n), packets) if (mask >> b) & 1)
-            for mask in range(1 << n)
-        ]
-        return self.matrix(rows)

@@ -119,33 +119,40 @@ def solve_absorption(Q: SparseMatrix, R: SparseMatrix, exact: bool = True) -> Sp
 
     Q is the transient-to-transient block, R the transient-to-absorbing
     block; every transient state must reach an absorbing state (otherwise
-    the system is singular, which signals a bug upstream).  Row i is
-    ``solve_absorption_row(Q, R, i)``.
+    the system is singular, which signals a bug upstream).  The rows are
+    ``solve_absorption_row(Q, R, range(Q.nrows))``.
     """
-    return SparseMatrix(Q.nrows, R.ncols, [
-        solve_absorption_row(Q, R, i, exact) for i in range(Q.nrows)])
+    return SparseMatrix(Q.nrows, R.ncols,
+                        solve_absorption_row(Q, R, range(Q.nrows), exact))
 
 
-def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row: int, exact: bool = True) -> dict:
-    """Row ``row`` of (I - Q)^-1 R, as a dict absorbing column -> value.
+def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = True):
+    """Row ``row`` of (I - Q)^-1 R, as a dict absorbing column -> value; for
+    a sequence of rows, the list of their rows.
 
-    Removes every transient state but the start ``row`` from the chain, the
-    one with the fewest live predecessors x row entries first (ties by
-    index).  Removing state k folds q_ik / (1 - q_kk) * row_k into each live
-    predecessor i; when only the start is left, its row is
-    r_start / (1 - q_ss).  I - Q is a nonsingular M-matrix, so every pivot
-    1 - q_kk is positive; one that is not (the chain has a closed class that
-    never absorbs) raises SingularMatrixError.  In exact mode a row is held
-    as integer numerators over one denominator.
+    Removes every transient state from the chain, the unwanted ones first,
+    each time the one with the fewest live predecessors x row entries (ties
+    by index).  Removing state k folds q_ik / (1 - q_kk) * row_k into each
+    predecessor i.  A removed wanted state keeps its row and stays a
+    predecessor, so later removals back-substitute into it, among the
+    wanted states only.  Entries are sums of positive terms, so none cancel:
+    a state whose row is empty once its self-loop is popped lies in a closed
+    class that never absorbs (the last one removed from such a class always
+    is), and raises SingularMatrixError.  In exact mode rows are integer
+    numerators over one denominator; only output entries are ``Fraction``.
     """
+    single = isinstance(row, int)
+    wanted = (row,) if single else row
     n = Q.nrows
     if Q.ncols != n or R.nrows != n:
         raise DimensionError(f"Q is {n}x{Q.ncols} and R has {R.nrows} rows")
-    if not 0 <= row < n:
-        raise DimensionError(f"row {row} outside a {n}-state chain")
+    for k in wanted:
+        if not 0 <= k < n:
+            raise DimensionError(f"row {k} outside a {n}-state chain")
     # rows[i] maps transient column j to q_ij and absorbing column j to r_ij
-    # under key n + j, over denominator den[i] (1.0 in float mode); pred[j]
-    # holds the live i != j with q_ij != 0.
+    # under key n + j, over denominator den[i] (in float mode 1.0, then the
+    # factor 1 / (1 - q_ii) of a removed wanted state); pred[j] holds the
+    # live or wanted i != j with q_ij != 0.
     rows: list = []
     den: list = []
     pred: list[set[int]] = [set() for _ in range(n)]
@@ -162,14 +169,23 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row: int, exact: bool
         den.append(d if exact else 1.0)
         rows.append(ri)
     degree = [len(p) * len(r) for p, r in zip(pred, rows)]
-    heap = [(d, k) for k, d in enumerate(degree) if k != row]
+    # held: the wanted states while others are live, then those removed.
+    held = set(wanted)
+    heap = [(d, k) for k, d in enumerate(degree) if k not in held]
     heapify(heap)
-    while heap:
+    last = False
+    while heap or not last:
+        if not heap:
+            if len(held) < 2:
+                break  # no other wanted state to remove: see below
+            heap = [(degree[k], k) for k in held]
+            heapify(heap)
+            held = set()
+            last = True
         deg, k = heappop(heap)
-        if rows[k] is None or deg != degree[k]:
+        if deg != degree[k] or rows[k] is None or k in held:
             continue  # a stale heap entry
         rk = rows[k]
-        rows[k] = None
         e = _pivot(rk, k, den[k], exact)
         if exact:
             g = gcd(e, *rk.values())
@@ -194,33 +210,41 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row: int, exact: bool
                     for j in ri:
                         ri[j] //= g
         else:
-            f = 1.0 / e
+            e = 1.0 / e
             for i in pred[k]:
                 ri = rows[i]
-                c = ri.pop(k) * f
+                c = ri.pop(k) * e
                 for j, v in rk.items():
                     ri[j] = ri.get(j, 0.0) + c * v
+        if last:
+            rows[k], den[k] = rk, e
+            held.add(k)
+        else:
+            rows[k] = None
         succ = [j for j in rk if j < n]
         for j in succ:
-            pred[j].discard(k)
+            if not last:
+                pred[j].discard(k)
             pred[j].update(i for i in pred[k] if i != j)
         for i in (*pred[k], *succ):
-            if i != row:
-                degree[i] = len(pred[i]) * len(rows[i])
+            degree[i] = len(pred[i]) * len(rows[i])
+            if i not in held:
                 heappush(heap, (degree[i], i))
-    rs = rows[row]
-    e = _pivot(rs, row, den[row], exact)
-    if exact:
-        return {j - n: Fraction(v, e) for j, v in sorted(rs.items()) if v}
-    f = 1.0 / e
-    return {j - n: v * f for j, v in sorted(rs.items()) if v}
+    if not last:
+        for k in held:  # the one wanted state, alone in the chain
+            e = _pivot(rows[k], k, den[k], exact)
+            den[k] = e if exact else 1.0 / e
+    out = [{j - n: Fraction(v, den[k]) if exact else v * den[k]
+            for j, v in sorted(rows[k].items()) if v} for k in wanted]
+    return out[0] if single else out
 
 
 def _pivot(r: dict, k: int, d, exact: bool):
     """Pops q_kk from row k, held over denominator d, and returns
-    d * (1 - q_kk), which must be positive."""
+    d * (1 - q_kk), which must be positive; a row with nothing left is a
+    state that never absorbs."""
     e = d - r.pop(k, 0)
-    if not (e > 0 if exact else e > _PIVOT_EPS):
+    if not r or not (e > 0 if exact else e > _PIVOT_EPS):
         raise SingularMatrixError(f"state {k} never absorbs (1 - q_kk = {e / d})")
     return e
 

@@ -4,10 +4,16 @@ One transition models one unrolling of ``p*``: from state (a, b) the chain
 moves to (a', b | a) with the probability the body's kernel gives to a' on
 input a.  A state is *saturated* once its accumulator can never grow again;
 redirecting every saturated state (a, b) to a canonical absorbing state
-(0, b) turns the chain into an absorbing one.  The start state's row of its
-absorption probabilities (I - Q)^-1 R is the output distribution of ``p*``;
-``solve_absorption_row`` computes that one row exactly by eliminating every
-other transient state from the chain.
+(0, b) turns the chain into an absorbing one.  A state's row of absorption
+probabilities (I - Q)^-1 R is the output distribution of ``p*`` from it;
+``solve_absorption_row`` computes the wanted rows exactly by eliminating
+the other transient states from the chain.
+
+The current-set process never reads the accumulator, so the row of a
+state (a, {}) is the star's row on input a in every chain of the same (star,
+filter).  ``star_dist`` puts the row of every unsaturated (a, {}) state it
+solves in the caller's table for that (star, filter), and ``explore`` does
+not expand a later state (a, {}) whose a is in the table.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .universe import EMPTY, PacketSet
 
 DEFAULT_STATE_BUDGET = 200_000
 FLOAT_MASS_TOL = 1e-9
+_ONE = Fraction(1)  # built once: a Fraction costs a call to construct
 
 
 @dataclass
@@ -33,7 +40,8 @@ class PairStateGraph:
     ``collect``, when set, is a filter pushed into the accumulator: the
     transition rule becomes b' = b | (a & collect), which computes the
     output of ``p* ; t`` for the predicate t with packet set ``collect``
-    (intersection distributes over the accumulated union).
+    (intersection distributes over the accumulated union).  ``known`` maps
+    each state (a, {}) left unexpanded, edgeless, to its row in the table.
     """
 
     states: list[tuple[PacketSet, PacketSet]]
@@ -42,21 +50,25 @@ class PairStateGraph:
     saturated: list[bool] | None = None
     collect: PacketSet | None = None
     index: dict = field(default_factory=dict)
+    known: dict = field(default_factory=dict)
 
 
 def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
-            collect: PacketSet | None = None, program_text=None) -> PairStateGraph:
+            collect: PacketSet | None = None, program_text=None,
+            table=()) -> PairStateGraph:
     """BFS closure of the pair chain from (a0, {}) under b' = b | a
     (or b' = b | (a & collect) when a filter is pushed in).
 
     ``row_fn(a)`` must return the body kernel's row on input ``a`` as a
-    dict set -> prob.  Raises BudgetExceededError when more than ``cap``
-    states become reachable.
+    dict set -> prob.  A state (a, {}) other than the start whose a is a
+    key of ``table`` (current set -> solved row) is not expanded.  Raises
+    BudgetExceededError when more than ``cap`` states become reachable.
     """
     start = (a0, EMPTY)
     index = {start: 0}
     states = [start]
-    edges: list[list[tuple[int, object]]] = []
+    edges: list[list[tuple[int, object]]] = [[]]
+    known: dict = {}
     work = deque([0])
     while work:
         sid = work.popleft()
@@ -76,22 +88,25 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                     )
                 index[succ] = tid
                 states.append(succ)
-                work.append(tid)
+                edges.append([])
+                if b2 or a2 not in table:
+                    work.append(tid)
+                else:
+                    known[tid] = table[a2]
             out.append((tid, p))
-        while len(edges) <= sid:
-            edges.append([])
         edges[sid] = out
     return PairStateGraph(states=states, edges=edges, start=0, index=index,
-                          collect=collect)
+                          collect=collect, known=known)
 
 
 def mark_saturated(g: PairStateGraph) -> PairStateGraph:
     """Flag states whose accumulator has reached its final value.
 
     A state can still grow iff it reaches (in zero or more steps) a state
-    whose (filtered) current set is not contained in its accumulator;
-    saturation is the complement, computed by reverse reachability from
-    the growing states.
+    whose (filtered) current set is not contained in its accumulator, or
+    a known state whose solved row is not the point mass on {}; saturation
+    is the complement, computed by reverse reachability from the growing
+    states.
     """
     n = len(g.states)
     if g.collect is None:
@@ -99,6 +114,8 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
     else:
         growing = [i for i, (a, b) in enumerate(g.states)
                    if not (a & g.collect) <= b]
+    if g.known:
+        growing += [i for i, row in g.known.items() if row.keys() != {EMPTY}]
     radj: list[list[int]] = [[] for _ in range(n)]
     for i, out in enumerate(g.edges):
         for j, _ in out:
@@ -120,69 +137,78 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
 
 def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
               exact: bool = True, collect: PacketSet | None = None,
-              program_text=None) -> dict:
+              program_text=None, table=None) -> dict:
     """Output distribution of ``p*`` on input ``a0`` (dict set -> prob).
 
     Explores the reachable pair chain, redirects saturated states to their
-    canonical absorbing state, and solves the absorbing system for the row
-    of the start state.  With ``collect`` set, computes the composite
+    canonical absorbing state, and solves the absorbing system for the rows
+    of the start and of every other unsaturated state (a, {}), each of
+    which goes in ``table``.  With ``collect`` set, computes the composite
     ``p* ; t`` for the predicate t with that packet set.
     """
+    if table is None:
+        table = {}
     g = mark_saturated(explore(row_fn, a0, cap=cap, collect=collect,
-                               program_text=program_text))
+                               program_text=program_text, table=table))
     sat = g.saturated
+    one = _ONE if exact else 1.0
     if sat[g.start]:
         # The accumulator can never grow: the final value is the empty set.
-        return {EMPTY: Fraction(1) if exact else 1.0}
+        dist = table[a0] = {EMPTY: one}
+        return dist
 
     # Transient states keep their exploration order; absorbing states are
     # canonical (0, b), keyed by accumulator.
+    states, known = g.states, g.known
     transient: dict[int, int] = {}
-    for i, s in enumerate(g.states):
+    for i, s in enumerate(states):
         if not (sat[i] and s[0] == EMPTY):
             transient[i] = len(transient)
-    abs_keys: list[PacketSet] = []
     abs_index: dict[PacketSet, int] = {}
-
-    def abs_col(bset: PacketSet) -> int:
-        j = abs_index.get(bset)
-        if j is None:
-            j = len(abs_keys)
-            abs_index[bset] = j
-            abs_keys.append(bset)
-        return j
-
-    one = Fraction(1) if exact else 1.0
     nt = len(transient)
     Q = SparseMatrix(nt, nt)
     R = SparseMatrix(nt, 0)
+    # Unsaturated, unknown states (a, {}), the start first, go in the table.
+    wanted: list[int] = []
+    wanted_sets: list[PacketSet] = []
     for i, ti in transient.items():
         if sat[i]:
             # Saturated but non-canonical: one step through the redirect.
-            R.rows[ti][abs_col(g.states[i][1])] = one
+            R.rows[ti][abs_index.setdefault(states[i][1], len(abs_index))] = one
             continue
-        qrow = Q.rows[ti]
         rrow = R.rows[ti]
+        if i in known:
+            for b, p in known[i].items():
+                rrow[abs_index.setdefault(b, len(abs_index))] = p
+            continue
+        a, b = states[i]
+        if not b:
+            wanted.append(ti)
+            wanted_sets.append(a)
+        qrow = Q.rows[ti]
         for j, p in g.edges[i]:
             if sat[j]:
-                c = abs_col(g.states[j][1])
+                c = abs_index.setdefault(states[j][1], len(abs_index))
                 rrow[c] = rrow.get(c, 0) + p
             else:
                 tj = transient[j]
                 qrow[tj] = qrow.get(tj, 0) + p
-    R.ncols = len(abs_keys)
-    row = solve_absorption_row(Q, R, transient[g.start], exact=exact)
-    dist = {abs_keys[c]: p for c, p in row.items() if p != 0}
-    total = sum(dist.values())
-    off = (total != 1) if exact else (abs(total - 1) > FLOAT_MASS_TOL)
-    if off:
-        raise SingularMatrixError(
-            f"the absorbing solve gave a star row of mass {total}, not 1")
-    return dist
+    R.ncols = len(abs_index)
+    abs_keys = list(abs_index)
+    rows = solve_absorption_row(Q, R, wanted, exact=exact)
+    for a, row in zip(wanted_sets, rows):
+        dist = {abs_keys[c]: p for c, p in row.items() if p != 0}
+        total = sum(dist.values())
+        off = (total != 1) if exact else (abs(total - 1) > FLOAT_MASS_TOL)
+        if off:
+            raise SingularMatrixError(
+                f"the absorbing solve gave a star row of mass {total}, not 1")
+        table[a] = dist
+    return table[a0]
 
 
 def to_dot(g: PairStateGraph, labeler=None) -> str:
-    """GraphViz dump; states labeled ``a|b``, saturated states doubled."""
+    """GraphViz dump; states labeled ``a|b``, saturated doubled, known dashed."""
     if labeler is None:
         labeler = lambda s: "{%s}" % ",".join(map(str, sorted(s)))
     lines = ["digraph pairs {"]
@@ -191,6 +217,8 @@ def to_dot(g: PairStateGraph, labeler=None) -> str:
         extra = ""
         if g.saturated is not None and g.saturated[i]:
             extra = ", peripheries=2"
+        if i in g.known:
+            extra += ", style=dashed"
         lines.append(f'  s{i} [label="{label}"{extra}];')
     for i, out in enumerate(g.edges):
         for j, p in sorted(out):

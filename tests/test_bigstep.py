@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from pnk.analysis import dist_leq
 from pnk.bigstep import Kernel, OutputDist
 from pnk.errors import WellFormednessError
-from pnk.linalg import convex, mat_mul
+from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
     predicate_set, union,
@@ -214,6 +215,42 @@ def test_union_dispatch_obeys_product_law(exact):
                 assert all(abs(got[b] - expected[b]) <= 1e-12 for b in got)
 
 
+def _star_programs(rng, u):
+    """``p*``, ``p* ; t`` and the loop ``(!t ; p)* ; t`` for random p, t."""
+    p = random_program(rng, u, 2, stars=1)
+    t = random_predicate(rng, u, 2)
+    return [Star(p), Seq(Star(p), t), Seq(Star(Seq(Neg(t), p)), t)]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_star_table_rows_equal_fresh_kernels(uni2x2, exact):
+    # One kernel keeps one table of solved star rows per (star, filter)
+    # and reuses it across input rows; the oracle asks a fresh kernel, with
+    # empty tables, for each row.
+    u = uni2x2
+    inputs = all_subsets(u)
+    rng = random.Random(9)
+    for _ in range(40):
+        for prog in _star_programs(rng, u):
+            prog = desugar(prog)
+            expected = {}
+            for a in inputs:
+                k = Kernel(prog, u, exact=exact)
+                expected[a] = k.row(k.program, a)
+            order = list(inputs)
+            for _ in range(2):
+                k = Kernel(prog, u, exact=exact)
+                for a in order:
+                    got = k.row(k.program, a)
+                    if exact:
+                        assert got == expected[a]
+                    else:
+                        assert got.keys() == expected[a].keys()
+                        assert all(abs(got[b] - expected[a][b]) <= 1e-12
+                                   for b in got)
+                rng.shuffle(order)
+
+
 def test_row_hands_out_a_copy(uni2x2):
     k = kernel(Union(Seq(Test("f", 0), Assign("g", 1)),
                      Choice(Fraction(1, 3), Skip(), Drop())), uni2x2)
@@ -241,7 +278,54 @@ def test_kernel_rejects_sugar(uni2x2):
         Kernel(If(Skip(), Skip(), Skip()), uni2x2)
 
 
-# -- matrices -----------------------------------------------------------------
+# -- matrices: the "`;` is matrix product" oracle ------------------------------
+
+DEFAULT_MATRIX_ROW_CAP = 4096
+
+
+@dataclass
+class BigStepMatrix:
+    """A stochastic matrix over explicit row/column packet-set indices."""
+
+    matrix: SparseMatrix
+    row_sets: list
+    col_sets: list
+    row_index: dict
+    col_index: dict
+
+
+def matrix(k, rows):
+    """Stochastic matrix whose i-th row is the kernel ``k`` applied to
+    rows[i]; columns are indexed by the union of all supports."""
+    dists = [k.row(k.program, a) for a in rows]
+    col_sets = []
+    col_index = {}
+    for d in dists:
+        for s in sorted(d, key=sorted):
+            if s not in col_index:
+                col_index[s] = len(col_sets)
+                col_sets.append(s)
+    m = SparseMatrix(len(rows), len(col_sets))
+    for i, d in enumerate(dists):
+        m.rows[i] = {col_index[s]: p for s, p in d.items()}
+    row_index = {a: i for i, a in enumerate(rows)}
+    return BigStepMatrix(m, list(rows), col_sets, row_index, col_index)
+
+
+def full_matrix(k, row_cap=DEFAULT_MATRIX_ROW_CAP):
+    """Matrix of ``k`` over all of 2^Pk, guarded by a row cap."""
+    n = k.universe.packet_count
+    if (1 << n) > row_cap:
+        raise WellFormednessError(
+            f"2^{n} rows exceed the cap of {row_cap}; pass explicit rows"
+        )
+    packets = sorted(k.universe.all_packets())
+    rows = [
+        frozenset(p for b, p in zip(range(n), packets) if (mask >> b) & 1)
+        for mask in range(1 << n)
+    ]
+    return matrix(k, rows)
+
 
 def all_subsets(u):
     packets = sorted(u.all_packets())
@@ -251,7 +335,7 @@ def all_subsets(u):
 
 def test_matrix_of_skip_is_identity():
     rows = all_subsets(UF)
-    bsm = kernel(Skip(), UF).matrix(rows)
+    bsm = matrix(kernel(Skip(), UF), rows)
     for i, a in enumerate(rows):
         assert bsm.matrix.rows[i] == {bsm.col_index[a]: Fraction(1)}
 
@@ -267,7 +351,7 @@ def test_matrix_seq_is_product():
     cols = {a: i for i, a in enumerate(rows)}
 
     def full(k):
-        bsm = k.matrix(rows)
+        bsm = matrix(k, rows)
         m = bsm.matrix.__class__(len(rows), len(rows))
         for i in range(len(rows)):
             for j, v in bsm.matrix.rows[i].items():
@@ -285,7 +369,7 @@ def test_matrix_choice_is_convex():
     cols = {a: i for i, a in enumerate(rows)}
 
     def full(prog):
-        bsm = kernel(prog, u).matrix(rows)
+        bsm = matrix(kernel(prog, u), rows)
         m = bsm.matrix.__class__(len(rows), len(rows))
         for i in range(len(rows)):
             for j, v in bsm.matrix.rows[i].items():
@@ -299,7 +383,7 @@ def test_full_matrix_cap():
     u = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2),
                         FieldDecl("h", 2), FieldDecl("i", 2)])
     with pytest.raises(WellFormednessError):
-        kernel(Skip(), u).full_matrix(row_cap=4096)
+        full_matrix(kernel(Skip(), u), row_cap=4096)
 
 
 def test_float_mode_masses():

@@ -240,6 +240,19 @@ def test_refinement_chain_on_abfattree():
         assert equiv(lo, hi, rows, u).result == "not-equal"
 
 
+def test_star_table_rows_equal_fresh_kernels_on_abfattree20():
+    # f10_35 at k=inf: one kernel over every ingress row reuses the star
+    # rows solved for the rows before; a fresh kernel per row does not.
+    cm = netlib.build_case_model(netlib.F10_35, abfattree20(), None,
+                                 Fraction(1, 4))
+    prog = desugar(cm.program)
+    shared = Kernel(prog, cm.universe)
+    for s in cm.in_packets:
+        fresh = Kernel(prog, cm.universe)
+        a = frozenset({s})
+        assert shared.row(prog, a) == fresh.row(prog, a)
+
+
 def test_default_flag_restored_on_delivery():
     # Delivered packets always carry default=1: composing the model with
     # the default=1 filter changes nothing, for bounded and unbounded k.

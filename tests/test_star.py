@@ -254,3 +254,24 @@ def test_dot_dump_regression():
     assert dot.count("peripheries=2") == 2
     assert dot.count("->") == 10
     assert '"1/2"' in dot
+
+
+def test_known_states_come_from_the_table():
+    # Body: f:=0 (+) f:=1 over f in {0, 1, 2}, filter f=1.  From f=0 the
+    # chain passes (f=1, {}), so its table holds the rows of f=0 and f=1.
+    # The chain from f=2 then stops at both, and its row is unchanged.
+    u = PacketUniverse([FieldDecl("f", 3)])
+    body = body_row(FLIP, u)
+    collect = frozenset({u.packet(f=1)})
+    table = {}
+    star_dist(body, frozenset({u.packet(f=0)}), collect=collect, table=table)
+    assert set(table) == {frozenset({u.packet(f=0)}), frozenset({u.packet(f=1)})}
+    a0 = frozenset({u.packet(f=2)})
+    g = mark_saturated(explore(body, a0, collect=collect, table=table))
+    assert sorted(g.states[i] for i in g.known) == [
+        (frozenset({u.packet(f=0)}), EMPTY), (frozenset({u.packet(f=1)}), EMPTY)]
+    assert all(g.edges[i] == [] for i in g.known)
+    assert to_dot(g).count("style=dashed") == 2
+    assert star_dist(body, a0, collect=collect, table=table) == \
+        star_dist(body, a0, collect=collect)
+
