@@ -2,11 +2,15 @@
 
 ``equiv`` and ``leq`` compare two programs row by row over an input
 specification, producing a verdict with a reproducible counterexample on
-the negative side.  ``dist_leq`` implements the distribution order via
-principal up-set probabilities.  ``query`` evaluates scalar measures of an
-output distribution.  ``sample_run``/``estimate`` form an operational
-sampler that is independent of the matrix pipeline and is used as a
-statistical oracle in tests.
+the negative side.  Both sides are decided in one kernel: their equal
+subterms are first made one object (``syntax.share``), so a subterm the
+two programs have in common, such as the ``p*`` of an unfolding, is
+evaluated and its stars solved once.  ``dist_leq`` implements the
+distribution order via principal up-set probabilities.  ``query``
+evaluates scalar measures of an output distribution.
+``sample_run``/``estimate`` form an operational sampler that is
+independent of the matrix pipeline and is used as a statistical oracle in
+tests.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import ConditioningError, WellFormednessError
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    desugar, has_choice, is_core, predicate_set, restrict,
+    desugar, has_choice, is_core, predicate_set, restrict, share,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -116,10 +120,17 @@ def _scalar_str(x) -> str:
     return str(x) if isinstance(x, Fraction) else repr(x)
 
 
-def _prepare(p: Program, universe: PacketUniverse, exact: bool,
-             state_budget: int) -> Kernel:
-    core = p if is_core(p) else desugar(p)
-    return Kernel(core, universe, exact=exact, state_budget=state_budget)
+def _core(p: Program) -> Program:
+    return p if is_core(p) else desugar(p)
+
+
+def _one_kernel(p: Program, q: Program, universe: PacketUniverse, exact: bool,
+                state_budget: int):
+    """The core forms of ``p`` and ``q`` with their equal subterms shared,
+    and one kernel over both: its memo, plans and star tables serve the
+    two sides alike."""
+    p, q = share(_core(p), _core(q))
+    return Kernel(p, universe, exact=exact, state_budget=state_budget), p, q
 
 
 def _set_key(s: PacketSet):
@@ -129,21 +140,23 @@ def _set_key(s: PacketSet):
 def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
           exact: bool = True, tol: float = FLOAT_TOL,
           state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
-    """Decide whether the two kernels agree on every input row.
+    """Decide whether the kernels of ``p`` and ``q`` agree on every input
+    row; the least disagreeing output set of the first disagreeing row is
+    the witness.  Both rows come from one kernel over the shared forms of
+    the two programs.
 
     When the spec is all-subsets and neither program contains a
     probabilistic choice, both kernels are deterministic and distribute
     over unions, so agreement on the empty row and all singleton rows
     settles every subset row; only those rows are evaluated.
     """
-    kp = _prepare(p, universe, exact, state_budget)
-    kq = _prepare(q, universe, exact, state_budget)
+    k, p, q = _one_kernel(p, q, universe, exact, state_budget)
     det = (inputs.subset_base is not None
-           and not has_choice(kp.program) and not has_choice(kq.program))
+           and not has_choice(p) and not has_choice(q))
     rows = inputs.singleton_rows() if det else inputs.rows()
     for a in rows:
-        mu = kp.row(kp.program, a)
-        nu = kq.row(kq.program, a)
+        mu = k.row(p, a)
+        nu = k.row(q, a)
         bad = _dist_mismatch(mu, nu, exact, tol)
         if bad is not None:
             return Verdict("not-equal", Witness(a, bad, mu.get(bad, 0), nu.get(bad, 0)),
@@ -226,13 +239,14 @@ def dist_leq_bruteforce(mu, nu, packets, exact: bool = True,
 def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
         exact: bool = True, tol: float = FLOAT_TOL,
         state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
-    """Pointwise distribution order over the input rows."""
-    kp = _prepare(p, universe, exact, state_budget)
-    kq = _prepare(q, universe, exact, state_budget)
+    """Pointwise distribution order over the input rows; the witness is
+    the least principal up-set of the first failing row.  Both rows come
+    from one kernel over the shared forms of the two programs."""
+    k, p, q = _one_kernel(p, q, universe, exact, state_budget)
     slack = 0 if exact else tol
     for a in inputs.rows():
-        mu = kp.row(kp.program, a)
-        nu = kq.row(kq.program, a)
+        mu = k.row(p, a)
+        nu = k.row(q, a)
         family = sorted(_meet_closure(set(mu) | set(nu) | {EMPTY}), key=_set_key)
         for gen in family:
             x, y = upset_prob(mu, gen), upset_prob(nu, gen)
@@ -278,7 +292,7 @@ class QuerySpec:
 
 def query(p: Program, a: PacketSet, measure: QuerySpec, universe: PacketUniverse,
           exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
-    k = _prepare(p, universe, exact, state_budget)
+    k = Kernel(_core(p), universe, exact=exact, state_budget=state_budget)
     return query_dist(k.apply(a).as_dict(), measure, universe, exact=exact)
 
 
@@ -345,8 +359,7 @@ def sample_run(p: Program, a: PacketSet, universe: PacketUniverse,
     ``random.Random``.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    core = p if is_core(p) else desugar(p)
-    return _sample(core, a, universe, rng, star_depth)
+    return _sample(_core(p), a, universe, rng, star_depth)
 
 
 def _below(r: float, w) -> bool:
@@ -421,7 +434,7 @@ def estimate(p: Program, a: PacketSet, universe: PacketUniverse, n_samples: int,
     and independent of evaluation order.  Truncated runs are counted and
     excluded, never silently folded into the estimate.
     """
-    core = p if is_core(p) else desugar(p)
+    core = _core(p)
     counts: dict = {}
     truncated = 0
     for i in range(n_samples):

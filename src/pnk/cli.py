@@ -139,6 +139,16 @@ def _parse_measure(text: str, universe) -> QuerySpec:
     raise PnkError(f"unknown measure {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _add_common(sub):
     sub.add_argument("--universe", help="universe JSON file")
     # Tri-state: None means the per-command default (exact everywhere
@@ -146,12 +156,16 @@ def _add_common(sub):
     sub.add_argument("--exact", dest="exact", action="store_true", default=None)
     sub.add_argument("--float", dest="exact", action="store_false")
     sub.add_argument("--tol", type=float, default=FLOAT_TOL)
-    sub.add_argument("--max-states", type=int,
-                     default=int(os.environ.get("PNK_MAX_STATES", DEFAULT_STATE_BUDGET)))
-    sub.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+    # argparse converts a string default with ``type`` only when the option
+    # is absent, so a bad PNK_MAX_STATES is reported like a bad flag.
+    sub.add_argument("--max-states", type=_positive_int,
+                     default=os.environ.get("PNK_MAX_STATES", str(DEFAULT_STATE_BUDGET)),
+                     help="pair-state budget per star chain "
+                          f"(default: $PNK_MAX_STATES, else {DEFAULT_STATE_BUDGET})")
+    sub.add_argument("--cap-subsets", type=_positive_int, default=DEFAULT_SUBSET_CAP)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=_positive_int, default=1)
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,8 @@
 
 Core nodes: Drop, Skip, Test, Assign, Neg, Union, Seq, Choice, Star.
 Sugar nodes: If, While, DoWhile, Var, NaryChoice.  ``desugar`` rewrites a
-well-formed program into core nodes only.
+well-formed program into core nodes only, and ``share`` makes the equal
+subterms of core programs one object each.
 
 ``&`` and ``;`` are associative, so ``Union`` and ``Seq`` are n-ary: each
 holds the ``parts`` of a whole chain, two or more, and is flattened on
@@ -17,6 +18,7 @@ applied to predicates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,6 +280,58 @@ def _desugar_nary(branches) -> Program:
         # All-zero tail: any branch carries the (zero) mass.
         return desugar(head)
     return Choice(Fraction(w) / total, desugar(head), _desugar_nary(branches[1:]))
+
+
+def _split(node: Program):
+    """(scalar fields, children, constructor from new children) of a core
+    node; leaves have no constructor."""
+    match node:
+        case Drop() | Skip():
+            return (), (), None
+        case Test(f, v) | Assign(f, v):
+            return (f, v), (), None
+        case Neg(b) | Star(b):
+            return (), (b,), type(node)
+        case Union(parts) | Seq(parts):
+            return (), parts, type(node)
+        case Choice(w, l, r):
+            return (w,), (l, r), lambda l, r: Choice(w, l, r)
+        case _:
+            raise WellFormednessError(f"non-core node {node!r}")
+
+
+def share(*programs: Program) -> tuple:
+    """The core ``programs``, each ``==`` to its input, rebuilt so that
+    equal subterms, within one program and across them, are one object.
+
+    Nodes are shared bottom-up through one table keyed by (class, scalar
+    fields, ids of the already-shared children); a node whose children
+    were all kept is itself kept.  The walk keeps its own stack, so deep
+    programs cost no recursion depth.
+    """
+    table: dict = {}
+    shared: dict = {}  # id(input node) -> its shared node
+    for root in programs:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in shared:
+                stack.pop()
+                continue
+            scalars, kids, build = _split(node)
+            todo = [k for k in kids if id(k) not in shared]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            new = [shared[id(k)] for k in kids]
+            key = (type(node), scalars, tuple(map(id, new)))
+            hit = table.get(key)
+            if hit is None:
+                kept = all(map(operator.is_, new, kids))
+                hit = table[key] = node if kept else build(*new)
+            shared[id(node)] = hit
+    return tuple(shared[id(p)] for p in programs)
 
 
 def has_choice(p: Program) -> bool:

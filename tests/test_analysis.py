@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from pnk import star
 from pnk.analysis import (
-    FLOAT_TOL, InputSpec, QuerySpec, TruncatedRun, _below, _dist_mismatch,
-    dist_leq, dist_leq_bruteforce, equiv, estimate, leq, query, sample_run,
+    FLOAT_TOL, InputSpec, QuerySpec, TruncatedRun, Verdict, Witness, _below,
+    _dist_mismatch, _meet_closure, dist_leq, dist_leq_bruteforce, equiv,
+    estimate, leq, query, sample_run, upset_prob,
 )
 from pnk.bigstep import Kernel
 from pnk.cli import main
-from pnk.errors import ConditioningError, WellFormednessError
+from pnk.errors import BudgetExceededError, ConditioningError, WellFormednessError
 from pnk.parser import parse
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
@@ -17,7 +19,7 @@ from pnk.syntax import (
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
-from conftest import random_dist, random_program, random_set
+from conftest import random_dist, random_predicate, random_program, random_set
 
 UF = PacketUniverse([FieldDecl("f", 2)])
 
@@ -235,6 +237,103 @@ def test_float_mode_reports_tolerance(uni2x2):
     v = equiv(p, Skip(), InputSpec.full_universe(uni2x2), uni2x2,
               exact=False, tol=1e-9)
     assert v.result == "equal" and v.tolerance == 1e-9 and not v.exact
+
+
+# -- one kernel for both sides ---------------------------------------------------
+
+def _two_kernel_verdict(decide, p, q, inputs, u, exact):
+    """The verdict of ``decide`` from a fresh kernel per side."""
+    p, q = desugar(p), desugar(q)
+    kp, kq = Kernel(p, u, exact=exact), Kernel(q, u, exact=exact)
+    tol = None if exact else FLOAT_TOL
+    if decide is equiv:
+        det = not has_choice(p) and not has_choice(q)
+        for a in inputs.singleton_rows() if det else inputs.rows():
+            mu, nu = kp.row(p, a), kq.row(q, a)
+            bad = _dist_mismatch(mu, nu, exact, FLOAT_TOL)
+            if bad is not None:
+                w = Witness(a, bad, mu.get(bad, 0), nu.get(bad, 0))
+                return Verdict("not-equal", w, exact, tol)
+        return Verdict("equal", exact=exact, tolerance=tol)
+    slack = 0 if exact else FLOAT_TOL
+    for a in inputs.rows():
+        mu, nu = kp.row(p, a), kq.row(q, a)
+        for gen in sorted(_meet_closure(set(mu) | set(nu) | {EMPTY}), key=sorted):
+            x, y = upset_prob(mu, gen), upset_prob(nu, gen)
+            if x > y + slack:
+                return Verdict("not-leq", Witness(a, gen, x, y), exact, tol)
+    return Verdict("leq", exact=exact, tolerance=tol)
+
+
+def _unroll(p, n):
+    out = Skip()
+    for _ in range(n):
+        out = Union(Skip(), Seq(p, out))
+    return out
+
+
+def _oracle_pairs(rng, u, count):
+    """(decide, left, right): the four constructed kinds of pair, whose
+    sides share subterms, each built apart, then two unrelated pairs, the
+    first with a deterministic left side."""
+    for i in range(count):
+        p = random_program(rng, u, 2, stars=1)
+        copy = lambda: parse(pretty(p), u)  # noqa: E731 -- equal, built apart
+        x = rng.choice(u.decls).name
+        yield equiv, Star(p), Union(Skip(), Seq(copy(), Star(copy())))
+        yield equiv, Choice(Fraction(1, 3), p, copy()), Seq(copy(), Skip())
+        yield (equiv, Union(Seq(p, Assign(x, 0)), Assign(x, 0)),
+               Union(Seq(copy(), Assign(x, 0)), Assign(x, 1)))
+        yield leq, _unroll(p, i % 3), _unroll(copy(), i % 3 + 1)
+        yield (equiv, Seq(random_predicate(rng, u), Assign(x, 1)),
+               random_program(rng, u, 2, stars=1))
+        yield (rng.choice((equiv, leq)), random_program(rng, u, 2, stars=1),
+               random_program(rng, u, 2, stars=1))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_shared_kernel_verdicts_equal_two_kernels(uni2x2, exact):
+    rng = random.Random(17)
+    spec = InputSpec.full_universe(uni2x2)
+    seen = set()
+    for decide, p, q in _oracle_pairs(rng, uni2x2, 40):
+        got = decide(p, q, spec, uni2x2, exact=exact)
+        assert got == _two_kernel_verdict(decide, p, q, spec, uni2x2, exact)
+        seen.add(got.result)
+    assert seen == {"equal", "not-equal", "leq", "not-leq"}
+
+
+def test_shared_kernel_solves_each_star_row_once(uni8, monkeypatch):
+    calls = []
+    solve = star.star_dist
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(star, "star_dist", counting)
+    rng = random.Random(23)
+    rows = InputSpec.of_sets(list(InputSpec.full_universe(uni8).rows()))
+    for _ in range(6):
+        p = random_program(rng, uni8, 3, stars=1)
+        k = Kernel(Star(p), uni8)
+        for a in rows.rows():
+            k.row(k.program, a)
+        alone = len(calls)
+        q = parse(pretty(p), uni8)
+        assert equiv(Star(p), Union(Skip(), Seq(q, Star(q))), rows,
+                     uni8).result == "equal"
+        assert len(calls) - alone <= alone
+        calls.clear()
+
+
+@pytest.mark.parametrize("decide", [equiv, leq])
+def test_identical_sides_over_budget_still_raise(decide):
+    p = parse("(f:=0 +[1/2] f:=1)*", UF)
+    spec = InputSpec.full_universe(UF)
+    for q in (p, parse(pretty(p), UF)):
+        with pytest.raises(BudgetExceededError):
+            decide(p, q, spec, UF, state_budget=2)
 
 
 # -- queries -------------------------------------------------------------------

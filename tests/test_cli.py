@@ -140,6 +140,32 @@ def test_max_states_env(progdir, capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, env", [
+    (["--max-states", "-5"], None),
+    (["--max-states", "0"], None),
+    (["--max-states", "abc"], None),
+    ([], "abc"),
+    ([], "-5"),
+    (["--cap-subsets", "0"], None),
+    (["--jobs", "0"], None),
+    (["--jobs", "two"], None),
+])
+def test_counts_must_be_positive_integers(progdir, capsys, monkeypatch, args, env):
+    if env is not None:
+        monkeypatch.setenv("PNK_MAX_STATES", env)
+    a0 = progdir("a0.pnk", ASSIGN0)
+    with pytest.raises(SystemExit) as exit_:
+        main(["equiv", a0, a0] + args)
+    assert exit_.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_bad_budget_variable_is_overridden_by_the_flag(progdir, capsys, monkeypatch):
+    monkeypatch.setenv("PNK_MAX_STATES", "abc")
+    a0 = progdir("a0.pnk", ASSIGN0)
+    assert main(["equiv", a0, a0, "--max-states", "5"]) == 0
+
+
 def test_universe_file_flag(progdir, capsys, tmp_path):
     upath = tmp_path / "u.json"
     upath.write_text('{"fields":[{"name":"f","size":2}]}')

@@ -9,11 +9,11 @@ from pnk.parser import parse, parse_file_text
 from pnk.syntax import (
     Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Seq, Skip, Star,
     Test, Union, Var, While, desugar, is_predicate, predicate_set, pretty,
-    restrict, validate,
+    restrict, share, validate,
 )
 from pnk.universe import FieldDecl, PacketUniverse
 
-from conftest import random_predicate, random_set
+from conftest import random_predicate, random_program, random_set
 
 U = PacketUniverse([FieldDecl("sw", 4), FieldDecl("pt", 4), FieldDecl("f", 8)])
 
@@ -271,3 +271,79 @@ def test_restrict_matches_per_packet_evaluation(sizes):
         a = random_set(rng, u)
         expected = frozenset(i for i in a if passes(t, u.record(i)))
         assert restrict(t, a, u) == expected
+
+
+# -- sharing equal subterms ------------------------------------------------------
+
+def _nodes(p):
+    """Every node object of a program DAG, iteratively."""
+    seen, stack = {}, [p]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        match node:
+            case Union(parts) | Seq(parts):
+                stack.extend(parts)
+            case Neg(b) | Star(b):
+                stack.append(b)
+            case Choice(_, l, r):
+                stack.extend((l, r))
+    return list(seen.values())
+
+
+def test_share_keeps_values_and_merges_equal_subterms():
+    rng = random.Random(5)
+    u = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2)])
+    for _ in range(60):
+        p, q = random_program(rng, u, 3, 2), random_program(rng, u, 3, 2)
+        for given in ((p,), (p, q), (p, Seq(q, p), Star(p))):
+            out = share(*given)
+            assert out == given
+            nodes = [n for root in out for n in _nodes(root)]
+            by_value = {}
+            for n in nodes:
+                assert by_value.setdefault(n, n) is n  # one object per value
+            assert all(a is b for a, b in zip(share(*out), out))
+
+
+def test_share_merges_across_programs():
+    def body():  # a fresh copy on every call
+        return Seq(Test("f", 1), Choice(Fraction(1, 3), Assign("f", 0), Skip()))
+
+    p = Star(body())
+    q = Union(Skip(), Seq(body(), Star(body())))  # the unfolding of p
+    sp, sq = share(p, q)
+    assert (sp, sq) == (p, q)
+    assert sp is p  # nothing in p needed replacing
+    step = sq.parts[1]
+    assert step.parts[-1] is sp
+    assert step.parts[0] is sp.body.parts[0] and step.parts[1] is sp.body.parts[1]
+    (c,) = share(Choice(Fraction(1, 2), p, Star(body())))
+    assert c.left is c.right
+
+
+def test_share_keeps_different_values_apart():
+    pairs = [
+        (Choice(Fraction(1, 3), Skip(), Drop()), Choice(Fraction(2, 3), Skip(), Drop())),
+        (Test("f", 0), Test("g", 0)),
+        (Test("f", 0), Test("f", 1)),
+        (Test("f", 0), Assign("f", 0)),
+        (Union(Test("f", 0), Assign("f", 1)), Seq(Test("f", 0), Assign("f", 1))),
+        (Neg(Test("f", 0)), Star(Test("f", 0))),
+        (Seq(Assign("f", 0), Assign("g", 1)), Seq(Assign("g", 1), Assign("f", 0))),
+    ]
+    for x, y in pairs:
+        sx, sy = share(x, y)
+        assert (sx, sy) == (x, y)
+        assert sx is not sy and sx != sy
+
+
+def test_share_long_chains_without_recursion_error():
+    tests = [Test("f", i % 8) for i in range(3000)]
+    for chain in (Union(*tests), Seq(*tests)):
+        copy = type(chain)(*[Test(t.field, t.value) for t in tests])
+        out, other = share(chain, copy)
+        assert out == chain and other is out
+        assert len({id(t) for t in out.parts}) == 8
