@@ -10,12 +10,13 @@ from .analysis import (
     Estimate, InputSpec, QuerySpec, Verdict, Witness, dist_leq, equiv,
     estimate, leq, query, sample_run,
 )
-from .bigstep import Kernel, OutputDist
+from .bigstep import Kernel
 from .errors import (
     BudgetExceededError, ConditioningError, DimensionError, ParseError,
     PnkError, SingularMatrixError, UniverseError, WellFormednessError,
 )
 from .parser import parse, parse_file_text
+from .row import Row
 from .star import PairStateGraph, explore, mark_saturated, star_dist, to_dot
 from .syntax import (
     Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Seq, Skip,

@@ -20,8 +20,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigstep import Kernel, OutputDist
+from .bigstep import Kernel
 from .errors import ConditioningError, WellFormednessError
+from .row import Row, ratio
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
@@ -159,17 +160,21 @@ def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
         nu = k.row(q, a)
         bad = _dist_mismatch(mu, nu, exact, tol)
         if bad is not None:
-            return Verdict("not-equal", Witness(a, bad, mu.get(bad, 0), nu.get(bad, 0)),
+            return Verdict("not-equal", Witness(a, bad, mu.prob(bad), nu.prob(bad)),
                            exact=exact, tolerance=None if exact else tol)
     return Verdict("equal", exact=exact, tolerance=None if exact else tol)
 
 
-def _dist_mismatch(mu: dict, nu: dict, exact: bool, tol: float):
-    """Lexicographically least output set on which the rows disagree."""
+def _dist_mismatch(mu: Row, nu: Row, exact: bool, tol: float):
+    """Lexicographically least output set on which the rows disagree;
+    exact rows are compared by cross-multiplication, x/d_mu against
+    y/d_nu as x*d_nu against y*d_mu."""
     bad = None
-    for b in mu.keys() | nu.keys():
-        x, y = mu.get(b, 0), nu.get(b, 0)
-        differs = (x != y) if exact else (abs(x - y) > tol)
+    m, n = mu.nums, nu.nums
+    dm, dn = mu.den, nu.den
+    for b in m.keys() | n.keys():
+        x, y = m.get(b, 0), n.get(b, 0)
+        differs = (x * dn != y * dm) if exact else (abs(x - y) > tol)
         if differs and (bad is None or _set_key(b) < _set_key(bad)):
             bad = b
     return bad
@@ -179,7 +184,8 @@ def _dist_mismatch(mu: dict, nu: dict, exact: bool, tol: float):
 
 
 def upset_prob(mu: dict, aset: PacketSet):
-    """mu of the principal up-set of ``aset``."""
+    """mu of the principal up-set of ``aset`` (for a row's ``nums``, the
+    numerator of that probability)."""
     return sum(p for b, p in mu.items() if aset <= b)
 
 
@@ -207,10 +213,6 @@ def dist_leq(mu, nu, exact: bool = True, tol: float = FLOAT_TOL) -> bool:
     exactly where the up-set of the intersection of all supersets of a in
     the closure does.
     """
-    if isinstance(mu, OutputDist):
-        mu = mu.as_dict()
-    if isinstance(nu, OutputDist):
-        nu = nu.as_dict()
     family = _meet_closure(set(mu) | set(nu) | {EMPTY})
     slack = 0 if exact else tol
     for a in family:
@@ -222,10 +224,6 @@ def dist_leq(mu, nu, exact: bool = True, tol: float = FLOAT_TOL) -> bool:
 def dist_leq_bruteforce(mu, nu, packets, exact: bool = True,
                         tol: float = FLOAT_TOL) -> bool:
     """Reference implementation quantifying over all subsets of ``packets``."""
-    if isinstance(mu, OutputDist):
-        mu = mu.as_dict()
-    if isinstance(nu, OutputDist):
-        nu = nu.as_dict()
     packets = sorted(packets)
     slack = 0 if exact else tol
     for r in range(len(packets) + 1):
@@ -243,15 +241,16 @@ def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     the least principal up-set of the first failing row.  Both rows come
     from one kernel over the shared forms of the two programs."""
     k, p, q = _one_kernel(p, q, universe, exact, state_budget)
-    slack = 0 if exact else tol
     for a in inputs.rows():
         mu = k.row(p, a)
         nu = k.row(q, a)
-        family = sorted(_meet_closure(set(mu) | set(nu) | {EMPTY}), key=_set_key)
+        dm, dn = mu.den, nu.den
+        family = sorted(_meet_closure(set(mu.nums) | set(nu.nums) | {EMPTY}),
+                        key=_set_key)
         for gen in family:
-            x, y = upset_prob(mu, gen), upset_prob(nu, gen)
-            if x > y + slack:
-                return Verdict("not-leq", Witness(a, gen, x, y),
+            x, y = upset_prob(mu.nums, gen), upset_prob(nu.nums, gen)
+            if (x * dn > y * dm) if exact else (x > y + tol):
+                return Verdict("not-leq", Witness(a, gen, ratio(x, dm), ratio(y, dn)),
                                exact=exact, tolerance=None if exact else tol)
     return Verdict("leq", exact=exact, tolerance=None if exact else tol)
 
@@ -370,6 +369,8 @@ def _below(r: float, w) -> bool:
 
 
 def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet:
+    while isinstance(node, Choice):  # a right-nested chain of choices, by a loop
+        node = node.left if _below(rng.random(), node.weight) else node.right
     match node:
         case Drop():
             return EMPTY
@@ -388,9 +389,6 @@ def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet
             for q in parts:
                 a = _sample(q, a, universe, rng, star_depth)
             return a
-        case Choice(w, l, r):
-            pick_left = _below(rng.random(), w)
-            return _sample(l if pick_left else r, a, universe, rng, star_depth)
         case Star(body):
             acc = EMPTY
             cur = a

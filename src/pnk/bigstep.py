@@ -1,13 +1,25 @@
 """Big-step compilation: programs as kernels from packet sets to output
 distributions.
 
-A kernel row is a finitely supported distribution over packet sets.  Rows
-are memoized per (node, input set), so repeated sub-evaluations -- which
-dominate star exploration, where the same current set recurs under many
-accumulators -- are computed once.  Rows are shared: the memo, the rows
-built from them and the star row function may hand out the same dict, so
-code inside this module treats every row as read-only.  ``Kernel.row``
-hands callers a copy.
+A kernel row is a ``Row`` (see ``row``): in exact mode, positive integer
+numerators over one row denominator; in float mode, float weights over 1.
+Rows are memoized per (node, input set), so repeated sub-evaluations --
+which dominate star exploration, where the same current set recurs under
+many accumulators -- are computed once.  Rows are shared: the memo, the
+rows built from them and the star tables hand out the same row, so nobody
+changes one.
+
+Exact rows are built without ``Fraction``s and reduced by their gcd where
+they are made:
+
+- a choice of weight n/d scales the left row's numerators by n and the
+  right row's by d - n, over d times the lcm of the two denominators;
+- a product (``&``) multiplies the denominators and the numerators, and
+  is reduced only when two outcomes merge, since the product of reduced
+  rows with distinct outcomes is reduced;
+- a bind (one step of ``;``) sums over the lcm of its step rows'
+  denominators;
+- a point mass is a one-entry row whose numerator equals ``den``.
 
 ``Union`` and ``Seq`` nodes are n-ary; each is evaluated through a plan
 made on first use.  Every core program is strict: it maps the empty set
@@ -26,10 +38,10 @@ A sequence is a left-to-right fold of binds (Kleisli composition), one
 per step of its plan.  The plan folds the predicate parts right after a
 star into that star's ``collect`` filter, so ``p* ; t`` is solved as one
 pair chain whose accumulator only gathers packets that pass ``t``.  A
-point mass of probability one on either side of a product, or on the
-left of a bind, skips the multiplication.  Exact rows equal those of any
-other bracketing of the chain, because ``Fraction`` arithmetic is exact;
-float rows may differ in the last bits.
+point mass on either side of a product, or on the left of a bind, skips
+the multiplication.  Exact rows equal those of any other bracketing of
+the chain; float rows may differ in the last bits.  A right-nested chain
+of choices is walked with a loop and folded from the innermost node out.
 
 Every star goes through the kernel's table of solved rows for its (star
 node, filter), which maps a current set a to the star's row on a; a chain
@@ -40,68 +52,17 @@ chains stop there (see ``star`` for why that row is shared).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from . import star as star_mod
 from .errors import WellFormednessError
-from .star import DEFAULT_STATE_BUDGET, FLOAT_MASS_TOL
+from .row import Row, reduced
+from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
     is_core, is_predicate, predicate_set, pretty, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
-
-
-@dataclass(frozen=True)
-class OutputDist:
-    """Finitely supported distribution over packet sets (one stochastic row)."""
-
-    support: tuple  # tuple of (PacketSet, prob), canonically ordered
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutputDist":
-        items = tuple(sorted(((s, p) for s, p in d.items() if p != 0),
-                             key=lambda kv: sorted(kv[0])))
-        return cls(items)
-
-    def as_dict(self) -> dict:
-        return dict(self.support)
-
-    def mass(self):
-        return sum(p for _, p in self.support)
-
-    def prob(self, aset: PacketSet):
-        for s, p in self.support:
-            if s == aset:
-                return p
-        return 0
-
-    def validate(self, exact: bool = True) -> None:
-        for s, p in self.support:
-            if p <= 0:
-                raise WellFormednessError(f"non-positive probability {p}")
-        m = self.mass()
-        if exact:
-            if m != 1:
-                raise WellFormednessError(f"total mass {m} != 1")
-        elif abs(m - 1) > FLOAT_MASS_TOL:
-            raise WellFormednessError(
-                f"total mass {m} not within {FLOAT_MASS_TOL} of 1")
-
-    def to_jsonable(self, universe: PacketUniverse, input_set: PacketSet | None = None):
-        obj = {
-            "support": [
-                {
-                    "set": universe.set_to_records(s),
-                    "prob": str(p) if isinstance(p, Fraction) else repr(p),
-                }
-                for s, p in self.support
-            ]
-        }
-        if input_set is not None:
-            obj["input"] = universe.set_to_records(input_set)
-        return obj
 
 
 def _leading_tests(node: Program) -> dict:
@@ -128,7 +89,7 @@ class Kernel:
         self.universe = universe
         self.exact = exact
         self.state_budget = state_budget
-        self._unit = Fraction(1) if exact else 1.0
+        self._one = 1 if exact else 1.0
         # The caches key nodes by id(); holding every root a row was asked
         # for keeps each keyed node (a root or a part of one) alive, so no
         # id is reused by another node while its entries exist.
@@ -136,33 +97,38 @@ class Kernel:
         self._memo: dict = {}
         self._plans: dict = {}
         self._tables: dict = {}
+        self._diracs: dict = {}
+        self._empty = self._dirac(EMPTY)
 
-    # -- scalar helpers ----------------------------------------------------
+    def _dirac(self, s: PacketSet) -> Row:
+        """The point mass on ``s``: one row per set and kernel, since most
+        rows are point masses on few distinct sets."""
+        row = self._diracs.get(s)
+        if row is None:
+            row = self._diracs[s] = Row(1, {s: self._one})
+        return row
 
-    def _weight(self, w: Fraction):
-        return w if self.exact else float(w)
-
-    def _point(self, row: dict):
+    def _point(self, row: Row):
         """The set a row puts probability one on, or None."""
-        if len(row) != 1:
+        nums = row.nums
+        if len(nums) != 1:
             return None
-        (s, p), = row.items()
-        unit = self._unit
-        return s if p is unit or p == unit else None
+        (s, p), = nums.items()
+        return s if p == row.den else None
 
     # -- evaluation ----------------------------------------------------------
 
-    def apply(self, aset: PacketSet) -> OutputDist:
-        """The output distribution of the whole program on ``aset``."""
-        return OutputDist.from_dict(self._eval(self.program, aset))
+    def apply(self, aset: PacketSet) -> Row:
+        """The output row of the whole program on ``aset``."""
+        return self._eval(self.program, aset)
 
-    def row(self, node: Program, aset: PacketSet) -> dict:
-        """Raw row (dict set -> prob) of an arbitrary sub-program; a copy
-        the caller may change."""
+    def row(self, node: Program, aset: PacketSet) -> Row:
+        """The row of an arbitrary sub-program on ``aset``; shared, so the
+        caller must not change it (``as_dict`` gives a fresh dict)."""
         self._roots[id(node)] = node
-        return dict(self._eval(node, aset))
+        return self._eval(node, aset)
 
-    def _eval(self, node: Program, aset: PacketSet) -> dict:
+    def _eval(self, node: Program, aset: PacketSet) -> Row:
         key = (id(node), aset)
         hit = self._memo.get(key)
         if hit is not None:
@@ -171,43 +137,92 @@ class Kernel:
         self._memo[key] = out
         return out
 
-    def _eval_uncached(self, node: Program, aset: PacketSet) -> dict:
-        one = self._unit
+    def _eval_uncached(self, node: Program, aset: PacketSet) -> Row:
         match node:
             case Drop():
-                return {EMPTY: one}
+                return self._empty
             case Skip():
-                return {aset: one}
+                return self._dirac(aset)
             case Test(f, v):
-                return {self.universe.select(aset, f, v): one}
+                return self._dirac(self.universe.select(aset, f, v))
             case Assign(f, v):
-                return {self.universe.modify(aset, f, v): one}
+                return self._dirac(self.universe.modify(aset, f, v))
             case Neg(t):
-                return {aset - restrict(t, aset, self.universe): one}
+                return self._dirac(aset - restrict(t, aset, self.universe))
             case Union():
                 return self._union(node, aset)
             case Seq():
-                row = {aset: one}
+                row = self._dirac(aset)
                 for part, collect in self._seq_plan(node):
                     row = self._bind(row, part, collect)
                 return row
-            case Choice(w, l, r):
-                w = self._weight(w)
-                out = {}
-                if w != 0:
-                    for b, p in self._eval(l, aset).items():
-                        out[b] = out.get(b, 0) + w * p
-                if w != 1:
-                    cw = one - w
-                    for b, p in self._eval(r, aset).items():
-                        out[b] = out.get(b, 0) + cw * p
-                return {b: p for b, p in out.items() if p != 0}
+            case Choice():
+                return self._choice(node, aset)
             case Star():
                 return self._star(node, None, aset)
             case _:
                 raise WellFormednessError(f"non-core node {node!r}")
 
-    def _union(self, node: Union, aset: PacketSet) -> dict:
+    def _choice(self, node: Choice, aset: PacketSet) -> Row:
+        """The row of the right-nested chain of choices at ``node``.
+
+        Walks the chain with a loop, evaluating each left branch (unless its
+        weight is 0) and stopping at a weight of 1, at a non-choice right
+        branch or at a choice whose row is memoized; then folds the rows
+        from the innermost choice out, memoizing each.  These are the
+        evaluations and operations of the recursive definition, in its
+        order."""
+        memo, exact = self._memo, self.exact
+        spine = []
+        row = None
+        while True:
+            w = node.weight if exact else float(node.weight)
+            spine.append((node, w, self._eval(node.left, aset) if w != 0 else None))
+            if w == 1:
+                break
+            node = node.right
+            if not isinstance(node, Choice):
+                row = self._eval(node, aset)
+                break
+            row = memo.get((id(node), aset))
+            if row is not None:
+                break
+        mix = self._mix if exact else self._mix_float
+        for node, w, left in reversed(spine):
+            row = mix(w, left, row)
+            memo[(id(node), aset)] = row
+        return row
+
+    @staticmethod
+    def _mix(w, left: Row, right: Row) -> Row:
+        """Exact row of a choice of weight ``w`` between two rows (a side
+        whose weight is 0 may be None)."""
+        if w == 0:
+            return right
+        if w == 1:
+            return left
+        n, d = w.numerator, w.denominator
+        dl, dr = left.den, right.den
+        m = lcm(dl, dr)
+        fl, fr = n * (m // dl), (d - n) * (m // dr)
+        out = {b: fl * p for b, p in left.nums.items()}
+        for b, p in right.nums.items():
+            out[b] = out.get(b, 0) + fr * p
+        return reduced(d * m, out)
+
+    @staticmethod
+    def _mix_float(w: float, left: Row, right: Row) -> Row:
+        if w == 0:
+            return right
+        if w == 1:
+            return left
+        out = {b: w * p for b, p in left.nums.items()}
+        cw = 1.0 - w
+        for b, p in right.nums.items():
+            out[b] = out.get(b, 0) + cw * p
+        return Row(1, {b: p for b, p in out.items() if p != 0})
+
+    def _union(self, node: Union, aset: PacketSet) -> Row:
         branches, guard, table, unguarded = self._union_plan(node)
         picked = unguarded
         if guard is not None:
@@ -223,7 +238,7 @@ class Kernel:
         for i in picked:
             row = self._eval(branches[i], aset)
             out = row if out is None else self._product(out, row)
-        return {EMPTY: self._unit} if out is None else out
+        return self._empty if out is None else out
 
     def _union_plan(self, node: Union):
         """(branches, guard field, value -> branch indices, unguarded
@@ -250,7 +265,7 @@ class Kernel:
         self._plans[id(node)] = plan
         return plan
 
-    def _product(self, mu: dict, nu: dict) -> dict:
+    def _product(self, mu: Row, nu: Row) -> Row:
         """The row of ``l & r`` from the rows of ``l`` and ``r``."""
         s, other = self._point(nu), mu
         if s is None:
@@ -258,17 +273,23 @@ class Kernel:
         if s is not None:
             if not s:
                 return other
+            nums = other.nums
             out: dict = {}
-            for b, p in other.items():
+            for b, p in nums.items():
                 b = b | s
                 out[b] = out.get(b, 0) + p
-            return out
+            if self.exact and len(out) < len(nums):
+                return reduced(other.den, out)
+            return Row(other.den, out)
         out = {}
-        for b1, p1 in mu.items():
-            for b2, p2 in nu.items():
+        for b1, p1 in mu.nums.items():
+            for b2, p2 in nu.nums.items():
                 b = b1 | b2
                 out[b] = out.get(b, 0) + p1 * p2
-        return out
+        den = mu.den * nu.den
+        if self.exact and len(out) < len(mu.nums) * len(nu.nums):
+            return reduced(den, out)
+        return Row(den, out)
 
     def _seq_plan(self, node: Seq) -> list:
         """The (part, collect) steps of the sequence at ``node``, in order;
@@ -288,14 +309,14 @@ class Kernel:
         self._plans[id(node)] = plan
         return plan
 
-    def _step(self, node: Program, collect, aset: PacketSet) -> dict:
+    def _step(self, node: Program, collect, aset: PacketSet) -> Row:
         """The row of one sequence step: ``node``, or the star ``node``
         followed by the filter ``collect``."""
         if collect is None:
             return self._eval(node, aset)
         return self._star(node, collect, aset)
 
-    def _star(self, node: Star, collect, aset: PacketSet) -> dict:
+    def _star(self, node: Star, collect, aset: PacketSet) -> Row:
         """The row of the star ``node``, then the filter ``collect`` unless
         None, from the (star, filter) table; a miss solves and fills it."""
         table = self._tables.setdefault((id(node), collect), {})
@@ -308,12 +329,24 @@ class Kernel:
             )
         return row
 
-    def _bind(self, mu: dict, node: Program, collect) -> dict:
+    def _bind(self, mu: Row, node: Program, collect) -> Row:
+        """The row of ``mu`` followed by one sequence step: the sum of the
+        step's rows weighted by ``mu``, over the lcm of their denominators
+        in exact mode."""
         c = self._point(mu)
         if c is not None:
             return self._step(node, collect, c)
-        out: dict = {}
-        for c, p in mu.items():
-            for b, q in self._step(node, collect, c).items():
-                out[b] = out.get(b, 0) + p * q
-        return out
+        if not self.exact:
+            out: dict = {}
+            for c, p in mu.nums.items():
+                for b, q in self._step(node, collect, c).nums.items():
+                    out[b] = out.get(b, 0) + p * q
+            return Row(1, out)
+        steps = [(p, self._step(node, collect, c)) for c, p in mu.nums.items()]
+        m = lcm(*[r.den for _, r in steps])
+        out = {}
+        for p, r in steps:
+            f = p * (m // r.den)
+            for b, q in r.nums.items():
+                out[b] = out.get(b, 0) + f * q
+        return reduced(mu.den * m, out)

@@ -16,6 +16,7 @@ from .analysis import (
 )
 from .bigstep import Kernel
 from .errors import ConditioningError
+from .row import Row
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import desugar, seq
 from .universe import EMPTY
@@ -31,12 +32,12 @@ def _parse_k(text: str):
     return None if text in ("inf", "infinity", "oo") else int(text)
 
 
-def _ingress_rows(cm: netlib.CaseModel, exact: bool, state_budget: int) -> list[dict]:
+def _ingress_rows(cm: netlib.CaseModel, exact: bool, state_budget: int) -> list[Row]:
     """The model's output row on each pinned ingress packet, in
     ``cm.in_packets`` order."""
     kern = Kernel(desugar(cm.program), cm.universe, exact=exact,
                   state_budget=state_budget)
-    return [kern.apply(frozenset({src})).as_dict() for src in cm.in_packets]
+    return [kern.apply(frozenset({src})) for src in cm.in_packets]
 
 
 # -- the overview (three-switch) suite ----------------------------------------
@@ -113,9 +114,10 @@ def teleport_cell(variant: str, topo: netlib.Topology, k: int | None,
     cm = netlib.build_case_model(variant, topo, k, p_fail)
     target = frozenset({cm.target_packet})
     rows = _ingress_rows(cm, exact, state_budget)
-    worst = min((dist.get(target, 0) for dist in rows), default=None)
+    worst = min((dist.prob(target) for dist in rows), default=None)
+    teleported = Row(1, {target: 1})
     witness = next((src for src, dist in zip(cm.in_packets, rows)
-                    if _dist_mismatch(dist, {target: 1}, exact, tol) is not None),
+                    if _dist_mismatch(dist, teleported, exact, tol) is not None),
                    None)
     return CellResult(variant, k, witness is None, worst, witness)
 
@@ -188,7 +190,7 @@ def delivery_sweep(topo: netlib.Topology, p_values, k: int | None = None,
             cm = netlib.build_case_model(scheme, topo, k, Fraction(p_fail))
             total = Fraction(0) if exact else 0.0
             for dist in _ingress_rows(cm, exact, state_budget):
-                total += sum(p for b, p in dist.items() if b)
+                total += sum(p for b, p in dist.as_dict().items() if b)
             row[scheme] = total / len(cm.in_packets)
         rows.append(row)
     return rows
@@ -209,7 +211,7 @@ def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
         delivered_total = Fraction(0) if exact else 0.0
         hops_weighted = Fraction(0) if exact else 0.0
         for dist in _ingress_rows(cm, exact, state_budget):
-            for b, p in dist.items():
+            for b, p in dist.as_dict().items():
                 if not b:
                     continue
                 counts = {cm.universe.field_value(i, "counter") for i in b}

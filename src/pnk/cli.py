@@ -201,8 +201,8 @@ def main(argv=None) -> int:
     s = subs.add_parser("sample", help="Monte Carlo estimate on one input")
     s.add_argument("file1")
     s.add_argument("--on", required=True)
-    s.add_argument("-n", "--samples", type=int, default=10_000)
-    s.add_argument("--star-depth", type=int, default=DEFAULT_STAR_DEPTH)
+    s.add_argument("-n", "--samples", type=_positive_int, default=10_000)
+    s.add_argument("--star-depth", type=_positive_int, default=DEFAULT_STAR_DEPTH)
     _add_common(s)
 
     s = subs.add_parser("casestudy", help="run a named case study")

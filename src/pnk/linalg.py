@@ -1,15 +1,19 @@
 """Sparse matrices over exact rationals or floats, and absorbing-chain solves.
 
 Matrices are row-major: ``rows[i]`` is a dict column -> nonzero scalar.
-The scalar type is whatever the entries carry (Fraction in exact mode,
-float otherwise); the algorithms are generic over both.
+The scalar type is whatever the entries carry; ``mat_mul``, ``convex`` and
+``power_series_absorption`` are generic over ``Fraction``s and floats, and
+are independent checks of the laws for ``;``, ``+[r]`` and iteration.
 
-``solve_absorption_row(Q, R, i)`` computes row i of A = (I - Q)^-1 R by
-eliminating every other transient state from the chain, fewest fill first.
-In exact mode the rows are integer numerators over a row denominator, the
-result is exact and A = Q A + R holds with zero residual.  ``mat_mul``,
-``convex`` and ``power_series_absorption`` are independent checks of the
-laws for ``;``, ``+[r]`` and iteration.
+``solve_absorption_row(Q, R, i, den=...)`` computes row i of
+A = (I - Q)^-1 R by eliminating every other transient state from the chain,
+fewest fill first.  In exact mode it works on the pair chain's own rows:
+row i of Q and R holds integer numerators over ``den[i]``.  It keeps one
+denominator per row, reduces a row by its gcd after each fold, and returns
+reduced ``Row``s, so the result is exact and A = Q A + R holds with zero
+residual, with no ``Fraction`` built.  ``solve_absorption`` is the thin
+wrapper for ``Fraction`` (or float) matrices: it moves each row onto the lcm
+of its denominators, solves, and turns the rows back into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DimensionError, SingularMatrixError
+from .row import Row, ratio, reduced
 
 _PIVOT_EPS = 1e-300
 
@@ -118,28 +123,54 @@ def solve_absorption(Q: SparseMatrix, R: SparseMatrix, exact: bool = True) -> Sp
     """Absorption probabilities A = (I - Q)^-1 R of an absorbing chain.
 
     Q is the transient-to-transient block, R the transient-to-absorbing
-    block; every transient state must reach an absorbing state (otherwise
-    the system is singular, which signals a bug upstream).  The rows are
-    ``solve_absorption_row(Q, R, range(Q.nrows))``.
+    block, over ``Fraction``s (or floats when not ``exact``); every
+    transient state must reach an absorbing state (otherwise the system is
+    singular, which signals a bug upstream).  The rows are those of
+    ``solve_absorption_row`` on ``integer_form(Q, R)``, as ``Fraction``s.
     """
-    return SparseMatrix(Q.nrows, R.ncols,
-                        solve_absorption_row(Q, R, range(Q.nrows), exact))
+    den = None
+    if exact:
+        Q, R, den = integer_form(Q, R)
+    rows = solve_absorption_row(Q, R, range(Q.nrows), exact, den)
+    return SparseMatrix(Q.nrows, R.ncols, [fraction_row(r) for r in rows])
 
 
-def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = True):
-    """Row ``row`` of (I - Q)^-1 R, as a dict absorbing column -> value; for
-    a sequence of rows, the list of their rows.
+def integer_form(Q: SparseMatrix, R: SparseMatrix):
+    """(Q', R', den): each row of Q and R over ``Fraction``s put on the lcm
+    ``den[i]`` of its denominators, as integer numerators."""
+    iq, ir, den = SparseMatrix(Q.nrows, Q.ncols), SparseMatrix(R.nrows, R.ncols), []
+    for q, r, qi, ri in zip(Q.rows, R.rows, iq.rows, ir.rows):
+        d = lcm(*[Fraction(v).denominator for v in (*q.values(), *r.values())])
+        for src, dst in ((q, qi), (r, ri)):
+            for j, v in src.items():
+                v = Fraction(v)
+                dst[j] = v.numerator * (d // v.denominator)
+        den.append(d)
+    return iq, ir, den
 
-    Removes every transient state from the chain, the unwanted ones first,
-    each time the one with the fewest live predecessors x row entries (ties
-    by index).  Removing state k folds q_ik / (1 - q_kk) * row_k into each
-    predecessor i.  A removed wanted state keeps its row and stays a
-    predecessor, so later removals back-substitute into it, among the
-    wanted states only.  Entries are sums of positive terms, so none cancel:
-    a state whose row is empty once its self-loop is popped lies in a closed
-    class that never absorbs (the last one removed from such a class always
-    is), and raises SingularMatrixError.  In exact mode rows are integer
-    numerators over one denominator; only output entries are ``Fraction``.
+
+def fraction_row(row: Row) -> dict:
+    """Column -> probability of a solved row (``Fraction``s when exact)."""
+    return {j: ratio(v, row.den) for j, v in row.nums.items()}
+
+
+def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = True,
+                         den=None):
+    """Row ``row`` of (I - Q)^-1 R as a ``Row`` over absorbing columns, in
+    column order; for a sequence of rows, the list of their rows.
+
+    In exact mode row i of Q and R holds integer numerators over ``den[i]``
+    (1 for every row when ``den`` is None); in float mode it holds
+    probabilities.  Removes every transient state from the chain, the
+    unwanted ones first, each time the one with the fewest live
+    predecessors x row entries (ties by index).  Removing state k folds
+    q_ik / (1 - q_kk) * row_k into each predecessor i.  A removed wanted
+    state keeps its row and stays a predecessor, so later removals
+    back-substitute into it, among the wanted states only.  Entries are
+    sums of positive terms, so none cancel: a state whose row is empty once
+    its self-loop is popped lies in a closed class that never absorbs (the
+    last one removed from such a class always is), and raises
+    SingularMatrixError.
     """
     single = isinstance(row, int)
     wanted = (row,) if single else row
@@ -150,11 +181,11 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = Tr
         if not 0 <= k < n:
             raise DimensionError(f"row {k} outside a {n}-state chain")
     # rows[i] maps transient column j to q_ij and absorbing column j to r_ij
-    # under key n + j, over denominator den[i] (in float mode 1.0, then the
+    # under key n + j, over denominator den[i] (in float mode 1, then the
     # factor 1 / (1 - q_ii) of a removed wanted state); pred[j] holds the
     # live or wanted i != j with q_ij != 0.
+    den = [1] * n if den is None else list(den)
     rows: list = []
-    den: list = []
     pred: list[set[int]] = [set() for _ in range(n)]
     for i, (q, r) in enumerate(zip(Q.rows, R.rows)):
         for j in q:
@@ -163,10 +194,6 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = Tr
         ri = dict(q)
         for j, v in r.items():
             ri[n + j] = v
-        if exact:
-            d = lcm(*[v.denominator for v in ri.values()])
-            ri = {j: v.numerator * (d // v.denominator) for j, v in ri.items()}
-        den.append(d if exact else 1.0)
         rows.append(ri)
     degree = [len(p) * len(r) for p, r in zip(pred, rows)]
     # held: the wanted states while others are live, then those removed.
@@ -234,8 +261,14 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = Tr
         for k in held:  # the one wanted state, alone in the chain
             e = _pivot(rows[k], k, den[k], exact)
             den[k] = e if exact else 1.0 / e
-    out = [{j - n: Fraction(v, den[k]) if exact else v * den[k]
-            for j, v in sorted(rows[k].items()) if v} for k in wanted]
+    out = []
+    for k in wanted:
+        d = den[k]
+        if exact:
+            out.append(reduced(d, {j - n: v for j, v in sorted(rows[k].items())}))
+        else:
+            out.append(Row(1, {j - n: p for j, v in sorted(rows[k].items())
+                               if (p := v * d) != 0}))
     return out[0] if single else out
 
 

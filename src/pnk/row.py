@@ -1,0 +1,72 @@
+"""Distribution rows: integer numerators over one row denominator.
+
+A ``Row`` is the one representation of a finitely supported distribution,
+from the kernel to the absorbing solve.  ``nums`` maps each outcome (a
+packet set in a kernel row, an absorbing column in a solve) to its weight,
+and the probability of an outcome is its weight over ``den``.
+
+- Exact rows hold positive int numerators that sum to ``den`` and are
+  reduced: ``gcd(den, *nums) == 1``, so equal distributions have equal
+  rows.  ``reduced`` builds one.
+- Float rows have ``den == 1`` and float weights that sum to one up to
+  rounding.
+
+Rows are shared (a kernel's memo and star tables hand out the same row to
+every caller), so nobody changes one after it is built.  ``Fraction``s are
+built only at the API boundary: ``prob``, ``as_dict`` and ``to_jsonable``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+
+@dataclass(slots=True)
+class Row:
+    den: int  # 1 in a float row
+    nums: dict
+
+    def prob(self, key):
+        """The probability of ``key``: see ``ratio``."""
+        return ratio(self.nums.get(key, 0), self.den)
+
+    def as_dict(self) -> dict:
+        """Packet set -> probability (a ``Fraction`` in exact mode), in
+        canonical order: by the sorted members of each set."""
+        den = self.den
+        return {b: ratio(n, den)
+                for b, n in sorted(self.nums.items(), key=_by_members) if n}
+
+    def to_jsonable(self, universe, input_set=None) -> dict:
+        obj = {
+            "support": [
+                {"set": universe.set_to_records(s),
+                 "prob": str(p) if isinstance(p, Fraction) else repr(p)}
+                for s, p in self.as_dict().items()
+            ]
+        }
+        if input_set is not None:
+            obj["input"] = universe.set_to_records(input_set)
+        return obj
+
+
+def _by_members(item):
+    return sorted(item[0])
+
+
+def ratio(n, den):
+    """The probability of weight ``n`` in a row over ``den``: a reduced
+    ``Fraction`` for a nonzero int, else ``n`` itself (a float weight, or
+    the int 0 off the support)."""
+    return Fraction(n, den) if n and type(n) is int else n
+
+
+def reduced(den: int, nums: dict) -> Row:
+    """The exact row of ``nums`` over ``den``, divided by their gcd."""
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {b: n // g for b, n in nums.items()}
+    return Row(den, nums)

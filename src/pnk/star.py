@@ -9,6 +9,12 @@ probabilities (I - Q)^-1 R is the output distribution of ``p*`` from it;
 ``solve_absorption_row`` computes the wanted rows exactly by eliminating
 the other transient states from the chain.
 
+Every row here is a ``Row`` (see ``row``).  ``explore`` keeps the body
+row's denominator per state and its numerators on the edges; ``star_dist``
+fills Q and R with those numerators, one denominator per transient state,
+and the solve returns reduced rows, so an exact star row is built without
+``Fraction``s.
+
 The current-set process never reads the accumulator, so the row of a
 state (a, {}) is the star's row on input a in every chain of the same (star,
 filter).  ``star_dist`` puts the row of every unsaturated (a, {}) state it
@@ -20,15 +26,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BudgetExceededError, SingularMatrixError
 from .linalg import SparseMatrix, solve_absorption_row
+from .row import Row, ratio
 from .universe import EMPTY, PacketSet
 
 DEFAULT_STATE_BUDGET = 200_000
 FLOAT_MASS_TOL = 1e-9
-_ONE = Fraction(1)  # built once: a Fraction costs a call to construct
 
 
 @dataclass
@@ -36,7 +41,9 @@ class PairStateGraph:
     """Reachable fragment of the pair chain from ``(a0, {})``.
 
     states[i] is the pair (current, accumulator); edges[i] lists
-    (successor index, probability) with probabilities summing to one.
+    (successor index, weight), the weights being the body row's numerators
+    over its denominator ``dens[i]``, which they sum to (a known state's
+    ``dens`` entry is its table row's).
     ``collect``, when set, is a filter pushed into the accumulator: the
     transition rule becomes b' = b | (a & collect), which computes the
     output of ``p* ; t`` for the predicate t with packet set ``collect``
@@ -46,6 +53,7 @@ class PairStateGraph:
 
     states: list[tuple[PacketSet, PacketSet]]
     edges: list[list[tuple[int, object]]]
+    dens: list = field(default_factory=list)
     start: int = 0
     saturated: list[bool] | None = None
     collect: PacketSet | None = None
@@ -59,15 +67,16 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     """BFS closure of the pair chain from (a0, {}) under b' = b | a
     (or b' = b | (a & collect) when a filter is pushed in).
 
-    ``row_fn(a)`` must return the body kernel's row on input ``a`` as a
-    dict set -> prob.  A state (a, {}) other than the start whose a is a
-    key of ``table`` (current set -> solved row) is not expanded.  Raises
+    ``row_fn(a)`` must return the body kernel's ``Row`` on input ``a``.  A
+    state (a, {}) other than the start whose a is a key of ``table``
+    (current set -> solved row) is not expanded.  Raises
     BudgetExceededError when more than ``cap`` states become reachable.
     """
     start = (a0, EMPTY)
     index = {start: 0}
     states = [start]
     edges: list[list[tuple[int, object]]] = [[]]
+    dens: list = [1]
     known: dict = {}
     work = deque([0])
     while work:
@@ -75,8 +84,9 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
         a, b = states[sid]
         b2 = b | a if collect is None else b | (a & collect)
         row = row_fn(a)
+        dens[sid] = row.den
         out = []
-        for a2, p in row.items():
+        for a2, p in row.nums.items():
             succ = (a2, b2)
             tid = index.get(succ)
             if tid is None:
@@ -90,13 +100,15 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                 states.append(succ)
                 edges.append([])
                 if b2 or a2 not in table:
+                    dens.append(1)  # set when the state is expanded
                     work.append(tid)
                 else:
                     known[tid] = table[a2]
+                    dens.append(known[tid].den)
             out.append((tid, p))
         edges[sid] = out
-    return PairStateGraph(states=states, edges=edges, start=0, index=index,
-                          collect=collect, known=known)
+    return PairStateGraph(states=states, edges=edges, dens=dens, start=0,
+                          index=index, collect=collect, known=known)
 
 
 def mark_saturated(g: PairStateGraph) -> PairStateGraph:
@@ -115,7 +127,7 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
         growing = [i for i, (a, b) in enumerate(g.states)
                    if not (a & g.collect) <= b]
     if g.known:
-        growing += [i for i, row in g.known.items() if row.keys() != {EMPTY}]
+        growing += [i for i, row in g.known.items() if row.nums.keys() != {EMPTY}]
     radj: list[list[int]] = [[] for _ in range(n)]
     for i, out in enumerate(g.edges):
         for j, _ in out:
@@ -137,8 +149,8 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
 
 def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
               exact: bool = True, collect: PacketSet | None = None,
-              program_text=None, table=None) -> dict:
-    """Output distribution of ``p*`` on input ``a0`` (dict set -> prob).
+              program_text=None, table=None) -> Row:
+    """Output row of ``p*`` on input ``a0``.
 
     Explores the reachable pair chain, redirects saturated states to their
     canonical absorbing state, and solves the absorbing system for the rows
@@ -151,15 +163,16 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     g = mark_saturated(explore(row_fn, a0, cap=cap, collect=collect,
                                program_text=program_text, table=table))
     sat = g.saturated
-    one = _ONE if exact else 1.0
+    one = 1 if exact else 1.0
     if sat[g.start]:
         # The accumulator can never grow: the final value is the empty set.
-        dist = table[a0] = {EMPTY: one}
+        dist = table[a0] = Row(1, {EMPTY: one})
         return dist
 
     # Transient states keep their exploration order; absorbing states are
-    # canonical (0, b), keyed by accumulator.
-    states, known = g.states, g.known
+    # canonical (0, b), keyed by accumulator.  Row ti of Q and R holds
+    # numerators over den[ti].
+    states, known, dens = g.states, g.known, g.dens
     transient: dict[int, int] = {}
     for i, s in enumerate(states):
         if not (sat[i] and s[0] == EMPTY):
@@ -168,6 +181,7 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     nt = len(transient)
     Q = SparseMatrix(nt, nt)
     R = SparseMatrix(nt, 0)
+    den = [1] * nt
     # Unsaturated, unknown states (a, {}), the start first, go in the table.
     wanted: list[int] = []
     wanted_sets: list[PacketSet] = []
@@ -177,8 +191,9 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
             R.rows[ti][abs_index.setdefault(states[i][1], len(abs_index))] = one
             continue
         rrow = R.rows[ti]
+        den[ti] = dens[i]
         if i in known:
-            for b, p in known[i].items():
+            for b, p in known[i].nums.items():
                 rrow[abs_index.setdefault(b, len(abs_index))] = p
             continue
         a, b = states[i]
@@ -195,15 +210,14 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                 qrow[tj] = qrow.get(tj, 0) + p
     R.ncols = len(abs_index)
     abs_keys = list(abs_index)
-    rows = solve_absorption_row(Q, R, wanted, exact=exact)
+    rows = solve_absorption_row(Q, R, wanted, exact=exact, den=den)
     for a, row in zip(wanted_sets, rows):
-        dist = {abs_keys[c]: p for c, p in row.items() if p != 0}
-        total = sum(dist.values())
-        off = (total != 1) if exact else (abs(total - 1) > FLOAT_MASS_TOL)
+        total = sum(row.nums.values())
+        off = (total != row.den) if exact else (abs(total - 1) > FLOAT_MASS_TOL)
         if off:
             raise SingularMatrixError(
-                f"the absorbing solve gave a star row of mass {total}, not 1")
-        table[a] = dist
+                f"the absorbing solve gave a star row of mass {total}/{row.den}, not 1")
+        table[a] = Row(row.den, {abs_keys[c]: p for c, p in row.nums.items()})
     return table[a0]
 
 
@@ -222,6 +236,6 @@ def to_dot(g: PairStateGraph, labeler=None) -> str:
         lines.append(f'  s{i} [label="{label}"{extra}];')
     for i, out in enumerate(g.edges):
         for j, p in sorted(out):
-            lines.append(f'  s{i} -> s{j} [label="{p}"];')
+            lines.append(f'  s{i} -> s{j} [label="{ratio(p, g.dens[i])}"];')
     lines.append("}")
     return "\n".join(lines)

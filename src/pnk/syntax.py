@@ -152,6 +152,10 @@ def is_predicate(p: Program) -> bool:
 
 
 def is_core(p: Program) -> bool:
+    while isinstance(p, Choice):  # a right-nested chain of choices, by a loop
+        if not is_core(p.left):
+            return False
+        p = p.right
     match p:
         case Drop() | Skip() | Test() | Assign():
             return True
@@ -159,8 +163,6 @@ def is_core(p: Program) -> bool:
             return is_core(b)
         case Union(parts) | Seq(parts):
             return all(is_core(q) for q in parts)
-        case Choice(_, l, r):
-            return is_core(l) and is_core(r)
         case _:
             return False
 
@@ -272,14 +274,18 @@ def desugar(p: Program) -> Program:
 
 
 def _desugar_nary(branches) -> Program:
-    head, w = branches[0]
-    if len(branches) == 1:
-        return desugar(head)
-    total = w + sum(wi for _, wi in branches[1:])
-    if total == 0:
-        # All-zero tail: any branch carries the (zero) mass.
-        return desugar(head)
-    return Choice(Fraction(w) / total, desugar(head), _desugar_nary(branches[1:]))
+    """The right-nested chain of binary choices, built from the last branch
+    back: branch i is taken with its weight over the weight left from i on."""
+    head, total = branches[-1]
+    out = desugar(head)
+    for head, w in reversed(branches[:-1]):
+        total += w
+        if total == 0:
+            # All-zero tail: any branch carries the (zero) mass.
+            out = desugar(head)
+        else:
+            out = Choice(Fraction(w) / total, desugar(head), out)
+    return out
 
 
 def _split(node: Program):

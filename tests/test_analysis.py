@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from pnk.bigstep import Kernel
 from pnk.cli import main
 from pnk.errors import BudgetExceededError, ConditioningError, WellFormednessError
 from pnk.parser import parse
+from pnk.row import Row, ratio
 from pnk.syntax import (
-    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
+    Assign, Choice, Drop, NaryChoice, Neg, Seq, Skip, Star, Test, Union, desugar,
     has_choice, is_core, pretty, seq, union, validate,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
@@ -33,8 +35,8 @@ def test_dist_mismatch_honours_tol(gap):
     # nu moves `gap` of mu's mass from {0} to {0, 1}; the least differing
     # set is {0}, and FLOAT_TOL = 1e-9 lies between the two gaps.
     lo, hi, both = frozenset({0}), frozenset({1}), frozenset({0, 1})
-    mu = {lo: 0.5, hi: 0.5}
-    nu = {lo: 0.5 - gap, hi: 0.5, both: gap}
+    mu = Row(1, {lo: 0.5, hi: 0.5})
+    nu = Row(1, {lo: 0.5 - gap, hi: 0.5, both: gap})
     assert _dist_mismatch(mu, mu, False, 0) is None
     assert _dist_mismatch(mu, nu, False, 0) == lo
     assert _dist_mismatch(nu, mu, False, 0) == lo
@@ -71,8 +73,34 @@ def test_long_union_chain_decides_without_recursion_error(tmp_path, capsys):
     # 3,000 assignments in one sequence: the last one wins.
     s = seq(*[Assign("h", k % 20) for k in range(3000)])
     k = Kernel(s, u)
-    assert k.row(s, frozenset({hit})) == {
+    assert k.row(s, frozenset({hit})).as_dict() == {
         frozenset({u.packet(f=0, g=0, h=19)}): Fraction(1)}
+
+
+def test_long_choice_spine_decides_without_recursion_error(tmp_path, capsys):
+    # choice { 1/2000: f:=0, 1/2000: f:=1, ... } desugars to a right-nested
+    # chain of 1,999 binary choices, which every pass walks with a loop.
+    u = UF
+    n = 2000
+    branches = tuple((Assign("f", i % 2), Fraction(1, n)) for i in range(n))
+    p, q = NaryChoice(branches), NaryChoice(branches[::-1])
+    core = desugar(p)
+    assert is_core(core) and has_choice(core)
+    node, depth = core, 0
+    while isinstance(node, Choice):
+        node, depth = node.right, depth + 1
+    assert depth == n - 1
+    a = frozenset({u.packet(f=0)})
+    half = {frozenset({u.packet(f=v)}): Fraction(1, 2) for v in (0, 1)}
+    assert Kernel(core, u).apply(a).as_dict() == half
+    assert equiv(p, q, InputSpec.full_universe(u), u).result == "equal"
+    est = estimate(p, a, u, 200, seed=5)
+    assert est.n_completed == 200 and set(est.counts) == set(half)
+    path = tmp_path / "spine.pnk"
+    path.write_text("fields { f : 2 }\n" + pretty(p))
+    assert main(["dist", str(path), "--on", '[{"f": 0}]']) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [s["prob"] for s in out["support"]] == ["1/2", "1/2"]
 
 
 # -- the distribution order ---------------------------------------------------
@@ -142,6 +170,14 @@ def test_witness_on_distinct_assignments():
     # The earliest differing output set in index order.
     assert w.output_set == pi0
     assert (w.left_prob, w.right_prob) == (1, 0)
+    # The side off the support stays the int 0, as in the witness repr.
+    assert type(w.right_prob) is int and repr(w).endswith("left_prob=Fraction(1, 1), right_prob=0)")
+    v = leq(parse("f:=0", u), parse("f:=1", u), InputSpec.of_sets([pi0]), u)
+    assert (v.witness.left_prob, v.witness.right_prob) == (1, 0)
+    assert type(v.witness.right_prob) is int
+    v = equiv(parse("f:=0", u), parse("f:=1", u), InputSpec.of_sets([pi0]), u,
+              exact=False)
+    assert repr((v.witness.left_prob, v.witness.right_prob)) == "(1.0, 0)"
 
 
 def test_witness_reproduces_discrepancy(uni2x2):
@@ -252,14 +288,15 @@ def _two_kernel_verdict(decide, p, q, inputs, u, exact):
             mu, nu = kp.row(p, a), kq.row(q, a)
             bad = _dist_mismatch(mu, nu, exact, FLOAT_TOL)
             if bad is not None:
-                w = Witness(a, bad, mu.get(bad, 0), nu.get(bad, 0))
+                w = Witness(a, bad, mu.prob(bad), nu.prob(bad))
                 return Verdict("not-equal", w, exact, tol)
         return Verdict("equal", exact=exact, tolerance=tol)
     slack = 0 if exact else FLOAT_TOL
     for a in inputs.rows():
         mu, nu = kp.row(p, a), kq.row(q, a)
-        for gen in sorted(_meet_closure(set(mu) | set(nu) | {EMPTY}), key=sorted):
-            x, y = upset_prob(mu, gen), upset_prob(nu, gen)
+        for gen in sorted(_meet_closure(set(mu.nums) | set(nu.nums) | {EMPTY}), key=sorted):
+            x = ratio(upset_prob(mu.nums, gen), mu.den)
+            y = ratio(upset_prob(nu.nums, gen), nu.den)
             if x > y + slack:
                 return Verdict("not-leq", Witness(a, gen, x, y), exact, tol)
     return Verdict("leq", exact=exact, tolerance=tol)

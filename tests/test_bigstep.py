@@ -2,11 +2,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from pnk.analysis import dist_leq
-from pnk.bigstep import Kernel, OutputDist
+from pnk.bigstep import Kernel
 from pnk.errors import WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.syntax import (
@@ -26,7 +27,7 @@ def kernel(p, u):
 
 def row(p, u, a):
     k = kernel(p, u)
-    return k.row(k.program, a)
+    return k.row(k.program, a).as_dict()
 
 
 def delta(s):
@@ -93,8 +94,8 @@ def test_rows_are_exactly_stochastic(uni2x2):
     for _ in range(300):
         p = random_program(rng, uni2x2, depth=3, stars=1)
         a = random_set(rng, uni2x2)
-        d = OutputDist.from_dict(row(p, uni2x2, a))
-        d.validate(exact=True)
+        d = row(p, uni2x2, a)
+        assert all(v > 0 for v in d.values()) and sum(d.values()) == 1
 
 
 def test_predicate_law(uni2x2):
@@ -205,9 +206,9 @@ def test_union_dispatch_obeys_product_law(exact):
             rows = []
             for b in branches:
                 kb = Kernel(b, u, exact=exact)
-                rows.append(kb.row(kb.program, a))
+                rows.append(kb.row(kb.program, a).as_dict())
             expected = _product_of_rows(rows, unit)
-            got = k.row(k.program, a)
+            got = k.row(k.program, a).as_dict()
             if exact:
                 assert got == expected
             else:
@@ -236,12 +237,12 @@ def test_star_table_rows_equal_fresh_kernels(uni2x2, exact):
             expected = {}
             for a in inputs:
                 k = Kernel(prog, u, exact=exact)
-                expected[a] = k.row(k.program, a)
+                expected[a] = k.row(k.program, a).as_dict()
             order = list(inputs)
             for _ in range(2):
                 k = Kernel(prog, u, exact=exact)
                 for a in order:
-                    got = k.row(k.program, a)
+                    got = k.row(k.program, a).as_dict()
                     if exact:
                         assert got == expected[a]
                     else:
@@ -255,11 +256,11 @@ def test_row_hands_out_a_copy(uni2x2):
     k = kernel(Union(Seq(Test("f", 0), Assign("g", 1)),
                      Choice(Fraction(1, 3), Skip(), Drop())), uni2x2)
     a = uni2x2.all_packets()
-    first = k.row(k.program, a)
+    first = k.row(k.program, a).as_dict()
     original = dict(first)
     first.clear()
     first[EMPTY] = Fraction(7)
-    assert k.row(k.program, a) == original
+    assert k.row(k.program, a).as_dict() == original
     assert k.apply(a).as_dict() == original
 
 
@@ -268,8 +269,8 @@ def test_row_of_a_freed_node_is_not_reused():
     # second is built, and CPython may give the second the first one's id.
     k = Kernel(Skip(), UF)
     a = frozenset({UF.packet(f=0)})
-    assert k.row(Assign("f", 0), a) == delta(a)
-    assert k.row(Assign("f", 1), a) == delta(frozenset({UF.packet(f=1)}))
+    assert k.row(Assign("f", 0), a).as_dict() == delta(a)
+    assert k.row(Assign("f", 1), a).as_dict() == delta(frozenset({UF.packet(f=1)}))
 
 
 def test_kernel_rejects_sugar(uni2x2):
@@ -297,7 +298,7 @@ class BigStepMatrix:
 def matrix(k, rows):
     """Stochastic matrix whose i-th row is the kernel ``k`` applied to
     rows[i]; columns are indexed by the union of all supports."""
-    dists = [k.row(k.program, a) for a in rows]
+    dists = [k.row(k.program, a).as_dict() for a in rows]
     col_sets = []
     col_index = {}
     for d in dists:
@@ -340,6 +341,17 @@ def test_matrix_of_skip_is_identity():
         assert bsm.matrix.rows[i] == {bsm.col_index[a]: Fraction(1)}
 
 
+def _full(k, rows):
+    """The kernel's matrix over ``rows``, columns indexed like the rows."""
+    cols = {a: i for i, a in enumerate(rows)}
+    bsm = matrix(k, rows)
+    m = SparseMatrix(len(rows), len(rows))
+    for i in range(len(rows)):
+        for j, v in bsm.matrix.rows[i].items():
+            m.set(i, cols[bsm.col_sets[j]], v)
+    return m
+
+
 def test_matrix_seq_is_product():
     # Over all subsets the rows are closed under any program, so the
     # sequential composition is literally the matrix product.
@@ -348,17 +360,7 @@ def test_matrix_seq_is_product():
     p = Choice(Fraction(1, 3), Assign("f", 0), Skip())
     q = Union(Test("f", 0), Assign("f", 1))
     kp, kq, kpq = kernel(p, u), kernel(q, u), kernel(Seq(p, q), u)
-    cols = {a: i for i, a in enumerate(rows)}
-
-    def full(k):
-        bsm = matrix(k, rows)
-        m = bsm.matrix.__class__(len(rows), len(rows))
-        for i in range(len(rows)):
-            for j, v in bsm.matrix.rows[i].items():
-                m.set(i, cols[bsm.col_sets[j]], v)
-        return m
-
-    assert full(kpq) == mat_mul(full(kp), full(kq))
+    assert _full(kpq, rows) == mat_mul(_full(kp, rows), _full(kq, rows))
 
 
 def test_matrix_choice_is_convex():
@@ -366,17 +368,63 @@ def test_matrix_choice_is_convex():
     rows = all_subsets(u)
     p, q = Assign("f", 0), Assign("f", 1)
     r = Fraction(2, 5)
-    cols = {a: i for i, a in enumerate(rows)}
 
     def full(prog):
-        bsm = matrix(kernel(prog, u), rows)
-        m = bsm.matrix.__class__(len(rows), len(rows))
-        for i in range(len(rows)):
-            for j, v in bsm.matrix.rows[i].items():
-                m.set(i, cols[bsm.col_sets[j]], v)
-        return m
+        return _full(kernel(prog, u), rows)
 
     assert full(Choice(r, p, q)) == convex(r, full(p), full(q))
+
+
+UNI4 = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2)])
+UNI8 = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2), FieldDecl("h", 2)])
+
+
+def _assert_reduced_integer_row(row):
+    nums = list(row.nums.values())
+    assert all(type(n) is int and n > 0 for n in nums)
+    assert type(row.den) is int and sum(nums) == row.den
+    assert gcd(row.den, *nums) == 1
+
+
+def test_rows_are_reduced_integer_rows():
+    # Every exact row is positive integer numerators over a reduced
+    # denominator.  On UNI4 each row of p ; q, p +[r] q and p & q, for
+    # random p and q with stars, is also the matrix oracle's row: the
+    # matrix product, the convex combination and the product of rows of
+    # the two sides, each from a fresh kernel.
+    rng = random.Random(31)
+    rows4 = all_subsets(UNI4)
+    for _ in range(40):
+        p = random_program(rng, UNI4, 2, stars=1)
+        q = random_program(rng, UNI4, 2, stars=1)
+        r = rng.choice(WEIGHTS)
+        mp, mq = _full(kernel(p, UNI4), rows4), _full(kernel(q, UNI4), rows4)
+        laws = [(Seq(p, q), mat_mul(mp, mq)), (Choice(r, p, q), convex(r, mp, mq))]
+        for prog, oracle in laws:
+            k = kernel(prog, UNI4)
+            for i, a in enumerate(rows4):
+                got = k.row(k.program, a)
+                _assert_reduced_integer_row(got)
+                assert got.as_dict() == {rows4[j]: v for j, v in oracle.rows[i].items()}
+        k, kp, kq = kernel(Union(p, q), UNI4), kernel(p, UNI4), kernel(q, UNI4)
+        for a in rows4:
+            got = k.row(k.program, a)
+            _assert_reduced_integer_row(got)
+            assert got.as_dict() == _product_of_rows(
+                [kp.row(kp.program, a).as_dict(), kq.row(kq.program, a).as_dict()],
+                Fraction(1))
+    # On UNI8 every row the kernel made on the way holds the invariant too:
+    # each memoized row is the row of its node, and each star table row
+    # that of its (star, filter).
+    for _ in range(200):
+        k = kernel(random_program(rng, UNI8, 3, stars=2), UNI8)
+        for _ in range(4):
+            _assert_reduced_integer_row(k.row(k.program, random_set(rng, UNI8)))
+        for row in k._memo.values():
+            _assert_reduced_integer_row(row)
+        for table in k._tables.values():
+            for row in table.values():
+                _assert_reduced_integer_row(row)
 
 
 def test_full_matrix_cap():
@@ -390,6 +438,6 @@ def test_float_mode_masses():
     u = UF
     p = Choice(Fraction(1, 3), Assign("f", 0), Assign("f", 1))
     k = Kernel(desugar(p), u, exact=False)
-    d = k.apply(frozenset({u.packet(f=0)}))
-    assert abs(d.mass() - 1.0) < 1e-9
-    assert all(isinstance(pr, float) for _, pr in d.support)
+    d = k.apply(frozenset({u.packet(f=0)})).as_dict()
+    assert abs(sum(d.values()) - 1.0) < 1e-9
+    assert all(isinstance(pr, float) for pr in d.values())

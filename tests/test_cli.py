@@ -149,13 +149,21 @@ def test_max_states_env(progdir, capsys, monkeypatch):
     (["--cap-subsets", "0"], None),
     (["--jobs", "0"], None),
     (["--jobs", "two"], None),
+    (["sample", "-n", "-3"], None),
+    (["sample", "--samples", "0"], None),
+    (["sample", "--star-depth", "0"], None),
+    (["sample", "--star-depth", "-1"], None),
 ])
 def test_counts_must_be_positive_integers(progdir, capsys, monkeypatch, args, env):
     if env is not None:
         monkeypatch.setenv("PNK_MAX_STATES", env)
     a0 = progdir("a0.pnk", ASSIGN0)
+    if args[:1] == ["sample"]:
+        argv = ["sample", a0, "--on", '[{"f": 0}]'] + args[1:]
+    else:
+        argv = ["equiv", a0, a0] + args
     with pytest.raises(SystemExit) as exit_:
-        main(["equiv", a0, a0] + args)
+        main(argv)
     assert exit_.value.code == 2
     assert "error: argument" in capsys.readouterr().err
 

@@ -5,9 +5,21 @@ import pytest
 
 from pnk.errors import DimensionError, SingularMatrixError
 from pnk.linalg import (
-    SparseMatrix, absorption_residual, convex, identity, mat_mul,
-    power_series_absorption, solve_absorption, solve_absorption_row,
+    SparseMatrix, absorption_residual, convex, fraction_row, identity,
+    integer_form, mat_mul, power_series_absorption, solve_absorption,
+    solve_absorption_row,
 )
+
+
+def row_solve(q, r, rows, exact=True):
+    """``solve_absorption_row`` on matrices of ``Fraction``s (or floats):
+    the exact input goes through ``integer_form``, and the solved rows come
+    back as dicts column -> probability."""
+    den = None
+    if exact:
+        q, r, den = integer_form(q, r)
+    out = solve_absorption_row(q, r, rows, exact, den)
+    return fraction_row(out) if isinstance(rows, int) else list(map(fraction_row, out))
 
 
 def from_rows(rows):
@@ -129,12 +141,12 @@ def test_many_row_solve_matches_single_row_solves():
     rng = random.Random(19)
     for n in (8, 16, 24, 40):
         q, r = _random_absorbing(rng, n, 3, q_mass=Fraction(23, 24))
-        single = [solve_absorption_row(q, r, i) for i in range(n)]
+        single = [row_solve(q, r, i) for i in range(n)]
         assert solve_absorption(q, r).rows == single
         wanted = rng.sample(range(n), rng.randrange(2, n))
-        assert solve_absorption_row(q, r, wanted) == [single[i] for i in wanted]
+        assert row_solve(q, r, wanted) == [single[i] for i in wanted]
         qf, rf = _floated(q), _floated(r)
-        for i, row in zip(wanted, solve_absorption_row(qf, rf, wanted, exact=False)):
+        for i, row in zip(wanted, row_solve(qf, rf, wanted, exact=False)):
             assert row.keys() == single[i].keys()
             assert all(abs(v - float(single[i][j])) <= 1e-12 for j, v in row.items())
 
@@ -174,7 +186,7 @@ def test_row_solve_matches_full_solve():
         q, r = _random_absorbing(rng, 5, 3)
         a = solve_absorption(q, r)
         for i in range(5):
-            assert solve_absorption_row(q, r, i) == a.rows[i]
+            assert row_solve(q, r, i) == a.rows[i]
 
 
 def test_singular_system_detected():
@@ -194,20 +206,20 @@ def test_row_solve_detects_a_closed_class(exact):
     r = SparseMatrix(3, 1, [{0: half}, {}, {}])
     for start in range(3):
         with pytest.raises(SingularMatrixError):
-            solve_absorption_row(q, r, start, exact=exact)
+            row_solve(q, r, start, exact=exact)
 
 
 def test_row_solve_checks_dimensions():
     q = from_rows([[0, Fraction(1, 2)], [0, 0]])
     r = from_rows([[Fraction(1, 2)], [1]])
-    assert solve_absorption_row(q, r, 0) == {0: 1}
+    assert row_solve(q, r, 0) == {0: 1}
     short = from_rows([[Fraction(1, 2)]])
     long = from_rows([[Fraction(1, 2)], [1], [1]])
     for rr, row in ((short, 0), (long, 0), (r, 2), (r, -1)):
         with pytest.raises(DimensionError):
-            solve_absorption_row(q, rr, row)
+            row_solve(q, rr, row)
     with pytest.raises(DimensionError):
-        solve_absorption_row(SparseMatrix(2, 3), r, 0)
+        row_solve(SparseMatrix(2, 3), r, 0)
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -231,6 +243,6 @@ def test_closed_class_behind_an_absorbing_start_is_singular(exact):
         q = SparseMatrix(4, 4, rows)
         r = SparseMatrix(4, 1, [{0: half}, {}, {}, {}])
         with pytest.raises(SingularMatrixError):
-            solve_absorption_row(q, r, 0, exact=exact)
+            row_solve(q, r, 0, exact=exact)
         with pytest.raises(SingularMatrixError):
             solve_absorption(q, r, exact=exact)

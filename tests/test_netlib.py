@@ -16,7 +16,7 @@ from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
 def krow(p, u, a, exact=True):
     k = Kernel(desugar(p), u, exact=exact)
-    return k.row(k.program, a)
+    return k.row(k.program, a).as_dict()
 
 
 # -- links and topologies -----------------------------------------------------

@@ -7,6 +7,7 @@ from pnk.analysis import dist_leq
 from pnk.bigstep import Kernel
 from pnk.errors import BudgetExceededError, SingularMatrixError
 from pnk.linalg import SparseMatrix, mat_mul
+from pnk.row import Row
 from pnk.star import explore, mark_saturated, star_dist, to_dot
 from pnk.syntax import (
     Assign, Choice, Drop, Seq, Skip, Star, Union, desugar, predicate_set,
@@ -26,7 +27,7 @@ def body_row(p, u):
 
 def star_row(p, u, a, **kw):
     k = Kernel(desugar(Star(p)), u)
-    return k.row(k.program, a)
+    return k.row(k.program, a).as_dict()
 
 
 def test_worked_example_graph():
@@ -43,8 +44,8 @@ def test_worked_example_graph():
     }
     assert set(g.states) == expect
     half = Fraction(1, 2)
-    for out in g.edges:
-        assert sorted(p for _, p in out) == [half, half]
+    for i, out in enumerate(g.edges):
+        assert sorted(Fraction(p, g.dens[i]) for _, p in out) == [half, half]
     # The two full-accumulator states are saturated and communicate.
     sat = {s for i, s in enumerate(g.states) if g.saturated[i]}
     assert sat == {(frozenset({pi0}), frozenset({pi0, pi1})),
@@ -86,9 +87,9 @@ def test_star_row_mass_is_checked():
     # A body row that loses half its mass cannot come from a program; the
     # star row it induces has mass 1/2, in exact and in float mode.
     a0 = frozenset({0})
-    for half in (Fraction(1, 2), 0.5):
+    for den, half in ((2, 1), (1, 0.5)):
         with pytest.raises(SingularMatrixError):
-            star_dist(lambda a: {a: half}, a0, exact=isinstance(half, Fraction))
+            star_dist(lambda a: Row(den, {a: half}), a0, exact=den == 2)
 
 
 def test_saturation_of_contained_states():
@@ -184,7 +185,7 @@ def chain_matrices(g):
     for i in range(n):
         if i < explored:
             for j, p in g.edges[i]:
-                S.add(i, j, p)
+                S.add(i, j, Fraction(p, g.dens[i]))
         else:
             S.add(i, i, Fraction(1))  # canonical (0, b) self-loops
     for i, (a, b) in enumerate(states):
@@ -224,8 +225,8 @@ def test_explored_rows_sum_to_one(uni2x2):
     for _ in range(100):
         p = random_program(rng, uni2x2, 2, stars=0)
         g = explore(body_row(p, uni2x2), random_set(rng, uni2x2))
-        for out in g.edges:
-            assert sum(p for _, p in out) == 1
+        for i, out in enumerate(g.edges):
+            assert sum(p for _, p in out) == g.dens[i]
 
 
 def test_filtered_star_matches_post_filter(uni2x2):
