@@ -2,10 +2,10 @@
 
 ``equiv`` and ``leq`` compare two programs row by row over an input
 specification, producing a verdict with a reproducible counterexample on
-the negative side.  Both sides are decided in one kernel: their equal
-subterms are first made one object (``syntax.share``), so a subterm the
-two programs have in common, such as the ``p*`` of an unfolding, is
-evaluated and its stars solved once.  ``dist_leq`` implements the
+the negative side.  Both sides are decided in one kernel, and since nodes
+are interned (see ``syntax``), a subterm the two programs have in common,
+such as the ``p*`` of an unfolding, is one node: it is evaluated and its
+stars solved once.  ``dist_leq`` implements the
 distribution order via principal up-set probabilities.  ``query``
 evaluates scalar measures of an output distribution.
 ``sample_run``/``estimate`` form an operational sampler that is
@@ -26,7 +26,7 @@ from .row import Row, ratio
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    desugar, has_choice, is_core, predicate_set, restrict, share,
+    desugar, has_choice, is_core, predicate_set, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -127,10 +127,10 @@ def _core(p: Program) -> Program:
 
 def _one_kernel(p: Program, q: Program, universe: PacketUniverse, exact: bool,
                 state_budget: int):
-    """The core forms of ``p`` and ``q`` with their equal subterms shared,
-    and one kernel over both: its memo, plans and star tables serve the
-    two sides alike."""
-    p, q = share(_core(p), _core(q))
+    """The core forms of ``p`` and ``q`` and one kernel over both: its memo,
+    plans and star tables serve the two sides alike, and a subterm the two
+    have in common is one node (nodes are interned)."""
+    p, q = _core(p), _core(q)
     return Kernel(p, universe, exact=exact, state_budget=state_budget), p, q
 
 
@@ -143,8 +143,7 @@ def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
           state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
     """Decide whether the kernels of ``p`` and ``q`` agree on every input
     row; the least disagreeing output set of the first disagreeing row is
-    the witness.  Both rows come from one kernel over the shared forms of
-    the two programs.
+    the witness.  Both rows come from one kernel over the two programs.
 
     When the spec is all-subsets and neither program contains a
     probabilistic choice, both kernels are deterministic and distribute
@@ -239,7 +238,7 @@ def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
         state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
     """Pointwise distribution order over the input rows; the witness is
     the least principal up-set of the first failing row.  Both rows come
-    from one kernel over the shared forms of the two programs."""
+    from one kernel over the two programs."""
     k, p, q = _one_kernel(p, q, universe, exact, state_budget)
     for a in inputs.rows():
         mu = k.row(p, a)

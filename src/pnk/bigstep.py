@@ -5,9 +5,11 @@ A kernel row is a ``Row`` (see ``row``): in exact mode, positive integer
 numerators over one row denominator; in float mode, float weights over 1.
 Rows are memoized per (node, input set), so repeated sub-evaluations --
 which dominate star exploration, where the same current set recurs under
-many accumulators -- are computed once.  Rows are shared: the memo, the
-rows built from them and the star tables hand out the same row, so nobody
-changes one.
+many accumulators -- are computed once.  Nodes are interned (see
+``syntax``), so the memo, the plans and the star tables key on the node
+itself: equal subterms share their entries, and a keyed node stays alive
+while its entries do.  Rows are shared: the memo, the rows built from
+them and the star tables hand out the same row, so nobody changes one.
 
 Exact rows are built without ``Fraction``s and reduced by their gcd where
 they are made:
@@ -90,10 +92,6 @@ class Kernel:
         self.exact = exact
         self.state_budget = state_budget
         self._one = 1 if exact else 1.0
-        # The caches key nodes by id(); holding every root a row was asked
-        # for keeps each keyed node (a root or a part of one) alive, so no
-        # id is reused by another node while its entries exist.
-        self._roots: dict = {id(program): program}
         self._memo: dict = {}
         self._plans: dict = {}
         self._tables: dict = {}
@@ -125,11 +123,10 @@ class Kernel:
     def row(self, node: Program, aset: PacketSet) -> Row:
         """The row of an arbitrary sub-program on ``aset``; shared, so the
         caller must not change it (``as_dict`` gives a fresh dict)."""
-        self._roots[id(node)] = node
         return self._eval(node, aset)
 
     def _eval(self, node: Program, aset: PacketSet) -> Row:
-        key = (id(node), aset)
+        key = (node, aset)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -184,13 +181,13 @@ class Kernel:
             if not isinstance(node, Choice):
                 row = self._eval(node, aset)
                 break
-            row = memo.get((id(node), aset))
+            row = memo.get((node, aset))
             if row is not None:
                 break
         mix = self._mix if exact else self._mix_float
         for node, w, left in reversed(spine):
             row = mix(w, left, row)
-            memo[(id(node), aset)] = row
+            memo[(node, aset)] = row
         return row
 
     @staticmethod
@@ -244,7 +241,7 @@ class Kernel:
         """(branches, guard field, value -> branch indices, unguarded
         indices) of the union chain at ``node``; index lists are in chain
         order, and each value's list includes the unguarded branches."""
-        plan = self._plans.get(id(node))
+        plan = self._plans.get(node)
         if plan is not None:
             return plan
         branches = node.parts
@@ -262,7 +259,7 @@ class Kernel:
             self.universe.check_value(guard, v)
             table[v] = sorted(listed + unguarded)
         plan = (branches, guard, table, unguarded)
-        self._plans[id(node)] = plan
+        self._plans[node] = plan
         return plan
 
     def _product(self, mu: Row, nu: Row) -> Row:
@@ -295,7 +292,7 @@ class Kernel:
         """The (part, collect) steps of the sequence at ``node``, in order;
         ``collect`` is the packet set of the predicate parts folded into the
         star before them, or None.  Loops end in exactly such a filter."""
-        plan = self._plans.get(id(node))
+        plan = self._plans.get(node)
         if plan is not None:
             return plan
         plan = []
@@ -306,7 +303,7 @@ class Kernel:
                 plan[-1] = (star, s if collect is None else collect & s)
             else:
                 plan.append((q, None))
-        self._plans[id(node)] = plan
+        self._plans[node] = plan
         return plan
 
     def _step(self, node: Program, collect, aset: PacketSet) -> Row:
@@ -319,7 +316,7 @@ class Kernel:
     def _star(self, node: Star, collect, aset: PacketSet) -> Row:
         """The row of the star ``node``, then the filter ``collect`` unless
         None, from the (star, filter) table; a miss solves and fills it."""
-        table = self._tables.setdefault((id(node), collect), {})
+        table = self._tables.setdefault((node, collect), {})
         row = table.get(aset)
         if row is None:
             row = star_mod.star_dist(

@@ -163,7 +163,6 @@ def _add_common(sub):
                      help="pair-state budget per star chain "
                           f"(default: $PNK_MAX_STATES, else {DEFAULT_STATE_BUDGET})")
     sub.add_argument("--cap-subsets", type=_positive_int, default=DEFAULT_SUBSET_CAP)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--jobs", type=_positive_int, default=1)
 
@@ -203,6 +202,7 @@ def main(argv=None) -> int:
     s.add_argument("--on", required=True)
     s.add_argument("-n", "--samples", type=_positive_int, default=10_000)
     s.add_argument("--star-depth", type=_positive_int, default=DEFAULT_STAR_DEPTH)
+    s.add_argument("--seed", type=int, default=0)
     _add_common(s)
 
     s = subs.add_parser("casestudy", help="run a named case study")

@@ -165,14 +165,18 @@ class _Parser:
     # -- expression grammar ------------------------------------------------
 
     def expr(self) -> Program:
-        left = self.union()
-        if self.peek().kind == "+[":
+        # A right-nested chain of choices: read by a loop, folded from the right.
+        spine = []
+        out = self.union()
+        while self.peek().kind == "+[":
             self.next()
             w = self.weight()
             self.expect("]")
-            right = self.expr()
-            return Choice(w, left, right)
-        return left
+            spine.append((out, w))
+            out = self.union()
+        for left, w in reversed(spine):
+            out = Choice(w, left, out)
+        return out
 
     def union(self) -> Program:
         parts = [self.seqexp()]

@@ -2,14 +2,19 @@
 
 Core nodes: Drop, Skip, Test, Assign, Neg, Union, Seq, Choice, Star.
 Sugar nodes: If, While, DoWhile, Var, NaryChoice.  ``desugar`` rewrites a
-well-formed program into core nodes only, and ``share`` makes the equal
-subterms of core programs one object each.
+well-formed program into core nodes only.
+
+Nodes are interned (hash-consed) when they are built, through one weak
+table keyed by the class, the scalar fields with their types and the
+children by identity: equal subterms, within a program and across
+programs, are one object, and ``==`` and ``hash`` are those of identity.
 
 ``&`` and ``;`` are associative, so ``Union`` and ``Seq`` are n-ary: each
 holds the ``parts`` of a whole chain, two or more, and is flattened on
 construction (an operand of the same class contributes its parts), so
-``Union(Union(a, b), c) == Union(a, Union(b, c)) == Union(a, b, c)``.
-Every pass loops over ``parts``; a long chain costs no recursion depth.
+``Union(Union(a, b), c) is Union(a, Union(b, c)) is Union(a, b, c)``.
+Every pass loops over ``parts``, and over the right spine of a chain of
+choices; a long chain costs no recursion depth.
 
 A node is a *predicate* iff it is Drop, Skip, Test, or Neg/Union/Seq of
 predicates.  Choice and Star are never predicates, and Neg may only be
@@ -19,54 +24,87 @@ applied to predicates.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import WellFormednessError
 from .universe import EMPTY, PacketSet, PacketUniverse
 
+# Intern key -> weak reference to the one live node of that value.
+_NODES: dict = {}
+
+
+def _intern(cls, args: tuple, key: tuple):
+    """The live node under ``key``, or a new ``cls`` node with fields ``args``."""
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        cls._fill(node, *args)
+        _NODES[key] = weakref.ref(node, partial(_forget, key))
+    return node
+
+
+def _forget(key: tuple, ref) -> None:
+    if _NODES.get(key) is ref:  # not already taken by a newer node
+        del _NODES[key]
+
 
 class Program:
-    """Base class for AST nodes.  Nodes are immutable and hashable."""
+    """Base class for AST nodes.  Nodes are immutable and interned (see
+    above): two nodes are equal exactly when they are one object."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *args):
+        return _intern(cls, args, (cls, args, *map(type, args)))
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen, slotted node dataclass whose generated ``__init__`` is
+    ``_fill``: a lookup that hits must not set the fields again."""
+    cls = dataclass(frozen=True, eq=False, slots=True)(cls)
+    cls._fill = cls.__init__
+    del cls.__init__
+    return cls
+
+
+@_node
 class Drop(Program):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Skip(Program):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Test(Program):
     field: str
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Program):
     field: str
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Program):
     body: Program
 
 
 class _Chain(Program):
     """An n-ary node of an associative operator: ``parts`` are its two or
-    more operands, and an operand of the node's own class is spliced in."""
+    more operands; an operand of its own class is spliced in first."""
 
     __slots__ = ()
 
-    def __init__(self, *parts: Program):
-        cls = type(self)
+    def __new__(cls, *parts: Program):
         if cls in map(type, parts):
             spliced = []
             for q in parts:
@@ -77,27 +115,31 @@ class _Chain(Program):
             parts = tuple(spliced)
         if len(parts) < 2:
             raise WellFormednessError(f"{cls.__name__} needs two or more parts")
-        object.__setattr__(self, "parts", parts)
+        return _intern(cls, (parts,), (cls, parts))
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class Union(_Chain):
     parts: tuple
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class Seq(_Chain):
     parts: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class Choice(Program):
     weight: Fraction  # probability of the left branch
     left: Program
     right: Program
 
+    def __new__(cls, weight, left, right):  # a Fraction is slow to hash
+        key = (cls, type(weight), *weight.as_integer_ratio(), left, right)
+        return _intern(cls, (weight, left, right), key)
 
-@dataclass(frozen=True)
+
+@_node
 class Star(Program):
     body: Program
 
@@ -105,35 +147,39 @@ class Star(Program):
 # -- sugar ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class If(Program):
     guard: Program
     then: Program
     other: Program
 
 
-@dataclass(frozen=True)
+@_node
 class While(Program):
     guard: Program
     body: Program
 
 
-@dataclass(frozen=True)
+@_node
 class DoWhile(Program):
     body: Program
     guard: Program
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Program):
     field: str
     value: int
     body: Program
 
 
-@dataclass(frozen=True)
+@_node
 class NaryChoice(Program):
     branches: tuple[tuple[Program, Fraction], ...]
+
+    def __new__(cls, branches):  # the weights as in Choice
+        key = (cls, *[(q, type(w), *w.as_integer_ratio()) for q, w in branches])
+        return _intern(cls, (branches,), key)
 
 
 SUGAR = (If, While, DoWhile, Var, NaryChoice)
@@ -171,16 +217,21 @@ def validate(p: Program, universe: PacketUniverse) -> None:
     """Check well-formedness against a universe; raises WellFormednessError."""
 
     def go(node):
+        while isinstance(node, Choice):  # a right-nested chain, by a loop
+            if not (0 <= node.weight <= 1):
+                raise WellFormednessError(f"choice weight {node.weight} outside [0, 1]")
+            go(node.left)
+            node = node.right
         match node:
             case Drop() | Skip():
                 pass
-            case Test(f, v) | Assign(f, v):
+            case Test(f, v) | Assign(f, v) | Var(f, v):
                 if not universe.has_field(f):
                     raise WellFormednessError(f"unknown field {f!r}")
                 if not (0 <= v < universe.field(f).size):
-                    raise WellFormednessError(
-                        f"value {v} out of range for field {f!r}"
-                    )
+                    raise WellFormednessError(f"value {v} out of range for field {f!r}")
+                if isinstance(node, Var):
+                    go(node.body)
             case Neg(b):
                 go(b)
                 if not is_predicate(b):
@@ -188,11 +239,6 @@ def validate(p: Program, universe: PacketUniverse) -> None:
             case Union(parts) | Seq(parts):
                 for q in parts:
                     go(q)
-            case Choice(w, l, r):
-                if not (0 <= w <= 1):
-                    raise WellFormednessError(f"choice weight {w} outside [0, 1]")
-                go(l)
-                go(r)
             case Star(b):
                 go(b)
             case If(t, a, b):
@@ -205,14 +251,6 @@ def validate(p: Program, universe: PacketUniverse) -> None:
                 go(t)
                 if not is_predicate(t):
                     raise WellFormednessError("loop guard is not a predicate")
-                go(b)
-            case Var(f, v, b):
-                if not universe.has_field(f):
-                    raise WellFormednessError(f"unknown field {f!r}")
-                if not (0 <= v < universe.field(f).size):
-                    raise WellFormednessError(
-                        f"value {v} out of range for field {f!r}"
-                    )
                 go(b)
             case NaryChoice(branches):
                 if not branches:
@@ -241,20 +279,30 @@ def desugar(p: Program) -> Program:
     DoWhile(p,t) -> p ; (t;p)* ; !t
     Var(f,n,p)   -> f:=n ; p ; f:=0
     NaryChoice   -> right-nested binary Choice with rescaled weights
+
+    A node whose children come back unchanged is returned as it is.
     """
     match p:
         case Drop() | Skip() | Test() | Assign():
             return p
-        case Neg(b):
-            return Neg(desugar(b))
-        case Union(parts):
-            return Union(*[desugar(q) for q in parts])
-        case Seq(parts):
-            return Seq(*[desugar(q) for q in parts])
-        case Choice(w, l, r):
-            return Choice(w, desugar(l), desugar(r))
-        case Star(b):
-            return Star(desugar(b))
+        case Neg(b) | Star(b):
+            new = desugar(b)
+            return p if new is b else type(p)(new)
+        case Union(parts) | Seq(parts):
+            new = [desugar(q) for q in parts]
+            return p if all(map(operator.is_, new, parts)) else type(p)(*new)
+        case Choice():
+            spine = []  # a right-nested chain, by a loop
+            while isinstance(p, Choice):
+                spine.append(p)
+                p = p.right
+            out = desugar(p)
+            for c in reversed(spine):
+                left = desugar(c.left)
+                if left is not c.left or out is not c.right:
+                    c = Choice(c.weight, left, out)
+                out = c
+            return out
         case If(t, a, b):
             t = desugar(t)
             return Union(Seq(t, desugar(a)), Seq(Neg(t), desugar(b)))
@@ -286,58 +334,6 @@ def _desugar_nary(branches) -> Program:
         else:
             out = Choice(Fraction(w) / total, desugar(head), out)
     return out
-
-
-def _split(node: Program):
-    """(scalar fields, children, constructor from new children) of a core
-    node; leaves have no constructor."""
-    match node:
-        case Drop() | Skip():
-            return (), (), None
-        case Test(f, v) | Assign(f, v):
-            return (f, v), (), None
-        case Neg(b) | Star(b):
-            return (), (b,), type(node)
-        case Union(parts) | Seq(parts):
-            return (), parts, type(node)
-        case Choice(w, l, r):
-            return (w,), (l, r), lambda l, r: Choice(w, l, r)
-        case _:
-            raise WellFormednessError(f"non-core node {node!r}")
-
-
-def share(*programs: Program) -> tuple:
-    """The core ``programs``, each ``==`` to its input, rebuilt so that
-    equal subterms, within one program and across them, are one object.
-
-    Nodes are shared bottom-up through one table keyed by (class, scalar
-    fields, ids of the already-shared children); a node whose children
-    were all kept is itself kept.  The walk keeps its own stack, so deep
-    programs cost no recursion depth.
-    """
-    table: dict = {}
-    shared: dict = {}  # id(input node) -> its shared node
-    for root in programs:
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in shared:
-                stack.pop()
-                continue
-            scalars, kids, build = _split(node)
-            todo = [k for k in kids if id(k) not in shared]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            new = [shared[id(k)] for k in kids]
-            key = (type(node), scalars, tuple(map(id, new)))
-            hit = table.get(key)
-            if hit is None:
-                kept = all(map(operator.is_, new, kids))
-                hit = table[key] = node if kept else build(*new)
-            shared[id(node)] = hit
-    return tuple(shared[id(p)] for p in programs)
 
 
 def has_choice(p: Program) -> bool:
@@ -417,11 +413,14 @@ def _pp(p: Program, ctx: int) -> str:
             return _wrap(ctx, _SEQ, " ; ".join([_pp(q, _SEQ + 1) for q in parts]))
         case Union(parts):
             return _wrap(ctx, _UNION, " & ".join([_pp(q, _UNION + 1) for q in parts]))
-        case Choice(w, l, r):
-            # Right-associative.
-            return _wrap(
-                ctx, _CHOICE, f"{_pp(l, _CHOICE + 1)} +[{w}] {_pp(r, _CHOICE)}"
-            )
+        case Choice():
+            # Right-associative: the right spine is printed by a loop.
+            text = []
+            while isinstance(p, Choice):
+                text.append(f"{_pp(p.left, _CHOICE + 1)} +[{p.weight}] ")
+                p = p.right
+            text.append(_pp(p, _CHOICE))
+            return _wrap(ctx, _CHOICE, "".join(text))
         case If(t, a, b):
             body = f"if {_pp(t, _CHOICE + 1)} then {_pp(a, _CHOICE + 1)} else {_pp(b, _CHOICE)}"
             return _wrap(ctx, _CHOICE, body)

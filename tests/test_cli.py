@@ -168,6 +168,14 @@ def test_counts_must_be_positive_integers(progdir, capsys, monkeypatch, args, en
     assert "error: argument" in capsys.readouterr().err
 
 
+def test_seed_is_a_sample_flag_only(progdir, capsys):
+    a0 = progdir("a0.pnk", ASSIGN0)
+    with pytest.raises(SystemExit) as exit_:
+        main(["equiv", a0, a0, "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_bad_budget_variable_is_overridden_by_the_flag(progdir, capsys, monkeypatch):
     monkeypatch.setenv("PNK_MAX_STATES", "abc")
     a0 = progdir("a0.pnk", ASSIGN0)

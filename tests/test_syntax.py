@@ -1,15 +1,19 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pnk import syntax
+from pnk.bigstep import Kernel
 from pnk.errors import ParseError, WellFormednessError
 from pnk.parser import parse, parse_file_text
 from pnk.syntax import (
     Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Seq, Skip, Star,
     Test, Union, Var, While, desugar, is_predicate, predicate_set, pretty,
-    restrict, share, validate,
+    restrict, validate,
 )
 from pnk.universe import FieldDecl, PacketUniverse
 
@@ -273,58 +277,79 @@ def test_restrict_matches_per_packet_evaluation(sizes):
         assert restrict(t, a, u) == expected
 
 
-# -- sharing equal subterms ------------------------------------------------------
+# -- interning: one object per value --------------------------------------------
 
-def _nodes(p):
-    """Every node object of a program DAG, iteratively."""
-    seen, stack = {}, [p]
+def _census(*roots):
+    """(distinct node objects, distinct node values) of program DAGs, where
+    a value is the class, the typed scalars and the values of the children."""
+    value, values, stack = {}, {}, list(roots)
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
+        node = stack[-1]
+        if id(node) in value:
+            stack.pop()
             continue
-        seen[id(node)] = node
         match node:
-            case Union(parts) | Seq(parts):
-                stack.extend(parts)
+            case Union(kids) | Seq(kids):
+                scalars = ()
             case Neg(b) | Star(b):
-                stack.append(b)
-            case Choice(_, l, r):
-                stack.extend((l, r))
-    return list(seen.values())
+                scalars, kids = (), (b,)
+            case Choice(w, l, r):
+                scalars, kids = ((type(w), w),), (l, r)
+            case Test(f, v) | Assign(f, v):
+                scalars, kids = (f, (type(v), v)), ()
+            case _:
+                scalars, kids = (), ()
+        todo = [k for k in kids if id(k) not in value]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        sig = (type(node), scalars, tuple(value[id(k)] for k in kids))
+        value[id(node)] = values.setdefault(sig, len(values))
+    return len(value), len(values)
 
 
-def test_share_keeps_values_and_merges_equal_subterms():
+def _rebuild(p):
+    """The program ``p`` built again from fresh constructor calls."""
+    match p:
+        case Drop() | Skip():
+            return type(p)()
+        case Test(f, v) | Assign(f, v):
+            return type(p)("".join(list(f)), int(str(v)))
+        case Neg(b) | Star(b):
+            return type(p)(_rebuild(b))
+        case Union(parts) | Seq(parts):
+            return type(p)(*[_rebuild(q) for q in parts])
+        case Choice(w, l, r):
+            return Choice(Fraction(w.numerator, w.denominator), _rebuild(l), _rebuild(r))
+    raise AssertionError(f"not a core node: {p!r}")
+
+
+def test_intern_merges_equal_values_within_and_across_programs():
     rng = random.Random(5)
     u = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2)])
     for _ in range(60):
         p, q = random_program(rng, u, 3, 2), random_program(rng, u, 3, 2)
+        assert _rebuild(p) is p and _rebuild(q) is q
         for given in ((p,), (p, q), (p, Seq(q, p), Star(p))):
-            out = share(*given)
-            assert out == given
-            nodes = [n for root in out for n in _nodes(root)]
-            by_value = {}
-            for n in nodes:
-                assert by_value.setdefault(n, n) is n  # one object per value
-            assert all(a is b for a, b in zip(share(*out), out))
+            objects, values = _census(*given)
+            assert objects == values  # one object per value
 
 
-def test_share_merges_across_programs():
-    def body():  # a fresh copy on every call
+def test_intern_merges_unfolding_across_programs():
+    def body():  # a fresh build on every call
         return Seq(Test("f", 1), Choice(Fraction(1, 3), Assign("f", 0), Skip()))
 
     p = Star(body())
     q = Union(Skip(), Seq(body(), Star(body())))  # the unfolding of p
-    sp, sq = share(p, q)
-    assert (sp, sq) == (p, q)
-    assert sp is p  # nothing in p needed replacing
-    step = sq.parts[1]
-    assert step.parts[-1] is sp
-    assert step.parts[0] is sp.body.parts[0] and step.parts[1] is sp.body.parts[1]
-    (c,) = share(Choice(Fraction(1, 2), p, Star(body())))
+    step = q.parts[1]
+    assert step.parts[-1] is p
+    assert step.parts[0] is p.body.parts[0] and step.parts[1] is p.body.parts[1]
+    c = Choice(Fraction(1, 2), p, Star(body()))
     assert c.left is c.right
 
 
-def test_share_keeps_different_values_apart():
+def test_intern_keeps_different_values_apart():
     pairs = [
         (Choice(Fraction(1, 3), Skip(), Drop()), Choice(Fraction(2, 3), Skip(), Drop())),
         (Test("f", 0), Test("g", 0)),
@@ -335,15 +360,59 @@ def test_share_keeps_different_values_apart():
         (Seq(Assign("f", 0), Assign("g", 1)), Seq(Assign("g", 1), Assign("f", 0))),
     ]
     for x, y in pairs:
-        sx, sy = share(x, y)
-        assert (sx, sy) == (x, y)
-        assert sx is not sy and sx != sy
+        assert x is not y and x != y
 
 
-def test_share_long_chains_without_recursion_error():
+def test_intern_splices_chains_before_the_lookup():
+    a, b, c = Test("f", 0), Assign("g", 1), Skip()
+    for chain in (Union, Seq):
+        assert chain(chain(a, b), c) is chain(a, chain(b, c)) is chain(a, b, c)
+
+
+def test_intern_keeps_scalar_types():
+    a, b = Test("f", 0), Skip()
+    half, exact = Choice(0.5, a, b), Choice(Fraction(1, 2), a, b)
+    assert half is not exact
+    assert type(half.weight) is float and type(exact.weight) is Fraction
+    assert Choice(0.5, a, b) is half and Choice(Fraction(1, 2), a, b) is exact
+    assert Test("f", True) is not Test("f", 1)
+    n1 = NaryChoice(((a, 0.5), (b, 0.5)))
+    n2 = NaryChoice(((a, Fraction(1, 2)), (b, Fraction(1, 2))))
+    assert n1 is not n2 and type(n2.branches[0][1]) is Fraction
+
+
+def test_intern_table_drops_unheld_nodes():
+    gc.collect()
+    before = len(syntax._NODES)
+    node = Union(Test("probe", 7), Assign("probe", 6))
+    assert len(syntax._NODES) == before + 3
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+    assert len(syntax._NODES) == before
+
+
+def test_intern_long_chains_without_recursion_error():
     tests = [Test("f", i % 8) for i in range(3000)]
     for chain in (Union(*tests), Seq(*tests)):
-        copy = type(chain)(*[Test(t.field, t.value) for t in tests])
-        out, other = share(chain, copy)
-        assert out == chain and other is out
-        assert len({id(t) for t in out.parts}) == 8
+        assert type(chain)(*[Test(t.field, t.value) for t in tests]) is chain
+        assert len({id(t) for t in chain.parts}) == 8
+
+
+def test_long_binary_choice_chain_without_recursion_error():
+    u = PacketUniverse([FieldDecl("f", 2)])
+    half = Fraction(1, 2)
+    p = Assign("f", 1999 % 2)
+    for i in reversed(range(1999)):
+        p = Choice(half, Assign("f", i % 2), p)
+    validate(p, u)
+    assert parse(pretty(p), u) is p
+    assert parse(" +[1/2] ".join(f"f:={i % 2}" for i in range(2000)), u) is p
+    assert desugar(p) is p
+    hash(p)
+    a = frozenset({u.packet(f=0)})
+    to0 = sum(half ** (i + 1) for i in range(0, 1999, 2))
+    assert Kernel(p, u).row(p, a).as_dict() == {
+        frozenset({u.packet(f=0)}): to0, frozenset({u.packet(f=1)}): 1 - to0,
+    }
