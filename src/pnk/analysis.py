@@ -204,20 +204,24 @@ def _meet_closure(sets) -> set:
     return family
 
 
-def dist_leq(mu, nu, exact: bool = True, tol: float = FLOAT_TOL) -> bool:
-    """The order mu <= nu: mu(up a) <= nu(up a) for every set a.
+def _upset_excess(mu: Row, nu: Row, exact: bool, tol: float):
+    """The least set a (by ``_set_key``) with mu(up a) > nu(up a) and its
+    two up-set numerators, or None when mu <= nu.  Checking a over the
+    intersection-closure of the two supports (plus the empty set) suffices:
+    for any a, the up-set of a meets the supports exactly where the up-set
+    of the intersection of all supersets of a in the closure does.  Exact
+    rows are compared by cross-multiplication, float rows up to ``tol``."""
+    for a in sorted(_meet_closure(set(mu.nums) | set(nu.nums) | {EMPTY}), key=_set_key):
+        x, y = upset_prob(mu.nums, a), upset_prob(nu.nums, a)
+        if (x * nu.den > y * mu.den) if exact else (x > y + tol):
+            return a, x, y
+    return None
 
-    Checking a over the intersection-closure of the two supports (plus the
-    empty set) suffices: for any a, the up-set of a meets the supports
-    exactly where the up-set of the intersection of all supersets of a in
-    the closure does.
-    """
-    family = _meet_closure(set(mu) | set(nu) | {EMPTY})
-    slack = 0 if exact else tol
-    for a in family:
-        if upset_prob(mu, a) > upset_prob(nu, a) + slack:
-            return False
-    return True
+
+def dist_leq(mu, nu, exact: bool = True, tol: float = FLOAT_TOL) -> bool:
+    """The order mu <= nu on two distributions (dicts from sets to
+    probabilities, read as rows over 1): mu(up a) <= nu(up a) for every a."""
+    return _upset_excess(Row(1, mu), Row(1, nu), exact, tol) is None
 
 
 def dist_leq_bruteforce(mu, nu, packets, exact: bool = True,
@@ -243,14 +247,11 @@ def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     for a in inputs.rows():
         mu = k.row(p, a)
         nu = k.row(q, a)
-        dm, dn = mu.den, nu.den
-        family = sorted(_meet_closure(set(mu.nums) | set(nu.nums) | {EMPTY}),
-                        key=_set_key)
-        for gen in family:
-            x, y = upset_prob(mu.nums, gen), upset_prob(nu.nums, gen)
-            if (x * dn > y * dm) if exact else (x > y + tol):
-                return Verdict("not-leq", Witness(a, gen, ratio(x, dm), ratio(y, dn)),
-                               exact=exact, tolerance=None if exact else tol)
+        bad = _upset_excess(mu, nu, exact, tol)
+        if bad is not None:
+            gen, x, y = bad
+            return Verdict("not-leq", Witness(a, gen, ratio(x, mu.den), ratio(y, nu.den)),
+                           exact=exact, tolerance=None if exact else tol)
     return Verdict("leq", exact=exact, tolerance=None if exact else tol)
 
 
@@ -368,8 +369,8 @@ def _below(r: float, w) -> bool:
 
 
 def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet:
-    while isinstance(node, Choice):  # a right-nested chain of choices, by a loop
-        node = node.left if _below(rng.random(), node.weight) else node.right
+    """One run of ``node`` on ``a``.  A choice draws once per weight, in
+    order, until a part is taken, as its nested binary form would."""
     match node:
         case Drop():
             return EMPTY
@@ -388,6 +389,13 @@ def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet
             for q in parts:
                 a = _sample(q, a, universe, rng, star_depth)
             return a
+        case Choice(parts, weights):
+            for q, w in zip(parts, weights):
+                if _below(rng.random(), w):
+                    break
+            else:
+                q = parts[-1]
+            return _sample(q, a, universe, rng, star_depth)
         case Star(body):
             acc = EMPTY
             cur = a

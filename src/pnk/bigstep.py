@@ -42,8 +42,9 @@ star into that star's ``collect`` filter, so ``p* ; t`` is solved as one
 pair chain whose accumulator only gathers packets that pass ``t``.  A
 point mass on either side of a product, or on the left of a bind, skips
 the multiplication.  Exact rows equal those of any other bracketing of
-the chain; float rows may differ in the last bits.  A right-nested chain
-of choices is walked with a loop and folded from the innermost node out.
+the chain; float rows may differ in the last bits.  A choice is one
+n-ary node (see ``syntax``): its rows are mixed from its last part back,
+as the right-nested binary choices it stands for would be.
 
 Every star goes through the kernel's table of solved rows for its (star
 node, filter), which maps a current set a to the star's row on a; a chain
@@ -161,33 +162,22 @@ class Kernel:
                 raise WellFormednessError(f"non-core node {node!r}")
 
     def _choice(self, node: Choice, aset: PacketSet) -> Row:
-        """The row of the right-nested chain of choices at ``node``.
-
-        Walks the chain with a loop, evaluating each left branch (unless its
-        weight is 0) and stopping at a weight of 1, at a non-choice right
-        branch or at a choice whose row is memoized; then folds the rows
-        from the innermost choice out, memoizing each.  These are the
-        evaluations and operations of the recursive definition, in its
-        order."""
-        memo, exact = self._memo, self.exact
-        spine = []
-        row = None
-        while True:
-            w = node.weight if exact else float(node.weight)
-            spine.append((node, w, self._eval(node.left, aset) if w != 0 else None))
+        """The row of the choice ``node``: its parts' rows in order, skipping
+        a part of weight 0 and stopping after a weight of 1, mixed from the
+        last part back.  These are the evaluations and operations of the
+        right-nested binary choices, in their order, so float rows keep
+        every bit."""
+        exact = self.exact
+        taken, row = [], None
+        for part, w in zip(node.parts, node.weights if exact else map(float, node.weights)):
+            taken.append((w, self._eval(part, aset) if w != 0 else None))
             if w == 1:
                 break
-            node = node.right
-            if not isinstance(node, Choice):
-                row = self._eval(node, aset)
-                break
-            row = memo.get((node, aset))
-            if row is not None:
-                break
+        else:
+            row = self._eval(node.parts[-1], aset)
         mix = self._mix if exact else self._mix_float
-        for node, w, left in reversed(spine):
+        for w, left in reversed(taken):
             row = mix(w, left, row)
-            memo[(node, aset)] = row
         return row
 
     @staticmethod

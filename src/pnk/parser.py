@@ -2,7 +2,7 @@
 
 Grammar (loosest binding first):
 
-    expr    := union ('+[' weight ']' expr)?          -- right-associative
+    expr    := union ('+[' weight ']' union)*         -- one n-ary node
     union   := seqexp ('&' seqexp)*                   -- one n-ary node
     seqexp  := unary (';' unary)*                     -- one n-ary node
     unary   := '!' unary | postfix
@@ -165,18 +165,13 @@ class _Parser:
     # -- expression grammar ------------------------------------------------
 
     def expr(self) -> Program:
-        # A right-nested chain of choices: read by a loop, folded from the right.
-        spine = []
-        out = self.union()
+        parts, weights = [self.union()], []
         while self.peek().kind == "+[":
             self.next()
-            w = self.weight()
+            weights.append(self.weight())
             self.expect("]")
-            spine.append((out, w))
-            out = self.union()
-        for left, w in reversed(spine):
-            out = Choice(w, left, out)
-        return out
+            parts.append(self.union())
+        return Choice.chain(parts, weights)
 
     def union(self) -> Program:
         parts = [self.seqexp()]

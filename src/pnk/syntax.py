@@ -9,12 +9,15 @@ table keyed by the class, the scalar fields with their types and the
 children by identity: equal subterms, within a program and across
 programs, are one object, and ``==`` and ``hash`` are those of identity.
 
-``&`` and ``;`` are associative, so ``Union`` and ``Seq`` are n-ary: each
-holds the ``parts`` of a whole chain, two or more, and is flattened on
-construction (an operand of the same class contributes its parts), so
-``Union(Union(a, b), c) is Union(a, Union(b, c)) is Union(a, b, c)``.
-Every pass loops over ``parts``, and over the right spine of a chain of
-choices; a long chain costs no recursion depth.
+``&``, ``;`` and ``+[r]`` chains are n-ary: a ``Union``, ``Seq`` or
+``Choice`` holds the ``parts`` of a whole chain, two or more, and every
+pass loops over them, so a long chain costs no recursion depth.  ``&`` and
+``;`` are associative, so an operand of the same class contributes its
+parts: ``Union(Union(a, b), c) is Union(a, Union(b, c)) is Union(a, b, c)``.
+A choice keeps its ``weights`` as written: ``Choice(r, a, Choice(s, b, c))``
+has parts ``(a, b, c)`` and weights ``(r, s)``.  Only a right operand is
+spliced; a left one stays a nested part, since splicing it would rescale
+the weights and so change float rows and the sampler's draws.
 
 A node is a *predicate* iff it is Drop, Skip, Test, or Neg/Union/Seq of
 predicates.  Choice and Star are never predicates, and Neg may only be
@@ -128,15 +131,34 @@ class Seq(_Chain):
     parts: tuple
 
 
+def _weight_key(w) -> tuple:
+    """A weight's type and exact ratio (a ``Fraction`` is slow to hash)."""
+    try:
+        return type(w), w.as_integer_ratio()
+    except (ValueError, OverflowError):  # nan, inf
+        raise WellFormednessError(f"choice weight {w} is not finite") from None
+
+
 @_node
 class Choice(Program):
-    weight: Fraction  # probability of the left branch
-    left: Program
-    right: Program
+    parts: tuple  # two or more; the last is never a Choice
+    weights: tuple  # weights[i]: the chance of parts[i] if no earlier part is taken
 
-    def __new__(cls, weight, left, right):  # a Fraction is slow to hash
-        key = (cls, type(weight), *weight.as_integer_ratio(), left, right)
-        return _intern(cls, (weight, left, right), key)
+    def __new__(cls, weight, left, right):
+        return cls.chain((left, right), (weight,))
+
+    @classmethod
+    def chain(cls, parts, weights) -> Program:
+        """The choice over ``parts`` with ``weights``, in one intern call; a
+        ``Choice`` last part is spliced in, and a lone part is returned."""
+        if not weights:
+            return parts[0]
+        parts, weights = tuple(parts), tuple(weights)
+        if type(parts[-1]) is cls:
+            *parts, last = parts
+            parts, weights = (*parts, *last.parts), weights + last.weights
+        key = (cls, parts, *map(_weight_key, weights))
+        return _intern(cls, (parts, weights), key)
 
 
 @_node
@@ -178,7 +200,7 @@ class NaryChoice(Program):
     branches: tuple[tuple[Program, Fraction], ...]
 
     def __new__(cls, branches):  # the weights as in Choice
-        key = (cls, *[(q, type(w), *w.as_integer_ratio()) for q, w in branches])
+        key = (cls, *[(q, _weight_key(w)) for q, w in branches])
         return _intern(cls, (branches,), key)
 
 
@@ -198,16 +220,12 @@ def is_predicate(p: Program) -> bool:
 
 
 def is_core(p: Program) -> bool:
-    while isinstance(p, Choice):  # a right-nested chain of choices, by a loop
-        if not is_core(p.left):
-            return False
-        p = p.right
     match p:
         case Drop() | Skip() | Test() | Assign():
             return True
         case Neg(b) | Star(b):
             return is_core(b)
-        case Union(parts) | Seq(parts):
+        case Union(parts) | Seq(parts) | Choice(parts):
             return all(is_core(q) for q in parts)
         case _:
             return False
@@ -217,11 +235,6 @@ def validate(p: Program, universe: PacketUniverse) -> None:
     """Check well-formedness against a universe; raises WellFormednessError."""
 
     def go(node):
-        while isinstance(node, Choice):  # a right-nested chain, by a loop
-            if not (0 <= node.weight <= 1):
-                raise WellFormednessError(f"choice weight {node.weight} outside [0, 1]")
-            go(node.left)
-            node = node.right
         match node:
             case Drop() | Skip():
                 pass
@@ -236,7 +249,10 @@ def validate(p: Program, universe: PacketUniverse) -> None:
                 go(b)
                 if not is_predicate(b):
                     raise WellFormednessError("negation applied to a non-predicate")
-            case Union(parts) | Seq(parts):
+            case Choice(_, weights) if not all(0 <= w <= 1 for w in weights):
+                bad = ", ".join(str(w) for w in weights if not 0 <= w <= 1)
+                raise WellFormednessError(f"choice weight {bad} outside [0, 1]")
+            case Union(parts) | Seq(parts) | Choice(parts):
                 for q in parts:
                     go(q)
             case Star(b):
@@ -278,7 +294,7 @@ def desugar(p: Program) -> Program:
     While(t,p)   -> (t;p)* ; !t
     DoWhile(p,t) -> p ; (t;p)* ; !t
     Var(f,n,p)   -> f:=n ; p ; f:=0
-    NaryChoice   -> right-nested binary Choice with rescaled weights
+    NaryChoice   -> one Choice with rescaled weights
 
     A node whose children come back unchanged is returned as it is.
     """
@@ -291,18 +307,9 @@ def desugar(p: Program) -> Program:
         case Union(parts) | Seq(parts):
             new = [desugar(q) for q in parts]
             return p if all(map(operator.is_, new, parts)) else type(p)(*new)
-        case Choice():
-            spine = []  # a right-nested chain, by a loop
-            while isinstance(p, Choice):
-                spine.append(p)
-                p = p.right
-            out = desugar(p)
-            for c in reversed(spine):
-                left = desugar(c.left)
-                if left is not c.left or out is not c.right:
-                    c = Choice(c.weight, left, out)
-                out = c
-            return out
+        case Choice(parts, weights):
+            new = [desugar(q) for q in parts]
+            return p if all(map(operator.is_, new, parts)) else Choice.chain(new, weights)
         case If(t, a, b):
             t = desugar(t)
             return Union(Seq(t, desugar(a)), Seq(Neg(t), desugar(b)))
@@ -322,18 +329,18 @@ def desugar(p: Program) -> Program:
 
 
 def _desugar_nary(branches) -> Program:
-    """The right-nested chain of binary choices, built from the last branch
+    """One choice over the branches, its parts gathered from the last branch
     back: branch i is taken with its weight over the weight left from i on."""
     head, total = branches[-1]
-    out = desugar(head)
+    parts, weights = [desugar(head)], []
     for head, w in reversed(branches[:-1]):
         total += w
         if total == 0:
-            # All-zero tail: any branch carries the (zero) mass.
-            out = desugar(head)
+            parts, weights = [], []  # all-zero tail: any branch carries the (zero) mass
         else:
-            out = Choice(Fraction(w) / total, desugar(head), out)
-    return out
+            weights.append(Fraction(w) / total)
+        parts.append(desugar(head))
+    return Choice.chain(parts[::-1], weights[::-1])
 
 
 def has_choice(p: Program) -> bool:
@@ -413,13 +420,9 @@ def _pp(p: Program, ctx: int) -> str:
             return _wrap(ctx, _SEQ, " ; ".join([_pp(q, _SEQ + 1) for q in parts]))
         case Union(parts):
             return _wrap(ctx, _UNION, " & ".join([_pp(q, _UNION + 1) for q in parts]))
-        case Choice():
-            # Right-associative: the right spine is printed by a loop.
-            text = []
-            while isinstance(p, Choice):
-                text.append(f"{_pp(p.left, _CHOICE + 1)} +[{p.weight}] ")
-                p = p.right
-            text.append(_pp(p, _CHOICE))
+        case Choice(parts, weights):
+            text = [f"{_pp(q, _CHOICE + 1)} +[{w}] " for q, w in zip(parts, weights)]
+            text.append(_pp(parts[-1], _CHOICE))
             return _wrap(ctx, _CHOICE, "".join(text))
         case If(t, a, b):
             body = f"if {_pp(t, _CHOICE + 1)} then {_pp(a, _CHOICE + 1)} else {_pp(b, _CHOICE)}"

@@ -78,18 +78,15 @@ def test_long_union_chain_decides_without_recursion_error(tmp_path, capsys):
 
 
 def test_long_choice_spine_decides_without_recursion_error(tmp_path, capsys):
-    # choice { 1/2000: f:=0, 1/2000: f:=1, ... } desugars to a right-nested
-    # chain of 1,999 binary choices, which every pass walks with a loop.
+    # choice { 1/2000: f:=0, 1/2000: f:=1, ... } desugars to one Choice of
+    # 2,000 parts, which every pass walks with a loop.
     u = UF
     n = 2000
     branches = tuple((Assign("f", i % 2), Fraction(1, n)) for i in range(n))
     p, q = NaryChoice(branches), NaryChoice(branches[::-1])
     core = desugar(p)
     assert is_core(core) and has_choice(core)
-    node, depth = core, 0
-    while isinstance(node, Choice):
-        node, depth = node.right, depth + 1
-    assert depth == n - 1
+    assert type(core) is Choice and len(core.parts) == n
     a = frozenset({u.packet(f=0)})
     half = {frozenset({u.packet(f=v)}): Fraction(1, 2) for v in (0, 1)}
     assert Kernel(core, u).apply(a).as_dict() == half

@@ -124,6 +124,19 @@ def test_casestudy_float_verdicts_honour_tol(capsys):
     assert row["f10_0"] == "yes"
 
 
+def test_float_equiv_honours_tol(progdir, capsys):
+    # The two coins differ by 1e-12, well inside the default tolerance.
+    p = progdir("p.pnk", "fields { f : 2 }\nf:=0 +[1/2] f:=1\n")
+    q = progdir("q.pnk", "fields { f : 2 }\nf:=0 +[500000000001/1000000000000] f:=1\n")
+    assert main(["equiv", "--float", p, q]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "equal"
+    for tol in ("0", "1e-13"):
+        assert main(["equiv", "--float", "--tol", tol, p, q]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["result"] == "not-equal" and out["tolerance"] == float(tol)
+        assert out["witness"]["input"] == [{"f": 0}]
+
+
 def test_casestudy_rejects_out_of_range_failures(capsys):
     base = ["casestudy", "f10-resilience", "--topo", "abfattree12"]
     assert main(base + ["--k", "1", "--p", "3/2"]) == 2

@@ -40,7 +40,7 @@ def test_parse_starred_choice():
 
 def test_parse_decimal_weight_is_exact():
     p = parse("skip +[0.8] drop", U)
-    assert p.weight == Fraction(4, 5)
+    assert p.weights == (Fraction(4, 5),)
 
 
 def test_parse_comments_and_whitespace():
@@ -216,6 +216,14 @@ def test_validate_choice_weight_range():
         validate(Choice(Fraction(3, 2), Skip(), Drop()), U)
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_choice_weight_is_ill_formed(w):
+    with pytest.raises(WellFormednessError):
+        Choice(w, Skip(), Drop())
+    with pytest.raises(WellFormednessError):
+        NaryChoice(((Skip(), w), (Drop(), 0.5)))
+
+
 # -- predicate sets -----------------------------------------------------------
 
 def test_predicate_set_base_cases():
@@ -293,8 +301,8 @@ def _census(*roots):
                 scalars = ()
             case Neg(b) | Star(b):
                 scalars, kids = (), (b,)
-            case Choice(w, l, r):
-                scalars, kids = ((type(w), w),), (l, r)
+            case Choice(kids, weights):
+                scalars = tuple((type(w), w) for w in weights)
             case Test(f, v) | Assign(f, v):
                 scalars, kids = (f, (type(v), v)), ()
             case _:
@@ -320,8 +328,11 @@ def _rebuild(p):
             return type(p)(_rebuild(b))
         case Union(parts) | Seq(parts):
             return type(p)(*[_rebuild(q) for q in parts])
-        case Choice(w, l, r):
-            return Choice(Fraction(w.numerator, w.denominator), _rebuild(l), _rebuild(r))
+        case Choice(parts, weights):
+            out = _rebuild(parts[-1])
+            for q, w in reversed(list(zip(parts, weights))):
+                out = Choice(Fraction(w.numerator, w.denominator), _rebuild(q), out)
+            return out
     raise AssertionError(f"not a core node: {p!r}")
 
 
@@ -346,7 +357,7 @@ def test_intern_merges_unfolding_across_programs():
     assert step.parts[-1] is p
     assert step.parts[0] is p.body.parts[0] and step.parts[1] is p.body.parts[1]
     c = Choice(Fraction(1, 2), p, Star(body()))
-    assert c.left is c.right
+    assert c.parts[0] is c.parts[1]
 
 
 def test_intern_keeps_different_values_apart():
@@ -367,13 +378,23 @@ def test_intern_splices_chains_before_the_lookup():
     a, b, c = Test("f", 0), Assign("g", 1), Skip()
     for chain in (Union, Seq):
         assert chain(chain(a, b), c) is chain(a, chain(b, c)) is chain(a, b, c)
+    r, s = Fraction(1, 3), Fraction(1, 4)
+    right = Choice(r, a, Choice(s, b, c))
+    assert right is Choice(r, a, Choice(s, b, c)) is Choice.chain((a, b, c), (r, s))
+    assert right.parts == (a, b, c) and right.weights == (r, s)
+    left = Choice(r, Choice(s, a, b), c)  # a left operand stays one part
+    assert left.parts == (Choice(s, a, b), c) and left.weights == (r,)
+    u = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2)])
+    for p in (right, left, Choice(r, a, left), Choice(s, left, right)):
+        assert parse(pretty(p), u) is p
+    assert pretty(left) == "(f=0 +[1/4] g:=1) +[1/3] skip"
 
 
 def test_intern_keeps_scalar_types():
     a, b = Test("f", 0), Skip()
     half, exact = Choice(0.5, a, b), Choice(Fraction(1, 2), a, b)
     assert half is not exact
-    assert type(half.weight) is float and type(exact.weight) is Fraction
+    assert type(half.weights[0]) is float and type(exact.weights[0]) is Fraction
     assert Choice(0.5, a, b) is half and Choice(Fraction(1, 2), a, b) is exact
     assert Test("f", True) is not Test("f", 1)
     n1 = NaryChoice(((a, 0.5), (b, 0.5)))
@@ -407,6 +428,9 @@ def test_long_binary_choice_chain_without_recursion_error():
     for i in reversed(range(1999)):
         p = Choice(half, Assign("f", i % 2), p)
     validate(p, u)
+    assert len(p.parts) == 2000 and p.weights == (half,) * 1999
+    assert repr(p).startswith("Choice(parts=(Assign(field='f', value=0), ")
+    assert str(p) == repr(p)
     assert parse(pretty(p), u) is p
     assert parse(" +[1/2] ".join(f"f:={i % 2}" for i in range(2000)), u) is p
     assert desugar(p) is p
