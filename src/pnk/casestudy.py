@@ -135,7 +135,7 @@ def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
                     tol: float = FLOAT_TOL, state_budget: int = DEFAULT_STATE_BUDGET,
                     jobs: int = 1) -> list[dict]:
     cells = [(k, scheme) for k in ks for scheme in schemes]
-    if jobs > 1 and topo.name:
+    if jobs > 1 and topo.name in netlib.TOPOLOGIES:  # workers rebuild it by name
         from concurrent.futures import ProcessPoolExecutor
         work = [(topo.name, scheme, k, str(p_fail), exact, tol, state_budget)
                 for k, scheme in cells]

@@ -6,9 +6,9 @@ Failable links carry a per-port health flag ``up<srcport>``; the guarded
 topology drops packets that try to cross a link whose flag is down.
 
 This module also ships the three-switch example network used throughout
-the test suite, the 20-switch FatTree / AB FatTree instances, a reduced
-12-switch AB FatTree, and the three-stage F10 routing scheme with 3-hop
-and 5-hop rerouting.
+the test suite, one generator of k-ary FatTrees and AB FatTrees (``fattree``,
+``abfattree``; ``TOPOLOGIES`` names its instances by switch count), and the
+three-stage F10 routing scheme with 3-hop and 5-hop rerouting.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import WellFormednessError
 from .syntax import (
@@ -202,91 +203,64 @@ def toy() -> ToyNet:
 # -- FatTree and AB FatTree generators ----------------------------------------
 
 
-def _build_fattree(pods: list[tuple[list[int], list[int], str]],
-                   cores: list[int], wiring: dict[int, list[int]],
-                   name: str) -> Topology:
-    """Assemble a 3-level tree.  ``pods`` lists (edge ids, agg ids, type);
-    ``wiring`` maps each agg id to its core neighbors.  Ports are numbered
-    downlinks first, then uplinks, ascending by neighbor id.  Aggregation
-    to core links fail only in the downward (core to agg) direction."""
-    links: list[Link] = []
-    layers: dict[int, str] = {}
+def _fattree(k: int, pod_types: str) -> Topology:
+    """A 3-level tree with one pod per letter of ``pod_types``, each of k/2
+    edge and k/2 aggregation switches, over (k/2)^2 cores.  Switch ids run
+    edges, aggregations, then cores, from 1, pod by pod.  Aggregation j of a
+    type-A pod links to the j-th block of k/2 cores, of a type-B pod to every
+    (k/2)-th core from j: each core has one neighbour per pod, on port 1 + pod.
+    Ports number downlinks first, then uplinks, ascending by neighbour id;
+    only core-to-aggregation links fail.  The name gives the switch count."""
+    if k < 2 or k % 2:
+        raise WellFormednessError(f"FatTree arity must be even and at least 2, got {k}")
+    h = k // 2
+    first_agg, first_core = len(pod_types) * h + 1, 2 * len(pod_types) * h + 1
+    layers = dict.fromkeys(range(first_core, first_core + h * h), CORE)
     agg_type: dict[int, str] = {}
-    core_down: dict[int, list[int]] = {c: [] for c in cores}
-    for edges, aggs, typ in pods:
-        for a in aggs:
-            agg_type[a] = typ
-        for e in edges:
-            agg_type[e] = typ
-    for c in cores:
-        layers[c] = CORE
-    for edges, aggs, typ in pods:
-        for e in edges:
-            layers[e] = EDGE
-        for a in aggs:
-            layers[a] = AGG
-        for a in aggs:
-            for c in wiring[a]:
-                core_down[c].append(a)
-    # Edge <-> agg: edge ports are uplinks only (host side elided).
-    for edges, aggs, _ in pods:
-        for e in edges:
-            for i, a in enumerate(sorted(aggs)):
-                eport = 1 + i
-                aport = 1 + sorted(edges).index(e)
-                links.append(Link(e, eport, a, aport, failable=False))
-                links.append(Link(a, aport, e, eport, failable=False))
-    # Agg <-> core: agg downlinks occupy 1..len(edges).
-    for edges, aggs, _ in pods:
-        ndown = len(edges)
-        for a in aggs:
-            for i, c in enumerate(sorted(wiring[a])):
-                aport = ndown + 1 + i
-                cport = 1 + sorted(core_down[c]).index(a)
-                links.append(Link(a, aport, c, cport, failable=False))
-                links.append(Link(c, cport, a, aport, failable=True))
-    nsw = max(max(layers), 0)
+    links: list[Link] = []
+    for i, typ in enumerate(pod_types):
+        edges = range(1 + h * i, 1 + h * (i + 1))
+        aggs = range(first_agg + h * i, first_agg + h * (i + 1))
+        layers |= dict.fromkeys(edges, EDGE) | dict.fromkeys(aggs, AGG)
+        agg_type |= dict.fromkeys([*edges, *aggs], typ)
+        for je, e in enumerate(edges):
+            for ja, a in enumerate(aggs):
+                links += [Link(e, 1 + ja, a, 1 + je), Link(a, 1 + je, e, 1 + ja)]
+    for i, typ in enumerate(pod_types):
+        for j in range(h):
+            a = first_agg + h * i + j
+            for m in range(h):
+                c = first_core + (j * h + m if typ == "A" else m * h + j)
+                links += [Link(a, h + 1 + m, c, 1 + i),
+                          Link(c, 1 + i, a, h + 1 + m, failable=True)]
+    nsw = first_core + h * h - 1
+    name = f"{'ab' if 'B' in pod_types else ''}fattree{nsw}"
     return Topology(nsw, links, layers, agg_type, name)
 
 
-def fattree20() -> Topology:
-    """3-level FatTree: 8 edge (1-8), 8 aggregation (9-16), 4 core (17-20).
+def fattree(k: int) -> Topology:
+    """The k-ary FatTree: k pods, all of type A."""
+    return _fattree(k, "A" * k)
 
-    Every pod is wired the same way: its first aggregation switch connects
-    to cores 17 and 18, its second to cores 19 and 20.
-    """
-    pods = [([1 + 2 * i, 2 + 2 * i], [9 + 2 * i, 10 + 2 * i], "A") for i in range(4)]
-    wiring = {}
-    for _, (a1, a2), _ in pods:
-        wiring[a1] = [17, 18]
-        wiring[a2] = [19, 20]
-    return _build_fattree(pods, [17, 18, 19, 20], wiring, "fattree20")
+
+def abfattree(k: int) -> Topology:
+    """The k-ary AB FatTree: k pods alternating type A and type B, so every
+    core sees aggregation switches of both types."""
+    return _fattree(k, "AB" * (k // 2))
+
+
+def fattree20() -> Topology:
+    return fattree(4)
 
 
 def abfattree20() -> Topology:
-    """AB FatTree on the same switches: pods 1 and 3 are type A (wired like
-    the FatTree), pods 2 and 4 are type B (first agg to cores 17/19, second
-    to 18/20), so every core sees aggregation switches of both types."""
-    types = ["A", "B", "A", "B"]
-    pods = [([1 + 2 * i, 2 + 2 * i], [9 + 2 * i, 10 + 2 * i], types[i]) for i in range(4)]
-    wiring = {}
-    for i, (_, (a1, a2), typ) in enumerate(pods):
-        if typ == "A":
-            wiring[a1] = [17, 18]
-            wiring[a2] = [19, 20]
-        else:
-            wiring[a1] = [17, 19]
-            wiring[a2] = [18, 20]
-    return _build_fattree(pods, [17, 18, 19, 20], wiring, "abfattree20")
+    return abfattree(4)
 
 
 def abfattree12() -> Topology:
-    """Reduced AB FatTree: 4 edge (1-4), 4 aggregation (5-8), 4 core (9-12),
-    one type-A and one type-B pod.  Cores have degree 2, so there are no
-    same-type rerouting targets; useful as a small smoke instance."""
-    pods = [([1, 2], [5, 6], "A"), ([3, 4], [7, 8], "B")]
-    wiring = {5: [9, 10], 6: [11, 12], 7: [9, 11], 8: [10, 12]}
-    return _build_fattree(pods, [9, 10, 11, 12], wiring, "abfattree12")
+    """The first two pods of ``abfattree20``, renumbered: cores have degree
+    2, so there are no same-type rerouting targets; a small smoke instance."""
+    return _fattree(4, "AB")
 
 
 # -- F10 routing -------------------------------------------------------------
@@ -555,7 +529,8 @@ def build_case_model(variant: str, topo: Topology, k: int | None,
 
 
 TOPOLOGIES = {"fattree20": fattree20, "abfattree20": abfattree20,
-              "abfattree12": abfattree12}
+              "abfattree12": abfattree12, "abfattree45": partial(abfattree, 6),
+              "abfattree80": partial(abfattree, 8)}
 
 
 def topology_by_name(name: str) -> Topology:

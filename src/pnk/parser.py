@@ -15,6 +15,10 @@ Grammar (loosest binding first):
              | 'choice' '{' weight ':' expr (',' weight ':' expr)* '}'
              | '(' expr ')'
 
+Parentheses, keyword bodies and ``!`` may nest at most ``MAX_DEPTH`` deep,
+the bound on a program's depth, and deeper input is a ``ParseError``: the
+pretty-printed form of a core program within the bound always parses.
+
 Weights are ``a/b`` rationals, integers, or decimal literals (converted
 exactly, e.g. ``0.8`` becomes ``4/5``).  ``//`` comments run to end of line.
 A program file may start with a header ``fields { name : size ; ... }``
@@ -27,8 +31,8 @@ from fractions import Fraction
 
 from .errors import ParseError, WellFormednessError
 from .syntax import (
-    Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Skip, Star,
-    Test, Var, While, seq, union, validate,
+    MAX_DEPTH, Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program,
+    Skip, Star, Test, Var, While, seq, union, validate,
 )
 from .universe import FieldDecl, PacketUniverse
 
@@ -110,6 +114,7 @@ class _Parser:
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.depth = 0  # nested ``expr`` calls and ``!``s
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -124,6 +129,21 @@ class _Parser:
         if t.kind != kind:
             raise ParseError(f"expected {kind!r}, found {t.text or t.kind!r}", t.line, t.col)
         return self.next()
+
+    def enter(self) -> None:
+        """One level deeper; past ``MAX_DEPTH`` a ``ParseError``, raised
+        before the recursion could exhaust the stack."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            t = self.peek()
+            raise ParseError(f"program nests deeper than {MAX_DEPTH} levels", t.line, t.col)
+
+    def accept(self, kind) -> bool:
+        """Take the next token if it is a ``kind``."""
+        if self.peek().kind != kind:
+            return False
+        self.pos += 1
+        return True
 
     def at_keyword(self, word) -> bool:
         t = self.peek()
@@ -145,8 +165,7 @@ class _Parser:
         elif t.kind == "nat":
             self.next()
             num = int(t.text)
-            if self.peek().kind == "/":
-                self.next()
+            if self.accept("/"):
                 den = int(self.expect("nat").text)
                 if den == 0:
                     raise ParseError("weight denominator is zero", t.line, t.col)
@@ -165,39 +184,39 @@ class _Parser:
     # -- expression grammar ------------------------------------------------
 
     def expr(self) -> Program:
-        parts, weights = [self.union()], []
-        while self.peek().kind == "+[":
-            self.next()
+        """``expr``, ``union`` and ``seqexp`` of the grammar, as loops in one
+        frame: a level of parentheses costs three frames (expr, unary, atom)."""
+        self.enter()
+        parts, weights = [], []
+        while True:
+            unions = []
+            while True:
+                seqs = [self.unary()]
+                while self.accept(";"):
+                    seqs.append(self.unary())
+                unions.append(seq(*seqs))
+                if not self.accept("&"):
+                    break
+            parts.append(union(*unions))
+            if not self.accept("+["):
+                break
             weights.append(self.weight())
             self.expect("]")
-            parts.append(self.union())
+        self.depth -= 1
         return Choice.chain(parts, weights)
 
-    def union(self) -> Program:
-        parts = [self.seqexp()]
-        while self.peek().kind == "&":
-            self.next()
-            parts.append(self.seqexp())
-        return union(*parts)
-
-    def seqexp(self) -> Program:
-        parts = [self.unary()]
-        while self.peek().kind == ";":
-            self.next()
-            parts.append(self.unary())
-        return seq(*parts)
-
     def unary(self) -> Program:
-        if self.peek().kind == "!":
-            self.next()
-            return Neg(self.unary())
-        return self.postfix()
-
-    def postfix(self) -> Program:
+        """``unary`` and ``postfix`` of the grammar: ``!``s, an atom, ``*``s."""
+        negs = 0
+        while self.accept("!"):
+            self.enter()
+            negs += 1
         out = self.atom()
-        while self.peek().kind == "*":
-            self.next()
+        while self.accept("*"):
             out = Star(out)
+        for _ in range(negs):
+            out = Neg(out)
+        self.depth -= negs
         return out
 
     def atom(self) -> Program:
@@ -249,9 +268,8 @@ class _Parser:
                 w = self.weight()
                 self.expect(":")
                 branches.append((self.expr(), w))
-                if self.peek().kind != ",":
+                if not self.accept(","):
                     break
-                self.next()
             self.expect("}")
             return NaryChoice(tuple((q, w) for q, w in branches))
         if word in KEYWORDS:
@@ -286,8 +304,7 @@ class _Parser:
             self.expect(":")
             size = self.nat()
             decls.append(FieldDecl(name, size))
-            if self.peek().kind == ";":
-                self.next()
+            self.accept(";")
         self.expect("}")
         return PacketUniverse(decls)
 

@@ -19,6 +19,11 @@ has parts ``(a, b, c)`` and weights ``(r, s)``.  Only a right operand is
 spliced; a left one stays a nested part, since splicing it would rescale
 the weights and so change float rows and the sampler's draws.
 
+Each node records its nesting ``depth`` (see ``MAX_DEPTH``) when it is
+built, and a node deeper than ``MAX_DEPTH`` is a ``WellFormednessError``:
+every recursive pass over a program then stays well inside Python's
+recursion limit, whoever built the program.
+
 A node is a *predicate* iff it is Drop, Skip, Test, or Neg/Union/Seq of
 predicates.  Choice and Star are never predicates, and Neg may only be
 applied to predicates.
@@ -38,16 +43,42 @@ from .universe import EMPTY, PacketSet, PacketUniverse
 # Intern key -> weak reference to the one live node of that value.
 _NODES: dict = {}
 
+#: The deepest nesting a program may have.  A leaf is 1 deep, a star adds
+#: two levels and any other node one: evaluating a star takes about twice
+#: the stack of any other node.  Every pass, and the parser, takes at most
+#: four frames per level, so a program this deep stays well inside Python's
+#: default recursion limit of 1000.
+MAX_DEPTH = 150
+
 
 def _intern(cls, args: tuple, key: tuple):
     """The live node under ``key``, or a new ``cls`` node with fields ``args``."""
     ref = _NODES.get(key)
     node = None if ref is None else ref()
     if node is None:
+        depth = (2 if cls is Star else 1) + _depth(args)
+        if depth > MAX_DEPTH:
+            raise WellFormednessError(f"program nests deeper than {MAX_DEPTH} levels")
         node = object.__new__(cls)
         cls._fill(node, *args)
+        object.__setattr__(node, "depth", depth)
         _NODES[key] = weakref.ref(node, partial(_forget, key))
     return node
+
+
+def _depth(args: tuple) -> int:
+    """The depth of the deepest program in ``args``, looking into tuples."""
+    d = 0
+    for a in args:
+        if type(a) is tuple:
+            k = _depth(a)
+        elif isinstance(a, Program):
+            k = a.depth
+        else:
+            continue
+        if k > d:
+            d = k
+    return d
 
 
 def _forget(key: tuple, ref) -> None:
@@ -57,9 +88,10 @@ def _forget(key: tuple, ref) -> None:
 
 class Program:
     """Base class for AST nodes.  Nodes are immutable and interned (see
-    above): two nodes are equal exactly when they are one object."""
+    above): two nodes are equal exactly when they are one object.  ``depth``
+    is the nesting depth, set when the node is built; it is not a field."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "depth")
 
     def __new__(cls, *args):
         return _intern(cls, args, (cls, args, *map(type, args)))
@@ -200,6 +232,7 @@ class NaryChoice(Program):
     branches: tuple[tuple[Program, Fraction], ...]
 
     def __new__(cls, branches):  # the weights as in Choice
+        branches = tuple(branches)
         key = (cls, *[(q, _weight_key(w)) for q, w in branches])
         return _intern(cls, (branches,), key)
 
@@ -413,7 +446,7 @@ def _pp(p: Program, ctx: int) -> str:
         case Assign(f, v):
             return f"{f}:={v}"
         case Neg(b):
-            return _wrap(ctx, _NEG, f"!{_pp(b, _STAR)}")
+            return _wrap(ctx, _NEG, f"!{_pp(b, _NEG)}")
         case Star(b):
             return _wrap(ctx, _STAR, f"{_pp(b, _ATOM)}*")
         case Seq(parts):

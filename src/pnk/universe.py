@@ -161,11 +161,6 @@ class PacketUniverse:
     def set_from_records(self, records) -> PacketSet:
         return frozenset(self.packet(**r) for r in records)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"fields": [{"name": d.name, "size": d.size} for d in self.decls]}
-        )
-
     @classmethod
     def from_json(cls, text: str, cap: int = DEFAULT_PACKET_CAP) -> "PacketUniverse":
         try:

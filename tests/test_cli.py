@@ -38,6 +38,14 @@ def test_equiv_error_exit_code(progdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["dist", "equiv"])
+def test_deep_program_is_an_error(progdir, capsys, cmd):
+    deep = progdir("deep.pnk", "fields { f : 2 }\n" + "(" * 200 + "f:=1" + ")" * 200)
+    args = ["dist", deep, "--on", '[{"f":1}]'] if cmd == "dist" else [cmd, deep, deep]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: 2:")
+
+
 def test_universe_mismatch_is_error(progdir, capsys):
     a = progdir("a.pnk", "fields { f : 2 }\nskip\n")
     b = progdir("b.pnk", "fields { f : 3 }\nskip\n")
@@ -105,6 +113,17 @@ def test_casestudy_csv_format(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("k,f10_0")
     assert len(lines) == 3
+
+
+def test_casestudy_on_the_k6_ab_fattree(capsys):
+    args = ["casestudy", "f10-resilience", "--exact", "--topo", "abfattree45",
+            "--k", "0,1", "--format", "csv"]
+    assert main(args) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split()]
+    head = rows[0]
+    verdicts = [[row[head.index(s)] for s in ("f10_0", "f10_3", "f10_35")]
+                for row in rows[1:]]
+    assert verdicts == [["yes", "yes", "yes"], ["no", "yes", "yes"]]
 
 
 def test_casestudy_float_verdicts_honour_tol(capsys):

@@ -1,11 +1,15 @@
+import hashlib
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pnk import netlib
 from pnk.analysis import InputSpec, equiv, leq
 from pnk.bigstep import Kernel
-from pnk.errors import WellFormednessError
+from pnk.errors import UniverseError, WellFormednessError
 from pnk.netlib import (
     Link, Topology, abfattree12, abfattree20, case_failure, fattree20,
     link_program, model, refined_model, routing_info, topo_program, toy,
@@ -176,6 +180,67 @@ def test_reduced_abfattree_shape():
             assert len(adj[c]) == 2
 
 
+# Pinned digests (see topo_digest) of the named instances: their wiring,
+# port numbers and link order must not move, since topo_program unions the
+# links in order and that order fixes the bits of every float row.
+DIGESTS = {
+    "fattree20": "c5ff9ef45257ea8d057d6158052878a5f4daf4bf98a8dabf595a5f72e9a93dc0",
+    "abfattree20": "b325aa2e0e0b0ec438b70f6fc8a159e058a5bbb8343e9f2ccc355887e6b05346",
+    "abfattree12": "32733fb988b8953e6eb4739e212772a33134eb8fa578cb03bc36f813968ac11f",
+}
+
+
+def topo_digest(t: Topology) -> str:
+    links = [(l.src, l.srcport, l.dst, l.dstport, l.failable) for l in t.links]
+    fields = (t.switches, t.name, links, sorted(t.layers.items()),
+              sorted(t.agg_type.items()))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", DIGESTS)
+def test_named_instances_keep_their_wiring(name):
+    assert topo_digest(getattr(netlib, name)()) == DIGESTS[name]
+
+
+@pytest.fixture
+def reference_abfattree(monkeypatch):
+    """``abfattree`` of the benchmark's own copy, loaded without writing a
+    bytecode cache next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "topo.py"
+    spec = importlib.util.spec_from_file_location("perfbench_topo", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.abfattree
+
+
+@pytest.mark.parametrize("k", (2, 4, 6, 8))
+def test_abfattree_matches_the_benchmark_reference(reference_abfattree, k):
+    got, ref = netlib.abfattree(k), reference_abfattree(k)
+    assert topo_digest(got) == topo_digest(ref)
+    assert got.name == f"abfattree{5 * k * k // 4}"
+
+
+@pytest.mark.parametrize("k", (2, 4, 6, 8))
+def test_fattree_shapes_by_arity(k):
+    h = k // 2
+    for t in (netlib.fattree(k), netlib.abfattree(k)):
+        assert t.switches == 5 * h * h
+        assert layer_counts(t) == {"edge": k * h, "agg": k * h, "core": h * h}
+        adj = t.adjacency()
+        assert all(len(adj[s]) == k for s, layer in t.layers.items()
+                   if layer != "edge")
+        assert len(t.failable_links()) == k * h * h
+    assert set(netlib.fattree(k).agg_type.values()) == {"A"}
+    assert set(netlib.abfattree(k).agg_type.values()) == {"A", "B"}
+
+
+@pytest.mark.parametrize("k", (0, 3, -2))
+def test_fattree_arity_must_be_even_and_positive(k):
+    with pytest.raises(WellFormednessError):
+        netlib.fattree(k)
+
+
 def test_routing_info_distances():
     ab = abfattree20()
     dist, min_ports, adj = routing_info(ab, 1)
@@ -187,9 +252,15 @@ def test_routing_info_distances():
 
 
 def test_f10_programs_typecheck():
-    for topo in (fattree20(), abfattree20(), abfattree12()):
+    for name in netlib.TOPOLOGIES:
+        topo = netlib.topology_by_name(name)
         for variant in netlib.F10_VARIANTS:
             for k in (0, 2, None):
+                if name == "abfattree80" and k == 2:
+                    # The budget field takes the universe past the packet cap.
+                    with pytest.raises(UniverseError, match="cap"):
+                        netlib.build_case_model(variant, topo, k)
+                    continue
                 cm = netlib.build_case_model(variant, topo, k)
                 validate(cm.program, cm.universe)
                 validate(cm.teleport, cm.universe)
@@ -303,3 +374,13 @@ def test_case_failure_only_flips_at_cores():
     core_pkt = frozenset({u.packet(sw=17, pt=1, default=1, up1=1, up2=1, up3=1, up4=1)})
     dist = krow(f, u, core_pkt)
     assert len(dist) == 16 and sum(dist.values()) == 1
+
+
+def test_grid_of_an_unnamed_instance_runs_with_jobs():
+    # Grid workers rebuild the topology from TOPOLOGIES by name, and
+    # fattree(2) is not listed there: the grid runs in this process.
+    from pnk.casestudy import resilience_grid
+    topo = netlib.fattree(2)
+    assert topo.name not in netlib.TOPOLOGIES
+    grid = resilience_grid(topo, ks=(0, None), jobs=2)
+    assert [row["f10_0"] for row in grid] == ["yes", "no"]

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnk import syntax
+from pnk.analysis import estimate, sample_run
 from pnk.bigstep import Kernel
 from pnk.errors import ParseError, WellFormednessError
 from pnk.parser import parse, parse_file_text
@@ -440,3 +442,105 @@ def test_long_binary_choice_chain_without_recursion_error():
     assert Kernel(p, u).row(p, a).as_dict() == {
         frozenset({u.packet(f=0)}): to0, frozenset({u.packet(f=1)}): 1 - to0,
     }
+
+
+# -- the depth bound ------------------------------------------------------------
+
+UD = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2)])
+
+# Each builder wraps a program in one more level of nesting (two for a star).
+DEEPENERS = {
+    "star": lambda p, i: Star(p),
+    "left choice": lambda p, i: Choice(Fraction(1, 2), p, Assign("f", i % 2)),
+    "negation": lambda p, i: Neg(p),
+    "seq/union": lambda p, i: (Seq(p, Test("g", i % 2)) if i % 2
+                               else Union(p, Assign("f", 1))),
+    "star/choice": lambda p, i: (Star(p) if i % 2
+                                 else Choice(Fraction(1, 3), p, Skip())),
+}
+
+
+def deepest(kind: str):
+    """A test wrapped by ``kind`` as often as the depth bound allows."""
+    p = Test("f", 1)
+    for i in itertools.count():
+        try:
+            p = DEEPENERS[kind](p, i)
+        except WellFormednessError:
+            return p
+
+
+def test_depth_counts_a_star_twice():
+    t, half = Test("f", 1), Fraction(1, 2)
+    assert (t.depth, Neg(t).depth, Star(t).depth) == (1, 2, 3)
+    assert Seq(Star(t), Neg(t), t).depth == 4
+    assert Choice(half, Neg(t), Choice(half, t, Neg(Neg(t)))).depth == 4
+    assert NaryChoice(((t, half), (Star(t), half))).depth == 4
+
+
+@pytest.mark.parametrize("kind", DEEPENERS)
+def test_every_pass_works_at_the_depth_bound(kind):
+    p = deepest(kind)
+    # A star's two levels may stop the wrapping one short of the bound.
+    assert syntax.MAX_DEPTH - ("star" in kind) <= p.depth <= syntax.MAX_DEPTH
+    validate(p, UD)
+    assert syntax.is_core(p) and desugar(p) is p
+    assert parse(pretty(p), UD) is p
+    a = frozenset({UD.packet(f=0, g=0)})
+    exact = Kernel(p, UD).apply(a)
+    assert sum(exact.as_dict().values()) == 1
+    assert Kernel(p, UD, exact=False).apply(a).as_dict().keys() == exact.as_dict().keys()
+    if "star" in kind:
+        # The sampler runs a star until it stalls, so nested stars cost it
+        # exponential time; one iteration per star still walks every level.
+        est = estimate(p, a, UD, 1, star_depth=1)
+        assert est.n_completed + est.n_truncated == 1
+    else:
+        assert sample_run(p, a, UD, 0) in exact.as_dict()
+
+
+def test_one_level_past_the_depth_bound_is_ill_formed():
+    p = Test("f", 1)
+    for _ in range(syntax.MAX_DEPTH - 1):
+        p = Neg(p)
+    assert p.depth == syntax.MAX_DEPTH
+    for wrap in (Neg, lambda q: Union(Skip(), q), lambda q: Seq(q, Skip()),
+                 lambda q: Choice(Fraction(1, 2), q, Skip()), Star,
+                 lambda q: Star(p.body)):
+        with pytest.raises(WellFormednessError, match="nests deeper"):
+            wrap(p)
+
+
+def test_long_left_nested_choice_is_ill_formed_not_a_recursion_error():
+    p = Assign("f", 0)
+    with pytest.raises(WellFormednessError, match="nests deeper"):
+        for i in range(2000):
+            p = Choice(Fraction(1, 2), p, Assign("f", i % 2))
+
+
+def test_desugaring_past_the_depth_bound_is_ill_formed():
+    # A loop desugars three levels deeper than it is.
+    p = Assign("f", 1)
+    while p.depth < syntax.MAX_DEPTH:
+        p = While(Test("f", 0), p)
+    with pytest.raises(WellFormednessError, match="nests deeper"):
+        desugar(p)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 200 + "f:=1" + ")" * 200,
+    "(" * 5000 + "f:=1",
+    "!" * 200 + "f=1",
+    "var f:=1 in " * 200 + "skip",
+])
+def test_deep_input_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nests deeper") as err:
+        parse(text, UD)
+    assert err.value.line == 1 and err.value.col > syntax.MAX_DEPTH
+
+
+def test_parentheses_at_the_depth_bound_parse():
+    n = syntax.MAX_DEPTH - 1  # the outermost expression is one level
+    assert parse("(" * n + "f:=1" + ")" * n, UD) is Assign("f", 1)
+    with pytest.raises(ParseError):
+        parse("(" * (n + 1) + "f:=1" + ")" * (n + 1), UD)

@@ -89,7 +89,8 @@ def test_select():
 
 def test_universe_json_roundtrip():
     u = PacketUniverse([FieldDecl("sw", 8), FieldDecl("pt", 3)])
-    assert PacketUniverse.from_json(u.to_json()) == u
+    text = '{"fields": [{"name": "sw", "size": 8}, {"name": "pt", "size": 3}]}'
+    assert PacketUniverse.from_json(text) == u
 
 
 def test_set_records_roundtrip():
