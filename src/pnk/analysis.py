@@ -346,6 +346,11 @@ class TruncatedRun(Exception):
 
 
 DEFAULT_STAR_DEPTH = 256
+# A star run stops once its accumulator has not grown for this many
+# iterations.  Each level of star nesting multiplies the work by about
+# 26-40, since every outer iteration runs the inner star to its own stall:
+# one run of ``f:=1`` under four nested stars takes about 6 s on a 2-core
+# host, where the kernel takes under a millisecond.
 STALL_STEPS = 40
 _TWO_53 = float(1 << 53)
 

@@ -44,12 +44,16 @@ point mass on either side of a product, or on the left of a bind, skips
 the multiplication.  Exact rows equal those of any other bracketing of
 the chain; float rows may differ in the last bits.  A choice is one
 n-ary node (see ``syntax``): its rows are mixed from its last part back,
-as the right-nested binary choices it stands for would be.
+as the right-nested binary choices it stands for would be.  Its plan,
+made once, drops the parts a weight of 0 or 1 cuts off and keeps each
+other weight as an integer pair (n, d), or as ``float(w)`` in float mode.
 
 Every star goes through the kernel's table of solved rows for its (star
 node, filter), which maps a current set a to the star's row on a; a chain
-solved for one input fills it for every state (a, {}) it meets, and later
-chains stop there (see ``star`` for why that row is shared).
+solved for one input fills it for every state (a, {}) it meets.  Later
+chains stop at every state (a, b) whose a is in the table, with the
+table's row joined with b, the same join as a point mass in a product
+(``row.joined``; see ``star`` for why that row is exact).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from math import lcm
 
 from . import star as star_mod
 from .errors import WellFormednessError
-from .row import Row, reduced
+from .row import Row, joined, reduced
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
@@ -167,28 +171,41 @@ class Kernel:
         last part back.  These are the evaluations and operations of the
         right-nested binary choices, in their order, so float rows keep
         every bit."""
-        exact = self.exact
-        taken, row = [], None
-        for part, w in zip(node.parts, node.weights if exact else map(float, node.weights)):
-            taken.append((w, self._eval(part, aset) if w != 0 else None))
-            if w == 1:
-                break
-        else:
-            row = self._eval(node.parts[-1], aset)
-        mix = self._mix if exact else self._mix_float
+        mixed, last = self._choice_plan(node)
+        taken = [(w, self._eval(part, aset)) for part, w in mixed]
+        row = self._eval(last, aset)
+        mix = self._mix if self.exact else self._mix_float
         for w, left in reversed(taken):
             row = mix(w, left, row)
         return row
 
+    def _choice_plan(self, node: Choice):
+        """(mixed, last) of the choice ``node``: ``mixed`` lists the parts
+        before the first of weight 1 (else before the last part) whose
+        weight is not 0, each with its weight (an integer pair (n, d) in
+        exact mode, ``float(w)`` in float mode); ``last`` is the part they
+        are mixed into."""
+        plan = self._plans.get(node)
+        if plan is not None:
+            return plan
+        exact = self.exact
+        mixed, last = [], node.parts[-1]
+        for part, w in zip(node.parts, node.weights):
+            if not exact:
+                w = float(w)
+            if w == 1:
+                last = part
+                break
+            if w != 0:
+                mixed.append((part, w.as_integer_ratio() if exact else w))
+        plan = self._plans[node] = (mixed, last)
+        return plan
+
     @staticmethod
     def _mix(w, left: Row, right: Row) -> Row:
-        """Exact row of a choice of weight ``w`` between two rows (a side
-        whose weight is 0 may be None)."""
-        if w == 0:
-            return right
-        if w == 1:
-            return left
-        n, d = w.numerator, w.denominator
+        """Exact row of a choice of weight n/d, ``w == (n, d)`` with
+        0 < n < d, between two rows."""
+        n, d = w
         dl, dr = left.den, right.den
         m = lcm(dl, dr)
         fl, fr = n * (m // dl), (d - n) * (m // dr)
@@ -199,10 +216,6 @@ class Kernel:
 
     @staticmethod
     def _mix_float(w: float, left: Row, right: Row) -> Row:
-        if w == 0:
-            return right
-        if w == 1:
-            return left
         out = {b: w * p for b, p in left.nums.items()}
         cw = 1.0 - w
         for b, p in right.nums.items():
@@ -258,16 +271,7 @@ class Kernel:
         if s is None:
             s, other = self._point(mu), nu
         if s is not None:
-            if not s:
-                return other
-            nums = other.nums
-            out: dict = {}
-            for b, p in nums.items():
-                b = b | s
-                out[b] = out.get(b, 0) + p
-            if self.exact and len(out) < len(nums):
-                return reduced(other.den, out)
-            return Row(other.den, out)
+            return joined(other, s)
         out = {}
         for b1, p1 in mu.nums.items():
             for b2, p2 in nu.nums.items():

@@ -63,6 +63,23 @@ def ratio(n, den):
     return Fraction(n, den) if n and type(n) is int else n
 
 
+def joined(row: Row, s) -> Row:
+    """The row of ``b | s`` for ``b`` drawn from ``row``: ``row`` pushed
+    forward by union with the set ``s``.  Outcomes that meet sum their
+    weights in ``row``'s order; an exact row that merged is reduced (an
+    exact row over 1 is a point mass, so only float rows merge over 1)."""
+    if not s:
+        return row
+    nums = row.nums
+    out: dict = {}
+    for b, p in nums.items():
+        b = b | s
+        out[b] = out.get(b, 0) + p
+    if len(out) < len(nums) and row.den != 1:
+        return reduced(row.den, out)
+    return Row(row.den, out)
+
+
 def reduced(den: int, nums: dict) -> Row:
     """The exact row of ``nums`` over ``den``, divided by their gcd."""
     g = gcd(den, *nums.values())

@@ -18,8 +18,13 @@ and the solve returns reduced rows, so an exact star row is built without
 The current-set process never reads the accumulator, so the row of a
 state (a, {}) is the star's row on input a in every chain of the same (star,
 filter).  ``star_dist`` puts the row of every unsaturated (a, {}) state it
-solves in the caller's table for that (star, filter), and ``explore`` does
-not expand a later state (a, {}) whose a is in the table.
+solves in the caller's table for that (star, filter).  From a state (a, b)
+the current sets then run as from (a, {}), and the final accumulator is
+b | F, where F is the final accumulator from (a, {}); with a filter pushed
+in, b' = b | (a & collect) gathers the same way.  So the row of (a, b) is
+the table's row of a joined with b (``row.joined``), and ``explore`` does
+not expand any later state whose current set is in the table: it is a
+known state, and the solve reads its row as it stands.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, SingularMatrixError
 from .linalg import SparseMatrix, solve_absorption_row
-from .row import Row, ratio
+from .row import Row, joined, ratio
 from .universe import EMPTY, PacketSet
 
 DEFAULT_STATE_BUDGET = 200_000
@@ -43,12 +48,14 @@ class PairStateGraph:
     states[i] is the pair (current, accumulator); edges[i] lists
     (successor index, weight), the weights being the body row's numerators
     over its denominator ``dens[i]``, which they sum to (a known state's
-    ``dens`` entry is its table row's).
+    ``dens`` entry is its row's); preds[j] lists the states with an edge
+    to j, in the order the edges were added.
     ``collect``, when set, is a filter pushed into the accumulator: the
     transition rule becomes b' = b | (a & collect), which computes the
     output of ``p* ; t`` for the predicate t with packet set ``collect``
     (intersection distributes over the accumulated union).  ``known`` maps
-    each state (a, {}) left unexpanded, edgeless, to its row in the table.
+    each state (a, b) left unexpanded, edgeless, to its row: the table's
+    row of a joined with b.
     """
 
     states: list[tuple[PacketSet, PacketSet]]
@@ -59,23 +66,28 @@ class PairStateGraph:
     collect: PacketSet | None = None
     index: dict = field(default_factory=dict)
     known: dict = field(default_factory=dict)
+    preds: list[list[int]] = field(default_factory=list)
 
 
 def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
             collect: PacketSet | None = None, program_text=None,
-            table=()) -> PairStateGraph:
+            table=None) -> PairStateGraph:
     """BFS closure of the pair chain from (a0, {}) under b' = b | a
     (or b' = b | (a & collect) when a filter is pushed in).
 
     ``row_fn(a)`` must return the body kernel's ``Row`` on input ``a``.  A
-    state (a, {}) other than the start whose a is a key of ``table``
-    (current set -> solved row) is not expanded.  Raises
-    BudgetExceededError when more than ``cap`` states become reachable.
+    state (a, b) other than the start whose a is a key of ``table``
+    (current set -> solved row) is not expanded: it is known, with the
+    table's row of a joined with b.  Raises BudgetExceededError when more
+    than ``cap`` states become reachable.
     """
+    if table is None:
+        table = {}
     start = (a0, EMPTY)
     index = {start: 0}
     states = [start]
     edges: list[list[tuple[int, object]]] = [[]]
+    preds: list[list[int]] = [[]]
     dens: list = [1]
     known: dict = {}
     work = deque([0])
@@ -99,16 +111,19 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                 index[succ] = tid
                 states.append(succ)
                 edges.append([])
-                if b2 or a2 not in table:
+                preds.append([])
+                solved = table.get(a2)
+                if solved is None:
                     dens.append(1)  # set when the state is expanded
                     work.append(tid)
                 else:
-                    known[tid] = table[a2]
-                    dens.append(known[tid].den)
+                    row2 = known[tid] = joined(solved, b2)
+                    dens.append(row2.den)
             out.append((tid, p))
+            preds[tid].append(sid)
         edges[sid] = out
     return PairStateGraph(states=states, edges=edges, dens=dens, start=0,
-                          index=index, collect=collect, known=known)
+                          index=index, collect=collect, known=known, preds=preds)
 
 
 def mark_saturated(g: PairStateGraph) -> PairStateGraph:
@@ -116,9 +131,9 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
 
     A state can still grow iff it reaches (in zero or more steps) a state
     whose (filtered) current set is not contained in its accumulator, or
-    a known state whose solved row is not the point mass on {}; saturation
-    is the complement, computed by reverse reachability from the growing
-    states.
+    a known state (a, b) whose row is not the point mass on b; saturation
+    is the complement, computed by walking the predecessor lists back
+    from the growing states.
     """
     n = len(g.states)
     if g.collect is None:
@@ -127,11 +142,9 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
         growing = [i for i, (a, b) in enumerate(g.states)
                    if not (a & g.collect) <= b]
     if g.known:
-        growing += [i for i, row in g.known.items() if row.nums.keys() != {EMPTY}]
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for i, out in enumerate(g.edges):
-        for j, _ in out:
-            radj[j].append(i)
+        growing += [i for i, row in g.known.items()
+                    if row.nums.keys() != {g.states[i][1]}]
+    preds = g.preds
     unsat = [False] * n
     work = deque()
     for i in growing:
@@ -139,7 +152,7 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
         work.append(i)
     while work:
         j = work.popleft()
-        for i in radj[j]:
+        for i in preds[j]:
             if not unsat[i]:
                 unsat[i] = True
                 work.append(i)
@@ -163,19 +176,18 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     g = mark_saturated(explore(row_fn, a0, cap=cap, collect=collect,
                                program_text=program_text, table=table))
     sat = g.saturated
-    one = 1 if exact else 1.0
     if sat[g.start]:
         # The accumulator can never grow: the final value is the empty set.
-        dist = table[a0] = Row(1, {EMPTY: one})
+        dist = table[a0] = Row(1, {EMPTY: 1 if exact else 1.0})
         return dist
 
-    # Transient states keep their exploration order; absorbing states are
-    # canonical (0, b), keyed by accumulator.  Row ti of Q and R holds
-    # numerators over den[ti].
+    # Q and R range over the unsaturated states, in exploration order; a
+    # saturated state (a, b) is absorbed at once in the column of its
+    # accumulator b.  Row ti holds numerators over den[ti].
     states, known, dens = g.states, g.known, g.dens
     transient: dict[int, int] = {}
-    for i, s in enumerate(states):
-        if not (sat[i] and s[0] == EMPTY):
+    for i, s in enumerate(sat):
+        if not s:
             transient[i] = len(transient)
     abs_index: dict[PacketSet, int] = {}
     nt = len(transient)
@@ -186,10 +198,6 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     wanted: list[int] = []
     wanted_sets: list[PacketSet] = []
     for i, ti in transient.items():
-        if sat[i]:
-            # Saturated but non-canonical: one step through the redirect.
-            R.rows[ti][abs_index.setdefault(states[i][1], len(abs_index))] = one
-            continue
         rrow = R.rows[ti]
         den[ti] = dens[i]
         if i in known:
@@ -206,8 +214,7 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                 c = abs_index.setdefault(states[j][1], len(abs_index))
                 rrow[c] = rrow.get(c, 0) + p
             else:
-                tj = transient[j]
-                qrow[tj] = qrow.get(tj, 0) + p
+                qrow[transient[j]] = p
     R.ncols = len(abs_index)
     abs_keys = list(abs_index)
     rows = solve_absorption_row(Q, R, wanted, exact=exact, den=den)

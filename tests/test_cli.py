@@ -1,7 +1,10 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from pnk.casestudy import run_casestudy
 from pnk.cli import main
 from pnk.netlib import toy
 from pnk.syntax import pretty
@@ -141,6 +144,31 @@ def test_casestudy_float_verdicts_honour_tol(capsys):
     assert main(args + ["--tol", "0.5"]) == 0
     (row,) = json.loads(capsys.readouterr().out)["grid"]
     assert row["f10_0"] == "yes"
+
+
+# The sha256 of two float case studies: of the CLI's JSON output, and of
+# the report the CLI prints, before it rounds floats to 12 digits.  A change
+# of evaluation, summation or elimination order that moves one float bit of
+# these rows fails here.  The digests are the same on CPython 3.10 and 3.11.
+PINNED_FLOAT_CASESTUDIES = [
+    (["casestudy", "f10-latency"], {},
+     "62248005af9fd5237c1e1ff318ed7e1c4036d67224f8b2861bcd96e2bd382470",
+     "4245db1d13e86811baadd0f70b6604dc7dc37c04d8e1c6cf0b73ef7c84a4de78"),
+    (["casestudy", "f10-resilience", "--float", "--k", "2", "--p", "3/7"],
+     {"ks": [2], "p_fail": Fraction(3, 7), "exact": False},
+     "3c94cc3abb7e6f8e888e8c9941dba448b63aec254c0c68745ffd644c1957430e",
+     "76f48a20e63de9141e02565b0963d737f575ff0663e818aacaec4a967afdaa98"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, output_sha, report_sha", PINNED_FLOAT_CASESTUDIES,
+                         ids=["f10-latency", "f10-resilience-float"])
+def test_float_casestudy_output_is_pinned(capsys, args, kwargs, output_sha, report_sha):
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == output_sha
+    report = run_casestudy(args[1], **kwargs)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == report_sha
 
 
 def test_float_equiv_honours_tol(progdir, capsys):

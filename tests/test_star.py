@@ -14,14 +14,14 @@ from pnk.syntax import (
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
-from conftest import random_program, random_set
+from conftest import random_predicate, random_program, random_set
 
 UF = PacketUniverse([FieldDecl("f", 2)])
 FLIP = Choice(Fraction(1, 2), Assign("f", 0), Assign("f", 1))
 
 
-def body_row(p, u):
-    k = Kernel(desugar(p), u)
+def body_row(p, u, exact=True):
+    k = Kernel(desugar(p), u, exact=exact)
     return lambda a: k.row(k.program, a)
 
 
@@ -276,3 +276,63 @@ def test_known_states_come_from_the_table():
     assert star_dist(body, a0, collect=collect, table=table) == \
         star_dist(body, a0, collect=collect)
 
+
+# -- known states: the table row joined with the accumulator ----------------
+
+
+def random_star_case(rng, u):
+    """A random star-free body, a filter (None or a predicate's packet set)
+    and the program whose rows the star chains of that body compute."""
+    p = random_program(rng, u, 2, stars=0)
+    if rng.random() < 0.5:
+        return p, None, Star(p)
+    t = random_predicate(rng, u, 2)
+    return p, predicate_set(t, u), Seq(Star(p), t)
+
+
+def test_known_states_carry_the_table_row_joined_with_the_accumulator(uni2x2):
+    rng = random.Random(8)
+    joined_states = 0
+    for _ in range(150):
+        p, collect, whole = random_star_case(rng, uni2x2)
+        body = body_row(p, uni2x2)
+        table = {}
+        for _ in range(5):
+            star_dist(body, random_set(rng, uni2x2), collect=collect, table=table)
+        g = explore(body, random_set(rng, uni2x2), collect=collect, table=table)
+        fresh = Kernel(desugar(whole), uni2x2)
+        for i, row in g.known.items():
+            a, b = g.states[i]
+            expected = {}
+            for c, pr in fresh.apply(a).as_dict().items():
+                expected[c | b] = expected.get(c | b, 0) + pr
+            assert row.as_dict() == expected
+            assert g.edges[i] == []
+            joined_states += bool(b)
+    assert joined_states > 30  # 42 with this seed
+
+
+def test_prefilled_table_gives_the_same_rows(uni2x2):
+    rng = random.Random(9)
+    for _ in range(150):
+        p, collect, _ = random_star_case(rng, uni2x2)
+        others = [random_set(rng, uni2x2) for _ in range(3)]
+        a0 = random_set(rng, uni2x2)
+        for exact in (True, False):
+            body = body_row(p, uni2x2, exact=exact)
+            table = {}
+            for a in others:
+                star_dist(body, a, exact=exact, collect=collect, table=table)
+            filled = star_dist(body, a0, exact=exact, collect=collect, table=table)
+            empty = star_dist(body, a0, exact=exact, collect=collect)
+            if exact:
+                assert filled == empty
+            else:
+                assert filled.nums.keys() == empty.nums.keys()
+                for c, w in empty.nums.items():
+                    assert abs(filled.nums[c] - w) <= 1e-12
+
+
+def test_explore_runs_without_a_table():
+    g = mark_saturated(explore(body_row(FLIP, UF), frozenset({UF.packet(f=0)})))
+    assert g.known == {} and len(g.states) == 5
