@@ -311,18 +311,6 @@ def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse,
         cond = sum((p for b, p in mu.items() if b), zero)
         if cond == 0:
             raise ConditioningError("conditioning on nonempty output, which has probability 0")
-        if measure.kind == "expected_field":
-            acc = zero
-            for b, p in mu.items():
-                if not b:
-                    continue
-                vals = {universe.field_value(i, measure.field) for i in b}
-                if len(vals) != 1:
-                    raise ConditioningError(
-                        f"field {measure.field!r} not constant on an outcome set"
-                    )
-                acc += p * next(iter(vals))
-            return acc / cond
         acc = zero
         for b, p in mu.items():
             if not b:
@@ -332,7 +320,10 @@ def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse,
                 raise ConditioningError(
                     f"field {measure.field!r} not constant on an outcome set"
                 )
-            if next(iter(vals)) <= measure.threshold:
+            v = next(iter(vals))
+            if measure.kind == "expected_field":
+                acc += p * v
+            elif v <= measure.threshold:
                 acc += p
         return acc / cond
     raise WellFormednessError(f"unknown measure {measure.kind!r}")

@@ -1,8 +1,10 @@
 """Big-step compilation: programs as kernels from packet sets to output
 distributions.
 
-A kernel row is a ``Row`` (see ``row``): in exact mode, positive integer
-numerators over one row denominator; in float mode, float weights over 1.
+A kernel row is a ``Row`` (see ``row``): positive integer numerators over
+one row denominator.  The kernel computes exact rows only; in float mode,
+``apply`` and ``row`` hand out the exact row rounded once (``row.rounded``),
+so each float weight is the nearest double to the exact probability.
 Rows are memoized per (node, input set), so repeated sub-evaluations --
 which dominate star exploration, where the same current set recurs under
 many accumulators -- are computed once.  Nodes are interned (see
@@ -41,12 +43,11 @@ per step of its plan.  The plan folds the predicate parts right after a
 star into that star's ``collect`` filter, so ``p* ; t`` is solved as one
 pair chain whose accumulator only gathers packets that pass ``t``.  A
 point mass on either side of a product, or on the left of a bind, skips
-the multiplication.  Exact rows equal those of any other bracketing of
-the chain; float rows may differ in the last bits.  A choice is one
-n-ary node (see ``syntax``): its rows are mixed from its last part back,
-as the right-nested binary choices it stands for would be.  Its plan,
-made once, drops the parts a weight of 0 or 1 cuts off and keeps each
-other weight as an integer pair (n, d), or as ``float(w)`` in float mode.
+the multiplication.  Rows equal those of any other bracketing of the
+chain.  A choice is one n-ary node (see ``syntax``): its rows are mixed
+from its last part back, as the right-nested binary choices it stands for
+would be.  Its plan, made once, drops the parts a weight of 0 or 1 cuts
+off and keeps each other weight as an integer pair (n, d).
 
 Every star goes through the kernel's table of solved rows for its (star
 node, filter), which maps a current set a to the star's row on a; a chain
@@ -63,7 +64,7 @@ from math import lcm
 
 from . import star as star_mod
 from .errors import WellFormednessError
-from .row import Row, joined, reduced
+from .row import Row, joined, reduced, rounded
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
@@ -84,7 +85,9 @@ def _leading_tests(node: Program) -> dict:
 
 
 class Kernel:
-    """Evaluates a core (desugared) program row by row."""
+    """Evaluates a core (desugared) program row by row.  With ``exact``
+    false, ``apply`` and ``row`` return float rows: the exact rows, each
+    weight rounded to the nearest double."""
 
     def __init__(self, program: Program, universe: PacketUniverse,
                  exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
@@ -96,7 +99,6 @@ class Kernel:
         self.universe = universe
         self.exact = exact
         self.state_budget = state_budget
-        self._one = 1 if exact else 1.0
         self._memo: dict = {}
         self._plans: dict = {}
         self._tables: dict = {}
@@ -108,7 +110,7 @@ class Kernel:
         rows are point masses on few distinct sets."""
         row = self._diracs.get(s)
         if row is None:
-            row = self._diracs[s] = Row(1, {s: self._one})
+            row = self._diracs[s] = Row(1, {s: 1})
         return row
 
     def _point(self, row: Row):
@@ -123,12 +125,15 @@ class Kernel:
 
     def apply(self, aset: PacketSet) -> Row:
         """The output row of the whole program on ``aset``."""
-        return self._eval(self.program, aset)
+        row = self._eval(self.program, aset)
+        return row if self.exact else rounded(row)
 
     def row(self, node: Program, aset: PacketSet) -> Row:
-        """The row of an arbitrary sub-program on ``aset``; shared, so the
-        caller must not change it (``as_dict`` gives a fresh dict)."""
-        return self._eval(node, aset)
+        """The row of an arbitrary sub-program on ``aset``; an exact row is
+        shared, so the caller must not change it (``as_dict`` gives a fresh
+        dict)."""
+        row = self._eval(node, aset)
+        return row if self.exact else rounded(row)
 
     def _eval(self, node: Program, aset: PacketSet) -> Row:
         key = (node, aset)
@@ -168,42 +173,36 @@ class Kernel:
     def _choice(self, node: Choice, aset: PacketSet) -> Row:
         """The row of the choice ``node``: its parts' rows in order, skipping
         a part of weight 0 and stopping after a weight of 1, mixed from the
-        last part back.  These are the evaluations and operations of the
-        right-nested binary choices, in their order, so float rows keep
-        every bit."""
+        last part back, as the right-nested binary choices it stands for
+        would be."""
         mixed, last = self._choice_plan(node)
         taken = [(w, self._eval(part, aset)) for part, w in mixed]
         row = self._eval(last, aset)
-        mix = self._mix if self.exact else self._mix_float
         for w, left in reversed(taken):
-            row = mix(w, left, row)
+            row = self._mix(w, left, row)
         return row
 
     def _choice_plan(self, node: Choice):
         """(mixed, last) of the choice ``node``: ``mixed`` lists the parts
         before the first of weight 1 (else before the last part) whose
-        weight is not 0, each with its weight (an integer pair (n, d) in
-        exact mode, ``float(w)`` in float mode); ``last`` is the part they
-        are mixed into."""
+        weight is not 0, each with its weight as an integer pair (n, d);
+        ``last`` is the part they are mixed into."""
         plan = self._plans.get(node)
         if plan is not None:
             return plan
-        exact = self.exact
         mixed, last = [], node.parts[-1]
         for part, w in zip(node.parts, node.weights):
-            if not exact:
-                w = float(w)
             if w == 1:
                 last = part
                 break
             if w != 0:
-                mixed.append((part, w.as_integer_ratio() if exact else w))
+                mixed.append((part, w.as_integer_ratio()))
         plan = self._plans[node] = (mixed, last)
         return plan
 
     @staticmethod
     def _mix(w, left: Row, right: Row) -> Row:
-        """Exact row of a choice of weight n/d, ``w == (n, d)`` with
+        """Row of a choice of weight n/d, ``w == (n, d)`` with
         0 < n < d, between two rows."""
         n, d = w
         dl, dr = left.den, right.den
@@ -213,14 +212,6 @@ class Kernel:
         for b, p in right.nums.items():
             out[b] = out.get(b, 0) + fr * p
         return reduced(d * m, out)
-
-    @staticmethod
-    def _mix_float(w: float, left: Row, right: Row) -> Row:
-        out = {b: w * p for b, p in left.nums.items()}
-        cw = 1.0 - w
-        for b, p in right.nums.items():
-            out[b] = out.get(b, 0) + cw * p
-        return Row(1, {b: p for b, p in out.items() if p != 0})
 
     def _union(self, node: Union, aset: PacketSet) -> Row:
         branches, guard, table, unguarded = self._union_plan(node)
@@ -278,7 +269,7 @@ class Kernel:
                 b = b1 | b2
                 out[b] = out.get(b, 0) + p1 * p2
         den = mu.den * nu.den
-        if self.exact and len(out) < len(mu.nums) * len(nu.nums):
+        if len(out) < len(mu.nums) * len(nu.nums):
             return reduced(den, out)
         return Row(den, out)
 
@@ -315,24 +306,18 @@ class Kernel:
         if row is None:
             row = star_mod.star_dist(
                 lambda a: self._eval(node.body, a), aset,
-                cap=self.state_budget, exact=self.exact, collect=collect,
+                cap=self.state_budget, collect=collect,
                 program_text=lambda: pretty(node), table=table,
             )
         return row
 
     def _bind(self, mu: Row, node: Program, collect) -> Row:
         """The row of ``mu`` followed by one sequence step: the sum of the
-        step's rows weighted by ``mu``, over the lcm of their denominators
-        in exact mode."""
+        step's rows weighted by ``mu``, over the lcm of their
+        denominators."""
         c = self._point(mu)
         if c is not None:
             return self._step(node, collect, c)
-        if not self.exact:
-            out: dict = {}
-            for c, p in mu.nums.items():
-                for b, q in self._step(node, collect, c).nums.items():
-                    out[b] = out.get(b, 0) + p * q
-            return Row(1, out)
         steps = [(p, self._step(node, collect, c)) for c, p in mu.nums.items()]
         m = lcm(*[r.den for _, r in steps])
         out = {}

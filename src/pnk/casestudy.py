@@ -242,8 +242,8 @@ def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
     """Dispatch for the CLI; returns a jsonable report.
 
     ``exact=None`` applies the per-study default: verdicts (the overview
-    suite and the resilience grid) run exact, quantitative sweeps run in
-    float mode for speed.
+    suite and the resilience grid) run exact, and quantitative sweeps run
+    in float mode, which reports the exact rows correctly rounded.
     """
     if name == "toy-overview":
         checks = toy_overview(exact=exact is not False,

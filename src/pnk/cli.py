@@ -34,21 +34,21 @@ from .syntax import desugar
 from .universe import PacketUniverse
 
 
-def _fmt_scalar(x, exact: bool) -> str:
+def _fmt_scalar(x) -> str:
     if isinstance(x, Fraction):
         return str(x)
     return f"{float(x):.12g}"
 
 
-def _jsonable(x, exact=True):
+def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, float):
         return float(f"{x:.12g}")
     if isinstance(x, dict):
-        return {str(k): _jsonable(v, exact) for k, v in x.items()}
+        return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_jsonable(v, exact) for v in x]
+        return [_jsonable(v) for v in x]
     return x
 
 
@@ -69,7 +69,7 @@ def _emit(obj, fmt: str) -> None:
         keys = list(rows[0].keys())
         print(",".join(keys))
         for r in rows:
-            print(",".join(_fmt_scalar(r.get(k, ""), True) if not isinstance(r.get(k), str)
+            print(",".join(_fmt_scalar(r.get(k, "")) if not isinstance(r.get(k), str)
                            else r[k] for k in keys))
     else:
         flat = _jsonable(obj)
@@ -149,22 +149,32 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _add_common(sub):
-    sub.add_argument("--universe", help="universe JSON file")
-    # Tri-state: None means the per-command default (exact everywhere
-    # except the quantitative case-study sweeps, which default to float).
-    sub.add_argument("--exact", dest="exact", action="store_true", default=None)
-    sub.add_argument("--float", dest="exact", action="store_false")
-    sub.add_argument("--tol", type=float, default=FLOAT_TOL)
-    # argparse converts a string default with ``type`` only when the option
-    # is absent, so a bad PNK_MAX_STATES is reported like a bad flag.
-    sub.add_argument("--max-states", type=_positive_int,
-                     default=os.environ.get("PNK_MAX_STATES", str(DEFAULT_STATE_BUDGET)),
-                     help="pair-state budget per star chain "
-                          f"(default: $PNK_MAX_STATES, else {DEFAULT_STATE_BUDGET})")
-    sub.add_argument("--cap-subsets", type=_positive_int, default=DEFAULT_SUBSET_CAP)
+def _add_common(sub, *flags):
+    """Registers --format and the shared ``flags`` on ``sub``, so that each
+    subcommand takes only the flags it reads: "universe" (--universe),
+    "engine" (--exact/--float, --max-states), "tol", "cap-subsets" and
+    "jobs"."""
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--jobs", type=_positive_int, default=1)
+    if "universe" in flags:
+        sub.add_argument("--universe", help="universe JSON file")
+    if "engine" in flags:
+        # Tri-state: None means the per-command default (exact everywhere
+        # except the quantitative case-study sweeps, which default to float).
+        sub.add_argument("--exact", dest="exact", action="store_true", default=None)
+        sub.add_argument("--float", dest="exact", action="store_false")
+        # argparse converts a string default with ``type`` only when the
+        # option is absent, so a bad PNK_MAX_STATES is reported like a bad
+        # flag.
+        sub.add_argument("--max-states", type=_positive_int,
+                         default=os.environ.get("PNK_MAX_STATES", str(DEFAULT_STATE_BUDGET)),
+                         help="pair-state budget per star chain "
+                              f"(default: $PNK_MAX_STATES, else {DEFAULT_STATE_BUDGET})")
+    if "tol" in flags:
+        sub.add_argument("--tol", type=float, default=FLOAT_TOL)
+    if "cap-subsets" in flags:
+        sub.add_argument("--cap-subsets", type=_positive_int, default=DEFAULT_SUBSET_CAP)
+    if "jobs" in flags:
+        sub.add_argument("--jobs", type=_positive_int, default=1)
 
 
 def main(argv=None) -> int:
@@ -176,18 +186,18 @@ def main(argv=None) -> int:
     s.add_argument("file2")
     s.add_argument("--inputs", default="all",
                    help="'all' or a JSON file with 'sets'/'all_subsets_of'")
-    _add_common(s)
+    _add_common(s, "universe", "engine", "tol", "cap-subsets")
 
     s = subs.add_parser("leq", help="decide the program order")
     s.add_argument("file1")
     s.add_argument("file2")
     s.add_argument("--inputs", default="all")
-    _add_common(s)
+    _add_common(s, "universe", "engine", "tol", "cap-subsets")
 
     s = subs.add_parser("dist", help="output distribution on one input")
     s.add_argument("file1")
     s.add_argument("--on", required=True, help="JSON packet-record list (or file)")
-    _add_common(s)
+    _add_common(s, "universe", "engine")
 
     s = subs.add_parser("query", help="scalar measure of the output distribution")
     s.add_argument("file1")
@@ -195,7 +205,7 @@ def main(argv=None) -> int:
     s.add_argument("--measure", required=True,
                    help="prob-nonempty | prob-satisfies:PRED[:all|some] | "
                         "expected:FIELD | cdf:FIELD:THRESHOLD")
-    _add_common(s)
+    _add_common(s, "universe", "engine")
 
     s = subs.add_parser("sample", help="Monte Carlo estimate on one input")
     s.add_argument("file1")
@@ -203,7 +213,7 @@ def main(argv=None) -> int:
     s.add_argument("-n", "--samples", type=_positive_int, default=10_000)
     s.add_argument("--star-depth", type=_positive_int, default=DEFAULT_STAR_DEPTH)
     s.add_argument("--seed", type=int, default=0)
-    _add_common(s)
+    _add_common(s, "universe")
 
     s = subs.add_parser("casestudy", help="run a named case study")
     s.add_argument("name", choices=("toy-overview", "f10-resilience", "f10-latency"))
@@ -213,7 +223,7 @@ def main(argv=None) -> int:
     s.add_argument("--p", default="1/4", help="link failure probability")
     s.add_argument("--p-values", default=None,
                    help="comma-separated sweep values for delivery tables")
-    _add_common(s)
+    _add_common(s, "engine", "tol", "jobs")
 
     args = ap.parse_args(argv)
     try:
@@ -228,6 +238,21 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     fmt = args.format
+    if args.cmd == "sample":
+        uni, p = _load_program(args.file1, _load_universe(args))
+        aset = _packets_arg(args.on, uni)
+        est = estimate(p, aset, uni, args.samples, seed=args.seed,
+                       star_depth=args.star_depth)
+        _emit({
+            "samples": args.samples,
+            "completed": est.n_completed,
+            "truncated": est.n_truncated,
+            "support": [
+                {"set": uni.set_to_records(b), "prob": est.prob(b)}
+                for b in sorted(est.counts, key=sorted)
+            ],
+        }, fmt)
+        return 0
     exact = args.exact is not False  # commands other than casestudy default to exact
     if args.cmd == "equiv":
         uni, p, q = _load_two(args)
@@ -255,21 +280,6 @@ def _dispatch(args) -> int:
         value = query(p, aset, measure, uni, exact=exact,
                       state_budget=args.max_states)
         _emit({"measure": args.measure, "value": value}, fmt)
-        return 0
-    if args.cmd == "sample":
-        uni, p = _load_program(args.file1, _load_universe(args))
-        aset = _packets_arg(args.on, uni)
-        est = estimate(p, aset, uni, args.samples, seed=args.seed,
-                       star_depth=args.star_depth)
-        _emit({
-            "samples": args.samples,
-            "completed": est.n_completed,
-            "truncated": est.n_truncated,
-            "support": [
-                {"set": uni.set_to_records(b), "prob": est.prob(b)}
-                for b in sorted(est.counts, key=sorted)
-            ],
-        }, fmt)
         return 0
     if args.cmd == "casestudy":
         ks = None

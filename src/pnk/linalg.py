@@ -1,4 +1,4 @@
-"""Sparse matrices over exact rationals or floats, and absorbing-chain solves.
+"""Sparse matrices and exact absorbing-chain solves.
 
 Matrices are row-major: ``rows[i]`` is a dict column -> nonzero scalar.
 The scalar type is whatever the entries carry; ``mat_mul``, ``convex`` and
@@ -7,13 +7,13 @@ are independent checks of the laws for ``;``, ``+[r]`` and iteration.
 
 ``solve_absorption_row(Q, R, i, den=...)`` computes row i of
 A = (I - Q)^-1 R by eliminating every other transient state from the chain,
-fewest fill first.  In exact mode it works on the pair chain's own rows:
-row i of Q and R holds integer numerators over ``den[i]``.  It keeps one
-denominator per row, reduces a row by its gcd after each fold, and returns
-reduced ``Row``s, so the result is exact and A = Q A + R holds with zero
-residual, with no ``Fraction`` built.  ``solve_absorption`` is the thin
-wrapper for ``Fraction`` (or float) matrices: it moves each row onto the lcm
-of its denominators, solves, and turns the rows back into ``Fraction``s.
+fewest fill first.  It works on the pair chain's own rows: row i of Q and
+R holds integer numerators over ``den[i]``.  It keeps one denominator per
+row, reduces a row by its gcd after each fold, and returns reduced
+``Row``s, so the result is exact and A = Q A + R holds with zero residual,
+with no ``Fraction`` built.  ``solve_absorption`` is the thin wrapper for
+``Fraction`` matrices: it moves each row onto the lcm of its denominators,
+solves, and turns the rows back into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from math import gcd, lcm
 
 from .errors import DimensionError, SingularMatrixError
 from .row import Row, ratio, reduced
-
-_PIVOT_EPS = 1e-300
 
 
 class SparseMatrix:
@@ -119,19 +117,17 @@ def convex(r, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 # -- state elimination ------------------------------------------------------
 
 
-def solve_absorption(Q: SparseMatrix, R: SparseMatrix, exact: bool = True) -> SparseMatrix:
+def solve_absorption(Q: SparseMatrix, R: SparseMatrix) -> SparseMatrix:
     """Absorption probabilities A = (I - Q)^-1 R of an absorbing chain.
 
     Q is the transient-to-transient block, R the transient-to-absorbing
-    block, over ``Fraction``s (or floats when not ``exact``); every
-    transient state must reach an absorbing state (otherwise the system is
-    singular, which signals a bug upstream).  The rows are those of
-    ``solve_absorption_row`` on ``integer_form(Q, R)``, as ``Fraction``s.
+    block, over ``Fraction``s; every transient state must reach an
+    absorbing state (otherwise the system is singular, which signals a bug
+    upstream).  The rows are those of ``solve_absorption_row`` on
+    ``integer_form(Q, R)``, as ``Fraction``s.
     """
-    den = None
-    if exact:
-        Q, R, den = integer_form(Q, R)
-    rows = solve_absorption_row(Q, R, range(Q.nrows), exact, den)
+    Q, R, den = integer_form(Q, R)
+    rows = solve_absorption_row(Q, R, range(Q.nrows), den)
     return SparseMatrix(Q.nrows, R.ncols, [fraction_row(r) for r in rows])
 
 
@@ -150,18 +146,16 @@ def integer_form(Q: SparseMatrix, R: SparseMatrix):
 
 
 def fraction_row(row: Row) -> dict:
-    """Column -> probability of a solved row (``Fraction``s when exact)."""
+    """Column -> ``Fraction`` probability of a solved row."""
     return {j: ratio(v, row.den) for j, v in row.nums.items()}
 
 
-def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = True,
-                         den=None):
+def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
     """Row ``row`` of (I - Q)^-1 R as a ``Row`` over absorbing columns, in
     column order; for a sequence of rows, the list of their rows.
 
-    In exact mode row i of Q and R holds integer numerators over ``den[i]``
-    (1 for every row when ``den`` is None); in float mode it holds
-    probabilities.  Removes every transient state from the chain, the
+    Row i of Q and R holds integer numerators over ``den[i]`` (1 for every
+    row when ``den`` is None).  Removes every transient state from the chain, the
     unwanted ones first, each time the one with the fewest live
     predecessors x row entries (ties by index).  Removing state k folds
     q_ik / (1 - q_kk) * row_k into each predecessor i.  A removed wanted
@@ -181,9 +175,8 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = Tr
         if not 0 <= k < n:
             raise DimensionError(f"row {k} outside a {n}-state chain")
     # rows[i] maps transient column j to q_ij and absorbing column j to r_ij
-    # under key n + j, over denominator den[i] (in float mode 1, then the
-    # factor 1 / (1 - q_ii) of a removed wanted state); pred[j] holds the
-    # live or wanted i != j with q_ij != 0.
+    # under key n + j, over denominator den[i]; pred[j] holds the live or
+    # wanted i != j with q_ij != 0.
     den = [1] * n if den is None else list(den)
     rows: list = []
     pred: list[set[int]] = [set() for _ in range(n)]
@@ -213,36 +206,28 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = Tr
         if deg != degree[k] or rows[k] is None or k in held:
             continue  # a stale heap entry
         rk = rows[k]
-        e = _pivot(rk, k, den[k], exact)
-        if exact:
-            g = gcd(e, *rk.values())
+        e = _pivot(rk, k, den[k])
+        g = gcd(e, *rk.values())
+        if g > 1:
+            e //= g
+            rk = {j: v // g for j, v in rk.items()}
+        for i in pred[k]:
+            ri = rows[i]
+            c = ri.pop(k)
+            g = gcd(c, e)
+            c //= g
+            m = e // g
+            if m != 1:
+                for j in ri:
+                    ri[j] *= m
+                den[i] *= m
+            for j, v in rk.items():
+                ri[j] = ri.get(j, 0) + c * v
+            g = gcd(den[i], *ri.values())
             if g > 1:
-                e //= g
-                rk = {j: v // g for j, v in rk.items()}
-            for i in pred[k]:
-                ri = rows[i]
-                c = ri.pop(k)
-                g = gcd(c, e)
-                c //= g
-                m = e // g
-                if m != 1:
-                    for j in ri:
-                        ri[j] *= m
-                    den[i] *= m
-                for j, v in rk.items():
-                    ri[j] = ri.get(j, 0) + c * v
-                g = gcd(den[i], *ri.values())
-                if g > 1:
-                    den[i] //= g
-                    for j in ri:
-                        ri[j] //= g
-        else:
-            e = 1.0 / e
-            for i in pred[k]:
-                ri = rows[i]
-                c = ri.pop(k) * e
-                for j, v in rk.items():
-                    ri[j] = ri.get(j, 0.0) + c * v
+                den[i] //= g
+                for j in ri:
+                    ri[j] //= g
         if last:
             rows[k], den[k] = rk, e
             held.add(k)
@@ -259,25 +244,18 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, exact: bool = Tr
                 heappush(heap, (degree[i], i))
     if not last:
         for k in held:  # the one wanted state, alone in the chain
-            e = _pivot(rows[k], k, den[k], exact)
-            den[k] = e if exact else 1.0 / e
-    out = []
-    for k in wanted:
-        d = den[k]
-        if exact:
-            out.append(reduced(d, {j - n: v for j, v in sorted(rows[k].items())}))
-        else:
-            out.append(Row(1, {j - n: p for j, v in sorted(rows[k].items())
-                               if (p := v * d) != 0}))
+            den[k] = _pivot(rows[k], k, den[k])
+    out = [reduced(den[k], {j - n: v for j, v in sorted(rows[k].items())})
+           for k in wanted]
     return out[0] if single else out
 
 
-def _pivot(r: dict, k: int, d, exact: bool):
+def _pivot(r: dict, k: int, d: int) -> int:
     """Pops q_kk from row k, held over denominator d, and returns
     d * (1 - q_kk), which must be positive; a row with nothing left is a
     state that never absorbs."""
     e = d - r.pop(k, 0)
-    if not r or not (e > 0 if exact else e > _PIVOT_EPS):
+    if not r or e <= 0:
         raise SingularMatrixError(f"state {k} never absorbs (1 - q_kk = {e / d})")
     return e
 

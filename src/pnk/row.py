@@ -7,9 +7,10 @@ and the probability of an outcome is its weight over ``den``.
 
 - Exact rows hold positive int numerators that sum to ``den`` and are
   reduced: ``gcd(den, *nums) == 1``, so equal distributions have equal
-  rows.  ``reduced`` builds one.
-- Float rows have ``den == 1`` and float weights that sum to one up to
-  rounding.
+  rows.  ``reduced`` builds one.  Every row the engine computes is exact.
+- Float rows have ``den == 1`` and float weights.  ``rounded`` makes one
+  from an exact row, once, where float mode hands a row out: each weight
+  is the nearest double to its exact probability.
 
 Rows are shared (a kernel's memo and star tables hand out the same row to
 every caller), so nobody changes one after it is built.  ``Fraction``s are
@@ -33,8 +34,8 @@ class Row:
         return ratio(self.nums.get(key, 0), self.den)
 
     def as_dict(self) -> dict:
-        """Packet set -> probability (a ``Fraction`` in exact mode), in
-        canonical order: by the sorted members of each set."""
+        """Packet set -> probability (a ``Fraction``, or a float in a float
+        row), in canonical order: by the sorted members of each set."""
         den = self.den
         return {b: ratio(n, den)
                 for b, n in sorted(self.nums.items(), key=_by_members) if n}
@@ -66,8 +67,7 @@ def ratio(n, den):
 def joined(row: Row, s) -> Row:
     """The row of ``b | s`` for ``b`` drawn from ``row``: ``row`` pushed
     forward by union with the set ``s``.  Outcomes that meet sum their
-    weights in ``row``'s order; an exact row that merged is reduced (an
-    exact row over 1 is a point mass, so only float rows merge over 1)."""
+    weights in ``row``'s order; a row that merged is reduced."""
     if not s:
         return row
     nums = row.nums
@@ -75,9 +75,16 @@ def joined(row: Row, s) -> Row:
     for b, p in nums.items():
         b = b | s
         out[b] = out.get(b, 0) + p
-    if len(out) < len(nums) and row.den != 1:
+    if len(out) < len(nums):
         return reduced(row.den, out)
     return Row(row.den, out)
+
+
+def rounded(row: Row) -> Row:
+    """The float row of the exact ``row``: int/int division is correctly
+    rounded, so each weight is the double nearest its probability."""
+    den = row.den
+    return Row(1, {b: n / den for b, n in row.nums.items()})
 
 
 def reduced(den: int, nums: dict) -> Row:

@@ -12,7 +12,7 @@ the other transient states from the chain.
 Every row here is a ``Row`` (see ``row``).  ``explore`` keeps the body
 row's denominator per state and its numerators on the edges; ``star_dist``
 fills Q and R with those numerators, one denominator per transient state,
-and the solve returns reduced rows, so an exact star row is built without
+and the solve returns reduced rows, so a star row is built without
 ``Fraction``s.
 
 The current-set process never reads the accumulator, so the row of a
@@ -38,7 +38,6 @@ from .row import Row, joined, ratio
 from .universe import EMPTY, PacketSet
 
 DEFAULT_STATE_BUDGET = 200_000
-FLOAT_MASS_TOL = 1e-9
 
 
 @dataclass
@@ -161,8 +160,8 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
 
 
 def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
-              exact: bool = True, collect: PacketSet | None = None,
-              program_text=None, table=None) -> Row:
+              collect: PacketSet | None = None, program_text=None,
+              table=None) -> Row:
     """Output row of ``p*`` on input ``a0``.
 
     Explores the reachable pair chain, redirects saturated states to their
@@ -178,7 +177,7 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     sat = g.saturated
     if sat[g.start]:
         # The accumulator can never grow: the final value is the empty set.
-        dist = table[a0] = Row(1, {EMPTY: 1 if exact else 1.0})
+        dist = table[a0] = Row(1, {EMPTY: 1})
         return dist
 
     # Q and R range over the unsaturated states, in exploration order; a
@@ -217,11 +216,10 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                 qrow[transient[j]] = p
     R.ncols = len(abs_index)
     abs_keys = list(abs_index)
-    rows = solve_absorption_row(Q, R, wanted, exact=exact, den=den)
+    rows = solve_absorption_row(Q, R, wanted, den=den)
     for a, row in zip(wanted_sets, rows):
         total = sum(row.nums.values())
-        off = (total != row.den) if exact else (abs(total - 1) > FLOAT_MASS_TOL)
-        if off:
+        if total != row.den:
             raise SingularMatrixError(
                 f"the absorbing solve gave a star row of mass {total}/{row.den}, not 1")
         table[a] = Row(row.den, {abs_keys[c]: p for c, p in row.nums.items()})

@@ -17,7 +17,7 @@ parts: ``Union(Union(a, b), c) is Union(a, Union(b, c)) is Union(a, b, c)``.
 A choice keeps its ``weights`` as written: ``Choice(r, a, Choice(s, b, c))``
 has parts ``(a, b, c)`` and weights ``(r, s)``.  Only a right operand is
 spliced; a left one stays a nested part, since splicing it would rescale
-the weights and so change float rows and the sampler's draws.
+the weights and so change the sampler's draws.
 
 Each node records its nesting ``depth`` (see ``MAX_DEPTH``) when it is
 built, and a node deeper than ``MAX_DEPTH`` is a ``WellFormednessError``:

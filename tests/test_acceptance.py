@@ -236,23 +236,27 @@ def test_criterion_6():
             se = max(est.stderr(b), (pe * (1 - pe) / n) ** 0.5)
             assert abs(est.prob(b) - pe) <= 3 * se + 1e-9
 
-    # Float solve against the 64-term truncated series on contractive chains.
+    # Exact solve against the 64-term truncated series, in floats, on
+    # contractive chains.
     from pnk.linalg import SparseMatrix, power_series_absorption, solve_absorption
     for _ in range(50):
         size = rng.randrange(2, 7)
         q = SparseMatrix(size, size)
         r = SparseMatrix(size, 2)
         for i in range(size):
-            total = 0.0
+            total = 0
             for j in range(size):
                 if rng.random() < 0.5:
-                    v = rng.randrange(0, 5) / 24
-                    if total + v <= 0.5:
+                    v = Fraction(rng.randrange(0, 5), 24)
+                    if total + v <= Fraction(1, 2):
                         q.set(i, j, v)
                         total += v
             r.set(i, rng.randrange(2), 1 - total)
-        a = solve_absorption(q, r, exact=False)
-        assert a.max_abs_diff(power_series_absorption(q, r, 64)) < 1e-9
+        a = solve_absorption(q, r)
+        qf, rf = (SparseMatrix(m.nrows, m.ncols,
+                               [{j: float(v) for j, v in row.items()} for row in m.rows])
+                  for m in (q, r))
+        assert a.max_abs_diff(power_series_absorption(qf, rf, 64)) < 1e-9
 
 
 # -- 7: the resilience table -----------------------------------------------------------

@@ -434,6 +434,19 @@ def test_full_matrix_cap():
         full_matrix(kernel(Skip(), u), row_cap=4096)
 
 
+def test_float_rows_are_the_exact_rows_correctly_rounded(uni2x2):
+    # Float mode rounds each exact probability once: int / int division is
+    # correctly rounded, so the float row is equal, bit for bit, to the
+    # exact row with each weight divided by its denominator.
+    rng = random.Random(41)
+    for _ in range(300):
+        p = desugar(random_program(rng, uni2x2, 3, stars=2))
+        a = random_set(rng, uni2x2)
+        r = Kernel(p, uni2x2).apply(a)
+        got = Kernel(p, uni2x2, exact=False).apply(a)
+        assert got.nums == {b: n / r.den for b, n in r.nums.items()}
+
+
 def test_float_mode_masses():
     u = UF
     p = Choice(Fraction(1, 3), Assign("f", 0), Assign("f", 1))

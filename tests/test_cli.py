@@ -130,34 +130,34 @@ def test_casestudy_on_the_k6_ab_fattree(capsys):
 
 
 def test_casestudy_float_verdicts_honour_tol(capsys):
-    # In float mode f10_3 and f10_35 deliver 0.9999999999999999 on some
-    # ingress rows; exact mode says f10_0 "no", f10_3 and f10_35 "yes" for
-    # this cell.  f10_0 rows miss teleportation by 3/7 whatever the
-    # rounding, so a tolerance of 1/2 accepts them.
+    # Exact mode says f10_0 "no", f10_3 and f10_35 "yes" for this cell.
+    # Float rows are the exact rows correctly rounded, so the f10_3 and
+    # f10_35 rows deliver exactly 1.0 and float mode gives the exact grid
+    # even at a tolerance of 0.  f10_0 rows miss teleportation by 3/7, so
+    # a tolerance of 1/2 accepts them.
     args = ["casestudy", "f10-resilience", "--float", "--k", "2", "--p", "3/7"]
-    assert main(args) == 0
-    (row,) = json.loads(capsys.readouterr().out)["grid"]
-    assert (row["f10_0"], row["f10_3"], row["f10_35"]) == ("no", "yes", "yes")
-    assert main(args + ["--tol", "0"]) == 0
-    (row,) = json.loads(capsys.readouterr().out)["grid"]
-    assert row["f10_3"] == "no"
+    for tol in ([], ["--tol", "0"]):
+        assert main(args + tol) == 0
+        (row,) = json.loads(capsys.readouterr().out)["grid"]
+        assert (row["f10_0"], row["f10_3"], row["f10_35"]) == ("no", "yes", "yes")
     assert main(args + ["--tol", "0.5"]) == 0
     (row,) = json.loads(capsys.readouterr().out)["grid"]
     assert row["f10_0"] == "yes"
 
 
 # The sha256 of two float case studies: of the CLI's JSON output, and of
-# the report the CLI prints, before it rounds floats to 12 digits.  A change
-# of evaluation, summation or elimination order that moves one float bit of
-# these rows fails here.  The digests are the same on CPython 3.10 and 3.11.
+# the report the CLI prints, before it rounds floats to 12 digits.  Float
+# rows are the exact rows correctly rounded, so a change to an exact row,
+# or to the order in which the case studies sum float weights, fails here.
+# The digests are the same on CPython 3.10 and 3.11.
 PINNED_FLOAT_CASESTUDIES = [
     (["casestudy", "f10-latency"], {},
      "62248005af9fd5237c1e1ff318ed7e1c4036d67224f8b2861bcd96e2bd382470",
-     "4245db1d13e86811baadd0f70b6604dc7dc37c04d8e1c6cf0b73ef7c84a4de78"),
+     "99a1947b123cae76c38e7d281c562e5f5793f8937d80cacf2277f859687355d5"),
     (["casestudy", "f10-resilience", "--float", "--k", "2", "--p", "3/7"],
      {"ks": [2], "p_fail": Fraction(3, 7), "exact": False},
      "3c94cc3abb7e6f8e888e8c9941dba448b63aec254c0c68745ffd644c1957430e",
-     "76f48a20e63de9141e02565b0963d737f575ff0663e818aacaec4a967afdaa98"),
+     "da61f9e66bfa4c37dfe24ec166c89756acf0e7e33cff3778537a0176fd763cf8"),
 ]
 
 
@@ -207,8 +207,8 @@ def test_max_states_env(progdir, capsys, monkeypatch):
     ([], "abc"),
     ([], "-5"),
     (["--cap-subsets", "0"], None),
-    (["--jobs", "0"], None),
-    (["--jobs", "two"], None),
+    (["casestudy", "--jobs", "0"], None),
+    (["casestudy", "--jobs", "two"], None),
     (["sample", "-n", "-3"], None),
     (["sample", "--samples", "0"], None),
     (["sample", "--star-depth", "0"], None),
@@ -220,6 +220,8 @@ def test_counts_must_be_positive_integers(progdir, capsys, monkeypatch, args, en
     a0 = progdir("a0.pnk", ASSIGN0)
     if args[:1] == ["sample"]:
         argv = ["sample", a0, "--on", '[{"f": 0}]'] + args[1:]
+    elif args[:1] == ["casestudy"]:
+        argv = ["casestudy", "toy-overview"] + args[1:]
     else:
         argv = ["equiv", a0, a0] + args
     with pytest.raises(SystemExit) as exit_:
@@ -234,6 +236,16 @@ def test_seed_is_a_sample_flag_only(progdir, capsys):
         main(["equiv", a0, a0, "--seed", "1"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_flags_belong_to_the_subcommands_that_read_them(progdir, capsys):
+    a0 = progdir("a0.pnk", ASSIGN0)
+    on = ["--on", '[{"f": 0}]']
+    for argv, flag in ((["sample", a0, *on], "--tol 0"), (["dist", a0, *on], "--jobs 4")):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + flag.split())
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_bad_budget_variable_is_overridden_by_the_flag(progdir, capsys, monkeypatch):

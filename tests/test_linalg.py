@@ -11,14 +11,13 @@ from pnk.linalg import (
 )
 
 
-def row_solve(q, r, rows, exact=True):
-    """``solve_absorption_row`` on matrices of ``Fraction``s (or floats):
-    the exact input goes through ``integer_form``, and the solved rows come
-    back as dicts column -> probability."""
-    den = None
-    if exact:
-        q, r, den = integer_form(q, r)
-    out = solve_absorption_row(q, r, rows, exact, den)
+def row_solve(q, r, rows):
+    """``solve_absorption_row`` on matrices of ``Fraction``s (or floats,
+    read as the rationals they are): the input goes through
+    ``integer_form``, and the solved rows come back as dicts column ->
+    ``Fraction``."""
+    q, r, den = integer_form(q, r)
+    out = solve_absorption_row(q, r, rows, den)
     return fraction_row(out) if isinstance(rows, int) else list(map(fraction_row, out))
 
 
@@ -130,7 +129,9 @@ def test_heavy_cyclic_chains_solve_exactly():
         a = solve_absorption(q, r)
         assert absorption_residual(q, r, a) == 0
         assert all(sum(row.values()) == 1 for row in a.rows)
-        af = solve_absorption(_floated(q), _floated(r), exact=False)
+        # The float copies, read as the rationals they are, are a chain
+        # within rounding of this one, and so is their solution.
+        af = solve_absorption(_floated(q), _floated(r))
         assert af.max_abs_diff(_floated(a)) <= 1e-12
 
 
@@ -146,7 +147,7 @@ def test_many_row_solve_matches_single_row_solves():
         wanted = rng.sample(range(n), rng.randrange(2, n))
         assert row_solve(q, r, wanted) == [single[i] for i in wanted]
         qf, rf = _floated(q), _floated(r)
-        for i, row in zip(wanted, row_solve(qf, rf, wanted, exact=False)):
+        for i, row in zip(wanted, row_solve(qf, rf, wanted)):
             assert row.keys() == single[i].keys()
             assert all(abs(v - float(single[i][j])) <= 1e-12 for j, v in row.items())
 
@@ -155,10 +156,9 @@ def test_solve_matches_truncated_power_series():
     rng = random.Random(5)
     for _ in range(30):
         q, r = _random_absorbing(rng, 6, 2)
-        qf, rf = _floated(q), _floated(r)
-        a = solve_absorption(qf, rf, exact=False)
-        series = power_series_absorption(qf, rf, 64)
-        assert a.max_abs_diff(series) < 1e-9
+        a = solve_absorption(q, r)
+        series = power_series_absorption(_floated(q), _floated(r), 64)
+        assert _floated(a).max_abs_diff(series) < 1e-9
 
 
 def test_solution_independent_of_state_order():
@@ -200,13 +200,14 @@ def test_singular_system_detected():
 @pytest.mark.parametrize("exact", [True, False])
 def test_row_solve_detects_a_closed_class(exact):
     # State 0 absorbs with 1/2 and enters {1, 2} with 1/2; states 1 and 2
-    # hand the chain back and forth and never absorb.
+    # hand the chain back and forth and never absorb.  The chain is given
+    # as Fractions or as floats, which ``integer_form`` reads exactly.
     half, one = (Fraction(1, 2), Fraction(1)) if exact else (0.5, 1.0)
     q = SparseMatrix(3, 3, [{1: half}, {2: one}, {1: one}])
     r = SparseMatrix(3, 1, [{0: half}, {}, {}])
     for start in range(3):
         with pytest.raises(SingularMatrixError):
-            row_solve(q, r, start, exact=exact)
+            row_solve(q, r, start)
 
 
 def test_row_solve_checks_dimensions():
@@ -222,27 +223,21 @@ def test_row_solve_checks_dimensions():
         row_solve(SparseMatrix(2, 3), r, 0)
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_closed_class_behind_an_absorbing_start_is_singular(exact):
+def test_closed_class_behind_an_absorbing_start_is_singular():
     # The start absorbs 1/2 and enters a closed 3-state class with random
-    # weights (each row normalised by its sum).  Float rounding can leave
-    # the last pivot of the class a residue above zero; the test that a
-    # removed state has no entry left but its self-loop catches every case.
+    # weights (each row normalised by its sum).
     rng = random.Random(23)
     for _ in range(2000):
         def weights(k):
-            if exact:
-                w = [Fraction(rng.randrange(1, 100)) for _ in range(k)]
-            else:
-                w = [rng.random() for _ in range(k)]
+            w = [Fraction(rng.randrange(1, 100)) for _ in range(k)]
             total = sum(w)
             return [x / total for x in w]
-        half = Fraction(1, 2) if exact else 0.5
+        half = Fraction(1, 2)
         rows = [{j + 1: half * w for j, w in enumerate(weights(3))}]
         rows += [{j + 1: w for j, w in enumerate(weights(3))} for _ in range(3)]
         q = SparseMatrix(4, 4, rows)
         r = SparseMatrix(4, 1, [{0: half}, {}, {}, {}])
         with pytest.raises(SingularMatrixError):
-            row_solve(q, r, 0, exact=exact)
+            row_solve(q, r, 0)
         with pytest.raises(SingularMatrixError):
-            solve_absorption(q, r, exact=exact)
+            solve_absorption(q, r)

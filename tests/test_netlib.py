@@ -181,8 +181,9 @@ def test_reduced_abfattree_shape():
 
 
 # Pinned digests (see topo_digest) of the named instances: their wiring,
-# port numbers and link order must not move, since topo_program unions the
-# links in order and that order fixes the bits of every float row.
+# port numbers and link order must not move, since the pinned case-study
+# results are taken on them.  topo_program unions the links in order; the
+# rows do not depend on that order, but the program text does.
 DIGESTS = {
     "fattree20": "c5ff9ef45257ea8d057d6158052878a5f4daf4bf98a8dabf595a5f72e9a93dc0",
     "abfattree20": "b325aa2e0e0b0ec438b70f6fc8a159e058a5bbb8343e9f2ccc355887e6b05346",

@@ -20,8 +20,8 @@ UF = PacketUniverse([FieldDecl("f", 2)])
 FLIP = Choice(Fraction(1, 2), Assign("f", 0), Assign("f", 1))
 
 
-def body_row(p, u, exact=True):
-    k = Kernel(desugar(p), u, exact=exact)
+def body_row(p, u):
+    k = Kernel(desugar(p), u)
     return lambda a: k.row(k.program, a)
 
 
@@ -85,11 +85,9 @@ def test_budget_exceeded_names_program():
 
 def test_star_row_mass_is_checked():
     # A body row that loses half its mass cannot come from a program; the
-    # star row it induces has mass 1/2, in exact and in float mode.
-    a0 = frozenset({0})
-    for den, half in ((2, 1), (1, 0.5)):
-        with pytest.raises(SingularMatrixError):
-            star_dist(lambda a: Row(den, {a: half}), a0, exact=den == 2)
+    # star row it induces has mass 1/2.
+    with pytest.raises(SingularMatrixError):
+        star_dist(lambda a: Row(2, {a: 1}), frozenset({0}))
 
 
 def test_saturation_of_contained_states():
@@ -318,19 +316,12 @@ def test_prefilled_table_gives_the_same_rows(uni2x2):
         p, collect, _ = random_star_case(rng, uni2x2)
         others = [random_set(rng, uni2x2) for _ in range(3)]
         a0 = random_set(rng, uni2x2)
-        for exact in (True, False):
-            body = body_row(p, uni2x2, exact=exact)
-            table = {}
-            for a in others:
-                star_dist(body, a, exact=exact, collect=collect, table=table)
-            filled = star_dist(body, a0, exact=exact, collect=collect, table=table)
-            empty = star_dist(body, a0, exact=exact, collect=collect)
-            if exact:
-                assert filled == empty
-            else:
-                assert filled.nums.keys() == empty.nums.keys()
-                for c, w in empty.nums.items():
-                    assert abs(filled.nums[c] - w) <= 1e-12
+        body = body_row(p, uni2x2)
+        table = {}
+        for a in others:
+            star_dist(body, a, collect=collect, table=table)
+        filled = star_dist(body, a0, collect=collect, table=table)
+        assert filled == star_dist(body, a0, collect=collect)
 
 
 def test_explore_runs_without_a_table():
