@@ -5,12 +5,13 @@ specification, producing a verdict with a reproducible counterexample on
 the negative side.  Both sides are decided in one kernel, and since nodes
 are interned (see ``syntax``), a subterm the two programs have in common,
 such as the ``p*`` of an unfolding, is one node: it is evaluated and its
-stars solved once.  ``dist_leq`` implements the
-distribution order via principal up-set probabilities.  ``query``
-evaluates scalar measures of an output distribution.
-``sample_run``/``estimate`` form an operational sampler that is
-independent of the matrix pipeline and is used as a statistical oracle in
-tests.
+stars solved once.  ``dist_leq`` implements the distribution order via
+principal up-set probabilities, and ``query`` evaluates scalar measures of
+an output distribution.  All of them compute on exact rows: float mode only
+sets the tolerance of comparisons (0 in exact mode) and reports each
+resulting number once, as the double nearest its exact value.
+``sample_run``/``estimate`` form an operational sampler that is independent
+of the matrix pipeline and is used as a statistical oracle in tests.
 """
 
 from __future__ import annotations
@@ -111,27 +112,29 @@ class Verdict:
             obj["witness"] = {
                 "input": universe.set_to_records(w.input_set),
                 "output": universe.set_to_records(w.output_set),
-                "left_prob": _scalar_str(w.left_prob),
-                "right_prob": _scalar_str(w.right_prob),
+                "left_prob": str(w.left_prob),
+                "right_prob": str(w.right_prob),
             }
         return obj
-
-
-def _scalar_str(x) -> str:
-    return str(x) if isinstance(x, Fraction) else repr(x)
 
 
 def _core(p: Program) -> Program:
     return p if is_core(p) else desugar(p)
 
 
-def _one_kernel(p: Program, q: Program, universe: PacketUniverse, exact: bool,
+def _reported(x, exact: bool):
+    """``x`` as results report it: in float mode the double nearest it (``float``
+    of a ``Fraction`` rounds correctly); the int 0 off a row's support stays."""
+    return x if exact or not isinstance(x, Fraction) else float(x)
+
+
+def _one_kernel(p: Program, q: Program, universe: PacketUniverse,
                 state_budget: int):
-    """The core forms of ``p`` and ``q`` and one kernel over both: its memo,
-    plans and star tables serve the two sides alike, and a subterm the two
-    have in common is one node (nodes are interned)."""
+    """The core forms of ``p`` and ``q`` and one exact kernel over both: its
+    memo, plans and star tables serve the two sides alike, and a subterm the
+    two have in common is one node (nodes are interned)."""
     p, q = _core(p), _core(q)
-    return Kernel(p, universe, exact=exact, state_budget=state_budget), p, q
+    return Kernel(p, universe, state_budget=state_budget), p, q
 
 
 def _set_key(s: PacketSet):
@@ -150,7 +153,7 @@ def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     over unions, so agreement on the empty row and all singleton rows
     settles every subset row; only those rows are evaluated.
     """
-    k, p, q = _one_kernel(p, q, universe, exact, state_budget)
+    k, p, q = _one_kernel(p, q, universe, state_budget)
     det = (inputs.subset_base is not None
            and not has_choice(p) and not has_choice(q))
     rows = inputs.singleton_rows() if det else inputs.rows()
@@ -159,22 +162,27 @@ def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
         nu = k.row(q, a)
         bad = _dist_mismatch(mu, nu, exact, tol)
         if bad is not None:
-            return Verdict("not-equal", Witness(a, bad, mu.prob(bad), nu.prob(bad)),
-                           exact=exact, tolerance=None if exact else tol)
+            w = Witness(a, bad, _reported(mu.prob(bad), exact), _reported(nu.prob(bad), exact))
+            return Verdict("not-equal", w, exact=exact, tolerance=None if exact else tol)
     return Verdict("equal", exact=exact, tolerance=None if exact else tol)
 
 
+def _scaled(mu: Row, nu: Row, exact: bool, tol: float):
+    """The one comparison, in integers: x/d_mu - y/d_nu > tol = t/d (0 if
+    ``exact``) exactly when x*sx - y*sy > bound, for the returned triple."""
+    t, d = (0, 1) if exact else tol.as_integer_ratio()
+    return nu.den * d, mu.den * d, t * mu.den * nu.den
+
+
 def _dist_mismatch(mu: Row, nu: Row, exact: bool, tol: float):
-    """Lexicographically least output set on which the rows disagree;
-    exact rows are compared by cross-multiplication, x/d_mu against
-    y/d_nu as x*d_nu against y*d_mu."""
+    """Lexicographically least output set on which the rows' probabilities
+    differ (by more than ``tol`` unless ``exact``), or None."""
+    sx, sy, bound = _scaled(mu, nu, exact, tol)
     bad = None
     m, n = mu.nums, nu.nums
-    dm, dn = mu.den, nu.den
     for b in m.keys() | n.keys():
-        x, y = m.get(b, 0), n.get(b, 0)
-        differs = (x * dn != y * dm) if exact else (abs(x - y) > tol)
-        if differs and (bad is None or _set_key(b) < _set_key(bad)):
+        if (abs(m.get(b, 0) * sx - n.get(b, 0) * sy) > bound
+                and (bad is None or _set_key(b) < _set_key(bad))):
             bad = b
     return bad
 
@@ -205,16 +213,16 @@ def _meet_closure(sets) -> set:
 
 
 def _upset_excess(mu: Row, nu: Row, exact: bool, tol: float):
-    """The least set a (by ``_set_key``) with mu(up a) > nu(up a) and its
-    two up-set numerators, or None when mu <= nu.  Checking a over the
-    intersection-closure of the two supports (plus the empty set) suffices:
-    for any a, the up-set of a meets the supports exactly where the up-set
-    of the intersection of all supersets of a in the closure does.  Exact
-    rows are compared by cross-multiplication, float rows up to ``tol``."""
+    """The least set a (by ``_set_key``) with mu(up a) > nu(up a) + tol (0
+    if ``exact``) and those two probabilities, or None.  Checking a over
+    the intersection-closure of the two supports (plus the empty set)
+    suffices: for any a, the up-set of a meets the supports exactly where
+    the up-set of the intersection of all supersets of a in the closure does."""
+    sx, sy, bound = _scaled(mu, nu, exact, tol)
     for a in sorted(_meet_closure(set(mu.nums) | set(nu.nums) | {EMPTY}), key=_set_key):
         x, y = upset_prob(mu.nums, a), upset_prob(nu.nums, a)
-        if (x * nu.den > y * mu.den) if exact else (x > y + tol):
-            return a, x, y
+        if x * sx - y * sy > bound:
+            return a, ratio(x, mu.den), ratio(y, nu.den)
     return None
 
 
@@ -243,15 +251,15 @@ def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     """Pointwise distribution order over the input rows; the witness is
     the least principal up-set of the first failing row.  Both rows come
     from one kernel over the two programs."""
-    k, p, q = _one_kernel(p, q, universe, exact, state_budget)
+    k, p, q = _one_kernel(p, q, universe, state_budget)
     for a in inputs.rows():
         mu = k.row(p, a)
         nu = k.row(q, a)
         bad = _upset_excess(mu, nu, exact, tol)
         if bad is not None:
             gen, x, y = bad
-            return Verdict("not-leq", Witness(a, gen, ratio(x, mu.den), ratio(y, nu.den)),
-                           exact=exact, tolerance=None if exact else tol)
+            w = Witness(a, gen, _reported(x, exact), _reported(y, exact))
+            return Verdict("not-leq", w, exact=exact, tolerance=None if exact else tol)
     return Verdict("leq", exact=exact, tolerance=None if exact else tol)
 
 
@@ -291,22 +299,23 @@ class QuerySpec:
 
 def query(p: Program, a: PacketSet, measure: QuerySpec, universe: PacketUniverse,
           exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
-    k = Kernel(_core(p), universe, exact=exact, state_budget=state_budget)
+    k = Kernel(_core(p), universe, state_budget=state_budget)
     return query_dist(k.apply(a).as_dict(), measure, universe, exact=exact)
 
 
 def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse,
                exact: bool = True):
-    zero = Fraction(0) if exact else 0.0
+    """``measure`` of ``mu`` (set -> probability), as the nearest double unless ``exact``."""
+    zero = Fraction(0)
     if measure.kind == "prob_nonempty":
-        return sum((p for b, p in mu.items() if b), zero)
+        return _reported(sum((p for b, p in mu.items() if b), zero), exact)
     if measure.kind == "prob_satisfies":
         bt = predicate_set(measure.predicate, universe)
         if measure.quantifier == "all":
             keep = lambda b: b <= bt
         else:
             keep = lambda b: bool(b & bt)
-        return sum((p for b, p in mu.items() if keep(b)), zero)
+        return _reported(sum((p for b, p in mu.items() if keep(b)), zero), exact)
     if measure.kind in ("expected_field", "field_cdf"):
         cond = sum((p for b, p in mu.items() if b), zero)
         if cond == 0:
@@ -325,7 +334,7 @@ def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse,
                 acc += p * v
             elif v <= measure.threshold:
                 acc += p
-        return acc / cond
+        return _reported(acc / cond, exact)
     raise WellFormednessError(f"unknown measure {measure.kind!r}")
 
 

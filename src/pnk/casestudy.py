@@ -2,17 +2,19 @@
 grid, and the F10 latency/delivery tables.
 
 All runners return plain dicts/lists so the CLI can render them as JSON or
-CSV; probabilities are exact Fractions in exact mode.
+CSV.  They compute on exact rows: exact mode reports exact Fractions, and
+float mode decides within ``tol`` and reports each number's nearest double.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import netlib
 from .analysis import (
-    FLOAT_TOL, InputSpec, QuerySpec, _dist_mismatch, equiv, leq, query_dist,
+    FLOAT_TOL, InputSpec, QuerySpec, _dist_mismatch, _reported, equiv, leq, query,
 )
 from .bigstep import Kernel
 from .errors import ConditioningError
@@ -32,60 +34,53 @@ def _parse_k(text: str):
     return None if text in ("inf", "infinity", "oo") else int(text)
 
 
-def _ingress_rows(cm: netlib.CaseModel, exact: bool, state_budget: int) -> list[Row]:
-    """The model's output row on each pinned ingress packet, in
+def _ingress_rows(cm: netlib.CaseModel, state_budget: int) -> list[Row]:
+    """The model's exact output row on each pinned ingress packet, in
     ``cm.in_packets`` order."""
-    kern = Kernel(desugar(cm.program), cm.universe, exact=exact,
-                  state_budget=state_budget)
+    kern = Kernel(desugar(cm.program), cm.universe, state_budget=state_budget)
     return [kern.apply(frozenset({src})) for src in cm.in_packets]
 
 
 # -- the overview (three-switch) suite ----------------------------------------
 
 
-def toy_overview(exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
+def toy_overview(exact: bool = True, tol: float = FLOAT_TOL,
+                 state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
     """Every §-overview check: the two delivery probabilities under f2 and
-    the five (in)equivalences, all in exact mode by default."""
+    the five (in)equivalences, all in exact mode by default; in float mode
+    the (in)equivalences are decided within ``tol``."""
     net = netlib.toy()
     u = net.universe
     src = frozenset({net.source_packet()})
     f2 = net.f2(Fraction(1, 5))
-
-    def delivery(scheme) -> Fraction:
-        k = Kernel(desugar(net.wrapped(scheme, f2)), u,
-                   exact=exact, state_budget=state_budget)
-        return query_dist(k.apply(src).as_dict(), QuerySpec.prob_nonempty(), u,
-                          exact=exact)
-
+    mode = {"exact": exact, "state_budget": state_budget}
     flag0 = InputSpec.all_subsets(net.flag_zero_packets(), cap=20)
     in_rows = InputSpec.of_sets([EMPTY, src])
+    teleport = seq(net.in_pred, net.teleport)
 
-    checks = {}
-    checks["delivery_naive_f2"] = delivery(net.p)
-    checks["delivery_resilient_f2"] = delivery(net.p_hat)
-    checks["model_eq_refined_f0"] = equiv(
-        net.M(net.p), net.M_hat(net.p, net.f0), flag0, u,
-        exact=exact, state_budget=state_budget).result
-    checks["resilient_f0_eq_teleport"] = equiv(
-        net.wrapped(net.p_hat, net.f0), seq(net.in_pred, net.teleport),
-        InputSpec.all_subsets(net.flag_zero_packets(), cap=20), u,
-        exact=exact, state_budget=state_budget).result
-    checks["resilient_f1_eq_teleport"] = equiv(
-        net.wrapped(net.p_hat, net.f1), seq(net.in_pred, net.teleport),
-        in_rows, u, exact=exact, state_budget=state_budget).result
-    naive_f1 = equiv(
-        net.wrapped(net.p, net.f1), seq(net.in_pred, net.teleport),
-        in_rows, u, exact=exact, state_budget=state_budget)
-    checks["naive_f1_eq_teleport"] = naive_f1.result
-    checks["naive_f1_witness"] = naive_f1.witness is not None
-    checks["naive_lt_resilient_f2"] = (
-        leq(net.wrapped(net.p, f2), net.wrapped(net.p_hat, f2),
-            in_rows, u, exact=exact, state_budget=state_budget).result == "leq"
-        and equiv(net.wrapped(net.p, f2), net.wrapped(net.p_hat, f2),
-                  in_rows, u, exact=exact, state_budget=state_budget).result
-        == "not-equal"
-    )
-    return checks
+    def decide(decision, p, q, rows):
+        return decision(p, q, rows, u, tol=tol, **mode)
+
+    def delivery(scheme):
+        return query(net.wrapped(scheme, f2), src, QuerySpec.prob_nonempty(), u, **mode)
+
+    naive_f1 = decide(equiv, net.wrapped(net.p, net.f1), teleport, in_rows)
+    naive, resilient = net.wrapped(net.p, f2), net.wrapped(net.p_hat, f2)
+    return {
+        "delivery_naive_f2": delivery(net.p),
+        "delivery_resilient_f2": delivery(net.p_hat),
+        "model_eq_refined_f0": decide(
+            equiv, net.M(net.p), net.M_hat(net.p, net.f0), flag0).result,
+        "resilient_f0_eq_teleport": decide(
+            equiv, net.wrapped(net.p_hat, net.f0), teleport, flag0).result,
+        "resilient_f1_eq_teleport": decide(
+            equiv, net.wrapped(net.p_hat, net.f1), teleport, in_rows).result,
+        "naive_f1_eq_teleport": naive_f1.result,
+        "naive_f1_witness": naive_f1.witness is not None,
+        "naive_lt_resilient_f2": (
+            decide(leq, naive, resilient, in_rows).result == "leq"
+            and decide(equiv, naive, resilient, in_rows).result == "not-equal"),
+    }
 
 
 # -- F10 resilience grid -------------------------------------------------------
@@ -109,17 +104,17 @@ def teleport_cell(variant: str, topo: netlib.Topology, k: int | None,
     when they agree (the model delivers with probability one and the
     delivered packet is normalized), so agreement on all ingress singletons
     settles all ingress subsets.  In float mode a row agrees with the point
-    mass on the target when every probability is within ``tol`` of it.
+    mass on the target when every exact probability is within ``tol`` of it.
     """
     cm = netlib.build_case_model(variant, topo, k, p_fail)
     target = frozenset({cm.target_packet})
-    rows = _ingress_rows(cm, exact, state_budget)
+    rows = _ingress_rows(cm, state_budget)
     worst = min((dist.prob(target) for dist in rows), default=None)
     teleported = Row(1, {target: 1})
     witness = next((src for src, dist in zip(cm.in_packets, rows)
                     if _dist_mismatch(dist, teleported, exact, tol) is not None),
                    None)
-    return CellResult(variant, k, witness is None, worst, witness)
+    return CellResult(variant, k, witness is None, _reported(worst, exact), witness)
 
 
 def _grid_cell(args):
@@ -169,8 +164,8 @@ def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
         m3 = netlib.build_case_model(netlib.F10_3, topo, k, p_fail)
         same = all(
             _dist_mismatch(r0, r3, exact, tol) is None
-            for r0, r3 in zip(_ingress_rows(m0, exact, state_budget),
-                              _ingress_rows(m3, exact, state_budget))
+            for r0, r3 in zip(_ingress_rows(m0, state_budget),
+                              _ingress_rows(m3, state_budget))
         )
         out.append({"k": _k_label(k), "f10_0_eq_f10_3": "yes" if same else "no"})
     return out
@@ -188,10 +183,9 @@ def delivery_sweep(topo: netlib.Topology, p_values, k: int | None = None,
         row: dict = {"p": p_fail}
         for scheme in schemes:
             cm = netlib.build_case_model(scheme, topo, k, Fraction(p_fail))
-            total = Fraction(0) if exact else 0.0
-            for dist in _ingress_rows(cm, exact, state_budget):
-                total += sum(p for b, p in dist.as_dict().items() if b)
-            row[scheme] = total / len(cm.in_packets)
+            delivered = sum((p for dist in _ingress_rows(cm, state_budget)
+                             for b, p in dist.as_dict().items() if b), Fraction(0))
+            row[scheme] = _reported(delivered / len(cm.in_packets), exact)
         rows.append(row)
     return rows
 
@@ -207,30 +201,23 @@ def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
     for scheme in schemes:
         cm = netlib.build_case_model(scheme, topo, k, p_fail, counter=True)
         n = len(cm.in_packets)
-        mass_at = [Fraction(0) if exact else 0.0] * (max_hops + 1)
-        delivered_total = Fraction(0) if exact else 0.0
-        hops_weighted = Fraction(0) if exact else 0.0
-        for dist in _ingress_rows(cm, exact, state_budget):
+        mass_at = [Fraction(0)] * (max_hops + 1)  # summed over the ingresses
+        for dist in _ingress_rows(cm, state_budget):
             for b, p in dist.as_dict().items():
                 if not b:
                     continue
                 counts = {cm.universe.field_value(i, "counter") for i in b}
                 if len(counts) != 1:
                     raise ConditioningError("hop counter not constant on an outcome set")
-                h = next(iter(counts))
-                mass_at[h] += p / n
-                delivered_total += p / n
-                hops_weighted += p * h / n
-        cdf = []
-        acc = Fraction(0) if exact else 0.0
-        for h in range(max_hops + 1):
-            acc += mass_at[h]
-            cdf.append(acc)
-        expected = hops_weighted / delivered_total if delivered_total else None
+                mass_at[next(iter(counts))] += p
+        within = list(itertools.accumulate(mass_at))
+        delivered = within[-1]
+        hops = sum(h * m for h, m in enumerate(mass_at))
         out["schemes"][scheme] = {
-            "cdf": cdf,
-            "delivered": delivered_total,
-            "expected_hops_given_delivery": expected,
+            "cdf": [_reported(m / n, exact) for m in within],
+            "delivered": _reported(delivered / n, exact),
+            "expected_hops_given_delivery":
+                _reported(hops / delivered, exact) if delivered else None,
         }
     return out
 
@@ -243,10 +230,10 @@ def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
 
     ``exact=None`` applies the per-study default: verdicts (the overview
     suite and the resilience grid) run exact, and quantitative sweeps run
-    in float mode, which reports the exact rows correctly rounded.
+    in float mode, which reports each exact number correctly rounded.
     """
     if name == "toy-overview":
-        checks = toy_overview(exact=exact is not False,
+        checks = toy_overview(exact=exact is not False, tol=tol,
                               state_budget=state_budget)
         return {"casestudy": name, "checks": checks}
     topo = netlib.topology_by_name(topo_name)

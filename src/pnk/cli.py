@@ -9,13 +9,16 @@
 
 Programs are files with an optional ``fields { ... }`` header; a universe
 can also be supplied as JSON via --universe.  Reports are JSON by default
-(exact probabilities as reduced rationals) or CSV via --format csv.
+(exact probabilities as reduced rationals) or CSV via --format csv: the
+report's first table, or else one key,value row per entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -34,10 +37,16 @@ from .syntax import desugar
 from .universe import PacketUniverse
 
 
-def _fmt_scalar(x) -> str:
+def _cell(x) -> str:
+    """A CSV cell: a number to 12 digits (a ``Fraction`` exactly), a string
+    as it is, anything else as compact JSON."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, Fraction):
         return str(x)
-    return f"{float(x):.12g}"
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return f"{float(x):.12g}"
+    return json.dumps(_jsonable(x), separators=(",", ":"), sort_keys=True)
 
 
 def _jsonable(x):
@@ -56,25 +65,17 @@ def _emit(obj, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(_jsonable(obj), indent=2, sort_keys=True))
         return
-    # CSV: flat tables only; everything else falls back to key,value rows.
-    rows = None
-    if isinstance(obj, dict):
-        for v in obj.values():
-            if isinstance(v, list) and v and isinstance(v[0], dict):
-                rows = v
-                break
-    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
-        rows = obj
+    # CSV: the first table (a list of dicts) in the report, else one
+    # key,value row per entry.
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    rows = next((v for v in obj.values()
+                 if isinstance(v, list) and v and isinstance(v[0], dict)), None)
     if rows is not None:
         keys = list(rows[0].keys())
-        print(",".join(keys))
-        for r in rows:
-            print(",".join(_fmt_scalar(r.get(k, "")) if not isinstance(r.get(k), str)
-                           else r[k] for k in keys))
+        out.writerow(keys)
+        out.writerows([_cell(r.get(k, "")) for k in keys] for r in rows)
     else:
-        flat = _jsonable(obj)
-        for k, v in (flat.items() if isinstance(flat, dict) else enumerate(flat)):
-            print(f"{k},{v}")
+        out.writerows([k, _cell(v)] for k, v in obj.items())
 
 
 def _load_universe(args) -> PacketUniverse | None:
@@ -149,6 +150,17 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number, got {text!r}")
+    return tol
+
+
 def _add_common(sub, *flags):
     """Registers --format and the shared ``flags`` on ``sub``, so that each
     subcommand takes only the flags it reads: "universe" (--universe),
@@ -170,7 +182,7 @@ def _add_common(sub, *flags):
                          help="pair-state budget per star chain "
                               f"(default: $PNK_MAX_STATES, else {DEFAULT_STATE_BUDGET})")
     if "tol" in flags:
-        sub.add_argument("--tol", type=float, default=FLOAT_TOL)
+        sub.add_argument("--tol", type=_tolerance, default=FLOAT_TOL)
     if "cap-subsets" in flags:
         sub.add_argument("--cap-subsets", type=_positive_int, default=DEFAULT_SUBSET_CAP)
     if "jobs" in flags:

@@ -458,12 +458,13 @@ def _pp(p: Program, ctx: int) -> str:
             text.append(_pp(parts[-1], _CHOICE))
             return _wrap(ctx, _CHOICE, "".join(text))
         case If(t, a, b):
-            body = f"if {_pp(t, _CHOICE + 1)} then {_pp(a, _CHOICE + 1)} else {_pp(b, _CHOICE)}"
+            # A keyword closes each body, so none needs parentheses.
+            body = f"if {_pp(t, _CHOICE + 1)} then {_pp(a, _CHOICE)} else {_pp(b, _CHOICE)}"
             return _wrap(ctx, _CHOICE, body)
         case While(t, b):
             return _wrap(ctx, _CHOICE, f"while {_pp(t, _CHOICE + 1)} do {_pp(b, _CHOICE)}")
         case DoWhile(b, t):
-            return _wrap(ctx, _CHOICE, f"do {_pp(b, _CHOICE + 1)} while {_pp(t, _CHOICE)}")
+            return _wrap(ctx, _CHOICE, f"do {_pp(b, _CHOICE)} while {_pp(t, _CHOICE)}")
         case Var(f, v, b):
             return _wrap(ctx, _CHOICE, f"var {f}:={v} in {_pp(b, _CHOICE)}")
         case NaryChoice(branches):

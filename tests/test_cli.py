@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 
 from pnk.casestudy import run_casestudy
 from pnk.cli import main
-from pnk.netlib import toy
+from pnk.netlib import COUNTER_DOMAIN, toy
 from pnk.syntax import pretty
 
 
@@ -22,6 +24,7 @@ def progdir(tmp_path):
 LOOP = "fields { f : 2 }\nwhile !(f=0) do (skip +[1/2] f:=0)\n"
 ASSIGN0 = "fields { f : 2 }\nf:=0\n"
 ASSIGN1 = "fields { f : 2 }\nf:=1\n"
+COIN = "fields { f : 2 }\nf:=0 +[1/2] f:=1\n"
 
 
 def test_equiv_exit_codes(progdir, capsys):
@@ -110,6 +113,53 @@ def test_casestudy_toy_overview(capsys):
     assert checks["naive_f1_eq_teleport"] == "not-equal"
 
 
+def test_casestudy_toy_overview_float_honours_tol(capsys):
+    # Under f1 the naive scheme drops the packet with probability 1/4, so it
+    # is within a tolerance of 1/2 of teleportation, and not within 1e-9.
+    for tol, verdict in (([], "not-equal"), (["--tol", "0.5"], "equal")):
+        assert main(["casestudy", "toy-overview", "--float", *tol]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["naive_f1_eq_teleport"] == verdict
+
+
+# Each subcommand's CSV, with COIN and A0 standing for two program files.
+CSV_COMMANDS = {
+    "dist": ["dist", "COIN", "--on", '[{"f": 0}]'],
+    "sample": ["sample", "COIN", "--on", '[{"f": 0}]', "-n", "200"],
+    "query": ["query", "COIN", "--on", '[{"f": 0}]', "--measure", "prob-nonempty"],
+    "equiv": ["equiv", "A0", "COIN", "--float"],
+    "leq": ["leq", "COIN", "A0"],
+    "toy-overview": ["casestudy", "toy-overview"],
+}
+
+
+def _same(cell: str, value) -> bool:
+    """Whether a CSV cell holds the value of the JSON report."""
+    if isinstance(value, (dict, list, bool)) or value is None:
+        return json.loads(cell) == value
+    if isinstance(value, float):
+        return float(cell) == value
+    return cell == str(value)
+
+
+@pytest.mark.parametrize("cmd", CSV_COMMANDS)
+def test_csv_output_parses_to_the_json_report(progdir, capsys, cmd):
+    files = {"COIN": progdir("c.pnk", COIN), "A0": progdir("a0.pnk", ASSIGN0)}
+    argv = [files.get(a, a) for a in CSV_COMMANDS[cmd]]
+    code = main(argv)
+    obj = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == code
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    if "support" in obj:  # a table: one row per outcome
+        head, *body = rows
+        assert head == ["set", "prob"] and len(body) == len(obj["support"]) > 0
+        for row, entry in zip(body, obj["support"]):
+            assert _same(row[0], entry["set"]) and _same(row[1], entry["prob"])
+    else:  # one key,value row per entry
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows).keys() == obj.keys()
+        assert all(_same(cell, obj[key]) for key, cell in rows)
+
+
 def test_casestudy_csv_format(capsys):
     assert main(["casestudy", "f10-resilience", "--topo", "abfattree12",
                  "--k", "0,1", "--format", "csv"]) == 0
@@ -146,14 +196,13 @@ def test_casestudy_float_verdicts_honour_tol(capsys):
 
 
 # The sha256 of two float case studies: of the CLI's JSON output, and of
-# the report the CLI prints, before it rounds floats to 12 digits.  Float
-# rows are the exact rows correctly rounded, so a change to an exact row,
-# or to the order in which the case studies sum float weights, fails here.
-# The digests are the same on CPython 3.10 and 3.11.
+# the report the CLI prints, before it rounds floats to 12 digits.  Each
+# float is an exact number correctly rounded, so a change to an exact row
+# fails here.  The digests are the same on CPython 3.10 and 3.11.
 PINNED_FLOAT_CASESTUDIES = [
     (["casestudy", "f10-latency"], {},
      "62248005af9fd5237c1e1ff318ed7e1c4036d67224f8b2861bcd96e2bd382470",
-     "99a1947b123cae76c38e7d281c562e5f5793f8937d80cacf2277f859687355d5"),
+     "4d4edd1eb92e08c20fe5932a11f9f2ca2fb37175d4aa48472e318311715992eb"),
     (["casestudy", "f10-resilience", "--float", "--k", "2", "--p", "3/7"],
      {"ks": [2], "p_fail": Fraction(3, 7), "exact": False},
      "3c94cc3abb7e6f8e888e8c9941dba448b63aec254c0c68745ffd644c1957430e",
@@ -169,6 +218,29 @@ def test_float_casestudy_output_is_pinned(capsys, args, kwargs, output_sha, repo
     assert hashlib.sha256(out.encode()).hexdigest() == output_sha
     report = run_casestudy(args[1], **kwargs)
     assert hashlib.sha256(repr(report).encode()).hexdigest() == report_sha
+
+
+def test_float_latency_numbers_are_the_exact_ones_rounded():
+    exact = run_casestudy("f10-latency", exact=True)
+    rounded = run_casestudy("f10-latency")
+    assert (exact.pop("mode"), rounded.pop("mode")) == ("exact", "float")
+    pairs, floats = [(exact, rounded)], 0
+    while pairs:
+        x, r = pairs.pop()
+        if isinstance(r, dict):
+            assert r.keys() == x.keys()
+            pairs += [(x[k], r[k]) for k in r]
+        elif isinstance(r, list):
+            assert len(r) == len(x)
+            pairs += zip(x, r)
+        elif isinstance(r, float):
+            assert type(x) is Fraction and r == float(x)
+            floats += 1
+        else:
+            assert r == x
+    # Per scheme, a cdf point per counter value, the delivery and the
+    # expected hop count; in the sweep, a row of three per probability.
+    assert floats == 3 * (COUNTER_DOMAIN + 2) + 5 * 3
 
 
 def test_float_equiv_honours_tol(progdir, capsys):
@@ -228,6 +300,15 @@ def test_counts_must_be_positive_integers(progdir, capsys, monkeypatch, args, en
         main(argv)
     assert exit_.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-0.5", "abc"])
+def test_tolerance_must_be_finite_and_non_negative(progdir, capsys, tol):
+    a0 = progdir("a0.pnk", ASSIGN0)
+    with pytest.raises(SystemExit) as exit_:
+        main(["equiv", "--float", "--tol", tol, a0, a0])
+    assert exit_.value.code == 2
+    assert "error: argument --tol: expected a finite non-negative number" in capsys.readouterr().err
 
 
 def test_seed_is_a_sample_flag_only(progdir, capsys):

@@ -539,6 +539,20 @@ def test_deep_input_is_a_parse_error(text):
     assert err.value.line == 1 and err.value.col > syntax.MAX_DEPTH
 
 
+@pytest.mark.parametrize("wrap", [
+    lambda p: If(Test("f", 0), p, Skip()),
+    lambda p: DoWhile(p, Test("f", 0)),
+], ids=["if-then", "do-while"])
+def test_keyword_bodies_at_the_depth_bound_parse_back(wrap):
+    # A keyword closes the body of `then` and of `do`, so the printer adds
+    # no parentheses there, and each level costs the parser one level.
+    p = Assign("f", 1)
+    while p.depth < syntax.MAX_DEPTH:
+        p = wrap(p)
+    assert parse(pretty(p), UD) is p
+    assert pretty(wrap(Choice(Fraction(1, 2), Skip(), Drop()))).count("(") == 0
+
+
 def test_parentheses_at_the_depth_bound_parse():
     n = syntax.MAX_DEPTH - 1  # the outermost expression is one level
     assert parse("(" * n + "f:=1" + ")" * n, UD) is Assign("f", 1)
