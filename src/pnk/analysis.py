@@ -7,9 +7,9 @@ are interned (see ``syntax``), a subterm the two programs have in common,
 such as the ``p*`` of an unfolding, is one node: it is evaluated and its
 stars solved once.  ``dist_leq`` implements the distribution order via
 principal up-set probabilities, and ``query`` evaluates scalar measures of
-an output distribution.  All of them compute on exact rows: float mode only
-sets the tolerance of comparisons (0 in exact mode) and reports each
-resulting number once, as the double nearest its exact value.
+an output distribution.  All of them compute on exact rows and return
+exact numbers; a tolerance ``tol`` (0, an exact decision, by default) only
+widens the one comparison of two probabilities.
 ``sample_run``/``estimate`` form an operational sampler that is independent
 of the matrix pipeline and is used as a statistical oracle in tests.
 """
@@ -32,7 +32,6 @@ from .syntax import (
 from .universe import EMPTY, PacketSet, PacketUniverse
 
 DEFAULT_SUBSET_CAP = 12
-FLOAT_TOL = 1e-9
 
 
 # -- input specifications ------------------------------------------------
@@ -97,35 +96,14 @@ class Witness:
 class Verdict:
     result: str  # 'equal' | 'not-equal' | 'leq' | 'not-leq'
     witness: Witness | None = None
-    exact: bool = True
-    tolerance: float | None = None
+    tolerance: float = 0
 
     def holds(self) -> bool:
         return self.result in ("equal", "leq")
 
-    def to_jsonable(self, universe: PacketUniverse):
-        obj = {"result": self.result, "exact": self.exact}
-        if self.tolerance is not None:
-            obj["tolerance"] = self.tolerance
-        if self.witness is not None:
-            w = self.witness
-            obj["witness"] = {
-                "input": universe.set_to_records(w.input_set),
-                "output": universe.set_to_records(w.output_set),
-                "left_prob": str(w.left_prob),
-                "right_prob": str(w.right_prob),
-            }
-        return obj
-
 
 def _core(p: Program) -> Program:
     return p if is_core(p) else desugar(p)
-
-
-def _reported(x, exact: bool):
-    """``x`` as results report it: in float mode the double nearest it (``float``
-    of a ``Fraction`` rounds correctly); the int 0 off a row's support stays."""
-    return x if exact or not isinstance(x, Fraction) else float(x)
 
 
 def _one_kernel(p: Program, q: Program, universe: PacketUniverse,
@@ -142,11 +120,11 @@ def _set_key(s: PacketSet):
 
 
 def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
-          exact: bool = True, tol: float = FLOAT_TOL,
-          state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
-    """Decide whether the kernels of ``p`` and ``q`` agree on every input
-    row; the least disagreeing output set of the first disagreeing row is
-    the witness.  Both rows come from one kernel over the two programs.
+          tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
+    """Decide whether the kernels of ``p`` and ``q`` agree (within ``tol``)
+    on every input row; the least disagreeing output set of the first
+    disagreeing row is the witness.  Both rows come from one kernel over
+    the two programs.
 
     When the spec is all-subsets and neither program contains a
     probabilistic choice, both kernels are deterministic and distribute
@@ -160,24 +138,23 @@ def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     for a in rows:
         mu = k.row(p, a)
         nu = k.row(q, a)
-        bad = _dist_mismatch(mu, nu, exact, tol)
+        bad = _dist_mismatch(mu, nu, tol)
         if bad is not None:
-            w = Witness(a, bad, _reported(mu.prob(bad), exact), _reported(nu.prob(bad), exact))
-            return Verdict("not-equal", w, exact=exact, tolerance=None if exact else tol)
-    return Verdict("equal", exact=exact, tolerance=None if exact else tol)
+            return Verdict("not-equal", Witness(a, bad, mu.prob(bad), nu.prob(bad)), tol)
+    return Verdict("equal", tolerance=tol)
 
 
-def _scaled(mu: Row, nu: Row, exact: bool, tol: float):
-    """The one comparison, in integers: x/d_mu - y/d_nu > tol = t/d (0 if
-    ``exact``) exactly when x*sx - y*sy > bound, for the returned triple."""
-    t, d = (0, 1) if exact else tol.as_integer_ratio()
+def _scaled(mu: Row, nu: Row, tol: float):
+    """The one comparison, in integers: x/d_mu - y/d_nu > tol = t/d exactly
+    when x*sx - y*sy > bound, for the returned triple."""
+    t, d = tol.as_integer_ratio()
     return nu.den * d, mu.den * d, t * mu.den * nu.den
 
 
-def _dist_mismatch(mu: Row, nu: Row, exact: bool, tol: float):
+def _dist_mismatch(mu: Row, nu: Row, tol: float):
     """Lexicographically least output set on which the rows' probabilities
-    differ (by more than ``tol`` unless ``exact``), or None."""
-    sx, sy, bound = _scaled(mu, nu, exact, tol)
+    differ by more than ``tol``, or None."""
+    sx, sy, bound = _scaled(mu, nu, tol)
     bad = None
     m, n = mu.nums, nu.nums
     for b in m.keys() | n.keys():
@@ -212,13 +189,13 @@ def _meet_closure(sets) -> set:
     return family
 
 
-def _upset_excess(mu: Row, nu: Row, exact: bool, tol: float):
-    """The least set a (by ``_set_key``) with mu(up a) > nu(up a) + tol (0
-    if ``exact``) and those two probabilities, or None.  Checking a over
-    the intersection-closure of the two supports (plus the empty set)
-    suffices: for any a, the up-set of a meets the supports exactly where
-    the up-set of the intersection of all supersets of a in the closure does."""
-    sx, sy, bound = _scaled(mu, nu, exact, tol)
+def _upset_excess(mu: Row, nu: Row, tol: float):
+    """The least set a (by ``_set_key``) with mu(up a) > nu(up a) + tol and
+    those two probabilities, or None.  Checking a over the
+    intersection-closure of the two supports (plus the empty set) suffices:
+    for any a, the up-set of a meets the supports exactly where the up-set
+    of the intersection of all supersets of a in the closure does."""
+    sx, sy, bound = _scaled(mu, nu, tol)
     for a in sorted(_meet_closure(set(mu.nums) | set(nu.nums) | {EMPTY}), key=_set_key):
         x, y = upset_prob(mu.nums, a), upset_prob(nu.nums, a)
         if x * sx - y * sy > bound:
@@ -226,41 +203,37 @@ def _upset_excess(mu: Row, nu: Row, exact: bool, tol: float):
     return None
 
 
-def dist_leq(mu, nu, exact: bool = True, tol: float = FLOAT_TOL) -> bool:
+def dist_leq(mu, nu, tol: float = 0) -> bool:
     """The order mu <= nu on two distributions (dicts from sets to
-    probabilities, read as rows over 1): mu(up a) <= nu(up a) for every a."""
-    return _upset_excess(Row(1, mu), Row(1, nu), exact, tol) is None
+    probabilities, read as rows over 1): mu(up a) <= nu(up a) + tol for
+    every a."""
+    return _upset_excess(Row(1, mu), Row(1, nu), tol) is None
 
 
-def dist_leq_bruteforce(mu, nu, packets, exact: bool = True,
-                        tol: float = FLOAT_TOL) -> bool:
+def dist_leq_bruteforce(mu, nu, packets, tol: float = 0) -> bool:
     """Reference implementation quantifying over all subsets of ``packets``."""
     packets = sorted(packets)
-    slack = 0 if exact else tol
     for r in range(len(packets) + 1):
         for combo in itertools.combinations(packets, r):
             a = frozenset(combo)
-            if upset_prob(mu, a) > upset_prob(nu, a) + slack:
+            if upset_prob(mu, a) > upset_prob(nu, a) + tol:
                 return False
     return True
 
 
 def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
-        exact: bool = True, tol: float = FLOAT_TOL,
-        state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
-    """Pointwise distribution order over the input rows; the witness is
-    the least principal up-set of the first failing row.  Both rows come
-    from one kernel over the two programs."""
+        tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
+    """Pointwise distribution order (within ``tol``) over the input rows;
+    the witness is the least principal up-set of the first failing row.
+    Both rows come from one kernel over the two programs."""
     k, p, q = _one_kernel(p, q, universe, state_budget)
     for a in inputs.rows():
         mu = k.row(p, a)
         nu = k.row(q, a)
-        bad = _upset_excess(mu, nu, exact, tol)
+        bad = _upset_excess(mu, nu, tol)
         if bad is not None:
-            gen, x, y = bad
-            w = Witness(a, gen, _reported(x, exact), _reported(y, exact))
-            return Verdict("not-leq", w, exact=exact, tolerance=None if exact else tol)
-    return Verdict("leq", exact=exact, tolerance=None if exact else tol)
+            return Verdict("not-leq", Witness(a, *bad), tol)
+    return Verdict("leq", tolerance=tol)
 
 
 # -- quantitative queries ------------------------------------------------------
@@ -298,24 +271,23 @@ class QuerySpec:
 
 
 def query(p: Program, a: PacketSet, measure: QuerySpec, universe: PacketUniverse,
-          exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
+          state_budget: int = DEFAULT_STATE_BUDGET):
     k = Kernel(_core(p), universe, state_budget=state_budget)
-    return query_dist(k.apply(a).as_dict(), measure, universe, exact=exact)
+    return query_dist(k.apply(a).as_dict(), measure, universe)
 
 
-def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse,
-               exact: bool = True):
-    """``measure`` of ``mu`` (set -> probability), as the nearest double unless ``exact``."""
+def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse):
+    """``measure`` of ``mu`` (set -> probability), exact when ``mu`` is."""
     zero = Fraction(0)
     if measure.kind == "prob_nonempty":
-        return _reported(sum((p for b, p in mu.items() if b), zero), exact)
+        return sum((p for b, p in mu.items() if b), zero)
     if measure.kind == "prob_satisfies":
         bt = predicate_set(measure.predicate, universe)
         if measure.quantifier == "all":
             keep = lambda b: b <= bt
         else:
             keep = lambda b: bool(b & bt)
-        return _reported(sum((p for b, p in mu.items() if keep(b)), zero), exact)
+        return sum((p for b, p in mu.items() if keep(b)), zero)
     if measure.kind in ("expected_field", "field_cdf"):
         cond = sum((p for b, p in mu.items() if b), zero)
         if cond == 0:
@@ -334,7 +306,7 @@ def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse,
                 acc += p * v
             elif v <= measure.threshold:
                 acc += p
-        return _reported(acc / cond, exact)
+        return acc / cond
     raise WellFormednessError(f"unknown measure {measure.kind!r}")
 
 

@@ -2,8 +2,10 @@
 grid, and the F10 latency/delivery tables.
 
 All runners return plain dicts/lists so the CLI can render them as JSON or
-CSV.  They compute on exact rows: exact mode reports exact Fractions, and
-float mode decides within ``tol`` and reports each number's nearest double.
+CSV.  They compute on exact rows and report exact numbers: every
+``Fraction`` in a report is a computed probability or expectation (the
+parameters a report echoes are strings), and a verdict compares within
+``tol`` (0, an exact decision, by default).
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import netlib
-from .analysis import (
-    FLOAT_TOL, InputSpec, QuerySpec, _dist_mismatch, _reported, equiv, leq, query,
-)
+from .analysis import InputSpec, QuerySpec, _dist_mismatch, equiv, leq, query
 from .bigstep import Kernel
 from .errors import ConditioningError
 from .row import Row
@@ -44,25 +44,23 @@ def _ingress_rows(cm: netlib.CaseModel, state_budget: int) -> list[Row]:
 # -- the overview (three-switch) suite ----------------------------------------
 
 
-def toy_overview(exact: bool = True, tol: float = FLOAT_TOL,
-                 state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
+def toy_overview(tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
     """Every §-overview check: the two delivery probabilities under f2 and
-    the five (in)equivalences, all in exact mode by default; in float mode
-    the (in)equivalences are decided within ``tol``."""
+    the five (in)equivalences, decided within ``tol``."""
     net = netlib.toy()
     u = net.universe
     src = frozenset({net.source_packet()})
     f2 = net.f2(Fraction(1, 5))
-    mode = {"exact": exact, "state_budget": state_budget}
     flag0 = InputSpec.all_subsets(net.flag_zero_packets(), cap=20)
     in_rows = InputSpec.of_sets([EMPTY, src])
     teleport = seq(net.in_pred, net.teleport)
 
     def decide(decision, p, q, rows):
-        return decision(p, q, rows, u, tol=tol, **mode)
+        return decision(p, q, rows, u, tol=tol, state_budget=state_budget)
 
     def delivery(scheme):
-        return query(net.wrapped(scheme, f2), src, QuerySpec.prob_nonempty(), u, **mode)
+        return query(net.wrapped(scheme, f2), src, QuerySpec.prob_nonempty(), u,
+                     state_budget=state_budget)
 
     naive_f1 = decide(equiv, net.wrapped(net.p, net.f1), teleport, in_rows)
     naive, resilient = net.wrapped(net.p, f2), net.wrapped(net.p_hat, f2)
@@ -96,15 +94,15 @@ class CellResult:
 
 
 def teleport_cell(variant: str, topo: netlib.Topology, k: int | None,
-                  p_fail: Fraction, exact: bool = True, tol: float = FLOAT_TOL,
+                  p_fail: Fraction, tol: float = 0,
                   state_budget: int = DEFAULT_STATE_BUDGET) -> CellResult:
     """Does the scheme behave like teleportation under failure bound k?
 
     Both sides produce point distributions on every pinned ingress packet
     when they agree (the model delivers with probability one and the
     delivered packet is normalized), so agreement on all ingress singletons
-    settles all ingress subsets.  In float mode a row agrees with the point
-    mass on the target when every exact probability is within ``tol`` of it.
+    settles all ingress subsets.  A row agrees with the point mass on the
+    target when every probability is within ``tol`` of it.
     """
     cm = netlib.build_case_model(variant, topo, k, p_fail)
     target = frozenset({cm.target_packet})
@@ -112,32 +110,31 @@ def teleport_cell(variant: str, topo: netlib.Topology, k: int | None,
     worst = min((dist.prob(target) for dist in rows), default=None)
     teleported = Row(1, {target: 1})
     witness = next((src for src, dist in zip(cm.in_packets, rows)
-                    if _dist_mismatch(dist, teleported, exact, tol) is not None),
+                    if _dist_mismatch(dist, teleported, tol) is not None),
                    None)
-    return CellResult(variant, k, witness is None, _reported(worst, exact), witness)
+    return CellResult(variant, k, witness is None, worst, witness)
 
 
 def _grid_cell(args):
-    topo_name, scheme, k, p_str, exact, tol, state_budget = args
+    topo_name, scheme, k, p_str, tol, state_budget = args
     topo = netlib.topology_by_name(topo_name)
-    return teleport_cell(scheme, topo, k, Fraction(p_str), exact=exact, tol=tol,
+    return teleport_cell(scheme, topo, k, Fraction(p_str), tol=tol,
                          state_budget=state_budget)
 
 
 def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
                     p_fail: Fraction = Fraction(1, 4),
-                    schemes=netlib.F10_VARIANTS, exact: bool = True,
-                    tol: float = FLOAT_TOL, state_budget: int = DEFAULT_STATE_BUDGET,
-                    jobs: int = 1) -> list[dict]:
+                    schemes=netlib.F10_VARIANTS, tol: float = 0,
+                    state_budget: int = DEFAULT_STATE_BUDGET, jobs: int = 1) -> list[dict]:
     cells = [(k, scheme) for k in ks for scheme in schemes]
     if jobs > 1 and topo.name in netlib.TOPOLOGIES:  # workers rebuild it by name
         from concurrent.futures import ProcessPoolExecutor
-        work = [(topo.name, scheme, k, str(p_fail), exact, tol, state_budget)
+        work = [(topo.name, scheme, k, str(p_fail), tol, state_budget)
                 for k, scheme in cells]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_grid_cell, work))
     else:
-        results = [teleport_cell(scheme, topo, k, p_fail, exact=exact, tol=tol,
+        results = [teleport_cell(scheme, topo, k, p_fail, tol=tol,
                                  state_budget=state_budget)
                    for k, scheme in cells]
     rows = []
@@ -154,7 +151,7 @@ def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
 
 def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
                                p_fail: Fraction = Fraction(1, 4),
-                               exact: bool = True, tol: float = FLOAT_TOL,
+                               tol: float = 0,
                                state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
     """Per-ingress equivalence of f10_0 and f10_3 under each failure bound;
     on the plain FatTree 3-hop rerouting never fires, so they must agree."""
@@ -163,7 +160,7 @@ def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
         m0 = netlib.build_case_model(netlib.F10_0, topo, k, p_fail)
         m3 = netlib.build_case_model(netlib.F10_3, topo, k, p_fail)
         same = all(
-            _dist_mismatch(r0, r3, exact, tol) is None
+            _dist_mismatch(r0, r3, tol) is None
             for r0, r3 in zip(_ingress_rows(m0, state_budget),
                               _ingress_rows(m3, state_budget))
         )
@@ -175,28 +172,29 @@ def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
 
 
 def delivery_sweep(topo: netlib.Topology, p_values, k: int | None = None,
-                   schemes=netlib.F10_VARIANTS, exact: bool = True,
+                   schemes=netlib.F10_VARIANTS,
                    state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
     """Average delivery probability per (scheme, link-failure probability)."""
     rows = []
-    for p_fail in p_values:
-        row: dict = {"p": p_fail}
+    for p_fail in map(Fraction, p_values):
+        row: dict = {"p": str(p_fail)}
         for scheme in schemes:
-            cm = netlib.build_case_model(scheme, topo, k, Fraction(p_fail))
+            cm = netlib.build_case_model(scheme, topo, k, p_fail)
             delivered = sum((p for dist in _ingress_rows(cm, state_budget)
                              for b, p in dist.as_dict().items() if b), Fraction(0))
-            row[scheme] = _reported(delivered / len(cm.in_packets), exact)
+            row[scheme] = delivered / len(cm.in_packets)
         rows.append(row)
     return rows
 
 
 def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
             k: int | None = None, schemes=netlib.F10_VARIANTS,
-            max_hops: int = netlib.COUNTER_DOMAIN - 1, exact: bool = True,
             state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
-    """Fraction of traffic delivered within each hop count (not conditioned),
-    plus the expected hop count conditioned on delivery, per scheme.
-    Traffic is uniform over the ingress switches."""
+    """Fraction of traffic delivered within each hop count up to the
+    counter's largest value (not conditioned), plus the expected hop count
+    conditioned on delivery, per scheme.  Traffic is uniform over the
+    ingress switches."""
+    max_hops = netlib.COUNTER_DOMAIN - 1
     out: dict = {"max_hops": max_hops, "schemes": {}}
     for scheme in schemes:
         cm = netlib.build_case_model(scheme, topo, k, p_fail, counter=True)
@@ -214,56 +212,35 @@ def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
         delivered = within[-1]
         hops = sum(h * m for h, m in enumerate(mass_at))
         out["schemes"][scheme] = {
-            "cdf": [_reported(m / n, exact) for m in within],
-            "delivered": _reported(delivered / n, exact),
-            "expected_hops_given_delivery":
-                _reported(hops / delivered, exact) if delivered else None,
+            "cdf": [m / n for m in within],
+            "delivered": delivered / n,
+            "expected_hops_given_delivery": hops / delivered if delivered else None,
         }
     return out
 
 
 def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
-                  p_fail=Fraction(1, 4), p_values=None, exact: bool | None = None,
-                  tol: float = FLOAT_TOL, state_budget: int = DEFAULT_STATE_BUDGET,
-                  jobs: int = 1) -> dict:
-    """Dispatch for the CLI; returns a jsonable report.
-
-    ``exact=None`` applies the per-study default: verdicts (the overview
-    suite and the resilience grid) run exact, and quantitative sweeps run
-    in float mode, which reports each exact number correctly rounded.
-    """
+                  p_fail=Fraction(1, 4), p_values=None, tol: float = 0,
+                  state_budget: int = DEFAULT_STATE_BUDGET, jobs: int = 1) -> dict:
+    """Dispatch for the CLI; returns a jsonable report of exact numbers."""
     if name == "toy-overview":
-        checks = toy_overview(exact=exact is not False, tol=tol,
-                              state_budget=state_budget)
-        return {"casestudy": name, "checks": checks}
+        return {"casestudy": name,
+                "checks": toy_overview(tol=tol, state_budget=state_budget)}
     topo = netlib.topology_by_name(topo_name)
     ks = K_VALUES if ks is None else ks
+    report = {"casestudy": name, "topology": topo_name, "p_fail": str(p_fail)}
     if name == "f10-resilience":
-        report = {
-            "casestudy": name,
-            "topology": topo_name,
-            "p_fail": p_fail,
-            "grid": resilience_grid(topo, ks, p_fail, exact=exact is not False,
-                                    tol=tol, state_budget=state_budget, jobs=jobs),
-        }
+        report["grid"] = resilience_grid(topo, ks, p_fail, tol=tol,
+                                         state_budget=state_budget, jobs=jobs)
         if topo_name == "fattree20":
             report["f10_0_eq_f10_3"] = fattree_scheme_equivalence(
-                topo, ks, p_fail, exact=exact is not False, tol=tol,
-                state_budget=state_budget)
+                topo, ks, p_fail, tol=tol, state_budget=state_budget)
         return report
     if name == "f10-latency":
         p_values = p_values or [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
                                 Fraction(2, 5), Fraction(1, 2)]
-        sweeps_exact = exact is True
-        return {
-            "casestudy": name,
-            "topology": topo_name,
-            "p_fail": p_fail,
-            "mode": "exact" if sweeps_exact else "float",
-            "hop_cdf": hop_cdf(topo, p_fail, None, exact=sweeps_exact,
-                               state_budget=state_budget),
-            "delivery_vs_p": delivery_sweep(topo, p_values, None,
-                                            exact=sweeps_exact,
-                                            state_budget=state_budget),
-        }
+        report["hop_cdf"] = hop_cdf(topo, p_fail, None, state_budget=state_budget)
+        report["delivery_vs_p"] = delivery_sweep(topo, p_values, None,
+                                                 state_budget=state_budget)
+        return report
     raise ValueError(f"unknown case study {name!r}")

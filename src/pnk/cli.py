@@ -8,9 +8,13 @@
     pnk casestudy NAME [--topo T --k ... --p ...]
 
 Programs are files with an optional ``fields { ... }`` header; a universe
-can also be supplied as JSON via --universe.  Reports are JSON by default
-(exact probabilities as reduced rationals) or CSV via --format csv: the
-report's first table, or else one key,value row per entry.
+can also be supplied as JSON via --universe.  The library returns exact
+numbers; the mode is how this front door prints them.  In exact mode (the
+default, except for ``casestudy f10-latency``) a probability prints as a
+reduced rational and decisions compare exactly.  In float mode (--float)
+decisions compare within --tol, and each ``Fraction`` of the report prints
+as the double nearest it.  Reports are JSON by default or CSV via --format
+csv: the report's first table, or else one key,value row per entry.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from fractions import Fraction
 
 from . import casestudy as cs
 from .analysis import (
-    DEFAULT_STAR_DEPTH, DEFAULT_SUBSET_CAP, FLOAT_TOL, InputSpec, QuerySpec,
-    equiv, estimate, leq, query,
+    DEFAULT_STAR_DEPTH, DEFAULT_SUBSET_CAP, InputSpec, QuerySpec, equiv,
+    estimate, leq, query,
 )
 from .bigstep import Kernel
 from .errors import PnkError
@@ -35,6 +39,20 @@ from .parser import parse, parse_file_text
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import desugar
 from .universe import PacketUniverse
+
+FLOAT_TOL = 1e-9  # the tolerance of float mode unless --tol sets one
+
+
+def _rounded(x):
+    """``x`` as float mode prints it: each ``Fraction`` in it replaced by
+    the nearest double (the int 0 off a row's support stays)."""
+    if isinstance(x, Fraction):
+        return float(x)
+    if isinstance(x, dict):
+        return {k: _rounded(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_rounded(v) for v in x]
+    return x
 
 
 def _cell(x) -> str:
@@ -76,6 +94,21 @@ def _emit(obj, fmt: str) -> None:
         out.writerows([_cell(r.get(k, "")) for k in keys] for r in rows)
     else:
         out.writerows([k, _cell(v)] for k, v in obj.items())
+
+
+def _verdict_report(verdict, universe, exact: bool) -> dict:
+    obj = {"result": verdict.result, "exact": exact}
+    if not exact:
+        obj["tolerance"] = verdict.tolerance
+    w = verdict.witness
+    if w is not None:
+        obj["witness"] = {
+            "input": universe.set_to_records(w.input_set),
+            "output": universe.set_to_records(w.output_set),
+            "left_prob": str(w.left_prob if exact else _rounded(w.left_prob)),
+            "right_prob": str(w.right_prob if exact else _rounded(w.right_prob)),
+        }
+    return obj
 
 
 def _load_universe(args) -> PacketUniverse | None:
@@ -124,20 +157,19 @@ def _packets_arg(text: str, universe):
 
 
 def _parse_measure(text: str, universe) -> QuerySpec:
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "prob-nonempty":
+    kind, *rest = text.split(":")
+    if kind == "prob-nonempty" and not rest:
         return QuerySpec.prob_nonempty()
-    if kind == "prob-satisfies":
-        if len(parts) < 2:
-            raise PnkError("prob-satisfies:PRED[:all|some]")
-        quantifier = parts[2] if len(parts) > 2 else "all"
-        return QuerySpec.prob_satisfies(parse(parts[1], universe), quantifier)
-    if kind == "expected":
-        return QuerySpec.expected_field(parts[1])
-    if kind == "cdf":
-        return QuerySpec.field_cdf(parts[1], int(parts[2]))
-    raise PnkError(f"unknown measure {text!r}")
+    if kind == "prob-satisfies" and 1 <= len(rest) <= 2:
+        return QuerySpec.prob_satisfies(parse(rest[0], universe), *rest[1:])
+    if kind == "expected" and len(rest) == 1:
+        universe.field(rest[0])  # raises on an unknown field
+        return QuerySpec.expected_field(rest[0])
+    if kind == "cdf" and len(rest) == 2:
+        universe.field(rest[0])
+        return QuerySpec.field_cdf(rest[0], int(rest[1]))
+    raise PnkError(f"bad measure {text!r}: expected prob-nonempty, "
+                   "prob-satisfies:PRED[:all|some], expected:FIELD or cdf:FIELD:THRESHOLD")
 
 
 def _positive_int(text: str) -> int:
@@ -148,6 +180,18 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number, got {text!r}") from None
+
+
+def _fractions(text: str) -> list[Fraction]:
+    return [_fraction(x) for x in text.split(",")]
 
 
 def _tolerance(text: str) -> float:
@@ -171,7 +215,7 @@ def _add_common(sub, *flags):
         sub.add_argument("--universe", help="universe JSON file")
     if "engine" in flags:
         # Tri-state: None means the per-command default (exact everywhere
-        # except the quantitative case-study sweeps, which default to float).
+        # except f10-latency, whose report is numbers only).
         sub.add_argument("--exact", dest="exact", action="store_true", default=None)
         sub.add_argument("--float", dest="exact", action="store_false")
         # argparse converts a string default with ``type`` only when the
@@ -182,7 +226,8 @@ def _add_common(sub, *flags):
                          help="pair-state budget per star chain "
                               f"(default: $PNK_MAX_STATES, else {DEFAULT_STATE_BUDGET})")
     if "tol" in flags:
-        sub.add_argument("--tol", type=_tolerance, default=FLOAT_TOL)
+        sub.add_argument("--tol", type=_tolerance,
+                         help=f"float mode only (default: {FLOAT_TOL})")
     if "cap-subsets" in flags:
         sub.add_argument("--cap-subsets", type=_positive_int, default=DEFAULT_SUBSET_CAP)
     if "jobs" in flags:
@@ -232,12 +277,20 @@ def main(argv=None) -> int:
     s.add_argument("--topo", default="abfattree20", choices=TOPOLOGIES)
     s.add_argument("--k", default=None,
                    help="comma-separated failure bounds, e.g. 0,1,2,inf")
-    s.add_argument("--p", default="1/4", help="link failure probability")
-    s.add_argument("--p-values", default=None,
+    s.add_argument("--p", type=_fraction, default="1/4", help="link failure probability")
+    s.add_argument("--p-values", type=_fractions,
                    help="comma-separated sweep values for delivery tables")
     _add_common(s, "engine", "tol", "jobs")
 
     args = ap.parse_args(argv)
+    if "exact" in args:  # the mode: how to print, and the tolerance of decisions
+        if args.exact is None:
+            args.exact = getattr(args, "name", None) != "f10-latency"
+        tol = getattr(args, "tol", None)
+        if args.exact and tol is not None:
+            subs.choices[args.cmd].error("argument --tol: needs --float "
+                                         "(exact mode compares exactly)")
+        args.tol = 0 if args.exact else FLOAT_TOL if tol is None else tol
     try:
         return _dispatch(args)
     except PnkError as e:
@@ -265,48 +318,38 @@ def _dispatch(args) -> int:
             ],
         }, fmt)
         return 0
-    exact = args.exact is not False  # commands other than casestudy default to exact
-    if args.cmd == "equiv":
+    code = 0
+    if args.cmd in ("equiv", "leq"):
         uni, p, q = _load_two(args)
-        verdict = equiv(p, q, _input_spec(args, uni), uni, exact=exact,
-                        tol=args.tol, state_budget=args.max_states)
-        _emit(verdict.to_jsonable(uni), fmt)
-        return 0 if verdict.result == "equal" else 1
-    if args.cmd == "leq":
-        uni, p, q = _load_two(args)
-        verdict = leq(p, q, _input_spec(args, uni), uni, exact=exact,
-                      tol=args.tol, state_budget=args.max_states)
-        _emit(verdict.to_jsonable(uni), fmt)
-        return 0 if verdict.result == "leq" else 1
-    if args.cmd == "dist":
+        decide = equiv if args.cmd == "equiv" else leq
+        verdict = decide(p, q, _input_spec(args, uni), uni, tol=args.tol,
+                         state_budget=args.max_states)
+        report = _verdict_report(verdict, uni, args.exact)
+        code = 0 if verdict.holds() else 1
+    elif args.cmd == "dist":
         uni, p = _load_program(args.file1, _load_universe(args))
         aset = _packets_arg(args.on, uni)
-        kern = Kernel(desugar(p), uni, exact=exact,
+        kern = Kernel(desugar(p), uni, exact=args.exact,
                       state_budget=args.max_states)
-        _emit(kern.apply(aset).to_jsonable(uni, aset), fmt)
-        return 0
-    if args.cmd == "query":
+        report = kern.apply(aset).to_jsonable(uni, aset)
+    elif args.cmd == "query":
         uni, p = _load_program(args.file1, _load_universe(args))
         aset = _packets_arg(args.on, uni)
         measure = _parse_measure(args.measure, uni)
-        value = query(p, aset, measure, uni, exact=exact,
-                      state_budget=args.max_states)
-        _emit({"measure": args.measure, "value": value}, fmt)
-        return 0
-    if args.cmd == "casestudy":
+        report = {"measure": args.measure,
+                  "value": query(p, aset, measure, uni, state_budget=args.max_states)}
+    else:
         ks = None
         if args.k is not None:
             ks = [cs._parse_k(x) for x in str(args.k).split(",")]
-        p_values = None
-        if args.p_values:
-            p_values = [Fraction(x) for x in args.p_values.split(",")]
         report = cs.run_casestudy(
-            args.name, topo_name=args.topo, ks=ks, p_fail=Fraction(args.p),
-            p_values=p_values, exact=args.exact, tol=args.tol,
+            args.name, topo_name=args.topo, ks=ks, p_fail=args.p,
+            p_values=args.p_values, tol=args.tol,
             state_budget=args.max_states, jobs=args.jobs)
-        _emit(report, fmt)
-        return 0
-    raise PnkError(f"unknown command {args.cmd!r}")
+        if args.name == "f10-latency":
+            report["mode"] = "exact" if args.exact else "float"
+    _emit(report if args.exact else _rounded(report), fmt)
+    return code
 
 
 if __name__ == "__main__":

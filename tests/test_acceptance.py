@@ -111,7 +111,7 @@ def test_criterion_3():
     u = PacketUniverse([FieldDecl("f", 2)])
     loop = parse("while !(f=0) do (skip +[1/2] f:=0)", u)
     v = equiv(loop, parse("f:=0", u), InputSpec.full_universe(u), u)
-    assert v.result == "equal" and v.exact
+    assert v.result == "equal" and v.tolerance == 0
 
 
 # -- 4: the five-state pair chain ---------------------------------------------------
@@ -266,8 +266,7 @@ def test_criterion_6():
            limit=1800.0)
 def test_criterion_7():
     ab = netlib.abfattree20()
-    grid = resilience_grid(ab, ks=(0, 1, 2, 3, 4, None), p_fail=Fraction(1, 4),
-                           exact=True)
+    grid = resilience_grid(ab, ks=(0, 1, 2, 3, 4, None), p_fail=Fraction(1, 4))
     expected = {
         "0": ("yes", "yes", "yes"),
         "1": ("no", "yes", "yes"),
@@ -292,7 +291,7 @@ def test_criterion_7():
 
     ft = netlib.fattree20()
     for row in fattree_scheme_equivalence(ft, ks=(0, 1, 2, 3, 4, None),
-                                          p_fail=Fraction(1, 4), exact=True):
+                                          p_fail=Fraction(1, 4)):
         assert row["f10_0_eq_f10_3"] == "yes"
 
 
@@ -303,14 +302,14 @@ def test_criterion_7():
 def test_criterion_8():
     ab = netlib.abfattree20()
     sweep = delivery_sweep(ab, [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
-                                Fraction(2, 5), Fraction(1, 2)], k=None, exact=True)
+                                Fraction(2, 5), Fraction(1, 2)], k=None)
     for scheme in netlib.F10_VARIANTS:
         values = [row[scheme] for row in sweep]
         assert all(x >= y for x, y in zip(values, values[1:])), scheme
     for row in sweep:
         assert row["f10_0"] <= row["f10_3"] <= row["f10_35"]
 
-    table = hop_cdf(ab, Fraction(1, 4), k=None, exact=True)
+    table = hop_cdf(ab, Fraction(1, 4), k=None)
     cdfs = {s: d["cdf"] for s, d in table["schemes"].items()}
     at4 = {s: cdf[4] for s, cdf in cdfs.items()}
     assert len(set(at4.values())) == 1, at4

@@ -6,12 +6,12 @@ import pytest
 
 from pnk import star
 from pnk.analysis import (
-    FLOAT_TOL, InputSpec, QuerySpec, TruncatedRun, Verdict, Witness, _below,
+    InputSpec, QuerySpec, TruncatedRun, Verdict, Witness, _below,
     _dist_mismatch, _meet_closure, dist_leq, dist_leq_bruteforce, equiv,
     estimate, leq, query, sample_run, upset_prob,
 )
 from pnk.bigstep import Kernel
-from pnk.cli import main
+from pnk.cli import FLOAT_TOL, _rounded, main
 from pnk.errors import BudgetExceededError, ConditioningError, WellFormednessError
 from pnk.parser import parse
 from pnk.row import Row, ratio
@@ -37,10 +37,10 @@ def test_dist_mismatch_honours_tol(gap):
     lo, hi, both = frozenset({0}), frozenset({1}), frozenset({0, 1})
     mu = Row(1, {lo: 0.5, hi: 0.5})
     nu = Row(1, {lo: 0.5 - gap, hi: 0.5, both: gap})
-    assert _dist_mismatch(mu, mu, False, 0) is None
-    assert _dist_mismatch(mu, nu, False, 0) == lo
-    assert _dist_mismatch(nu, mu, False, 0) == lo
-    assert _dist_mismatch(mu, nu, False, FLOAT_TOL) == (None if gap < FLOAT_TOL else lo)
+    assert _dist_mismatch(mu, mu, 0) is None
+    assert _dist_mismatch(mu, nu, 0) == lo
+    assert _dist_mismatch(nu, mu, 0) == lo
+    assert _dist_mismatch(mu, nu, FLOAT_TOL) == (None if gap < FLOAT_TOL else lo)
 
 
 # -- long union chains --------------------------------------------------------
@@ -172,9 +172,12 @@ def test_witness_on_distinct_assignments():
     v = leq(parse("f:=0", u), parse("f:=1", u), InputSpec.of_sets([pi0]), u)
     assert (v.witness.left_prob, v.witness.right_prob) == (1, 0)
     assert type(v.witness.right_prob) is int
+    # Within a tolerance the witness is still exact; float mode prints it
+    # rounded, and the 0 stays an int.
     v = equiv(parse("f:=0", u), parse("f:=1", u), InputSpec.of_sets([pi0]), u,
-              exact=False)
-    assert repr((v.witness.left_prob, v.witness.right_prob)) == "(1.0, 0)"
+              tol=FLOAT_TOL)
+    assert repr((v.witness.left_prob, v.witness.right_prob)) == "(Fraction(1, 1), 0)"
+    assert repr(_rounded((v.witness.left_prob, v.witness.right_prob))) == "[1.0, 0]"
 
 
 def test_witness_reproduces_discrepancy(uni2x2):
@@ -267,22 +270,18 @@ def test_det_fast_path_agrees_with_full_enumeration(uni2x2):
 
 def test_float_mode_reports_tolerance(uni2x2):
     p = Choice(Fraction(1, 2), Skip(), Skip())
-    v = equiv(p, Skip(), InputSpec.full_universe(uni2x2), uni2x2,
-              exact=False, tol=1e-9)
-    assert v.result == "equal" and v.tolerance == 1e-9 and not v.exact
+    v = equiv(p, Skip(), InputSpec.full_universe(uni2x2), uni2x2, tol=1e-9)
+    assert v.result == "equal" and v.tolerance == 1e-9
 
 
 # -- one kernel for both sides ---------------------------------------------------
 
-def _two_kernel_verdict(decide, p, q, inputs, u, exact):
+def _two_kernel_verdict(decide, p, q, inputs, u, tol):
     """The verdict of ``decide`` from a fresh exact kernel per side, with
-    probabilities compared as ``Fraction``s, within FLOAT_TOL in float mode,
-    where the witness reports their nearest doubles."""
+    probabilities compared as ``Fraction``s within ``tol``."""
     p, q = desugar(p), desugar(q)
     kp, kq = Kernel(p, u), Kernel(q, u)
-    tol = None if exact else FLOAT_TOL
-    slack = Fraction(0 if exact else FLOAT_TOL)
-    report = (lambda x: x) if exact else (lambda x: float(x) if x else x)
+    slack = Fraction(tol)
     if decide is equiv:
         det = not has_choice(p) and not has_choice(q)
         for a in inputs.singleton_rows() if det else inputs.rows():
@@ -291,17 +290,16 @@ def _two_kernel_verdict(decide, p, q, inputs, u, exact):
                    if abs(mu.prob(b) - nu.prob(b)) > slack]
             if bad:
                 b = min(bad, key=sorted)
-                w = Witness(a, b, report(mu.prob(b)), report(nu.prob(b)))
-                return Verdict("not-equal", w, exact, tol)
-        return Verdict("equal", exact=exact, tolerance=tol)
+                return Verdict("not-equal", Witness(a, b, mu.prob(b), nu.prob(b)), tol)
+        return Verdict("equal", tolerance=tol)
     for a in inputs.rows():
         mu, nu = kp.row(p, a), kq.row(q, a)
         for gen in sorted(_meet_closure(set(mu.nums) | set(nu.nums) | {EMPTY}), key=sorted):
             x = ratio(upset_prob(mu.nums, gen), mu.den)
             y = ratio(upset_prob(nu.nums, gen), nu.den)
             if x > y + slack:
-                return Verdict("not-leq", Witness(a, gen, report(x), report(y)), exact, tol)
-    return Verdict("leq", exact=exact, tolerance=tol)
+                return Verdict("not-leq", Witness(a, gen, x, y), tol)
+    return Verdict("leq", tolerance=tol)
 
 
 def _unroll(p, n):
@@ -330,36 +328,48 @@ def _oracle_pairs(rng, u, count):
                random_program(rng, u, 2, stars=1))
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_shared_kernel_verdicts_equal_two_kernels(uni2x2, exact):
+@pytest.mark.parametrize("tol", [0, FLOAT_TOL], ids=["exact", "float"])
+def test_shared_kernel_verdicts_equal_two_kernels(uni2x2, tol):
     rng = random.Random(17)
     spec = InputSpec.full_universe(uni2x2)
     seen = set()
     for decide, p, q in _oracle_pairs(rng, uni2x2, 40):
-        got = decide(p, q, spec, uni2x2, exact=exact)
-        assert got == _two_kernel_verdict(decide, p, q, spec, uni2x2, exact)
+        got = decide(p, q, spec, uni2x2, tol=tol)
+        assert got == _two_kernel_verdict(decide, p, q, spec, uni2x2, tol)
         seen.add(got.result)
     assert seen == {"equal", "not-equal", "leq", "not-leq"}
 
 
-def test_float_equiv_at_zero_tol_is_equal_where_exact_equiv_is(uni2x2):
-    # Float mode compares the exact rows, with a tolerance of 0 here, so
-    # every verdict and witness is the exact one, its probabilities rounded.
-    # At the parent, float `leq` summed rounded weights, and the up-set of
-    # the empty set in pair 129 (`skip` against `skip & ((f=0 +[1/3] g:=0)
-    # & (f=0 +[3/4] f:=1)) ; skip`) read 1.0 against 0.9999999999999999.
+def _rounded_prob(text: str) -> str:
+    """A witness probability of exact output as float output prints it."""
+    return text if text == "0" else str(float(Fraction(text)))
+
+
+def test_float_equiv_at_zero_tol_is_equal_where_exact_equiv_is(uni2x2, tmp_path, capsys):
+    # Float mode decides on the exact rows, here with a tolerance of 0, so
+    # `--float --tol 0` prints every verdict and witness of `--exact`, its
+    # probabilities rounded.  When float `leq` summed rounded weights, the
+    # up-set of the empty set in pair 129 (`skip` against `skip & ((f=0
+    # +[1/3] g:=0) & (f=0 +[3/4] f:=1)) ; skip`) read 1.0 against
+    # 0.9999999999999999.
     rng = random.Random(17)
-    spec = InputSpec.full_universe(uni2x2)
+    files = [str(tmp_path / "p.pnk"), str(tmp_path / "q.pnk")]
     seen = {"equal": 0, "not-equal": 0, "leq": 0, "not-leq": 0}
     for decide, p, q in _oracle_pairs(rng, uni2x2, 40):
-        exact = decide(p, q, spec, uni2x2)
-        rounded = decide(p, q, spec, uni2x2, exact=False, tol=0)
-        assert rounded.result == exact.result
-        if exact.witness is not None:
-            w, r = exact.witness, rounded.witness
-            assert (r.input_set, r.output_set) == (w.input_set, w.output_set)
-            assert r.left_prob == float(w.left_prob) and r.right_prob == float(w.right_prob)
-        seen[exact.result] += 1
+        for path, prog in zip(files, (p, q)):
+            with open(path, "w") as fh:
+                fh.write("fields { f : 2 ; g : 2 }\n" + pretty(prog))
+        cmd = [decide.__name__, *files]
+        code = main(cmd + ["--exact"])
+        exact = json.loads(capsys.readouterr().out)
+        assert main(cmd + ["--float", "--tol", "0"]) == code
+        rounded = json.loads(capsys.readouterr().out)
+        assert (exact.pop("exact"), rounded.pop("exact"), rounded.pop("tolerance")) == (True, False, 0)
+        if "witness" in exact:
+            w = exact["witness"]
+            w["left_prob"], w["right_prob"] = map(_rounded_prob, (w["left_prob"], w["right_prob"]))
+        assert rounded == exact
+        seen[exact["result"]] += 1
     assert seen["equal"] >= 80 and seen["leq"] >= 40 and seen["not-leq"] >= 10
 
 

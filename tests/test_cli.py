@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pnk.casestudy import run_casestudy
-from pnk.cli import main
+from pnk.cli import FLOAT_TOL, main
 from pnk.netlib import COUNTER_DOMAIN, toy
 from pnk.syntax import pretty
 
@@ -196,17 +196,17 @@ def test_casestudy_float_verdicts_honour_tol(capsys):
 
 
 # The sha256 of two float case studies: of the CLI's JSON output, and of
-# the report the CLI prints, before it rounds floats to 12 digits.  Each
-# float is an exact number correctly rounded, so a change to an exact row
+# the exact report the library returns, which the CLI rounds.  Each float
+# printed is an exact number correctly rounded, so a change to an exact row
 # fails here.  The digests are the same on CPython 3.10 and 3.11.
 PINNED_FLOAT_CASESTUDIES = [
     (["casestudy", "f10-latency"], {},
      "62248005af9fd5237c1e1ff318ed7e1c4036d67224f8b2861bcd96e2bd382470",
-     "4d4edd1eb92e08c20fe5932a11f9f2ca2fb37175d4aa48472e318311715992eb"),
+     "974a082fd9f2e8c4ec3c98bad13c258775fd3f6dda59f4a8b95ef381265ba930"),
     (["casestudy", "f10-resilience", "--float", "--k", "2", "--p", "3/7"],
-     {"ks": [2], "p_fail": Fraction(3, 7), "exact": False},
+     {"ks": [2], "p_fail": Fraction(3, 7), "tol": FLOAT_TOL},
      "3c94cc3abb7e6f8e888e8c9941dba448b63aec254c0c68745ffd644c1957430e",
-     "da61f9e66bfa4c37dfe24ec166c89756acf0e7e33cff3778537a0176fd763cf8"),
+     "c8a86c340bb89023de87e80407c7ef036a0efef2f4629d418c8193cb99f40c2a"),
 ]
 
 
@@ -220,10 +220,28 @@ def test_float_casestudy_output_is_pinned(capsys, args, kwargs, output_sha, repo
     assert hashlib.sha256(repr(report).encode()).hexdigest() == report_sha
 
 
-def test_float_latency_numbers_are_the_exact_ones_rounded():
-    exact = run_casestudy("f10-latency", exact=True)
-    rounded = run_casestudy("f10-latency")
-    assert (exact.pop("mode"), rounded.pop("mode")) == ("exact", "float")
+# Per case study: its arguments, the extra ones of float mode, and the
+# number of floats in its float JSON.  For f10-latency, per scheme, a cdf
+# point per counter value, the delivery and the expected hop count, and in
+# the sweep a row of three per probability.
+ROUNDED_CASESTUDIES = {
+    "f10-latency": ([], [], 3 * (COUNTER_DOMAIN + 2) + 5 * 3),
+    "f10-resilience": (["--k", "2", "--p", "3/7"], ["--tol", "0"], 3),
+    "toy-overview": ([], [], 2),
+}
+
+
+@pytest.mark.parametrize("name", ROUNDED_CASESTUDIES)
+def test_float_output_is_the_exact_output_rounded(capsys, name):
+    # The float JSON is the exact JSON with each rational printed as its
+    # nearest double to 12 digits.
+    args, float_args, n_floats = ROUNDED_CASESTUDIES[name]
+    assert main(["casestudy", name, *args, "--exact"]) == 0
+    exact = json.loads(capsys.readouterr().out)
+    assert main(["casestudy", name, *args, "--float", *float_args]) == 0
+    rounded = json.loads(capsys.readouterr().out)
+    if name == "f10-latency":
+        assert (exact.pop("mode"), rounded.pop("mode")) == ("exact", "float")
     pairs, floats = [(exact, rounded)], 0
     while pairs:
         x, r = pairs.pop()
@@ -234,13 +252,11 @@ def test_float_latency_numbers_are_the_exact_ones_rounded():
             assert len(r) == len(x)
             pairs += zip(x, r)
         elif isinstance(r, float):
-            assert type(x) is Fraction and r == float(x)
+            assert r == float(f"{float(Fraction(x)):.12g}")
             floats += 1
         else:
             assert r == x
-    # Per scheme, a cdf point per counter value, the delivery and the
-    # expected hop count; in the sweep, a row of three per probability.
-    assert floats == 3 * (COUNTER_DOMAIN + 2) + 5 * 3
+    assert floats == n_floats
 
 
 def test_float_equiv_honours_tol(progdir, capsys):
@@ -254,6 +270,49 @@ def test_float_equiv_honours_tol(progdir, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["result"] == "not-equal" and out["tolerance"] == float(tol)
         assert out["witness"]["input"] == [{"f": 0}]
+
+
+def test_tol_needs_float_mode(progdir, capsys):
+    # Exact mode compares exactly, so a tolerance there is an error rather
+    # than ignored: these two differ by 2/3 and are within 0.5 nowhere.
+    coin = progdir("c.pnk", "fields { f : 2 }\nf:=0 +[1/3] f:=1\n")
+    a0 = progdir("a0.pnk", ASSIGN0)
+    for argv in (["equiv", "--tol", "0.5", coin, a0],
+                 ["casestudy", "toy-overview", "--tol", "0.5"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "error: argument --tol" in capsys.readouterr().err
+    assert main(["equiv", "--float", "--tol", "0.5", coin, a0]) == 1
+    assert main(["casestudy", "f10-latency", "--p-values", "1/2", "--tol", "0.5"]) == 0
+
+
+def test_float_leq_at_zero_tol_on_pair_129(progdir, capsys):
+    # The exact up-set of the empty set is 1 on both sides; summed in
+    # floats, the right side read 0.9999999999999999.
+    fields = "fields { f : 2 ; g : 2 }\n"
+    skip = progdir("skip.pnk", fields + "skip\n")
+    p129 = progdir("p129.pnk", fields + "skip & ((f=0 +[1/3] g:=0) & (f=0 +[3/4] f:=1)) ; skip\n")
+    assert main(["leq", "--float", "--tol", "0", skip, p129]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "leq"
+
+
+@pytest.mark.parametrize("args", [
+    ["casestudy", "f10-resilience", "--p", "1/0"],
+    ["casestudy", "f10-latency", "--p-values", "1/10,1/0"],
+    ["query", "COIN", "--on", '[{"f": 0}]', "--measure", "cdf:f"],
+    ["query", "COIN", "--on", '[{"f": 0}]', "--measure", "expected"],
+    ["query", "COIN", "--on", '[{"f": 0}]', "--measure", "expected:zz"],
+    ["query", "COIN", "--on", '[{"f": 0}]', "--measure", "prob-nonempty:f"],
+], ids=["p", "p-values", "cdf-arity", "expected-arity", "expected-field", "nonempty-arity"])
+def test_malformed_arguments_are_errors(progdir, capsys, args):
+    argv = [progdir("c.pnk", COIN) if a == "COIN" else a for a in args]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse rejects it
+        code = exit_.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_casestudy_rejects_out_of_range_failures(capsys):
