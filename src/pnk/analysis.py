@@ -289,6 +289,7 @@ def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse):
             keep = lambda b: bool(b & bt)
         return sum((p for b, p in mu.items() if keep(b)), zero)
     if measure.kind in ("expected_field", "field_cdf"):
+        universe.field(measure.field)  # an unknown field raises UniverseError
         cond = sum((p for b, p in mu.items() if b), zero)
         if cond == 0:
             raise ConditioningError("conditioning on nonempty output, which has probability 0")

@@ -6,18 +6,22 @@ CSV.  They compute on exact rows and report exact numbers: every
 ``Fraction`` in a report is a computed probability or expectation (the
 parameters a report echoes are strings), and a verdict compares within
 ``tol`` (0, an exact decision, by default).
+
+The F10 runners decide every model over one universe in one kernel: all
+schemes of a failure bound k, and all (scheme, p) pairs of a sweep.  Their
+programs share the topology and routing subterms, and nodes are interned,
+so the kernel computes each shared subterm's rows once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import netlib
 from .analysis import InputSpec, QuerySpec, _dist_mismatch, equiv, leq, query
 from .bigstep import Kernel
-from .errors import ConditioningError
+from .errors import ConditioningError, WellFormednessError
 from .row import Row
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import desugar, seq
@@ -34,11 +38,18 @@ def _parse_k(text: str):
     return None if text in ("inf", "infinity", "oo") else int(text)
 
 
-def _ingress_rows(cm: netlib.CaseModel, state_budget: int) -> list[Row]:
-    """The model's exact output row on each pinned ingress packet, in
-    ``cm.in_packets`` order."""
-    kern = Kernel(desugar(cm.program), cm.universe, state_budget=state_budget)
-    return [kern.apply(frozenset({src})) for src in cm.in_packets]
+def _ingress_rows(models: list[netlib.CaseModel], state_budget: int) -> list[list[Row]]:
+    """Per model, its exact output row on each pinned ingress packet, in
+    ``cm.in_packets`` order.  The models share one universe, and one kernel
+    computes all their rows."""
+    if not models:
+        return []
+    if any(cm.universe != models[0].universe for cm in models):
+        raise WellFormednessError("the models do not share one universe")
+    programs = [desugar(cm.program) for cm in models]
+    kern = Kernel(programs[0], models[0].universe, state_budget=state_budget)
+    return [[kern.row(program, frozenset({src})) for src in cm.in_packets]
+            for program, cm in zip(programs, models)]
 
 
 # -- the overview (three-switch) suite ----------------------------------------
@@ -84,19 +95,12 @@ def toy_overview(tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> di
 # -- F10 resilience grid -------------------------------------------------------
 
 
-@dataclass
-class CellResult:
-    scheme: str
-    k: int | None
-    equivalent: bool
-    min_delivery: object  # smallest per-source delivery probability
-    witness_source: int | None = None
-
-
-def teleport_cell(variant: str, topo: netlib.Topology, k: int | None,
-                  p_fail: Fraction, tol: float = 0,
-                  state_budget: int = DEFAULT_STATE_BUDGET) -> CellResult:
-    """Does the scheme behave like teleportation under failure bound k?
+def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
+                    p_fail: Fraction = Fraction(1, 4),
+                    schemes=netlib.F10_VARIANTS, tol: float = 0,
+                    state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
+    """Per failure bound k, does each scheme behave like teleportation, and
+    what is its smallest per-source delivery probability?
 
     Both sides produce point distributions on every pinned ingress packet
     when they agree (the model delivers with probability one and the
@@ -104,47 +108,17 @@ def teleport_cell(variant: str, topo: netlib.Topology, k: int | None,
     settles all ingress subsets.  A row agrees with the point mass on the
     target when every probability is within ``tol`` of it.
     """
-    cm = netlib.build_case_model(variant, topo, k, p_fail)
-    target = frozenset({cm.target_packet})
-    rows = _ingress_rows(cm, state_budget)
-    worst = min((dist.prob(target) for dist in rows), default=None)
-    teleported = Row(1, {target: 1})
-    witness = next((src for src, dist in zip(cm.in_packets, rows)
-                    if _dist_mismatch(dist, teleported, tol) is not None),
-                   None)
-    return CellResult(variant, k, witness is None, worst, witness)
-
-
-def _grid_cell(args):
-    topo_name, scheme, k, p_str, tol, state_budget = args
-    topo = netlib.topology_by_name(topo_name)
-    return teleport_cell(scheme, topo, k, Fraction(p_str), tol=tol,
-                         state_budget=state_budget)
-
-
-def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
-                    p_fail: Fraction = Fraction(1, 4),
-                    schemes=netlib.F10_VARIANTS, tol: float = 0,
-                    state_budget: int = DEFAULT_STATE_BUDGET, jobs: int = 1) -> list[dict]:
-    cells = [(k, scheme) for k in ks for scheme in schemes]
-    if jobs > 1 and topo.name in netlib.TOPOLOGIES:  # workers rebuild it by name
-        from concurrent.futures import ProcessPoolExecutor
-        work = [(topo.name, scheme, k, str(p_fail), tol, state_budget)
-                for k, scheme in cells]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_grid_cell, work))
-    else:
-        results = [teleport_cell(scheme, topo, k, p_fail, tol=tol,
-                                 state_budget=state_budget)
-                   for k, scheme in cells]
     rows = []
-    by_cell = dict(zip(cells, results))
     for k in ks:
+        models = [netlib.build_case_model(scheme, topo, k, p_fail) for scheme in schemes]
         row = {"k": _k_label(k)}
-        for scheme in schemes:
-            cell = by_cell[(k, scheme)]
-            row[scheme] = "yes" if cell.equivalent else "no"
-            row[f"{scheme}_min_delivery"] = cell.min_delivery
+        for scheme, cm, dists in zip(schemes, models, _ingress_rows(models, state_budget)):
+            target = frozenset({cm.target_packet})
+            teleported = Row(1, {target: 1})
+            agrees = all(_dist_mismatch(dist, teleported, tol) is None for dist in dists)
+            row[scheme] = "yes" if agrees else "no"
+            row[f"{scheme}_min_delivery"] = min((dist.prob(target) for dist in dists),
+                                                default=None)
         rows.append(row)
     return rows
 
@@ -157,13 +131,10 @@ def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
     on the plain FatTree 3-hop rerouting never fires, so they must agree."""
     out = []
     for k in ks:
-        m0 = netlib.build_case_model(netlib.F10_0, topo, k, p_fail)
-        m3 = netlib.build_case_model(netlib.F10_3, topo, k, p_fail)
-        same = all(
-            _dist_mismatch(r0, r3, tol) is None
-            for r0, r3 in zip(_ingress_rows(m0, state_budget),
-                              _ingress_rows(m3, state_budget))
-        )
+        rows0, rows3 = _ingress_rows(
+            [netlib.build_case_model(scheme, topo, k, p_fail)
+             for scheme in (netlib.F10_0, netlib.F10_3)], state_budget)
+        same = all(_dist_mismatch(r0, r3, tol) is None for r0, r3 in zip(rows0, rows3))
         out.append({"k": _k_label(k), "f10_0_eq_f10_3": "yes" if same else "no"})
     return out
 
@@ -175,15 +146,15 @@ def delivery_sweep(topo: netlib.Topology, p_values, k: int | None = None,
                    schemes=netlib.F10_VARIANTS,
                    state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
     """Average delivery probability per (scheme, link-failure probability)."""
-    rows = []
-    for p_fail in map(Fraction, p_values):
-        row: dict = {"p": str(p_fail)}
-        for scheme in schemes:
-            cm = netlib.build_case_model(scheme, topo, k, p_fail)
-            delivered = sum((p for dist in _ingress_rows(cm, state_budget)
-                             for b, p in dist.as_dict().items() if b), Fraction(0))
-            row[scheme] = delivered / len(cm.in_packets)
-        rows.append(row)
+    p_values = [Fraction(p) for p in p_values]
+    rows = [{"p": str(p_fail)} for p_fail in p_values]
+    cells = [(row, scheme, netlib.build_case_model(scheme, topo, k, p_fail))
+             for row, p_fail in zip(rows, p_values) for scheme in schemes]
+    shared = _ingress_rows([cm for _, _, cm in cells], state_budget)
+    for (row, scheme, cm), dists in zip(cells, shared):
+        delivered = sum((p for dist in dists
+                         for b, p in dist.as_dict().items() if b), Fraction(0))
+        row[scheme] = delivered / len(cm.in_packets)
     return rows
 
 
@@ -196,11 +167,12 @@ def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
     ingress switches."""
     max_hops = netlib.COUNTER_DOMAIN - 1
     out: dict = {"max_hops": max_hops, "schemes": {}}
-    for scheme in schemes:
-        cm = netlib.build_case_model(scheme, topo, k, p_fail, counter=True)
+    models = [netlib.build_case_model(scheme, topo, k, p_fail, counter=True)
+              for scheme in schemes]
+    for scheme, cm, dists in zip(schemes, models, _ingress_rows(models, state_budget)):
         n = len(cm.in_packets)
         mass_at = [Fraction(0)] * (max_hops + 1)  # summed over the ingresses
-        for dist in _ingress_rows(cm, state_budget):
+        for dist in dists:
             for b, p in dist.as_dict().items():
                 if not b:
                     continue
@@ -221,7 +193,7 @@ def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
 
 def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
                   p_fail=Fraction(1, 4), p_values=None, tol: float = 0,
-                  state_budget: int = DEFAULT_STATE_BUDGET, jobs: int = 1) -> dict:
+                  state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
     """Dispatch for the CLI; returns a jsonable report of exact numbers."""
     if name == "toy-overview":
         return {"casestudy": name,
@@ -231,7 +203,7 @@ def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
     report = {"casestudy": name, "topology": topo_name, "p_fail": str(p_fail)}
     if name == "f10-resilience":
         report["grid"] = resilience_grid(topo, ks, p_fail, tol=tol,
-                                         state_budget=state_budget, jobs=jobs)
+                                         state_budget=state_budget)
         if topo_name == "fattree20":
             report["f10_0_eq_f10_3"] = fattree_scheme_equivalence(
                 topo, ks, p_fail, tol=tol, state_budget=state_budget)

@@ -208,8 +208,7 @@ def _tolerance(text: str) -> float:
 def _add_common(sub, *flags):
     """Registers --format and the shared ``flags`` on ``sub``, so that each
     subcommand takes only the flags it reads: "universe" (--universe),
-    "engine" (--exact/--float, --max-states), "tol", "cap-subsets" and
-    "jobs"."""
+    "engine" (--exact/--float, --max-states), "tol" and "cap-subsets"."""
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if "universe" in flags:
         sub.add_argument("--universe", help="universe JSON file")
@@ -230,8 +229,6 @@ def _add_common(sub, *flags):
                          help=f"float mode only (default: {FLOAT_TOL})")
     if "cap-subsets" in flags:
         sub.add_argument("--cap-subsets", type=_positive_int, default=DEFAULT_SUBSET_CAP)
-    if "jobs" in flags:
-        sub.add_argument("--jobs", type=_positive_int, default=1)
 
 
 def main(argv=None) -> int:
@@ -280,7 +277,7 @@ def main(argv=None) -> int:
     s.add_argument("--p", type=_fraction, default="1/4", help="link failure probability")
     s.add_argument("--p-values", type=_fractions,
                    help="comma-separated sweep values for delivery tables")
-    _add_common(s, "engine", "tol", "jobs")
+    _add_common(s, "engine", "tol")
 
     args = ap.parse_args(argv)
     if "exact" in args:  # the mode: how to print, and the tolerance of decisions
@@ -345,7 +342,7 @@ def _dispatch(args) -> int:
         report = cs.run_casestudy(
             args.name, topo_name=args.topo, ks=ks, p_fail=args.p,
             p_values=args.p_values, tol=args.tol,
-            state_budget=args.max_states, jobs=args.jobs)
+            state_budget=args.max_states)
         if args.name == "f10-latency":
             report["mode"] = "exact" if args.exact else "float"
     _emit(report if args.exact else _rounded(report), fmt)

@@ -12,7 +12,9 @@ from pnk.analysis import (
 )
 from pnk.bigstep import Kernel
 from pnk.cli import FLOAT_TOL, _rounded, main
-from pnk.errors import BudgetExceededError, ConditioningError, WellFormednessError
+from pnk.errors import (
+    BudgetExceededError, ConditioningError, UniverseError, WellFormednessError,
+)
 from pnk.parser import parse
 from pnk.row import Row, ratio
 from pnk.syntax import (
@@ -443,6 +445,16 @@ def test_query_conditioning_on_impossible_event(uni2x2):
             query(Drop(), uni2x2.all_packets(), measure, uni2x2)
         with pytest.raises(ConditioningError, match="not constant"):
             query(Skip(), mixed, measure, uni2x2)
+
+
+def test_query_on_an_unknown_field_raises_universe_error(uni2x2):
+    # The field is checked first, so the error names it even where the
+    # output is empty only and the conditioning would fail.
+    a = frozenset({uni2x2.packet(f=0, g=0)})
+    for measure in (QuerySpec.expected_field("h"), QuerySpec.field_cdf("h", 0)):
+        for p in (Skip(), Drop()):
+            with pytest.raises(UniverseError, match="unknown field 'h'"):
+                query(p, a, measure, uni2x2)
 
 
 # -- the sampler ----------------------------------------------------------------

@@ -195,10 +195,12 @@ def test_casestudy_float_verdicts_honour_tol(capsys):
     assert row["f10_0"] == "yes"
 
 
-# The sha256 of two float case studies: of the CLI's JSON output, and of
-# the exact report the library returns, which the CLI rounds.  Each float
-# printed is an exact number correctly rounded, so a change to an exact row
-# fails here.  The digests are the same on CPython 3.10 and 3.11.
+# The sha256 of two float case studies and of the exact fattree20 grid: of
+# the CLI's JSON output, and of the exact report the library returns, which
+# the CLI rounds in float mode.  Each float printed is an exact number
+# correctly rounded, so a change to an exact row fails here.  The fattree20
+# case is the one that reaches ``fattree_scheme_equivalence``.  The digests
+# are the same on CPython 3.10 and 3.11.
 PINNED_FLOAT_CASESTUDIES = [
     (["casestudy", "f10-latency"], {},
      "62248005af9fd5237c1e1ff318ed7e1c4036d67224f8b2861bcd96e2bd382470",
@@ -207,11 +209,16 @@ PINNED_FLOAT_CASESTUDIES = [
      {"ks": [2], "p_fail": Fraction(3, 7), "tol": FLOAT_TOL},
      "3c94cc3abb7e6f8e888e8c9941dba448b63aec254c0c68745ffd644c1957430e",
      "c8a86c340bb89023de87e80407c7ef036a0efef2f4629d418c8193cb99f40c2a"),
+    (["casestudy", "f10-resilience", "--exact", "--topo", "fattree20", "--k", "0,1,inf"],
+     {"topo_name": "fattree20", "ks": [0, 1, None]},
+     "0b27f7f607610d9632b2b0d3267549f2c47b010b43fd8468bfb4b799187d27a5",
+     "e9eb15a1fbb43b04f9bdaac6b50ac0420ea731cff0e63066a766bd56e03c0c50"),
 ]
 
 
 @pytest.mark.parametrize("args, kwargs, output_sha, report_sha", PINNED_FLOAT_CASESTUDIES,
-                         ids=["f10-latency", "f10-resilience-float"])
+                         ids=["f10-latency", "f10-resilience-float",
+                              "f10-resilience-fattree20"])
 def test_float_casestudy_output_is_pinned(capsys, args, kwargs, output_sha, report_sha):
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -338,8 +345,6 @@ def test_max_states_env(progdir, capsys, monkeypatch):
     ([], "abc"),
     ([], "-5"),
     (["--cap-subsets", "0"], None),
-    (["casestudy", "--jobs", "0"], None),
-    (["casestudy", "--jobs", "two"], None),
     (["sample", "-n", "-3"], None),
     (["sample", "--samples", "0"], None),
     (["sample", "--star-depth", "0"], None),
@@ -351,8 +356,6 @@ def test_counts_must_be_positive_integers(progdir, capsys, monkeypatch, args, en
     a0 = progdir("a0.pnk", ASSIGN0)
     if args[:1] == ["sample"]:
         argv = ["sample", a0, "--on", '[{"f": 0}]'] + args[1:]
-    elif args[:1] == ["casestudy"]:
-        argv = ["casestudy", "toy-overview"] + args[1:]
     else:
         argv = ["equiv", a0, a0] + args
     with pytest.raises(SystemExit) as exit_:
@@ -381,7 +384,8 @@ def test_seed_is_a_sample_flag_only(progdir, capsys):
 def test_flags_belong_to_the_subcommands_that_read_them(progdir, capsys):
     a0 = progdir("a0.pnk", ASSIGN0)
     on = ["--on", '[{"f": 0}]']
-    for argv, flag in ((["sample", a0, *on], "--tol 0"), (["dist", a0, *on], "--jobs 4")):
+    for argv, flag in ((["sample", a0, *on], "--tol 0"), (["dist", a0, *on], "--p 1/2"),
+                       (["casestudy", "toy-overview"], "--jobs 2")):
         with pytest.raises(SystemExit) as exit_:
             main(argv + flag.split())
         assert exit_.value.code == 2

@@ -377,11 +377,46 @@ def test_case_failure_only_flips_at_cores():
     assert len(dist) == 16 and sum(dist.values()) == 1
 
 
-def test_grid_of_an_unnamed_instance_runs_with_jobs():
-    # Grid workers rebuild the topology from TOPOLOGIES by name, and
-    # fattree(2) is not listed there: the grid runs in this process.
+def test_grid_of_an_unnamed_instance_runs():
+    # The grid takes a topology object, so one not listed in TOPOLOGIES
+    # runs too.
     from pnk.casestudy import resilience_grid
     topo = netlib.fattree(2)
     assert topo.name not in netlib.TOPOLOGIES
-    grid = resilience_grid(topo, ks=(0, None), jobs=2)
+    grid = resilience_grid(topo, ks=(0, None))
     assert [row["f10_0"] for row in grid] == ["yes", "no"]
+
+
+def test_case_studies_build_one_kernel_per_universe(monkeypatch):
+    # All models over one universe share a kernel: the schemes of each k of
+    # the grid and of the scheme comparison, and the two universes of
+    # f10-latency (the hop CDF's, with its counter, and the sweep's).  Each
+    # shared row equals the row of a fresh kernel on its model alone.
+    from pnk import casestudy
+    built, rows = [], []
+
+    class Counting(Kernel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def row(self, node, aset):
+            out = super().row(node, aset)
+            rows.append((self.universe, node, aset, out))
+            return out
+
+    monkeypatch.setattr(casestudy, "Kernel", Counting)
+    topo, ks = netlib.abfattree12(), casestudy.K_VALUES
+    for run, kernels in (
+            (lambda: casestudy.resilience_grid(topo, ks), len(ks)),
+            (lambda: casestudy.fattree_scheme_equivalence(topo, ks), len(ks)),
+            (lambda: casestudy.run_casestudy("f10-latency", "abfattree12"), 2)):
+        built.clear()
+        run()
+        assert len(built) == kernels
+    assert rows
+    fresh = {}
+    for universe, program, aset, row in rows:
+        if (universe, program) not in fresh:
+            fresh[universe, program] = Kernel(program, universe)
+        assert fresh[universe, program].apply(aset) == row
