@@ -20,8 +20,8 @@ from .row import Row
 from .star import PairStateGraph, explore, mark_saturated, star_dist, to_dot
 from .syntax import (
     Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Seq, Skip,
-    Star, Test, Union, Var, While, desugar, is_core, is_predicate,
-    predicate_set, pretty, restrict, validate,
+    Star, Test, Union, Var, While, desugar, is_core, is_predicate, pretty,
+    restrict, validate,
 )
 from .universe import EMPTY, FieldDecl, PacketSet, PacketUniverse
 

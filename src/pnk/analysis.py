@@ -27,7 +27,7 @@ from .row import Row, ratio
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    desugar, has_choice, is_core, predicate_set, restrict,
+    desugar, has_choice, is_core, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -53,17 +53,17 @@ class InputSpec:
 
     @classmethod
     def all_subsets(cls, packets, cap: int = DEFAULT_SUBSET_CAP) -> "InputSpec":
-        packets = tuple(sorted(packets))
+        """All subsets of ``packets``, a collection whose size is checked first."""
         if len(packets) > cap:
             raise WellFormednessError(
                 f"all-subsets over {len(packets)} packets exceeds the cap of {cap}"
             )
-        return cls(subset_base=packets)
+        return cls(subset_base=tuple(sorted(packets)))
 
     @classmethod
     def full_universe(cls, universe: PacketUniverse,
                       cap: int = DEFAULT_SUBSET_CAP) -> "InputSpec":
-        return cls.all_subsets(universe.all_packets(), cap=cap)
+        return cls.all_subsets(range(universe.packet_count), cap=cap)
 
     def rows(self):
         if self.explicit is not None:
@@ -282,11 +282,11 @@ def query_dist(mu: dict, measure: QuerySpec, universe: PacketUniverse):
     if measure.kind == "prob_nonempty":
         return sum((p for b, p in mu.items() if b), zero)
     if measure.kind == "prob_satisfies":
-        bt = predicate_set(measure.predicate, universe)
+        t = measure.predicate
         if measure.quantifier == "all":
-            keep = lambda b: b <= bt
+            keep = lambda b: restrict(t, b, universe) == b
         else:
-            keep = lambda b: bool(b & bt)
+            keep = lambda b: bool(restrict(t, b, universe))
         return sum((p for b, p in mu.items() if keep(b)), zero)
     if measure.kind in ("expected_field", "field_cdf"):
         universe.field(measure.field)  # an unknown field raises UniverseError

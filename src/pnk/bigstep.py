@@ -40,8 +40,9 @@ union.
 
 A sequence is a left-to-right fold of binds (Kleisli composition), one
 per step of its plan.  The plan folds the predicate parts right after a
-star into that star's ``collect`` filter, so ``p* ; t`` is solved as one
-pair chain whose accumulator only gathers packets that pass ``t``.  A
+star into one predicate node, that star's filter, so ``p* ; t`` is solved
+as one pair chain whose accumulator only gathers the members of each
+current set that pass ``t`` (``restrict``): filters are predicates.  A
 point mass on either side of a product, or on the left of a bind, skips
 the multiplication.  Rows equal those of any other bracketing of the
 chain.  A choice is one n-ary node (see ``syntax``): its rows are mixed
@@ -68,7 +69,7 @@ from .row import Row, joined, reduced, rounded
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    is_core, is_predicate, predicate_set, pretty, restrict,
+    is_core, is_predicate, pretty, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -160,8 +161,8 @@ class Kernel:
                 return self._union(node, aset)
             case Seq():
                 row = self._dirac(aset)
-                for part, collect in self._seq_plan(node):
-                    row = self._bind(row, part, collect)
+                for part, filt in self._seq_plan(node):
+                    row = self._bind(row, part, filt)
                 return row
             case Choice():
                 return self._choice(node, aset)
@@ -274,51 +275,51 @@ class Kernel:
         return Row(den, out)
 
     def _seq_plan(self, node: Seq) -> list:
-        """The (part, collect) steps of the sequence at ``node``, in order;
-        ``collect`` is the packet set of the predicate parts folded into the
-        star before them, or None.  Loops end in exactly such a filter."""
+        """The (part, filter) steps of the sequence at ``node``, in order;
+        ``filter`` is the predicate parts after a star as one node, or
+        None.  Loops end in exactly such a filter."""
         plan = self._plans.get(node)
         if plan is not None:
             return plan
         plan = []
         for q in node.parts:
             if plan and isinstance(plan[-1][0], Star) and is_predicate(q):
-                star, collect = plan[-1]
-                s = predicate_set(q, self.universe)
-                plan[-1] = (star, s if collect is None else collect & s)
+                star, filt = plan[-1]
+                plan[-1] = (star, q if filt is None else Seq(filt, q))
             else:
                 plan.append((q, None))
         self._plans[node] = plan
         return plan
 
-    def _step(self, node: Program, collect, aset: PacketSet) -> Row:
+    def _step(self, node: Program, filt, aset: PacketSet) -> Row:
         """The row of one sequence step: ``node``, or the star ``node``
-        followed by the filter ``collect``."""
-        if collect is None:
+        followed by the predicate ``filt``."""
+        if filt is None:
             return self._eval(node, aset)
-        return self._star(node, collect, aset)
+        return self._star(node, filt, aset)
 
-    def _star(self, node: Star, collect, aset: PacketSet) -> Row:
-        """The row of the star ``node``, then the filter ``collect`` unless
+    def _star(self, node: Star, filt, aset: PacketSet) -> Row:
+        """The row of the star ``node``, then the predicate ``filt`` unless
         None, from the (star, filter) table; a miss solves and fills it."""
-        table = self._tables.setdefault((node, collect), {})
+        table = self._tables.setdefault((node, filt), {})
         row = table.get(aset)
         if row is None:
+            keep = None if filt is None else lambda a: restrict(filt, a, self.universe)
             row = star_mod.star_dist(
                 lambda a: self._eval(node.body, a), aset,
-                cap=self.state_budget, collect=collect,
+                cap=self.state_budget, keep=keep,
                 program_text=lambda: pretty(node), table=table,
             )
         return row
 
-    def _bind(self, mu: Row, node: Program, collect) -> Row:
+    def _bind(self, mu: Row, node: Program, filt) -> Row:
         """The row of ``mu`` followed by one sequence step: the sum of the
         step's rows weighted by ``mu``, over the lcm of their
         denominators."""
         c = self._point(mu)
         if c is not None:
-            return self._step(node, collect, c)
-        steps = [(p, self._step(node, collect, c)) for c, p in mu.nums.items()]
+            return self._step(node, filt, c)
+        steps = [(p, self._step(node, filt, c)) for c, p in mu.nums.items()]
         m = lcm(*[r.den for _, r in steps])
         out = {}
         for p, r in steps:

@@ -95,6 +95,31 @@ def toy_overview(tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> di
 # -- F10 resilience grid -------------------------------------------------------
 
 
+def _resilience(topo: netlib.Topology, ks, p_fail: Fraction, schemes, tol: float,
+                state_budget: int) -> tuple[list[dict], list[dict]]:
+    """``resilience_grid``'s rows and, when the schemes include f10_0 and
+    f10_3, ``fattree_scheme_equivalence``'s, from one kernel per k."""
+    grid, same = [], []
+    for k in ks:
+        models = [netlib.build_case_model(scheme, topo, k, p_fail) for scheme in schemes]
+        shared = _ingress_rows(models, state_budget)
+        row = {"k": _k_label(k)}
+        for scheme, cm, dists in zip(schemes, models, shared):
+            target = frozenset({cm.target_packet})
+            teleported = Row(1, {target: 1})
+            agrees = all(_dist_mismatch(dist, teleported, tol) is None for dist in dists)
+            row[scheme] = "yes" if agrees else "no"
+            row[f"{scheme}_min_delivery"] = min((dist.prob(target) for dist in dists),
+                                                default=None)
+        grid.append(row)
+        by_scheme = dict(zip(schemes, shared))
+        if netlib.F10_0 in by_scheme and netlib.F10_3 in by_scheme:
+            agree = all(_dist_mismatch(r0, r3, tol) is None for r0, r3 in
+                        zip(by_scheme[netlib.F10_0], by_scheme[netlib.F10_3]))
+            same.append({"k": _k_label(k), "f10_0_eq_f10_3": "yes" if agree else "no"})
+    return grid, same
+
+
 def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
                     p_fail: Fraction = Fraction(1, 4),
                     schemes=netlib.F10_VARIANTS, tol: float = 0,
@@ -108,19 +133,7 @@ def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
     settles all ingress subsets.  A row agrees with the point mass on the
     target when every probability is within ``tol`` of it.
     """
-    rows = []
-    for k in ks:
-        models = [netlib.build_case_model(scheme, topo, k, p_fail) for scheme in schemes]
-        row = {"k": _k_label(k)}
-        for scheme, cm, dists in zip(schemes, models, _ingress_rows(models, state_budget)):
-            target = frozenset({cm.target_packet})
-            teleported = Row(1, {target: 1})
-            agrees = all(_dist_mismatch(dist, teleported, tol) is None for dist in dists)
-            row[scheme] = "yes" if agrees else "no"
-            row[f"{scheme}_min_delivery"] = min((dist.prob(target) for dist in dists),
-                                                default=None)
-        rows.append(row)
-    return rows
+    return _resilience(topo, ks, p_fail, schemes, tol, state_budget)[0]
 
 
 def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
@@ -129,14 +142,8 @@ def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
                                state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
     """Per-ingress equivalence of f10_0 and f10_3 under each failure bound;
     on the plain FatTree 3-hop rerouting never fires, so they must agree."""
-    out = []
-    for k in ks:
-        rows0, rows3 = _ingress_rows(
-            [netlib.build_case_model(scheme, topo, k, p_fail)
-             for scheme in (netlib.F10_0, netlib.F10_3)], state_budget)
-        same = all(_dist_mismatch(r0, r3, tol) is None for r0, r3 in zip(rows0, rows3))
-        out.append({"k": _k_label(k), "f10_0_eq_f10_3": "yes" if same else "no"})
-    return out
+    return _resilience(topo, ks, p_fail, (netlib.F10_0, netlib.F10_3), tol,
+                       state_budget)[1]
 
 
 # -- delivery and latency tables ----------------------------------------------
@@ -202,11 +209,10 @@ def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
     ks = K_VALUES if ks is None else ks
     report = {"casestudy": name, "topology": topo_name, "p_fail": str(p_fail)}
     if name == "f10-resilience":
-        report["grid"] = resilience_grid(topo, ks, p_fail, tol=tol,
-                                         state_budget=state_budget)
+        report["grid"], same = _resilience(topo, ks, p_fail, netlib.F10_VARIANTS,
+                                           tol, state_budget)
         if topo_name == "fattree20":
-            report["f10_0_eq_f10_3"] = fattree_scheme_equivalence(
-                topo, ks, p_fail, tol=tol, state_budget=state_budget)
+            report["f10_0_eq_f10_3"] = same
         return report
     if name == "f10-latency":
         p_values = p_values or [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),

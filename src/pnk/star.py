@@ -15,16 +15,20 @@ fills Q and R with those numerators, one denominator per transient state,
 and the solve returns reduced rows, so a star row is built without
 ``Fraction``s.
 
+For ``p* ; t`` the accumulator gathers only the packets that pass the
+predicate t: the filter ``keep`` is a callable (the kernel's is a ->
+restrict(t, a)), and b' = b | keep(a); an unfiltered star has none.
+
 The current-set process never reads the accumulator, so the row of a
 state (a, {}) is the star's row on input a in every chain of the same (star,
 filter).  ``star_dist`` puts the row of every unsaturated (a, {}) state it
 solves in the caller's table for that (star, filter).  From a state (a, b)
 the current sets then run as from (a, {}), and the final accumulator is
-b | F, where F is the final accumulator from (a, {}); with a filter pushed
-in, b' = b | (a & collect) gathers the same way.  So the row of (a, b) is
-the table's row of a joined with b (``row.joined``), and ``explore`` does
-not expand any later state whose current set is in the table: it is a
-known state, and the solve reads its row as it stands.
+b | F, where F is the final accumulator from (a, {}); with a filter, b' =
+b | keep(a) gathers the same way.  So the row of (a, b) is the table's
+row of a joined with b (``row.joined``), and ``explore`` does not expand
+any later state whose current set is in the table: it is a known state,
+and the solve reads its row as it stands.
 """
 
 from __future__ import annotations
@@ -48,13 +52,10 @@ class PairStateGraph:
     (successor index, weight), the weights being the body row's numerators
     over its denominator ``dens[i]``, which they sum to (a known state's
     ``dens`` entry is its row's); preds[j] lists the states with an edge
-    to j, in the order the edges were added.
-    ``collect``, when set, is a filter pushed into the accumulator: the
-    transition rule becomes b' = b | (a & collect), which computes the
-    output of ``p* ; t`` for the predicate t with packet set ``collect``
-    (intersection distributes over the accumulated union).  ``known`` maps
-    each state (a, b) left unexpanded, edgeless, to its row: the table's
-    row of a joined with b.
+    to j, in the order the edges were added.  Every successor of an
+    expanded state carries the same accumulator, b | a, or b | keep(a)
+    under a filter.  ``known`` maps each state (a, b) left unexpanded,
+    edgeless, to its row: the table's row of a joined with b.
     """
 
     states: list[tuple[PacketSet, PacketSet]]
@@ -62,17 +63,15 @@ class PairStateGraph:
     dens: list = field(default_factory=list)
     start: int = 0
     saturated: list[bool] | None = None
-    collect: PacketSet | None = None
     index: dict = field(default_factory=dict)
     known: dict = field(default_factory=dict)
     preds: list[list[int]] = field(default_factory=list)
 
 
 def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
-            collect: PacketSet | None = None, program_text=None,
-            table=None) -> PairStateGraph:
-    """BFS closure of the pair chain from (a0, {}) under b' = b | a
-    (or b' = b | (a & collect) when a filter is pushed in).
+            keep=None, program_text=None, table=None) -> PairStateGraph:
+    """BFS closure of the pair chain from (a0, {}) under b' = b | a, or
+    b' = b | keep(a) under the filter ``keep``, a callable (see the module).
 
     ``row_fn(a)`` must return the body kernel's ``Row`` on input ``a``.  A
     state (a, b) other than the start whose a is a key of ``table``
@@ -93,7 +92,7 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     while work:
         sid = work.popleft()
         a, b = states[sid]
-        b2 = b | a if collect is None else b | (a & collect)
+        b2 = b | (a if keep is None else keep(a))
         row = row_fn(a)
         dens[sid] = row.den
         out = []
@@ -122,33 +121,31 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
             preds[tid].append(sid)
         edges[sid] = out
     return PairStateGraph(states=states, edges=edges, dens=dens, start=0,
-                          index=index, collect=collect, known=known, preds=preds)
+                          index=index, known=known, preds=preds)
 
 
 def mark_saturated(g: PairStateGraph) -> PairStateGraph:
     """Flag states whose accumulator has reached its final value.
 
-    A state can still grow iff it reaches (in zero or more steps) a state
-    whose (filtered) current set is not contained in its accumulator, or
-    a known state (a, b) whose row is not the point mass on b; saturation
-    is the complement, computed by walking the predecessor lists back
-    from the growing states.
+    An expanded state grows iff its successors' accumulator differs from
+    its own, and a known state (a, b) iff its row is not the point mass on
+    b.  A state can still grow iff it reaches (in zero or more steps) a
+    growing state; saturation is the complement, computed by walking the
+    predecessor lists back from the growing states.
     """
-    n = len(g.states)
-    if g.collect is None:
-        growing = [i for i, (a, b) in enumerate(g.states) if not a <= b]
-    else:
-        growing = [i for i, (a, b) in enumerate(g.states)
-                   if not (a & g.collect) <= b]
-    if g.known:
-        growing += [i for i, row in g.known.items()
-                    if row.nums.keys() != {g.states[i][1]}]
-    preds = g.preds
-    unsat = [False] * n
+    states, edges, known, preds = g.states, g.edges, g.known, g.preds
+    unsat = [False] * len(states)
     work = deque()
-    for i in growing:
-        unsat[i] = True
-        work.append(i)
+    for i, (_, b) in enumerate(states):
+        row = known.get(i)
+        if row is None:
+            # The successors' accumulator contains b: it differs iff it is larger.
+            grows = len(states[edges[i][0][0]][1]) != len(b)
+        else:
+            grows = row.nums.keys() != {b}
+        if grows:
+            unsat[i] = True
+            work.append(i)
     while work:
         j = work.popleft()
         for i in preds[j]:
@@ -160,19 +157,18 @@ def mark_saturated(g: PairStateGraph) -> PairStateGraph:
 
 
 def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
-              collect: PacketSet | None = None, program_text=None,
-              table=None) -> Row:
+              keep=None, program_text=None, table=None) -> Row:
     """Output row of ``p*`` on input ``a0``.
 
     Explores the reachable pair chain, redirects saturated states to their
     canonical absorbing state, and solves the absorbing system for the rows
     of the start and of every other unsaturated state (a, {}), each of
-    which goes in ``table``.  With ``collect`` set, computes the composite
-    ``p* ; t`` for the predicate t with that packet set.
+    which goes in ``table``.  With the filter ``keep`` (a callable, see
+    ``explore``) of a predicate t, computes the composite ``p* ; t``.
     """
     if table is None:
         table = {}
-    g = mark_saturated(explore(row_fn, a0, cap=cap, collect=collect,
+    g = mark_saturated(explore(row_fn, a0, cap=cap, keep=keep,
                                program_text=program_text, table=table))
     sat = g.saturated
     if sat[g.start]:

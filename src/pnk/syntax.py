@@ -415,11 +415,6 @@ def restrict(t: Program, aset: PacketSet, universe: PacketUniverse) -> PacketSet
             raise WellFormednessError(f"not a predicate: {pretty(t)}")
 
 
-def predicate_set(t: Program, universe: PacketUniverse) -> PacketSet:
-    """The characteristic packet set ``b_t`` of a predicate."""
-    return restrict(t, universe.all_packets(), universe)
-
-
 # -- pretty-printing --------------------------------------------------------
 
 # Precedence levels, loosest first: choice, union, seq, neg, star, atom.

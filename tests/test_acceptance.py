@@ -23,7 +23,7 @@ from pnk.linalg import mat_mul
 from pnk.parser import parse
 from pnk.star import explore, mark_saturated
 from pnk.syntax import (
-    Assign, Choice, Seq, Skip, Star, Union, desugar, predicate_set,
+    Assign, Choice, Seq, Skip, Star, Union, desugar, restrict,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -160,7 +160,7 @@ def test_criterion_5():
         t = random_predicate(rng, UNI8, 3)
         a = random_set(rng, UNI8)
         k = Kernel(desugar(t), UNI8)
-        assert k.apply(a).as_dict() == {a & predicate_set(t, UNI8): Fraction(1)}
+        assert k.apply(a).as_dict() == {a & restrict(t, UNI8.all_packets(), UNI8): Fraction(1)}
 
     # Sequential composition is the bind of rows.
     for _ in range(CASES):

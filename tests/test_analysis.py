@@ -543,3 +543,53 @@ def test_input_spec_guards():
         InputSpec.of_sets([])
     with pytest.raises(WellFormednessError):
         InputSpec.all_subsets(range(20), cap=12)
+
+
+def _no_enumeration(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the universe's packets were enumerated")
+    monkeypatch.setattr(PacketUniverse, "all_packets", refuse)
+
+
+def test_full_universe_checks_the_packet_count_before_the_packets(monkeypatch):
+    u = PacketUniverse([FieldDecl("f", 1 << 10), FieldDecl("g", 1 << 10)])
+    _no_enumeration(monkeypatch)
+    with pytest.raises(WellFormednessError,
+                       match="over 1048576 packets exceeds the cap of 12"):
+        InputSpec.full_universe(u)
+
+
+def test_the_engine_never_enumerates_the_universe(uni2x2, monkeypatch):
+    # Star filters restrict the sets a chain meets and prob-satisfies
+    # restricts each outcome, so no step builds a predicate's packet set
+    # over the universe.  Every result equals a reference taken before
+    # all_packets is made to raise.
+    from pnk import casestudy, netlib
+    topo, u = netlib.abfattree12(), uni2x2
+    rng = random.Random(14)
+    cases = []
+    for _ in range(40):
+        p = random_program(rng, u, 2, stars=0)
+        filters = [random_predicate(rng, u, 2) for _ in range(rng.randrange(1, 3))]
+        cases.append((p, seq(Star(p), *filters), random_predicate(rng, u, 2),
+                      random_set(rng, u)))
+    spec = InputSpec.all_subsets(range(u.packet_count))
+
+    def run():
+        out = [casestudy._ingress_rows(
+            [netlib.build_case_model(scheme, topo, k, Fraction(1, 4))
+             for scheme in netlib.F10_VARIANTS], star.DEFAULT_STATE_BUDGET)
+            for k in (2, None)]
+        for p, whole, t, a in cases:
+            other = Seq(Star(p), t)
+            out.append((equiv(whole, other, spec, u), leq(whole, other, spec, u),
+                        leq(other, whole, spec, u)))
+            out.append([query(whole, a, QuerySpec.prob_satisfies(t, quantifier), u)
+                        for quantifier in ("all", "some")])
+        return out
+
+    reference = run()
+    _no_enumeration(monkeypatch)
+    assert run() == reference
+    verdicts = [v.result for triple in reference[2::2] for v in triple]
+    assert {"equal", "not-equal", "leq", "not-leq"} <= set(verdicts)

@@ -12,7 +12,7 @@ from pnk.errors import WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
-    predicate_set, union,
+    restrict, union,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -103,7 +103,7 @@ def test_predicate_law(uni2x2):
     for _ in range(300):
         t = random_predicate(rng, uni2x2, 3)
         a = random_set(rng, uni2x2)
-        assert row(t, uni2x2, a) == delta(a & predicate_set(t, uni2x2))
+        assert row(t, uni2x2, a) == delta(a & restrict(t, uni2x2.all_packets(), uni2x2))
 
 
 def test_seq_is_bind_of_rows(uni2x2):

@@ -389,9 +389,10 @@ def test_grid_of_an_unnamed_instance_runs():
 
 def test_case_studies_build_one_kernel_per_universe(monkeypatch):
     # All models over one universe share a kernel: the schemes of each k of
-    # the grid and of the scheme comparison, and the two universes of
-    # f10-latency (the hop CDF's, with its counter, and the sweep's).  Each
-    # shared row equals the row of a fresh kernel on its model alone.
+    # the grid and of the scheme comparison, the fattree20 report's grid and
+    # comparison together, and the two universes of f10-latency (the hop
+    # CDF's, with its counter, and the sweep's).  Each shared row equals the
+    # row of a fresh kernel on its model alone.
     from pnk import casestudy
     built, rows = [], []
 
@@ -410,6 +411,8 @@ def test_case_studies_build_one_kernel_per_universe(monkeypatch):
     for run, kernels in (
             (lambda: casestudy.resilience_grid(topo, ks), len(ks)),
             (lambda: casestudy.fattree_scheme_equivalence(topo, ks), len(ks)),
+            (lambda: casestudy.run_casestudy("f10-resilience", "fattree20", ks),
+             len(ks)),
             (lambda: casestudy.run_casestudy("f10-latency", "abfattree12"), 2)):
         built.clear()
         run()

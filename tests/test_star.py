@@ -10,7 +10,7 @@ from pnk.linalg import SparseMatrix, mat_mul
 from pnk.row import Row
 from pnk.star import explore, mark_saturated, star_dist, to_dot
 from pnk.syntax import (
-    Assign, Choice, Drop, Seq, Skip, Star, Union, desugar, predicate_set,
+    Assign, Choice, Drop, Seq, Skip, Star, Test, Union, desugar, restrict,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -236,7 +236,7 @@ def test_filtered_star_matches_post_filter(uni2x2):
         p = random_program(rng, uni2x2, 2, stars=0)
         t = random_predicate(rng, uni2x2, 2)
         a0 = random_set(rng, uni2x2)
-        bt = predicate_set(t, uni2x2)
+        bt = restrict(t, uni2x2.all_packets(), uni2x2)
         composite = Kernel(desugar(Seq(Star(p), t)), uni2x2).apply(a0).as_dict()
         plain = star_row(p, uni2x2, a0)
         expected = {}
@@ -261,43 +261,44 @@ def test_known_states_come_from_the_table():
     # The chain from f=2 then stops at both, and its row is unchanged.
     u = PacketUniverse([FieldDecl("f", 3)])
     body = body_row(FLIP, u)
-    collect = frozenset({u.packet(f=1)})
+    keep = lambda a: restrict(Test("f", 1), a, u)
     table = {}
-    star_dist(body, frozenset({u.packet(f=0)}), collect=collect, table=table)
+    star_dist(body, frozenset({u.packet(f=0)}), keep=keep, table=table)
     assert set(table) == {frozenset({u.packet(f=0)}), frozenset({u.packet(f=1)})}
     a0 = frozenset({u.packet(f=2)})
-    g = mark_saturated(explore(body, a0, collect=collect, table=table))
+    g = mark_saturated(explore(body, a0, keep=keep, table=table))
     assert sorted(g.states[i] for i in g.known) == [
         (frozenset({u.packet(f=0)}), EMPTY), (frozenset({u.packet(f=1)}), EMPTY)]
     assert all(g.edges[i] == [] for i in g.known)
     assert to_dot(g).count("style=dashed") == 2
-    assert star_dist(body, a0, collect=collect, table=table) == \
-        star_dist(body, a0, collect=collect)
+    assert star_dist(body, a0, keep=keep, table=table) == \
+        star_dist(body, a0, keep=keep)
 
 
 # -- known states: the table row joined with the accumulator ----------------
 
 
 def random_star_case(rng, u):
-    """A random star-free body, a filter (None or a predicate's packet set)
-    and the program whose rows the star chains of that body compute."""
+    """A random star-free body, a filter (None or the callable that
+    restricts a set to a predicate) and the program whose rows the star
+    chains of that body compute."""
     p = random_program(rng, u, 2, stars=0)
     if rng.random() < 0.5:
         return p, None, Star(p)
     t = random_predicate(rng, u, 2)
-    return p, predicate_set(t, u), Seq(Star(p), t)
+    return p, lambda a: restrict(t, a, u), Seq(Star(p), t)
 
 
 def test_known_states_carry_the_table_row_joined_with_the_accumulator(uni2x2):
     rng = random.Random(8)
     joined_states = 0
     for _ in range(150):
-        p, collect, whole = random_star_case(rng, uni2x2)
+        p, keep, whole = random_star_case(rng, uni2x2)
         body = body_row(p, uni2x2)
         table = {}
         for _ in range(5):
-            star_dist(body, random_set(rng, uni2x2), collect=collect, table=table)
-        g = explore(body, random_set(rng, uni2x2), collect=collect, table=table)
+            star_dist(body, random_set(rng, uni2x2), keep=keep, table=table)
+        g = explore(body, random_set(rng, uni2x2), keep=keep, table=table)
         fresh = Kernel(desugar(whole), uni2x2)
         for i, row in g.known.items():
             a, b = g.states[i]
@@ -313,15 +314,47 @@ def test_known_states_carry_the_table_row_joined_with_the_accumulator(uni2x2):
 def test_prefilled_table_gives_the_same_rows(uni2x2):
     rng = random.Random(9)
     for _ in range(150):
-        p, collect, _ = random_star_case(rng, uni2x2)
+        p, keep, _ = random_star_case(rng, uni2x2)
         others = [random_set(rng, uni2x2) for _ in range(3)]
         a0 = random_set(rng, uni2x2)
         body = body_row(p, uni2x2)
         table = {}
         for a in others:
-            star_dist(body, a, collect=collect, table=table)
-        filled = star_dist(body, a0, collect=collect, table=table)
-        assert filled == star_dist(body, a0, collect=collect)
+            star_dist(body, a, keep=keep, table=table)
+        filled = star_dist(body, a0, keep=keep, table=table)
+        assert filled == star_dist(body, a0, keep=keep)
+
+
+def test_saturation_read_off_the_chain_matches_the_filter_definition(uni2x2):
+    # mark_saturated compares each expanded state's accumulator with its
+    # successors'.  The definition it replaces reads the filter: a state
+    # grows iff keep(a) is not contained in b, or it is a known state whose
+    # row is not the point mass on b; it is saturated iff it reaches no
+    # growing state.
+    rng = random.Random(10)
+    filtered = known = 0
+    for _ in range(200):
+        p, keep, _ = random_star_case(rng, uni2x2)
+        body = body_row(p, uni2x2)
+        table = {}
+        for _ in range(rng.randrange(6)):
+            star_dist(body, random_set(rng, uni2x2), keep=keep, table=table)
+        g = mark_saturated(explore(body, random_set(rng, uni2x2), keep=keep,
+                                   table=table))
+        kept = (lambda a: a) if keep is None else keep
+        unsat = {i for i, (a, b) in enumerate(g.states)
+                 if not kept(a) <= b
+                 or (i in g.known and g.known[i].nums.keys() != {b})}
+        grew = True
+        while grew:
+            before = len(unsat)
+            unsat |= {i for i, out in enumerate(g.edges)
+                      if any(j in unsat for j, _ in out)}
+            grew = len(unsat) > before
+        assert g.saturated == [i not in unsat for i in range(len(g.states))]
+        filtered += keep is not None
+        known += bool(g.known)
+    assert filtered > 50 and known > 20  # 96 and 31 with this seed
 
 
 def test_explore_runs_without_a_table():

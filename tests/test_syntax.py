@@ -14,7 +14,7 @@ from pnk.errors import ParseError, WellFormednessError
 from pnk.parser import parse, parse_file_text
 from pnk.syntax import (
     Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Seq, Skip, Star,
-    Test, Union, Var, While, desugar, is_predicate, predicate_set, pretty,
+    Test, Union, Var, While, desugar, is_predicate, pretty,
     restrict, validate,
 )
 from pnk.universe import FieldDecl, PacketUniverse
@@ -226,20 +226,20 @@ def test_non_finite_choice_weight_is_ill_formed(w):
         NaryChoice(((Skip(), w), (Drop(), 0.5)))
 
 
-# -- predicate sets -----------------------------------------------------------
+# -- predicate sets: restrict on the whole universe -----------------------------
 
 def test_predicate_set_base_cases():
     u = PacketUniverse([FieldDecl("f", 2)])
-    assert predicate_set(Drop(), u) == frozenset()
-    assert predicate_set(Neg(Skip()), u) == frozenset()
-    assert predicate_set(Test("f", 1), u) == frozenset({u.packet(f=1)})
+    assert restrict(Drop(), u.all_packets(), u) == frozenset()
+    assert restrict(Neg(Skip()), u.all_packets(), u) == frozenset()
+    assert restrict(Test("f", 1), u.all_packets(), u) == frozenset({u.packet(f=1)})
 
 
 def test_predicate_set_contradiction_and_excluded_middle():
     u = PacketUniverse([FieldDecl("f", 3)])
     t = Test("f", 1)
-    assert predicate_set(Seq(t, Neg(t)), u) == frozenset()
-    assert predicate_set(Union(t, Neg(t)), u) == u.all_packets()
+    assert restrict(Seq(t, Neg(t)), u.all_packets(), u) == frozenset()
+    assert restrict(Union(t, Neg(t)), u.all_packets(), u) == u.all_packets()
 
 
 def test_predicate_set_de_morgan():
@@ -248,14 +248,14 @@ def test_predicate_set_de_morgan():
     for _ in range(200):
         t = random_predicate(rng, u, 3)
         s = random_predicate(rng, u, 3)
-        lhs = predicate_set(Neg(Union(t, s)), u)
-        rhs = predicate_set(Seq(Neg(t), Neg(s)), u)
+        lhs = restrict(Neg(Union(t, s)), u.all_packets(), u)
+        rhs = restrict(Seq(Neg(t), Neg(s)), u.all_packets(), u)
         assert lhs == rhs
 
 
 def test_predicate_set_rejects_programs():
     with pytest.raises(WellFormednessError):
-        predicate_set(Assign("f", 1), U)
+        restrict(Assign("f", 1), U.all_packets(), U)
 
 
 def passes(t, record) -> bool:
