@@ -13,6 +13,23 @@ itself: equal subterms share their entries, and a keyed node stays alive
 while its entries do.  Rows are shared: the memo, the rows built from
 them and the star tables hand out the same row, so nobody changes one.
 
+Deterministic subterms are set maps.  A core program without ``+[r]`` and
+``*`` is deterministic and additive: on a set a, its row is the point mass
+on the union of its images of the packets in a (Anderson et al., *NetKAT:
+Semantic Foundations for Networks*, POPL 2014).  So the kernel compiles
+each such node once (``Kernel._set_map``) into a function from a packet
+set to a packet set: a test selects, reading one field digit on a
+singleton; an assignment is ``PacketUniverse.modify``; ``!t`` maps a to
+a - t(a); a sequence folds its parts' maps and stops at the empty set;
+and a union picks its branches through its guard table (below) and
+unites their images.  The row of a deterministic node is the point mass
+on its map's image, with one memo entry per input set at the node the
+interpreter reached it from (a part, or a run of a sequence's parts; see
+below), and none inside it.  Only ``Choice``, ``Star`` and the ``Union``
+and ``Seq`` nodes that contain them reach the interpreter.  The maps hold
+no reference to their kernel, so a kernel is freed with its last
+reference, without the cycle collector.
+
 Exact rows are built without ``Fraction``s and reduced by their gcd where
 they are made:
 
@@ -39,16 +56,19 @@ unchanged.  The branches picked are multiplied in their order in the
 union.
 
 A sequence is a left-to-right fold of binds (Kleisli composition), one
-per step of its plan.  The plan folds the predicate parts right after a
+per step of its plan.  The plan joins each run of consecutive
+deterministic parts into one step, their ``Seq``: one set map, and one
+memo entry per input set.  It folds the predicate parts right after a
 star into one predicate node, that star's filter, so ``p* ; t`` is solved
 as one pair chain whose accumulator only gathers the members of each
-current set that pass ``t`` (``restrict``): filters are predicates.  A
-point mass on either side of a product, or on the left of a bind, skips
-the multiplication.  Rows equal those of any other bracketing of the
-chain.  A choice is one n-ary node (see ``syntax``): its rows are mixed
-from its last part back, as the right-nested binary choices it stands for
-would be.  Its plan, made once, drops the parts a weight of 0 or 1 cuts
-off and keeps each other weight as an integer pair (n, d).
+current set that pass ``t`` (the filter's set map): filters are
+predicates.  A point mass on either side of a product, or on the left of
+a bind, skips the multiplication.  Rows equal those of any other
+bracketing of the chain.  A choice is one n-ary node (see ``syntax``):
+its rows are mixed from its last part back, as the right-nested binary
+choices it stands for would be.  Its plan, made once, drops the parts a
+weight of 0 or 1 cuts off and keeps each other weight as an integer pair
+(n, d).
 
 Every star goes through the kernel's table of solved rows for its (star
 node, filter), which maps a current set a to the star's row on a; a chain
@@ -69,9 +89,11 @@ from .row import Row, joined, reduced, rounded
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    is_core, is_predicate, pretty, restrict,
+    is_core, is_predicate, pretty, seq,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
+
+_UNSET = object()  # a node not yet compiled (see ``Kernel._set_map``)
 
 
 def _leading_tests(node: Program) -> dict:
@@ -83,6 +105,28 @@ def _leading_tests(node: Program) -> dict:
             break
         tests.setdefault(q.field, q.value)
     return tests
+
+
+def _picked(plan, aset: PacketSet) -> list:
+    """The indices, in chain order, of the branches of a union plan to
+    evaluate on ``aset``: the unguarded ones and those listed under a
+    value the guard field takes in ``aset``.  On a singleton this is one
+    digit read and one lookup."""
+    read, table, unguarded = plan
+    if read is None:
+        return unguarded
+    if len(aset) == 1:
+        for i in aset:
+            return table.get(read(i), unguarded)
+    values = {read(i) for i in aset}
+    if len(values) == 1:
+        return table.get(values.pop(), unguarded)
+    if not values:
+        return unguarded
+    merged = set(unguarded)
+    for v in values:
+        merged.update(table.get(v, ()))
+    return sorted(merged)
 
 
 class Kernel:
@@ -102,6 +146,7 @@ class Kernel:
         self.state_budget = state_budget
         self._memo: dict = {}
         self._plans: dict = {}
+        self._maps: dict = {}
         self._tables: dict = {}
         self._diracs: dict = {}
         self._empty = self._dirac(EMPTY)
@@ -146,17 +191,10 @@ class Kernel:
         return out
 
     def _eval_uncached(self, node: Program, aset: PacketSet) -> Row:
+        fn = self._set_map(node)
+        if fn is not None:
+            return self._dirac(fn(aset))
         match node:
-            case Drop():
-                return self._empty
-            case Skip():
-                return self._dirac(aset)
-            case Test(f, v):
-                return self._dirac(self.universe.select(aset, f, v))
-            case Assign(f, v):
-                return self._dirac(self.universe.modify(aset, f, v))
-            case Neg(t):
-                return self._dirac(aset - restrict(t, aset, self.universe))
             case Union():
                 return self._union(node, aset)
             case Seq():
@@ -170,6 +208,75 @@ class Kernel:
                 return self._star(node, None, aset)
             case _:
                 raise WellFormednessError(f"non-core node {node!r}")
+
+    # -- deterministic subterms ----------------------------------------------
+
+    def _set_map(self, node: Program):
+        """The compiled set map of ``node``, made once per node: the function
+        from a packet set to the one set ``node`` maps it to.  None for a
+        node that contains a ``Choice`` or a ``Star``, or is not core."""
+        fn = self._maps.get(node, _UNSET)
+        if fn is _UNSET:
+            fn = self._maps[node] = self._compile(node)
+        return fn
+
+    def _compile(self, node: Program):
+        u = self.universe
+        match node:
+            case Drop():
+                return lambda a: EMPTY
+            case Skip():
+                return lambda a: a
+            case Test(f, v):
+                u.check_value(f, v)
+                read = u.reader(f)
+
+                def test(a):
+                    if len(a) != 1:
+                        return u.select(a, f, v)
+                    for i in a:
+                        return a if read(i) == v else EMPTY
+                return test
+            case Assign(f, v):
+                u.check_value(f, v)
+                return lambda a: u.modify(a, f, v)
+            case Neg(t):
+                if not is_predicate(t):
+                    raise WellFormednessError(f"not a predicate: {pretty(t)}")
+                inner = self._set_map(t)
+
+                def neg(a):  # a predicate keeps a subset of its input
+                    b = inner(a)
+                    return a if not b else EMPTY if len(b) == len(a) else a - b
+                return neg
+            case Seq(parts):
+                maps = [self._set_map(q) for q in parts]
+                if None in maps:
+                    return None
+
+                def seq(a):
+                    for m in maps:
+                        if not a:
+                            break
+                        a = m(a)
+                    return a
+                return seq
+            case Union(parts):
+                maps = [self._set_map(q) for q in parts]
+                if None in maps:
+                    return None
+                plan = self._union_plan(node)
+
+                def union(a):
+                    out = EMPTY
+                    for i in _picked(plan, a):
+                        b = maps[i](a)
+                        if b:
+                            out = out | b if out else b
+                    return out
+                return union
+            case _:
+                return None
 
     def _choice(self, node: Choice, aset: PacketSet) -> Row:
         """The row of the choice ``node``: its parts' rows in order, skipping
@@ -215,32 +322,23 @@ class Kernel:
         return reduced(d * m, out)
 
     def _union(self, node: Union, aset: PacketSet) -> Row:
-        branches, guard, table, unguarded = self._union_plan(node)
-        picked = unguarded
-        if guard is not None:
-            values = self.universe.values(aset, guard)
-            if len(values) == 1:
-                picked = table.get(next(iter(values)), unguarded)
-            elif values:
-                merged = set(unguarded)
-                for v in values:
-                    merged.update(table.get(v, ()))
-                picked = sorted(merged)
+        branches = node.parts
         out = None
-        for i in picked:
+        for i in _picked(self._union_plan(node), aset):
             row = self._eval(branches[i], aset)
             out = row if out is None else self._product(out, row)
         return self._empty if out is None else out
 
     def _union_plan(self, node: Union):
-        """(branches, guard field, value -> branch indices, unguarded
-        indices) of the union chain at ``node``; index lists are in chain
-        order, and each value's list includes the unguarded branches."""
+        """(guard reader, value -> branch indices, unguarded indices) of the
+        union chain at ``node``: the reader gives a packet's value of the
+        guard field, or is None if no branch starts with a test.  Index
+        lists are in chain order, and each value's list includes the
+        unguarded branches."""
         plan = self._plans.get(node)
         if plan is not None:
             return plan
-        branches = node.parts
-        leads = [_leading_tests(b) for b in branches]
+        leads = [_leading_tests(b) for b in node.parts]
         votes = Counter(f for tests in leads for f in tests)
         guard = votes.most_common(1)[0][0] if votes else None
         table: dict = {}
@@ -253,8 +351,8 @@ class Kernel:
         for v, listed in table.items():
             self.universe.check_value(guard, v)
             table[v] = sorted(listed + unguarded)
-        plan = (branches, guard, table, unguarded)
-        self._plans[node] = plan
+        read = None if guard is None else self.universe.reader(guard)
+        plan = self._plans[node] = (read, table, unguarded)
         return plan
 
     def _product(self, mu: Row, nu: Row) -> Row:
@@ -277,18 +375,25 @@ class Kernel:
     def _seq_plan(self, node: Seq) -> list:
         """The (part, filter) steps of the sequence at ``node``, in order;
         ``filter`` is the predicate parts after a star as one node, or
-        None.  Loops end in exactly such a filter."""
+        None.  Loops end in exactly such a filter.  A run of consecutive
+        deterministic parts is one step, their ``Seq``, so one set map."""
         plan = self._plans.get(node)
         if plan is not None:
             return plan
-        plan = []
+        steps = []  # [part, or a list of deterministic parts; filter]
         for q in node.parts:
-            if plan and isinstance(plan[-1][0], Star) and is_predicate(q):
-                star, filt = plan[-1]
-                plan[-1] = (star, q if filt is None else Seq(filt, q))
+            if steps and isinstance(steps[-1][0], Star) and is_predicate(q):
+                filt = steps[-1][1]
+                steps[-1][1] = q if filt is None else Seq(filt, q)
+            elif self._set_map(q) is None:
+                steps.append([q, None])
+            elif steps and isinstance(steps[-1][0], list):
+                steps[-1][0].append(q)
             else:
-                plan.append((q, None))
-        self._plans[node] = plan
+                steps.append([[q], None])
+        plan = self._plans[node] = [
+            (seq(*part) if isinstance(part, list) else part, filt)
+            for part, filt in steps]
         return plan
 
     def _step(self, node: Program, filt, aset: PacketSet) -> Row:
@@ -304,7 +409,7 @@ class Kernel:
         table = self._tables.setdefault((node, filt), {})
         row = table.get(aset)
         if row is None:
-            keep = None if filt is None else lambda a: restrict(filt, a, self.universe)
+            keep = None if filt is None else self._set_map(filt)
             row = star_mod.star_dist(
                 lambda a: self._eval(node.body, a), aset,
                 cap=self.state_budget, keep=keep,

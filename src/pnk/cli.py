@@ -14,7 +14,9 @@ default, except for ``casestudy f10-latency``) a probability prints as a
 reduced rational and decisions compare exactly.  In float mode (--float)
 decisions compare within --tol, and each ``Fraction`` of the report prints
 as the double nearest it.  Reports are JSON by default or CSV via --format
-csv: the report's first table, or else one key,value row per entry.
+csv: the report's table, with every other entry as a constant column, or
+else one key,value row per entry.  A report with two tables has no CSV
+form: --format csv refuses it (exit 2).
 """
 
 from __future__ import annotations
@@ -79,19 +81,28 @@ def _jsonable(x):
     return x
 
 
-def _emit(obj, fmt: str) -> None:
+def _emit(obj, fmt: str, table: str | None = None) -> None:
+    """Print the report ``obj``.  As CSV: its one table, with each other
+    entry as a constant column, or one key,value row per entry if it has
+    none.  ``table`` names the table; by default every entry that is a list
+    of dicts is one, and a report with two has no CSV form."""
     if fmt == "json":
         print(json.dumps(_jsonable(obj), indent=2, sort_keys=True))
         return
-    # CSV: the first table (a list of dicts) in the report, else one
-    # key,value row per entry.
+    tables = [table] if table is not None else [
+        k for k, v in obj.items()
+        if isinstance(v, list) and v and isinstance(v[0], dict)]
+    if len(tables) > 1:
+        raise PnkError(f"--format csv writes one table, but this report has "
+                       f"{len(tables)}: {', '.join(tables)}; use --format json")
     out = csv.writer(sys.stdout, lineterminator="\n")
-    rows = next((v for v in obj.values()
-                 if isinstance(v, list) and v and isinstance(v[0], dict)), None)
-    if rows is not None:
+    if tables:
+        rows = obj[tables[0]]
         keys = list(rows[0].keys())
-        out.writerow(keys)
-        out.writerows([_cell(r.get(k, "")) for k in keys] for r in rows)
+        consts = [(k, _cell(v)) for k, v in obj.items() if k != tables[0]]
+        out.writerow(keys + [k for k, _ in consts])
+        tail = [c for _, c in consts]
+        out.writerows([_cell(r.get(k, "")) for k in keys] + tail for r in rows)
     else:
         out.writerows([k, _cell(v)] for k, v in obj.items())
 
@@ -315,7 +326,7 @@ def _dispatch(args) -> int:
             ],
         }, fmt)
         return 0
-    code = 0
+    code, table = 0, None
     if args.cmd in ("equiv", "leq"):
         uni, p, q = _load_two(args)
         decide = equiv if args.cmd == "equiv" else leq
@@ -329,6 +340,7 @@ def _dispatch(args) -> int:
         kern = Kernel(desugar(p), uni, exact=args.exact,
                       state_budget=args.max_states)
         report = kern.apply(aset).to_jsonable(uni, aset)
+        table = "support"  # the input set is a list of packet records too
     elif args.cmd == "query":
         uni, p = _load_program(args.file1, _load_universe(args))
         aset = _packets_arg(args.on, uni)
@@ -345,7 +357,7 @@ def _dispatch(args) -> int:
             state_budget=args.max_states)
         if args.name == "f10-latency":
             report["mode"] = "exact" if args.exact else "float"
-    _emit(report if args.exact else _rounded(report), fmt)
+    _emit(report if args.exact else _rounded(report), fmt, table)
     return code
 
 

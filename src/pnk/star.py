@@ -76,8 +76,8 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     ``row_fn(a)`` must return the body kernel's ``Row`` on input ``a``.  A
     state (a, b) other than the start whose a is a key of ``table``
     (current set -> solved row) is not expanded: it is known, with the
-    table's row of a joined with b.  Raises BudgetExceededError when more
-    than ``cap`` states become reachable.
+    table's row of a joined with b.  Raises BudgetExceededError, with the
+    counts reached so far, when more than ``cap`` states become reachable.
     """
     if table is None:
         table = {}
@@ -89,6 +89,7 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     dens: list = [1]
     known: dict = {}
     work = deque([0])
+    expanded = 0
     while work:
         sid = work.popleft()
         a, b = states[sid]
@@ -104,7 +105,9 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                 if tid >= cap:
                     text = program_text() if callable(program_text) else program_text
                     raise BudgetExceededError(
-                        f"pair-state budget of {cap} states exceeded", text
+                        f"pair-state budget of {cap} states exceeded", text,
+                        states_reached=tid + 1, states_expanded=expanded,
+                        accumulators=len({b for _, b in states} | {b2}),
                     )
                 index[succ] = tid
                 states.append(succ)
@@ -120,6 +123,7 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
             out.append((tid, p))
             preds[tid].append(sid)
         edges[sid] = out
+        expanded += 1
     return PairStateGraph(states=states, edges=edges, dens=dens, start=0,
                           index=index, known=known, preds=preds)
 

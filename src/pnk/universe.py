@@ -129,6 +129,12 @@ class PacketUniverse:
         pos = self._pos[name]
         return (idx // self._weights[pos]) % self.decls[pos].size
 
+    def reader(self, name: str):
+        """The function from a packet index to its value of field ``name``:
+        one digit read, for code that reads one field of many packets."""
+        w, size = self._digit(name, 0)
+        return lambda i: i // w % size
+
     def record(self, idx: int) -> dict[str, int]:
         vals = self.decode(idx)
         return {d.name: v for d, v in zip(self.decls, vals)}
@@ -142,11 +148,6 @@ class PacketUniverse:
         """Members of ``aset`` that pass the test ``name = value``."""
         w, size = self._digit(name, value)
         return frozenset([i for i in aset if (i // w) % size == value])
-
-    def values(self, aset: PacketSet, name: str) -> set[int]:
-        """The values field ``name`` takes on the members of ``aset``."""
-        w, size = self._digit(name, 0)
-        return {(i // w) % size for i in aset}
 
     def modify(self, aset: PacketSet, name: str, value: int) -> PacketSet:
         """Image of ``aset`` under the field update ``name := value``."""

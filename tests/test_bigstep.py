@@ -1,18 +1,21 @@
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from pnk.analysis import dist_leq
+from pnk import netlib
+from pnk.analysis import dist_leq, sample_run
 from pnk.bigstep import Kernel
 from pnk.errors import WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
-    restrict, union,
+    has_choice, restrict, union,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -277,6 +280,106 @@ def test_kernel_rejects_sugar(uni2x2):
     from pnk.syntax import If
     with pytest.raises(WellFormednessError):
         Kernel(If(Skip(), Skip(), Skip()), uni2x2)
+
+
+# -- deterministic subterms: compiled set maps --------------------------------
+
+
+def _deterministic_programs(rng, u, n):
+    """``n`` random choice-free, star-free core programs."""
+    out = []
+    while len(out) < n:
+        if rng.random() < 0.3:
+            p = random_predicate(rng, u, rng.randrange(4))
+        else:
+            p = random_program(rng, u, rng.randrange(5), stars=0)
+        if not has_choice(p):
+            out.append(p)
+    return out
+
+
+def test_compiled_set_maps_match_the_sampler(uni8):
+    # A choice-free, star-free program is evaluated as a compiled set map;
+    # its row must be the point mass on its one run, which the sampler (it
+    # shares no code with the kernel) computes exactly.
+    u = uni8
+    f0, f1, g1 = Test("f", 0), Test("f", 1), Test("g", 1)
+    handmade = [
+        Neg(Union(f0, g1)),
+        Seq(Neg(Seq(f1, Neg(g1))), Assign("h", 1)),
+        Union(Assign("f", 1), Assign("g", 0)),  # no guard field
+        # Guarded by f, with no branch under f=1 and none unguarded.
+        Union(Seq(f0, Assign("g", 1)), Seq(f0, g1, Assign("h", 1))),
+        Union(Seq(f1, Assign("f", 0)), Seq(f0, Assign("f", 1)), Assign("h", 1)),
+        Seq(Assign("f", 1), Drop(), Assign("g", 1)),
+    ]
+    rng = random.Random(61)
+    sets = [EMPTY, u.all_packets(), *(frozenset({i}) for i in range(u.packet_count))]
+    for p in handmade + _deterministic_programs(rng, u, 400):
+        k = Kernel(p, u)
+        assert k._set_map(p) is not None
+        for a in sets + [random_set(rng, u) for _ in range(4)]:
+            assert k.row(p, a).as_dict() == delta(sample_run(p, a, u, 0))
+
+
+def _parts(node):
+    if isinstance(node, (Union, Seq, Choice)):
+        return node.parts
+    if isinstance(node, (Neg, Star)):
+        return (node.body,)
+    return ()
+
+
+def test_no_memo_entries_inside_deterministic_subterms():
+    # Only the interpreter makes memo entries.  It evaluates the program,
+    # the parts of the unions, choices and stars that contain a choice or
+    # a star, and the steps of such sequences (a step is a part, or a run
+    # of deterministic parts).  So every memo key is one of those; a node
+    # that lies inside a deterministic subterm has a key only if it is also
+    # (nodes are interned, so shared) one the interpreter evaluates.
+    cm = netlib.build_case_model(netlib.F10_35, netlib.abfattree20(), None)
+    k = Kernel(desugar(cm.program), cm.universe)
+    for src in cm.in_packets:
+        k.apply(frozenset({src}))
+    nodes, stack = set(), [k.program]
+    while stack:
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(_parts(node))
+    interpreted = {n for n in nodes if k._set_map(n) is None}
+    evaluated = {k.program}
+    for n in interpreted:
+        if isinstance(n, Seq):
+            evaluated.update(step for step, _ in k._seq_plan(n))
+        else:
+            evaluated.update(_parts(n))
+    keys = {node for node, _ in k._memo}
+    assert keys <= evaluated
+    assert any(k._set_map(n) is not None for n in keys)
+    # The deterministic top nodes hold one entry per input set, and no
+    # node inside them has one of its own.
+    deterministic = (nodes | evaluated) - interpreted
+    inside = {q for n in deterministic for q in _parts(n)} - evaluated
+    assert inside and not keys & inside
+
+
+def test_a_kernel_is_freed_without_the_cycle_collector(uni8):
+    # The compiled maps hold no reference to their kernel, so a kernel goes
+    # as soon as its last reference does, memo and all.
+    p = Seq(Union(Seq(Test("f", 0), Assign("g", 1)),
+                  Seq(Test("f", 1), Neg(Test("h", 1)))),
+            Choice(Fraction(1, 3), Assign("h", 0), Star(Assign("f", 1))))
+    k = Kernel(p, uni8)
+    for i in range(uni8.packet_count):
+        k.row(p, frozenset({i}))
+    ref = weakref.ref(k)
+    gc.disable()
+    try:
+        del k
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- matrices: the "`;` is matrix product" oracle ------------------------------

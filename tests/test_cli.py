@@ -141,6 +141,20 @@ def _same(cell: str, value) -> bool:
     return cell == str(value)
 
 
+def _assert_table_holds_report(rows, obj, table):
+    """The CSV ``rows`` are the report's ``table``, one row per entry, and
+    every other entry of the report is a constant column."""
+    head, *body = rows
+    consts = [k for k in obj if k != table]
+    assert sorted(head) == sorted([*obj[table][0], *consts])
+    assert len(body) == len(obj[table]) > 0
+    for row, entry in zip(body, obj[table]):
+        assert len(row) == len(head)
+        cells = dict(zip(head, row))
+        assert all(_same(cells[k], v) for k, v in entry.items())
+        assert all(_same(cells[k], obj[k]) for k in consts)
+
+
 @pytest.mark.parametrize("cmd", CSV_COMMANDS)
 def test_csv_output_parses_to_the_json_report(progdir, capsys, cmd):
     files = {"COIN": progdir("c.pnk", COIN), "A0": progdir("a0.pnk", ASSIGN0)}
@@ -150,14 +164,31 @@ def test_csv_output_parses_to_the_json_report(progdir, capsys, cmd):
     assert main(argv + ["--format", "csv"]) == code
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     if "support" in obj:  # a table: one row per outcome
-        head, *body = rows
-        assert head == ["set", "prob"] and len(body) == len(obj["support"]) > 0
-        for row, entry in zip(body, obj["support"]):
-            assert _same(row[0], entry["set"]) and _same(row[1], entry["prob"])
+        _assert_table_holds_report(rows, obj, "support")
+        assert rows[0][:2] == ["set", "prob"]
     else:  # one key,value row per entry
         assert all(len(row) == 2 for row in rows)
         assert dict(rows).keys() == obj.keys()
         assert all(_same(cell, obj[key]) for key, cell in rows)
+
+
+def test_casestudy_csv_keeps_every_entry(capsys):
+    # f10-latency's hop CDF is a constant column of its delivery table.
+    args = ["casestudy", "f10-latency", "--p-values", "1/2"]
+    assert main(args) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert main(args + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert "hop_cdf" in rows[0]
+    _assert_table_holds_report(rows, obj, "delivery_vs_p")
+
+
+def test_csv_refuses_a_report_with_two_tables(capsys):
+    # The fattree20 grid comes with a second table, f10_0_eq_f10_3.
+    args = ["casestudy", "f10-resilience", "--topo", "fattree20", "--k", "0"]
+    assert main(args + ["--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "grid" in err and "f10_0_eq_f10_3" in err
 
 
 def test_casestudy_csv_format(capsys):
@@ -335,7 +366,9 @@ def test_max_states_env(progdir, capsys, monkeypatch):
     star = progdir("s.pnk", "fields { f : 2 }\n(f:=0 +[1/2] f:=1)*\n")
     skip = progdir("k.pnk", "fields { f : 2 }\nskip\n")
     assert main(["equiv", star, skip]) == 2
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert "states reached" in err and "distinct accumulators" in err
 
 
 @pytest.mark.parametrize("args, env", [

@@ -77,10 +77,21 @@ def test_star_on_empty_input():
 
 
 def test_budget_exceeded_names_program():
+    # From ({0}, {}), the flip reaches ({0}, {0}) and then ({1}, {0}), the
+    # third state, before the start state's expansion is done.
     with pytest.raises(BudgetExceededError) as err:
         star_dist(body_row(FLIP, UF), frozenset({0}), cap=2,
                   program_text=lambda: "offender")
     assert "offender" in str(err.value)
+    e = err.value
+    assert (e.states_reached, e.states_expanded, e.accumulators) == (3, 0, 2)
+    assert "3 states reached, 0 expanded, 2 distinct accumulators" in str(e)
+    # With room for the start state's successors, the chain expands it and
+    # ({0}, {0}), and fails on ({0}, {0, 1}).
+    with pytest.raises(BudgetExceededError) as err:
+        star_dist(body_row(FLIP, UF), frozenset({0}), cap=3)
+    e = err.value
+    assert (e.states_reached, e.states_expanded, e.accumulators) == (4, 2, 3)
 
 
 def test_star_row_mass_is_checked():
