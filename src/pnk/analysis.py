@@ -37,6 +37,11 @@ DEFAULT_SUBSET_CAP = 12
 # -- input specifications ------------------------------------------------
 
 
+def _check_subset_base(n: int, cap: int) -> None:
+    if n > cap:
+        raise WellFormednessError(f"all-subsets over {n} packets exceeds the cap of {cap}")
+
+
 @dataclass(frozen=True)
 class InputSpec:
     """Either an explicit list of input sets or all subsets of a packet list."""
@@ -54,16 +59,16 @@ class InputSpec:
     @classmethod
     def all_subsets(cls, packets, cap: int = DEFAULT_SUBSET_CAP) -> "InputSpec":
         """All subsets of ``packets``, a collection whose size is checked first."""
-        if len(packets) > cap:
-            raise WellFormednessError(
-                f"all-subsets over {len(packets)} packets exceeds the cap of {cap}"
-            )
+        _check_subset_base(len(packets), cap)
         return cls(subset_base=tuple(sorted(packets)))
 
     @classmethod
     def full_universe(cls, universe: PacketUniverse,
                       cap: int = DEFAULT_SUBSET_CAP) -> "InputSpec":
-        return cls.all_subsets(range(universe.packet_count), cap=cap)
+        """All subsets of the universe, whose packet count is checked before
+        any packet is listed (``len`` of a range stops at 2^63)."""
+        _check_subset_base(universe.packet_count, cap)
+        return cls(subset_base=tuple(range(universe.packet_count)))
 
     def rows(self):
         if self.explicit is not None:

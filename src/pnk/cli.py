@@ -5,7 +5,7 @@
     pnk dist FILE --on PACKETS                 print the output distribution
     pnk query FILE --on PACKETS --measure M    print a scalar measure
     pnk sample FILE --on PACKETS -n N          Monte Carlo estimate
-    pnk casestudy NAME [--topo T --k ... --p ...]
+    pnk casestudy NAME [--topo T --k ... --p ...]   only the flags NAME reads
 
 Programs are files with an optional ``fields { ... }`` header; a universe
 can also be supplied as JSON via --universe.  The library returns exact
@@ -149,14 +149,17 @@ def _input_spec(args, universe) -> InputSpec:
         return InputSpec.full_universe(universe, cap=args.cap_subsets)
     with open(spec) as fh:
         obj = json.load(fh)
-    if "sets" in obj:
+    if not isinstance(obj, dict):
+        obj = {}
+    if isinstance(obj.get("sets"), list):
         return InputSpec.of_sets(
             [universe.set_from_records(r) for r in obj["sets"]]
         )
     if "all_subsets_of" in obj:
-        packets = [universe.packet(**r) for r in obj["all_subsets_of"]]
+        packets = universe.set_from_records(obj["all_subsets_of"])
         return InputSpec.all_subsets(packets, cap=args.cap_subsets)
-    raise PnkError("input spec needs a 'sets' or 'all_subsets_of' key")
+    raise PnkError("an input spec is an object with a 'sets' list of packet sets "
+                   "or an 'all_subsets_of' list of packet records")
 
 
 def _packets_arg(text: str, universe):
@@ -205,6 +208,14 @@ def _fractions(text: str) -> list[Fraction]:
     return [_fraction(x) for x in text.split(",")]
 
 
+def _failure_bounds(text: str) -> list:
+    try:
+        return [cs._parse_k(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers or inf, got {text!r}") from None
+
+
 def _tolerance(text: str) -> float:
     try:
         tol = float(text)
@@ -240,6 +251,25 @@ def _add_common(sub, *flags):
                          help=f"float mode only (default: {FLOAT_TOL})")
     if "cap-subsets" in flags:
         sub.add_argument("--cap-subsets", type=_positive_int, default=DEFAULT_SUBSET_CAP)
+
+
+def _add_study(studies, name, *flags):
+    """Registers case study ``name`` with the ``flags`` it reads, out of
+    "topo", "k", "p" and "p-values", so that any other is an argparse
+    error.  Each flag's dest is the ``run_casestudy`` keyword it sets."""
+    c = studies.add_parser(name)
+    if "topo" in flags:
+        c.add_argument("--topo", dest="topo_name", default="abfattree20", choices=TOPOLOGIES)
+    if "k" in flags:
+        c.add_argument("--k", dest="ks", type=_failure_bounds, metavar="K",
+                       help="comma-separated failure bounds, e.g. 0,1,2,inf")
+    if "p" in flags:
+        c.add_argument("--p", dest="p_fail", type=_fraction, default="1/4", metavar="P",
+                       help="link failure probability")
+    if "p-values" in flags:
+        c.add_argument("--p-values", type=_fractions,
+                       help="comma-separated sweep values for delivery tables")
+    _add_common(c, "engine", "tol")
 
 
 def main(argv=None) -> int:
@@ -281,14 +311,10 @@ def main(argv=None) -> int:
     _add_common(s, "universe")
 
     s = subs.add_parser("casestudy", help="run a named case study")
-    s.add_argument("name", choices=("toy-overview", "f10-resilience", "f10-latency"))
-    s.add_argument("--topo", default="abfattree20", choices=TOPOLOGIES)
-    s.add_argument("--k", default=None,
-                   help="comma-separated failure bounds, e.g. 0,1,2,inf")
-    s.add_argument("--p", type=_fraction, default="1/4", help="link failure probability")
-    s.add_argument("--p-values", type=_fractions,
-                   help="comma-separated sweep values for delivery tables")
-    _add_common(s, "engine", "tol")
+    studies = s.add_subparsers(dest="name", required=True)
+    _add_study(studies, "toy-overview")
+    _add_study(studies, "f10-resilience", "topo", "k", "p")
+    _add_study(studies, "f10-latency", "topo", "p", "p-values")
 
     args = ap.parse_args(argv)
     if "exact" in args:  # the mode: how to print, and the tolerance of decisions
@@ -348,13 +374,10 @@ def _dispatch(args) -> int:
         report = {"measure": args.measure,
                   "value": query(p, aset, measure, uni, state_budget=args.max_states)}
     else:
-        ks = None
-        if args.k is not None:
-            ks = [cs._parse_k(x) for x in str(args.k).split(",")]
-        report = cs.run_casestudy(
-            args.name, topo_name=args.topo, ks=ks, p_fail=args.p,
-            p_values=args.p_values, tol=args.tol,
-            state_budget=args.max_states)
+        study = {key: getattr(args, key) for key in
+                 ("topo_name", "ks", "p_fail", "p_values") if key in args}
+        report = cs.run_casestudy(args.name, tol=args.tol,
+                                  state_budget=args.max_states, **study)
         if args.name == "f10-latency":
             report["mode"] = "exact" if args.exact else "float"
     _emit(report if args.exact else _rounded(report), fmt, table)

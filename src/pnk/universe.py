@@ -3,10 +3,14 @@
 A universe is an ordered list of named fields, each with a finite integer
 domain ``0 .. size-1``.  A packet is a full assignment of field values,
 encoded as a single integer index in mixed radix with the *first declared
-field least significant*.  Packet sets are frozensets of packet indices:
-memory stays proportional to the number of member packets rather than to
-the universe size, which matters once state-space exploration starts
-interning many small sets over universes with tens of thousands of packets.
+field least significant*.  Packet sets are frozensets of packet indices, so
+a set costs memory in proportion to its members, and a universe's size is a
+plain number: no step of the engine builds a set that grows with it, and
+a universe of 2^71 packets costs what its sets cost.  What bounds a run are
+the limits placed where it spends its resources: the pair-state budget of
+each star chain (``star.DEFAULT_STATE_BUDGET``), the number of packets whose
+subsets an input specification may enumerate (``analysis.DEFAULT_SUBSET_CAP``)
+and the nesting depth of a program (``syntax.MAX_DEPTH``).
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import json
 from dataclasses import dataclass
 
 from .errors import UniverseError
-
-DEFAULT_PACKET_CAP = 1 << 20
 
 #: Packet sets are plain frozensets of packet indices.
 PacketSet = frozenset
@@ -34,7 +36,7 @@ class FieldDecl:
 class PacketUniverse:
     """The finite set of packets induced by an ordered field declaration list."""
 
-    def __init__(self, decls, cap: int = DEFAULT_PACKET_CAP):
+    def __init__(self, decls):
         decls = tuple(decls)
         if not decls:
             raise UniverseError("universe needs at least one field")
@@ -46,42 +48,35 @@ class PacketUniverse:
                 raise UniverseError(f"duplicate field {d.name!r}")
             seen.add(d.name)
         self.decls = decls
-        self._pos = {d.name: i for i, d in enumerate(decls)}
-        # Mixed-radix weights, first field least significant.
-        weights = []
+        # Per field, its mixed-radix weight and domain size; the first
+        # field is least significant.
+        self._digits = {}
         w = 1
         for d in decls:
-            weights.append(w)
+            self._digits[d.name] = (w, d.size)
             w *= d.size
-        self._weights = tuple(weights)
-        self._digits = {d.name: (wd, d.size) for d, wd in zip(decls, weights)}
         self.packet_count = w
-        if self.packet_count > cap:
-            raise UniverseError(
-                f"universe has {self.packet_count} packets, exceeding the cap of {cap}"
-            )
 
     # -- field lookup -------------------------------------------------
 
     def has_field(self, name: str) -> bool:
-        return name in self._pos
+        return name in self._digits
 
     def field(self, name: str) -> FieldDecl:
-        try:
-            return self.decls[self._pos[name]]
-        except KeyError:
-            raise UniverseError(f"unknown field {name!r}") from None
+        return FieldDecl(name, self._digit(name, 0)[1])
 
     def check_value(self, name: str, value: int) -> None:
         self._digit(name, value)
 
     def _digit(self, name: str, value: int) -> tuple[int, int]:
         """Weight and domain size of field ``name``, after checking that
-        ``value`` lies in that domain."""
+        ``value`` is an integer in that domain."""
         try:
             w, size = self._digits[name]
         except KeyError:
             raise UniverseError(f"unknown field {name!r}") from None
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UniverseError(f"value {value!r} of field {name!r} is not an integer")
         if not (0 <= value < size):
             raise UniverseError(
                 f"value {value} out of range for field {name!r} (size {size})"
@@ -98,12 +93,8 @@ class PacketUniverse:
                 f"expected {len(self.decls)} field values, got {len(values)}"
             )
         idx = 0
-        for d, w, v in zip(self.decls, self._weights, values):
-            if not (0 <= v < d.size):
-                raise UniverseError(
-                    f"value {v} out of range for field {d.name!r} (size {d.size})"
-                )
-            idx += w * v
+        for d, v in zip(self.decls, values):
+            idx += self._digit(d.name, v)[0] * v
         return idx
 
     def decode(self, idx: int) -> tuple[int, ...]:
@@ -120,14 +111,14 @@ class PacketUniverse:
         missing = [d.name for d in self.decls if d.name not in fields]
         if missing:
             raise UniverseError(f"missing field values: {missing}")
-        extra = [k for k in fields if k not in self._pos]
+        extra = [k for k in fields if k not in self._digits]
         if extra:
             raise UniverseError(f"unknown fields: {extra}")
         return self.encode(tuple(fields[d.name] for d in self.decls))
 
     def field_value(self, idx: int, name: str) -> int:
-        pos = self._pos[name]
-        return (idx // self._weights[pos]) % self.decls[pos].size
+        w, size = self._digit(name, 0)
+        return idx // w % size
 
     def reader(self, name: str):
         """The function from a packet index to its value of field ``name``:
@@ -160,16 +151,19 @@ class PacketUniverse:
         return [self.record(i) for i in sorted(aset)]
 
     def set_from_records(self, records) -> PacketSet:
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise UniverseError("a packet set is a list of packet records, "
+                                f"each an object of field values, not {records!r:.80}")
         return frozenset(self.packet(**r) for r in records)
 
     @classmethod
-    def from_json(cls, text: str, cap: int = DEFAULT_PACKET_CAP) -> "PacketUniverse":
+    def from_json(cls, text: str) -> "PacketUniverse":
         try:
             obj = json.loads(text)
             decls = [FieldDecl(f["name"], int(f["size"])) for f in obj["fields"]]
         except (KeyError, TypeError, ValueError) as e:
             raise UniverseError(f"bad universe JSON: {e}") from None
-        return cls(decls, cap=cap)
+        return cls(decls)
 
     # -- identity ---------------------------------------------------------
 

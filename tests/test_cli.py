@@ -437,3 +437,90 @@ def test_universe_file_flag(progdir, capsys, tmp_path):
     p = progdir("p.pnk", "f:=0\n")
     q = progdir("q.pnk", "f:=0\n")
     assert main(["equiv", str(p), str(q), "--universe", str(upath)]) == 0
+
+
+# Malformed packet records, for --on and in an --inputs file: each is an
+# error (exit 2), never a traceback, and for equiv and leq never exit 1,
+# which would read as "not equal" or "not leq".
+MALFORMED_ON = ['{"f": 0}', "[1]", "5", '[{"f": "0"}]']
+MALFORMED_INPUTS = ['{"sets": [{"f": 0}]}', '{"sets": [[{"f": "0"}]]}', "5"]
+
+
+@pytest.mark.parametrize("cmd", ["dist", "query", "sample"])
+@pytest.mark.parametrize("on", MALFORMED_ON)
+def test_malformed_on_records_are_errors(progdir, capsys, cmd, on):
+    extra = {"query": ["--measure", "prob-nonempty"], "sample": ["-n", "5"]}.get(cmd, [])
+    assert main([cmd, progdir("c.pnk", COIN), "--on", on, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", ["equiv", "leq"])
+@pytest.mark.parametrize("inputs", MALFORMED_INPUTS)
+def test_malformed_input_files_are_errors(progdir, capsys, cmd, inputs):
+    spec = progdir("inputs.json", inputs)
+    assert main([cmd, progdir("c.pnk", COIN), progdir("a0.pnk", ASSIGN0),
+                 "--inputs", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("study, flag", [
+    ("toy-overview", "--topo abfattree12"),
+    ("toy-overview", "--k 0"),
+    ("toy-overview", "--p 1/2"),
+    ("toy-overview", "--p-values 1/2"),
+    ("f10-latency", "--k 0"),
+    ("f10-resilience", "--p-values 1/2"),
+])
+def test_a_case_study_rejects_the_flags_it_does_not_read(capsys, study, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(["casestudy", study, *flag.split()])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# A universe of 2^71 packets and one of 128 in which the packets with f, g
+# < 8 sort alike by index.  Over the huge one, any walk over the universe
+# would overflow or hang; every command here must instead print what it
+# prints over the small one.
+HUGE = "fields { f : 1099511627776 ; g : 1073741824 ; h : 2 }\n"
+SMALL = "fields { f : 8 ; g : 8 ; h : 2 }\n"
+WALK = "(f=1 ; (f:=2 +[1/3] g:=5)) & (h=1 ; f:=7) & (!(f=1) ; (f:=0 +[1/2] f:={}))*\n"
+ON = json.dumps([{"f": 1, "g": 0, "h": 0}, {"f": 3, "g": 2, "h": 1}])
+ON_ONE = json.dumps([{"f": 3, "g": 2, "h": 1}])  # g and h constant on every outcome
+INPUTS = json.dumps({"sets": [[], [{"f": 1, "g": 7, "h": 0}],
+                              [{"f": 0, "g": 2, "h": 1}, {"f": 6, "g": 3, "h": 0}]]})
+SUBSETS = json.dumps({"all_subsets_of": [{"f": 1, "g": 0, "h": 1}, {"f": 5, "g": 4, "h": 0}]})
+HUGE_UNIVERSE_COMMANDS = {
+    "dist": ["dist", "P", "--on", ON],
+    "query": ["query", "P", "--on", ON, "--measure", "prob-satisfies:f=2"],
+    "expected": ["query", "P", "--on", ON_ONE, "--measure", "expected:h"],
+    "cdf": ["query", "P", "--on", ON_ONE, "--measure", "cdf:g:2"],
+    "sample": ["sample", "P", "--on", ON, "-n", "300", "--seed", "4"],
+    "equiv": ["equiv", "P", "Q", "--inputs", "INPUTS"],
+    "equiv-subsets": ["equiv", "P", "Q", "--inputs", "SUBSETS"],
+    "leq": ["leq", "P", "Q", "--inputs", "INPUTS"],
+    "leq-subsets": ["leq", "Q", "P", "--inputs", "SUBSETS", "--float"],
+}
+
+
+@pytest.mark.parametrize("cmd", HUGE_UNIVERSE_COMMANDS)
+def test_a_huge_universe_prints_what_a_small_one_does(progdir, capsys, cmd):
+    outputs = []
+    for name, header in (("huge", HUGE), ("small", SMALL)):
+        files = {"P": progdir(f"{name}-p.pnk", header + WALK.format(1)),
+                 "Q": progdir(f"{name}-q.pnk", header + WALK.format(3)),
+                 "INPUTS": progdir("inputs.json", INPUTS),
+                 "SUBSETS": progdir("subsets.json", SUBSETS)}
+        code = main([files.get(a, a) for a in HUGE_UNIVERSE_COMMANDS[cmd]])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 1) and outputs[0][1].err == ""
+
+
+def test_all_inputs_of_a_huge_universe_exceed_the_subset_cap(progdir, capsys):
+    p = progdir("p.pnk", HUGE + WALK.format(1))
+    assert main(["equiv", p, p, "--inputs", "all"]) == 2
+    assert capsys.readouterr().err == ("error: all-subsets over 2361183241434822606848 "
+                                       "packets exceeds the cap of 12\n")

@@ -49,10 +49,29 @@ def test_duplicate_and_empty_fields_rejected():
         PacketUniverse([FieldDecl("f", 0)])
 
 
-def test_packet_cap_guard():
+def test_a_universe_size_is_a_plain_number():
+    u = PacketUniverse([FieldDecl("f", 1 << 40), FieldDecl("g", 1 << 30), FieldDecl("h", 2)])
+    assert u.packet_count == 1 << 71
+    top = u.packet(f=(1 << 40) - 1, g=5, h=1)
+    assert top == (1 << 70) + 5 * (1 << 40) + (1 << 40) - 1
+    assert u.decode(top) == ((1 << 40) - 1, 5, 1)
+    assert [u.field_value(top, f) for f in "fgh"] == [(1 << 40) - 1, 5, 1]
+
+
+def test_field_lookups_raise_universe_errors():
+    u = make((3, 2))
+    for lookup in (lambda: u.field_value(0, "h"), lambda: u.field("h"),
+                   lambda: u.reader("h"), lambda: u.packet(f=0, g=0, h=0)):
+        with pytest.raises(UniverseError, match="h"):
+            lookup()
+    assert u.field("f") == FieldDecl("f", 3) and u.has_field("g") and not u.has_field("h")
+
+
+@pytest.mark.parametrize("records", [{"f": 0, "g": 0}, [1], 5, [{"f": "0", "g": 0}],
+                                     [{"f": True, "g": 0}], [{"f": 1.0, "g": 0}]])
+def test_malformed_records_raise_universe_errors(records):
     with pytest.raises(UniverseError):
-        PacketUniverse([FieldDecl("f", 1 << 21)])
-    PacketUniverse([FieldDecl("f", 1 << 21)], cap=1 << 22)
+        make().set_from_records(records)
 
 
 def test_modify_empty_is_empty():
