@@ -13,22 +13,27 @@ itself: equal subterms share their entries, and a keyed node stays alive
 while its entries do.  Rows are shared: the memo, the rows built from
 them and the star tables hand out the same row, so nobody changes one.
 
-Deterministic subterms are set maps.  A core program without ``+[r]`` and
-``*`` is deterministic and additive: on a set a, its row is the point mass
-on the union of its images of the packets in a (Anderson et al., *NetKAT:
+Deterministic subterms are set maps.  A core program without ``+[r]`` is
+deterministic and additive: on a set a, its row is the point mass on the
+union of its images of the packets in a (Anderson et al., *NetKAT:
 Semantic Foundations for Networks*, POPL 2014).  So the kernel compiles
 each such node once (``Kernel._set_map``) into a function from a packet
 set to a packet set: a test selects, reading one field digit on a
 singleton; an assignment is ``PacketUniverse.modify``; ``!t`` maps a to
-a - t(a); a sequence folds its parts' maps and stops at the empty set;
-and a union picks its branches through its guard table (below) and
-unites their images.  The row of a deterministic node is the point mass
-on its map's image, with one memo entry per input set at the node the
-interpreter reached it from (a part, or a run of a sequence's parts; see
-below), and none inside it.  Only ``Choice``, ``Star`` and the ``Union``
-and ``Seq`` nodes that contain them reach the interpreter.  The maps hold
-no reference to their kernel, so a kernel is freed with its last
-reference, without the cycle collector.
+a - t(a); a sequence folds its parts' maps and stops at the empty set; a
+union picks its branches through its guard table (below) and unites their
+images; and a star's map is its reachability closure a | m(a) | m(m(a))
+| ..., for m its body's map.  The closure maps only the packets new in
+each round (m is additive, so the image of the packets already gathered
+is already in), grows one mutable set and freezes it once.  Without a
+choice, a star's current set follows one path, and the limit of that path
+is the point mass on the closure, so no pair chain is built.  The row of
+a deterministic node is the point mass on its map's image, with one memo
+entry per input set at the node the interpreter reached it from (a part,
+or a run of a sequence's parts; see below), and none inside it.  Only
+``Choice`` and the ``Star``, ``Union`` and ``Seq`` nodes that contain one
+reach the interpreter.  The maps hold no reference to their kernel, so a
+kernel is freed with its last reference, without the cycle collector.
 
 Exact rows are built without ``Fraction``s and reduced by their gcd where
 they are made:
@@ -58,10 +63,11 @@ union.
 A sequence is a left-to-right fold of binds (Kleisli composition), one
 per step of its plan.  The plan joins each run of consecutive
 deterministic parts into one step, their ``Seq``: one set map, and one
-memo entry per input set.  It folds the predicate parts right after a
-star into one predicate node, that star's filter, so ``p* ; t`` is solved
-as one pair chain whose accumulator only gathers the members of each
-current set that pass ``t`` (the filter's set map): filters are
+memo entry per input set; a choice-free ``p* ; t`` or loop is such a
+run.  It folds the predicate parts right after a star whose body has a
+choice into one predicate node, that star's filter, so ``p* ; t`` is
+solved as one pair chain whose accumulator only gathers the members of
+each current set that pass ``t`` (the filter's set map): filters are
 predicates.  A point mass on either side of a product, or on the left of
 a bind, skips the multiplication.  Rows equal those of any other
 bracketing of the chain.  A choice is one n-ary node (see ``syntax``):
@@ -70,12 +76,13 @@ choices it stands for would be.  Its plan, made once, drops the parts a
 weight of 0 or 1 cuts off and keeps each other weight as an integer pair
 (n, d).
 
-Every star goes through the kernel's table of solved rows for its (star
-node, filter), which maps a current set a to the star's row on a; a chain
-solved for one input fills it for every state (a, {}) it meets.  Later
-chains stop at every state (a, b) whose a is in the table, with the
-table's row joined with b, the same join as a point mass in a product
-(``row.joined``; see ``star`` for why that row is exact).
+Every star whose body has a choice goes through the kernel's table of
+solved rows for its (star node, filter), which maps a current set a to the
+star's row on a; a chain solved for one input fills it for every state
+(a, {}) it meets.  Later chains stop at every state (a, b) whose a is in
+the table, with the table's row joined with b, the same join as a point
+mass in a product (``row.joined``; see ``star`` for why that row is
+exact).
 """
 
 from __future__ import annotations
@@ -214,13 +221,16 @@ class Kernel:
     def _set_map(self, node: Program):
         """The compiled set map of ``node``, made once per node: the function
         from a packet set to the one set ``node`` maps it to.  None for a
-        node that contains a ``Choice`` or a ``Star``, or is not core."""
+        node that contains a ``Choice``, or is not core."""
         fn = self._maps.get(node, _UNSET)
         if fn is _UNSET:
             fn = self._maps[node] = self._compile(node)
         return fn
 
     def _compile(self, node: Program):
+        """The set map of ``node`` (see the module), or None if ``node``
+        contains a ``Choice`` or is not core.  Every map is additive, m(a | b) == m(a) |
+        m(b), and reads nothing of the kernel but its universe."""
         u = self.universe
         match node:
             case Drop():
@@ -275,6 +285,21 @@ class Kernel:
                             out = out | b if out else b
                     return out
                 return union
+            case Star(body):
+                step = self._set_map(body)
+                if step is None:
+                    return None
+
+                def closure(a):  # step is additive: map each packet once
+                    new = step(a) - a
+                    if not new:
+                        return a
+                    acc = set(a)
+                    while new:
+                        acc |= new
+                        new = step(new) - acc
+                    return frozenset(acc)
+                return closure
             case _:
                 return None
 
@@ -374,9 +399,10 @@ class Kernel:
 
     def _seq_plan(self, node: Seq) -> list:
         """The (part, filter) steps of the sequence at ``node``, in order;
-        ``filter`` is the predicate parts after a star as one node, or
-        None.  Loops end in exactly such a filter.  A run of consecutive
-        deterministic parts is one step, their ``Seq``, so one set map."""
+        ``filter`` is the predicate parts after a star whose body has a
+        choice as one node, or None; such loops end in exactly such a
+        filter.  A run of consecutive deterministic parts, choice-free stars
+        and loops included, is one step, their ``Seq``, so one set map."""
         plan = self._plans.get(node)
         if plan is not None:
             return plan
@@ -404,8 +430,9 @@ class Kernel:
         return self._star(node, filt, aset)
 
     def _star(self, node: Star, filt, aset: PacketSet) -> Row:
-        """The row of the star ``node``, then the predicate ``filt`` unless
-        None, from the (star, filter) table; a miss solves and fills it."""
+        """The row of the star ``node``, whose body has a choice, then the
+        predicate ``filt`` unless None, from the (star, filter) table; a
+        miss solves and fills it."""
         table = self._tables.setdefault((node, filt), {})
         row = table.get(aset)
         if row is None:

@@ -244,7 +244,8 @@ def _add_common(sub, *flags):
         # flag.
         sub.add_argument("--max-states", type=_positive_int,
                          default=os.environ.get("PNK_MAX_STATES", str(DEFAULT_STATE_BUDGET)),
-                         help="pair-state budget per star chain "
+                         help="pair-state budget per chain of a star whose "
+                              "body has a choice "
                               f"(default: $PNK_MAX_STATES, else {DEFAULT_STATE_BUDGET})")
     if "tol" in flags:
         sub.add_argument("--tol", type=_tolerance,

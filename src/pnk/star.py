@@ -9,6 +9,12 @@ probabilities (I - Q)^-1 R is the output distribution of ``p*`` from it;
 ``solve_absorption_row`` computes the wanted rows exactly by eliminating
 the other transient states from the chain.
 
+The kernel builds this chain only for a star whose body has a choice.
+Without one, the current set follows one path, and the star's row is the
+point mass on its body's reachability closure, which the kernel computes
+directly (see ``bigstep``); the chain gives the same row, and the tests
+use it as the oracle for those stars.
+
 Every row here is a ``Row`` (see ``row``).  ``explore`` keeps the body
 row's denominator per state and its numerators on the edges; ``star_dist``
 fills Q and R with those numerators, one denominator per transient state,
@@ -16,8 +22,9 @@ and the solve returns reduced rows, so a star row is built without
 ``Fraction``s.
 
 For ``p* ; t`` the accumulator gathers only the packets that pass the
-predicate t: the filter ``keep`` is a callable (the kernel's is a ->
-restrict(t, a)), and b' = b | keep(a); an unfiltered star has none.
+predicate t: the filter ``keep`` is a callable (the kernel's is t's set
+map, a -> restrict(t, a)), and b' = b | keep(a); an unfiltered star has
+none.
 
 The current-set process never reads the accumulator, so the row of a
 state (a, {}) is the star's row on input a in every chain of the same (star,

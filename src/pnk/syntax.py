@@ -51,6 +51,11 @@ _NODES: dict = {}
 MAX_DEPTH = 150
 
 
+class _TooDeep(WellFormednessError):
+    """A node deeper than ``MAX_DEPTH``; ``desugar`` says when its own
+    rewriting made it so."""
+
+
 def _intern(cls, args: tuple, key: tuple):
     """The live node under ``key``, or a new ``cls`` node with fields ``args``."""
     ref = _NODES.get(key)
@@ -58,7 +63,7 @@ def _intern(cls, args: tuple, key: tuple):
     if node is None:
         depth = (2 if cls is Star else 1) + _depth(args)
         if depth > MAX_DEPTH:
-            raise WellFormednessError(f"program nests deeper than {MAX_DEPTH} levels")
+            raise _TooDeep(f"program nests deeper than {MAX_DEPTH} levels")
         node = object.__new__(cls)
         cls._fill(node, *args)
         object.__setattr__(node, "depth", depth)
@@ -329,32 +334,44 @@ def desugar(p: Program) -> Program:
     Var(f,n,p)   -> f:=n ; p ; f:=0
     NaryChoice   -> one Choice with rescaled weights
 
-    A node whose children come back unchanged is returned as it is.
+    A node whose children come back unchanged is returned as it is.  The
+    rewriting deepens a program (a loop by three levels, a branch by one),
+    so a sugared program within ``MAX_DEPTH`` may have a core form past it:
+    that is a ``WellFormednessError`` naming the desugared form.
     """
+    try:
+        return _desugar(p)
+    except _TooDeep:
+        raise WellFormednessError(
+            f"the desugared program nests deeper than {MAX_DEPTH} levels "
+            "(desugaring deepens a program: a loop by three levels)") from None
+
+
+def _desugar(p: Program) -> Program:
     match p:
         case Drop() | Skip() | Test() | Assign():
             return p
         case Neg(b) | Star(b):
-            new = desugar(b)
+            new = _desugar(b)
             return p if new is b else type(p)(new)
         case Union(parts) | Seq(parts):
-            new = [desugar(q) for q in parts]
+            new = [_desugar(q) for q in parts]
             return p if all(map(operator.is_, new, parts)) else type(p)(*new)
         case Choice(parts, weights):
-            new = [desugar(q) for q in parts]
+            new = [_desugar(q) for q in parts]
             return p if all(map(operator.is_, new, parts)) else Choice.chain(new, weights)
         case If(t, a, b):
-            t = desugar(t)
-            return Union(Seq(t, desugar(a)), Seq(Neg(t), desugar(b)))
+            t = _desugar(t)
+            return Union(Seq(t, _desugar(a)), Seq(Neg(t), _desugar(b)))
         case While(t, b):
-            t = desugar(t)
-            return Seq(Star(Seq(t, desugar(b))), Neg(t))
+            t = _desugar(t)
+            return Seq(Star(Seq(t, _desugar(b))), Neg(t))
         case DoWhile(b, t):
-            t = desugar(t)
-            b = desugar(b)
+            t = _desugar(t)
+            b = _desugar(b)
             return Seq(b, Star(Seq(t, b)), Neg(t))
         case Var(f, v, b):
-            return Seq(Assign(f, v), desugar(b), Assign(f, 0))
+            return Seq(Assign(f, v), _desugar(b), Assign(f, 0))
         case NaryChoice(branches):
             return _desugar_nary(list(branches))
         case _:
@@ -365,14 +382,14 @@ def _desugar_nary(branches) -> Program:
     """One choice over the branches, its parts gathered from the last branch
     back: branch i is taken with its weight over the weight left from i on."""
     head, total = branches[-1]
-    parts, weights = [desugar(head)], []
+    parts, weights = [_desugar(head)], []
     for head, w in reversed(branches[:-1]):
         total += w
         if total == 0:
             parts, weights = [], []  # all-zero tail: any branch carries the (zero) mass
         else:
             weights.append(Fraction(w) / total)
-        parts.append(desugar(head))
+        parts.append(_desugar(head))
     return Choice.chain(parts[::-1], weights[::-1])
 
 

@@ -1,21 +1,25 @@
 import gc
+import importlib.util
 import itertools
 import random
+import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from pnk import netlib
-from pnk.analysis import dist_leq, sample_run
+from pnk import star as star_mod
+from pnk.analysis import InputSpec, dist_leq, equiv, leq, sample_run
 from pnk.bigstep import Kernel
 from pnk.errors import WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.syntax import (
-    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
-    has_choice, restrict, union,
+    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, While,
+    desugar, has_choice, restrict, union,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -380,6 +384,112 @@ def test_a_kernel_is_freed_without_the_cycle_collector(uni8):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# -- choice-free stars: reachability closures ----------------------------------
+
+U16 = PacketUniverse([FieldDecl("f", 4), FieldDecl("g", 2), FieldDecl("h", 2)])
+
+
+def _choice_free(rng, u, depth, stars):
+    """A random choice-free core program over tests, assignments, ``!``,
+    ``&``, ``;`` and at most ``stars`` nested stars."""
+    if depth == 0 or rng.random() < 0.2:
+        d = rng.choice(u.decls)
+        roll = rng.random()
+        if roll < 0.15:
+            return Neg(random_predicate(rng, u, 1))
+        v = rng.randrange(d.size)
+        return Assign(d.name, v) if roll < 0.6 else Test(d.name, v)
+    op = rng.choice(("seq", "seq", "union") + (("star",) if stars else ()))
+    if op == "star":
+        return Star(_choice_free(rng, u, depth - 1, stars - 1))
+    a, b = (_choice_free(rng, u, depth - 1, stars) for _ in range(2))
+    return Seq(a, b) if op == "seq" else Union(a, b)
+
+
+def _loops(p, t):
+    """(program, star body, filter or None) of ``p*``, ``p* ; t`` and
+    ``while t do p``."""
+    return [(Star(p), p, None), (Seq(Star(p), t), p, t),
+            (desugar(While(t, p)), Seq(t, p), Neg(t))]
+
+
+def _unrolled(body, filt, a, u):
+    """The row on ``a`` of X ; filt, for X the fixed point of
+    X <- skip & body;X, iterated from drop until its row stops changing."""
+    k = Kernel(Skip(), u)
+    x, last, got = Drop(), None, delta(EMPTY)
+    while got != last:
+        x, last = Union(Skip(), Seq(body, x)), got
+        got = k.row(x, a).as_dict()
+    return k.row(x if filt is None else Seq(x, filt), a).as_dict()
+
+
+def test_choice_free_stars_are_reachability_closures():
+    # A star whose body has no choice is compiled into the closure of the
+    # body's set map.  Its row must equal both the pair chain's row over
+    # the body's rows and the fixed point of the star's unrolling.
+    u = U16
+    rng = random.Random(20)
+    for _ in range(210):
+        p = _choice_free(rng, u, rng.randrange(1, 4), 2)
+        t = random_predicate(rng, u, 2)
+        inputs = [EMPTY, frozenset({rng.randrange(u.packet_count)}),
+                  random_set(rng, u), u.all_packets()]
+        for prog, body, filt in _loops(p, t):
+            k = Kernel(prog, u)
+            kb = Kernel(body, u)
+            keep = None if filt is None else (lambda a, filt=filt: restrict(filt, a, u))
+            for a in inputs:
+                got = k.row(prog, a).as_dict()
+                chain = star_mod.star_dist(lambda b: kb.row(body, b), a, keep=keep)
+                assert got == chain.as_dict()
+                assert got == _unrolled(body, filt, a, u)
+            assert k._set_map(prog) is not None and not k._tables
+
+
+def _perfbench_programs():
+    """``perfbench/programs.py``, the benchmark's random program pairs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "programs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_programs", path)
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class _PairChain(Exception):
+    pass
+
+
+def test_choice_free_programs_build_no_pair_chain(monkeypatch):
+    # Only a star whose body has a choice is solved as a pair chain; the
+    # benchmark's choice-free unfold and unroll pairs, and a loop, are
+    # decided without one, and their kernels keep no star table.
+    programs = _perfbench_programs()
+
+    def refuse(*args, **kwargs):
+        raise _PairChain
+    monkeypatch.setattr(star_mod, "star_dist", refuse)
+    u = programs.universe8()
+    rows = all_subsets(u)
+    spec = InputSpec.all_subsets(u.all_packets())
+    rng = random.Random(21)
+    f0 = Test("f", 0)
+    sides = [desugar(While(f0, Seq(Assign("f", 1), Star(Assign("g", 1)))))]
+    for kind, decide in (("unfold", equiv), ("unroll", leq)):
+        for steps in range(12):
+            pair = programs.make_pair(kind, rng, False, steps % 3)
+            assert decide(pair.left, pair.right, spec, u).result == pair.expected
+            sides += [pair.left, pair.right]
+    for prog in sides:
+        k = Kernel(prog, u)
+        for a in rows:
+            k.apply(a)
+        assert not k._tables
+    k = Kernel(Star(Choice(Fraction(1, 2), Assign("f", 1), Seq(f0, Assign("g", 1)))), u)
+    with pytest.raises(_PairChain):
+        k.apply(frozenset({0}))
 
 
 # -- matrices: the "`;` is matrix product" oracle ------------------------------

@@ -371,6 +371,26 @@ def test_max_states_env(progdir, capsys, monkeypatch):
     assert "states reached" in err and "distinct accumulators" in err
 
 
+def test_max_states_bounds_only_chains_of_stars_with_a_choice(progdir, capsys):
+    # A loop whose body has no choice is its body's reachability closure:
+    # it builds no pair chain, so a budget of 2 pair states does not bind.
+    loop = progdir("w.pnk", "fields { f : 4 }\n"
+                   "while !(f=3) do (if f=0 then f:=1 else (if f=1 then f:=2 else f:=3))\n")
+    assert main(["dist", loop, "--on", '[{"f": 0}]', "--max-states", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["support"] == [
+        {"prob": "1", "set": [{"f": 3}]}]
+
+
+def test_a_program_too_deep_once_desugared_says_so(progdir, capsys):
+    # 61 nested loops are 62 levels deep as written, and desugaring adds
+    # three levels per loop.
+    deep = progdir("deep.pnk", "fields { f : 2 }\n" + "while f=0 do " * 61 + "f:=1\n")
+    assert main(["dist", deep, "--on", '[{"f": 0}]']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the desugared program nests deeper than 150 levels")
+    assert "desugaring" in err
+
+
 @pytest.mark.parametrize("args, env", [
     (["--max-states", "-5"], None),
     (["--max-states", "0"], None),
