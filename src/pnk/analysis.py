@@ -111,15 +111,6 @@ def _core(p: Program) -> Program:
     return p if is_core(p) else desugar(p)
 
 
-def _one_kernel(p: Program, q: Program, universe: PacketUniverse,
-                state_budget: int):
-    """The core forms of ``p`` and ``q`` and one exact kernel over both: its
-    memo, plans and star tables serve the two sides alike, and a subterm the
-    two have in common is one node (nodes are interned)."""
-    p, q = _core(p), _core(q)
-    return Kernel(p, universe, state_budget=state_budget), p, q
-
-
 def _set_key(s: PacketSet):
     return sorted(s)
 
@@ -128,25 +119,42 @@ def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
           tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
     """Decide whether the kernels of ``p`` and ``q`` agree (within ``tol``)
     on every input row; the least disagreeing output set of the first
-    disagreeing row is the witness.  Both rows come from one kernel over
-    the two programs.
+    disagreeing row is the witness."""
+    return _decide(p, q, inputs, universe, tol, state_budget,
+                   _mismatch, ("equal", "not-equal"))
+
+
+def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
+            tol: float, state_budget: int, excess, verdict) -> Verdict:
+    """The first input row on which ``excess`` finds the row of ``p`` too
+    far from that of ``q`` gives the witness and ``verdict[1]``; with no
+    such row the verdict is ``verdict[0]``.  Both rows come from one exact
+    kernel over the core forms of the two programs: its row functions serve
+    the two sides alike, and a subterm the two have in common is one node
+    (nodes are interned).
 
     When the spec is all-subsets and neither program contains a
     probabilistic choice, both kernels are deterministic and distribute
-    over unions, so agreement on the empty row and all singleton rows
-    settles every subset row; only those rows are evaluated.
+    over unions, so the empty row and the singleton rows settle every
+    subset row, and only those rows are evaluated.  Their rows are point
+    masses, and the point masses on X and Y are equal iff X == Y, and in
+    order iff X <= Y, within any ``tol`` < 1.  So when a subset row fails,
+    so does the empty row or one of its singletons, which come before it
+    in mask order: the first failing row, the verdict and the witness are
+    those of all subsets.
     """
-    k, p, q = _one_kernel(p, q, universe, state_budget)
+    p, q = _core(p), _core(q)
+    k = Kernel(p, universe, state_budget=state_budget)
     det = (inputs.subset_base is not None
            and not has_choice(p) and not has_choice(q))
     rows = inputs.singleton_rows() if det else inputs.rows()
     for a in rows:
         mu = k.row(p, a)
         nu = k.row(q, a)
-        bad = _dist_mismatch(mu, nu, tol)
+        bad = excess(mu, nu, tol)
         if bad is not None:
-            return Verdict("not-equal", Witness(a, bad, mu.prob(bad), nu.prob(bad)), tol)
-    return Verdict("equal", tolerance=tol)
+            return Verdict(verdict[1], Witness(a, *bad), tol)
+    return Verdict(verdict[0], tolerance=tol)
 
 
 def _scaled(mu: Row, nu: Row, tol: float):
@@ -154,6 +162,13 @@ def _scaled(mu: Row, nu: Row, tol: float):
     when x*sx - y*sy > bound, for the returned triple."""
     t, d = tol.as_integer_ratio()
     return nu.den * d, mu.den * d, t * mu.den * nu.den
+
+
+def _mismatch(mu: Row, nu: Row, tol: float):
+    """The least output set on which the rows differ by more than ``tol``
+    (see ``_dist_mismatch``) and its two probabilities, or None."""
+    bad = _dist_mismatch(mu, nu, tol)
+    return None if bad is None else (bad, mu.prob(bad), nu.prob(bad))
 
 
 def _dist_mismatch(mu: Row, nu: Row, tol: float):
@@ -229,16 +244,9 @@ def dist_leq_bruteforce(mu, nu, packets, tol: float = 0) -> bool:
 def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
         tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
     """Pointwise distribution order (within ``tol``) over the input rows;
-    the witness is the least principal up-set of the first failing row.
-    Both rows come from one kernel over the two programs."""
-    k, p, q = _one_kernel(p, q, universe, state_budget)
-    for a in inputs.rows():
-        mu = k.row(p, a)
-        nu = k.row(q, a)
-        bad = _upset_excess(mu, nu, tol)
-        if bad is not None:
-            return Verdict("not-leq", Witness(a, *bad), tol)
-    return Verdict("leq", tolerance=tol)
+    the witness is the least principal up-set of the first failing row."""
+    return _decide(p, q, inputs, universe, tol, state_budget,
+                   _upset_excess, ("leq", "not-leq"))
 
 
 # -- quantitative queries ------------------------------------------------------

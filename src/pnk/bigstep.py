@@ -5,13 +5,17 @@ A kernel row is a ``Row`` (see ``row``): positive integer numerators over
 one row denominator.  The kernel computes exact rows only; in float mode,
 ``apply`` and ``row`` hand out the exact row rounded once (``row.rounded``),
 so each float weight is the nearest double to the exact probability.
-Rows are memoized per (node, input set), so repeated sub-evaluations --
+
+A kernel is a compiler.  On first use it compiles each node whose rows are
+requested, and each (star, filter) step of a sequence, once into a row
+function from a packet set to a ``Row`` (``Kernel._rows``).  The function
+owns its memo, keyed on the input set, so repeated sub-evaluations --
 which dominate star exploration, where the same current set recurs under
 many accumulators -- are computed once.  Nodes are interned (see
-``syntax``), so the memo, the plans and the star tables key on the node
-itself: equal subterms share their entries, and a keyed node stays alive
-while its entries do.  Rows are shared: the memo, the rows built from
-them and the star tables hand out the same row, so nobody changes one.
+``syntax``), so the row functions key on the node itself: equal subterms
+share one function, and its memo.  Rows are shared: the memos, the rows
+built from them and the star tables hand out the same row, so nobody
+changes one.  One point mass per set serves the whole kernel.
 
 Deterministic subterms are set maps.  A core program without ``+[r]`` is
 deterministic and additive: on a set a, its row is the point mass on the
@@ -27,13 +31,12 @@ images; and a star's map is its reachability closure a | m(a) | m(m(a))
 each round (m is additive, so the image of the packets already gathered
 is already in), grows one mutable set and freezes it once.  Without a
 choice, a star's current set follows one path, and the limit of that path
-is the point mass on the closure, so no pair chain is built.  The row of
-a deterministic node is the point mass on its map's image, with one memo
-entry per input set at the node the interpreter reached it from (a part,
-or a run of a sequence's parts; see below), and none inside it.  Only
-``Choice`` and the ``Star``, ``Union`` and ``Seq`` nodes that contain one
-reach the interpreter.  The maps hold no reference to their kernel, so a
-kernel is freed with its last reference, without the cycle collector.
+is the point mass on the closure, so no pair chain is built.  The row
+function of a deterministic node is the point mass on its map's image.
+Such a node gets one only where its rows are requested: as the program,
+as a part of a union or choice that holds a choice, or as a step of a
+sequence that holds one (below).  No node inside it has a row function
+or a memo.
 
 Exact rows are built without ``Fraction``s and reduced by their gcd where
 they are made:
@@ -47,18 +50,22 @@ they are made:
   denominators;
 - a point mass is a one-entry row whose numerator equals ``den``.
 
-``Union`` and ``Seq`` nodes are n-ary; each is evaluated through a plan
-made on first use.  Every core program is strict: it maps the empty set
-to the point mass on the empty set, and that point mass is the unit of
-``&`` (the product of the branch rows, pushed forward by union).  A
-union's plan names a guard field, the field that most branches test in
-their leading run of tests; each such branch is listed under the value
-it tests, and the other branches are unguarded.  On an input set, only
-the unguarded branches and those listed under a value the guard field
-takes in the set are evaluated; every other branch filters the set to
-empty, so by strictness its row is the unit and leaves the product
-unchanged.  The branches picked are multiplied in their order in the
-union.
+These are module functions that hold nothing of the kernel, and no row
+function refers to its kernel, so a kernel is freed with its last
+reference, without the cycle collector.
+
+``Union`` and ``Seq`` nodes are n-ary, and each fixes its plan when it is
+compiled.  Every core program is strict: it maps the empty set to the
+point mass on the empty set, and that point mass is the unit of ``&``
+(the product of the branch rows, pushed forward by union).  A union's
+plan names a guard field, the field that most branches test in their
+leading run of tests; each such branch is listed under the value it
+tests, and the other branches are unguarded.  On an input set, only the
+unguarded branches and those listed under a value the guard field takes
+in the set are evaluated; every other branch filters the set to empty,
+so by strictness its row is the unit and leaves the product unchanged.
+The branches picked are multiplied in their order in the union, and each
+branch's row function is looked up the first time it is picked.
 
 A sequence is a left-to-right fold of binds (Kleisli composition), one
 per step of its plan.  The plan joins each run of consecutive
@@ -72,21 +79,22 @@ predicates.  A point mass on either side of a product, or on the left of
 a bind, skips the multiplication.  Rows equal those of any other
 bracketing of the chain.  A choice is one n-ary node (see ``syntax``):
 its rows are mixed from its last part back, as the right-nested binary
-choices it stands for would be.  Its plan, made once, drops the parts a
+choices it stands for would be.  Its compiled form drops the parts a
 weight of 0 or 1 cuts off and keeps each other weight as an integer pair
 (n, d).
 
-Every star whose body has a choice goes through the kernel's table of
-solved rows for its (star node, filter), which maps a current set a to the
-star's row on a; a chain solved for one input fills it for every state
-(a, {}) it meets.  Later chains stop at every state (a, b) whose a is in
-the table, with the table's row joined with b, the same join as a point
-mass in a product (``row.joined``; see ``star`` for why that row is
-exact).
+The row function of a star whose body has a choice, with or without a
+filter, owns the star's table of solved rows, which maps a current set a
+to the row of the star (then the filter) on a; a chain solved for one
+input fills it for every state (a, {}) it meets.  Later chains stop at
+every state (a, b) whose a is in the table, with the table's row joined
+with b, the same join as a point mass in a product (``row.joined``; see
+``star`` for why that row is exact).  The table is the function's memo.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from math import lcm
 
@@ -99,8 +107,6 @@ from .syntax import (
     is_core, is_predicate, pretty, seq,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
-
-_UNSET = object()  # a node not yet compiled (see ``Kernel._set_map``)
 
 
 def _leading_tests(node: Program) -> dict:
@@ -136,10 +142,95 @@ def _picked(plan, aset: PacketSet) -> list:
     return sorted(merged)
 
 
+# -- rows ----------------------------------------------------------------------
+
+
+def _point_masses():
+    """A function from a set to the point mass on it, one row per set,
+    since most rows are point masses on few distinct sets."""
+    rows: dict = {}
+
+    def dirac(s: PacketSet) -> Row:
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = Row(1, {s: 1})
+        return row
+    return dirac
+
+
+def _memoized(fn):
+    """The row function ``fn`` with a memo keyed on the input set."""
+    memo: dict = {}
+
+    def rows(a: PacketSet) -> Row:
+        row = memo.get(a)
+        if row is None:
+            row = memo[a] = fn(a)
+        return row
+    return rows
+
+
+def _point(row: Row):
+    """The set a row puts probability one on, or None."""
+    nums = row.nums
+    if len(nums) != 1:
+        return None
+    (s, p), = nums.items()
+    return s if p == row.den else None
+
+
+def _mix(w, left: Row, right: Row) -> Row:
+    """Row of a choice of weight n/d, ``w == (n, d)`` with 0 < n < d,
+    between two rows."""
+    n, d = w
+    dl, dr = left.den, right.den
+    m = lcm(dl, dr)
+    fl, fr = n * (m // dl), (d - n) * (m // dr)
+    out = {b: fl * p for b, p in left.nums.items()}
+    for b, p in right.nums.items():
+        out[b] = out.get(b, 0) + fr * p
+    return reduced(d * m, out)
+
+
+def _product(mu: Row, nu: Row) -> Row:
+    """The row of ``l & r`` from the rows of ``l`` and ``r``."""
+    s, other = _point(nu), mu
+    if s is None:
+        s, other = _point(mu), nu
+    if s is not None:
+        return joined(other, s)
+    out = {}
+    for b1, p1 in mu.nums.items():
+        for b2, p2 in nu.nums.items():
+            b = b1 | b2
+            out[b] = out.get(b, 0) + p1 * p2
+    den = mu.den * nu.den
+    if len(out) < len(mu.nums) * len(nu.nums):
+        return reduced(den, out)
+    return Row(den, out)
+
+
+def _bind(mu: Row, step) -> Row:
+    """The row of ``mu`` followed by the row function ``step``: the sum of
+    the step's rows weighted by ``mu``, over the lcm of their
+    denominators."""
+    c = _point(mu)
+    if c is not None:
+        return step(c)
+    rows = [(p, step(c)) for c, p in mu.nums.items()]
+    m = lcm(*[r.den for _, r in rows])
+    out = {}
+    for p, r in rows:
+        f = p * (m // r.den)
+        for b, q in r.nums.items():
+            out[b] = out.get(b, 0) + f * q
+    return reduced(mu.den * m, out)
+
+
 class Kernel:
-    """Evaluates a core (desugared) program row by row.  With ``exact``
-    false, ``apply`` and ``row`` return float rows: the exact rows, each
-    weight rounded to the nearest double."""
+    """Compiles a core (desugared) program into row functions.  With
+    ``exact`` false, ``apply`` and ``row`` return float rows: the exact
+    rows, each weight rounded to the nearest double."""
 
     def __init__(self, program: Program, universe: PacketUniverse,
                  exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
@@ -151,70 +242,140 @@ class Kernel:
         self.universe = universe
         self.exact = exact
         self.state_budget = state_budget
-        self._memo: dict = {}
-        self._plans: dict = {}
         self._maps: dict = {}
-        self._tables: dict = {}
-        self._diracs: dict = {}
-        self._empty = self._dirac(EMPTY)
-
-    def _dirac(self, s: PacketSet) -> Row:
-        """The point mass on ``s``: one row per set and kernel, since most
-        rows are point masses on few distinct sets."""
-        row = self._diracs.get(s)
-        if row is None:
-            row = self._diracs[s] = Row(1, {s: 1})
-        return row
-
-    def _point(self, row: Row):
-        """The set a row puts probability one on, or None."""
-        nums = row.nums
-        if len(nums) != 1:
-            return None
-        (s, p), = nums.items()
-        return s if p == row.den else None
-
-    # -- evaluation ----------------------------------------------------------
+        self._fns: dict = {}
+        self._dirac = _point_masses()
 
     def apply(self, aset: PacketSet) -> Row:
         """The output row of the whole program on ``aset``."""
-        row = self._eval(self.program, aset)
+        row = self._rows(self.program)(aset)
         return row if self.exact else rounded(row)
 
     def row(self, node: Program, aset: PacketSet) -> Row:
         """The row of an arbitrary sub-program on ``aset``; an exact row is
         shared, so the caller must not change it (``as_dict`` gives a fresh
         dict)."""
-        row = self._eval(node, aset)
+        row = self._rows(node)(aset)
         return row if self.exact else rounded(row)
 
-    def _eval(self, node: Program, aset: PacketSet) -> Row:
-        key = (node, aset)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval_uncached(node, aset)
-        self._memo[key] = out
-        return out
+    # -- row functions ---------------------------------------------------------
 
-    def _eval_uncached(self, node: Program, aset: PacketSet) -> Row:
-        fn = self._set_map(node)
-        if fn is not None:
-            return self._dirac(fn(aset))
+    def _rows(self, node: Program, filt=None):
+        """The row function of ``node``, or of the star ``node`` followed by
+        the predicate ``filt`` unless None, compiled once per kernel."""
+        key = node if filt is None else (node, filt)
+        fn = self._fns.get(key)
+        if fn is None:
+            fn = self._fns[key] = self._compile_rows(node, filt)
+        return fn
+
+    def _compile_rows(self, node: Program, filt):
+        dirac = self._dirac
+        m = self._set_map(node)
+        if m is not None:
+            return _memoized(lambda a: dirac(m(a)))
         match node:
-            case Union():
-                return self._union(node, aset)
+            case Union(parts):
+                plan = self._union_plan(node)
+                fns = [None] * len(parts)
+                compiled = weakref.WeakMethod(self._rows)
+                empty = dirac(EMPTY)
+
+                def union(a):
+                    out = None
+                    for i in _picked(plan, a):
+                        f = fns[i]
+                        if f is None:
+                            f = fns[i] = compiled()(parts[i])
+                        row = f(a)
+                        out = row if out is None else _product(out, row)
+                    return empty if out is None else out
+                return _memoized(union)
             case Seq():
-                row = self._dirac(aset)
-                for part, filt in self._seq_plan(node):
-                    row = self._bind(row, part, filt)
-                return row
-            case Choice():
-                return self._choice(node, aset)
-            case Star():
-                return self._star(node, None, aset)
+                steps = [self._rows(part, f) for part, f in self._seq_plan(node)]
+
+                def sequence(a):
+                    row = dirac(a)
+                    for step in steps:
+                        row = _bind(row, step)
+                    return row
+                return _memoized(sequence)
+            case Choice(parts, weights):
+                # The parts before the first of weight 1 (else before the
+                # last part) whose weight is not 0, mixed into ``last``.
+                mixed, last = [], parts[-1]
+                for part, w in zip(parts, weights):
+                    if w == 1:
+                        last = part
+                        break
+                    if w != 0:
+                        mixed.append((w.as_integer_ratio(), self._rows(part)))
+                last = self._rows(last)
+
+                def choice(a):
+                    taken = [(w, f(a)) for w, f in mixed]
+                    row = last(a)
+                    for w, left in reversed(taken):
+                        row = _mix(w, left, row)
+                    return row
+                return _memoized(choice)
+            case Star(body):
+                body_rows = self._rows(body)
+                keep = None if filt is None else self._set_map(filt)
+                cap, table = self.state_budget, {}
+
+                def solved(a):
+                    row = table.get(a)
+                    if row is None:
+                        row = star_mod.star_dist(
+                            body_rows, a, cap=cap, keep=keep,
+                            program_text=lambda: pretty(node), table=table)
+                    return row
+                return solved
             case _:
                 raise WellFormednessError(f"non-core node {node!r}")
+
+    def _union_plan(self, node: Union):
+        """(guard reader, value -> branch indices, unguarded indices) of the
+        union chain at ``node``: the reader gives a packet's value of the
+        guard field, or is None if no branch starts with a test.  Index
+        lists are in chain order, and each value's list includes the
+        unguarded branches."""
+        leads = [_leading_tests(b) for b in node.parts]
+        votes = Counter(f for tests in leads for f in tests)
+        guard = votes.most_common(1)[0][0] if votes else None
+        table: dict = {}
+        unguarded = []
+        for i, tests in enumerate(leads):
+            if guard in tests:
+                table.setdefault(tests[guard], []).append(i)
+            else:
+                unguarded.append(i)
+        for v, listed in table.items():
+            self.universe.check_value(guard, v)
+            table[v] = sorted(listed + unguarded)
+        read = None if guard is None else self.universe.reader(guard)
+        return read, table, unguarded
+
+    def _seq_plan(self, node: Seq) -> list:
+        """The (part, filter) steps of the sequence at ``node``, in order;
+        ``filter`` is the predicate parts after a star whose body has a
+        choice as one node, or None; such loops end in exactly such a
+        filter.  A run of consecutive deterministic parts, choice-free stars
+        and loops included, is one step, their ``Seq``, so one set map."""
+        steps = []  # [part, or a list of deterministic parts; filter]
+        for q in node.parts:
+            if steps and isinstance(steps[-1][0], Star) and is_predicate(q):
+                filt = steps[-1][1]
+                steps[-1][1] = q if filt is None else Seq(filt, q)
+            elif self._set_map(q) is None:
+                steps.append([q, None])
+            elif steps and isinstance(steps[-1][0], list):
+                steps[-1][0].append(q)
+            else:
+                steps.append([[q], None])
+        return [(seq(*part) if isinstance(part, list) else part, filt)
+                for part, filt in steps]
 
     # -- deterministic subterms ----------------------------------------------
 
@@ -222,10 +383,10 @@ class Kernel:
         """The compiled set map of ``node``, made once per node: the function
         from a packet set to the one set ``node`` maps it to.  None for a
         node that contains a ``Choice``, or is not core."""
-        fn = self._maps.get(node, _UNSET)
-        if fn is _UNSET:
-            fn = self._maps[node] = self._compile(node)
-        return fn
+        maps = self._maps
+        if node not in maps:
+            maps[node] = self._compile(node)
+        return maps[node]
 
     def _compile(self, node: Program):
         """The set map of ``node`` (see the module), or None if ``node``
@@ -302,160 +463,3 @@ class Kernel:
                 return closure
             case _:
                 return None
-
-    def _choice(self, node: Choice, aset: PacketSet) -> Row:
-        """The row of the choice ``node``: its parts' rows in order, skipping
-        a part of weight 0 and stopping after a weight of 1, mixed from the
-        last part back, as the right-nested binary choices it stands for
-        would be."""
-        mixed, last = self._choice_plan(node)
-        taken = [(w, self._eval(part, aset)) for part, w in mixed]
-        row = self._eval(last, aset)
-        for w, left in reversed(taken):
-            row = self._mix(w, left, row)
-        return row
-
-    def _choice_plan(self, node: Choice):
-        """(mixed, last) of the choice ``node``: ``mixed`` lists the parts
-        before the first of weight 1 (else before the last part) whose
-        weight is not 0, each with its weight as an integer pair (n, d);
-        ``last`` is the part they are mixed into."""
-        plan = self._plans.get(node)
-        if plan is not None:
-            return plan
-        mixed, last = [], node.parts[-1]
-        for part, w in zip(node.parts, node.weights):
-            if w == 1:
-                last = part
-                break
-            if w != 0:
-                mixed.append((part, w.as_integer_ratio()))
-        plan = self._plans[node] = (mixed, last)
-        return plan
-
-    @staticmethod
-    def _mix(w, left: Row, right: Row) -> Row:
-        """Row of a choice of weight n/d, ``w == (n, d)`` with
-        0 < n < d, between two rows."""
-        n, d = w
-        dl, dr = left.den, right.den
-        m = lcm(dl, dr)
-        fl, fr = n * (m // dl), (d - n) * (m // dr)
-        out = {b: fl * p for b, p in left.nums.items()}
-        for b, p in right.nums.items():
-            out[b] = out.get(b, 0) + fr * p
-        return reduced(d * m, out)
-
-    def _union(self, node: Union, aset: PacketSet) -> Row:
-        branches = node.parts
-        out = None
-        for i in _picked(self._union_plan(node), aset):
-            row = self._eval(branches[i], aset)
-            out = row if out is None else self._product(out, row)
-        return self._empty if out is None else out
-
-    def _union_plan(self, node: Union):
-        """(guard reader, value -> branch indices, unguarded indices) of the
-        union chain at ``node``: the reader gives a packet's value of the
-        guard field, or is None if no branch starts with a test.  Index
-        lists are in chain order, and each value's list includes the
-        unguarded branches."""
-        plan = self._plans.get(node)
-        if plan is not None:
-            return plan
-        leads = [_leading_tests(b) for b in node.parts]
-        votes = Counter(f for tests in leads for f in tests)
-        guard = votes.most_common(1)[0][0] if votes else None
-        table: dict = {}
-        unguarded = []
-        for i, tests in enumerate(leads):
-            if guard in tests:
-                table.setdefault(tests[guard], []).append(i)
-            else:
-                unguarded.append(i)
-        for v, listed in table.items():
-            self.universe.check_value(guard, v)
-            table[v] = sorted(listed + unguarded)
-        read = None if guard is None else self.universe.reader(guard)
-        plan = self._plans[node] = (read, table, unguarded)
-        return plan
-
-    def _product(self, mu: Row, nu: Row) -> Row:
-        """The row of ``l & r`` from the rows of ``l`` and ``r``."""
-        s, other = self._point(nu), mu
-        if s is None:
-            s, other = self._point(mu), nu
-        if s is not None:
-            return joined(other, s)
-        out = {}
-        for b1, p1 in mu.nums.items():
-            for b2, p2 in nu.nums.items():
-                b = b1 | b2
-                out[b] = out.get(b, 0) + p1 * p2
-        den = mu.den * nu.den
-        if len(out) < len(mu.nums) * len(nu.nums):
-            return reduced(den, out)
-        return Row(den, out)
-
-    def _seq_plan(self, node: Seq) -> list:
-        """The (part, filter) steps of the sequence at ``node``, in order;
-        ``filter`` is the predicate parts after a star whose body has a
-        choice as one node, or None; such loops end in exactly such a
-        filter.  A run of consecutive deterministic parts, choice-free stars
-        and loops included, is one step, their ``Seq``, so one set map."""
-        plan = self._plans.get(node)
-        if plan is not None:
-            return plan
-        steps = []  # [part, or a list of deterministic parts; filter]
-        for q in node.parts:
-            if steps and isinstance(steps[-1][0], Star) and is_predicate(q):
-                filt = steps[-1][1]
-                steps[-1][1] = q if filt is None else Seq(filt, q)
-            elif self._set_map(q) is None:
-                steps.append([q, None])
-            elif steps and isinstance(steps[-1][0], list):
-                steps[-1][0].append(q)
-            else:
-                steps.append([[q], None])
-        plan = self._plans[node] = [
-            (seq(*part) if isinstance(part, list) else part, filt)
-            for part, filt in steps]
-        return plan
-
-    def _step(self, node: Program, filt, aset: PacketSet) -> Row:
-        """The row of one sequence step: ``node``, or the star ``node``
-        followed by the predicate ``filt``."""
-        if filt is None:
-            return self._eval(node, aset)
-        return self._star(node, filt, aset)
-
-    def _star(self, node: Star, filt, aset: PacketSet) -> Row:
-        """The row of the star ``node``, whose body has a choice, then the
-        predicate ``filt`` unless None, from the (star, filter) table; a
-        miss solves and fills it."""
-        table = self._tables.setdefault((node, filt), {})
-        row = table.get(aset)
-        if row is None:
-            keep = None if filt is None else self._set_map(filt)
-            row = star_mod.star_dist(
-                lambda a: self._eval(node.body, a), aset,
-                cap=self.state_budget, keep=keep,
-                program_text=lambda: pretty(node), table=table,
-            )
-        return row
-
-    def _bind(self, mu: Row, node: Program, filt) -> Row:
-        """The row of ``mu`` followed by one sequence step: the sum of the
-        step's rows weighted by ``mu``, over the lcm of their
-        denominators."""
-        c = self._point(mu)
-        if c is not None:
-            return self._step(node, filt, c)
-        steps = [(p, self._step(node, filt, c)) for c, p in mu.nums.items()]
-        m = lcm(*[r.den for _, r in steps])
-        out = {}
-        for p, r in steps:
-            f = p * (m // r.den)
-            for b, q in r.nums.items():
-                out[b] = out.get(b, 0) + f * q
-        return reduced(mu.den * m, out)

@@ -593,3 +593,32 @@ def test_the_engine_never_enumerates_the_universe(uni2x2, monkeypatch):
     assert run() == reference
     verdicts = [v.result for triple in reference[2::2] for v in triple]
     assert {"equal", "not-equal", "leq", "not-leq"} <= set(verdicts)
+
+
+def test_choice_free_pairs_are_decided_on_the_singletons(uni8, monkeypatch):
+    # Both decisions take a choice-free pair on the empty row and the
+    # singletons alone; their verdicts and witnesses must be those of all
+    # 2^n rows, which an explicit spec of the same rows in mask order
+    # evaluates one by one.
+    rng = random.Random(73)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    oracle = InputSpec.of_sets(spec.rows())
+    calls = []
+    row = Kernel.row
+    monkeypatch.setattr(Kernel, "row", lambda k, p, a: calls.append(a) or row(k, p, a))
+    results, pairs = set(), 0
+    while pairs < 240:
+        p = random_program(rng, uni8, 3, stars=1)
+        q = rng.choice((random_program(rng, uni8, 3, stars=1), p,
+                        Union(p, random_predicate(rng, uni8, 2)),
+                        Seq(random_predicate(rng, uni8, 2), p)))
+        if has_choice(p) or has_choice(q):
+            continue
+        pairs += 1
+        for decide in (equiv, leq):
+            calls.clear()
+            got = decide(p, q, spec, uni8)
+            assert len(calls) <= 2 * (uni8.packet_count + 1)
+            assert got == decide(p, q, oracle, uni8)
+            results.add(got.result)
+    assert results == {"equal", "not-equal", "leq", "not-leq"}

@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import inspect
 import itertools
 import random
 import sys
@@ -326,6 +327,21 @@ def test_compiled_set_maps_match_the_sampler(uni8):
             assert k.row(p, a).as_dict() == delta(sample_run(p, a, u, 0))
 
 
+def _closure(fn):
+    return inspect.getclosurevars(fn).nonlocals
+
+
+def _memos(k):
+    """Node -> memo of each memoized row function of ``k``."""
+    return {key: c["memo"] for key, fn in k._fns.items() if "memo" in (c := _closure(fn))}
+
+
+def _tables(k):
+    """Key (a star node, or a (star, filter) step) -> table of solved rows
+    of each star row function of ``k``."""
+    return {key: c["table"] for key, fn in k._fns.items() if "table" in (c := _closure(fn))}
+
+
 def _parts(node):
     if isinstance(node, (Union, Seq, Choice)):
         return node.parts
@@ -335,12 +351,13 @@ def _parts(node):
 
 
 def test_no_memo_entries_inside_deterministic_subterms():
-    # Only the interpreter makes memo entries.  It evaluates the program,
-    # the parts of the unions, choices and stars that contain a choice or
-    # a star, and the steps of such sequences (a step is a part, or a run
-    # of deterministic parts).  So every memo key is one of those; a node
-    # that lies inside a deterministic subterm has a key only if it is also
-    # (nodes are interned, so shared) one the interpreter evaluates.
+    # Only the row functions hold memo entries (a star's table is its
+    # memo).  A node gets one where its rows are requested: the program,
+    # the parts of the unions, choices and stars that contain a choice, and
+    # the steps of such sequences (a step is a part, or a run of
+    # deterministic parts).  So every memo key is one of those; a node that
+    # lies inside a deterministic subterm has a key only if it is also
+    # (nodes are interned, so shared) one whose rows are requested.
     cm = netlib.build_case_model(netlib.F10_35, netlib.abfattree20(), None)
     k = Kernel(desugar(cm.program), cm.universe)
     for src in cm.in_packets:
@@ -351,19 +368,20 @@ def test_no_memo_entries_inside_deterministic_subterms():
         if node not in nodes:
             nodes.add(node)
             stack.extend(_parts(node))
-    interpreted = {n for n in nodes if k._set_map(n) is None}
+    probabilistic = {n for n in nodes if k._set_map(n) is None}
     evaluated = {k.program}
-    for n in interpreted:
+    for n in probabilistic:
         if isinstance(n, Seq):
             evaluated.update(step for step, _ in k._seq_plan(n))
         else:
             evaluated.update(_parts(n))
-    keys = {node for node, _ in k._memo}
+    stored = {**_memos(k), **_tables(k)}
+    keys = {key for key, rows in stored.items() if rows and not isinstance(key, tuple)}
     assert keys <= evaluated
     assert any(k._set_map(n) is not None for n in keys)
     # The deterministic top nodes hold one entry per input set, and no
     # node inside them has one of its own.
-    deterministic = (nodes | evaluated) - interpreted
+    deterministic = (nodes | evaluated) - probabilistic
     inside = {q for n in deterministic for q in _parts(n)} - evaluated
     assert inside and not keys & inside
 
@@ -446,7 +464,7 @@ def test_choice_free_stars_are_reachability_closures():
                 chain = star_mod.star_dist(lambda b: kb.row(body, b), a, keep=keep)
                 assert got == chain.as_dict()
                 assert got == _unrolled(body, filt, a, u)
-            assert k._set_map(prog) is not None and not k._tables
+            assert k._set_map(prog) is not None and not _tables(k)
 
 
 def _perfbench_programs():
@@ -486,10 +504,32 @@ def test_choice_free_programs_build_no_pair_chain(monkeypatch):
         k = Kernel(prog, u)
         for a in rows:
             k.apply(a)
-        assert not k._tables
+        assert not _tables(k)
     k = Kernel(Star(Choice(Fraction(1, 2), Assign("f", 1), Seq(f0, Assign("g", 1)))), u)
     with pytest.raises(_PairChain):
         k.apply(frozenset({0}))
+
+
+def test_a_filtered_star_step_is_compiled_once_per_kernel(uni8, monkeypatch):
+    # ``p* ; t`` is one step, keyed on (star, filter) in the kernel, so two
+    # sequences that share it share its table: a chain solved for one of
+    # them is not solved again for the other.
+    calls = []
+    solve = star_mod.star_dist
+    monkeypatch.setattr(star_mod, "star_dist",
+                        lambda *args, **kwargs: calls.append(args[1]) or solve(*args, **kwargs))
+    loop = Star(Choice(Fraction(1, 2), Assign("f", 1), Seq(Test("g", 0), Assign("g", 1))))
+    t = Test("h", 0)
+    left, right = Seq(loop, t, Assign("h", 1)), Seq(loop, t, Assign("f", 0))
+    k = Kernel(Union(left, right), uni8)
+    for i in range(uni8.packet_count):
+        a = frozenset({i})
+        k.row(left, a)
+        solved = len(calls)
+        assert calls.count(a) <= 1
+        k.row(right, a)
+        assert len(calls) == solved
+    assert calls
 
 
 # -- matrices: the "`;` is matrix product" oracle ------------------------------
@@ -633,9 +673,10 @@ def test_rows_are_reduced_integer_rows():
         k = kernel(random_program(rng, UNI8, 3, stars=2), UNI8)
         for _ in range(4):
             _assert_reduced_integer_row(k.row(k.program, random_set(rng, UNI8)))
-        for row in k._memo.values():
-            _assert_reduced_integer_row(row)
-        for table in k._tables.values():
+        for memo in _memos(k).values():
+            for row in memo.values():
+                _assert_reduced_integer_row(row)
+        for table in _tables(k).values():
             for row in table.values():
                 _assert_reduced_integer_row(row)
 
