@@ -37,17 +37,23 @@ DEFAULT_SUBSET_CAP = 12
 # -- input specifications ------------------------------------------------
 
 
-def _check_subset_base(n: int, cap: int) -> None:
-    if n > cap:
-        raise WellFormednessError(f"all-subsets over {n} packets exceeds the cap of {cap}")
+def _exceeds(n: int, cap: int):
+    return WellFormednessError(f"all-subsets over {n} packets exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True)
 class InputSpec:
-    """Either an explicit list of input sets or all subsets of a packet list."""
+    """Either an explicit list of input sets or all subsets of a packet list.
+
+    The subset cap bounds the rows a decision lists, at 2^cap: a pair with a
+    choice needs all 2^n subsets of n packets, so n may not exceed the cap,
+    while a choice-free pair needs only the empty set and the n singletons
+    (see ``_decide``).  ``check_rows`` checks the count before any row is
+    listed."""
 
     explicit: tuple | None = None
-    subset_base: tuple | None = None  # packet indices
+    subset_base: tuple | range | None = None  # packet indices
+    cap: int = DEFAULT_SUBSET_CAP
 
     @classmethod
     def of_sets(cls, sets) -> "InputSpec":
@@ -58,17 +64,28 @@ class InputSpec:
 
     @classmethod
     def all_subsets(cls, packets, cap: int = DEFAULT_SUBSET_CAP) -> "InputSpec":
-        """All subsets of ``packets``, a collection whose size is checked first."""
-        _check_subset_base(len(packets), cap)
-        return cls(subset_base=tuple(sorted(packets)))
+        """All subsets of ``packets``, a collection of at most ``cap``."""
+        if len(packets) > cap:
+            raise _exceeds(len(packets), cap)
+        return cls(subset_base=tuple(sorted(packets)), cap=cap)
 
     @classmethod
     def full_universe(cls, universe: PacketUniverse,
                       cap: int = DEFAULT_SUBSET_CAP) -> "InputSpec":
-        """All subsets of the universe, whose packet count is checked before
-        any packet is listed (``len`` of a range stops at 2^63)."""
-        _check_subset_base(universe.packet_count, cap)
-        return cls(subset_base=tuple(range(universe.packet_count)))
+        """All subsets of the universe, whose packet count is checked against
+        the fewest rows any pair needs before any packet is listed (``len``
+        of a range stops at 2^63)."""
+        n = universe.packet_count
+        if n.bit_length() > cap:  # n >= 2^cap, without building 2^cap
+            raise _exceeds(n, cap)
+        return cls(subset_base=range(n), cap=cap)
+
+    def check_rows(self, choice_free: bool) -> None:
+        """Refuse an all-subsets spec whose rows for a pair, choice-free or
+        not, would be more than 2^cap."""
+        n = len(self.subset_base)
+        if (n.bit_length() > self.cap) if choice_free else n > self.cap:
+            raise _exceeds(n, self.cap)
 
     def rows(self):
         if self.explicit is not None:
@@ -147,6 +164,8 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     k = Kernel(p, universe, state_budget=state_budget)
     det = (inputs.subset_base is not None
            and not has_choice(p) and not has_choice(q))
+    if inputs.subset_base is not None:
+        inputs.check_rows(det)
     rows = inputs.singleton_rows() if det else inputs.rows()
     for a in rows:
         mu = k.row(p, a)

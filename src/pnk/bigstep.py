@@ -90,13 +90,47 @@ input fills it for every state (a, {}) it meets.  Later chains stop at
 every state (a, b) whose a is in the table, with the table's row joined
 with b, the same join as a point mass in a product (``row.joined``; see
 ``star`` for why that row is exact).  The table is the function's memo.
+
+Deferred coins.  A *coin* is a choice whose parts each assign one field
+f, such as a flag flip ``up:=1 +[3/4] up:=0`` or ECMP's ``uniform(pt :=
+...)``.  Its row on a nonempty set a is not one outcome per value of f but
+one ``Pending`` outcome: the base, a with f at the coin's first value, and
+the coin's integer weights (``_coin``).  One coin covers the whole set,
+since f := v sets f on every packet of it.  Rows stay exact by two laws of
+*Probabilistic NetKAT* (Foster, Kozen, Mamouras, Reitblatt and Silva, ESOP
+2016): ``;`` distributes over ``+[r]`` from the left, so a later step may
+run on the pending set as on each of its outcomes, and f := v commutes
+with any step that neither reads nor writes f, so such a step runs on the
+base and carries the coin (``_carried``).  A step that assigns f on every
+path before any step reads it *kills* f: its rows do not depend on f, so
+it drops the coin, as the hop's flag resets do.  Any other step that reads
+or writes f flips the coin first (``_forced``), which splits the input by
+the coin's weights into a reduced exact row: so does a node all of whose
+paths test f first (the flipped sets then meet its memo, as eager rows
+would), a union whose guard field is f, and a union with two or more
+*live* branches, one of which reads or writes f.  The live branches are
+those the guard table picks on the base whose leading tests on fields
+without a coin pass on it; every other branch filters every outcome of
+the input to the empty set.  A union with one live branch hands it the
+pending input, so at a core the guarded topology flips the flag of the one
+link its output port leaves by, not those of all the core's links.  All
+branches of a union see one draw of a coin flipped before it.  This holds
+inside set maps too: a deterministic node runs the pending input through
+its parts (``_seq_run``).  Whatever is still pending is flipped by
+``apply`` and ``row``, at a star's input and its body's output, so pair
+chains see only sets, and on either side of a ``&`` product of two branch
+rows, whose coins each branch drew for itself, unless the other side is
+the point mass on the empty set.  Coins are flipped in the universe's
+field order, so rows and counts do not depend on string hashing.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import Counter
-from math import lcm
+from functools import partial
+from math import gcd, lcm, prod
+from operator import itemgetter
 
 from . import star as star_mod
 from .errors import WellFormednessError
@@ -125,7 +159,7 @@ def _picked(plan, aset: PacketSet) -> list:
     evaluate on ``aset``: the unguarded ones and those listed under a
     value the guard field takes in ``aset``.  On a singleton this is one
     digit read and one lookup."""
-    read, table, unguarded = plan
+    _, read, table, unguarded = plan
     if read is None:
         return unguarded
     if len(aset) == 1:
@@ -158,14 +192,15 @@ def _point_masses():
     return dirac
 
 
-def _memoized(fn):
-    """The row function ``fn`` with a memo keyed on the input set."""
+def _memoized(fn, pending):
+    """The row function ``fn`` with a memo keyed on the input, which is a
+    set (``fn`` computes its row) or a pending set (``pending`` does)."""
     memo: dict = {}
 
-    def rows(a: PacketSet) -> Row:
+    def rows(a) -> Row:
         row = memo.get(a)
         if row is None:
-            row = memo[a] = fn(a)
+            row = memo[a] = pending(a) if type(a) is Pending else fn(a)
         return row
     return rows
 
@@ -192,13 +227,22 @@ def _mix(w, left: Row, right: Row) -> Row:
     return reduced(d * m, out)
 
 
-def _product(mu: Row, nu: Row) -> Row:
-    """The row of ``l & r`` from the rows of ``l`` and ``r``."""
-    s, other = _point(nu), mu
-    if s is None:
-        s, other = _point(mu), nu
+def _product(mu: Row, nu: Row, universe: PacketUniverse) -> Row:
+    """The row of ``l & r`` from the rows of ``l`` and ``r``.  Pending sets
+    (see the module) are flipped first, unless the other side is the
+    point mass on the empty set, the unit: the coins of each side were
+    drawn in its own branch."""
+    s, t = _point(nu), _point(mu)
+    if s is not None and not s:
+        return mu
+    if t is not None and not t:
+        return nu
+    if _holds_pending(mu) or _holds_pending(nu):
+        return _product(_settled(mu, universe), _settled(nu, universe), universe)
     if s is not None:
-        return joined(other, s)
+        return joined(mu, s)
+    if t is not None:
+        return joined(nu, t)
     out = {}
     for b1, p1 in mu.nums.items():
         for b2, p2 in nu.nums.items():
@@ -227,10 +271,214 @@ def _bind(mu: Row, step) -> Row:
     return reduced(mu.den * m, out)
 
 
+# -- deferred coins ------------------------------------------------------------
+
+
+class Pending(tuple):
+    """A packet set under pending coins (see the module): the outcome whose
+    sets are ``base`` with each coin's field set to a value drawn from the
+    coin, one draw per coin for all of its packets.  ``base`` is nonempty
+    and holds each coin's first value; ``coins`` are on distinct fields,
+    in the universe's field order.  A pair, so it hashes and compares as
+    one, and never equals a set."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: PacketSet, coins: tuple):
+        return tuple.__new__(cls, (base, coins))
+
+    base = property(itemgetter(0))
+    coins = property(itemgetter(1))
+
+
+def _coin_field(node: Program):
+    """The field f of a choice whose parts each assign f, or None."""
+    if type(node) is not Choice or type(node.parts[0]) is not Assign:
+        return None
+    f = node.parts[0].field
+    return f if all(type(q) is Assign and q.field == f for q in node.parts) else None
+
+
+def _coin(node: Choice, f: str, universe: PacketUniverse) -> tuple:
+    """The coin of the choice ``node`` over assignments to ``f``: (f's place
+    in the field order, f, d, ((v, n), ...)), for f := v with probability
+    n/d, values ascending.  The parts a weight of 0 or 1 cuts off add no
+    value, as in the eager row."""
+    taken = []  # (value, n, d): f := value with chance n/d of the mass left
+    for q, w in zip(node.parts, node.weights):
+        n, d = w.as_integer_ratio()
+        taken.append((q.value, n, d))
+        if n == d:
+            break
+    else:
+        taken.append((node.parts[-1].value, 1, 1))
+    den = prod(d for _, _, d in taken)
+    mass, rest = {}, den  # the mass left, over den: each d divides it
+    for v, n, d in taken:
+        if n:
+            mass[v] = mass.get(v, 0) + rest // d * n
+            rest -= rest // d * n
+    for v in mass:
+        universe.check_value(f, v)
+    g = gcd(den, *mass.values())
+    order = [decl.name for decl in universe.decls].index(f)
+    return order, f, den // g, tuple(sorted((v, m // g) for v, m in mass.items()))
+
+
+def _carried(row: Row, coins: tuple) -> Row:
+    """``row`` with ``coins`` pending on each outcome, for a row computed on
+    the base of a pending input by a node that neither reads nor writes
+    their fields.  Distinct outcomes stay distinct, so ``den`` stands."""
+    out = {}
+    for b, p in row.nums.items():
+        if type(b) is Pending:
+            b = Pending(b.base, tuple(sorted(b.coins + coins)))
+        elif b:
+            b = Pending(b, coins)
+        out[b] = p
+    return Row(row.den, out)
+
+
+def _forced(x: Pending, fields, universe: PacketUniverse) -> Row:
+    """The row of ``x`` with its coins on ``fields`` (all if None) flipped,
+    in field order; the other coins stay pending.  Each coin's row is
+    reduced and the outcomes of a nonempty base are distinct, so their
+    product is reduced."""
+    outs, den, rest = [(x.base, 1)], 1, []
+    for coin in x.coins:
+        _, f, d, values = coin
+        if fields is not None and f not in fields:
+            rest.append(coin)
+            continue
+        v0 = values[0][0]
+        den *= d
+        outs = [(s if v == v0 else universe.modify(s, f, v), w * n)
+                for s, w in outs for v, n in values]
+    rest = tuple(rest)
+    return Row(den, {(Pending(s, rest) if rest else s): w for s, w in outs})
+
+
+def _holds_pending(row: Row) -> bool:
+    """Whether an outcome of ``row`` is a pending set."""
+    for b in row.nums:
+        if type(b) is Pending:
+            return True
+    return False
+
+
+def _settled(row: Row, universe: PacketUniverse) -> Row:
+    """``row`` with every pending coin flipped: a row of packet sets."""
+    if not _holds_pending(row):
+        return row
+    return _bind(row, lambda b: (_forced(b, None, universe) if type(b) is Pending
+                                 else Row(1, {b: 1})))
+
+
+def _past(x: Pending, touch, kills, plain, universe: PacketUniverse) -> Row:
+    """The row on ``x`` of a node whose row on a set is ``plain(set)``, and
+    which reads or writes the fields ``touch`` and kills ``kills``: the
+    coins it kills are dropped, those it reads or writes flipped, and the
+    rest carried past it."""
+    coins = tuple([c for c in x.coins if c[1] not in kills])
+    if not coins:
+        return plain(x.base)
+    touched = [c[1] for c in coins if c[1] in touch]
+    if not touched:
+        return _carried(plain(x.base), coins)
+    return _bind(_forced(Pending(x.base, coins), touched, universe),
+                 lambda y: _carried(plain(y.base), y.coins) if type(y) is Pending else plain(y))
+
+
+def _settling(fn, universe: PacketUniverse):
+    """The row function ``fn`` with every pending coin of its rows flipped."""
+    return lambda a: _settled(fn(a), universe)
+
+
+class _Every:
+    """The set of every field."""
+
+    def __contains__(self, field) -> bool:
+        return True
+
+
+def _run(maps, a: PacketSet) -> PacketSet:
+    """``a`` through the set maps ``maps`` in turn, up to the empty set."""
+    for m in maps:
+        if not a:
+            break
+        a = m(a)
+    return a
+
+
+def _seq_run(state: tuple, i: int, y) -> Row:
+    """The row of the deterministic parts ``parts[i:]`` of a sequence on
+    ``y`` (see ``Kernel._seq_pending``); ``state`` holds the parts, their
+    pending functions and facts as they are made, the kernel weakly and
+    its point masses."""
+    parts, fns, facts, kernel, dirac = state
+    if not facts:
+        facts.append(kernel()._seq_facts(parts))
+    maps, touch, kills = facts[0]
+    n = len(parts)
+    while True:
+        if type(y) is not Pending:
+            return dirac(_run(maps[i:], y))
+        base, coins = y
+        coins = tuple([c for c in coins if c[1] not in kills[i]])
+        if not coins:
+            return dirac(_run(maps[i:], base))
+        while i < n and not any(c[1] in touch[i] for c in coins):
+            base = maps[i](base)
+            i += 1
+            if not base:
+                return dirac(EMPTY)
+        if i == n:
+            return Row(1, {Pending(base, coins): 1})
+        f = fns[i]
+        if f is None:
+            f = fns[i] = kernel()._pending(parts[i])
+        row = f(Pending(base, coins))
+        i += 1
+        if len(row.nums) != 1:
+            return _bind(row, lambda z, i=i: _seq_run(state, i, z))
+        y, = row.nums
+
+
+def _first_reads(node: Program) -> frozenset:
+    """Fields every path through ``node`` tests before any other step: its
+    leading tests, or those all branches of a union that leads it share."""
+    if isinstance(node, Seq) and isinstance(node.parts[0], Union):
+        node = node.parts[0]
+    if not isinstance(node, Union):
+        return frozenset(_leading_tests(node))
+    out = frozenset(_leading_tests(node.parts[0]))
+    for q in node.parts[1:]:
+        if not out:
+            break
+        out = out.intersection(_leading_tests(q))
+    return out
+
+
+def _passes(tests: list, pending, base: PacketSet) -> bool:
+    """Whether a packet of ``base`` passes every test in ``tests``, (field,
+    value, reader) triples, on a field that is not ``pending``."""
+    if len(base) == 1:
+        for i in base:
+            return all(read(i) == v for f, v, read in tests if f not in pending)
+    for f, v, read in tests:
+        if f not in pending:
+            base = [i for i in base if read(i) == v]
+            if not base:
+                return False
+    return True
+
+
 class Kernel:
     """Compiles a core (desugared) program into row functions.  With
     ``exact`` false, ``apply`` and ``row`` return float rows: the exact
     rows, each weight rounded to the nearest double."""
+
+    _coined = False  # whether a coin's row function was compiled: only coins make pending sets
 
     def __init__(self, program: Program, universe: PacketUniverse,
                  exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
@@ -244,18 +492,24 @@ class Kernel:
         self.state_budget = state_budget
         self._maps: dict = {}
         self._fns: dict = {}
+        self._pends: dict = {}
+        self._facts: dict = {}
         self._dirac = _point_masses()
 
     def apply(self, aset: PacketSet) -> Row:
         """The output row of the whole program on ``aset``."""
-        row = self._rows(self.program)(aset)
-        return row if self.exact else rounded(row)
+        return self._out(self.program, aset)
 
     def row(self, node: Program, aset: PacketSet) -> Row:
         """The row of an arbitrary sub-program on ``aset``; an exact row is
         shared, so the caller must not change it (``as_dict`` gives a fresh
         dict)."""
+        return self._out(node, aset)
+
+    def _out(self, node: Program, aset: PacketSet) -> Row:
         row = self._rows(node)(aset)
+        if self._coined and _holds_pending(row):
+            row = _settled(row, self.universe)
         return row if self.exact else rounded(row)
 
     # -- row functions ---------------------------------------------------------
@@ -270,10 +524,11 @@ class Kernel:
         return fn
 
     def _compile_rows(self, node: Program, filt):
-        dirac = self._dirac
+        u, dirac = self.universe, self._dirac
+        pend = self._lazy_pending(node if filt is None else (node, filt))
         m = self._set_map(node)
         if m is not None:
-            return _memoized(lambda a: dirac(m(a)))
+            return _memoized(lambda a: dirac(m(a)), pend)
         match node:
             case Union(parts):
                 plan = self._union_plan(node)
@@ -288,9 +543,9 @@ class Kernel:
                         if f is None:
                             f = fns[i] = compiled()(parts[i])
                         row = f(a)
-                        out = row if out is None else _product(out, row)
+                        out = row if out is None else _product(out, row, u)
                     return empty if out is None else out
-                return _memoized(union)
+                return _memoized(union, pend)
             case Seq():
                 steps = [self._rows(part, f) for part, f in self._seq_plan(node)]
 
@@ -299,8 +554,17 @@ class Kernel:
                     for step in steps:
                         row = _bind(row, step)
                     return row
-                return _memoized(sequence)
+                return _memoized(sequence, pend)
             case Choice(parts, weights):
+                f = _coin_field(node)
+                if f is not None:
+                    self._coined = True
+                    coins = (_coin(node, f, u),)
+                    v0 = coins[0][3][0][0]  # the coin's first value
+
+                    def flip(a):
+                        return Row(1, {Pending(u.modify(a, f, v0), coins): 1}) if a else dirac(a)
+                    return _memoized(flip, pend)
                 # The parts before the first of weight 1 (else before the
                 # last part) whose weight is not 0, mixed into ``last``.
                 mixed, last = [], parts[-1]
@@ -318,13 +582,17 @@ class Kernel:
                     for w, left in reversed(taken):
                         row = _mix(w, left, row)
                     return row
-                return _memoized(choice)
+                return _memoized(choice, pend)
             case Star(body):
                 body_rows = self._rows(body)
+                if self._emits(body):
+                    body_rows = _settling(body_rows, u)
                 keep = None if filt is None else self._set_map(filt)
                 cap, table = self.state_budget, {}
 
                 def solved(a):
+                    if type(a) is Pending:
+                        return pend(a)
                     row = table.get(a)
                     if row is None:
                         row = star_mod.star_dist(
@@ -336,11 +604,11 @@ class Kernel:
                 raise WellFormednessError(f"non-core node {node!r}")
 
     def _union_plan(self, node: Union):
-        """(guard reader, value -> branch indices, unguarded indices) of the
-        union chain at ``node``: the reader gives a packet's value of the
-        guard field, or is None if no branch starts with a test.  Index
-        lists are in chain order, and each value's list includes the
-        unguarded branches."""
+        """(guard field, guard reader, value -> branch indices, unguarded
+        indices) of the union chain at ``node``: the reader gives a packet's
+        value of the guard field; both are None if no branch starts with a
+        test.  Index lists are in chain order, and each value's list
+        includes the unguarded branches."""
         leads = [_leading_tests(b) for b in node.parts]
         votes = Counter(f for tests in leads for f in tests)
         guard = votes.most_common(1)[0][0] if votes else None
@@ -355,7 +623,7 @@ class Kernel:
             self.universe.check_value(guard, v)
             table[v] = sorted(listed + unguarded)
         read = None if guard is None else self.universe.reader(guard)
-        return read, table, unguarded
+        return guard, read, table, unguarded
 
     def _seq_plan(self, node: Seq) -> list:
         """The (part, filter) steps of the sequence at ``node``, in order;
@@ -376,6 +644,179 @@ class Kernel:
                 steps.append([[q], None])
         return [(seq(*part) if isinstance(part, list) else part, filt)
                 for part, filt in steps]
+
+    # -- pending inputs ------------------------------------------------------
+
+    def _lazy_pending(self, key):
+        """The function from a pending input to the row of ``key`` (a node,
+        or a (star, filter) step) on it, compiled on its first call.  It
+        holds the kernel weakly, so no row function refers to its kernel."""
+        kernel = weakref.ref(self)
+        return lambda x: kernel()._pending(key)(x)
+
+    def _pending(self, key):
+        fn = self._pends.get(key)
+        if fn is None:
+            fn = self._pends[key] = self._compile_pending(key)
+        return fn
+
+    def _handler(self, node: Program):
+        """The function from a set or a pending input to the row of ``node``
+        on it: the row function of a node that holds a choice, else its set
+        map with no memo, as no node inside a deterministic one has one."""
+        m = self._set_map(node)
+        if m is None:
+            return self._rows(node)
+        dirac, pend = self._dirac, self._lazy_pending(node)
+        return lambda y: pend(y) if type(y) is Pending else dirac(m(y))
+
+    def _compile_pending(self, key):
+        """The row of ``key`` on a pending input (see the module).  A star
+        flips every coin of its input.  Any other node first flips the coins
+        on the fields it tests first on every path; then a union looks for
+        its live branches and a sequence runs its parts, while any other
+        node drops the coins on the fields it kills, flips those it reads or
+        writes, and carries the rest."""
+        node, filt = key if isinstance(key, tuple) else (key, None)
+        u, dirac = self.universe, self._dirac
+        # The node's row function where it has one, so flipped inputs meet its memo.
+        whole = self._fns.get(key) or self._handler(node)
+        if isinstance(node, Star):
+            return lambda x: _bind(_forced(x, None, u), whole)
+        m = self._set_map(node)
+        plain = whole if m is None else (lambda a: dirac(m(a)))
+        if isinstance(node, Union):
+            rest = self._union_pending(node, whole, plain)
+        elif isinstance(node, Seq):
+            rest = self._seq_pending(node, m)
+        else:
+            _, touch, kills = self._facts_of(node)
+            rest = partial(_past, touch=touch, kills=kills, plain=plain, universe=u)
+        first = _first_reads(node)
+        if not first:
+            return rest
+
+        def pending(x):
+            read = [c[1] for c in x.coins if c[1] in first]
+            return _bind(_forced(x, read, u), whole) if read else rest(x)
+        return pending
+
+    def _union_pending(self, node: Union, whole, plain):
+        """A union flips its guard field first if it is pending.  Its live
+        branches are those the guard table picks on the base whose leading
+        tests on fields without a coin pass on it; the others filter every
+        outcome of the input to the empty set.  One live branch gets the
+        pending input.  Two or more drop the coins all of them kill, flip
+        each coin one of them reads or writes, and carry the rest."""
+        u, empty = self.universe, self._dirac(EMPTY)
+        plan = self._union_plan(node)
+        guard, parts = plan[0], node.parts
+        readers: dict = {}
+        leads = [[(f, v, readers.get(f) or readers.setdefault(f, u.reader(f)))
+                  for f, v in _leading_tests(q).items()] for q in parts]
+        fns = [None] * len(parts)
+        kernel = weakref.ref(self)
+
+        def union(x):
+            fields = {c[1] for c in x.coins}
+            if guard in fields:
+                return _bind(_forced(x, (guard,), u), whole)
+            base = x.base
+            live = [i for i in _picked(plan, base) if _passes(leads[i], fields, base)]
+            if len(live) == 1:
+                i = live[0]
+                f = fns[i]
+                if f is None:
+                    f = fns[i] = kernel()._handler(parts[i])
+                return f(x)
+            if not live:
+                return empty
+            facts = [kernel()._facts_of(parts[i]) for i in live]
+            return _past(x, frozenset().union(*[t for _, t, _ in facts]),
+                         frozenset.intersection(*[k for _, _, k in facts]), plain, u)
+        return union
+
+    def _seq_pending(self, node: Seq, m):
+        """A sequence binds its steps to the pending input.  A deterministic
+        one maps the base through each part that neither reads nor writes a
+        coin, drops the coins the rest of its parts kill, and hands the
+        input to each other part; once every outcome is a set, it maps each
+        through the rest of its parts at once.  Only such a part flips a
+        coin, and only a flip branches, so this recurses at most once per
+        coin."""
+        if m is None:
+            steps = [self._rows(part, f) for part, f in self._seq_plan(node)]
+
+            def sequence(x):
+                row = Row(1, {x: 1})
+                for step in steps:
+                    row = _bind(row, step)
+                return row
+            return sequence
+        state = (node.parts, [None] * len(node.parts), [], weakref.ref(self), self._dirac)
+        return lambda x: _seq_run(state, 0, x)
+
+    def _seq_facts(self, parts: tuple) -> tuple:
+        """The set maps of deterministic ``parts``, the fields each part reads
+        or writes, and the fields each suffix of the parts kills.  A union
+        or a star stands for every field, so the input is handed to it and
+        no kill is seen through it: its fields would take a walk over all
+        its branches to find."""
+        every = _Every()
+        facts = [(every, every, frozenset()) if isinstance(q, (Union, Star))
+                 else self._facts_of(q) for q in parts]
+        kills = [frozenset()] * (len(parts) + 1)
+        for i in reversed(range(len(parts))):
+            r, _, k = facts[i]
+            kills[i] = k if r is every else k | (kills[i + 1] - r)
+        return [self._set_map(q) for q in parts], [t for _, t, _ in facts], kills
+
+    def _emits(self, node: Program) -> bool:
+        """Whether the rows of ``node`` on sets may hold pending sets: it has
+        a coin outside every star (a star's own rows hold none)."""
+        seen, work = set(), [node]
+        while work:
+            q = work.pop()
+            if q in seen or isinstance(q, Star) or self._set_map(q) is not None:
+                continue
+            if _coin_field(q) is not None:
+                return True
+            seen.add(q)
+            work.extend(q.parts)
+        return False
+
+    def _facts_of(self, node: Program) -> tuple:
+        """(fields read, fields read or written, fields killed) of ``node``,
+        where a field is killed if every path assigns it before any step
+        reads it: the node's rows then do not depend on its value."""
+        facts = self._facts.get(node)
+        if facts is not None:
+            return facts
+        none = frozenset()
+        match node:
+            case Test(f, _):
+                facts = (frozenset((f,)), frozenset((f,)), none)
+            case Assign(f, _):
+                facts = (none, frozenset((f,)), frozenset((f,)))
+            case Neg(b) | Star(b):
+                facts = (*self._facts_of(b)[:2], none)
+            case Seq(parts):
+                reads = touch = kills = none
+                for q in parts:
+                    r, t, k = self._facts_of(q)
+                    kills |= k - reads
+                    reads |= r
+                    touch |= t
+                facts = (reads, touch, kills)
+            case Union(parts) | Choice(parts):
+                each = [self._facts_of(q) for q in parts]
+                facts = (none.union(*[r for r, _, _ in each]),
+                         none.union(*[t for _, t, _ in each]),
+                         frozenset.intersection(*[k for _, _, k in each]))
+            case _:
+                facts = (none, none, none)
+        self._facts[node] = facts
+        return facts
 
     # -- deterministic subterms ----------------------------------------------
 

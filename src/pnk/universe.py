@@ -8,8 +8,8 @@ a set costs memory in proportion to its members, and a universe's size is a
 plain number: no step of the engine builds a set that grows with it, and
 a universe of 2^71 packets costs what its sets cost.  What bounds a run are
 the limits placed where it spends its resources: the pair-state budget of
-each star chain (``star.DEFAULT_STATE_BUDGET``), the number of packets whose
-subsets an input specification may enumerate (``analysis.DEFAULT_SUBSET_CAP``)
+each star chain (``star.DEFAULT_STATE_BUDGET``), the number of rows an
+all-subsets input specification may list (2^``analysis.DEFAULT_SUBSET_CAP``)
 and the nesting depth of a program (``syntax.MAX_DEPTH``).
 """
 

@@ -14,13 +14,13 @@ import pytest
 
 from pnk import netlib
 from pnk import star as star_mod
-from pnk.analysis import InputSpec, dist_leq, equiv, leq, sample_run
-from pnk.bigstep import Kernel
+from pnk.analysis import InputSpec, dist_leq, equiv, estimate, leq, sample_run
+from pnk.bigstep import Kernel, Pending
 from pnk.errors import WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, While,
-    desugar, has_choice, restrict, union,
+    desugar, has_choice, pretty, restrict, seq, union,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -388,20 +388,25 @@ def test_no_memo_entries_inside_deterministic_subterms():
 
 def test_a_kernel_is_freed_without_the_cycle_collector(uni8):
     # The compiled maps hold no reference to their kernel, so a kernel goes
-    # as soon as its last reference does, memo and all.
+    # as soon as its last reference does, memo and all; with coins, so do
+    # the functions that run pending sets through the nodes.
     p = Seq(Union(Seq(Test("f", 0), Assign("g", 1)),
                   Seq(Test("f", 1), Neg(Test("h", 1)))),
             Choice(Fraction(1, 3), Assign("h", 0), Star(Assign("f", 1))))
-    k = Kernel(p, uni8)
-    for i in range(uni8.packet_count):
-        k.row(p, frozenset({i}))
-    ref = weakref.ref(k)
-    gc.disable()
-    try:
-        del k
-        assert ref() is None
-    finally:
-        gc.enable()
+    flips = Seq(Choice(Fraction(1, 2), Assign("g", 0), Assign("g", 1)),
+                Choice(Fraction(1, 4), Assign("f", 0), Assign("f", 1)))
+    for prog in (p, Seq(flips, p)):
+        k = Kernel(prog, uni8)
+        for i in range(uni8.packet_count):
+            k.row(prog, frozenset({i}))
+        assert bool(k._pends) == (prog is not p)
+        ref = weakref.ref(k)
+        gc.disable()
+        try:
+            del k
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # -- choice-free stars: reachability closures ----------------------------------
@@ -708,3 +713,223 @@ def test_float_mode_masses():
     d = k.apply(frozenset({u.packet(f=0)})).as_dict()
     assert abs(sum(d.values()) - 1.0) < 1e-9
     assert all(isinstance(pr, float) for pr in d.values())
+
+
+# -- deferred coins --------------------------------------------------------------
+#
+# The oracle for a coin (a choice whose parts each assign one field f) is its
+# eager twin, which writes each part f:=v as f:=v & drop: the same program,
+# whose choice is no coin, so the kernel flips it where it stands.
+
+
+def _twin(p):
+    """``p`` with every coin's parts f:=v written f:=v & drop."""
+    match p:
+        case Choice(parts, weights):
+            twins = [_twin(q) for q in parts]
+            if all(type(q) is Assign and q.field == parts[0].field for q in parts):
+                twins = [Union(q, Drop()) for q in parts]
+            return Choice.chain(twins, weights)
+        case Union(parts) | Seq(parts):
+            return type(p)(*map(_twin, parts))
+        case Neg(b) | Star(b):
+            return type(p)(_twin(b))
+        case _:
+            return p
+
+
+def _coin(rng, u, field=None):
+    d = u.field(field) if field else rng.choice(u.decls)
+    parts = [Assign(d.name, rng.randrange(d.size)) for _ in range(rng.randrange(2, 4))]
+    return Choice.chain(parts, [rng.choice(WEIGHTS) for _ in parts[1:]])
+
+
+def _coin_program(rng, u, depth):
+    """A random core program with coin chains (a field may recur in one),
+    stars, ``p* ; t``, and unions of random branches after a chain, which
+    read, write or ignore its fields."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.5:
+            return random_program(rng, u, rng.randrange(3), stars=rng.randrange(2))
+        return Seq(*[_coin(rng, u) for _ in range(rng.randrange(1, 4))], Skip())
+    a, b = _coin_program(rng, u, depth - 1), _coin_program(rng, u, depth - 1)
+    match rng.choice(("seq", "union", "branches", "choice", "star", "filtered")):
+        case "seq":
+            return Seq(a, b)
+        case "union":
+            return Union(a, b)
+        case "branches":
+            return Seq(a, union(*[random_program(rng, u, rng.randrange(3), stars=0)
+                                  for _ in range(rng.randrange(2, 4))]))
+        case "choice":
+            return Choice(rng.choice(WEIGHTS), a, b)
+        case "star":
+            return Star(a)
+    return Seq(Star(a), random_predicate(rng, u, 2))
+
+
+def _same_rows_as_twin(p, u, inputs):
+    k, twin = Kernel(p, u), Kernel(_twin(p), u)
+    for a in inputs:
+        got = k.row(p, a)
+        assert got == twin.row(twin.program, a), (pretty(p), sorted(a))
+        _assert_reduced_integer_row(got)
+
+
+def test_coins_give_the_rows_of_their_eager_twins(uni8):
+    u = uni8
+    inputs = all_subsets(u)
+    rng = random.Random(22)
+    for _ in range(300):
+        _same_rows_as_twin(_coin_program(rng, u, 2), u, inputs)
+
+
+@pytest.mark.parametrize("topo", ["abfattree20", "abfattree45"])
+def test_f10_rows_at_k_inf_are_those_of_the_eager_twin(topo):
+    # At k=inf every port flag of a core is a coin, and so is each ECMP
+    # choice of an output port.
+    for scheme in netlib.F10_VARIANTS:
+        cm = netlib.build_case_model(scheme, netlib.topology_by_name(topo), None)
+        p = desugar(cm.program)
+        k, twin = Kernel(p, cm.universe), Kernel(_twin(p), cm.universe)
+        for src in cm.in_packets:
+            a = frozenset({src})
+            assert k.apply(a) == twin.apply(a)
+
+
+F0, F1 = Assign("f", 0), Assign("f", 1)
+FLIP = Choice(Fraction(1, 4), F1, F0)  # f := 1 with chance 1/4
+
+
+def _unsettled(k, p, a):
+    """The row of ``p`` on ``a`` as its row function makes it, coins pending."""
+    return k._rows(p)(a)
+
+
+def test_two_live_branches_that_test_one_coin_give_two_outcomes(uni8):
+    # Both branches pass h=0 on the base, so both are live and the coin is
+    # flipped once, before the union: f=1 and f=0 each take one branch.
+    # Flipped in each branch instead, the draws would be independent.
+    u = uni8
+    p = Seq(FLIP, Union(seq(Test("h", 0), Test("f", 1), Assign("g", 1)),
+                        seq(Test("h", 0), Assign("g", 0), Test("f", 0))))
+    a = frozenset({u.packet(f=0, g=0, h=0)})
+    assert Kernel(p, u).row(p, a).as_dict() == {
+        frozenset({u.packet(f=1, g=1, h=0)}): Fraction(1, 4),
+        frozenset({u.packet(f=0, g=0, h=0)}): Fraction(3, 4)}
+    _same_rows_as_twin(p, u, all_subsets(u))
+
+
+def test_a_coin_on_the_empty_set_is_the_empty_set(uni8):
+    k = Kernel(FLIP, uni8)
+    assert _unsettled(k, FLIP, EMPTY).as_dict() == delta(EMPTY)
+    assert k.row(FLIP, EMPTY).as_dict() == delta(EMPTY)
+
+
+def test_a_second_coin_on_a_field_drops_the_first(uni8):
+    u = uni8
+    second = Choice(Fraction(2, 3), F0, F1)
+    p = Seq(FLIP, Assign("g", 1), second)
+    k = Kernel(p, u)
+    for a in all_subsets(u)[1:]:
+        (b,) = _unsettled(k, p, a).nums
+        (c,) = _unsettled(k, second, a).nums
+        assert isinstance(b, Pending) and b.coins == c.coins
+    _same_rows_as_twin(p, u, all_subsets(u))
+
+
+def test_a_coin_never_read_stays_pending_to_the_end(uni8):
+    u = uni8
+    p = seq(FLIP, Assign("g", 1), Union(Assign("h", 1), Assign("h", 0)))
+    k = Kernel(p, u)
+    a = frozenset({u.packet(f=0, g=0, h=0)})
+    (b,) = _unsettled(k, p, a).nums
+    assert isinstance(b, Pending) and len(b.base) == 2
+    assert len(k.row(p, a).nums) == 2
+    _same_rows_as_twin(p, u, all_subsets(u))
+
+
+def _forcing_cases():
+    """(name, program) for each point where a pending coin on f is flipped."""
+    g1, h1 = Assign("g", 1), Assign("h", 1)
+    return [
+        ("a test of f", Seq(FLIP, Test("f", 1), g1)),
+        ("a negated test of f", Seq(FLIP, Neg(Test("f", 1)), g1)),
+        ("a union that writes f on one path", Seq(FLIP, Union(F0, g1))),
+        ("a choice that writes f on one path", Seq(FLIP, Choice(Fraction(1, 2), F0, g1))),
+        ("a union guarded by f", Seq(FLIP, Union(Seq(Test("f", 0), g1),
+                                                  Seq(Test("f", 1), h1)))),
+        ("two live branches that read f", Seq(FLIP, Union(Seq(Test("g", 0), Test("f", 1), h1),
+                                                          Seq(Test("g", 0), g1)))),
+        ("a star's input", Seq(FLIP, Star(Seq(Test("f", 1), Assign("f", 0), g1)))),
+        ("a star body's output", Star(Seq(FLIP, Union(Test("f", 1), g1)))),
+        ("a filtered star's input", Seq(FLIP, Star(Choice(Fraction(1, 2), g1, h1)),
+                                        Test("f", 0))),
+        ("a product with a set", Union(FLIP, g1)),
+        ("a product of two coins", Union(FLIP, Choice(Fraction(1, 3), Assign("g", 0), g1))),
+        ("a product with the empty set", Union(FLIP, Seq(Test("g", 1), Drop()))),
+        ("a product of rows that carry one coin", Seq(FLIP, Union(g1, h1))),
+        ("apply and row", FLIP),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _forcing_cases()])
+def test_each_forcing_point_gives_the_rows_of_the_eager_twin(uni8, name):
+    p = dict(_forcing_cases())[name]
+    _same_rows_as_twin(p, uni8, all_subsets(uni8))
+
+
+def test_two_branches_that_carry_one_coin_keep_it_pending(uni8):
+    # Neither live branch reads or writes f: the union runs on the base and
+    # the one coin stays pending on the united outcome.
+    u = uni8
+    p = dict(_forcing_cases())["a product of rows that carry one coin"]
+    a = frozenset({u.packet(f=0, g=0, h=0)})
+    (b,) = _unsettled(Kernel(p, u), p, a).nums
+    assert b == Pending(frozenset({u.packet(f=0, g=1, h=0), u.packet(f=0, g=0, h=1)}),
+                        b.coins)
+
+
+def test_a_core_flips_only_the_flag_its_link_reads():
+    # f10_0 at k=inf: a core flips all of its port flags, routing sets the
+    # output port o, and the guarded topology then reads up_o alone: the
+    # link leaves the other flags pending, and the hop's resets drop them.
+    topo = netlib.abfattree20()
+    cm = netlib.build_case_model(netlib.F10_0, topo, None)
+    u = cm.universe
+    core = min(s for s, layer in topo.layers.items() if layer == netlib.CORE)
+    ports = sorted(l.srcport for l in topo.failable_links() if l.src == core)
+    k = Kernel(desugar(cm.program), u)
+    flips = seq(Test("sw", core), *netlib.case_failure(topo, None, Fraction(1, 4))
+                .parts[0].parts[1:])
+    o = ports[0]
+    a = frozenset({u.packet(sw=core, pt=o, default=1, **{f"up{q}": 1 for q in ports})})
+    (x,) = _unsettled(k, flips, a).nums
+    assert [c[1] for c in x.coins] == [f"up{q}" for q in ports]
+    guarded = netlib.topo_program(topo, guarded=True)
+    row = k._pending(guarded)(x)
+    assert sorted(len(b.coins) if isinstance(b, Pending) else 0 for b in row.nums) == [
+        0, len(ports) - 1]
+    assert row.prob(EMPTY) == Fraction(1, 4)
+
+
+def test_coin_chains_match_the_sampler(uni8):
+    # The sampler shares no code with the kernel: each program's exact row
+    # is within 3 standard errors of the sampled frequencies.
+    u = uni8
+    rng = random.Random(23)
+    n = 300
+    for i in range(20):
+        chain = Seq(*[_coin(rng, u) for _ in range(3)])
+        body = random_program(rng, u, 2, stars=0)
+        p = rng.choice([Union(Seq(chain, body), random_program(rng, u, 1, stars=0)),
+                        Seq(Star(Seq(chain, body)), random_predicate(rng, u, 1)),
+                        Seq(chain, Star(Union(body, _coin(rng, u))))])
+        a = random_set(rng, u)
+        exact = Kernel(p, u).row(p, a).as_dict()
+        est = estimate(p, a, u, n, seed=i)
+        assert est.n_truncated == 0
+        for b in exact.keys() | est.counts.keys():
+            q = float(exact.get(b, 0))
+            se = max((q * (1 - q) / n) ** 0.5, 1e-3)
+            assert abs(est.prob(b) - q) <= 3 * se, (pretty(p), sorted(b))

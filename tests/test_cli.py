@@ -544,3 +544,30 @@ def test_all_inputs_of_a_huge_universe_exceed_the_subset_cap(progdir, capsys):
     assert main(["equiv", p, p, "--inputs", "all"]) == 2
     assert capsys.readouterr().err == ("error: all-subsets over 2361183241434822606848 "
                                        "packets exceeds the cap of 12\n")
+
+
+def test_all_inputs_of_a_choice_free_pair_are_capped_by_rows(progdir, capsys):
+    # A choice-free pair over 2,048 packets needs the empty set and the
+    # 2,048 singletons as rows, within 2^12: it is decided at the default
+    # cap, with the verdict and witness of an explicit spec of those rows.
+    header = "fields { f : 32 ; g : 64 }\n"
+    p = progdir("p.pnk", header + "(f=3 ; g:=5) & (f=7 ; g:=1)\n")
+    q = progdir("q.pnk", header + "f=3 ; g:=5\n")
+    sets = [[]] + [[{"f": i % 32, "g": i // 32}] for i in range(32 * 64)]
+    explicit = progdir("rows.json", json.dumps({"sets": sets}))
+    outputs = []
+    for inputs in ("all", explicit):
+        for cmd in ("equiv", "leq"):
+            code = main([cmd, p, q, "--inputs", inputs])
+            outputs.append((cmd, code, capsys.readouterr()))
+    assert outputs[:2] == outputs[2:]
+    assert [code for _, code, _ in outputs[:2]] == [1, 1]
+    assert json.loads(outputs[0][2].out)["witness"]["input"] == [{"f": 7, "g": 0}]
+
+
+def test_all_inputs_of_a_probabilistic_pair_keep_the_base_cap(progdir, capsys):
+    # A pair with a choice needs all 2^16 subsets of 16 packets: over 2^12.
+    p = progdir("p.pnk", "fields { f : 16 }\nf:=0 +[1/2] f:=1\n")
+    assert main(["equiv", p, p, "--inputs", "all"]) == 2
+    assert capsys.readouterr().err == "error: all-subsets over 16 packets exceeds the cap of 12\n"
+    assert main(["equiv", p, p, "--inputs", "all", "--cap-subsets", "16"]) == 0
