@@ -444,18 +444,21 @@ def _seq_run(state: tuple, i: int, y) -> Row:
         y, = row.nums
 
 
-def _first_reads(node: Program) -> frozenset:
+def _first_reads(node: Program, leads=None) -> frozenset:
     """Fields every path through ``node`` tests before any other step: its
-    leading tests, or those all branches of a union that leads it share."""
+    leading tests, or those all branches of a union that leads it share;
+    ``leads`` holds the union's ``_leading_tests`` per branch, if made."""
     if isinstance(node, Seq) and isinstance(node.parts[0], Union):
         node = node.parts[0]
     if not isinstance(node, Union):
         return frozenset(_leading_tests(node))
-    out = frozenset(_leading_tests(node.parts[0]))
-    for q in node.parts[1:]:
+    if leads is None:
+        leads = [_leading_tests(q) for q in node.parts]
+    out = frozenset(leads[0])
+    for tests in leads[1:]:
         if not out:
             break
-        out = out.intersection(_leading_tests(q))
+        out = out.intersection(tests)
     return out
 
 
@@ -494,6 +497,7 @@ class Kernel:
         self._fns: dict = {}
         self._pends: dict = {}
         self._facts: dict = {}
+        self._plans: dict = {}
         self._dirac = _point_masses()
 
     def apply(self, aset: PacketSet) -> Row:
@@ -589,15 +593,14 @@ class Kernel:
                     body_rows = _settling(body_rows, u)
                 keep = None if filt is None else self._set_map(filt)
                 cap, table = self.state_budget, {}
+                text = partial(pretty, node)
 
                 def solved(a):
                     if type(a) is Pending:
                         return pend(a)
                     row = table.get(a)
                     if row is None:
-                        row = star_mod.star_dist(
-                            body_rows, a, cap=cap, keep=keep,
-                            program_text=lambda: pretty(node), table=table)
+                        row = star_mod.star_dist(body_rows, a, cap, keep, text, table)
                     return row
                 return solved
             case _:
@@ -608,7 +611,13 @@ class Kernel:
         indices) of the union chain at ``node``: the reader gives a packet's
         value of the guard field; both are None if no branch starts with a
         test.  Index lists are in chain order, and each value's list
-        includes the unguarded branches."""
+        includes the unguarded branches.  Made once per node and kernel."""
+        plan = self._plans.get(node)
+        if plan is None:
+            plan = self._plans[node] = self._make_union_plan(node)
+        return plan
+
+    def _make_union_plan(self, node: Union):
         leads = [_leading_tests(b) for b in node.parts]
         votes = Counter(f for tests in leads for f in tests)
         guard = votes.most_common(1)[0][0] if votes else None
@@ -685,14 +694,16 @@ class Kernel:
             return lambda x: _bind(_forced(x, None, u), whole)
         m = self._set_map(node)
         plain = whole if m is None else (lambda a: dirac(m(a)))
+        leads = None
         if isinstance(node, Union):
-            rest = self._union_pending(node, whole, plain)
+            leads = [_leading_tests(q) for q in node.parts]
+            rest = self._union_pending(node, whole, plain, leads)
         elif isinstance(node, Seq):
             rest = self._seq_pending(node, m)
         else:
             _, touch, kills = self._facts_of(node)
             rest = partial(_past, touch=touch, kills=kills, plain=plain, universe=u)
-        first = _first_reads(node)
+        first = _first_reads(node, leads)
         if not first:
             return rest
 
@@ -701,19 +712,20 @@ class Kernel:
             return _bind(_forced(x, read, u), whole) if read else rest(x)
         return pending
 
-    def _union_pending(self, node: Union, whole, plain):
+    def _union_pending(self, node: Union, whole, plain, tests: list):
         """A union flips its guard field first if it is pending.  Its live
         branches are those the guard table picks on the base whose leading
-        tests on fields without a coin pass on it; the others filter every
-        outcome of the input to the empty set.  One live branch gets the
-        pending input.  Two or more drop the coins all of them kill, flip
-        each coin one of them reads or writes, and carry the rest."""
+        tests (``tests``, per branch) on fields without a coin pass on it;
+        the others filter every outcome of the input to the empty set.  One
+        live branch gets the pending input.  Two or more drop the coins all
+        of them kill, flip each coin one of them reads or writes, and carry
+        the rest."""
         u, empty = self.universe, self._dirac(EMPTY)
         plan = self._union_plan(node)
         guard, parts = plan[0], node.parts
         readers: dict = {}
         leads = [[(f, v, readers.get(f) or readers.setdefault(f, u.reader(f)))
-                  for f, v in _leading_tests(q).items()] for q in parts]
+                  for f, v in t.items()] for t in tests]
         fns = [None] * len(parts)
         kernel = weakref.ref(self)
 

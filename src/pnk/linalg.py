@@ -6,10 +6,15 @@ The scalar type is whatever the entries carry; ``mat_mul``, ``convex`` and
 are independent checks of the laws for ``;``, ``+[r]`` and iteration.
 
 ``solve_absorption_row(Q, R, i, den=...)`` computes row i of
-A = (I - Q)^-1 R by eliminating every other transient state from the chain,
-fewest fill first.  It works on the pair chain's own rows: row i of Q and
-R holds integer numerators over ``den[i]``.  It keeps one denominator per
-row, reduces a row by its gcd after each fold, and returns reduced
+A = (I - Q)^-1 R by state elimination ordered by the strongly connected
+classes of Q (Daws, ICTAC 2004): it walks the classes that row i reaches,
+each after the classes it leaves to, solves a one-state class by direct
+substitution, and eliminates the states of a cyclic class, fewest fill
+first, down to the rows read from outside it.  It works on the pair
+chain's own rows: row i of Q and R holds integer numerators over
+``den[i]``, and R's columns are any hashable keys (a pair chain's are its
+accumulator sets), which the solved rows keep.  It keeps one denominator
+per row, reduces a row by its gcd after each fold, and returns reduced
 ``Row``s, so the result is exact and A = Q A + R holds with zero residual,
 with no ``Fraction`` built.  ``solve_absorption`` is the thin wrapper for
 ``Fraction`` matrices: it moves each row onto the lcm of its denominators,
@@ -151,20 +156,24 @@ def fraction_row(row: Row) -> dict:
 
 
 def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
-    """Row ``row`` of (I - Q)^-1 R as a ``Row`` over absorbing columns, in
-    column order; for a sequence of rows, the list of their rows.
+    """Row ``row`` of (I - Q)^-1 R as a ``Row`` keyed by R's absorbing
+    columns; for a sequence of rows, the list of their rows.
 
     Row i of Q and R holds integer numerators over ``den[i]`` (1 for every
-    row when ``den`` is None).  Removes every transient state from the chain, the
-    unwanted ones first, each time the one with the fewest live
-    predecessors x row entries (ties by index).  Removing state k folds
-    q_ik / (1 - q_kk) * row_k into each predecessor i.  A removed wanted
-    state keeps its row and stays a predecessor, so later removals
-    back-substitute into it, among the wanted states only.  Entries are
-    sums of positive terms, so none cancel: a state whose row is empty once
-    its self-loop is popped lies in a closed class that never absorbs (the
-    last one removed from such a class always is), and raises
-    SingularMatrixError.
+    row when ``den`` is None).  R's columns are any hashable keys (ints,
+    or a pair chain's accumulator sets), and a solved row is keyed by them.
+    The states are solved one strongly connected class of Q at a time,
+    each after every class it reaches.  When every state leaves only to
+    later states and itself, each state is such a class, and they are
+    solved from the last back; otherwise only the classes the wanted rows
+    reach are solved (``_classes``).  A one-state class is solved by
+    substitution: A_k = (R_k + sum_j q_kj A_j) / (den_k - q_kk).  A larger
+    class folds the solved rows of the states it leaves to into its R
+    rows, then eliminates its states (``_solve_class``) down to the rows
+    read from outside it.  Entries are sums of positive terms, so none
+    cancel: a state whose row is empty once its self-loop is popped lies
+    in a closed class that never absorbs, and raises SingularMatrixError.
+    Q and R are not changed; a solved row may share a dict of R.
     """
     single = isinstance(row, int)
     wanted = (row,) if single else row
@@ -174,88 +183,253 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
     for k in wanted:
         if not 0 <= k < n:
             raise DimensionError(f"row {k} outside a {n}-state chain")
-    # rows[i] maps transient column j to q_ij and absorbing column j to r_ij
-    # under key n + j, over denominator den[i]; pred[j] holds the live or
-    # wanted i != j with q_ij != 0.
-    den = [1] * n if den is None else list(den)
-    rows: list = []
-    pred: list[set[int]] = [set() for _ in range(n)]
-    for i, (q, r) in enumerate(zip(Q.rows, R.rows)):
-        for j in q:
-            if j != i:
-                pred[j].add(i)
-        ri = dict(q)
-        for j, v in r.items():
-            ri[n + j] = v
-        rows.append(ri)
-    degree = [len(p) * len(r) for p, r in zip(pred, rows)]
-    # held: the wanted states while others are live, then those removed.
-    held = set(wanted)
-    heap = [(d, k) for k, d in enumerate(degree) if k not in held]
+    if den is None:
+        den = [1] * n
+    qrows, rrows = Q.rows, R.rows
+    # solved[k]: the row of state k as a (denominator, numerators) pair.
+    solved: list = [None] * n
+    # From the last state back while each state leaves only to later ones
+    # and itself, so that its successors are solved; at the first that does
+    # not, the classes the wanted rows reach are solved afresh.
+    for k in reversed(range(n)):
+        q, r = qrows[k], rrows[k]
+        if not q and r:  # absorbed at once
+            solved[k] = den[k], r
+        elif q and min(q) < k:
+            _solve_reached(qrows, rrows, den, wanted, solved)
+            break
+        else:
+            solved[k] = _substituted(k, q, r, den[k], solved)
+    out = [reduced(*solved[k]) for k in wanted]
+    return out[0] if single else out
+
+
+def _solve_reached(qrows: list, rrows: list, den: list, wanted,
+                   solved: list) -> None:
+    """Solves the classes the wanted rows reach, each after the classes it
+    reaches: a one-state class by substitution, a larger one by
+    elimination."""
+    classes = _classes(qrows, wanted)
+    read = None
+    for members in classes:
+        if len(members) == 1:
+            k = members[0]
+            solved[k] = _substituted(k, qrows[k], rrows[k], den[k], solved)
+        else:
+            if read is None:
+                read = _read_rows(qrows, classes, wanted)
+            _solve_class(members, read, qrows, rrows, den, solved)
+
+
+def _classes(qrows: list, roots) -> list:
+    """The strongly connected classes of Q that ``roots`` reach, each after
+    every class it reaches, by an iterative Tarjan.  A class's states get a
+    number past every depth-first number once it is emitted, so no
+    on-stack flags are kept."""
+    n = len(qrows)
+    num = [0] * n
+    low = [0] * n
+    done = n + 1
+    stack: list[int] = []
+    classes: list = []
+    count = 0
+    for root in roots:
+        if num[root]:
+            continue
+        count += 1
+        num[root] = low[root] = count
+        stack.append(root)
+        work = [(root, iter(qrows[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if not num[w]:
+                    count += 1
+                    num[w] = low[w] = count
+                    stack.append(w)
+                    work.append((w, iter(qrows[w])))
+                    break
+                if num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if lv != num[v]:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
+                elif stack[-1] == v:
+                    stack.pop()
+                    num[v] = done
+                    classes.append((v,))
+                else:
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        num[w] = done
+                        members.append(w)
+                        if w == v:
+                            break
+                    classes.append(members)
+    return classes
+
+
+def _read_rows(qrows: list, classes: list, wanted) -> set:
+    """The states whose rows are wanted or read by a state of another
+    solved class."""
+    cls = {}
+    for c, members in enumerate(classes):
+        for k in members:
+            cls[k] = c
+    read = set(wanted)
+    for k, c in cls.items():
+        for j in qrows[k]:
+            if cls[j] != c:
+                read.add(j)
+    return read
+
+
+def _plus(r: dict, out: list) -> tuple:
+    """(m, acc) with acc / m = r + sum c * nums / a over the triples (c, a,
+    nums) of ``out``: a row folded with solved rows, m the lcm of their
+    denominators.  ``r`` is not changed."""
+    m = 1
+    acc = dict(r)
+    for c, a, nums in out:
+        if m % a:
+            f = a // gcd(m, a)
+            m *= f
+            for x in acc:
+                acc[x] *= f
+        c *= m // a
+        for x, v in nums.items():
+            acc[x] = acc.get(x, 0) + c * v
+    return m, acc
+
+
+def _substituted(k: int, q: dict, r: dict, d: int, solved: list) -> tuple:
+    """The row of state k, alone in its class: (R_k + sum_j q_kj A_j) /
+    (den_k - q_kk) over the solved rows A_j of its other successors."""
+    e = d
+    out = []
+    for j, c in q.items():
+        if j == k:
+            e -= c
+        else:
+            out.append((c, *solved[j]))
+    if e <= 0 or not (out or r):
+        raise SingularMatrixError(f"state {k} never absorbs (1 - q_kk = {e / d})")
+    if not out:
+        return e, r
+    m, acc = _plus(r, out)
+    e *= m
+    g = gcd(e, *acc.values())
+    if g == 1:
+        return e, acc
+    return e // g, {x: v // g for x, v in acc.items()}
+
+
+def _solve_class(members, read: set, qrows: list, rrows: list, den: list,
+                 solved: list) -> None:
+    """Solves the rows of a cyclic class that are read from outside it.
+
+    Each member's row keeps its Q entries inside the class; the solved rows
+    of the states it leaves to are folded into its R row.  Then every
+    member is removed from the class, the unread ones first, each time the
+    one with the fewest live predecessors x row entries (ties by index).
+    Removing state k folds q_ik / (1 - q_kk) * row_k into each predecessor
+    i.  A removed read state keeps its row and stays a predecessor, so
+    later removals back-substitute into it, among the read states only.
+    """
+    inside = set(members)
+    qs, rs, ds = {}, {}, {}
+    pred: dict = {k: set() for k in members}
+    for i in members:
+        qi, out = {}, []
+        for j, c in qrows[i].items():
+            if j in inside:
+                qi[j] = c
+                if j != i:
+                    pred[j].add(i)
+            else:
+                out.append((c, *solved[j]))
+        m, ri = _plus(rrows[i], out)
+        if m != 1:
+            qi = {j: c * m for j, c in qi.items()}
+        qs[i], rs[i], ds[i] = qi, ri, den[i] * m
+    degree = {k: len(pred[k]) * (len(qs[k]) + len(rs[k])) for k in members}
+    # held: the read states while others are live, then those removed.
+    held = {k for k in members if k in read}
+    heap = [(d, k) for k, d in degree.items() if k not in held]
     heapify(heap)
     last = False
     while heap or not last:
         if not heap:
             if len(held) < 2:
-                break  # no other wanted state to remove: see below
+                break  # no other read state to remove: see below
             heap = [(degree[k], k) for k in held]
             heapify(heap)
             held = set()
             last = True
         deg, k = heappop(heap)
-        if deg != degree[k] or rows[k] is None or k in held:
+        if deg != degree[k] or qs[k] is None or k in held:
             continue  # a stale heap entry
-        rk = rows[k]
-        e = _pivot(rk, k, den[k])
-        g = gcd(e, *rk.values())
+        qk, rk = qs[k], rs[k]
+        e = _pivot(qk, rk, k, ds[k])
+        g = gcd(e, *qk.values(), *rk.values())
         if g > 1:
             e //= g
-            rk = {j: v // g for j, v in rk.items()}
+            qk = {j: v // g for j, v in qk.items()}
+            rk = {x: v // g for x, v in rk.items()}
         for i in pred[k]:
-            ri = rows[i]
-            c = ri.pop(k)
+            qi, ri = qs[i], rs[i]
+            c = qi.pop(k)
             g = gcd(c, e)
             c //= g
             m = e // g
             if m != 1:
-                for j in ri:
-                    ri[j] *= m
-                den[i] *= m
-            for j, v in rk.items():
-                ri[j] = ri.get(j, 0) + c * v
-            g = gcd(den[i], *ri.values())
+                for j in qi:
+                    qi[j] *= m
+                for x in ri:
+                    ri[x] *= m
+                ds[i] *= m
+            for j, v in qk.items():
+                qi[j] = qi.get(j, 0) + c * v
+            for x, v in rk.items():
+                ri[x] = ri.get(x, 0) + c * v
+            g = gcd(ds[i], *qi.values(), *ri.values())
             if g > 1:
-                den[i] //= g
-                for j in ri:
-                    ri[j] //= g
+                ds[i] //= g
+                for j in qi:
+                    qi[j] //= g
+                for x in ri:
+                    ri[x] //= g
         if last:
-            rows[k], den[k] = rk, e
+            qs[k], rs[k], ds[k] = qk, rk, e
             held.add(k)
         else:
-            rows[k] = None
-        succ = [j for j in rk if j < n]
-        for j in succ:
+            qs[k] = None
+        for j in qk:
             if not last:
                 pred[j].discard(k)
             pred[j].update(i for i in pred[k] if i != j)
-        for i in (*pred[k], *succ):
-            degree[i] = len(pred[i]) * len(rows[i])
+        for i in (*pred[k], *qk):
+            degree[i] = len(pred[i]) * (len(qs[i]) + len(rs[i]))
             if i not in held:
                 heappush(heap, (degree[i], i))
     if not last:
-        for k in held:  # the one wanted state, alone in the chain
-            den[k] = _pivot(rows[k], k, den[k])
-    out = [reduced(den[k], {j - n: v for j, v in sorted(rows[k].items())})
-           for k in wanted]
-    return out[0] if single else out
+        for k in held:  # the one read state, alone in the class
+            ds[k] = _pivot(qs[k], rs[k], k, ds[k])
+    for k in held:
+        solved[k] = ds[k], rs[k]
 
 
-def _pivot(r: dict, k: int, d: int) -> int:
+def _pivot(q: dict, r: dict, k: int, d: int) -> int:
     """Pops q_kk from row k, held over denominator d, and returns
     d * (1 - q_kk), which must be positive; a row with nothing left is a
     state that never absorbs."""
-    e = d - r.pop(k, 0)
-    if not r or e <= 0:
+    e = d - q.pop(k, 0)
+    if not (q or r) or e <= 0:
         raise SingularMatrixError(f"state {k} never absorbs (1 - q_kk = {e / d})")
     return e
 

@@ -6,8 +6,8 @@ input a.  A state is *saturated* once its accumulator can never grow again;
 redirecting every saturated state (a, b) to a canonical absorbing state
 (0, b) turns the chain into an absorbing one.  A state's row of absorption
 probabilities (I - Q)^-1 R is the output distribution of ``p*`` from it;
-``solve_absorption_row`` computes the wanted rows exactly by eliminating
-the other transient states from the chain.
+``solve_absorption_row`` computes the wanted rows exactly, one strongly
+connected class of the chain at a time (see ``linalg``).
 
 The kernel builds this chain only for a star whose body has a choice.
 Without one, the current set follows one path, and the star's row is the
@@ -17,9 +17,10 @@ use it as the oracle for those stars.
 
 Every row here is a ``Row`` (see ``row``).  ``explore`` keeps the body
 row's denominator per state and its numerators on the edges; ``star_dist``
-fills Q and R with those numerators, one denominator per transient state,
-and the solve returns reduced rows, so a star row is built without
-``Fraction``s.
+fills Q and R with those numerators, one denominator per transient state.
+R's columns are the accumulator sets themselves, so the solve returns
+reduced rows over the star's outcomes, and a star row is built without
+``Fraction``s or any renumbering of its outcomes.
 
 For ``p* ; t`` the accumulator gathers only the packets that pass the
 predicate t: the filter ``keep`` is a callable (the kernel's is t's set
@@ -40,7 +41,6 @@ and the solve reads its row as it stands.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, SingularMatrixError
@@ -58,11 +58,11 @@ class PairStateGraph:
     states[i] is the pair (current, accumulator); edges[i] lists
     (successor index, weight), the weights being the body row's numerators
     over its denominator ``dens[i]``, which they sum to (a known state's
-    ``dens`` entry is its row's); preds[j] lists the states with an edge
-    to j, in the order the edges were added.  Every successor of an
-    expanded state carries the same accumulator, b | a, or b | keep(a)
-    under a filter.  ``known`` maps each state (a, b) left unexpanded,
-    edgeless, to its row: the table's row of a joined with b.
+    ``dens`` entry is its row's).  Every successor of an expanded state
+    carries the same accumulator, b | a, or b | keep(a) under a filter;
+    ``flat`` lists, in order, the expanded states whose successors keep
+    their accumulator b.  ``known`` maps each state (a, b) left
+    unexpanded, edgeless, to its row: the table's row of a joined with b.
     """
 
     states: list[tuple[PacketSet, PacketSet]]
@@ -72,7 +72,7 @@ class PairStateGraph:
     saturated: list[bool] | None = None
     index: dict = field(default_factory=dict)
     known: dict = field(default_factory=dict)
-    preds: list[list[int]] = field(default_factory=list)
+    flat: list[int] = field(default_factory=list)
 
 
 def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
@@ -92,15 +92,15 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     index = {start: 0}
     states = [start]
     edges: list[list[tuple[int, object]]] = [[]]
-    preds: list[list[int]] = [[]]
+    flat: list[int] = []
     dens: list = [1]
     known: dict = {}
-    work = deque([0])
-    expanded = 0
-    while work:
-        sid = work.popleft()
+    work = [0]  # grows while it is walked
+    for sid in work:
         a, b = states[sid]
         b2 = b | (a if keep is None else keep(a))
+        if len(b2) == len(b):  # b2 contains b: it is b
+            flat.append(sid)
         row = row_fn(a)
         dens[sid] = row.den
         out = []
@@ -113,13 +113,13 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                     text = program_text() if callable(program_text) else program_text
                     raise BudgetExceededError(
                         f"pair-state budget of {cap} states exceeded", text,
-                        states_reached=tid + 1, states_expanded=expanded,
+                        states_reached=tid + 1,
+                        states_expanded=work.index(sid),
                         accumulators=len({b for _, b in states} | {b2}),
                     )
                 index[succ] = tid
                 states.append(succ)
                 edges.append([])
-                preds.append([])
                 solved = table.get(a2)
                 if solved is None:
                     dens.append(1)  # set when the state is expanded
@@ -128,42 +128,40 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
                     row2 = known[tid] = joined(solved, b2)
                     dens.append(row2.den)
             out.append((tid, p))
-            preds[tid].append(sid)
         edges[sid] = out
-        expanded += 1
-    return PairStateGraph(states=states, edges=edges, dens=dens, start=0,
-                          index=index, known=known, preds=preds)
+    return PairStateGraph(states, edges, dens, 0, None, index, known, flat)
 
 
 def mark_saturated(g: PairStateGraph) -> PairStateGraph:
     """Flag states whose accumulator has reached its final value.
 
     An expanded state grows iff its successors' accumulator differs from
-    its own, and a known state (a, b) iff its row is not the point mass on
-    b.  A state can still grow iff it reaches (in zero or more steps) a
-    growing state; saturation is the complement, computed by walking the
-    predecessor lists back from the growing states.
+    its own (it is not ``flat``), and a known state (a, b) iff its row is
+    not the point mass on b.  A state can still grow iff it reaches (in
+    zero or more steps) a growing state; saturation is the complement.  A
+    growing state is never saturated, so only the edges of flat states
+    matter: the walk goes back along them from the growing states they
+    enter.
     """
-    states, edges, known, preds = g.states, g.edges, g.known, g.preds
-    unsat = [False] * len(states)
-    work = deque()
-    for i, (_, b) in enumerate(states):
-        row = known.get(i)
-        if row is None:
-            # The successors' accumulator contains b: it differs iff it is larger.
-            grows = len(states[edges[i][0][0]][1]) != len(b)
-        else:
-            grows = row.nums.keys() != {b}
-        if grows:
-            unsat[i] = True
-            work.append(i)
-    while work:
-        j = work.popleft()
-        for i in preds[j]:
-            if not unsat[i]:
-                unsat[i] = True
-                work.append(i)
-    g.saturated = [not u for u in unsat]
+    states, known, flat = g.states, g.known, g.flat
+    sat = [False] * len(states)
+    for i in flat:
+        sat[i] = True
+    for i, row in known.items():
+        sat[i] = len(row.nums) == 1 and states[i][1] in row.nums
+    if flat:
+        edges = g.edges
+        preds: dict = {}
+        for i in flat:
+            for j, _ in edges[i]:
+                preds.setdefault(j, []).append(i)
+        work = [j for j in preds if not sat[j]]
+        for j in work:  # grows while it is walked
+            for i in preds.get(j, ()):
+                if sat[i]:
+                    sat[i] = False
+                    work.append(i)
+    g.saturated = sat
     return g
 
 
@@ -179,57 +177,59 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     """
     if table is None:
         table = {}
-    g = mark_saturated(explore(row_fn, a0, cap=cap, keep=keep,
-                               program_text=program_text, table=table))
+    g = mark_saturated(explore(row_fn, a0, cap, keep, program_text, table))
     sat = g.saturated
     if sat[g.start]:
         # The accumulator can never grow: the final value is the empty set.
         dist = table[a0] = Row(1, {EMPTY: 1})
         return dist
 
-    # Q and R range over the unsaturated states, in exploration order; a
-    # saturated state (a, b) is absorbed at once in the column of its
-    # accumulator b.  Row ti holds numerators over den[ti].
-    states, known, dens = g.states, g.known, g.dens
-    transient: dict[int, int] = {}
-    for i, s in enumerate(sat):
-        if not s:
-            transient[i] = len(transient)
-    abs_index: dict[PacketSet, int] = {}
-    nt = len(transient)
-    Q = SparseMatrix(nt, nt)
-    R = SparseMatrix(nt, 0)
-    den = [1] * nt
+    # Q and R range over the unsaturated states, in exploration order.  R's
+    # columns are the accumulators: a saturated state (a, b) is absorbed at
+    # once in the column b, and a known state's row is its R row as it
+    # stands.  Row t holds numerators over den[t].
+    states, known, dens, edges = g.states, g.known, g.dens, g.edges
+    order = [i for i, s in enumerate(sat) if not s]
+    nt = len(order)
+    # A transient state's index in Q; the identity while no saturated state
+    # comes before a transient one.
+    pos = range(nt) if order[-1] == nt - 1 else dict(zip(order, range(nt)))
+    qrows, rrows, den = [], [], []
     # Unsaturated, unknown states (a, {}), the start first, go in the table.
     wanted: list[int] = []
-    wanted_sets: list[PacketSet] = []
-    for i, ti in transient.items():
-        rrow = R.rows[ti]
-        den[ti] = dens[i]
-        if i in known:
-            for b, p in known[i].nums.items():
-                rrow[abs_index.setdefault(b, len(abs_index))] = p
+    for i in order:
+        den.append(dens[i])
+        out = edges[i]
+        if not out:  # a known state
+            qrows.append({})
+            rrows.append(known[i].nums)
             continue
-        a, b = states[i]
-        if not b:
-            wanted.append(ti)
-            wanted_sets.append(a)
-        qrow = Q.rows[ti]
-        for j, p in g.edges[i]:
+        if not states[i][1]:
+            wanted.append(len(qrows))
+        q = {}
+        r = 0
+        for j, p in out:
             if sat[j]:
-                c = abs_index.setdefault(states[j][1], len(abs_index))
-                rrow[c] = rrow.get(c, 0) + p
+                r += p
             else:
-                qrow[transient[j]] = p
-    R.ncols = len(abs_index)
-    abs_keys = list(abs_index)
+                q[pos[j]] = p
+        qrows.append(q)
+        if not r:
+            rrows.append({})
+            continue
+        if not q and r == den[-1]:  # absorbed at once: a reduced row
+            den[-1] = r = 1
+        # Every successor carries the same accumulator.
+        rrows.append({states[out[0][0]][1]: r})
+    Q = SparseMatrix(nt, nt, qrows)
+    R = SparseMatrix(nt, len(set().union(*rrows)), rrows)
     rows = solve_absorption_row(Q, R, wanted, den=den)
-    for a, row in zip(wanted_sets, rows):
+    for t, row in zip(wanted, rows):
         total = sum(row.nums.values())
         if total != row.den:
             raise SingularMatrixError(
                 f"the absorbing solve gave a star row of mass {total}/{row.den}, not 1")
-        table[a] = Row(row.den, {abs_keys[c]: p for c, p in row.nums.items()})
+        table[states[order[t]][0]] = row
     return table[a0]
 
 

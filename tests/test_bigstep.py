@@ -913,6 +913,22 @@ def test_a_core_flips_only_the_flag_its_link_reads():
     assert row.prob(EMPTY) == Fraction(1, 4)
 
 
+def test_each_union_plan_is_made_once_per_kernel(monkeypatch):
+    # A union's set map or row function and its pending function share one
+    # plan: on the f10_35 model at k=inf, whose routing unions meet pending
+    # flags, no union's plan is made twice.
+    made = []
+    make = Kernel._make_union_plan
+    monkeypatch.setattr(Kernel, "_make_union_plan",
+                        lambda self, node: made.append(node) or make(self, node))
+    cm = netlib.build_case_model(netlib.F10_35, netlib.abfattree20(), None)
+    k = Kernel(desugar(cm.program), cm.universe)
+    for s in cm.in_packets:
+        k.apply(frozenset({s}))
+    assert any(isinstance(key, Union) for key in k._pends)
+    assert made and len(made) == len(set(made))
+
+
 def test_coin_chains_match_the_sampler(uni8):
     # The sampler shares no code with the kernel: each program's exact row
     # is within 3 standard errors of the sampled frequencies.

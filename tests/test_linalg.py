@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -241,3 +242,130 @@ def test_closed_class_behind_an_absorbing_start_is_singular():
             row_solve(q, r, 0)
         with pytest.raises(SingularMatrixError):
             solve_absorption(q, r)
+
+
+# -- the class-by-class solve against the residual oracle --------------------
+
+
+def _class_chain(rng, keys):
+    """A random integer chain (Q, R, den) with self-loops, several cyclic
+    classes and acyclic parts between them: the states fall into blocks in
+    order, each a cycle with random chords or a run of one-state classes,
+    and edges between blocks only go to later blocks, so each block's
+    classes are classes of Q.  Every row sums to its denominator, and the
+    first state of each block absorbs, as does each state that leaves only
+    to itself, so every class absorbs.  R's columns are drawn from
+    ``keys``.  Also returns the number of cyclic blocks."""
+    n = rng.randrange(2, 40)
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(0, min(n - 1, 6))))
+    blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    q = [dict() for _ in range(n)]
+    r = [dict() for _ in range(n)]
+    rings = 0
+    for block in blocks:
+        later = range(block.stop, n)
+        cyclic = len(block) > 1 and rng.random() < 0.7
+        rings += cyclic
+        for i in block:
+            targets = []
+            if cyclic:  # the ring makes the block one class
+                targets.append(block.start + (i - block.start + 1) % len(block))
+                targets += rng.sample(block, rng.randrange(0, min(3, len(block))))
+            elif i + 1 < block.stop and rng.random() < 0.8:
+                targets.append(i + 1)
+            if rng.random() < 0.4:
+                targets.append(i)  # a self-loop
+            if later and rng.random() < 0.5:
+                targets += rng.sample(later, rng.randrange(1, min(3, len(later)) + 1))
+            for j in targets:
+                q[i][j] = q[i].get(j, 0) + rng.randrange(1, 6)
+            if i == block.start or set(targets) <= {i} or rng.random() < 0.5:
+                for key in rng.sample(keys, rng.randrange(1, 3)):
+                    r[i][key] = r[i].get(key, 0) + rng.randrange(1, 6)
+    den = [sum(a.values()) + sum(b.values()) for a, b in zip(q, r)]
+    return (SparseMatrix(n, n, q), SparseMatrix(n, len(set().union(*r)), r), den,
+            rings)
+
+
+def _fractions(m, den):
+    return SparseMatrix(m.nrows, m.ncols,
+                        [{j: Fraction(v, d) for j, v in row.items()}
+                         for row, d in zip(m.rows, den)])
+
+
+@pytest.mark.parametrize("keyed", ["ints", "packet sets"])
+def test_class_by_class_rows_have_zero_residual(keyed):
+    # Every row of A = (I - Q)^-1 R at once, checked by A = QA + R with
+    # mat_mul, exactly; then random wanted subsets and single rows, which
+    # solve only the classes they reach, must be the same rows.
+    rng = random.Random(31 if keyed == "ints" else 37)
+    keys = (list(range(4)) if keyed == "ints"
+            else [frozenset(rng.sample(range(8), rng.randrange(4))) for _ in range(6)])
+    several = 0
+    for _ in range(150):
+        q, r, den, rings = _class_chain(rng, keys)
+        n = q.nrows
+        q0, r0 = q.copy(), r.copy()
+        full = solve_absorption_row(q, r, range(n), den)
+        assert (q, r) == (q0, r0)  # the solve changes neither matrix
+        for row in full:
+            assert sum(row.nums.values()) == row.den
+            assert math.gcd(row.den, *row.nums.values()) == 1
+            assert set(row.nums) <= set(keys)
+        a = SparseMatrix(n, r.ncols, [fraction_row(row) for row in full])
+        assert absorption_residual(_fractions(q, den), _fractions(r, den), a) == 0
+        wanted = rng.sample(range(n), rng.randrange(1, n + 1))
+        assert solve_absorption_row(q, r, wanted, den) == [full[i] for i in wanted]
+        i = rng.randrange(n)
+        assert solve_absorption_row(q, r, i, den) == full[i]
+        several += rings > 1
+    assert several > 40
+
+
+def test_a_closed_class_behind_an_acyclic_part_is_singular():
+    # 0 -> 1 -> {2, 3}, where 2 and 3 hand the chain back and forth (3
+    # with a self-loop) and never absorb; 0 and 1 absorb a part of their
+    # mass in a packet-set column.
+    out = frozenset({1})
+    q = SparseMatrix(4, 4, [{1: 1}, {2: 1}, {3: 2}, {2: 1, 3: 1}])
+    r = SparseMatrix(4, 1, [{out: 1}, {out: 1}, {}, {}])
+    for start in range(4):
+        with pytest.raises(SingularMatrixError):
+            solve_absorption_row(q, r, start, [2, 2, 2, 2])
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_a_long_acyclic_chain_solves_without_recursion(forward):
+    # 5,000 states in a line, each going on with 1/2 and absorbing with
+    # 1/2 in the column of its parity; the last one absorbs at once.  Going
+    # forward, every state leaves to a later one; going backward, the walk
+    # over the classes is 5,000 states deep.
+    n = 5000
+    step = 1 if forward else -1
+    end = n - 1 if forward else 0
+    q = SparseMatrix(n, n, [{} if i == end else {i + step: 1} for i in range(n)])
+    r = SparseMatrix(n, 2, [{i % 2: 2 if i == end else 1} for i in range(n)])
+    start = n - 1 - end
+    row = solve_absorption_row(q, r, start, [2] * n)
+    # From the start, the chain absorbs at the k-th state with 1/2^(k+1),
+    # and at the last one with the 1/2^(n-1) left.
+    even = Fraction(2, 3) * (1 - Fraction(1, 4 ** (n // 2)))  # k = 0, 2, ..., n - 2
+    odd = 1 - even
+    if not forward:  # the start is state n - 1, which is odd
+        even, odd = odd, even
+    assert fraction_row(row) == {0: even, 1: odd}
+
+
+def test_a_long_cycle_solves_without_recursion():
+    # 2,000 states in a ring, each going on with 1/2 and absorbing with
+    # 1/2 in the column of its parity.  The ring turned by one swaps the
+    # parities, so from state 0, p = 1/2 + (1 - p)/2: p = 2/3.
+    n = 2000
+    q = SparseMatrix(n, n, [{(i + 1) % n: 1} for i in range(n)])
+    r = SparseMatrix(n, 2, [{i % 2: 1} for i in range(n)])
+    row = solve_absorption_row(q, r, 0, [2] * n)
+    assert fraction_row(row) == {0: Fraction(2, 3), 1: Fraction(1, 3)}
+    rows = solve_absorption_row(q, r, [0, 1, n - 1], [2] * n)
+    assert [fraction_row(x) for x in rows] == [
+        {0: Fraction(2, 3), 1: Fraction(1, 3)}, {0: Fraction(1, 3), 1: Fraction(2, 3)},
+        {0: Fraction(1, 3), 1: Fraction(2, 3)}]
