@@ -91,8 +91,8 @@ every state (a, b) whose a is in the table, with the table's row joined
 with b, the same join as a point mass in a product (``row.joined``; see
 ``star`` for why that row is exact).  The table is the function's memo.
 
-Deferred coins.  A *coin* is a choice whose parts each assign one field
-f, such as a flag flip ``up:=1 +[3/4] up:=0`` or ECMP's ``uniform(pt :=
+Deferred coins.  A *coin* is a choice whose parts each assign one field f,
+such as a flag flip ``up:=1 +[3/4] up:=0`` or ECMP's ``uniform(pt :=
 ...)``.  Its row on a nonempty set a is not one outcome per value of f but
 one ``Pending`` outcome: the base, a with f at the coin's first value, and
 the coin's integer weights (``_coin``).  One coin covers the whole set,
@@ -100,28 +100,28 @@ since f := v sets f on every packet of it.  Rows stay exact by two laws of
 *Probabilistic NetKAT* (Foster, Kozen, Mamouras, Reitblatt and Silva, ESOP
 2016): ``;`` distributes over ``+[r]`` from the left, so a later step may
 run on the pending set as on each of its outcomes, and f := v commutes
-with any step that neither reads nor writes f, so such a step runs on the
-base and carries the coin (``_carried``).  A step that assigns f on every
-path before any step reads it *kills* f: its rows do not depend on f, so
-it drops the coin, as the hop's flag resets do.  Any other step that reads
-or writes f flips the coin first (``_forced``), which splits the input by
-the coin's weights into a reduced exact row: so does a node all of whose
-paths test f first (the flipped sets then meet its memo, as eager rows
-would), a union whose guard field is f, and a union with two or more
-*live* branches, one of which reads or writes f.  The live branches are
-those the guard table picks on the base whose leading tests on fields
-without a coin pass on it; every other branch filters every outcome of
-the input to the empty set.  A union with one live branch hands it the
-pending input, so at a core the guarded topology flips the flag of the one
-link its output port leaves by, not those of all the core's links.  All
-branches of a union see one draw of a coin flipped before it.  This holds
-inside set maps too: a deterministic node runs the pending input through
-its parts (``_seq_run``).  Whatever is still pending is flipped by
-``apply`` and ``row``, at a star's input and its body's output, so pair
-chains see only sets, and on either side of a ``&`` product of two branch
-rows, whose coins each branch drew for itself, unless the other side is
-the point mass on the empty set.  Coins are flipped in the universe's
-field order, so rows and counts do not depend on string hashing.
+with any step that neither reads nor writes f.  So every node takes a
+pending input by one rule.  First it flips the coins on the fields that
+every path through it tests first (``_forced``: one reduced exact row) and
+takes its rows on the outcomes, which then meet its memo as eager rows
+would.  Then a sequence steps through its parts, inside set maps too
+(``_seq_run``), and a union with at most one *live* branch hands the input
+to it or gives the empty set: the live branches are those the guard table
+picks on the base whose leading tests on fields without a coin pass on it,
+and every other branch filters every outcome of the input to the empty
+set.  So at a core the guarded topology flips the flag of the one link its
+output port leaves by, not those of all the core's links.  Every other
+node, a star among them, goes ``_past`` the coins: it drops those it
+*kills* (it assigns f on every path before any step reads f, so its rows
+do not depend on f, as the hop's flag resets do), runs on the base and
+carries those it neither reads nor writes (``_carried``), and flips the
+rest before it, so all branches of a union see one draw.  What is still
+pending is flipped by ``apply`` and ``row``, at a star body's output, so
+pair chains see only sets, and on either side of a ``&`` product of two
+branch rows, whose coins each branch drew for itself, unless the other
+side is the point mass on the empty set.  Coins are flipped in the
+universe's field order, so rows and counts do not depend on string
+hashing.
 """
 
 from __future__ import annotations
@@ -394,11 +394,13 @@ def _settling(fn, universe: PacketUniverse):
     return lambda a: _settled(fn(a), universe)
 
 
-class _Every:
-    """The set of every field."""
-
-    def __contains__(self, field) -> bool:
-        return True
+def _fold(steps, dirac, a) -> Row:
+    """The row of the row functions ``steps`` in turn on ``a``, a set or a
+    pending set: a left-to-right fold of binds from the point mass on it."""
+    row = dirac(a)
+    for step in steps:
+        row = _bind(row, step)
+    return row
 
 
 def _run(maps, a: PacketSet) -> PacketSet:
@@ -413,12 +415,9 @@ def _run(maps, a: PacketSet) -> PacketSet:
 def _seq_run(state: tuple, i: int, y) -> Row:
     """The row of the deterministic parts ``parts[i:]`` of a sequence on
     ``y`` (see ``Kernel._seq_pending``); ``state`` holds the parts, their
-    pending functions and facts as they are made, the kernel weakly and
+    pending functions as they are made, their facts, the kernel weakly and
     its point masses."""
-    parts, fns, facts, kernel, dirac = state
-    if not facts:
-        facts.append(kernel()._seq_facts(parts))
-    maps, touch, kills = facts[0]
+    parts, fns, maps, touch, kills, kernel, dirac = state
     n = len(parts)
     while True:
         if type(y) is not Pending:
@@ -551,14 +550,7 @@ class Kernel:
                     return empty if out is None else out
                 return _memoized(union, pend)
             case Seq():
-                steps = [self._rows(part, f) for part, f in self._seq_plan(node)]
-
-                def sequence(a):
-                    row = dirac(a)
-                    for step in steps:
-                        row = _bind(row, step)
-                    return row
-                return _memoized(sequence, pend)
+                return _memoized(self._sequence(node), pend)
             case Choice(parts, weights):
                 f = _coin_field(node)
                 if f is not None:
@@ -588,9 +580,7 @@ class Kernel:
                     return row
                 return _memoized(choice, pend)
             case Star(body):
-                body_rows = self._rows(body)
-                if self._emits(body):
-                    body_rows = _settling(body_rows, u)
+                body_rows = _settling(self._rows(body), u)
                 keep = None if filt is None else self._set_map(filt)
                 cap, table = self.state_budget, {}
                 text = partial(pretty, node)
@@ -654,6 +644,12 @@ class Kernel:
         return [(seq(*part) if isinstance(part, list) else part, filt)
                 for part, filt in steps]
 
+    def _sequence(self, node: Seq):
+        """The rows of the sequence at ``node``, which holds a choice, on a
+        set or a pending input, with no memo: ``_fold`` over its steps."""
+        return partial(_fold, [self._rows(part, f) for part, f in self._seq_plan(node)],
+                       self._dirac)
+
     # -- pending inputs ------------------------------------------------------
 
     def _lazy_pending(self, key):
@@ -669,57 +665,56 @@ class Kernel:
             fn = self._pends[key] = self._compile_pending(key)
         return fn
 
-    def _handler(self, node: Program):
-        """The function from a set or a pending input to the row of ``node``
-        on it: the row function of a node that holds a choice, else its set
-        map with no memo, as no node inside a deterministic one has one."""
-        m = self._set_map(node)
-        if m is None:
-            return self._rows(node)
-        dirac, pend = self._dirac, self._lazy_pending(node)
-        return lambda y: pend(y) if type(y) is Pending else dirac(m(y))
-
     def _compile_pending(self, key):
-        """The row of ``key`` on a pending input (see the module).  A star
-        flips every coin of its input.  Any other node first flips the coins
-        on the fields it tests first on every path; then a union looks for
-        its live branches and a sequence runs its parts, while any other
-        node drops the coins on the fields it kills, flips those it reads or
-        writes, and carries the rest."""
+        """The row of ``key`` on a pending input (see the module): the coins
+        on the fields it tests first on every path are flipped and its rows
+        taken on the outcomes.  Otherwise a sequence steps through its parts,
+        a union with at most one live branch hands the input on or gives the
+        empty set, and any other node goes ``_past`` the coins."""
         node, filt = key if isinstance(key, tuple) else (key, None)
-        u, dirac = self.universe, self._dirac
+        u, m, dirac = self.universe, self._set_map(node), self._dirac
         # The node's row function where it has one, so flipped inputs meet its memo.
-        whole = self._fns.get(key) or self._handler(node)
-        if isinstance(node, Star):
-            return lambda x: _bind(_forced(x, None, u), whole)
-        m = self._set_map(node)
-        plain = whole if m is None else (lambda a: dirac(m(a)))
+        plain = (self._rows(node, filt) if m is None or key in self._fns
+                 else lambda a: dirac(m(a)))
         leads = None
-        if isinstance(node, Union):
-            leads = [_leading_tests(q) for q in node.parts]
-            rest = self._union_pending(node, whole, plain, leads)
-        elif isinstance(node, Seq):
+        if isinstance(node, Seq):
             rest = self._seq_pending(node, m)
         else:
-            _, touch, kills = self._facts_of(node)
-            rest = partial(_past, touch=touch, kills=kills, plain=plain, universe=u)
+            rest = self._lazy_past(node if filt is None else Seq(node, filt), plain)
+            if isinstance(node, Union):
+                leads = [_leading_tests(q) for q in node.parts]
+                rest = self._union_pending(node, leads, rest)
         first = _first_reads(node, leads)
         if not first:
             return rest
 
         def pending(x):
             read = [c[1] for c in x.coins if c[1] in first]
-            return _bind(_forced(x, read, u), whole) if read else rest(x)
+            if not read:
+                return rest(x)
+            return _bind(_forced(x, read, u),
+                         lambda y: rest(y) if type(y) is Pending else plain(y))
         return pending
 
-    def _union_pending(self, node: Union, whole, plain, tests: list):
-        """A union flips its guard field first if it is pending.  Its live
-        branches are those the guard table picks on the base whose leading
+    def _lazy_past(self, node: Program, plain):
+        """``_past`` with the facts of ``node``, taken on its first call: a
+        union's are a walk over all its branches, which one live branch
+        never needs."""
+        u, kernel, facts = self.universe, weakref.ref(self), []
+
+        def past(x):
+            if not facts:
+                facts.extend(kernel()._facts_of(node)[1:])
+            return _past(x, *facts, plain, u)
+        return past
+
+    def _union_pending(self, node: Union, tests: list, past):
+        """A union's live branches on a pending input whose guard field has
+        no coin are those the guard table picks on the base whose leading
         tests (``tests``, per branch) on fields without a coin pass on it;
         the others filter every outcome of the input to the empty set.  One
-        live branch gets the pending input.  Two or more drop the coins all
-        of them kill, flip each coin one of them reads or writes, and carry
-        the rest."""
+        live branch gets the input and none gives the empty set; otherwise,
+        and when the guard field has a coin, the union goes ``past`` it."""
         u, empty = self.universe, self._dirac(EMPTY)
         plan = self._union_plan(node)
         guard, parts = plan[0], node.parts
@@ -732,41 +727,32 @@ class Kernel:
         def union(x):
             fields = {c[1] for c in x.coins}
             if guard in fields:
-                return _bind(_forced(x, (guard,), u), whole)
+                return past(x)
             base = x.base
             live = [i for i in _picked(plan, base) if _passes(leads[i], fields, base)]
-            if len(live) == 1:
-                i = live[0]
-                f = fns[i]
-                if f is None:
-                    f = fns[i] = kernel()._handler(parts[i])
-                return f(x)
-            if not live:
-                return empty
-            facts = [kernel()._facts_of(parts[i]) for i in live]
-            return _past(x, frozenset().union(*[t for _, t, _ in facts]),
-                         frozenset.intersection(*[k for _, _, k in facts]), plain, u)
+            if len(live) != 1:
+                return past(x) if live else empty
+            i = live[0]
+            f = fns[i]
+            if f is None:
+                f = fns[i] = kernel()._pending(parts[i])
+            return f(x)
         return union
 
     def _seq_pending(self, node: Seq, m):
-        """A sequence binds its steps to the pending input.  A deterministic
-        one maps the base through each part that neither reads nor writes a
-        coin, drops the coins the rest of its parts kill, and hands the
-        input to each other part; once every outcome is a set, it maps each
-        through the rest of its parts at once.  Only such a part flips a
-        coin, and only a flip branches, so this recurses at most once per
-        coin."""
+        """A sequence that holds a choice folds its steps from the pending
+        input.  A deterministic one maps the base through each part that
+        neither reads nor writes a coin, drops the coins the rest of its
+        parts kill, and hands the input to each other part; once every
+        outcome is a set, it maps each through the rest of its parts at
+        once.  Only such a part flips a coin, and only a flip branches, so
+        this recurses at most once per coin."""
         if m is None:
-            steps = [self._rows(part, f) for part, f in self._seq_plan(node)]
-
-            def sequence(x):
-                row = Row(1, {x: 1})
-                for step in steps:
-                    row = _bind(row, step)
-                return row
-            return sequence
-        state = (node.parts, [None] * len(node.parts), [], weakref.ref(self), self._dirac)
-        return lambda x: _seq_run(state, 0, x)
+            return self._sequence(node)
+        parts = node.parts
+        state = (parts, [None] * len(parts), *self._seq_facts(parts),
+                 weakref.ref(self), self._dirac)
+        return partial(_seq_run, state, 0)
 
     def _seq_facts(self, parts: tuple) -> tuple:
         """The set maps of deterministic ``parts``, the fields each part reads
@@ -774,28 +760,14 @@ class Kernel:
         or a star stands for every field, so the input is handed to it and
         no kill is seen through it: its fields would take a walk over all
         its branches to find."""
-        every = _Every()
+        every = frozenset(decl.name for decl in self.universe.decls)
         facts = [(every, every, frozenset()) if isinstance(q, (Union, Star))
                  else self._facts_of(q) for q in parts]
         kills = [frozenset()] * (len(parts) + 1)
         for i in reversed(range(len(parts))):
             r, _, k = facts[i]
-            kills[i] = k if r is every else k | (kills[i + 1] - r)
+            kills[i] = k | (kills[i + 1] - r)
         return [self._set_map(q) for q in parts], [t for _, t, _ in facts], kills
-
-    def _emits(self, node: Program) -> bool:
-        """Whether the rows of ``node`` on sets may hold pending sets: it has
-        a coin outside every star (a star's own rows hold none)."""
-        seen, work = set(), [node]
-        while work:
-            q = work.pop()
-            if q in seen or isinstance(q, Star) or self._set_map(q) is not None:
-                continue
-            if _coin_field(q) is not None:
-                return True
-            seen.add(q)
-            work.extend(q.parts)
-        return False
 
     def _facts_of(self, node: Program) -> tuple:
         """(fields read, fields read or written, fields killed) of ``node``,

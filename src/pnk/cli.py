@@ -239,14 +239,9 @@ def _add_common(sub, *flags):
         # except f10-latency, whose report is numbers only).
         sub.add_argument("--exact", dest="exact", action="store_true", default=None)
         sub.add_argument("--float", dest="exact", action="store_false")
-        # argparse converts a string default with ``type`` only when the
-        # option is absent, so a bad PNK_MAX_STATES is reported like a bad
-        # flag.
-        sub.add_argument("--max-states", type=_positive_int,
-                         default=os.environ.get("PNK_MAX_STATES", str(DEFAULT_STATE_BUDGET)),
+        sub.add_argument("--max-states", type=_positive_int, default=DEFAULT_STATE_BUDGET,
                          help="pair-state budget per chain of a star whose "
-                              "body has a choice "
-                              f"(default: $PNK_MAX_STATES, else {DEFAULT_STATE_BUDGET})")
+                              f"body has a choice (default: {DEFAULT_STATE_BUDGET})")
     if "tol" in flags:
         sub.add_argument("--tol", type=_tolerance,
                          help=f"float mode only (default: {FLOAT_TOL})")

@@ -849,6 +849,19 @@ def test_a_coin_never_read_stays_pending_to_the_end(uni8):
     _same_rows_as_twin(p, u, all_subsets(u))
 
 
+def test_a_coin_a_star_never_touches_stays_pending_past_it(uni8):
+    # The star's body neither reads nor writes f, and neither does its
+    # filter: the star runs on the base and the coin stays pending on
+    # every outcome.
+    u = uni8
+    loop = Star(Choice(Fraction(1, 2), Assign("g", 1), Assign("h", 1)))
+    for p in (Seq(FLIP, loop), Seq(FLIP, loop, Test("g", 1))):
+        k = Kernel(p, u)
+        for a in all_subsets(u)[1:]:
+            assert all(isinstance(b, Pending) for b in _unsettled(k, p, a).nums), sorted(a)
+        _same_rows_as_twin(p, u, all_subsets(u))
+
+
 def _forcing_cases():
     """(name, program) for each point where a pending coin on f is flipped."""
     g1, h1 = Assign("g", 1), Assign("h", 1)

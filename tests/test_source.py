@@ -15,3 +15,23 @@ def test_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert list(SRC.glob("*.py"))
     assert found == []
+
+
+def _reads_environment(node) -> bool:
+    """Whether ``node`` is ``os.environ`` or ``os.getenv``, or imports one."""
+    names = ("environ", "getenv")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name in names for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_the_package_reads_no_environment_variables():
+    # Every setting comes in through the arguments: no hidden knobs.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _reads_environment(node)]
+    assert list(SRC.glob("*.py"))
+    assert found == []
