@@ -88,12 +88,21 @@ class InputSpec:
             raise _exceeds(n, self.cap)
 
     def rows(self):
+        """The explicit sets, or every subset of the base in mask order: bit
+        i of the mask takes ``subset_base[i]``.  Each subset is the one
+        without its lowest packet, which comes before it, plus that
+        packet."""
         if self.explicit is not None:
             yield from self.explicit
             return
         base = self.subset_base
-        for mask in range(1 << len(base)):
-            yield frozenset(p for i, p in enumerate(base) if (mask >> i) & 1)
+        subsets = [EMPTY]
+        yield EMPTY
+        for mask in range(1, 1 << len(base)):
+            low = mask & -mask
+            s = subsets[mask ^ low] | {base[low.bit_length() - 1]}
+            subsets.append(s)
+            yield s
 
     def singleton_rows(self):
         """The empty set plus all singletons of the base; used by the

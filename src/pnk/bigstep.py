@@ -36,7 +36,12 @@ function of a deterministic node is the point mass on its map's image.
 Such a node gets one only where its rows are requested: as the program,
 as a part of a union or choice that holds a choice, or as a step of a
 sequence that holds one (below).  No node inside it has a row function
-or a memo.
+or a memo.  The map is additive, so on a set of 2 to ``IMAGED_MAX``
+packets the row function unites the images of its packets, each image
+m({x}) made on first use and kept per node (``_additive``): the 2^n
+subset rows of a decision meet the same n packets over and over.  It maps
+a singleton, the empty set and a larger set whole, so a kernel whose
+inputs are singletons, as in the F10 case studies, keeps no images.
 
 Exact rows are built without ``Fraction``s and reduced by their gcd where
 they are made:
@@ -117,7 +122,8 @@ do not depend on f, as the hop's flag resets do), runs on the base and
 carries those it neither reads nor writes (``_carried``), and flips the
 rest before it, so all branches of a union see one draw.  What is still
 pending is flipped by ``apply`` and ``row``, at a star body's output, so
-pair chains see only sets, and on either side of a ``&`` product of two
+pair chains see only sets (rows are scanned for pending sets only once the
+kernel has compiled a coin), and on either side of a ``&`` product of two
 branch rows, whose coins each branch drew for itself, unless the other
 side is the point mass on the empty set.  Coins are flipped in the
 universe's field order, so rows and counts do not depend on string
@@ -134,7 +140,7 @@ from operator import itemgetter
 
 from . import star as star_mod
 from .errors import WellFormednessError
-from .row import Row, joined, reduced, rounded
+from .row import Row, joined, mixture, reduced, rounded
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
@@ -205,6 +211,33 @@ def _memoized(fn, pending):
     return rows
 
 
+# The most packets of a set that a deterministic row function maps packet
+# by packet (``_additive``).
+IMAGED_MAX = 16
+
+
+def _additive(m, dirac):
+    """The row function of a deterministic node with the set map ``m``: the
+    point mass on m(a).  ``m`` is additive, so on a set of 2 to
+    ``IMAGED_MAX`` packets that is the union of the images of its packets,
+    each image m({x}) made on first use and kept (``images``).  Other sets
+    are mapped whole: the images of n packets can cost up to n times m(a),
+    as the closures of a star do where the packets' paths overlap."""
+    images: dict = {}
+
+    def rows(a) -> Row:
+        if not 1 < len(a) <= IMAGED_MAX:
+            return dirac(m(a))
+        out = set()
+        for x in a:
+            b = images.get(x)
+            if b is None:
+                b = images[x] = m(frozenset((x,)))
+            out |= b
+        return dirac(frozenset(out))
+    return rows
+
+
 def _point(row: Row):
     """The set a row puts probability one on, or None."""
     nums = row.nums
@@ -261,14 +294,7 @@ def _bind(mu: Row, step) -> Row:
     c = _point(mu)
     if c is not None:
         return step(c)
-    rows = [(p, step(c)) for c, p in mu.nums.items()]
-    m = lcm(*[r.den for _, r in rows])
-    out = {}
-    for p, r in rows:
-        f = p * (m // r.den)
-        for b, q in r.nums.items():
-            out[b] = out.get(b, 0) + f * q
-    return reduced(mu.den * m, out)
+    return mixture(mu.den, [(p, step(c)) for c, p in mu.nums.items()])
 
 
 # -- deferred coins ------------------------------------------------------------
@@ -389,9 +415,15 @@ def _past(x: Pending, touch, kills, plain, universe: PacketUniverse) -> Row:
                  lambda y: _carried(plain(y.base), y.coins) if type(y) is Pending else plain(y))
 
 
-def _settling(fn, universe: PacketUniverse):
-    """The row function ``fn`` with every pending coin of its rows flipped."""
-    return lambda a: _settled(fn(a), universe)
+def _settling(fn, coined: list, universe: PacketUniverse):
+    """The row function ``fn`` with every pending coin of its rows flipped.
+    Only coins make pending sets, so its rows are scanned only once the
+    kernel's flag cell ``coined`` is set; it is read after ``fn`` runs,
+    which may compile the first coin."""
+    def settled(a):
+        row = fn(a)
+        return _settled(row, universe) if coined[0] else row
+    return settled
 
 
 def _fold(steps, dirac, a) -> Row:
@@ -480,8 +512,6 @@ class Kernel:
     ``exact`` false, ``apply`` and ``row`` return float rows: the exact
     rows, each weight rounded to the nearest double."""
 
-    _coined = False  # whether a coin's row function was compiled: only coins make pending sets
-
     def __init__(self, program: Program, universe: PacketUniverse,
                  exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
         if not is_core(program):
@@ -498,6 +528,9 @@ class Kernel:
         self._facts: dict = {}
         self._plans: dict = {}
         self._dirac = _point_masses()
+        # [True] once a coin's row function is compiled: only coins make
+        # pending sets.  A cell, so star bodies can read it (``_settling``).
+        self._coined = [False]
 
     def apply(self, aset: PacketSet) -> Row:
         """The output row of the whole program on ``aset``."""
@@ -511,7 +544,7 @@ class Kernel:
 
     def _out(self, node: Program, aset: PacketSet) -> Row:
         row = self._rows(node)(aset)
-        if self._coined and _holds_pending(row):
+        if self._coined[0] and _holds_pending(row):
             row = _settled(row, self.universe)
         return row if self.exact else rounded(row)
 
@@ -531,7 +564,7 @@ class Kernel:
         pend = self._lazy_pending(node if filt is None else (node, filt))
         m = self._set_map(node)
         if m is not None:
-            return _memoized(lambda a: dirac(m(a)), pend)
+            return _memoized(_additive(m, dirac), pend)
         match node:
             case Union(parts):
                 plan = self._union_plan(node)
@@ -554,7 +587,7 @@ class Kernel:
             case Choice(parts, weights):
                 f = _coin_field(node)
                 if f is not None:
-                    self._coined = True
+                    self._coined[0] = True
                     coins = (_coin(node, f, u),)
                     v0 = coins[0][3][0][0]  # the coin's first value
 
@@ -580,7 +613,7 @@ class Kernel:
                     return row
                 return _memoized(choice, pend)
             case Star(body):
-                body_rows = _settling(self._rows(body), u)
+                body_rows = _settling(self._rows(body), self._coined, u)
                 keep = None if filt is None else self._set_map(filt)
                 cap, table = self.state_budget, {}
                 text = partial(pretty, node)

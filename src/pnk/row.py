@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 @dataclass(slots=True)
@@ -78,6 +78,20 @@ def joined(row: Row, s) -> Row:
     if len(out) < len(nums):
         return reduced(row.den, out)
     return Row(row.den, out)
+
+
+def mixture(den: int, terms) -> Row:
+    """The reduced row of the sum of ``p * r`` over the (weight, row) pairs
+    ``terms``, each weight over ``den``: the rows are brought to the lcm of
+    their denominators, and outcomes that meet sum their weights in the
+    order of ``terms``."""
+    m = lcm(*[r.den for _, r in terms])
+    out: dict = {}
+    for p, r in terms:
+        f = p * (m // r.den)
+        for b, q in r.nums.items():
+            out[b] = out.get(b, 0) + f * q
+    return reduced(den * m, out)
 
 
 def rounded(row: Row) -> Row:

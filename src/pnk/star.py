@@ -37,6 +37,19 @@ b | keep(a) gathers the same way.  So the row of (a, b) is the table's
 row of a joined with b (``row.joined``), and ``explore`` does not expand
 any later state whose current set is in the table: it is a known state,
 and the solve reads its row as it stands.
+
+Once a table fills, most chains are one step long: every outcome a1 of
+the body's row on the start a0, other than a0 itself, is in the table.
+``star_dist`` then settles the start's row X by substitution (Daws, ICTAC
+2004) and builds no chain (``_one_step``).  Let k be the accumulator after
+the first step (keep(a0), or a0 unfiltered) and s the body row's weight on
+a0, the self-loop.  From (a0, k) the current sets run as from the start,
+so its row is X joined with k, which is X, since every outcome of X holds
+k.  So X = s X + sum p1 (table[a1] | k) over the other outcomes: their
+weighted sum, joined with k and renormalised by 1 - s, the mass that
+leaves a0.  If s is the whole mass, the current set never leaves a0 and
+X is the point mass on k.  Any other start goes through ``explore``,
+``mark_saturated`` and ``solve_absorption_row``.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, SingularMatrixError
 from .linalg import SparseMatrix, solve_absorption_row
-from .row import Row, joined, ratio
+from .row import Row, joined, mixture, ratio
 from .universe import EMPTY, PacketSet
 
 DEFAULT_STATE_BUDGET = 200_000
@@ -169,14 +182,19 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
               keep=None, program_text=None, table=None) -> Row:
     """Output row of ``p*`` on input ``a0``.
 
-    Explores the reachable pair chain, redirects saturated states to their
-    canonical absorbing state, and solves the absorbing system for the rows
-    of the start and of every other unsaturated state (a, {}), each of
-    which goes in ``table``.  With the filter ``keep`` (a callable, see
+    A start whose successors other than itself are all in ``table`` takes
+    its row in one step (see the module).  Otherwise this explores the
+    reachable pair chain, redirects saturated states to their canonical
+    absorbing state, and solves the absorbing system for the rows of the
+    start and of every other unsaturated state (a, {}).  Each row goes in
+    ``table``.  With the filter ``keep`` (a callable, see
     ``explore``) of a predicate t, computes the composite ``p* ; t``.
     """
     if table is None:
         table = {}
+    dist = _one_step(row_fn(a0), a0, cap, keep, table)
+    if dist is not None:
+        return _checked(table, a0, dist)
     g = mark_saturated(explore(row_fn, a0, cap, keep, program_text, table))
     sat = g.saturated
     if sat[g.start]:
@@ -225,12 +243,40 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     R = SparseMatrix(nt, len(set().union(*rrows)), rrows)
     rows = solve_absorption_row(Q, R, wanted, den=den)
     for t, row in zip(wanted, rows):
-        total = sum(row.nums.values())
-        if total != row.den:
-            raise SingularMatrixError(
-                f"the absorbing solve gave a star row of mass {total}/{row.den}, not 1")
-        table[states[order[t]][0]] = row
+        _checked(table, states[order[t]][0], row)
     return table[a0]
+
+
+def _one_step(row: Row, a0: PacketSet, cap: int, keep, table: dict):
+    """The star's row on ``a0`` from the body's row on it, when every
+    outcome other than ``a0`` is in ``table``, else None (see the module).
+    The chain holds the start and a state per outcome, so a row of ``cap``
+    outcomes or more is left to ``explore``, which enforces the budget."""
+    nums = row.nums
+    if len(nums) >= cap:
+        return None
+    terms = []
+    for a1, p in nums.items():
+        if a1 != a0:
+            solved = table.get(a1)
+            if solved is None:
+                return None
+            terms.append((p, solved))
+    k = a0 if keep is None else keep(a0)
+    s = nums.get(a0, 0)  # the self-loop
+    if s == row.den:
+        return Row(1, {k: 1})
+    return joined(mixture(row.den - s, terms), k)
+
+
+def _checked(table: dict, a: PacketSet, row: Row) -> Row:
+    """``row``, put in ``table`` for ``a`` once its mass is checked."""
+    total = sum(row.nums.values())
+    if total != row.den:
+        raise SingularMatrixError(
+            f"the absorbing solve gave a star row of mass {total}/{row.den}, not 1")
+    table[a] = row
+    return row
 
 
 def to_dot(g: PairStateGraph, labeler=None) -> str:

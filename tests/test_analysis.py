@@ -545,6 +545,23 @@ def test_input_spec_guards():
         InputSpec.all_subsets(range(20), cap=12)
 
 
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_subset_rows_are_every_subset_in_mask_order(order):
+    # Bit i of the mask takes the i-th packet of the base, in the base's
+    # order, whether or not it is sorted.
+    rng = random.Random(31)
+    for n in range(11):
+        base = rng.sample(range(40), n)
+        if order == "sorted":
+            base.sort()
+        rows = list(InputSpec(subset_base=tuple(base)).rows())
+        assert rows == [frozenset(p for i, p in enumerate(base) if (mask >> i) & 1)
+                        for mask in range(1 << n)]
+    base = sorted(rng.sample(range(40), 6))
+    assert list(InputSpec.all_subsets(base).rows()) == \
+        list(InputSpec.all_subsets(base[::-1]).rows())
+
+
 def _no_enumeration(monkeypatch):
     def refuse(self):
         raise AssertionError("the universe's packets were enumerated")

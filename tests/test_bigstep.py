@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pnk import netlib
+from pnk import bigstep, netlib
 from pnk import star as star_mod
 from pnk.analysis import InputSpec, dist_leq, equiv, estimate, leq, sample_run
 from pnk.bigstep import Kernel, Pending
@@ -342,6 +342,17 @@ def _tables(k):
     return {key: c["table"] for key, fn in k._fns.items() if "table" in (c := _closure(fn))}
 
 
+def _images(k):
+    """Node -> per-packet image cache of each deterministic row function of
+    ``k``."""
+    out = {}
+    for key, fn in k._fns.items():
+        inner = _closure(fn).get("fn")
+        if inspect.isfunction(inner) and "images" in (c := _closure(inner)):
+            out[key] = c["images"]
+    return out
+
+
 def _parts(node):
     if isinstance(node, (Union, Seq, Choice)):
         return node.parts
@@ -384,6 +395,55 @@ def test_no_memo_entries_inside_deterministic_subterms():
     deterministic = (nodes | evaluated) - probabilistic
     inside = {q for n in deterministic for q in _parts(n)} - evaluated
     assert inside and not keys & inside
+    # Every input set is a singleton, which a deterministic row function
+    # maps whole: no per-packet image is kept.
+    images = _images(k)
+    assert images and not any(images.values())
+
+
+def _stars(p):
+    """Whether the program ``p`` has a star."""
+    return isinstance(p, Star) or any(_stars(q) for q in _parts(p))
+
+
+def test_deterministic_rows_are_the_point_masses_of_their_set_maps(uni8):
+    # On a set of two or more packets, a choice-free node's row is the
+    # point mass on the union of its packets' images, each image made once
+    # and kept.  It must be the point mass on the node's set map, which
+    # maps the set whole; a star's map is its reachability closure.
+    u = uni8
+    rng = random.Random(24)
+    rows = all_subsets(u)
+    stars = 0
+    for _ in range(80):
+        p = random_program(rng, u, rng.randrange(1, 5), stars=1)
+        if has_choice(p):
+            continue
+        k = Kernel(p, u)
+        m = k._set_map(p)
+        for a in rows:
+            assert k.row(p, a).as_dict() == delta(m(a)), (pretty(p), sorted(a))
+        images = _images(k)[p]
+        assert images.keys() == u.all_packets()
+        assert all(b == m(frozenset({x})) for x, b in images.items())
+        stars += _stars(p)
+    assert stars > 8  # 13 of 61 programs with this seed
+
+
+def test_a_large_set_is_mapped_whole():
+    # A set of more than IMAGED_MAX packets is mapped whole: the images of
+    # the packets of a long path under a closure would each hold the rest
+    # of the path.
+    u = PacketUniverse([FieldDecl("f", 8), FieldDecl("g", 2), FieldDecl("h", 2)])
+    steps = [Seq(Test("f", v), Assign("f", v + 1)) for v in range(7)]
+    p = Star(union(*steps))
+    k = Kernel(p, u)
+    assert bigstep.IMAGED_MAX < u.packet_count
+    assert k.row(p, u.all_packets()).as_dict() == delta(u.all_packets())
+    assert not _images(k)[p]
+    a = frozenset(sorted(u.all_packets())[:bigstep.IMAGED_MAX])
+    assert k.row(p, a).as_dict() == delta(k._set_map(p)(a))
+    assert _images(k)[p].keys() == a
 
 
 def test_a_kernel_is_freed_without_the_cycle_collector(uni8):
@@ -876,6 +936,10 @@ def _forcing_cases():
                                                           Seq(Test("g", 0), g1)))),
         ("a star's input", Seq(FLIP, Star(Seq(Test("f", 1), Assign("f", 0), g1)))),
         ("a star body's output", Star(Seq(FLIP, Union(Test("f", 1), g1)))),
+        # The coin's branch is compiled the first time a set with g=1 meets
+        # the body, inside the body's row function.
+        ("a star body's output, its coin compiled in the body",
+         Star(Union(Seq(Test("g", 1), FLIP, Assign("g", 0)), Seq(Test("g", 0), h1)))),
         ("a filtered star's input", Seq(FLIP, Star(Choice(Fraction(1, 2), g1, h1)),
                                         Test("f", 0))),
         ("a product with a set", Union(FLIP, g1)),
@@ -890,6 +954,29 @@ def _forcing_cases():
 def test_each_forcing_point_gives_the_rows_of_the_eager_twin(uni8, name):
     p = dict(_forcing_cases())[name]
     _same_rows_as_twin(p, uni8, all_subsets(uni8))
+
+
+def test_rows_are_scanned_for_pending_sets_only_once_a_coin_is_compiled(uni8, monkeypatch):
+    # Only coins make pending sets, so neither a star body's rows nor the
+    # rows ``apply`` hands out are scanned for them in a kernel without one.
+    scanned = []
+    settled = bigstep._settled
+    monkeypatch.setattr(bigstep, "_settled",
+                        lambda row, u: scanned.append(row) or settled(row, u))
+    loop = Star(Choice(Fraction(1, 2), Assign("f", 1), Seq(Test("g", 0), Assign("g", 1))))
+    k = Kernel(Seq(loop, Test("h", 0)), uni8)
+    for a in all_subsets(uni8):
+        k.apply(a)
+    assert not scanned
+    # A coin compiled inside the body, on its first call, makes that call's
+    # row pending: it is settled, since the flag is read after the call.
+    p = dict(_forcing_cases())["a star body's output, its coin compiled in the body"]
+    k = Kernel(p, uni8)
+    body_rows = _closure(k._rows(p))["body_rows"]
+    a = frozenset({uni8.packet(f=0, g=1, h=0)})
+    assert body_rows(a).as_dict() == {frozenset({uni8.packet(f=1, g=0, h=0)}): Fraction(1, 4),
+                                      frozenset({uni8.packet(f=0, g=0, h=0)}): Fraction(3, 4)}
+    assert scanned
 
 
 def test_two_branches_that_carry_one_coin_keep_it_pending(uni8):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pnk.analysis import dist_leq
+from pnk import star as star_mod
 from pnk.bigstep import Kernel
 from pnk.errors import BudgetExceededError, SingularMatrixError
 from pnk.linalg import SparseMatrix, mat_mul
@@ -371,3 +372,109 @@ def test_saturation_read_off_the_chain_matches_the_filter_definition(uni2x2):
 def test_explore_runs_without_a_table():
     g = mark_saturated(explore(body_row(FLIP, UF), frozenset({UF.packet(f=0)})))
     assert g.known == {} and len(g.states) == 5
+
+
+# -- one-step rows: a start whose successors are all in the table ------------
+
+
+class _Explored(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Explored
+
+
+def _solved_successors(body, a0, keep):
+    """A table holding the star row of every outcome of the body's row on
+    ``a0`` other than ``a0``, each solved by its own chain, and not ``a0``."""
+    table = {}
+    for a1 in body(a0).nums:
+        if a1 != a0 and a1 not in table:
+            star_dist(body, a1, keep=keep, table=table)
+    table.pop(a0, None)
+    return table
+
+
+def _without_explore(body, a0, keep=None, table=None):
+    """``star_dist`` on ``a0`` with ``explore`` refused."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(star_mod, "explore", _refuse)
+        return star_dist(body, a0, keep=keep, table=table)
+
+
+def test_a_start_whose_successors_are_solved_takes_one_step(uni2x2):
+    # Every successor's row is in the table, so the start's row is the
+    # body row over them, the self-loop renormalised: no chain is built.
+    # It equals the row of the chain built with an empty table.
+    rng = random.Random(11)
+    filtered = plain = loops = 0
+    for _ in range(200):
+        p, keep, _ = random_star_case(rng, uni2x2)
+        body = body_row(p, uni2x2)
+        a0 = random_set(rng, uni2x2)
+        nums = body(a0).nums
+        if nums.keys() <= {a0}:
+            continue  # an empty table holds every successor: no chain to compare
+        chain = star_dist(body, a0, keep=keep)
+        table = _solved_successors(body, a0, keep)
+        assert _without_explore(body, a0, keep, table) == chain
+        assert table[a0] == chain
+        filtered += keep is not None
+        plain += keep is None
+        loops += a0 in nums
+    assert filtered > 50 and plain > 50 and loops > 15  # 73, 76 and 25 with this seed
+
+
+def test_one_step_hand_cases():
+    u = PacketUniverse([FieldDecl("f", 3)])
+    f0, f1, f2 = (frozenset({u.packet(f=v)}) for v in range(3))
+    half = Fraction(1, 2)
+    keep = lambda a: restrict(Test("f", 1), a, u)
+    # A self-loop of 1/2, then f:=1 or drop: the other half of the mass,
+    # renormalised, joined with the start.
+    body = body_row(Choice(half, Skip(), Choice(half, Assign("f", 1), Drop())), u)
+    table = _solved_successors(body, f0, None)
+    assert set(table) == {f1, EMPTY}
+    got = _without_explore(body, f0, table=table)
+    assert got == star_dist(body, f0) and got.as_dict() == {f0 | f1: half, f0: half}
+    # The whole mass on the start (s = 1): the point mass on it, or on its
+    # filtered part, empty here.
+    skip = body_row(Skip(), u)
+    assert _without_explore(skip, f0).as_dict() == {f0: 1}
+    assert _without_explore(skip, f0, keep).as_dict() == {EMPTY: 1}
+    # keep(a0) is empty: the successors' rows as they stand.
+    flip = body_row(FLIP, u)
+    got = _without_explore(flip, f0, keep, _solved_successors(flip, f0, keep))
+    assert got == star_dist(flip, f0, keep=keep) and got.as_dict() == {f1: 1}
+    # A lossy body loses mass, whose star row the mass check refuses.
+    with pytest.raises(SingularMatrixError):
+        _without_explore(lambda a: Row(4, {a: 1, f2: 1}), f0, table={f2: Row(1, {f2: 1})})
+
+
+def _budget_counts(fn):
+    """The counts of the BudgetExceededError ``fn`` raises, or None."""
+    try:
+        fn()
+    except BudgetExceededError as e:
+        return e.states_reached, e.states_expanded, e.accumulators
+    return None
+
+
+def test_a_budget_no_larger_than_the_start_row_is_still_enforced(uni2x2):
+    # A chain of one step has one state more than the start's body row has
+    # outcomes, so a budget of at most that many outcomes goes to explore,
+    # which raises with the counts it reached, as it would with no rule.
+    rng = random.Random(12)
+    raised = 0
+    for _ in range(150):
+        p, keep, _ = random_star_case(rng, uni2x2)
+        body = body_row(p, uni2x2)
+        a0 = random_set(rng, uni2x2)
+        table = _solved_successors(body, a0, keep)
+        for cap in range(1, len(body(a0).nums) + 1):
+            counts = _budget_counts(lambda: explore(body, a0, cap, keep, table=dict(table)))
+            got = _budget_counts(lambda: star_dist(body, a0, cap, keep, table=dict(table)))
+            assert got == counts
+            raised += counts is not None
+    assert raised > 100  # 174 with this seed
