@@ -36,12 +36,14 @@ function of a deterministic node is the point mass on its map's image.
 Such a node gets one only where its rows are requested: as the program,
 as a part of a union or choice that holds a choice, or as a step of a
 sequence that holds one (below).  No node inside it has a row function
-or a memo.  The map is additive, so on a set of 2 to ``IMAGED_MAX``
-packets the row function unites the images of its packets, each image
-m({x}) made on first use and kept per node (``_additive``): the 2^n
-subset rows of a decision meet the same n packets over and over.  It maps
-a singleton, the empty set and a larger set whole, so a kernel whose
-inputs are singletons, as in the F10 case studies, keeps no images.
+or a memo.  The map is additive, so the row function takes the image of
+each packet whose singleton row is already in its memo from there and
+maps only the rest of a set (``_additive``): the 2^n subset rows of a
+decision come in mask order, which meets each singleton before every
+larger set that holds it, so those are unions of n kept images.  A set
+none of whose singletons was met is mapped whole.  The images are indexed
+by packet once a larger set meets them, so a kernel whose inputs are
+singletons, as in the F10 case studies, keeps only its memo.
 
 Exact rows are built without ``Fraction``s and reduced by their gcd where
 they are made:
@@ -198,10 +200,12 @@ def _point_masses():
     return dirac
 
 
-def _memoized(fn, pending):
+def _memoized(fn, pending, memo=None):
     """The row function ``fn`` with a memo keyed on the input, which is a
-    set (``fn`` computes its row) or a pending set (``pending`` does)."""
-    memo: dict = {}
+    set (``fn`` computes its row) or a pending set (``pending`` does).
+    ``memo`` is a dict that ``fn`` may read, or None for a new one."""
+    if memo is None:
+        memo = {}
 
     def rows(a) -> Row:
         row = memo.get(a)
@@ -211,29 +215,34 @@ def _memoized(fn, pending):
     return rows
 
 
-# The most packets of a set that a deterministic row function maps packet
-# by packet (``_additive``).
-IMAGED_MAX = 16
-
-
-def _additive(m, dirac):
-    """The row function of a deterministic node with the set map ``m``: the
-    point mass on m(a).  ``m`` is additive, so on a set of 2 to
-    ``IMAGED_MAX`` packets that is the union of the images of its packets,
-    each image m({x}) made on first use and kept (``images``).  Other sets
-    are mapped whole: the images of n packets can cost up to n times m(a),
-    as the closures of a star do where the packets' paths overlap."""
+def _additive(m, dirac, memo: dict):
+    """The row function of a deterministic node with the set map ``m``,
+    memoized in ``memo``: the point mass on m(a).  ``m`` is additive, so a
+    packet whose singleton is already in the memo gives its image from
+    there, and only the rest of a set is mapped.  The union of those
+    images costs no more than the singleton rows that made them; a set
+    none of whose singletons was met is mapped whole.  ``images`` indexes
+    the singleton rows' images by packet, filled when a larger set first
+    meets the packet: a lookup by packet builds no singleton set."""
     images: dict = {}
 
     def rows(a) -> Row:
-        if not 1 < len(a) <= IMAGED_MAX:
+        if len(a) < 2:
             return dirac(m(a))
-        out = set()
+        out, rest = set(), []
         for x in a:
             b = images.get(x)
             if b is None:
-                b = images[x] = m(frozenset((x,)))
+                r = memo.get(frozenset((x,)))
+                if r is None:
+                    rest.append(x)
+                    continue
+                b = images[x] = _point(r)
             out |= b
+        if len(rest) == len(a):
+            return dirac(m(a))
+        if rest:
+            out |= m(frozenset(rest))
         return dirac(frozenset(out))
     return rows
 
@@ -564,7 +573,8 @@ class Kernel:
         pend = self._lazy_pending(node if filt is None else (node, filt))
         m = self._set_map(node)
         if m is not None:
-            return _memoized(_additive(m, dirac), pend)
+            memo: dict = {}
+            return _memoized(_additive(m, dirac, memo), pend, memo)
         match node:
             case Union(parts):
                 plan = self._union_plan(node)

@@ -343,7 +343,7 @@ def _tables(k):
 
 
 def _images(k):
-    """Node -> per-packet image cache of each deterministic row function of
+    """Node -> packet -> image index of each deterministic row function of
     ``k``."""
     out = {}
     for key, fn in k._fns.items():
@@ -395,8 +395,8 @@ def test_no_memo_entries_inside_deterministic_subterms():
     deterministic = (nodes | evaluated) - probabilistic
     inside = {q for n in deterministic for q in _parts(n)} - evaluated
     assert inside and not keys & inside
-    # Every input set is a singleton, which a deterministic row function
-    # maps whole: no per-packet image is kept.
+    # Every input set is a singleton, so no deterministic row function
+    # indexes an image by packet: that index is filled by larger sets.
     images = _images(k)
     assert images and not any(images.values())
 
@@ -408,42 +408,64 @@ def _stars(p):
 
 def test_deterministic_rows_are_the_point_masses_of_their_set_maps(uni8):
     # On a set of two or more packets, a choice-free node's row is the
-    # point mass on the union of its packets' images, each image made once
-    # and kept.  It must be the point mass on the node's set map, which
-    # maps the set whole; a star's map is its reachability closure.
+    # point mass on the union of the images its memo holds for the set's
+    # singletons and the image of the rest.  It must be the point mass on
+    # the node's set map, which maps the set whole; a star's map is its
+    # reachability closure.  Subsets come smallest first, in mask order and
+    # largest first, where no set meets a singleton that was mapped before.
     u = uni8
     rng = random.Random(24)
     rows = all_subsets(u)
+    masks = list(InputSpec.all_subsets(sorted(u.all_packets())).rows())
     stars = 0
     for _ in range(80):
         p = random_program(rng, u, rng.randrange(1, 5), stars=1)
         if has_choice(p):
             continue
-        k = Kernel(p, u)
-        m = k._set_map(p)
-        for a in rows:
-            assert k.row(p, a).as_dict() == delta(m(a)), (pretty(p), sorted(a))
-        images = _images(k)[p]
-        assert images.keys() == u.all_packets()
-        assert all(b == m(frozenset({x})) for x, b in images.items())
+        for order, indexed in ((rows, True), (masks, True), (rows[::-1], False)):
+            k = Kernel(p, u)
+            m = k._set_map(p)
+            for a in order:
+                assert k.row(p, a).as_dict() == delta(m(a)), (pretty(p), sorted(a))
+            images = _images(k)[p]
+            assert bool(images) == indexed
+            assert all(b == m(frozenset({x})) for x, b in images.items())
         stars += _stars(p)
     assert stars > 8  # 13 of 61 programs with this seed
 
 
-def test_a_large_set_is_mapped_whole():
-    # A set of more than IMAGED_MAX packets is mapped whole: the images of
-    # the packets of a long path under a closure would each hold the rest
-    # of the path.
-    u = PacketUniverse([FieldDecl("f", 8), FieldDecl("g", 2), FieldDecl("h", 2)])
-    steps = [Seq(Test("f", v), Assign("f", v + 1)) for v in range(7)]
-    p = Star(union(*steps))
-    k = Kernel(p, u)
-    assert bigstep.IMAGED_MAX < u.packet_count
-    assert k.row(p, u.all_packets()).as_dict() == delta(u.all_packets())
-    assert not _images(k)[p]
-    a = frozenset(sorted(u.all_packets())[:bigstep.IMAGED_MAX])
-    assert k.row(p, a).as_dict() == delta(k._set_map(p)(a))
-    assert _images(k)[p].keys() == a
+def _additive_rows(m):
+    """A memoized deterministic row function of the set map ``m``, and the
+    list of the sets ``m`` is called on."""
+    calls, memo = [], {}
+    fn = bigstep._additive(lambda a: calls.append(a) or m(a), bigstep._point_masses(), memo)
+    return bigstep._memoized(fn, None, memo), calls
+
+
+def test_a_set_maps_only_its_packets_not_met_alone():
+    # A packet whose singleton row is in the memo gives its image from
+    # there; the rest of the set is mapped whole, once.  On a counter
+    # loop each packet's image holds the rest of its path, so a set none
+    # of whose singletons was met costs one closure, as it did before.
+    u = PacketUniverse([FieldDecl("f", 8), FieldDecl("g", 2)])
+    p = Star(union(*(Seq(Test("f", v), Assign("f", v + 1)) for v in range(7))))
+    m = Kernel(p, u)._set_map(p)
+    rows, calls = _additive_rows(m)
+    x = [u.packet(f=v, g=0) for v in range(4)]
+    a = frozenset(x)
+    assert rows(a).as_dict() == delta(m(a)) and calls == [a]
+    rows(frozenset(x[:1]))
+    rows(frozenset(x[1:2]))
+    calls.clear()
+    b = frozenset(x[:3])
+    assert rows(b).as_dict() == delta(m(b)) and calls == [frozenset(x[2:3])]
+    # Every subset in mask order: only the empty set and the singletons
+    # are mapped, and each packet's image is indexed once.
+    rows, calls = _additive_rows(m)
+    for a in InputSpec.all_subsets(x).rows():
+        assert rows(a).as_dict() == delta(m(a))
+    assert sorted(calls, key=len) == [EMPTY, *(frozenset((y,)) for y in x)]
+    assert _closure(_closure(rows)["fn"])["images"] == {y: m(frozenset((y,))) for y in x}
 
 
 def test_a_kernel_is_freed_without_the_cycle_collector(uni8):
