@@ -64,9 +64,7 @@ class InputSpec:
 
     @classmethod
     def all_subsets(cls, packets, cap: int = DEFAULT_SUBSET_CAP) -> "InputSpec":
-        """All subsets of ``packets``, a collection of at most ``cap``."""
-        if len(packets) > cap:
-            raise _exceeds(len(packets), cap)
+        """All subsets of ``packets``; ``check_rows`` bounds the rows."""
         return cls(subset_base=tuple(sorted(packets)), cap=cap)
 
     @classmethod

@@ -48,8 +48,10 @@ singletons, as in the F10 case studies, keeps only its memo.
 Exact rows are built without ``Fraction``s and reduced by their gcd where
 they are made:
 
-- a choice of weight n/d scales the left row's numerators by n and the
-  right row's by d - n, over d times the lcm of the two denominators;
+- a choice gives each part it can take an integer share n over one
+  denominator d, the product of the denominators of its weights
+  (``_shares``), and its row is the sum of the parts' rows, each scaled by
+  its share, over d times the lcm of their denominators (``row.mixture``);
 - a product (``&``) multiplies the denominators and the numerators, and
   is reduced only when two outcomes merge, since the product of reduced
   rows with distinct outcomes is reduced;
@@ -85,10 +87,10 @@ each current set that pass ``t`` (the filter's set map): filters are
 predicates.  A point mass on either side of a product, or on the left of
 a bind, skips the multiplication.  Rows equal those of any other
 bracketing of the chain.  A choice is one n-ary node (see ``syntax``):
-its rows are mixed from its last part back, as the right-nested binary
-choices it stands for would be.  Its compiled form drops the parts a
-weight of 0 or 1 cuts off and keeps each other weight as an integer pair
-(n, d).
+part i takes weight w_i of the mass the parts before it leave, as in the
+right-nested binary choices it stands for, and the last part takes the
+rest.  Its compiled form keeps only the parts with a nonzero share: a
+weight of 0 drops its part, and a weight of 1 cuts off every later part.
 
 The row function of a star whose body has a choice, with or without a
 filter, owns the star's table of solved rows, which maps a current set a
@@ -137,7 +139,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from functools import partial
-from math import gcd, lcm, prod
+from math import prod
 from operator import itemgetter
 
 from . import star as star_mod
@@ -256,19 +258,6 @@ def _point(row: Row):
     return s if p == row.den else None
 
 
-def _mix(w, left: Row, right: Row) -> Row:
-    """Row of a choice of weight n/d, ``w == (n, d)`` with 0 < n < d,
-    between two rows."""
-    n, d = w
-    dl, dr = left.den, right.den
-    m = lcm(dl, dr)
-    fl, fr = n * (m // dl), (d - n) * (m // dr)
-    out = {b: fl * p for b, p in left.nums.items()}
-    for b, p in right.nums.items():
-        out[b] = out.get(b, 0) + fr * p
-    return reduced(d * m, out)
-
-
 def _product(mu: Row, nu: Row, universe: PacketUniverse) -> Row:
     """The row of ``l & r`` from the rows of ``l`` and ``r``.  Pending sets
     (see the module) are flipped first, unless the other side is the
@@ -334,30 +323,39 @@ def _coin_field(node: Program):
     return f if all(type(q) is Assign and q.field == f for q in node.parts) else None
 
 
-def _coin(node: Choice, f: str, universe: PacketUniverse) -> tuple:
-    """The coin of the choice ``node`` over assignments to ``f``: (f's place
-    in the field order, f, d, ((v, n), ...)), for f := v with probability
-    n/d, values ascending.  The parts a weight of 0 or 1 cuts off add no
-    value, as in the eager row."""
-    taken = []  # (value, n, d): f := value with chance n/d of the mass left
-    for q, w in zip(node.parts, node.weights):
+def _shares(node: Choice) -> tuple:
+    """(d, [(n, part), ...]): each part the choice ``node`` can take, in
+    order, with its chance n/d.  Part i takes weight w_i of the mass the
+    parts before it leave, and the last part the rest; a weight of 0 drops
+    its part, and a weight of 1 cuts off every part after it."""
+    ratios = []
+    for w in node.weights:
         n, d = w.as_integer_ratio()
-        taken.append((q.value, n, d))
+        ratios.append((n, d))
         if n == d:
             break
     else:
-        taken.append((node.parts[-1].value, 1, 1))
-    den = prod(d for _, _, d in taken)
-    mass, rest = {}, den  # the mass left, over den: each d divides it
-    for v, n, d in taken:
+        ratios.append((1, 1))
+    den = prod(d for _, d in ratios)
+    rest, out = den, []  # the mass left, over den: each d divides it
+    for part, (n, d) in zip(node.parts, ratios):
         if n:
-            mass[v] = mass.get(v, 0) + rest // d * n
-            rest -= rest // d * n
-    for v in mass:
+            share = rest // d * n
+            out.append((share, part))
+            rest -= share
+    return den, out
+
+
+def _coin(node: Choice, f: str, universe: PacketUniverse) -> tuple:
+    """The coin of the choice ``node`` over assignments to ``f``: (f's place
+    in the field order, f, d, ((v, n), ...)), for f := v with probability
+    n/d, values ascending: the choice's ``_shares`` summed per value."""
+    den, shares = _shares(node)
+    mass = mixture(den, [(n, Row(1, {q.value: 1})) for n, q in shares])
+    for v in mass.nums:
         universe.check_value(f, v)
-    g = gcd(den, *mass.values())
     order = [decl.name for decl in universe.decls].index(f)
-    return order, f, den // g, tuple(sorted((v, m // g) for v, m in mass.items()))
+    return order, f, mass.den, tuple(sorted(mass.nums.items()))
 
 
 def _carried(row: Row, coins: tuple) -> Row:
@@ -594,7 +592,7 @@ class Kernel:
                 return _memoized(union, pend)
             case Seq():
                 return _memoized(self._sequence(node), pend)
-            case Choice(parts, weights):
+            case Choice():
                 f = _coin_field(node)
                 if f is not None:
                     self._coined[0] = True
@@ -604,23 +602,11 @@ class Kernel:
                     def flip(a):
                         return Row(1, {Pending(u.modify(a, f, v0), coins): 1}) if a else dirac(a)
                     return _memoized(flip, pend)
-                # The parts before the first of weight 1 (else before the
-                # last part) whose weight is not 0, mixed into ``last``.
-                mixed, last = [], parts[-1]
-                for part, w in zip(parts, weights):
-                    if w == 1:
-                        last = part
-                        break
-                    if w != 0:
-                        mixed.append((w.as_integer_ratio(), self._rows(part)))
-                last = self._rows(last)
+                den, shares = _shares(node)
+                fns = [(n, self._rows(q)) for n, q in shares]
 
                 def choice(a):
-                    taken = [(w, f(a)) for w, f in mixed]
-                    row = last(a)
-                    for w, left in reversed(taken):
-                        row = _mix(w, left, row)
-                    return row
+                    return mixture(den, [(n, f(a)) for n, f in fns])
                 return _memoized(choice, pend)
             case Star(body):
                 body_rows = _settling(self._rows(body), self._coined, u)
@@ -892,14 +878,7 @@ class Kernel:
                 maps = [self._set_map(q) for q in parts]
                 if None in maps:
                     return None
-
-                def seq(a):
-                    for m in maps:
-                        if not a:
-                            break
-                        a = m(a)
-                    return a
-                return seq
+                return partial(_run, maps)
             case Union(parts):
                 maps = [self._set_map(q) for q in parts]
                 if None in maps:

@@ -13,10 +13,13 @@ substitution, and eliminates the states of a cyclic class, fewest fill
 first, down to the rows read from outside it.  It works on the pair
 chain's own rows: row i of Q and R holds integer numerators over
 ``den[i]``, and R's columns are any hashable keys (a pair chain's are its
-accumulator sets), which the solved rows keep.  It keeps one denominator
-per row, reduces a row by its gcd after each fold, and returns reduced
-``Row``s, so the result is exact and A = Q A + R holds with zero residual,
-with no ``Fraction`` built.  ``solve_absorption`` is the thin wrapper for
+accumulator sets), which the solved rows keep.  Every solved row is a
+reduced ``Row``.  The weighted sums of solved rows, a one-state class's
+substitution and the exits a cyclic class's members fold into their R
+rows, are ``row.mixture``s; the elimination inside a cyclic class keeps
+one denominator per row and reduces a row by its gcd after each fold.  So
+the result is exact and A = Q A + R holds with zero residual, with no
+``Fraction`` built.  ``solve_absorption`` is the thin wrapper for
 ``Fraction`` matrices: it moves each row onto the lcm of its denominators,
 solves, and turns the rows back into ``Fraction``s.
 """
@@ -28,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DimensionError, SingularMatrixError
-from .row import Row, ratio, reduced
+from .row import Row, mixture, ratio, reduced
 
 
 class SparseMatrix:
@@ -166,11 +169,12 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
     each after every class it reaches.  When every state leaves only to
     later states and itself, each state is such a class, and they are
     solved from the last back; otherwise only the classes the wanted rows
-    reach are solved (``_classes``).  A one-state class is solved by
-    substitution: A_k = (R_k + sum_j q_kj A_j) / (den_k - q_kk).  A larger
-    class folds the solved rows of the states it leaves to into its R
-    rows, then eliminates its states (``_solve_class``) down to the rows
-    read from outside it.  Entries are sums of positive terms, so none
+    reach are solved (``_classes``).  Solved rows are reduced ``Row``s.  A
+    one-state class is solved by substitution: A_k = (R_k + sum_j q_kj A_j)
+    / (den_k - q_kk), one ``row.mixture``.  A larger class folds the solved
+    rows of the states it leaves to into its R rows, one ``row.mixture``
+    per member, then eliminates its states (``_solve_class``) down to the
+    rows read from outside it.  Entries are sums of positive terms, so none
     cancel: a state whose row is empty once its self-loop is popped lies
     in a closed class that never absorbs, and raises SingularMatrixError.
     Q and R are not changed; a solved row may share a dict of R.
@@ -186,21 +190,20 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
     if den is None:
         den = [1] * n
     qrows, rrows = Q.rows, R.rows
-    # solved[k]: the row of state k as a (denominator, numerators) pair.
-    solved: list = [None] * n
+    solved: list = [None] * n  # solved[k]: the reduced row of state k
     # From the last state back while each state leaves only to later ones
     # and itself, so that its successors are solved; at the first that does
     # not, the classes the wanted rows reach are solved afresh.
     for k in reversed(range(n)):
         q, r = qrows[k], rrows[k]
         if not q and r:  # absorbed at once
-            solved[k] = den[k], r
+            solved[k] = reduced(den[k], r)
         elif q and min(q) < k:
             _solve_reached(qrows, rrows, den, wanted, solved)
             break
         else:
             solved[k] = _substituted(k, q, r, den[k], solved)
-    out = [reduced(*solved[k]) for k in wanted]
+    out = [solved[k] for k in wanted]
     return out[0] if single else out
 
 
@@ -289,44 +292,14 @@ def _read_rows(qrows: list, classes: list, wanted) -> set:
     return read
 
 
-def _plus(r: dict, out: list) -> tuple:
-    """(m, acc) with acc / m = r + sum c * nums / a over the triples (c, a,
-    nums) of ``out``: a row folded with solved rows, m the lcm of their
-    denominators.  ``r`` is not changed."""
-    m = 1
-    acc = dict(r)
-    for c, a, nums in out:
-        if m % a:
-            f = a // gcd(m, a)
-            m *= f
-            for x in acc:
-                acc[x] *= f
-        c *= m // a
-        for x, v in nums.items():
-            acc[x] = acc.get(x, 0) + c * v
-    return m, acc
-
-
-def _substituted(k: int, q: dict, r: dict, d: int, solved: list) -> tuple:
+def _substituted(k: int, q: dict, r: dict, d: int, solved: list) -> Row:
     """The row of state k, alone in its class: (R_k + sum_j q_kj A_j) /
     (den_k - q_kk) over the solved rows A_j of its other successors."""
-    e = d
-    out = []
-    for j, c in q.items():
-        if j == k:
-            e -= c
-        else:
-            out.append((c, *solved[j]))
+    e = d - q.get(k, 0)
+    out = [(c, solved[j]) for j, c in q.items() if j != k]
     if e <= 0 or not (out or r):
         raise SingularMatrixError(f"state {k} never absorbs (1 - q_kk = {e / d})")
-    if not out:
-        return e, r
-    m, acc = _plus(r, out)
-    e *= m
-    g = gcd(e, *acc.values())
-    if g == 1:
-        return e, acc
-    return e // g, {x: v // g for x, v in acc.items()}
+    return mixture(e, [(1, Row(1, r)), *out])
 
 
 def _solve_class(members, read: set, qrows: list, rrows: list, den: list,
@@ -345,18 +318,19 @@ def _solve_class(members, read: set, qrows: list, rrows: list, den: list,
     qs, rs, ds = {}, {}, {}
     pred: dict = {k: set() for k in members}
     for i in members:
-        qi, out = {}, []
+        qi, terms = {}, [(1, Row(1, rrows[i]))]
         for j, c in qrows[i].items():
             if j in inside:
                 qi[j] = c
                 if j != i:
                     pred[j].add(i)
             else:
-                out.append((c, *solved[j]))
-        m, ri = _plus(rrows[i], out)
+                terms.append((c, solved[j]))
+        ri = mixture(1, terms)  # a fresh dict: the loop below changes it
+        m = ri.den
         if m != 1:
             qi = {j: c * m for j, c in qi.items()}
-        qs[i], rs[i], ds[i] = qi, ri, den[i] * m
+        qs[i], rs[i], ds[i] = qi, ri.nums, den[i] * m
     degree = {k: len(pred[k]) * (len(qs[k]) + len(rs[k])) for k in members}
     # held: the read states while others are live, then those removed.
     held = {k for k in members if k in read}
@@ -421,7 +395,7 @@ def _solve_class(members, read: set, qrows: list, rrows: list, den: list,
         for k in held:  # the one read state, alone in the class
             ds[k] = _pivot(qs[k], rs[k], k, ds[k])
     for k in held:
-        solved[k] = ds[k], rs[k]
+        solved[k] = reduced(ds[k], rs[k])
 
 
 def _pivot(q: dict, r: dict, k: int, d: int) -> int:

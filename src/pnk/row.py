@@ -84,7 +84,11 @@ def mixture(den: int, terms) -> Row:
     """The reduced row of the sum of ``p * r`` over the (weight, row) pairs
     ``terms``, each weight over ``den``: the rows are brought to the lcm of
     their denominators, and outcomes that meet sum their weights in the
-    order of ``terms``."""
+    order of ``terms``.  A term's row need not be reduced, nor sum to its
+    ``den``.  This is the one weighted sum of exact rows: a choice's row
+    and a coin's weights (``bigstep._shares``), a bind (``bigstep._bind``),
+    a one-step star (``star._one_step``), and a substitution and a cyclic
+    class's exits in the absorbing solve (``linalg``)."""
     m = lcm(*[r.den for _, r in terms])
     out: dict = {}
     for p, r in terms:

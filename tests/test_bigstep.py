@@ -145,6 +145,51 @@ def test_choice_is_convex_combination(uni2x2):
         assert row(Choice(r, p, q), uni2x2, a) == expected
 
 
+def _binary_chain_row(rows, weights) -> dict:
+    """The row of a choice chain from its parts' rows: folded from the last
+    part back by r * row(p) + (1 - r) * row(rest), in ``Fraction``s."""
+    out = rows[-1]
+    for mu, w in zip(rows[-2::-1], weights[::-1]):
+        r, mix = Fraction(w), {}
+        for b, v in mu.items():
+            mix[b] = mix.get(b, 0) + r * v
+        for b, v in out.items():
+            mix[b] = mix.get(b, 0) + (1 - r) * v
+        out = {b: v for b, v in mix.items() if v}
+    return out
+
+
+def test_weights_of_0_and_1_cut_off_the_parts_they_leave_no_mass(uni8):
+    # A weight of 0 drops its part and a weight of 1 every later part,
+    # whether it is a Fraction or a float, at the first, a middle or the
+    # last place of a chain of random parts or of a coin, whose four parts
+    # over a two-valued field assign some value twice.  Every row over all
+    # subsets is the binary definition's, with no entry of zero weight.
+    u = uni8
+    inputs = all_subsets(u)
+    rng = random.Random(26)
+    chains = []
+    for cut in (Fraction(0), Fraction(1), 0.0, 1.0):
+        for place in (0, 1, 2):
+            for _ in range(2):
+                weights = [rng.choice((*WEIGHTS, 0.25, 0.5)) for _ in range(3)]
+                weights[place] = cut
+                chains.append(([random_program(rng, u, 2) for _ in range(4)], weights))
+                d = rng.choice(u.decls)
+                values = rng.sample((0, 0, 1, 1), 4)
+                chains.append(([Assign(d.name, v) for v in values], weights))
+    for parts, weights in chains:
+        p = Choice.chain(parts, weights)
+        k, part_kernels = Kernel(p, u), [Kernel(q, u) for q in parts]
+        for a in inputs:
+            got = k.row(p, a)
+            _assert_reduced_integer_row(got)
+            want = _binary_chain_row([kq.row(q, a).as_dict()
+                                      for kq, q in zip(part_kernels, parts)], weights)
+            assert {b: Fraction(n, got.den) for b, n in got.nums.items()} == want, \
+                (pretty(p), sorted(a))
+
+
 def test_monotone_in_inputs(uni2x2):
     rng = random.Random(6)
     for _ in range(150):

@@ -561,3 +561,20 @@ def test_all_inputs_of_a_probabilistic_pair_keep_the_base_cap(progdir, capsys):
     assert main(["equiv", p, p, "--inputs", "all"]) == 2
     assert capsys.readouterr().err == "error: all-subsets over 16 packets exceeds the cap of 12\n"
     assert main(["equiv", p, p, "--inputs", "all", "--cap-subsets", "16"]) == 0
+
+
+def test_an_explicit_base_over_the_cap_is_capped_by_rows(progdir, capsys):
+    # All subsets of 13 packets, one over the default cap of 12: a
+    # choice-free pair needs the empty set and the 13 singletons as rows and
+    # is decided; a pair with a choice needs 2^13 rows and is refused.
+    header = "fields { f : 16 }\n"
+    base = progdir("base.json", json.dumps({"all_subsets_of": [{"f": i} for i in range(13)]}))
+    p = progdir("p.pnk", header + "f=3 ; f:=5\n")
+    q = progdir("q.pnk", header + "(f=3 ; f:=5) & (f=12 ; f:=5)\n")
+    assert main(["equiv", p, p, "--inputs", base]) == 0
+    capsys.readouterr()
+    assert main(["equiv", p, q, "--inputs", base]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"]["input"] == [{"f": 12}]
+    coin = progdir("coin.pnk", header + "f:=0 +[1/2] f:=1\n")
+    assert main(["equiv", coin, coin, "--inputs", base]) == 2
+    assert capsys.readouterr().err == "error: all-subsets over 13 packets exceeds the cap of 12\n"
