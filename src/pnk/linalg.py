@@ -10,13 +10,13 @@ A = (I - Q)^-1 R by state elimination ordered by the strongly connected
 classes of Q (Daws, ICTAC 2004): it walks the classes that row i reaches,
 each after the classes it leaves to, solves a one-state class by direct
 substitution, and eliminates the states of a cyclic class, fewest fill
-first, down to the rows read from outside it.  It works on the pair
-chain's own rows: row i of Q and R holds integer numerators over
-``den[i]``, and R's columns are any hashable keys (a pair chain's are its
-accumulator sets), which the solved rows keep.  Every solved row is a
-reduced ``Row``.  The weighted sums of solved rows, a one-state class's
-substitution and the exits a cyclic class's members fold into their R
-rows, are ``row.mixture``s; the elimination inside a cyclic class keeps
+first, then solves them by the same substitution from the last removed
+back.  It works on the pair chain's own rows: row i of Q and R holds
+integer numerators over ``den[i]``, and R's columns are any hashable keys
+(a pair chain's are its accumulator sets), which the solved rows keep.
+Every solved row is a reduced ``Row``.  The weighted sums of solved rows,
+each substitution and the exits a cyclic class's members fold into their
+R rows, are ``row.mixture``s; the elimination inside a cyclic class keeps
 one denominator per row and reduces a row by its gcd after each fold.  So
 the result is exact and A = Q A + R holds with zero residual, with no
 ``Fraction`` built.  ``solve_absorption`` is the thin wrapper for
@@ -31,7 +31,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DimensionError, SingularMatrixError
-from .row import Row, mixture, ratio, reduced
+from .row import Row, mixture, ratio
 
 
 class SparseMatrix:
@@ -160,27 +160,24 @@ def fraction_row(row: Row) -> dict:
 
 def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
     """Row ``row`` of (I - Q)^-1 R as a ``Row`` keyed by R's absorbing
-    columns; for a sequence of rows, the list of their rows.
+    columns; for an iterable of rows, the list of their rows.
 
     Row i of Q and R holds integer numerators over ``den[i]`` (1 for every
     row when ``den`` is None).  R's columns are any hashable keys (ints,
     or a pair chain's accumulator sets), and a solved row is keyed by them.
-    The states are solved one strongly connected class of Q at a time,
-    each after every class it reaches.  When every state leaves only to
-    later states and itself, each state is such a class, and they are
-    solved from the last back; otherwise only the classes the wanted rows
-    reach are solved (``_classes``).  Solved rows are reduced ``Row``s.  A
-    one-state class is solved by substitution: A_k = (R_k + sum_j q_kj A_j)
-    / (den_k - q_kk), one ``row.mixture``.  A larger class folds the solved
-    rows of the states it leaves to into its R rows, one ``row.mixture``
-    per member, then eliminates its states (``_solve_class``) down to the
-    rows read from outside it.  Entries are sums of positive terms, so none
-    cancel: a state whose row is empty once its self-loop is popped lies
-    in a closed class that never absorbs, and raises SingularMatrixError.
-    Q and R are not changed; a solved row may share a dict of R.
+    Only the strongly connected classes of Q that the wanted rows reach are
+    solved, one at a time, each after every class it reaches
+    (``_classes``).  Solved rows are reduced ``Row``s.  A one-state class
+    is solved by substitution: A_k = (R_k + sum_j q_kj A_j) / (den_k -
+    q_kk), one ``row.mixture`` (``_substituted``).  A larger class is
+    eliminated, then solved by the same substitution from its last removed
+    state back (``_solve_class``).  Entries are sums of positive terms, so
+    none cancel: a state whose row is empty once its self-loop is popped
+    lies in a closed class that never absorbs, and raises
+    SingularMatrixError.  Q and R are not changed.
     """
     single = isinstance(row, int)
-    wanted = (row,) if single else row
+    wanted = (row,) if single else tuple(row)
     n = Q.nrows
     if Q.ncols != n or R.nrows != n:
         raise DimensionError(f"Q is {n}x{Q.ncols} and R has {R.nrows} rows")
@@ -191,37 +188,14 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
         den = [1] * n
     qrows, rrows = Q.rows, R.rows
     solved: list = [None] * n  # solved[k]: the reduced row of state k
-    # From the last state back while each state leaves only to later ones
-    # and itself, so that its successors are solved; at the first that does
-    # not, the classes the wanted rows reach are solved afresh.
-    for k in reversed(range(n)):
-        q, r = qrows[k], rrows[k]
-        if not q and r:  # absorbed at once
-            solved[k] = reduced(den[k], r)
-        elif q and min(q) < k:
-            _solve_reached(qrows, rrows, den, wanted, solved)
-            break
-        else:
-            solved[k] = _substituted(k, q, r, den[k], solved)
-    out = [solved[k] for k in wanted]
-    return out[0] if single else out
-
-
-def _solve_reached(qrows: list, rrows: list, den: list, wanted,
-                   solved: list) -> None:
-    """Solves the classes the wanted rows reach, each after the classes it
-    reaches: a one-state class by substitution, a larger one by
-    elimination."""
-    classes = _classes(qrows, wanted)
-    read = None
-    for members in classes:
+    for members in _classes(qrows, wanted):
         if len(members) == 1:
             k = members[0]
             solved[k] = _substituted(k, qrows[k], rrows[k], den[k], solved)
         else:
-            if read is None:
-                read = _read_rows(qrows, classes, wanted)
-            _solve_class(members, read, qrows, rrows, den, solved)
+            _solve_class(members, qrows, rrows, den, solved)
+    out = [solved[k] for k in wanted]
+    return out[0] if single else out
 
 
 def _classes(qrows: list, roots) -> list:
@@ -277,24 +251,10 @@ def _classes(qrows: list, roots) -> list:
     return classes
 
 
-def _read_rows(qrows: list, classes: list, wanted) -> set:
-    """The states whose rows are wanted or read by a state of another
-    solved class."""
-    cls = {}
-    for c, members in enumerate(classes):
-        for k in members:
-            cls[k] = c
-    read = set(wanted)
-    for k, c in cls.items():
-        for j in qrows[k]:
-            if cls[j] != c:
-                read.add(j)
-    return read
-
-
 def _substituted(k: int, q: dict, r: dict, d: int, solved: list) -> Row:
-    """The row of state k, alone in its class: (R_k + sum_j q_kj A_j) /
-    (den_k - q_kk) over the solved rows A_j of its other successors."""
+    """The row of state k, (R_k + sum_j q_kj A_j) / (den_k - q_kk), over
+    the solved rows A_j of its other successors: k is alone in its class,
+    or was removed from a cyclic class before each j (``_solve_class``)."""
     e = d - q.get(k, 0)
     out = [(c, solved[j]) for j, c in q.items() if j != k]
     if e <= 0 or not (out or r):
@@ -302,17 +262,18 @@ def _substituted(k: int, q: dict, r: dict, d: int, solved: list) -> Row:
     return mixture(e, [(1, Row(1, r)), *out])
 
 
-def _solve_class(members, read: set, qrows: list, rrows: list, den: list,
+def _solve_class(members, qrows: list, rrows: list, den: list,
                  solved: list) -> None:
-    """Solves the rows of a cyclic class that are read from outside it.
+    """Solves every row of a cyclic class.
 
     Each member's row keeps its Q entries inside the class; the solved rows
     of the states it leaves to are folded into its R row.  Then every
-    member is removed from the class, the unread ones first, each time the
-    one with the fewest live predecessors x row entries (ties by index).
-    Removing state k folds q_ik / (1 - q_kk) * row_k into each predecessor
-    i.  A removed read state keeps its row and stays a predecessor, so
-    later removals back-substitute into it, among the read states only.
+    member is removed from the class, each time the one with the fewest
+    live predecessors x row entries (ties by index).  Removing state k
+    folds q_ik / (1 - q_kk) * row_k into each live predecessor i, and k
+    keeps its row as it stands, whose Q entries are members removed after
+    it.  So the members are solved by substitution from the last removed
+    back.
     """
     inside = set(members)
     qs, rs, ds = {}, {}, {}
@@ -332,22 +293,14 @@ def _solve_class(members, read: set, qrows: list, rrows: list, den: list,
             qi = {j: c * m for j, c in qi.items()}
         qs[i], rs[i], ds[i] = qi, ri.nums, den[i] * m
     degree = {k: len(pred[k]) * (len(qs[k]) + len(rs[k])) for k in members}
-    # held: the read states while others are live, then those removed.
-    held = {k for k in members if k in read}
-    heap = [(d, k) for k, d in degree.items() if k not in held]
+    heap = [(d, k) for k, d in degree.items()]
     heapify(heap)
-    last = False
-    while heap or not last:
-        if not heap:
-            if len(held) < 2:
-                break  # no other read state to remove: see below
-            heap = [(degree[k], k) for k in held]
-            heapify(heap)
-            held = set()
-            last = True
+    removed = []
+    while heap:
         deg, k = heappop(heap)
-        if deg != degree[k] or qs[k] is None or k in held:
-            continue  # a stale heap entry
+        if degree.get(k) != deg:
+            continue  # a stale heap entry, or a removed state
+        del degree[k]
         qk, rk = qs[k], rs[k]
         e = _pivot(qk, rk, k, ds[k])
         g = gcd(e, *qk.values(), *rk.values())
@@ -378,24 +331,15 @@ def _solve_class(members, read: set, qrows: list, rrows: list, den: list,
                     qi[j] //= g
                 for x in ri:
                     ri[x] //= g
-        if last:
-            qs[k], rs[k], ds[k] = qk, rk, e
-            held.add(k)
-        else:
-            qs[k] = None
+        removed.append((k, qk, rk, e))
         for j in qk:
-            if not last:
-                pred[j].discard(k)
+            pred[j].discard(k)
             pred[j].update(i for i in pred[k] if i != j)
         for i in (*pred[k], *qk):
             degree[i] = len(pred[i]) * (len(qs[i]) + len(rs[i]))
-            if i not in held:
-                heappush(heap, (degree[i], i))
-    if not last:
-        for k in held:  # the one read state, alone in the class
-            ds[k] = _pivot(qs[k], rs[k], k, ds[k])
-    for k in held:
-        solved[k] = reduced(ds[k], rs[k])
+            heappush(heap, (degree[i], i))
+    for k, qk, rk, e in reversed(removed):
+        solved[k] = _substituted(k, qk, rk, e, solved)
 
 
 def _pivot(q: dict, r: dict, k: int, d: int) -> int:

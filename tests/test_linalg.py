@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pnk import linalg
 from pnk.errors import DimensionError, SingularMatrixError
 from pnk.linalg import (
     SparseMatrix, absorption_residual, convex, fraction_row, identity,
@@ -137,9 +138,9 @@ def test_heavy_cyclic_chains_solve_exactly():
 
 
 def test_many_row_solve_matches_single_row_solves():
-    # A many-row solve eliminates the other states first, then the wanted
-    # ones, and back-substitutes among them; each row must be the one the
-    # single-row solve gives.
+    # A many-row solve eliminates every state of a class, then solves them
+    # all by back-substitution; each row must be the one the single-row
+    # solve gives.
     rng = random.Random(19)
     for n in (8, 16, 24, 40):
         q, r = _random_absorbing(rng, n, 3, q_mass=Fraction(23, 24))
@@ -337,9 +338,8 @@ def test_a_closed_class_behind_an_acyclic_part_is_singular():
 @pytest.mark.parametrize("forward", [True, False])
 def test_a_long_acyclic_chain_solves_without_recursion(forward):
     # 5,000 states in a line, each going on with 1/2 and absorbing with
-    # 1/2 in the column of its parity; the last one absorbs at once.  Going
-    # forward, every state leaves to a later one; going backward, the walk
-    # over the classes is 5,000 states deep.
+    # 1/2 in the column of its parity; the last one absorbs at once.  Either
+    # way, the walk over the classes is 5,000 states deep.
     n = 5000
     step = 1 if forward else -1
     end = n - 1 if forward else 0
@@ -369,3 +369,43 @@ def test_a_long_cycle_solves_without_recursion():
     assert [fraction_row(x) for x in rows] == [
         {0: Fraction(2, 3), 1: Fraction(1, 3)}, {0: Fraction(1, 3), 1: Fraction(2, 3)},
         {0: Fraction(1, 3), 1: Fraction(2, 3)}]
+
+
+def test_rows_given_as_a_generator_are_read_once():
+    q = SparseMatrix(2, 2, [{1: 1}, {0: 1}])
+    r = SparseMatrix(2, 2, [{0: 1}, {1: 1}])
+    rows = solve_absorption_row(q, r, [0, 1], [2, 2])
+    assert [fraction_row(x) for x in rows] == [
+        {0: Fraction(2, 3), 1: Fraction(1, 3)}, {0: Fraction(1, 3), 1: Fraction(2, 3)}]
+    assert solve_absorption_row(q, r, (i for i in [0, 1]), [2, 2]) == rows
+
+
+def test_a_cyclic_class_is_eliminated_alike_whichever_rows_are_wanted(monkeypatch):
+    # A 120-state ring with two random chords per state is one cyclic class.
+    # Its eliminations, counted by the gcd reductions they make, are the
+    # same whether one row or every row is wanted.
+    rng = random.Random(31)
+    n = 120
+    qrows, rrows = [], []
+    for i in range(n):
+        q = {(i + 1) % n: rng.randrange(1, 9)}
+        for j in rng.sample(range(n), 2):
+            q[j] = q.get(j, 0) + rng.randrange(1, 9)
+        qrows.append(q)
+        rrows.append({i % 3: rng.randrange(1, 9)})
+    den = [sum(q.values()) + sum(r.values()) for q, r in zip(qrows, rrows)]
+    q, r = SparseMatrix(n, n, qrows), SparseMatrix(n, 3, rrows)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(linalg, "gcd", counted)
+    one = solve_absorption_row(q, r, [0], den)
+    counts = [len(calls)]
+    calls.clear()
+    every = solve_absorption_row(q, r, range(n), den)
+    counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert one == every[:1]
