@@ -85,10 +85,10 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={sum(map(len, self.rows))})"
 
 
-def identity(n: int, one=Fraction(1)) -> SparseMatrix:
+def identity(n: int) -> SparseMatrix:
     m = SparseMatrix(n, n)
     for i in range(n):
-        m.rows[i][i] = one
+        m.rows[i][i] = Fraction(1)
     return m
 
 

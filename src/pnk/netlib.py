@@ -310,8 +310,7 @@ def _up_cases(ports: list[int], hit, miss: Program) -> Program:
     return union(*branches)
 
 
-def f10(variant: str, topo: Topology, dest: int,
-        default_field: str = "default") -> Program:
+def f10(variant: str, topo: Topology, dest: int) -> Program:
     """The F10 switch policy in one of its three refinement stages.
 
     f10_0: forward out a uniformly random minimum-length port, excluding
@@ -337,7 +336,7 @@ def f10(variant: str, topo: Topology, dest: int,
             ports = [q for q in min_ports[s] if q != r]
             body = uniform(*[Assign("pt", q) for q in ports]) if ports else Drop()
             if init_mark_on is not None and r == init_mark_on:
-                body = Seq(Assign(default_field, 1), body)
+                body = Seq(Assign("default", 1), body)
             branches.append(Seq(Test("pt", r), body))
         return union(*branches)
 
@@ -361,7 +360,7 @@ def f10(variant: str, topo: Topology, dest: int,
         else:
             fallback = _up_cases(
                 same,
-                lambda healthy: Seq(Assign(default_field, 0),
+                lambda healthy: Seq(Assign("default", 0),
                                     uniform(*[Assign("pt", q) for q in healthy])),
                 dead_end,
             )
@@ -379,10 +378,10 @@ def f10(variant: str, topo: Topology, dest: int,
         if not with_mark:
             return normal
         downs = sorted(q for q, n in adj[s] if topo.layers[n] == EDGE)
-        marked = Seq(Assign(default_field, 1),
+        marked = Seq(Assign("default", 1),
                      uniform(*[Assign("pt", q) for q in downs]))
-        return Union(Seq(Test(default_field, 0), marked),
-                     Seq(Test(default_field, 1), normal))
+        return Union(Seq(Test("default", 0), marked),
+                     Seq(Test("default", 1), normal))
 
     branches = []
     for s in sorted(adj):

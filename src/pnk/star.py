@@ -279,13 +279,11 @@ def _checked(table: dict, a: PacketSet, row: Row) -> Row:
     return row
 
 
-def to_dot(g: PairStateGraph, labeler=None) -> str:
+def to_dot(g: PairStateGraph) -> str:
     """GraphViz dump; states labeled ``a|b``, saturated doubled, known dashed."""
-    if labeler is None:
-        labeler = lambda s: "{%s}" % ",".join(map(str, sorted(s)))
     lines = ["digraph pairs {"]
-    for i, (a, b) in enumerate(g.states):
-        label = f"{labeler(a)}|{labeler(b)}"
+    for i, pair in enumerate(g.states):
+        label = "|".join("{%s}" % ",".join(map(str, sorted(s))) for s in pair)
         extra = ""
         if g.saturated is not None and g.saturated[i]:
             extra = ", peripheries=2"

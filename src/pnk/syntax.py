@@ -19,10 +19,13 @@ has parts ``(a, b, c)`` and weights ``(r, s)``.  Only a right operand is
 spliced; a left one stays a nested part, since splicing it would rescale
 the weights and so change the sampler's draws.
 
-Each node records its nesting ``depth`` (see ``MAX_DEPTH``) when it is
-built, and a node deeper than ``MAX_DEPTH`` is a ``WellFormednessError``:
-every recursive pass over a program then stays well inside Python's
-recursion limit, whoever built the program.
+Each node records its facts when it is built, from those of its children
+(see ``Program``): its nesting ``depth``, whether it is ``core``, whether a
+``choice`` shows in it and whether it is a ``predicate``.  So a program is a
+DAG whose facts are read, never recomputed by a walk, and ``desugar`` and
+``validate`` visit each distinct node once.  A node deeper than
+``MAX_DEPTH`` is a ``WellFormednessError``: every recursive pass over a
+program then stays well inside Python's recursion limit, whoever built it.
 
 A node is a *predicate* iff it is Drop, Skip, Test, or Neg/Union/Seq of
 predicates.  Choice and Star are never predicates, and Neg may only be
@@ -31,7 +34,6 @@ applied to predicates.
 
 from __future__ import annotations
 
-import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,34 +58,33 @@ class _TooDeep(WellFormednessError):
     rewriting made it so."""
 
 
-def _intern(cls, args: tuple, key: tuple):
-    """The live node under ``key``, or a new ``cls`` node with fields ``args``."""
+def _intern(cls, args: tuple, key: tuple, kids=None):
+    """The live node under ``key``, or a new ``cls`` node with fields ``args``
+    and the facts of ``Program``, read off its child programs ``kids`` (by
+    default, the programs among ``args``)."""
     ref = _NODES.get(key)
     node = None if ref is None else ref()
     if node is None:
-        depth = (2 if cls is Star else 1) + _depth(args)
+        depth, core, choice, predicate = 0, True, False, True
+        for k in args if kids is None else kids:
+            if isinstance(k, Program):
+                if k.depth > depth:
+                    depth = k.depth
+                core &= k.core
+                choice |= k.choice
+                predicate &= k.predicate
+        depth += 2 if cls is Star else 1
         if depth > MAX_DEPTH:
             raise _TooDeep(f"program nests deeper than {MAX_DEPTH} levels")
         node = object.__new__(cls)
         cls._fill(node, *args)
+        up = cls in _CORE  # a sugar node is not core and hides its choices
         object.__setattr__(node, "depth", depth)
+        object.__setattr__(node, "core", up and core)
+        object.__setattr__(node, "choice", cls is Choice or up and choice)
+        object.__setattr__(node, "predicate", predicate and cls in _PREDICATE)
         _NODES[key] = weakref.ref(node, partial(_forget, key))
     return node
-
-
-def _depth(args: tuple) -> int:
-    """The depth of the deepest program in ``args``, looking into tuples."""
-    d = 0
-    for a in args:
-        if type(a) is tuple:
-            k = _depth(a)
-        elif isinstance(a, Program):
-            k = a.depth
-        else:
-            continue
-        if k > d:
-            d = k
-    return d
 
 
 def _forget(key: tuple, ref) -> None:
@@ -93,10 +94,19 @@ def _forget(key: tuple, ref) -> None:
 
 class Program:
     """Base class for AST nodes.  Nodes are immutable and interned (see
-    above): two nodes are equal exactly when they are one object.  ``depth``
-    is the nesting depth, set when the node is built; it is not a field."""
+    above): two nodes are equal exactly when they are one object.  Each node
+    carries four facts, set when it is built from those of its children;
+    they are not fields:
 
-    __slots__ = ("__weakref__", "depth")
+    ``depth``      the nesting depth (see ``MAX_DEPTH``);
+    ``core``       the node holds no sugar;
+    ``choice``     the node is a ``Choice`` or reaches one through ``Neg``,
+                   ``Star``, ``Union`` and ``Seq`` nodes only (sugar hides
+                   the choices in it);
+    ``predicate``  a predicate (see above).
+    """
+
+    __slots__ = ("__weakref__", "depth", "core", "choice", "predicate")
 
     def __new__(cls, *args):
         return _intern(cls, args, (cls, args, *map(type, args)))
@@ -155,7 +165,7 @@ class _Chain(Program):
             parts = tuple(spliced)
         if len(parts) < 2:
             raise WellFormednessError(f"{cls.__name__} needs two or more parts")
-        return _intern(cls, (parts,), (cls, parts))
+        return _intern(cls, (parts,), (cls, parts), parts)
 
 
 @_node
@@ -195,7 +205,7 @@ class Choice(Program):
             *parts, last = parts
             parts, weights = (*parts, *last.parts), weights + last.weights
         key = (cls, parts, *map(_weight_key, weights))
-        return _intern(cls, (parts, weights), key)
+        return _intern(cls, (parts, weights), key, parts)
 
 
 @_node
@@ -239,40 +249,31 @@ class NaryChoice(Program):
     def __new__(cls, branches):  # the weights as in Choice
         branches = tuple(branches)
         key = (cls, *[(q, _weight_key(w)) for q, w in branches])
-        return _intern(cls, (branches,), key)
+        return _intern(cls, (branches,), key, [q for q, _ in branches])
 
 
-SUGAR = (If, While, DoWhile, Var, NaryChoice)
+# The classes a core node may have, and those a predicate may have.
+_CORE = frozenset({Drop, Skip, Test, Assign, Neg, Union, Seq, Choice, Star})
+_PREDICATE = frozenset({Drop, Skip, Test, Neg, Union, Seq})
 
 
 def is_predicate(p: Program) -> bool:
-    match p:
-        case Drop() | Skip() | Test():
-            return True
-        case Neg(body):
-            return is_predicate(body)
-        case Union(parts) | Seq(parts):
-            return all(is_predicate(q) for q in parts)
-        case _:
-            return False
+    return p.predicate
 
 
 def is_core(p: Program) -> bool:
-    match p:
-        case Drop() | Skip() | Test() | Assign():
-            return True
-        case Neg(b) | Star(b):
-            return is_core(b)
-        case Union(parts) | Seq(parts) | Choice(parts):
-            return all(is_core(q) for q in parts)
-        case _:
-            return False
+    return p.core
 
 
 def validate(p: Program, universe: PacketUniverse) -> None:
-    """Check well-formedness against a universe; raises WellFormednessError."""
+    """Check well-formedness against a universe; raises WellFormednessError.
+    Each distinct node is checked once."""
+    seen = set()
 
     def go(node):
+        if node in seen:
+            return
+        seen.add(node)
         match node:
             case Drop() | Skip():
                 pass
@@ -334,76 +335,71 @@ def desugar(p: Program) -> Program:
     Var(f,n,p)   -> f:=n ; p ; f:=0
     NaryChoice   -> one Choice with rescaled weights
 
-    A node whose children come back unchanged is returned as it is.  The
-    rewriting deepens a program (a loop by three levels, a branch by one),
-    so a sugared program within ``MAX_DEPTH`` may have a core form past it:
-    that is a ``WellFormednessError`` naming the desugared form.
+    A core node is returned as it is, and each distinct node that is not
+    is rewritten once per call.  The rewriting deepens a program (a loop by
+    three levels, a branch by one), so a sugared program within
+    ``MAX_DEPTH`` may have a core form past it: that is a
+    ``WellFormednessError`` naming the desugared form.
     """
     try:
-        return _desugar(p)
+        return _desugar(p, {})
     except _TooDeep:
         raise WellFormednessError(
             f"the desugared program nests deeper than {MAX_DEPTH} levels "
             "(desugaring deepens a program: a loop by three levels)") from None
 
 
-def _desugar(p: Program) -> Program:
+def _desugar(p: Program, memo: dict) -> Program:
+    """The core form of ``p``; ``memo`` holds the nodes rewritten so far."""
+    if p.core:
+        return p
+    if p in memo:
+        return memo[p]
     match p:
-        case Drop() | Skip() | Test() | Assign():
-            return p
         case Neg(b) | Star(b):
-            new = _desugar(b)
-            return p if new is b else type(p)(new)
+            new = type(p)(_desugar(b, memo))
         case Union(parts) | Seq(parts):
-            new = [_desugar(q) for q in parts]
-            return p if all(map(operator.is_, new, parts)) else type(p)(*new)
+            new = type(p)(*[_desugar(q, memo) for q in parts])
         case Choice(parts, weights):
-            new = [_desugar(q) for q in parts]
-            return p if all(map(operator.is_, new, parts)) else Choice.chain(new, weights)
+            new = Choice.chain([_desugar(q, memo) for q in parts], weights)
         case If(t, a, b):
-            t = _desugar(t)
-            return Union(Seq(t, _desugar(a)), Seq(Neg(t), _desugar(b)))
+            t = _desugar(t, memo)
+            new = Union(Seq(t, _desugar(a, memo)), Seq(Neg(t), _desugar(b, memo)))
         case While(t, b):
-            t = _desugar(t)
-            return Seq(Star(Seq(t, _desugar(b))), Neg(t))
+            t = _desugar(t, memo)
+            new = Seq(Star(Seq(t, _desugar(b, memo))), Neg(t))
         case DoWhile(b, t):
-            t = _desugar(t)
-            b = _desugar(b)
-            return Seq(b, Star(Seq(t, b)), Neg(t))
+            t = _desugar(t, memo)
+            b = _desugar(b, memo)
+            new = Seq(b, Star(Seq(t, b)), Neg(t))
         case Var(f, v, b):
-            return Seq(Assign(f, v), _desugar(b), Assign(f, 0))
+            new = Seq(Assign(f, v), _desugar(b, memo), Assign(f, 0))
         case NaryChoice(branches):
-            return _desugar_nary(list(branches))
+            new = _desugar_nary(list(branches), memo)
         case _:
             raise WellFormednessError(f"unknown node {p!r}")
+    memo[p] = new
+    return new
 
 
-def _desugar_nary(branches) -> Program:
+def _desugar_nary(branches, memo: dict) -> Program:
     """One choice over the branches, its parts gathered from the last branch
     back: branch i is taken with its weight over the weight left from i on."""
     head, total = branches[-1]
-    parts, weights = [_desugar(head)], []
+    parts, weights = [_desugar(head, memo)], []
     for head, w in reversed(branches[:-1]):
         total += w
         if total == 0:
             parts, weights = [], []  # all-zero tail: any branch carries the (zero) mass
         else:
             weights.append(Fraction(w) / total)
-        parts.append(_desugar(head))
+        parts.append(_desugar(head, memo))
     return Choice.chain(parts[::-1], weights[::-1])
 
 
 def has_choice(p: Program) -> bool:
     """True iff the core program contains a probabilistic choice."""
-    match p:
-        case Choice():
-            return True
-        case Neg(b) | Star(b):
-            return has_choice(b)
-        case Union(parts) | Seq(parts):
-            return any(has_choice(q) for q in parts)
-        case _:
-            return False
+    return p.choice
 
 
 def restrict(t: Program, aset: PacketSet, universe: PacketUniverse) -> PacketSet:

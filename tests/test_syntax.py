@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from pnk.bigstep import Kernel
 from pnk.errors import ParseError, WellFormednessError
 from pnk.parser import parse, parse_file_text
 from pnk.syntax import (
-    Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Seq, Skip, Star,
-    Test, Union, Var, While, desugar, is_predicate, pretty,
+    Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Seq, Skip,
+    Star, Test, Union, Var, While, desugar, is_predicate, pretty,
     restrict, validate,
 )
 from pnk.universe import FieldDecl, PacketUniverse
@@ -442,6 +443,100 @@ def test_long_binary_choice_chain_without_recursion_error():
     assert Kernel(p, u).row(p, a).as_dict() == {
         frozenset({u.packet(f=0)}): to0, frozenset({u.packet(f=1)}): 1 - to0,
     }
+
+
+# -- the facts a node carries ------------------------------------------------------
+
+def _old_is_predicate(p):
+    """The recursive definition the ``predicate`` fact replaces."""
+    match p:
+        case Drop() | Skip() | Test():
+            return True
+        case Neg(body):
+            return _old_is_predicate(body)
+        case Union(parts) | Seq(parts):
+            return all(_old_is_predicate(q) for q in parts)
+        case _:
+            return False
+
+
+def _old_is_core(p):
+    """The recursive definition the ``core`` fact replaces."""
+    match p:
+        case Drop() | Skip() | Test() | Assign():
+            return True
+        case Neg(b) | Star(b):
+            return _old_is_core(b)
+        case Union(parts) | Seq(parts) | Choice(parts):
+            return all(_old_is_core(q) for q in parts)
+        case _:
+            return False
+
+
+def _old_has_choice(p):
+    """The recursive definition the ``choice`` fact replaces."""
+    match p:
+        case Choice():
+            return True
+        case Neg(b) | Star(b):
+            return _old_has_choice(b)
+        case Union(parts) | Seq(parts):
+            return any(_old_has_choice(q) for q in parts)
+        case _:
+            return False
+
+
+def _all_nodes(p):
+    """Every distinct node of the program DAG ``p``, sugar included."""
+    seen, stack = set(), [p]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        for f in fields(node):
+            v = getattr(node, f.name)
+            if isinstance(v, tuple):  # parts, or a NaryChoice's (part, weight)s
+                v = [x[0] if isinstance(x, tuple) else x for x in v]
+            else:
+                v = [v]
+            stack.extend(x for x in v if isinstance(x, Program))
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast_strategy())
+def test_each_fact_equals_its_recursive_definition(p):
+    for node in _all_nodes(p) | _all_nodes(desugar(p)):
+        assert node.core is _old_is_core(node) is syntax.is_core(node)
+        assert node.choice is _old_has_choice(node) is syntax.has_choice(node)
+        assert node.predicate is _old_is_predicate(node) is is_predicate(node)
+
+
+def test_shared_subterms_cost_their_distinct_nodes_not_their_paths(monkeypatch):
+    u = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2)])
+    p = Choice(Fraction(1, 2), Assign("g", 1), Assign("g", 0))
+    for i in range(18):  # 18 sugared nodes, 2^18 paths
+        p = If(Test("f", i % 2), p, p)
+    calls = {"_desugar": 0, "has_field": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(syntax, "_desugar")  # desugar recurses through this binding
+    counted(PacketUniverse, "has_field")
+    validate(p, u)
+    assert calls["has_field"] <= 4  # f=0, f=1, g:=1, g:=0
+    d = desugar(p)
+    assert calls["_desugar"] <= 3 * 18 + 1
+    assert syntax.is_core(d) and syntax.has_choice(d)
+    then, other = d.parts
+    assert then.parts[0] is Test("f", 1) and then.parts[-1] is other.parts[-1]
 
 
 # -- the depth bound ------------------------------------------------------------
