@@ -1,137 +1,72 @@
 """Big-step compilation: programs as kernels from packet sets to output
 distributions.
 
-A kernel row is a ``Row`` (see ``row``): positive integer numerators over
-one row denominator.  The kernel computes exact rows only; in float mode,
-``apply`` and ``row`` hand out the exact row rounded once (``row.rounded``),
-so each float weight is the nearest double to the exact probability.
+A kernel row is a ``Row`` (see ``row``).  The kernel computes exact rows
+only; in float mode, ``apply`` and ``row`` round them once.
 
 A kernel is a compiler.  On first use it compiles each node whose rows are
 requested, and each (star, filter) step of a sequence, once into a row
-function from a packet set to a ``Row`` (``Kernel._rows``).  The function
-owns its memo, keyed on the input set, so repeated sub-evaluations --
-which dominate star exploration, where the same current set recurs under
-many accumulators -- are computed once.  Nodes are interned (see
-``syntax``), so the row functions key on the node itself: equal subterms
-share one function, and its memo.  Rows are shared: the memos, the rows
-built from them and the star tables hand out the same row, so nobody
-changes one.  One point mass per set serves the whole kernel.
+function from a packet set to a ``Row`` (``Kernel._rows``) that owns its
+memo, keyed on the input set.  Nodes are interned (see ``syntax``), so
+equal subterms share one function.  Rows are shared, so nobody changes
+one.  No row function refers to its kernel, so a kernel is freed with its
+last reference, without the cycle collector.
 
 Deterministic subterms are set maps.  A core program without ``+[r]`` is
-deterministic and additive: on a set a, its row is the point mass on the
-union of its images of the packets in a (Anderson et al., *NetKAT:
-Semantic Foundations for Networks*, POPL 2014).  So the kernel compiles
-each such node once (``Kernel._set_map``) into a function from a packet
-set to a packet set: a test selects, reading one field digit on a
-singleton; an assignment is ``PacketUniverse.modify``; ``!t`` maps a to
-a - t(a); a sequence folds its parts' maps and stops at the empty set; a
-union picks its branches through its guard table (below) and unites their
-images; and a star's map is its reachability closure a | m(a) | m(m(a))
-| ..., for m its body's map.  The closure maps only the packets new in
-each round (m is additive, so the image of the packets already gathered
-is already in), grows one mutable set and freezes it once.  Without a
-choice, a star's current set follows one path, and the limit of that path
-is the point mass on the closure, so no pair chain is built.  The row
-function of a deterministic node is the point mass on its map's image.
-Such a node gets one only where its rows are requested: as the program,
-as a part of a union or choice that holds a choice, or as a step of a
-sequence that holds one (below).  No node inside it has a row function
-or a memo.  The map is additive, so the row function takes the image of
-each packet whose singleton row is already in its memo from there and
-maps only the rest of a set (``_additive``): the 2^n subset rows of a
-decision come in mask order, which meets each singleton before every
-larger set that holds it, so those are unions of n kept images.  A set
-none of whose singletons was met is mapped whole.  The images are indexed
-by packet once a larger set meets them, so a kernel whose inputs are
-singletons, as in the F10 case studies, keeps only its memo.
-
-Exact rows are built without ``Fraction``s and reduced by their gcd where
-they are made:
-
-- a choice gives each part it can take an integer share n over one
-  denominator d, the product of the denominators of its weights
-  (``_shares``), and its row is the sum of the parts' rows, each scaled by
-  its share, over d times the lcm of their denominators (``row.mixture``);
-- a product (``&``) multiplies the denominators and the numerators, and
-  is reduced only when two outcomes merge, since the product of reduced
-  rows with distinct outcomes is reduced;
-- a bind (one step of ``;``) sums over the lcm of its step rows'
-  denominators;
-- a point mass is a one-entry row whose numerator equals ``den``.
-
-These are module functions that hold nothing of the kernel, and no row
-function refers to its kernel, so a kernel is freed with its last
-reference, without the cycle collector.
+deterministic and additive: its row on a set a is the point mass on the
+union of its images of the packets in a (Anderson et al., POPL 2014).  So
+the kernel compiles each such node once (``Kernel._set_map``) into a map
+between packet sets; a star's is its body's reachability closure.  Such a
+node gets a row function only where its rows are requested, and it maps
+only the packets whose singleton row is not in its memo (``_additive``).
+Exact rows are built without ``Fraction``s and reduced where they are
+made: by a choice's integer shares (``_shares``) and a bind's sum
+(``row.mixture``), and by a product (``&``) when two outcomes merge.
 
 ``Union`` and ``Seq`` nodes are n-ary, and each fixes its plan when it is
-compiled.  Every core program is strict: it maps the empty set to the
-point mass on the empty set, and that point mass is the unit of ``&``
-(the product of the branch rows, pushed forward by union).  A union's
-plan names a guard field, the field that most branches test in their
-leading run of tests; each such branch is listed under the value it
-tests, and the other branches are unguarded.  On an input set, only the
-unguarded branches and those listed under a value the guard field takes
-in the set are evaluated; every other branch filters the set to empty,
-so by strictness its row is the unit and leaves the product unchanged.
-The branches picked are multiplied in their order in the union, and each
-branch's row function is looked up the first time it is picked.
+compiled.  A union evaluates only the branches its guard table picks on
+a set: every other branch gives the empty set, whose point mass is the
+unit of ``&`` (every core program is strict).  A sequence is a fold of
+binds over its plan's steps: a run of deterministic parts, or of factor
+nodes (below) that share a field, is one step, and the predicate parts
+after a star whose body has a choice are that star's filter, so ``p* ;
+t`` is one pair chain.  The row function of such a star owns its table of
+solved rows, keyed on the current set, which the chains it solves fill
+(see ``star``).
 
-A sequence is a left-to-right fold of binds (Kleisli composition), one
-per step of its plan.  The plan joins each run of consecutive
-deterministic parts into one step, their ``Seq``: one set map, and one
-memo entry per input set; a choice-free ``p* ; t`` or loop is such a
-run.  It folds the predicate parts right after a star whose body has a
-choice into one predicate node, that star's filter, so ``p* ; t`` is
-solved as one pair chain whose accumulator only gathers the members of
-each current set that pass ``t`` (the filter's set map): filters are
-predicates.  A point mass on either side of a product, or on the left of
-a bind, skips the multiplication.  Rows equal those of any other
-bracketing of the chain.  A choice is one n-ary node (see ``syntax``):
-part i takes weight w_i of the mass the parts before it leave, as in the
-right-nested binary choices it stands for, and the last part takes the
-rest.  Its compiled form keeps only the parts with a nonzero share: a
-weight of 0 drops its part, and a weight of 1 cuts off every later part.
-
-The row function of a star whose body has a choice, with or without a
-filter, owns the star's table of solved rows, which maps a current set a
-to the row of the star (then the filter) on a; a chain solved for one
-input fills it for every state (a, {}) it meets.  Later chains stop at
-every state (a, b) whose a is in the table, with the table's row joined
-with b, the same join as a point mass in a product (``row.joined``; see
-``star`` for why that row is exact).  The table is the function's memo.
-
-Deferred coins.  A *coin* is a choice whose parts each assign one field f,
-such as a flag flip ``up:=1 +[3/4] up:=0`` or ECMP's ``uniform(pt :=
-...)``.  Its row on a nonempty set a is not one outcome per value of f but
-one ``Pending`` outcome: the base, a with f at the coin's first value, and
-the coin's integer weights (``_coin``).  One coin covers the whole set,
-since f := v sets f on every packet of it.  Rows stay exact by two laws of
-*Probabilistic NetKAT* (Foster, Kozen, Mamouras, Reitblatt and Silva, ESOP
-2016): ``;`` distributes over ``+[r]`` from the left, so a later step may
-run on the pending set as on each of its outcomes, and f := v commutes
-with any step that neither reads nor writes f.  So every node takes a
-pending input by one rule.  First it flips the coins on the fields that
-every path through it tests first (``_forced``: one reduced exact row) and
-takes its rows on the outcomes, which then meet its memo as eager rows
-would.  Then a sequence steps through its parts, inside set maps too
-(``_seq_run``), and a union with at most one *live* branch hands the input
-to it or gives the empty set: the live branches are those the guard table
-picks on the base whose leading tests on fields without a coin pass on it,
-and every other branch filters every outcome of the input to the empty
-set.  So at a core the guarded topology flips the flag of the one link its
-output port leaves by, not those of all the core's links.  Every other
-node, a star among them, goes ``_past`` the coins: it drops those it
-*kills* (it assigns f on every path before any step reads f, so its rows
-do not depend on f, as the hop's flag resets do), runs on the base and
-carries those it neither reads nor writes (``_carried``), and flips the
-rest before it, so all branches of a union see one draw.  What is still
-pending is flipped by ``apply`` and ``row``, at a star body's output, so
-pair chains see only sets (rows are scanned for pending sets only once the
-kernel has compiled a coin), and on either side of a ``&`` product of two
-branch rows, whose coins each branch drew for itself, unless the other
-side is the point mass on the empty set.  Coins are flipped in the
-universe's field order, so rows and counts do not depend on string
-hashing.
+Pending factors.  A *factor node* holds a choice and no star, reads only
+fields it writes (its fields), and kills one of them: assigns it on every
+path before any step reads it.  Its rows on a packet depend only on the
+packet's valuation of its *key*, its fields less those it kills.  A
+*coin*, a choice whose parts each assign one field (a flag flip, ECMP's
+``uniform(pt := ...)``), is the one-field case, with an empty key; at a
+bounded k, a core's chain of guarded flips, which also decrement
+``budget``, is one factor node keyed on ``budget``.  On a set whose
+packets share their key valuation, a factor node's row has one ``Pending``
+outcome besides the empty set: the set under one *factor*, an exact
+distribution over valuations of its fields, read off the node's row on
+one packet once per node and valuation (``_tabled``, ``_table``).  Rows
+stay exact by two laws of *Probabilistic NetKAT* (Foster, Kozen,
+Mamouras, Reitblatt and Silva, ESOP 2016): ``;`` distributes over
+``+[r]`` from the left, so a later step may run on the pending set as on
+each of its outcomes, and a sub-program confined to fields F commutes
+with any step that neither reads nor writes F: variable elimination
+(Holtzen, Van den Broeck and Millstein, OOPSLA 2020).  So a
+node takes a pending input by one rule.  First it splits the factors on
+the fields every path through it tests first by their marginal, each side
+conditioned (``_split``), and takes its rows on the outcomes.  Then a
+sequence steps through its parts (``_seq_run``), and a union with at most
+one *live* branch, one the guard table picks on the base whose leading
+tests on fields without a factor pass, hands the input to it or gives
+the empty set: at a core, the guarded topology splits on the flag of the
+one link its output port leaves by.  Any other node goes ``_past`` the
+factors: it sums out the fields it kills (``_forgotten``; the hop's flag
+resets leave a factor over ``budget``), splits on those it touches, runs
+on the base and carries the rest (``_carried``).  What is still pending
+is settled, every factor split whole (``_settled``), by ``apply`` and
+``row``, at a star body's output, so pair chains see only sets, and on
+either side of a ``&`` product, whose branches drew their factors each for
+itself, unless the other side is the unit.
 """
 
 from __future__ import annotations
@@ -139,7 +74,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from functools import partial
-from math import prod
+from math import gcd, prod
 from operator import itemgetter
 
 from . import star as star_mod
@@ -148,7 +83,7 @@ from .row import Row, joined, mixture, reduced, rounded
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    is_core, is_predicate, pretty, seq,
+    field_bit, footprint, is_core, is_predicate, pretty, seq,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -167,9 +102,8 @@ def _leading_tests(node: Program) -> dict:
 def _picked(plan, aset: PacketSet) -> list:
     """The indices, in chain order, of the branches of a union plan to
     evaluate on ``aset``: the unguarded ones and those listed under a
-    value the guard field takes in ``aset``.  On a singleton this is one
-    digit read and one lookup."""
-    _, read, table, unguarded = plan
+    value the guard field takes in ``aset``."""
+    _, read, table, unguarded, _ = plan
     if read is None:
         return unguarded
     if len(aset) == 1:
@@ -190,8 +124,7 @@ def _picked(plan, aset: PacketSet) -> list:
 
 
 def _point_masses():
-    """A function from a set to the point mass on it, one row per set,
-    since most rows are point masses on few distinct sets."""
+    """A function from a set to the point mass on it, one row per set."""
     rows: dict = {}
 
     def dirac(s: PacketSet) -> Row:
@@ -219,13 +152,9 @@ def _memoized(fn, pending, memo=None):
 
 def _additive(m, dirac, memo: dict):
     """The row function of a deterministic node with the set map ``m``,
-    memoized in ``memo``: the point mass on m(a).  ``m`` is additive, so a
-    packet whose singleton is already in the memo gives its image from
-    there, and only the rest of a set is mapped.  The union of those
-    images costs no more than the singleton rows that made them; a set
-    none of whose singletons was met is mapped whole.  ``images`` indexes
-    the singleton rows' images by packet, filled when a larger set first
-    meets the packet: a lookup by packet builds no singleton set."""
+    memoized in ``memo``: the point mass on m(a), with the image of each
+    packet whose singleton is in the memo taken from there (``images``
+    indexes them by packet once a larger set meets them)."""
     images: dict = {}
 
     def rows(a) -> Row:
@@ -259,10 +188,8 @@ def _point(row: Row):
 
 
 def _product(mu: Row, nu: Row, universe: PacketUniverse) -> Row:
-    """The row of ``l & r`` from the rows of ``l`` and ``r``.  Pending sets
-    (see the module) are flipped first, unless the other side is the
-    point mass on the empty set, the unit: the coins of each side were
-    drawn in its own branch."""
+    """The row of ``l & r`` from the rows of ``l`` and ``r``, settled first
+    unless one side is the unit (see the module)."""
     s, t = _point(nu), _point(mu)
     if s is not None and not s:
         return mu
@@ -286,48 +213,17 @@ def _product(mu: Row, nu: Row, universe: PacketUniverse) -> Row:
 
 
 def _bind(mu: Row, step) -> Row:
-    """The row of ``mu`` followed by the row function ``step``: the sum of
-    the step's rows weighted by ``mu``, over the lcm of their
-    denominators."""
+    """The row of ``mu`` followed by the row function ``step``."""
     c = _point(mu)
     if c is not None:
         return step(c)
     return mixture(mu.den, [(p, step(c)) for c, p in mu.nums.items()])
 
 
-# -- deferred coins ------------------------------------------------------------
-
-
-class Pending(tuple):
-    """A packet set under pending coins (see the module): the outcome whose
-    sets are ``base`` with each coin's field set to a value drawn from the
-    coin, one draw per coin for all of its packets.  ``base`` is nonempty
-    and holds each coin's first value; ``coins`` are on distinct fields,
-    in the universe's field order.  A pair, so it hashes and compares as
-    one, and never equals a set."""
-
-    __slots__ = ()
-
-    def __new__(cls, base: PacketSet, coins: tuple):
-        return tuple.__new__(cls, (base, coins))
-
-    base = property(itemgetter(0))
-    coins = property(itemgetter(1))
-
-
-def _coin_field(node: Program):
-    """The field f of a choice whose parts each assign f, or None."""
-    if type(node) is not Choice or type(node.parts[0]) is not Assign:
-        return None
-    f = node.parts[0].field
-    return f if all(type(q) is Assign and q.field == f for q in node.parts) else None
-
-
 def _shares(node: Choice) -> tuple:
     """(d, [(n, part), ...]): each part the choice ``node`` can take, in
     order, with its chance n/d.  Part i takes weight w_i of the mass the
-    parts before it leave, and the last part the rest; a weight of 0 drops
-    its part, and a weight of 1 cuts off every part after it."""
+    parts before it leave (see ``syntax``), and the last part the rest."""
     ratios = []
     for w in node.weights:
         n, d = w.as_integer_ratio()
@@ -346,49 +242,122 @@ def _shares(node: Choice) -> tuple:
     return den, out
 
 
-def _coin(node: Choice, f: str, universe: PacketUniverse) -> tuple:
-    """The coin of the choice ``node`` over assignments to ``f``: (f's place
-    in the field order, f, d, ((v, n), ...)), for f := v with probability
-    n/d, values ascending: the choice's ``_shares`` summed per value."""
-    den, shares = _shares(node)
-    mass = mixture(den, [(n, Row(1, {q.value: 1})) for n, q in shares])
-    for v in mass.nums:
-        universe.check_value(f, v)
-    order = [decl.name for decl in universe.decls].index(f)
-    return order, f, mass.den, tuple(sorted(mass.nums.items()))
+# -- pending factors -----------------------------------------------------------
 
 
-def _carried(row: Row, coins: tuple) -> Row:
-    """``row`` with ``coins`` pending on each outcome, for a row computed on
-    the base of a pending input by a node that neither reads nor writes
-    their fields.  Distinct outcomes stay distinct, so ``den`` stands."""
+class Pending(tuple):
+    """A packet set under pending factors (see the module): the outcome
+    whose sets are ``base`` plus a valuation drawn from each factor, one
+    draw for all of its packets.  A factor (fields, d, ((w, n), ...)) has
+    its fields in the universe's order and each valuation w of them
+    (``PacketUniverse.projector``) with chance n/d, reduced, w ascending.
+    The factors are on disjoint fields, in order, and ``base`` is nonempty
+    and 0 in their fields.  A pair, so it hashes and compares as one, and
+    never equals a set."""
+
+    __slots__ = ()
+
+    def __new__(cls, base: PacketSet, factors: tuple):
+        return tuple.__new__(cls, (base, factors))
+
+    base = property(itemgetter(0))
+    factors = property(itemgetter(1))
+
+
+def _factor(fields: tuple, entries: list) -> tuple:
+    """(c, factor) of the distribution ``entries``, (valuation, weight)
+    pairs over ``fields``, ascending: (0, the reduced factor), or the one
+    valuation and None."""
+    if len(entries) == 1:
+        return entries[0][0], None
+    g = gcd(*[n for _, n in entries])
+    return 0, (fields, sum([n for _, n in entries]) // g,
+               tuple([(w, n // g) for w, n in entries]))
+
+
+def _groups(factor, fields: tuple, universe: PacketUniverse) -> dict:
+    """The entries of ``factor`` by their valuation s of its ``fields``:
+    s -> [(w - s, n), ...], ascending."""
+    read, out = universe.projector(fields), {}
+    for w, n in factor[2]:
+        s = read(w)
+        out.setdefault(s, []).append((w - s, n))
+    return out
+
+
+def _marginal(factor, hit: tuple, universe: PacketUniverse, marginals: dict) -> tuple:
+    """(d, [(s, n, conditional), ...]): each valuation s of the fields
+    ``hit`` of ``factor``, its reduced chance n/d and the conditional on
+    the other fields (in s if constant); kept in ``marginals``."""
+    out = marginals.get((factor, hit))
+    if out is None:
+        left, parts = tuple([f for f in factor[0] if f not in hit]), []
+        for s, es in _groups(factor, hit, universe).items():
+            c, cond = _factor(left, es)
+            parts.append((s + c, sum([n for _, n in es]), (cond,) if cond else ()))
+        g = gcd(factor[1], *[n for _, n, _ in parts])
+        out = marginals[factor, hit] = factor[1] // g, [(s, n // g, c) for s, n, c in parts]
+    return out
+
+
+def _split(x: Pending, fields, universe: PacketUniverse, marginals: dict) -> Row:
+    """The row of ``x`` with its factors split by their marginals on
+    ``fields`` (all if None; see ``_marginal``): each outcome sets those
+    fields in the base, and keeps the conditionals pending.  The marginals
+    are reduced and the outcomes distinct, so their product is."""
+    outs, den, rest = [(0, 1, ())], 1, []
+    for factor in x.factors:
+        fs, d, entries = factor
+        hit = fs if fields is None else tuple([f for f in fs if f in fields])
+        if not hit:
+            rest.append(factor)
+            continue
+        if len(hit) == len(fs):
+            den *= d
+            outs = [(w + v, p * n, cs) for w, p, cs in outs for v, n in entries]
+            continue
+        d, parts = _marginal(factor, hit, universe, marginals)
+        den *= d
+        outs = [(w + s, p * n, cs + c) for w, p, cs in outs for s, n, c in parts]
+    base, rest = x.base, tuple(rest)
+    out = {}
+    for w, p, cs in outs:
+        b = frozenset([i + w for i in base]) if w else base
+        factors = tuple(sorted(rest + cs)) if cs else rest
+        out[Pending(b, factors) if factors else b] = p
+    return Row(den, out)
+
+
+def _forgotten(x: Pending, kills, universe: PacketUniverse):
+    """``x`` with the fields ``kills`` summed out of its factors: a pending
+    set, or its base once no factor is left."""
+    if not kills or all(kills.isdisjoint(factor[0]) for factor in x.factors):
+        return x
+    factors, c = [], 0
+    for factor in x.factors:
+        left = tuple([f for f in factor[0] if f not in kills])
+        if len(left) == len(factor[0]):
+            factors.append(factor)
+        elif left:
+            w, factor = _factor(left, sorted((s, sum([n for _, n in es])) for s, es
+                                             in _groups(factor, left, universe).items()))
+            c += w
+            factors += [factor] if factor else []
+    base = frozenset([i + c for i in x.base]) if c else x.base
+    return Pending(base, tuple(sorted(factors))) if factors else base
+
+
+def _carried(row: Row, factors: tuple) -> Row:
+    """``row``, computed on a pending input's base by a node that neither
+    reads nor writes the fields of ``factors``, with them on each outcome."""
     out = {}
     for b, p in row.nums.items():
         if type(b) is Pending:
-            b = Pending(b.base, tuple(sorted(b.coins + coins)))
+            b = Pending(b.base, tuple(sorted(b.factors + factors)))
         elif b:
-            b = Pending(b, coins)
+            b = Pending(b, factors)
         out[b] = p
     return Row(row.den, out)
-
-
-def _forced(x: Pending, fields, universe: PacketUniverse) -> Row:
-    """The row of ``x`` with its coins on ``fields`` (all if None) flipped,
-    in field order; the other coins stay pending.  Each coin's row is
-    reduced and the outcomes of a nonempty base are distinct, so their
-    product is reduced."""
-    outs, den, rest = [(x.base, 1)], 1, []
-    for coin in x.coins:
-        _, f, d, values = coin
-        if fields is not None and f not in fields:
-            rest.append(coin)
-            continue
-        v0 = values[0][0]
-        den *= d
-        outs = [(s if v == v0 else universe.modify(s, f, v), w * n)
-                for s, w in outs for v, n in values]
-    rest = tuple(rest)
-    return Row(den, {(Pending(s, rest) if rest else s): w for s, w in outs})
 
 
 def _holds_pending(row: Row) -> bool:
@@ -400,44 +369,111 @@ def _holds_pending(row: Row) -> bool:
 
 
 def _settled(row: Row, universe: PacketUniverse) -> Row:
-    """``row`` with every pending coin flipped: a row of packet sets."""
+    """``row`` with every factor split whole: a row of packet sets."""
     if not _holds_pending(row):
         return row
-    return _bind(row, lambda b: (_forced(b, None, universe) if type(b) is Pending
+    return _bind(row, lambda b: (_split(b, None, universe, None) if type(b) is Pending
                                  else Row(1, {b: 1})))
 
 
-def _past(x: Pending, touch, kills, plain, universe: PacketUniverse) -> Row:
+def _past(x: Pending, touch, kills, plain, universe: PacketUniverse, marginals: dict) -> Row:
     """The row on ``x`` of a node whose row on a set is ``plain(set)``, and
-    which reads or writes the fields ``touch`` and kills ``kills``: the
-    coins it kills are dropped, those it reads or writes flipped, and the
-    rest carried past it."""
-    coins = tuple([c for c in x.coins if c[1] not in kills])
-    if not coins:
-        return plain(x.base)
-    touched = [c[1] for c in coins if c[1] in touch]
+    which reads or writes the fields ``touch`` and kills ``kills``."""
+    x = _forgotten(x, kills, universe)
+    if type(x) is not Pending:
+        return plain(x)
+    touched = [f for factor in x.factors for f in factor[0] if f in touch]
     if not touched:
-        return _carried(plain(x.base), coins)
-    return _bind(_forced(Pending(x.base, coins), touched, universe),
-                 lambda y: _carried(plain(y.base), y.coins) if type(y) is Pending else plain(y))
+        return _carried(plain(x.base), x.factors)
+    return _bind(_split(x, touched, universe, marginals),
+                 lambda y: _carried(plain(y.base), y.factors) if type(y) is Pending else plain(y))
 
 
-def _settling(fn, coined: list, universe: PacketUniverse):
-    """The row function ``fn`` with every pending coin of its rows flipped.
-    Only coins make pending sets, so its rows are scanned only once the
-    kernel's flag cell ``coined`` is set; it is read after ``fn`` runs,
-    which may compile the first coin."""
+def _tabled(fn, pending, key, fields: tuple, universe: PacketUniverse,
+            factored: list):
+    """The row function of a factor node (see the module) whose rows ``fn``
+    computes as any node's, ``pending`` on a pending set: on a set whose
+    packets share their key valuation ``key(packet)``, the row of its
+    ``_table``.  Memoized, but ``fn`` on a new set while a table is made."""
+    clear, tables, memo = universe.projector(fields), {}, {}
+
+    def rows(a) -> Row:
+        row = memo.get(a)
+        if row is not None:
+            return row
+        if type(a) is Pending:
+            row = memo[a] = pending(a)
+            return row
+        if factored[1]:
+            return fn(a)
+        ks = [key(min(a))] if len(a) == 1 else list({key(i) for i in a})
+        t = tables.get(k := ks[0], ()) if len(ks) == 1 else None
+        if t == ():
+            t = tables[k] = _table(fn, k, min(a), fields, universe, factored)
+        if t is None:
+            row = fn(a)
+        elif not t[2]:
+            row = Row(1, {EMPTY: 1})
+        else:
+            den, empty, n, c, factor = t
+            b = frozenset([i - clear(i) + c for i in a])
+            b = Pending(b, (factor,)) if factor else b
+            row = Row(den, {EMPTY: empty, b: n} if empty else {b: n})
+        memo[a] = row
+        return row
+    return rows
+
+
+def _table(fn, k, x: int, fields: tuple, universe: PacketUniverse, factored: list):
+    """The table of a factor node for its key valuation ``k``, read off its
+    row on the packet ``x``, which has it: (den, the empty set's weight,
+    the rest's, c, factor), the rest being a set with ``fields`` at c plus
+    a valuation drawn from the factor; None if an outcome has two packets."""
+    factored[1] += 1
+    try:
+        row = _settled(fn(frozenset((x,))), universe)
+    finally:
+        factored[1] -= 1
+    clear, empty, entries = universe.projector(fields), row.nums.get(EMPTY, 0), []
+    for s, n in row.nums.items():
+        if len(s) > 1:
+            return None
+        entries += [(clear(y), n) for y in s]
+    if not entries:
+        return 1, 1, 0, 0, None
+    entries.sort()
+    fixed = tuple([f for f in fields if len({universe.reader(f)(w) for w, _ in entries}) == 1])
+    c = universe.projector(fixed)(entries[0][0])  # the fields every outcome sets alike
+    w, factor = _factor(tuple([f for f in fields if f not in fixed]),
+                        [(w - c, n) for w, n in entries])
+    g = gcd(row.den, empty)
+    return row.den // g, empty // g, (row.den - empty) // g, c + w, factor
+
+
+def _settling(fn, factored: list, universe: PacketUniverse):
+    """The row function ``fn`` with its rows settled once the kernel's cell
+    ``factored`` says a factor node is compiled (``fn`` may compile one)."""
     def settled(a):
         row = fn(a)
-        return _settled(row, universe) if coined[0] else row
+        return _settled(row, universe) if factored[0] else row
     return settled
 
 
-def _fold(steps, dirac, a) -> Row:
-    """The row of the row functions ``steps`` in turn on ``a``, a set or a
-    pending set: a left-to-right fold of binds from the point mass on it."""
-    row = dirac(a)
-    for step in steps:
+def _names(bits: tuple, mask: int) -> tuple:
+    """The fields of the ``footprint`` mask ``mask`` among the (name, bit)
+    pairs ``bits``, in their order."""
+    return tuple([name for name, bit in bits if bit & mask])
+
+
+def _pending_of(kernel, key, x) -> Row:
+    """The row of ``key`` on ``x`` by the weakly held ``kernel``."""
+    return kernel()._pending(key)(x)
+
+
+def _fold(steps, a) -> Row:
+    """The row of the row functions ``steps`` in turn on ``a``."""
+    row = steps[0](a)
+    for step in steps[1:]:
         row = _bind(row, step)
     return row
 
@@ -454,50 +490,31 @@ def _run(maps, a: PacketSet) -> PacketSet:
 def _seq_run(state: tuple, i: int, y) -> Row:
     """The row of the deterministic parts ``parts[i:]`` of a sequence on
     ``y`` (see ``Kernel._seq_pending``); ``state`` holds the parts, their
-    pending functions as they are made, their facts, the kernel weakly and
-    its point masses."""
-    parts, fns, maps, touch, kills, kernel, dirac = state
+    pending functions, their facts, the kernel weakly and its helpers."""
+    parts, fns, maps, touch, kills, kernel, dirac, u = state
     n = len(parts)
     while True:
+        if type(y) is Pending:
+            y = _forgotten(y, kills[i], u)
         if type(y) is not Pending:
             return dirac(_run(maps[i:], y))
-        base, coins = y
-        coins = tuple([c for c in coins if c[1] not in kills[i]])
-        if not coins:
-            return dirac(_run(maps[i:], base))
-        while i < n and not any(c[1] in touch[i] for c in coins):
+        base, factors = y
+        fields = [f for factor in factors for f in factor[0]]
+        while i < n and touch[i].isdisjoint(fields):
             base = maps[i](base)
             i += 1
             if not base:
                 return dirac(EMPTY)
         if i == n:
-            return Row(1, {Pending(base, coins): 1})
+            return Row(1, {Pending(base, factors): 1})
         f = fns[i]
         if f is None:
             f = fns[i] = kernel()._pending(parts[i])
-        row = f(Pending(base, coins))
+        row = f(Pending(base, factors))
         i += 1
         if len(row.nums) != 1:
             return _bind(row, lambda z, i=i: _seq_run(state, i, z))
         y, = row.nums
-
-
-def _first_reads(node: Program, leads=None) -> frozenset:
-    """Fields every path through ``node`` tests before any other step: its
-    leading tests, or those all branches of a union that leads it share;
-    ``leads`` holds the union's ``_leading_tests`` per branch, if made."""
-    if isinstance(node, Seq) and isinstance(node.parts[0], Union):
-        node = node.parts[0]
-    if not isinstance(node, Union):
-        return frozenset(_leading_tests(node))
-    if leads is None:
-        leads = [_leading_tests(q) for q in node.parts]
-    out = frozenset(leads[0])
-    for tests in leads[1:]:
-        if not out:
-            break
-        out = out.intersection(tests)
-    return out
 
 
 def _passes(tests: list, pending, base: PacketSet) -> bool:
@@ -532,26 +549,27 @@ class Kernel:
         self._maps: dict = {}
         self._fns: dict = {}
         self._pends: dict = {}
-        self._facts: dict = {}
+        self._factors: dict = {}
+        self._marginals: dict = {}
+        self._bits = tuple([(d.name, field_bit(d.name)) for d in universe.decls])
         self._plans: dict = {}
         self._dirac = _point_masses()
-        # [True] once a coin's row function is compiled: only coins make
-        # pending sets.  A cell, so star bodies can read it (``_settling``).
-        self._coined = [False]
+        # [a factor node, the only maker of pending sets, is compiled; the
+        # number of factor tables being made]: a cell row functions read.
+        self._factored = [False, 0]
 
     def apply(self, aset: PacketSet) -> Row:
         """The output row of the whole program on ``aset``."""
         return self._out(self.program, aset)
 
     def row(self, node: Program, aset: PacketSet) -> Row:
-        """The row of an arbitrary sub-program on ``aset``; an exact row is
-        shared, so the caller must not change it (``as_dict`` gives a fresh
-        dict)."""
+        """The row of an arbitrary sub-program on ``aset``, shared: the
+        caller must not change it (``as_dict`` gives a fresh dict)."""
         return self._out(node, aset)
 
     def _out(self, node: Program, aset: PacketSet) -> Row:
         row = self._rows(node)(aset)
-        if self._coined[0] and _holds_pending(row):
+        if self._factored[0] and _holds_pending(row):
             row = _settled(row, self.universe)
         return row if self.exact else rounded(row)
 
@@ -589,27 +607,19 @@ class Kernel:
                         row = f(a)
                         out = row if out is None else _product(out, row, u)
                     return empty if out is None else out
-                return _memoized(union, pend)
+                fn = union
             case Seq():
-                return _memoized(self._sequence(node), pend)
+                fn = self._sequence(node)
             case Choice():
-                f = _coin_field(node)
-                if f is not None:
-                    self._coined[0] = True
-                    coins = (_coin(node, f, u),)
-                    v0 = coins[0][3][0][0]  # the coin's first value
-
-                    def flip(a):
-                        return Row(1, {Pending(u.modify(a, f, v0), coins): 1}) if a else dirac(a)
-                    return _memoized(flip, pend)
                 den, shares = _shares(node)
                 fns = [(n, self._rows(q)) for n, q in shares]
 
                 def choice(a):
                     return mixture(den, [(n, f(a)) for n, f in fns])
-                return _memoized(choice, pend)
+                fn = choice
             case Star(body):
-                body_rows = _settling(self._rows(body), self._coined, u)
+                self._factors.setdefault(body, None)  # its rows are settled at once
+                body_rows = _settling(self._rows(body), self._factored, u)
                 keep = None if filt is None else self._set_map(filt)
                 cap, table = self.state_budget, {}
                 text = partial(pretty, node)
@@ -624,12 +634,34 @@ class Kernel:
                 return solved
             case _:
                 raise WellFormednessError(f"non-core node {node!r}")
+        factor = self._factor_fields(node)
+        if factor is not None:
+            self._factored[0] = True
+            fields, key = factor
+            return _tabled(fn, pend, u.projector(key), fields, u, self._factored)
+        return _memoized(fn, pend)
+
+    def _factor_fields(self, node: Program):
+        """(fields, key) of a factor node (see the module), each a tuple in
+        the universe's order, or None if ``node`` is not one.  A star, a
+        sequence with a star part and a union whose first branch kills
+        nothing are none, and need no walk of the node."""
+        factor = self._factors.get(node, False) if node.choice else None
+        if factor is False:
+            parts, factor = getattr(node, "parts", ()), None
+            if not (type(node) is Star or Star in map(type, parts)
+                    or type(node) is Union and not footprint(parts[0])[2]):
+                reads, writes, kills, star = footprint(node)
+                if kills and not star and not reads & ~writes:
+                    factor = _names(self._bits, writes), _names(self._bits, writes & ~kills)
+            self._factors[node] = factor
+        return factor
 
     def _union_plan(self, node: Union):
         """(guard field, guard reader, value -> branch indices, unguarded
-        indices) of the union chain at ``node``: the reader gives a packet's
-        value of the guard field; both are None if no branch starts with a
-        test.  Index lists are in chain order, and each value's list
+        indices, fields every branch tests first) of the union chain at
+        ``node``; the guard and its reader are None if no branch starts with
+        a test.  Index lists are in chain order, and each value's list
         includes the unguarded branches.  Made once per node and kernel."""
         plan = self._plans.get(node)
         if plan is None:
@@ -651,42 +683,46 @@ class Kernel:
             self.universe.check_value(guard, v)
             table[v] = sorted(listed + unguarded)
         read = None if guard is None else self.universe.reader(guard)
-        return guard, read, table, unguarded
+        first = frozenset(leads[0]).intersection(*leads[1:])
+        return guard, read, table, unguarded, first
 
     def _seq_plan(self, node: Seq) -> list:
-        """The (part, filter) steps of the sequence at ``node``, in order;
-        ``filter`` is the predicate parts after a star whose body has a
-        choice as one node, or None; such loops end in exactly such a
-        filter.  A run of consecutive deterministic parts, choice-free stars
-        and loops included, is one step, their ``Seq``, so one set map."""
-        steps = []  # [part, or a list of deterministic parts; filter]
+        """The (part, filter) steps of the sequence at ``node``, in order
+        (see the module); ``filter`` is the predicate parts after a star
+        whose body has a choice as one node, or None.  A run of deterministic
+        parts is one step, their ``Seq``; so is a run of factor nodes each of
+        which shares a field with those before it, unless it is all of
+        ``node``."""
+        steps = []  # [part or a list of parts; filter; a factor run's fields]
         for q in node.parts:
-            if steps and isinstance(steps[-1][0], Star) and is_predicate(q):
-                filt = steps[-1][1]
+            part, filt, run = steps[-1] if steps else (None, None, None)
+            factor = self._factor_fields(q)
+            if isinstance(part, Star) and is_predicate(q):
                 steps[-1][1] = q if filt is None else Seq(filt, q)
+            elif factor and run and not run.isdisjoint(factor[0]):
+                part.append(q)
+                run.update(factor[0])
             elif self._set_map(q) is None:
-                steps.append([q, None])
-            elif steps and isinstance(steps[-1][0], list):
-                steps[-1][0].append(q)
+                steps.append([[q], None, set(factor[0])] if factor else [q, None, None])
+            elif isinstance(part, list) and run is None:
+                part.append(q)
             else:
-                steps.append([[q], None])
-        return [(seq(*part) if isinstance(part, list) else part, filt)
-                for part, filt in steps]
+                steps.append([[q], None, None])
+        plan = [(seq(*part) if isinstance(part, list) else part, filt)
+                for part, filt, _ in steps]
+        return [(q, None) for q in node.parts] if plan[0][0] is node else plan
 
     def _sequence(self, node: Seq):
         """The rows of the sequence at ``node``, which holds a choice, on a
         set or a pending input, with no memo: ``_fold`` over its steps."""
-        return partial(_fold, [self._rows(part, f) for part, f in self._seq_plan(node)],
-                       self._dirac)
+        return partial(_fold, [self._rows(part, f) for part, f in self._seq_plan(node)])
 
     # -- pending inputs ------------------------------------------------------
 
     def _lazy_pending(self, key):
         """The function from a pending input to the row of ``key`` (a node,
-        or a (star, filter) step) on it, compiled on its first call.  It
-        holds the kernel weakly, so no row function refers to its kernel."""
-        kernel = weakref.ref(self)
-        return lambda x: kernel()._pending(key)(x)
+        or a (star, filter) step) on it, compiled on its first call."""
+        return partial(_pending_of, weakref.ref(self), key)
 
     def _pending(self, key):
         fn = self._pends.get(key)
@@ -695,70 +731,70 @@ class Kernel:
         return fn
 
     def _compile_pending(self, key):
-        """The row of ``key`` on a pending input (see the module): the coins
-        on the fields it tests first on every path are flipped and its rows
-        taken on the outcomes.  Otherwise a sequence steps through its parts,
-        a union with at most one live branch hands the input on or gives the
-        empty set, and any other node goes ``_past`` the coins."""
+        """The row of ``key`` on a pending input (see the module)."""
         node, filt = key if isinstance(key, tuple) else (key, None)
-        u, m, dirac = self.universe, self._set_map(node), self._dirac
-        # The node's row function where it has one, so flipped inputs meet its memo.
-        plain = (self._rows(node, filt) if m is None or key in self._fns
+        u, m, dirac, marginals = self.universe, self._set_map(node), self._dirac, self._marginals
+        plain = (self._rows(node, filt) if m is None or key in self._fns  # its memo
                  else lambda a: dirac(m(a)))
-        leads = None
+        if filt is None and self._factor_fields(node):
+            return self._go_past(node, plain)
         if isinstance(node, Seq):
             rest = self._seq_pending(node, m)
         else:
-            rest = self._lazy_past(node if filt is None else Seq(node, filt), plain)
+            rest = self._go_past(node if filt is None else Seq(node, filt), plain)
             if isinstance(node, Union):
-                leads = [_leading_tests(q) for q in node.parts]
-                rest = self._union_pending(node, leads, rest)
-        first = _first_reads(node, leads)
+                rest = self._union_pending(node, rest)
+        # The fields every path tests first, a union's or its own.
+        lead = node.parts[0] if isinstance(node, Seq) else node
+        first = (self._union_plan(lead)[4] if isinstance(lead, Union)
+                 else frozenset(_leading_tests(node)))
         if not first:
             return rest
 
         def pending(x):
-            read = [c[1] for c in x.coins if c[1] in first]
+            read = [f for factor in x.factors for f in factor[0] if f in first]
             if not read:
                 return rest(x)
-            return _bind(_forced(x, read, u),
+            return _bind(_split(x, read, u, marginals),
                          lambda y: rest(y) if type(y) is Pending else plain(y))
         return pending
 
-    def _lazy_past(self, node: Program, plain):
+    def _go_past(self, node: Program, plain):
         """``_past`` with the facts of ``node``, taken on its first call: a
         union's are a walk over all its branches, which one live branch
         never needs."""
-        u, kernel, facts = self.universe, weakref.ref(self), []
+        u, marginals, bits, facts = self.universe, self._marginals, self._bits, []
 
         def past(x):
             if not facts:
-                facts.extend(kernel()._facts_of(node)[1:])
-            return _past(x, *facts, plain, u)
+                reads, writes, kills, _ = footprint(node)
+                facts.extend((frozenset(_names(bits, reads | writes)), frozenset(_names(bits, kills))))
+            return _past(x, *facts, plain, u, marginals)
         return past
 
-    def _union_pending(self, node: Union, tests: list, past):
-        """A union's live branches on a pending input whose guard field has
-        no coin are those the guard table picks on the base whose leading
-        tests (``tests``, per branch) on fields without a coin pass on it;
-        the others filter every outcome of the input to the empty set.  One
-        live branch gets the input and none gives the empty set; otherwise,
-        and when the guard field has a coin, the union goes ``past`` it."""
+    def _union_pending(self, node: Union, past):
+        """A union on a pending input (see the module): its one live branch
+        gets the input, and none gives the empty set; otherwise, and when
+        the guard field has a factor, the union goes ``past`` it."""
         u, empty = self.universe, self._dirac(EMPTY)
         plan = self._union_plan(node)
         guard, parts = plan[0], node.parts
-        readers: dict = {}
-        leads = [[(f, v, readers.get(f) or readers.setdefault(f, u.reader(f)))
-                  for f, v in t.items()] for t in tests]
+        leads = [None] * len(parts)  # [(field, value, reader)] of each branch's leading tests
         fns = [None] * len(parts)
         kernel = weakref.ref(self)
 
         def union(x):
-            fields = {c[1] for c in x.coins}
+            fields = {f for factor in x.factors for f in factor[0]}
             if guard in fields:
                 return past(x)
-            base = x.base
-            live = [i for i in _picked(plan, base) if _passes(leads[i], fields, base)]
+            base, live = x.base, []
+            for i in _picked(plan, base):
+                tests = leads[i]
+                if tests is None:
+                    tests = leads[i] = [(f, v, u.reader(f))
+                                        for f, v in _leading_tests(parts[i]).items()]
+                if _passes(tests, fields, base):
+                    live.append(i)
             if len(live) != 1:
                 return past(x) if live else empty
             i = live[0]
@@ -770,73 +806,36 @@ class Kernel:
 
     def _seq_pending(self, node: Seq, m):
         """A sequence that holds a choice folds its steps from the pending
-        input.  A deterministic one maps the base through each part that
-        neither reads nor writes a coin, drops the coins the rest of its
-        parts kill, and hands the input to each other part; once every
-        outcome is a set, it maps each through the rest of its parts at
-        once.  Only such a part flips a coin, and only a flip branches, so
-        this recurses at most once per coin."""
+        input; a deterministic one goes through its parts by ``_seq_run``:
+        it maps the base through each part that touches no factor's field,
+        sums out the fields the rest of its parts kill, and hands the input
+        to each other part."""
         if m is None:
             return self._sequence(node)
         parts = node.parts
         state = (parts, [None] * len(parts), *self._seq_facts(parts),
-                 weakref.ref(self), self._dirac)
+                 weakref.ref(self), self._dirac, self.universe)
         return partial(_seq_run, state, 0)
 
     def _seq_facts(self, parts: tuple) -> tuple:
         """The set maps of deterministic ``parts``, the fields each part reads
         or writes, and the fields each suffix of the parts kills.  A union
-        or a star stands for every field, so the input is handed to it and
-        no kill is seen through it: its fields would take a walk over all
-        its branches to find."""
-        every = frozenset(decl.name for decl in self.universe.decls)
-        facts = [(every, every, frozenset()) if isinstance(q, (Union, Star))
-                 else self._facts_of(q) for q in parts]
-        kills = [frozenset()] * (len(parts) + 1)
+        or a star stands for every field, so the input is handed to it."""
+        facts = [(-1, -1, 0, True) if isinstance(q, (Union, Star)) else footprint(q)
+                 for q in parts]
+        kills = [0] * (len(parts) + 1)
         for i in reversed(range(len(parts))):
-            r, _, k = facts[i]
-            kills[i] = k | (kills[i + 1] - r)
-        return [self._set_map(q) for q in parts], [t for _, t, _ in facts], kills
-
-    def _facts_of(self, node: Program) -> tuple:
-        """(fields read, fields read or written, fields killed) of ``node``,
-        where a field is killed if every path assigns it before any step
-        reads it: the node's rows then do not depend on its value."""
-        facts = self._facts.get(node)
-        if facts is not None:
-            return facts
-        none = frozenset()
-        match node:
-            case Test(f, _):
-                facts = (frozenset((f,)), frozenset((f,)), none)
-            case Assign(f, _):
-                facts = (none, frozenset((f,)), frozenset((f,)))
-            case Neg(b) | Star(b):
-                facts = (*self._facts_of(b)[:2], none)
-            case Seq(parts):
-                reads = touch = kills = none
-                for q in parts:
-                    r, t, k = self._facts_of(q)
-                    kills |= k - reads
-                    reads |= r
-                    touch |= t
-                facts = (reads, touch, kills)
-            case Union(parts) | Choice(parts):
-                each = [self._facts_of(q) for q in parts]
-                facts = (none.union(*[r for r, _, _ in each]),
-                         none.union(*[t for _, t, _ in each]),
-                         frozenset.intersection(*[k for _, _, k in each]))
-            case _:
-                facts = (none, none, none)
-        self._facts[node] = facts
-        return facts
+            r, _, k, _ = facts[i]
+            kills[i] = k | (kills[i + 1] & ~r)
+        return ([self._set_map(q) for q in parts],
+                [frozenset(_names(self._bits, r | w)) for r, w, _, _ in facts],
+                [frozenset(_names(self._bits, k)) for k in kills])
 
     # -- deterministic subterms ----------------------------------------------
 
     def _set_map(self, node: Program):
-        """The compiled set map of ``node``, made once per node: the function
-        from a packet set to the one set ``node`` maps it to.  None for a
-        node that contains a ``Choice``, or is not core."""
+        """The compiled set map of ``node``, made once per node (see
+        ``_compile``)."""
         maps = self._maps
         if node not in maps:
             maps[node] = self._compile(node)
@@ -844,8 +843,8 @@ class Kernel:
 
     def _compile(self, node: Program):
         """The set map of ``node`` (see the module), or None if ``node``
-        contains a ``Choice`` or is not core.  Every map is additive, m(a | b) == m(a) |
-        m(b), and reads nothing of the kernel but its universe."""
+        contains a ``Choice`` or is not core.  Every map is additive, and
+        reads nothing of the kernel but its universe."""
         u = self.universe
         match node:
             case Drop():

@@ -27,6 +27,7 @@ declaring the universe.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, WellFormednessError
@@ -41,7 +42,14 @@ KEYWORDS = {
     "choice", "fields",
 }
 
-_SYMBOLS = [":=", "+[", "=", ";", "&", "!", "*", "(", ")", "{", "}", ":", ",", "]", "/"]
+# One alternative per kind of token, tried in order at each position; the
+# unnamed ones are blanks.  Identifiers start with a letter or "_" and go on
+# with letters, digits and "_" (``str.isalnum``), as ``\w`` does.
+_TOKENS = re.compile(r"""
+    (?P<newline>\n) | [ \t\r]+ | (?P<comment>//[^\n]*)
+  | (?P<number>\d+\.\d+) | (?P<nat>\d+) | (?P<ident>[^\W\d]\w*)
+  | (?P<symbol>:= | \+\[ | [=;&!*(){}:,\]/])
+""", re.VERBOSE)
 
 
 class _Token:
@@ -58,55 +66,25 @@ class _Token:
 
 
 def _lex(src: str) -> list[_Token]:
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            kind = "nat"
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-                kind = "number"
-            toks.append(_Token(kind, src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(_Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+    """The tokens of ``src``, in one pass of ``_TOKENS``.  A column counts
+    characters from 1, and a comment adds none."""
+    toks, match = [], _TOKENS.match
+    pos, line, start, n = 0, 1, 0, len(src)  # start: where the line starts
+    while pos < n:
+        m = match(src, pos)
+        kind = m and m.lastgroup
+        if m is None or kind == "ident" and not (src[pos].isalpha() or src[pos] == "_"):
+            raise ParseError(f"unexpected character {src[pos]!r}", line, pos - start + 1)
+        end = m.end()
+        if kind == "newline":
+            line, start = line + 1, end
+        elif kind == "comment":
+            start += end - pos
+        elif kind is not None:
+            text = m.group()
+            toks.append(_Token(text if kind == "symbol" else kind, text, line, pos - start + 1))
+        pos = end
+    toks.append(_Token("eof", "", line, pos - start + 1))
     return toks
 
 

@@ -86,7 +86,7 @@ def mixture(den: int, terms) -> Row:
     their denominators, and outcomes that meet sum their weights in the
     order of ``terms``.  A term's row need not be reduced, nor sum to its
     ``den``.  This is the one weighted sum of exact rows: a choice's row
-    and a coin's weights (``bigstep._shares``), a bind (``bigstep._bind``),
+    (``bigstep._shares``), a bind (``bigstep._bind``),
     a one-step star (``star._one_step``), and a substitution and a cyclic
     class's exits in the absorbing solve (``linalg``)."""
     m = lcm(*[r.den for _, r in terms])

@@ -89,18 +89,21 @@ class PairStateGraph:
 
 
 def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
-            keep=None, program_text=None, table=None) -> PairStateGraph:
+            keep=None, program_text=None, table=None, start_row=None) -> PairStateGraph:
     """BFS closure of the pair chain from (a0, {}) under b' = b | a, or
     b' = b | keep(a) under the filter ``keep``, a callable (see the module).
 
-    ``row_fn(a)`` must return the body kernel's ``Row`` on input ``a``.  A
-    state (a, b) other than the start whose a is a key of ``table``
-    (current set -> solved row) is not expanded: it is known, with the
-    table's row of a joined with b.  Raises BudgetExceededError, with the
+    ``row_fn(a)`` must return the body kernel's ``Row`` on input ``a``;
+    ``start_row``, if given, is its row on ``a0``.  A state (a, b) other
+    than the start whose a is a key of ``table`` (current set -> solved
+    row) is not expanded: it is known, with the table's row of a joined
+    with b.  Raises BudgetExceededError, with the
     counts reached so far, when more than ``cap`` states become reachable.
     """
     if table is None:
         table = {}
+    if start_row is None:
+        start_row = row_fn(a0)
     start = (a0, EMPTY)
     index = {start: 0}
     states = [start]
@@ -114,7 +117,7 @@ def explore(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
         b2 = b | (a if keep is None else keep(a))
         if len(b2) == len(b):  # b2 contains b: it is b
             flat.append(sid)
-        row = row_fn(a)
+        row = row_fn(a) if sid else start_row
         dens[sid] = row.den
         out = []
         for a2, p in row.nums.items():
@@ -192,10 +195,11 @@ def star_dist(row_fn, a0: PacketSet, cap: int = DEFAULT_STATE_BUDGET,
     """
     if table is None:
         table = {}
-    dist = _one_step(row_fn(a0), a0, cap, keep, table)
+    first = row_fn(a0)
+    dist = _one_step(first, a0, cap, keep, table)
     if dist is not None:
         return _checked(table, a0, dist)
-    g = mark_saturated(explore(row_fn, a0, cap, keep, program_text, table))
+    g = mark_saturated(explore(row_fn, a0, cap, keep, program_text, table, first))
     sat = g.saturated
     if sat[g.start]:
         # The accumulator can never grow: the final value is the empty set.

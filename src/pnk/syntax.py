@@ -104,9 +104,11 @@ class Program:
                    ``Star``, ``Union`` and ``Seq`` nodes only (sugar hides
                    the choices in it);
     ``predicate``  a predicate (see above).
+
+    A core node also keeps its ``footprint`` once it is asked for.
     """
 
-    __slots__ = ("__weakref__", "depth", "core", "choice", "predicate")
+    __slots__ = ("__weakref__", "depth", "core", "choice", "predicate", "_footprint")
 
     def __new__(cls, *args):
         return _intern(cls, args, (cls, args, *map(type, args)))
@@ -400,6 +402,51 @@ def _desugar_nary(branches, memo: dict) -> Program:
 def has_choice(p: Program) -> bool:
     """True iff the core program contains a probabilistic choice."""
     return p.choice
+
+
+# Field name -> its bit in a footprint mask, made as names are first met.
+_BITS: dict = {}
+
+
+def field_bit(name: str) -> int:
+    """The bit of the field ``name`` in a ``footprint`` mask."""
+    bit = _BITS.get(name)
+    if bit is None:
+        bit = _BITS[name] = 1 << len(_BITS)
+    return bit
+
+
+def footprint(p: Program) -> tuple:
+    """(fields read, fields written, fields killed, whether a ``Star``
+    shows) of the core program ``p``, each set of fields a mask of
+    ``field_bit``s.  A field is killed if every path assigns it before any
+    step reads it, so the rows of ``p`` do not depend on its value.  Made
+    once per node, and kept on it."""
+    try:
+        return p._footprint
+    except AttributeError:
+        pass
+    match p:
+        case Test(f, _):
+            facts = (field_bit(f), 0, 0, False)
+        case Assign(f, _):
+            facts = (0, field_bit(f), field_bit(f), False)
+        case Neg(b) | Star(b):
+            reads, writes, _, star = footprint(b)
+            facts = (reads, writes, 0, star or type(p) is Star)
+        case Seq(parts) | Union(parts) | Choice(parts):
+            reads, writes, kills, star = 0, 0, 0 if type(p) is Seq else -1, False
+            for q in parts:
+                r, w, k, s = footprint(q)
+                # a sequence kills what a part kills before a part reads it;
+                # a branching node what every part kills
+                kills = kills | (k & ~reads) if type(p) is Seq else kills & k
+                reads, writes, star = reads | r, writes | w, star or s
+            facts = (reads, writes, kills, star)
+        case _:
+            facts = (0, 0, 0, False)
+    object.__setattr__(p, "_footprint", facts)
+    return facts
 
 
 def restrict(t: Program, aset: PacketSet, universe: PacketUniverse) -> PacketSet:

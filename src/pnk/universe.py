@@ -56,6 +56,8 @@ class PacketUniverse:
             self._digits[d.name] = (w, d.size)
             w *= d.size
         self.packet_count = w
+        self._readers: dict = {}
+        self._projectors: dict = {}
 
     # -- field lookup -------------------------------------------------
 
@@ -122,9 +124,31 @@ class PacketUniverse:
 
     def reader(self, name: str):
         """The function from a packet index to its value of field ``name``:
-        one digit read, for code that reads one field of many packets."""
-        w, size = self._digit(name, 0)
-        return lambda i: i // w % size
+        one digit read, for code that reads one field of many packets.
+        Made once per field."""
+        fn = self._readers.get(name)
+        if fn is None:
+            w, size = self._digit(name, 0)
+            fn = self._readers[name] = lambda i: i // w % size
+        return fn
+
+    def projector(self, names: tuple):
+        """The function from a packet index to the index of the packet with
+        its values of the fields ``names`` and 0 in every other field: the
+        packet's *valuation* of those fields.  Valuations of disjoint fields
+        add up.  Made once per tuple of names."""
+        fn = self._projectors.get(names)
+        if fn is None:
+            digits = [self._digit(name, 0) for name in names]
+            if not digits:
+                fn = lambda i: 0
+            elif len(digits) == 1:
+                (w, size), = digits
+                fn = lambda i: i // w % size * w
+            else:
+                fn = lambda i: sum([i // w % size * w for w, size in digits])
+            fn = self._projectors[names] = fn
+        return fn
 
     def record(self, idx: int) -> dict[str, int]:
         vals = self.decode(idx)

@@ -842,21 +842,22 @@ def test_float_mode_masses():
     assert all(isinstance(pr, float) for pr in d.values())
 
 
-# -- deferred coins --------------------------------------------------------------
+# -- pending factors -------------------------------------------------------------
 #
-# The oracle for a coin (a choice whose parts each assign one field f) is its
-# eager twin, which writes each part f:=v as f:=v & drop: the same program,
-# whose choice is no coin, so the kernel flips it where it stands.
+# The oracle for a factor node (a coin, a choice whose parts each assign one
+# field, among them) is its eager twin, which writes each part q of every
+# choice as q & (drop* ; drop): the same program, in which every node that
+# holds a choice also holds a star, so no node is a factor node and the kernel
+# draws every choice where it stands.
+
+DEAD = Seq(Star(Drop()), Drop())  # drop, holding a star
 
 
 def _twin(p):
-    """``p`` with every coin's parts f:=v written f:=v & drop."""
+    """``p`` with every choice's parts q written q & (drop* ; drop)."""
     match p:
         case Choice(parts, weights):
-            twins = [_twin(q) for q in parts]
-            if all(type(q) is Assign and q.field == parts[0].field for q in parts):
-                twins = [Union(q, Drop()) for q in parts]
-            return Choice.chain(twins, weights)
+            return Choice.chain([Union(_twin(q), DEAD) for q in parts], weights)
         case Union(parts) | Seq(parts):
             return type(p)(*map(_twin, parts))
         case Neg(b) | Star(b):
@@ -903,25 +904,71 @@ def _same_rows_as_twin(p, u, inputs):
         _assert_reduced_integer_row(got)
 
 
+def _guarded_flips(rng, fields):
+    """A core's failure step at a bounded k, over the 3-valued counter c:
+    each flag f in ``fields`` flips down, taking one from c, while c > 0."""
+    decrement = union(Seq(Test("c", 2), Assign("c", 1)), Seq(Test("c", 1), Assign("c", 0)),
+                      Seq(Test("c", 0), Skip()))
+    return seq(*[Union(Seq(Neg(Test("c", 0)),
+                           Choice(rng.choice(WEIGHTS), Assign(f, 1), Seq(Assign(f, 0), decrement))),
+                       Seq(Test("c", 0), Assign(f, 1))) for f in fields])
+
+
+def _flip_program(rng, u):
+    """A random core program around a chain of guarded flips."""
+    flips = _guarded_flips(rng, rng.sample(["f", "g", "h"], rng.randrange(1, 4)))
+    body = random_program(rng, u, 2, stars=0)
+    return rng.choice([
+        Seq(flips, body),
+        Seq(flips, union(*[random_program(rng, u, 2, stars=0) for _ in range(3)]),
+            Assign("f", 1), Assign("g", 1)),
+        Union(flips, body),
+        Seq(body, flips),
+        Star(Seq(flips, body)),
+        Seq(Star(Seq(flips, body)), random_predicate(rng, u, 2)),
+        Seq(flips, Star(Union(body, _coin(rng, u)))),
+    ])
+
+
 def test_coins_give_the_rows_of_their_eager_twins(uni8):
     u = uni8
     inputs = all_subsets(u)
     rng = random.Random(22)
     for _ in range(300):
         _same_rows_as_twin(_coin_program(rng, u, 2), u, inputs)
+    # Chains of guarded flips over a counter, each flag a coin only while
+    # the counter is above 0.
+    u = PacketUniverse([FieldDecl(f, 2) for f in "fgh"] + [FieldDecl("c", 3)])
+    inputs = [frozenset({i}) for i in range(u.packet_count)]
+    inputs += [random_set(rng, u) for _ in range(24)]
+    for _ in range(80):
+        _same_rows_as_twin(_flip_program(rng, u), u, inputs)
+
+
+def _same_f10_rows_as_twin(topo, k):
+    for scheme in netlib.F10_VARIANTS:
+        cm = netlib.build_case_model(scheme, netlib.topology_by_name(topo), k)
+        p = desugar(cm.program)
+        kern, twin = Kernel(p, cm.universe), Kernel(_twin(p), cm.universe)
+        assert not twin._factored[0]
+        for src in cm.in_packets:
+            a = frozenset({src})
+            assert kern.apply(a) == twin.apply(a)
 
 
 @pytest.mark.parametrize("topo", ["abfattree20", "abfattree45"])
 def test_f10_rows_at_k_inf_are_those_of_the_eager_twin(topo):
     # At k=inf every port flag of a core is a coin, and so is each ECMP
     # choice of an output port.
-    for scheme in netlib.F10_VARIANTS:
-        cm = netlib.build_case_model(scheme, netlib.topology_by_name(topo), None)
-        p = desugar(cm.program)
-        k, twin = Kernel(p, cm.universe), Kernel(_twin(p), cm.universe)
-        for src in cm.in_packets:
-            a = frozenset({src})
-            assert k.apply(a) == twin.apply(a)
+    _same_f10_rows_as_twin(topo, None)
+
+
+@pytest.mark.parametrize("topo, k", [("abfattree20", k) for k in (1, 2, 3, 4)]
+                         + [("abfattree45", k) for k in (1, 2)])
+def test_f10_rows_at_a_bounded_k_are_those_of_the_eager_twin(topo, k):
+    # At a bounded k, a core's guarded flips also decrement the budget: the
+    # chain of them is one factor node over the core's flags and the budget.
+    _same_f10_rows_as_twin(topo, k)
 
 
 F0, F1 = Assign("f", 0), Assign("f", 1)
@@ -961,7 +1008,7 @@ def test_a_second_coin_on_a_field_drops_the_first(uni8):
     for a in all_subsets(u)[1:]:
         (b,) = _unsettled(k, p, a).nums
         (c,) = _unsettled(k, second, a).nums
-        assert isinstance(b, Pending) and b.coins == c.coins
+        assert isinstance(b, Pending) and b.factors == c.factors
     _same_rows_as_twin(p, u, all_subsets(u))
 
 
@@ -1054,7 +1101,7 @@ def test_two_branches_that_carry_one_coin_keep_it_pending(uni8):
     a = frozenset({u.packet(f=0, g=0, h=0)})
     (b,) = _unsettled(Kernel(p, u), p, a).nums
     assert b == Pending(frozenset({u.packet(f=0, g=1, h=0), u.packet(f=0, g=0, h=1)}),
-                        b.coins)
+                        b.factors)
 
 
 def test_a_core_flips_only_the_flag_its_link_reads():
@@ -1072,10 +1119,10 @@ def test_a_core_flips_only_the_flag_its_link_reads():
     o = ports[0]
     a = frozenset({u.packet(sw=core, pt=o, default=1, **{f"up{q}": 1 for q in ports})})
     (x,) = _unsettled(k, flips, a).nums
-    assert [c[1] for c in x.coins] == [f"up{q}" for q in ports]
+    assert [c[0] for c in x.factors] == [(f"up{q}",) for q in ports]
     guarded = netlib.topo_program(topo, guarded=True)
     row = k._pending(guarded)(x)
-    assert sorted(len(b.coins) if isinstance(b, Pending) else 0 for b in row.nums) == [
+    assert sorted(len(b.factors) if isinstance(b, Pending) else 0 for b in row.nums) == [
         0, len(ports) - 1]
     assert row.prob(EMPTY) == Fraction(1, 4)
 
@@ -1094,6 +1141,28 @@ def test_each_union_plan_is_made_once_per_kernel(monkeypatch):
         k.apply(frozenset({s}))
     assert any(isinstance(key, Union) for key in k._pends)
     assert made and len(made) == len(set(made))
+
+
+def test_a_factor_table_is_made_once_per_node_and_valuation(monkeypatch):
+    # At k=4 a core's chain of guarded flips is a factor node keyed on the
+    # budget: every packet that enters a core with one budget shares its
+    # table, which is made once.
+    made = []
+    table = bigstep._table
+    monkeypatch.setattr(bigstep, "_table", lambda fn, k, x, fields, *rest: (
+        made.append((fn, k, fields)) or table(fn, k, x, fields, *rest)))
+    cm = netlib.build_case_model(netlib.F10_3, netlib.abfattree20(), 4)
+    kern = Kernel(desugar(cm.program), cm.universe)
+    for src in cm.in_packets:
+        kern.apply(frozenset({src}))
+    keys = [(fn, k) for fn, k, _ in made]
+    assert len(keys) == len(set(keys))
+    flips = {fn for fn, _, fields in made if "budget" in fields}
+    assert len(flips) == 1 and len([fn for fn, _, _ in made if fn in flips]) <= 5
+    rows = [f for node, f in kern._fns.items() if isinstance(node, Seq)
+            and "budget" in (kern._factor_fields(node) or ((),))[0]]
+    entered = {a for f in rows for a in _closure(f)["memo"] if not isinstance(a, Pending)}
+    assert len(entered) > 5
 
 
 def test_coin_chains_match_the_sampler(uni8):

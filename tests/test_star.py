@@ -56,6 +56,20 @@ def test_worked_example_graph():
     assert any(t == j for t, _ in g.edges[i]) and any(t == i for t, _ in g.edges[j])
 
 
+def test_a_chain_asks_the_body_for_the_start_row_once():
+    # star_dist asks for the start's body row to try one step; when that
+    # fails, explore takes the row it already has.  In the worked example
+    # the current set returns to a0 under two other accumulators.
+    u = UF
+    a0 = frozenset({u.packet(f=0)})
+    rows = body_row(FLIP, u)
+    g = explore(rows, a0)
+    expanded = sum(1 for i, (a, _) in enumerate(g.states) if a == a0 and i not in g.known)
+    calls = []
+    star_dist(lambda a: calls.append(a) or rows(a), a0)
+    assert calls.count(a0) == expanded == 3
+
+
 def test_worked_example_distribution():
     u = UF
     a0 = frozenset({u.packet(f=0)})

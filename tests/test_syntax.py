@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnk import syntax
+from pnk import parser, syntax
 from pnk.analysis import estimate, sample_run
 from pnk.bigstep import Kernel
 from pnk.errors import ParseError, WellFormednessError
@@ -168,6 +168,69 @@ def ast_strategy():
 @given(ast_strategy())
 def test_parse_pretty_roundtrip(p):
     assert parse(pretty(p), U) == p
+
+
+def _reference_lex(src):
+    """The lexer as one character at a time: the oracle for ``_lex``."""
+    symbols = [":=", "+[", "=", ";", "&", "!", "*", "(", ")", "{", "}", ":", ",", "]", "/"]
+    toks, i, line, col, n = [], 0, 1, 1, len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c in " \t\r":
+            i, col = i + 1, col + 1
+        elif src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+        elif c.isdigit() or c.isalpha() or c == "_":
+            j, kind = i, "ident"
+            if c.isdigit():
+                kind = "nat"
+                while j < n and src[j].isdigit():
+                    j += 1
+                if j + 1 < n and src[j] == "." and src[j + 1].isdigit():
+                    kind, j = "number", j + 1
+                    while j < n and src[j].isdigit():
+                        j += 1
+            else:
+                while j < n and (src[j].isalnum() or src[j] == "_"):
+                    j += 1
+            toks.append((kind, src[i:j], line, col))
+            i, col = j, col + j - i
+        else:
+            sym = next((s for s in symbols if src.startswith(s, i)), None)
+            if sym is None:
+                raise ParseError(f"unexpected character {c!r}", line, col)
+            toks.append((sym, sym, line, col))
+            i, col = i + len(sym), col + len(sym)
+    return toks + [("eof", "", line, col)]
+
+
+def _lexed(lex, src):
+    try:
+        return [t if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
+                for t in lex(src)]
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast_strategy())
+def test_lexer_gives_the_tokens_of_the_reference_lexer(p):
+    text = pretty(p)
+    for src in (text, text.replace(" ; ", " ;\n\t").replace(" & ", " // x\r\n& ") + " //",
+                "fields { f : 8 }\n" + text + "\n"):
+        assert _lexed(parser._lex, src) == _lexed(_reference_lex, src)
+
+
+@pytest.mark.parametrize("src", [
+    "", "\n\n", "f := 1.5 +[0.25] skip", "f=1.", "1.2.3", "x_1 := _y2", "é:=2 ; ñ3=٣",
+    "f=1 // trailing", "// only\n", "a\r\nb", "f=1 ; $", "f:=1 +[1/2]\n  g := 2 #",
+    "½", "a\x0cb", "sw=1 ;\n; pt:=2",
+])
+def test_lexer_gives_the_tokens_and_errors_of_the_reference_lexer(src):
+    assert _lexed(parser._lex, src) == _lexed(_reference_lex, src)
 
 
 @settings(max_examples=200, deadline=None)
