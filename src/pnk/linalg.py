@@ -11,9 +11,15 @@ classes of Q (Daws, ICTAC 2004): it walks the classes that row i reaches,
 each after the classes it leaves to, solves a one-state class by direct
 substitution, and eliminates the states of a cyclic class, fewest fill
 first, then solves them by the same substitution from the last removed
-back.  It works on the pair chain's own rows: row i of Q and R holds
-integer numerators over ``den[i]``, and R's columns are any hashable keys
-(a pair chain's are its accumulator sets), which the solved rows keep.
+back.  A cyclic class is first lumped: its states are partitioned into the
+coarsest ordinary lumping (the probabilistic bisimulation of Larsen and
+Skou, POPL 1989), refined by splitters (Valmari and Franceschinis, TACAS
+2010), and only one state per block is eliminated.  This is exact, because
+states in one block have equal absorption rows (Kemeny and Snell, *Finite
+Markov Chains*, 1960).  It works on the pair chain's own rows: row i of Q
+and R holds integer numerators over ``den[i]``, and R's columns are any
+hashable keys (a pair chain's are its accumulator sets), which the solved
+rows keep.
 Every solved row is a reduced ``Row``.  The weighted sums of solved rows,
 each substitution and the exits a cyclic class's members fold into their
 R rows, are ``row.mixture``s; the elimination inside a cyclic class keeps
@@ -170,8 +176,10 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
     (``_classes``).  Solved rows are reduced ``Row``s.  A one-state class
     is solved by substitution: A_k = (R_k + sum_j q_kj A_j) / (den_k -
     q_kk), one ``row.mixture`` (``_substituted``).  A larger class is
-    eliminated, then solved by the same substitution from its last removed
-    state back (``_solve_class``).  Entries are sums of positive terms, so
+    lumped into blocks of states with equal futures, whose representatives
+    are eliminated, then solved by the same substitution from the last
+    removed back; each other state takes its representative's row
+    (``_solve_class``).  Entries are sums of positive terms, so
     none cancel: a state whose row is empty once its self-loop is popped
     lies in a closed class that never absorbs, and raises
     SingularMatrixError.  Q and R are not changed.
@@ -186,6 +194,8 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
             raise DimensionError(f"row {k} outside a {n}-state chain")
     if den is None:
         den = [1] * n
+    elif len(den) != n:
+        raise DimensionError(f"{len(den)} denominators for a {n}-state chain")
     qrows, rrows = Q.rows, R.rows
     solved: list = [None] * n  # solved[k]: the reduced row of state k
     for members in _classes(qrows, wanted):
@@ -267,24 +277,27 @@ def _solve_class(members, qrows: list, rrows: list, den: list,
     """Solves every row of a cyclic class.
 
     Each member's row keeps its Q entries inside the class; the solved rows
-    of the states it leaves to are folded into its R row.  Then every
-    member is removed from the class, each time the one with the fewest
-    live predecessors x row entries (ties by index).  Removing state k
-    folds q_ik / (1 - q_kk) * row_k into each live predecessor i, and k
-    keeps its row as it stands, whose Q entries are members removed after
-    it.  So the members are solved by substitution from the last removed
-    back.
+    of the states it leaves to are folded into its R row.  Then the class is
+    lumped (``_lumping``), and only one representative per block is
+    eliminated, with its Q row summed per block: members of one block of an
+    ordinary lumping have equal absorption rows (Kemeny and Snell, *Finite
+    Markov Chains*, 1960), so every other member takes its representative's
+    solved row.  The representatives are removed one at a time, each time
+    the one with the fewest live predecessors x row entries (ties by
+    index).  Removing state k folds q_ik / (1 - q_kk) * row_k into each
+    live predecessor i, and k keeps its row as it stands, whose Q entries
+    are representatives removed after it.  So they are solved by
+    substitution from the last removed back.
     """
     inside = set(members)
     qs, rs, ds = {}, {}, {}
-    pred: dict = {k: set() for k in members}
+    into: dict = {k: [] for k in members}  # into[j]: the members that enter j
     for i in members:
         qi, terms = {}, [(1, Row(1, rrows[i]))]
         for j, c in qrows[i].items():
             if j in inside:
                 qi[j] = c
-                if j != i:
-                    pred[j].add(i)
+                into[j].append(i)
             else:
                 terms.append((c, solved[j]))
         ri = mixture(1, terms)  # a fresh dict: the loop below changes it
@@ -292,7 +305,18 @@ def _solve_class(members, qrows: list, rrows: list, den: list,
         if m != 1:
             qi = {j: c * m for j, c in qi.items()}
         qs[i], rs[i], ds[i] = qi, ri.nums, den[i] * m
-    degree = {k: len(pred[k]) * (len(qs[k]) + len(rs[k])) for k in members}
+    rep = _lumping(members, qs, rs, ds, into)
+    reps = [k for k in members if rep[k] == k]
+    pred: dict = {k: set() for k in reps}
+    for i in reps:
+        qi = {}
+        for j, c in qs[i].items():
+            j = rep[j]
+            qi[j] = qi.get(j, 0) + c
+            if j != i:
+                pred[j].add(i)
+        qs[i] = qi
+    degree = {k: len(pred[k]) * (len(qs[k]) + len(rs[k])) for k in reps}
     heap = [(d, k) for k, d in degree.items()]
     heapify(heap)
     removed = []
@@ -340,6 +364,65 @@ def _solve_class(members, qrows: list, rrows: list, den: list,
             heappush(heap, (degree[i], i))
     for k, qk, rk, e in reversed(removed):
         solved[k] = _substituted(k, qk, rk, e, solved)
+    for k in members:
+        solved[k] = solved[rep[k]]
+
+
+def _lumping(members, qs: dict, rs: dict, ds: dict, into: dict) -> dict:
+    """Member -> the least member of its block in the coarsest ordinary
+    lumping of a cyclic class whose member i has Q row ``qs[i]`` inside the
+    class and R row ``rs[i]``, over ``ds[i]``.  Members share a block when
+    they have the same R row and the same Q mass into every block: the
+    probabilistic bisimulation of Larsen and Skou (POPL 1989).
+
+    The blocks start as the members with equal R rows and are refined by
+    splitters (Valmari and Franceschinis, *Simple O(m log n) Time Markov
+    Chain Lumping*, TACAS 2010): the members that enter a splitter
+    (``into``) sum their mass into it, and each block they are in splits
+    by that mass.  As in Hopcroft's algorithm, the largest part keeps the
+    block's id and every other part is a new splitter, so a member is in
+    at most 1 + log2(n) splitters.  Weights are compared as reduced integer
+    pairs, never as ``Fraction``s."""
+    first: dict = {}
+    for i in members:
+        key = frozenset((x, _weight(v, ds[i])) for x, v in rs[i].items())
+        first.setdefault(key, []).append(i)
+    blocks = [set(part) for part in first.values()]
+    block = {i: b for b, part in enumerate(blocks) for i in part}
+    queue = list(range(len(blocks)))
+    while queue:
+        mass: dict = {}
+        for j in blocks[queue.pop()]:
+            for i in into[j]:
+                mass[i] = mass.get(i, 0) + qs[i][j]
+        split: dict = {}
+        for i, v in mass.items():
+            split.setdefault(block[i], {}).setdefault(_weight(v, ds[i]), []).append(i)
+        for b, by in split.items():
+            old, parts = blocks[b], sorted(by.values(), key=len)
+            rest = len(old) - sum(map(len, parts))  # no mass into the splitter
+            if not rest and len(parts) == 1:
+                continue
+            for part in parts:
+                old.difference_update(part)
+            if rest < len(parts[-1]):  # the largest part keeps b
+                blocks[b] = set(parts.pop())
+                if old:
+                    parts.append(old)
+            for part in parts:
+                block.update(dict.fromkeys(part, len(blocks)))
+                queue.append(len(blocks))
+                blocks.append(set(part))
+    rep = {}
+    for part in blocks:
+        rep.update(dict.fromkeys(part, min(part)))
+    return rep
+
+
+def _weight(v: int, d: int) -> tuple:
+    """The weight v / d as a reduced integer pair."""
+    g = gcd(v, d)
+    return v // g, d // g
 
 
 def _pivot(q: dict, r: dict, k: int, d: int) -> int:

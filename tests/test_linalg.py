@@ -409,3 +409,166 @@ def test_a_cyclic_class_is_eliminated_alike_whichever_rows_are_wanted(monkeypatc
     counts.append(len(calls))
     assert counts[0] == counts[1] > 0
     assert one == every[:1]
+
+
+# -- lumping a cyclic class ---------------------------------------------------
+
+
+def _recorded_lumpings(monkeypatch):
+    """(class size, blocks) of every lumping the solve makes from now on."""
+    seen = []
+    lumping = linalg._lumping
+
+    def recorded(members, *args):
+        rep = lumping(members, *args)
+        seen.append((len(members), len(set(rep.values()))))
+        return rep
+
+    monkeypatch.setattr(linalg, "_lumping", recorded)
+    return seen
+
+
+def _unlumped(q, r, rows, den, monkeypatch):
+    """The rows solved with every member of a class its own block."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_lumping", lambda members, *args: {k: k for k in members})
+        return solve_absorption_row(q, r, rows, den)
+
+
+def _copied_class(rng, keys):
+    """A random chain whose states are symmetric copies of the states of a
+    random cyclic base chain, and the list of each base state's copies.
+    The base is a ring with random chords, and its R rows are drawn from
+    two rows, so that states with one R row differ in their futures.  A
+    copy of base state s has the R row of s and the mass of each base edge
+    s -> s', both scaled by the copy's own factor, and the edge's mass is
+    split at random over every copy of s', which are entered in a random
+    order: the copies of s have equal normalised rows into the copies of
+    each base state."""
+    size = rng.randrange(2, 12)
+    pool = [{key: rng.randrange(1, 6) for key in rng.sample(keys, 2)} for _ in range(2)]
+    base_q, base_r = [], []
+    for s in range(size):
+        q = {(s + 1) % size: rng.randrange(3, 9)}
+        for t in rng.sample(range(size), rng.randrange(0, min(3, size))):
+            q[t] = q.get(t, 0) + rng.randrange(3, 9)
+        base_q.append(q)
+        base_r.append(rng.choice(pool) if s else {keys[-1]: 1})  # one R row is rare
+    copies, n = [], 0
+    for s in range(size):
+        k = rng.randrange(1, 4)
+        copies.append(list(range(n, n + k)))
+        n += k
+    qrows, rrows = [], []
+    for s in range(size):
+        for _ in copies[s]:
+            f = rng.randrange(1, 4)
+            q = {}
+            for t, w in base_q[s].items():
+                left, targets = f * w, copies[t][:]
+                rng.shuffle(targets)
+                for rest, j in enumerate(targets[:-1], start=1):
+                    q[j] = rng.randrange(1, left - len(targets) + rest + 1)
+                    left -= q[j]
+                q[targets[-1]] = left
+            items = list(q.items())
+            rng.shuffle(items)
+            qrows.append(dict(items))
+            rrows.append({x: f * v for x, v in base_r[s].items()})
+    den = [sum(a.values()) + sum(b.values()) for a, b in zip(qrows, rrows)]
+    return (SparseMatrix(n, n, qrows), SparseMatrix(n, len(keys), rrows), den,
+            copies)
+
+
+def test_symmetric_copies_lump_and_keep_exact_rows(monkeypatch):
+    # Every row of a chain of planted copies at once: zero residual, copies
+    # of one base state get equal rows, and every row is the row solved with
+    # no lumping.  The lumping merges copies, so the blocks never outnumber
+    # the base states.
+    rng = random.Random(41)
+    keys = [frozenset({0}), frozenset({1, 2}), frozenset(), frozenset({3})]
+    seen = _recorded_lumpings(monkeypatch)
+    merged = 0
+    for _ in range(150):
+        q, r, den, copies = _copied_class(rng, keys)
+        n = q.nrows
+        seen.clear()
+        full = solve_absorption_row(q, r, range(n), den)
+        a = SparseMatrix(n, r.ncols, [fraction_row(row) for row in full])
+        assert absorption_residual(_fractions(q, den), _fractions(r, den), a) == 0
+        for group in copies:
+            assert all(full[i] == full[group[0]] for i in group)
+        assert full == _unlumped(q, r, range(n), den, monkeypatch)
+        assert sum(blocks for _, blocks in seen) <= len(copies)
+        merged += n > len(copies)
+    assert merged > 100
+
+
+def test_a_class_with_no_lumpable_states_keeps_its_rows(monkeypatch):
+    # Random weights make every state of a ring with chords its own block,
+    # and the rows are those solved with no lumping.
+    rng = random.Random(43)
+    seen = _recorded_lumpings(monkeypatch)
+    for n in (2, 5, 30):
+        qrows, rrows = [], []
+        for i in range(n):
+            q = {(i + 1) % n: rng.randrange(1, 1000)}
+            for j in rng.sample(range(n), min(2, n)):
+                q[j] = q.get(j, 0) + rng.randrange(1, 1000)
+            qrows.append(q)
+            rrows.append({i % 2: rng.randrange(1, 1000)})
+        den = [sum(q.values()) + sum(r.values()) for q, r in zip(qrows, rrows)]
+        q, r = SparseMatrix(n, n, qrows), SparseMatrix(n, 2, rrows)
+        seen.clear()
+        rows = solve_absorption_row(q, r, range(n), den)
+        assert seen == [(n, n)]
+        assert rows == _unlumped(q, r, range(n), den, monkeypatch)
+
+
+def test_a_lumped_closed_class_is_still_singular(monkeypatch):
+    # State 0 absorbs 1/2 and enters a closed class of 6 states that each
+    # go to the next two with equal weights and never absorb: the class
+    # lumps to one block, which must still raise.
+    seen = _recorded_lumpings(monkeypatch)
+    n = 7
+    qrows = [{1: 1}] + [{1 + i % 6: 1, 1 + (i + 1) % 6: 1} for i in range(1, 7)]
+    q = SparseMatrix(n, n, qrows)
+    r = SparseMatrix(n, 1, [{0: 1}] + [{}] * 6)
+    for start in range(n):
+        with pytest.raises(SingularMatrixError):
+            solve_absorption_row(q, r, start, [2] * n)
+    assert (6, 1) in seen
+
+
+def test_lumping_a_ring_costs_about_linear_work(monkeypatch):
+    # A ring where every state goes on with 1/2 and absorbs with 1/2 in
+    # column 0, but state 0 absorbs in column 1: no two states lump, and a
+    # refinement that re-signed every state until nothing changed would take
+    # n rounds.  The work, counted by gcd calls, at most about doubles from
+    # 500 to 1,000 states.  From state 0 the chain absorbs in column 1 with
+    # 1/2 + 1/2^(n+1) + ... = (1/2) / (1 - 1/2^n).
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(linalg, "gcd", counted)
+    counts = []
+    for n in (500, 1000):
+        q = SparseMatrix(n, n, [{(i + 1) % n: 1} for i in range(n)])
+        r = SparseMatrix(n, 2, [{int(i == 0): 1} for i in range(n)])
+        calls.clear()
+        row = solve_absorption_row(q, r, 0, [2] * n)
+        counts.append(len(calls))
+        assert row.prob(1) == Fraction(1, 2) / (1 - Fraction(1, 2 ** n))
+    assert 0 < counts[1] <= 2.2 * counts[0]
+
+
+def test_row_solve_checks_the_number_of_denominators():
+    q = SparseMatrix(2, 2, [{1: 1}, {0: 1}])
+    r = SparseMatrix(2, 2, [{0: 1}, {1: 1}])
+    assert solve_absorption_row(q, r, 0, [2, 2]).prob(0) == Fraction(2, 3)
+    for den in ([2], [2, 2, 2]):
+        with pytest.raises(DimensionError):
+            solve_absorption_row(q, r, 0, den)
