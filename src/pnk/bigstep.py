@@ -67,6 +67,15 @@ is settled, every factor split whole (``_settled``), by ``apply`` and
 ``row``, at a star body's output, so pair chains see only sets, and on
 either side of a ``&`` product, whose branches drew their factors each for
 itself, unless the other side is the unit.
+
+Shared rows.  By the second law, a node's row on a packet x is its row on
+x - c, c being x's valuation of the fields outside its ``footprint``, with
+c added to every packet: one evaluation per valuation of the fields it
+touches suffices, as a NetKAT decision diagram branches only on the fields
+it tests (Smolka et al., ICFP 2015).  So a union, sequence or choice keeps
+its row on each input whose base is one packet x by x - c (and the factors)
+and hands it to each later such input, moved by c - c0 (``_memoized``):
+only digits the node never touches move, so rows stay reduced and exact.
 """
 
 from __future__ import annotations
@@ -135,26 +144,62 @@ def _point_masses():
     return dirac
 
 
-def _memoized(fn, pending, memo=None):
+def _memoized(fn, pending, memo=None, clear=None):
     """The row function ``fn`` with a memo keyed on the input, which is a
     set (``fn`` computes its row) or a pending set (``pending`` does).
-    ``memo`` is a dict that ``fn`` may read, or None for a new one."""
+    ``memo`` is a dict that ``fn`` may read, or None for a new one.  With
+    ``clear``, which projects on the fields the node never touches, the
+    rows on one packet are shared (see the module)."""
     if memo is None:
         memo = {}
+    shared: dict = {}  # x - c, with the factors if pending -> (row, c)
 
     def rows(a) -> Row:
         row = memo.get(a)
         if row is None:
             row = memo[a] = pending(a) if type(a) is Pending else fn(a)
         return row
-    return rows
+
+    def shared_rows(a) -> Row:
+        row = memo.get(a)
+        if row is not None:
+            return row
+        pend = type(a) is Pending
+        base = a[0] if pend else a
+        if len(base) != 1:
+            row = memo[a] = pending(a) if pend else fn(a)
+            return row
+        x, = base
+        c = clear(x)
+        key = (x - c, a[1]) if pend else x - c
+        hit = shared.get(key)
+        if hit is None:
+            row = pending(a) if pend else fn(a)
+            shared[key] = row, c
+        else:
+            row = hit[0] if c == hit[1] else _moved(hit[0], c - hit[1])
+        memo[a] = row
+        return row
+    return rows if clear is None else shared_rows
+
+
+def _moved(row: Row, d: int) -> Row:
+    """``row`` with every packet of every outcome moved by ``d``."""
+    out = {}
+    for b, p in row.nums.items():
+        if type(b) is Pending:
+            b = Pending(frozenset([i + d for i in b[0]]), b[1])
+        elif b:
+            b = frozenset([i + d for i in b])
+        out[b] = p
+    return Row(row.den, out)
 
 
 def _additive(m, dirac, memo: dict):
     """The row function of a deterministic node with the set map ``m``,
     memoized in ``memo``: the point mass on m(a), with the image of each
     packet whose singleton is in the memo taken from there (``images``
-    indexes them by packet once a larger set meets them)."""
+    indexes those a larger set meets, and a set's one packet not so met)."""
     images: dict = {}
 
     def rows(a) -> Row:
@@ -173,7 +218,10 @@ def _additive(m, dirac, memo: dict):
         if len(rest) == len(a):
             return dirac(m(a))
         if rest:
-            out |= m(frozenset(rest))
+            b = m(frozenset(rest))
+            if len(rest) == 1:
+                images[rest[0]] = b
+            out |= b
         return dirac(frozenset(out))
     return rows
 
@@ -639,7 +687,9 @@ class Kernel:
             self._factored[0] = True
             fields, key = factor
             return _tabled(fn, pend, u.projector(key), fields, u, self._factored)
-        return _memoized(fn, pend)
+        reads, writes, _, _ = footprint(node)
+        outside = _names(self._bits, ~(reads | writes))
+        return _memoized(fn, pend, clear=u.projector(outside) if outside else None)
 
     def _factor_fields(self, node: Program):
         """(fields, key) of a factor node (see the module), each a tuple in

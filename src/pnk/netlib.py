@@ -530,7 +530,7 @@ def build_case_model(variant: str, topo: Topology, k: int | None,
 TOPOLOGIES = {"fattree20": fattree20, "abfattree20": abfattree20,
               "abfattree12": abfattree12, "abfattree45": partial(abfattree, 6),
               "abfattree80": partial(abfattree, 8), "abfattree125": partial(abfattree, 10),
-              "abfattree180": partial(abfattree, 12)}
+              "abfattree180": partial(abfattree, 12), "abfattree245": partial(abfattree, 14)}
 
 
 def topology_by_name(name: str) -> Topology:

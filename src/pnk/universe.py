@@ -136,17 +136,24 @@ class PacketUniverse:
         """The function from a packet index to the index of the packet with
         its values of the fields ``names`` and 0 in every other field: the
         packet's *valuation* of those fields.  Valuations of disjoint fields
-        add up.  Made once per tuple of names."""
+        add up.  Fields adjacent in the mixed radix are read as one digit
+        run, one ``//`` and one ``%`` per run.  Made once per tuple of
+        names."""
         fn = self._projectors.get(names)
         if fn is None:
-            digits = [self._digit(name, 0) for name in names]
-            if not digits:
+            runs = []  # [weight, size] of each run of adjacent fields
+            for w, size in sorted(self._digit(name, 0) for name in names):
+                if runs and runs[-1][0] * runs[-1][1] == w:
+                    runs[-1][1] *= size
+                else:
+                    runs.append([w, size])
+            if not runs:
                 fn = lambda i: 0
-            elif len(digits) == 1:
-                (w, size), = digits
-                fn = lambda i: i // w % size * w
+            elif len(runs) == 1:
+                (w, size), = runs
+                fn = (lambda i: i % size) if w == 1 else (lambda i: i // w % size * w)
             else:
-                fn = lambda i: sum([i // w % size * w for w, size in digits])
+                fn = lambda i: sum([i // w % size * w for w, size in runs])
             fn = self._projectors[names] = fn
         return fn
 

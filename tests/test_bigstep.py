@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -20,7 +21,7 @@ from pnk.errors import WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, While,
-    desugar, has_choice, pretty, restrict, seq, union,
+    desugar, footprint, has_choice, pretty, restrict, seq, union,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -511,6 +512,34 @@ def test_a_set_maps_only_its_packets_not_met_alone():
         assert rows(a).as_dict() == delta(m(a))
     assert sorted(calls, key=len) == [EMPTY, *(frozenset((y,)) for y in x)]
     assert _closure(_closure(rows)["fn"])["images"] == {y: m(frozenset((y,))) for y in x}
+
+
+def test_a_lone_packet_not_met_alone_is_indexed():
+    # A node that shares its rows among packets that differ only in fields
+    # it never touches skips its children on all but one of them, so their
+    # singletons never reach a deterministic child's memo.  A set whose
+    # only packet not indexed is such a packet maps it alone and indexes
+    # its image, so the next set that holds it maps nothing.
+    u = PacketUniverse([FieldDecl("f", 8), FieldDecl("g", 2)])
+    p = Star(union(*(Seq(Test("f", v), Assign("f", v + 1)) for v in range(7))))
+    m = Kernel(p, u)._set_map(p)
+    rows, calls = _additive_rows(m)
+    x = [u.packet(f=v, g=0) for v in range(3)]
+    rows(frozenset(x[:1]))
+    a = frozenset(x[:2])
+    assert rows(a).as_dict() == delta(m(a)) and calls == [frozenset(x[:1]), frozenset(x[1:2])]
+    images = _closure(_closure(rows)["fn"])["images"]
+    assert images == {y: m(frozenset((y,))) for y in x[:2]}
+    calls.clear()
+    b = frozenset(x[1:])
+    assert rows(b).as_dict() == delta(m(b)) and calls == [frozenset(x[2:])]
+    calls.clear()
+    c = frozenset(x)
+    assert rows(c).as_dict() == delta(m(c)) and not calls
+    # Two packets not met alone are still mapped whole, and not indexed.
+    rows, calls = _additive_rows(m)
+    assert rows(c).as_dict() == delta(m(c)) and calls == [c]
+    assert not _closure(_closure(rows)["fn"])["images"]
 
 
 def test_a_kernel_is_freed_without_the_cycle_collector(uni8):
@@ -1163,6 +1192,90 @@ def test_a_factor_table_is_made_once_per_node_and_valuation(monkeypatch):
             and "budget" in (kern._factor_fields(node) or ((),))[0]]
     entered = {a for f in rows for a in _closure(f)["memo"] if not isinstance(a, Pending)}
     assert len(entered) > 5
+
+
+def test_rows_shared_across_untouched_fields_are_the_fresh_rows():
+    # The universe has two fields, x and y, that no program names, so every
+    # node shares its rows on one packet among the packets that differ in
+    # them (and in the fields among f, g, h it never touches), moved there.
+    # Each singleton row of one kernel, taken in a random order, must equal
+    # the row of a fresh kernel that meets that input first, and the row of
+    # the eager twin, which makes no pending input.  The coin programs hand
+    # pending inputs on one packet to unions and sequences; in the last
+    # ones, one union that ignores f meets one base under two coins on f
+    # within one row.
+    small = PacketUniverse([FieldDecl(f, 2) for f in "fgh"])
+    u = PacketUniverse([FieldDecl("f", 2), FieldDecl("x", 3), FieldDecl("g", 2),
+                        FieldDecl("h", 2), FieldDecl("y", 2)])
+    rng = random.Random(31)
+    singles = [frozenset({i}) for i in range(u.packet_count)]
+    pending_hits = 0
+    for n in range(66):
+        p = (random_program(rng, small, rng.randrange(1, 5)) if n % 2
+             else _coin_program(rng, small, 2))
+        if n >= 60:
+            q = Union(Seq(Test("g", 0), _coin(rng, small, "h")), Assign("g", 1))
+            p = Union(Seq(Choice(Fraction(1, 4), F0, F1), q), Seq(Choice(Fraction(1, 3), F0, F1), q))
+        k, twin = Kernel(p, u), Kernel(_twin(p), u)
+        rng.shuffle(singles)
+        for a in singles + [random_set(rng, u) for _ in range(4)]:
+            got = k.row(p, a)
+            assert got == Kernel(p, u).row(p, a), (pretty(p), [u.record(i) for i in a])
+            assert got == twin.row(twin.program, a), (pretty(p), [u.record(i) for i in a])
+            _assert_reduced_integer_row(got)
+        for fn in k._fns.values():
+            c = _closure(fn)
+            if "shared" in c:
+                met = [x for x in c["memo"] if isinstance(x, Pending) and len(x.base) == 1]
+                pending_hits += len(met) - sum(isinstance(key, tuple) for key in c["shared"])
+    assert pending_hits > 0
+
+
+def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch):
+    # On the f10-latency model only the hop's increment touches the hop
+    # counter, so each node below the hop that holds a choice is evaluated
+    # once per valuation of the fields it touches (with the factors, on a
+    # pending input), however many counter values meet it.
+    evaluated = defaultdict(list)
+    compile_rows, memoized, compiling = Kernel._compile_rows, bigstep._memoized, []
+
+    def compiled(self, node, filt):
+        compiling.append(node)
+        try:
+            return compile_rows(self, node, filt)
+        finally:
+            compiling.pop()
+
+    def counted(fn, pending, memo=None, clear=None):
+        seen = evaluated[compiling[-1]]
+        return memoized(lambda a: seen.append(a) or fn(a),
+                        lambda x: seen.append(x) or pending(x), memo, clear)
+    monkeypatch.setattr(Kernel, "_compile_rows", compiled)
+    monkeypatch.setattr(bigstep, "_memoized", counted)
+    cm = netlib.build_case_model(netlib.F10_35, netlib.abfattree20(), None, counter=True)
+    k = Kernel(desugar(cm.program), cm.universe)
+    for src in cm.in_packets:
+        k.apply(frozenset({src}))
+    u = cm.universe
+    counter = u.reader("counter")
+    nodes = 0
+    for node, inputs in evaluated.items():
+        reads, writes, _, _ = footprint(node)
+        if k._set_map(node) is not None or "counter" in bigstep._names(k._bits, reads | writes):
+            continue
+        nodes += 1
+        touched = u.projector(bigstep._names(k._bits, reads | writes))
+        keys = [(touched(min(a.base)), a.factors) if isinstance(a, Pending) else touched(min(a))
+                for a in inputs if len(a.base if isinstance(a, Pending) else a) == 1]
+        assert len(keys) == len(set(keys)), pretty(node)
+    assert nodes > 10
+    # The scheme meets 278 inputs over all 16 counter values, and is
+    # evaluated on 54 of them.
+    scheme = desugar(cm.scheme)
+    met = _closure(k._fns[scheme])["memo"]
+    assert len({counter(i) for a in met
+                for i in (a.base if isinstance(a, Pending) else a)}) == 16
+    assert 4 * len(evaluated[scheme]) < len(met)
 
 
 def test_coin_chains_match_the_sampler(uni8):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +75,24 @@ def test_field_lookups_raise_universe_errors():
 def test_malformed_records_raise_universe_errors(records):
     with pytest.raises(UniverseError):
         make().set_from_records(records)
+
+
+def test_projectors_are_the_field_by_field_valuations():
+    # A projector reads each run of fields adjacent in the mixed radix as
+    # one digit: it must give the sum of the fields' own valuations, in any
+    # order of the names, with a field of size 1 inside a run.
+    u = PacketUniverse([FieldDecl(n, s) for n, s in zip("abcdef", (3, 2, 5, 1, 4, 2))])
+    rng = random.Random(5)
+    packets = [rng.randrange(u.packet_count) for _ in range(40)] + [0, u.packet_count - 1]
+    for r in range(len(u.decls) + 1):
+        for names in itertools.combinations("abcdef", r):
+            for order in (names, names[::-1]):
+                read = u.projector(order)
+                for i in packets:
+                    want = u.encode(v if d.name in names else 0
+                                    for d, v in zip(u.decls, u.decode(i)))
+                    assert read(i) == want, (order, u.record(i))
+            assert u.projector(names) is u.projector(names)
 
 
 def test_modify_empty_is_empty():
