@@ -5,11 +5,16 @@ specification, producing a verdict with a reproducible counterexample on
 the negative side.  Both sides are decided in one kernel, and since nodes
 are interned (see ``syntax``), a subterm the two programs have in common,
 such as the ``p*`` of an unfolding, is one node: it is evaluated and its
-stars solved once.  ``dist_leq`` implements the distribution order via
-principal up-set probabilities, and ``query`` evaluates scalar measures of
-an output distribution.  All of them compute on exact rows and return
-exact numbers; a tolerance ``tol`` (0, an exact decision, by default) only
-widens the one comparison of two probabilities.
+stars solved once.  A permutation of the valuations of the fields
+neither program reads or writes commutes with both (the law by which
+``bigstep`` shares rows), so the input rows in one orbit of it get one
+verdict, and only the first row of each orbit is evaluated: every row of
+an orbit fails if one does, so the first failing row, and with it the
+witness, is unchanged (see ``_decide``).  ``dist_leq`` implements the
+distribution order via principal up-set probabilities, and ``query``
+evaluates scalar measures of an output distribution.  All of them compute
+on exact rows and return exact numbers; a tolerance ``tol`` (0, an exact
+decision, by default) only widens the one comparison of two probabilities.
 ``sample_run``/``estimate`` form an operational sampler that is independent
 of the matrix pipeline and is used as a statistical oracle in tests.
 """
@@ -27,7 +32,7 @@ from .row import Row, ratio
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    desugar, has_choice, is_core, restrict,
+    desugar, field_bit, footprint, has_choice, is_core, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -170,6 +175,21 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     so does the empty row or one of its singletons, which come before it
     in mask order: the first failing row, the verdict and the witness are
     those of all subsets.
+
+    One row per orbit.  Let U be the fields outside the footprints of both
+    programs (the fields neither reads nor writes).  A permutation phi of
+    the valuations of U, applied to each packet, commutes with every test,
+    assignment, ``&``, ``;``, ``+[r]`` and ``*`` of both programs (Foster
+    et al., ESOP 2016), so the rows on phi(a) are the rows on a with phi
+    applied to every output set.  That map is a bijection on packet sets,
+    so equality, ``tol``-closeness and the up-set order hold on a row
+    exactly when they hold on its image.  A row is therefore skipped when
+    an earlier row of the spec lies in its orbit (``_orbit_firsts``): when
+    a row fails, so does the first row of its orbit, which comes no later,
+    and the first failing row, the verdict and the witness are unchanged
+    (symmetry reduction, Kwiatkowska, Norman and Parker, CAV 2006).  This
+    holds for every spec, explicit, all-subsets or singletons alike.  With
+    every field touched, no key is computed.
     """
     p, q = _core(p), _core(q)
     k = Kernel(p, universe, state_budget=state_budget)
@@ -178,6 +198,11 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     if inputs.subset_base is not None:
         inputs.check_rows(det)
     rows = inputs.singleton_rows() if det else inputs.rows()
+    (rp, wp, _, _), (rq, wq, _, _) = footprint(p), footprint(q)
+    touched = rp | wp | rq | wq
+    outside = tuple([d.name for d in universe.decls if not field_bit(d.name) & touched])
+    if outside:
+        rows = _orbit_firsts(rows, universe.projector(outside))
     for a in rows:
         mu = k.row(p, a)
         nu = k.row(q, a)
@@ -187,6 +212,32 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
         if bad is not None:
             return Verdict(verdict[1], Witness(a, *bad), tol)
     return Verdict(verdict[0], tolerance=tol)
+
+
+def _orbit_firsts(rows, clear):
+    """The rows of ``rows`` whose orbit no earlier row lies in, where
+    ``clear`` projects a packet on the untouched fields U, its *class*.
+    A row's orbit key is the multiset, over the classes it meets, of the
+    set of projections x - clear(x) on the touched fields of its packets
+    in that class: two rows have one key exactly when a permutation of U's
+    valuations maps one to the other.  Each projection is a bit, numbered
+    as first met, so the key is a sorted tuple of small ints, one per
+    class."""
+    seen, bits = set(), {}
+    packets = {}  # packet -> (its class, the bit of its projection)
+    for a in rows:
+        classes = {}
+        for x in a:
+            cb = packets.get(x)
+            if cb is None:
+                c = clear(x)
+                cb = packets[x] = c, bits.setdefault(x - c, 1 << len(bits))
+            c, b = cb
+            classes[c] = classes.get(c, 0) | b
+        key = tuple(sorted(classes.values()))
+        if key not in seen:
+            seen.add(key)
+            yield a
 
 
 def _scaled(mu: Row, nu: Row, tol: float):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -19,7 +21,7 @@ from pnk.parser import parse
 from pnk.row import Row, ratio
 from pnk.syntax import (
     Assign, Choice, Drop, NaryChoice, Neg, Seq, Skip, Star, Test, Union, desugar,
-    has_choice, is_core, pretty, seq, union, validate,
+    footprint, has_choice, is_core, pretty, seq, union, validate,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -639,3 +641,172 @@ def test_choice_free_pairs_are_decided_on_the_singletons(uni8, monkeypatch):
             assert got == decide(p, q, oracle, uni8)
             results.add(got.result)
     assert results == {"equal", "not-equal", "leq", "not-leq"}
+
+
+# -- one row per orbit of the untouched fields --------------------------------
+
+def _fresh_verdict(decide, rows, tol):
+    """The verdict of ``decide`` on ``rows``, triples (input, row of the
+    left side, row of the right side) in the spec's order: the first row
+    with a failing output set, and the least such set, its probabilities
+    compared as ``Fraction``s within ``tol``."""
+    slack = Fraction(tol)
+    for a, mu, nu in rows:
+        if decide is equiv:
+            sides = [(b, mu.prob(b), nu.prob(b)) for b in set(mu.nums) | set(nu.nums)]
+            bad = [w for w in sides if abs(w[1] - w[2]) > slack]
+        else:
+            sides = [(b, ratio(upset_prob(mu.nums, b), mu.den),
+                      ratio(upset_prob(nu.nums, b), nu.den))
+                     for b in _meet_closure(set(mu.nums) | set(nu.nums) | {EMPTY})]
+            bad = [w for w in sides if w[1] > w[2] + slack]
+        if bad:
+            result = "not-equal" if decide is equiv else "not-leq"
+            return Verdict(result, Witness(a, *min(bad, key=lambda w: sorted(w[0]))), tol)
+    return Verdict("equal" if decide is equiv else "leq", tolerance=tol)
+
+
+def _valuation_perms(u, names):
+    """Every permutation of the valuations of the fields ``names``, each a
+    function that applies it to every packet of a set."""
+    at = [i for i, d in enumerate(u.decls) if d.name in names]
+    vals = sorted({tuple(u.decode(x)[i] for i in at) for x in range(u.packet_count)})
+
+    def moved(phi, aset):
+        out = set()
+        for x in aset:
+            v = list(u.decode(x))
+            for i, w in zip(at, phi[tuple(v[i] for i in at)]):
+                v[i] = w
+            out.add(u.encode(v))
+        return frozenset(out)
+    return [partial(moved, dict(zip(vals, perm))) for perm in itertools.permutations(vals)]
+
+
+def _orbit_cases():
+    """(universe, names): random programs over the fields ``names`` only,
+    which leave two, one or none of the universe's fields untouched; the
+    untouched ones lie below, between and above the touched ones, and
+    some have three values."""
+    u8 = PacketUniverse([FieldDecl(n, 2) for n in "fgh"])
+    u6 = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 3)])
+    return [(u8, "f"), (u8, "g"), (u8, "fg"), (u8, "fh"), (u6, "f"), (u6, "g"),
+            (u8, "fgh")]
+
+
+def _orbit_pairs(rng, u, names):
+    """Pairs over the fields ``names``: the constructed kinds of
+    ``_oracle_pairs``, three choice-free pairs, which take the singleton
+    path, and, over two fields or more, a field written where another
+    passes a test and never read.  With every field named, only pairs that
+    touch them all."""
+    sub = PacketUniverse([d for d in u.decls if d.name in names])
+
+    def kept(p, q):
+        if len(names) < len(u.decls):
+            return True
+        (rp, wp, _, _), (rq, wq, _, _) = footprint(desugar(p)), footprint(desugar(q))
+        return bin(rp | wp | rq | wq).count("1") == len(names)
+    pairs = []
+    while len(pairs) < 6:
+        pairs += [(p, q) for _, p, q in _oracle_pairs(rng, sub, 1) if kept(p, q)]
+    while len(pairs) < 9:
+        p, q = (random_program(rng, sub, 2, stars=1) for _ in range(2))
+        if not has_choice(p) and not has_choice(q) and kept(p, q):
+            pairs.append((p, q))
+    if len(sub.decls) > 1 and len(names) < len(u.decls):
+        x, y = rng.sample([d.name for d in sub.decls], 2)
+        pairs.append((Union(Seq(Test(x, 0), Assign(y, 0)), Neg(Test(x, 0))), Skip()))
+    return pairs
+
+
+@pytest.mark.parametrize("tol", [0, 0.125], ids=["exact", "tol"])
+def test_one_row_per_orbit_keeps_every_verdict_and_witness(tol):
+    # Both decisions, on all subsets and on an explicit spec whose rows
+    # include images of earlier rows under a permutation of the untouched
+    # fields' valuations, in a shuffled order, must give the verdicts and
+    # witnesses of a fresh kernel per side on every row of the spec.
+    rng = random.Random(41)
+    seen, pairs = set(), 0
+    for u, names in _orbit_cases():
+        untouched = [d.name for d in u.decls if d.name not in names]
+        perms = _valuation_perms(u, untouched)
+        subsets = InputSpec.all_subsets(u.all_packets())
+        for p, q in _orbit_pairs(rng, u, names):
+            pairs += 1
+            sets = [random_set(rng, u) for _ in range(6)]
+            sets += [rng.choice(perms)(a) for a in sets if untouched]
+            rng.shuffle(sets)
+            cp, cq = desugar(p), desugar(q)
+            for spec in (subsets, InputSpec.of_sets(sets)):
+                rows = [(a, Kernel(cp, u).row(cp, a), Kernel(cq, u).row(cq, a))
+                        for a in spec.rows()]
+                for decide in (equiv, leq):
+                    got = decide(p, q, spec, u, tol=tol)
+                    assert got == _fresh_verdict(decide, rows, tol), (pretty(p), pretty(q))
+                    seen.add(got.result)
+    assert pairs >= 60
+    assert seen == {"equal", "not-equal", "leq", "not-leq"}
+
+
+def _first_of_each_orbit(u, names, rows):
+    """The rows that no earlier row maps to under any permutation of the
+    valuations of the fields ``names``, each permutation tried."""
+    perms = _valuation_perms(u, names)
+    firsts, seen = [], set()
+    for a in rows:
+        if a not in seen:
+            firsts.append(a)
+            seen.update(phi(a) for phi in perms)
+    return firsts
+
+
+@pytest.mark.parametrize("left,right,untouched", [
+    # a star and its unfolding, each touching f and g
+    ("(f:=1 +[1/3] g:=0)*", "skip & (f:=1 +[1/3] g:=0) ; (f:=1 +[1/3] g:=0)*", "h"),
+    ("f=0 ; (f:=1 +[1/2] skip)", "f=0 ; (skip +[1/2] f:=1)", "gh"),
+    # g is written and never read
+    ("g:=1 +[1/2] g:=0", "g:=0 +[1/2] g:=1", "fh"),
+    # choice-free: the empty row and the singletons
+    ("f:=1 & f=0", "f=0 & f:=1", "gh"),
+    ("h:=0 ; g:=1", "g:=1 ; h:=0", "f"),
+    # every field touched: every row
+    ("(f:=1 +[1/3] h:=0)* ; g=1", "g=1 ; (f:=1 +[1/3] h:=0)*", ""),
+    ("f=1 ; g:=0 & h:=1", "h:=1 & g:=0 ; f=1", ""),
+])
+def test_the_kernel_is_called_once_per_orbit_per_side(uni8, monkeypatch, left, right,
+                                                      untouched):
+    p, q = parse(left, uni8), parse(right, uni8)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    det = not has_choice(desugar(p)) and not has_choice(desugar(q))
+    rows = list(spec.singleton_rows() if det else spec.rows())
+    firsts = _first_of_each_orbit(uni8, untouched, rows)
+    assert len(firsts) < len(rows) if untouched else firsts == rows
+    calls = []
+    row = Kernel.row
+    monkeypatch.setattr(Kernel, "row", lambda k, p, a: calls.append(a) or row(k, p, a))
+    for decide in (equiv, leq):
+        calls.clear()
+        assert decide(p, q, spec, uni8).holds()
+        assert calls == [a for a in firsts for _ in "pq"]
+
+
+def test_an_explicit_spec_in_one_orbit_is_evaluated_once(uni8, monkeypatch):
+    # Both programs touch f alone; each of the first three rows holds an f=0
+    # packet and an f=1 packet with two different valuations of g and h, so
+    # a permutation of those valuations maps each row to each.  The last row holds
+    # both in one valuation, another orbit.
+    pk = uni8.packet
+    p, q = parse("f:=1 +[1/2] f:=0", uni8), parse("f:=0 +[1/2] f:=1", uni8)
+    sets = [frozenset({pk(f=0, g=0, h=0), pk(f=1, g=1, h=0)}),
+            frozenset({pk(f=0, g=1, h=1), pk(f=1, g=0, h=0)}),
+            frozenset({pk(f=0, g=0, h=1), pk(f=1, g=1, h=1)}),
+            frozenset({pk(f=0, g=1, h=0), pk(f=1, g=1, h=0)})]
+    calls = []
+    row = Kernel.row
+    monkeypatch.setattr(Kernel, "row", lambda k, p, a: calls.append(a) or row(k, p, a))
+    assert equiv(p, q, InputSpec.of_sets(sets[:3]), uni8).result == "equal"
+    assert calls == [sets[0]] * 2
+    calls.clear()
+    assert equiv(p, q, InputSpec.of_sets(sets), uni8).result == "equal"
+    assert calls == [sets[0]] * 2 + [sets[3]] * 2
