@@ -10,7 +10,11 @@ neither program reads or writes commutes with both (the law by which
 ``bigstep`` shares rows), so the input rows in one orbit of it get one
 verdict, and only the first row of each orbit is evaluated: every row of
 an orbit fails if one does, so the first failing row, and with it the
-witness, is unchanged (see ``_decide``).  ``dist_leq`` implements the
+witness, is unchanged (see ``_decide``).  A program without history is a
+mixture of deterministic programs, each of which distributes over
+unions, so a packet that both programs map to one point mass joins the
+same set to every row that holds it, and an all-subsets decision leaves
+such packets out of its rows (see ``_decide``).  ``dist_leq`` implements the
 distribution order via principal up-set probabilities, and ``query``
 evaluates scalar measures of an output distribution.  All of them compute
 on exact rows and return exact numbers; a tolerance ``tol`` (0, an exact
@@ -23,11 +27,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bigstep import Kernel
-from .errors import ConditioningError, WellFormednessError
+from .errors import BudgetExceededError, ConditioningError, WellFormednessError
 from .row import Row, ratio
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
@@ -184,25 +188,56 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     applied to every output set.  That map is a bijection on packet sets,
     so equality, ``tol``-closeness and the up-set order hold on a row
     exactly when they hold on its image.  A row is therefore skipped when
-    an earlier row of the spec lies in its orbit (``_orbit_firsts``): when
-    a row fails, so does the first row of its orbit, which comes no later,
-    and the first failing row, the verdict and the witness are unchanged
-    (symmetry reduction, Kwiatkowska, Norman and Parker, CAV 2006).  This
+    an earlier row of the spec lies in its orbit, or in the orbit of a row
+    it decides as (``_orbit_firsts``): when a row fails, so does the first
+    row that decides as it, which comes no later, and the first failing
+    row, the verdict and the witness are unchanged (symmetry reduction,
+    Kwiatkowska, Norman and Parker, CAV 2006).  This
     holds for every spec, explicit, all-subsets or singletons alike.  With
     every field touched, no key is computed.
+
+    Packets that join one set.  A program without history is a mixture,
+    over the ways its choices resolve, of deterministic programs, each of
+    which distributes over unions (Anderson et al., POPL 2014; Foster et
+    al., ESOP 2016).  So when the rows of both programs on {x} are the one
+    point mass on S, every resolution maps x to S, and the row of either
+    program on a set a that holds x is its row on a - {x} with S joined to
+    every outcome.  Joining S keeps equal rows equal, and it keeps the
+    up-set order at any ``tol``, since the up-set of c pulls back to the
+    up-set of c - S.  It can merge two outcomes, though, and add their
+    differences, so for ``equiv`` at ``tol`` > 0 only S = {} qualifies.
+    Such a row fails only if the row on a - {x} fails, which comes earlier
+    in mask order, so the first failing row holds no such packet.  For an
+    all-subsets spec of a pair with a choice, the singleton rows are
+    therefore read first, in mask order, one per orbit (a singleton's
+    orbit is fixed by its packet's projection on the touched fields, and
+    phi maps {} to itself), up to the first that fails or exceeds the
+    state budget; the packets D before it that join one set are left out,
+    and the rows are the subsets of the base without D, in mask order,
+    one per orbit.  These come in the order of all subsets, and the first
+    failing row is among them, so the verdict and the witness are those
+    of every row.  A row left out is not evaluated, so it can neither fail
+    nor exceed the budget.
     """
     p, q = _core(p), _core(q)
     k = Kernel(p, universe, state_budget=state_budget)
-    det = (inputs.subset_base is not None
-           and not has_choice(p) and not has_choice(q))
-    if inputs.subset_base is not None:
+    base = inputs.subset_base
+    det = base is not None and not has_choice(p) and not has_choice(q)
+    if base is not None:
         inputs.check_rows(det)
-    rows = inputs.singleton_rows() if det else inputs.rows()
     (rp, wp, _, _), (rq, wq, _, _) = footprint(p), footprint(q)
     touched = rp | wp | rq | wq
     outside = tuple([d.name for d in universe.decls if not field_bit(d.name) & touched])
-    if outside:
-        rows = _orbit_firsts(rows, universe.projector(outside))
+    clear = universe.projector(outside) if outside else None
+    if det:
+        rows = inputs.singleton_rows()
+    elif base is None:
+        rows = inputs.rows()
+    else:
+        kept = _unjoined(k, p, q, base, clear, excess, tol)
+        rows = replace(inputs, subset_base=kept).rows()
+    if clear is not None:
+        rows = _orbit_firsts(rows, clear)
     for a in rows:
         mu = k.row(p, a)
         nu = k.row(q, a)
@@ -214,15 +249,47 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     return Verdict(verdict[0], tolerance=tol)
 
 
+def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol):
+    """The packets of ``base``, in order, but those before the first
+    failing singleton (by ``excess``, or one that exceeds the state
+    budget) whose rows on both sides are one point mass on a set S, with S
+    empty for ``equiv`` at ``tol`` > 0.  One singleton per projection on
+    the touched fields is evaluated (every packet's own, when ``clear`` is
+    None)."""
+    any_set = excess is _upset_excess or not tol  # closeness survives joining {} alone
+    joins, left_out = {}, set()  # joins: a singleton's projection -> whether it joins
+    for x in base:
+        key = x if clear is None else x - clear(x)
+        if key not in joins:
+            a = frozenset((x,))
+            try:
+                mu, nu = k.row(p, a), k.row(q, a)
+            except BudgetExceededError:
+                break
+            if mu != nu and excess(mu, nu, tol) is not None:
+                break
+            joins[key] = (mu == nu and len(mu.nums) == 1
+                          and (any_set or EMPTY in mu.nums))
+        if joins[key]:
+            left_out.add(x)
+    return tuple([x for x in base if x not in left_out])
+
+
 def _orbit_firsts(rows, clear):
-    """The rows of ``rows`` whose orbit no earlier row lies in, where
-    ``clear`` projects a packet on the untouched fields U, its *class*.
-    A row's orbit key is the multiset, over the classes it meets, of the
-    set of projections x - clear(x) on the touched fields of its packets
-    in that class: two rows have one key exactly when a permutation of U's
-    valuations maps one to the other.  Each projection is a bit, numbered
-    as first met, so the key is a sorted tuple of small ints, one per
-    class."""
+    """The rows of ``rows`` whose key no earlier row has, where ``clear``
+    projects a packet on the untouched fields U, its *class*.
+    A row's orbit key is the set, over the classes it meets, of the set of
+    projections x - clear(x) on the touched fields of its packets in that
+    class.  A permutation of U's valuations maps a row to every row with
+    the same multiset of those sets.  And classes that hold the same
+    projections move in lockstep, since no resolution of a choice reads U
+    (see ``_decide``): a repeated class only copies, packet for packet,
+    what the first class with those projections outputs, a one-to-one map
+    on output sets that keeps equality, closeness and the up-set order,
+    so the row decides as the row without the repeat.  Two rows with one
+    key therefore fail together.  Each projection is a bit, numbered as
+    first met, so the key is a frozenset of small ints, one per distinct
+    class mask."""
     seen, bits = set(), {}
     packets = {}  # packet -> (its class, the bit of its projection)
     for a in rows:
@@ -234,7 +301,7 @@ def _orbit_firsts(rows, clear):
                 cb = packets[x] = c, bits.setdefault(x - c, 1 << len(bits))
             c, b = cb
             classes[c] = classes.get(c, 0) | b
-        key = tuple(sorted(classes.values()))
+        key = frozenset(classes.values())
         if key not in seen:
             seen.add(key)
             yield a

@@ -25,7 +25,9 @@ from pnk.syntax import (
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
-from conftest import random_dist, random_predicate, random_program, random_set
+from conftest import (
+    WEIGHTS, random_dist, random_predicate, random_program, random_set,
+)
 
 UF = PacketUniverse([FieldDecl("f", 2)])
 
@@ -750,15 +752,80 @@ def test_one_row_per_orbit_keeps_every_verdict_and_witness(tol):
 
 
 def _first_of_each_orbit(u, names, rows):
-    """The rows that no earlier row maps to under any permutation of the
-    valuations of the fields ``names``, each permutation tried."""
+    """The rows that no earlier row decides alike, each permutation of the
+    valuations of the fields ``names`` tried: a row stands for its
+    reduction, which keeps, of the classes (valuations of ``names``) that
+    hold one set of projections on the other fields, only the least, and
+    two rows decide alike when a permutation maps one reduction to the
+    other."""
     perms = _valuation_perms(u, names)
+    at = [i for i, d in enumerate(u.decls) if d.name in names]
+
+    def reduced(a):
+        held = {}  # class -> the projections its packets hold
+        for x in a:
+            v = u.decode(x)
+            c = tuple(v[i] for i in at)
+            held.setdefault(c, set()).add(tuple(w for i, w in enumerate(v) if i not in at))
+        firsts = {}
+        for c in sorted(held):
+            firsts.setdefault(frozenset(held[c]), c)
+        keep = set(firsts.values())
+        return frozenset(x for x in a if tuple(u.decode(x)[i] for i in at) in keep)
     firsts, seen = [], set()
     for a in rows:
-        if a not in seen:
+        r = reduced(a)
+        if r not in seen:
             firsts.append(a)
-            seen.update(phi(a) for phi in perms)
+            seen.update(phi(r) for phi in perms)
     return firsts
+
+
+def _joins(decide, mu, nu, tol):
+    """Whether a packet whose singleton rows are ``mu`` and ``nu`` is left
+    out of the rows: one point mass on both sides, on the empty set for
+    ``equiv`` at a ``tol`` above 0."""
+    return (mu == nu and len(mu.nums) == 1
+            and (decide is leq or not tol or EMPTY in mu.nums))
+
+
+def _expected_rows(decide, p, q, u, untouched, tol=0):
+    """The rows a decision over all subsets reads, once per side, in order:
+    for a choice-free pair the empty row and the singletons; otherwise the
+    singletons, one per orbit, up to the first that fails, then the
+    subsets of the packets not left out before it (``_joins``), one per
+    orbit, up to the first that fails.  Orbits as ``_first_of_each_orbit``
+    finds them; rows from a kernel per side."""
+    cp, cq = desugar(p), desugar(q)
+    spec = InputSpec.all_subsets(u.all_packets())
+    if not has_choice(cp) and not has_choice(cq):
+        return _first_of_each_orbit(u, untouched, list(spec.singleton_rows()))
+    kp, kq = Kernel(cp, u), Kernel(cq, u)
+    singletons = [frozenset({x}) for x in spec.subset_base]
+    firsts = set(_first_of_each_orbit(u, untouched, singletons))
+    scan, left_out = [], set()
+    for a in singletons:
+        mu, nu = kp.row(cp, a), kq.row(cq, a)
+        if a in firsts:
+            scan.append(a)
+            if not _fresh_verdict(decide, [(a, mu, nu)], tol).holds():
+                break
+        if _joins(decide, mu, nu, tol):
+            left_out |= a
+    kept = InputSpec.all_subsets(set(spec.subset_base) - left_out)
+    for a in _first_of_each_orbit(u, untouched, list(kept.rows())):
+        scan.append(a)
+        if not _fresh_verdict(decide, [(a, kp.row(cp, a), kq.row(cq, a))], tol).holds():
+            break
+    return scan
+
+
+def _counting_rows(monkeypatch):
+    """The inputs of every ``Kernel.row`` call from now on, in order."""
+    calls = []
+    row = Kernel.row
+    monkeypatch.setattr(Kernel, "row", lambda k, p, a: calls.append(a) or row(k, p, a))
+    return calls
 
 
 @pytest.mark.parametrize("left,right,untouched", [
@@ -770,7 +837,8 @@ def _first_of_each_orbit(u, names, rows):
     # choice-free: the empty row and the singletons
     ("f:=1 & f=0", "f=0 & f:=1", "gh"),
     ("h:=0 ; g:=1", "g:=1 ; h:=0", "f"),
-    # every field touched: every row
+    # every field touched: every row but those holding a packet that both
+    # sides map to one point mass (g=0 ones, dropped, in the first pair)
     ("(f:=1 +[1/3] h:=0)* ; g=1", "g=1 ; (f:=1 +[1/3] h:=0)*", ""),
     ("f=1 ; g:=0 & h:=1", "h:=1 & g:=0 ; f=1", ""),
 ])
@@ -782,13 +850,12 @@ def test_the_kernel_is_called_once_per_orbit_per_side(uni8, monkeypatch, left, r
     rows = list(spec.singleton_rows() if det else spec.rows())
     firsts = _first_of_each_orbit(uni8, untouched, rows)
     assert len(firsts) < len(rows) if untouched else firsts == rows
-    calls = []
-    row = Kernel.row
-    monkeypatch.setattr(Kernel, "row", lambda k, p, a: calls.append(a) or row(k, p, a))
+    calls = _counting_rows(monkeypatch)
     for decide in (equiv, leq):
+        want = _expected_rows(decide, p, q, uni8, untouched)
         calls.clear()
         assert decide(p, q, spec, uni8).holds()
-        assert calls == [a for a in firsts for _ in "pq"]
+        assert calls == [a for a in want for _ in "pq"]
 
 
 def test_an_explicit_spec_in_one_orbit_is_evaluated_once(uni8, monkeypatch):
@@ -802,11 +869,145 @@ def test_an_explicit_spec_in_one_orbit_is_evaluated_once(uni8, monkeypatch):
             frozenset({pk(f=0, g=1, h=1), pk(f=1, g=0, h=0)}),
             frozenset({pk(f=0, g=0, h=1), pk(f=1, g=1, h=1)}),
             frozenset({pk(f=0, g=1, h=0), pk(f=1, g=1, h=0)})]
-    calls = []
-    row = Kernel.row
-    monkeypatch.setattr(Kernel, "row", lambda k, p, a: calls.append(a) or row(k, p, a))
+    calls = _counting_rows(monkeypatch)
     assert equiv(p, q, InputSpec.of_sets(sets[:3]), uni8).result == "equal"
     assert calls == [sets[0]] * 2
     calls.clear()
     assert equiv(p, q, InputSpec.of_sets(sets), uni8).result == "equal"
     assert calls == [sets[0]] * 2 + [sets[3]] * 2
+
+
+# -- packets that both sides map to one point mass ------------------------------
+
+def _choice_free(rng, u):
+    while True:
+        d = random_program(rng, u, 2, stars=1)
+        if not has_choice(d):
+            return d
+
+
+def _nudged(choice, step):
+    """``choice`` with its first weight moved by ``step``, or back by it
+    where that would leave (0, 1)."""
+    w = choice.weights[0]
+    w = w + step if 0 < w + step < 1 else w - step
+    return Choice.chain(choice.parts, (w, *choice.weights[1:]))
+
+
+def _joining_pairs(rng, u, count):
+    """(decide, left, right), each side ``t ; d & !t ; r`` with a random
+    guard t, a choice-free d (so both sides map each packet t passes to
+    one point mass, often the same) and a random binary choice r.  The
+    right side is the left built apart; the left with r's weight moved by
+    1/16 (equal within 0.125) or 3/16; with r's coins flipped once per
+    value of a field, which keeps every singleton row; with d or r
+    replaced; or, for ``leq``, the left joined with a random branch,
+    either way round."""
+    def side(t, d, r):
+        return Union(Seq(t, d), Seq(Neg(t), r))
+    for _ in range(count):
+        t, d = random_predicate(rng, u, 2), _choice_free(rng, u)
+        r = Choice(rng.choice(WEIGHTS), *(random_program(rng, u, 2, stars=1) for _ in "ab"))
+        if rng.random() < 0.3:
+            d = Seq(d, random_predicate(rng, u, 1))  # some point masses on {}
+        p = side(t, d, r)
+        copy = lambda prog: parse(pretty(prog), u)  # noqa: E731 -- equal, built apart
+        yield equiv, p, copy(p)
+        for step in (Fraction(1, 16), Fraction(3, 16)):
+            yield rng.choice((equiv, leq)), p, side(copy(t), copy(d), _nudged(r, step))
+        x = rng.choice(u.decls).name  # r's coins flipped once per value of x
+        split = Union(Seq(Test(x, 0), copy(r)), Seq(Test(x, 1), copy(r)))
+        yield rng.choice((equiv, leq)), p, side(t, d, split)
+        yield equiv, p, side(t, _choice_free(rng, u), r)
+        yield equiv, p, side(t, d, random_program(rng, u, 2, stars=1))
+        wider = Union(p, Seq(random_predicate(rng, u, 1), random_program(rng, u, 1, stars=0)))
+        yield (leq, p, wider) if rng.random() < 0.5 else (leq, wider, p)
+
+
+@pytest.mark.parametrize("tol", [0, 0.125], ids=["exact", "tol"])
+def test_leaving_out_joined_packets_keeps_every_verdict_and_witness(uni8, tol):
+    # Over all 256 input sets, both decisions must give the verdict and
+    # witness of a kernel per side that reads every row, with and without
+    # packets that both sides map to one point mass.
+    rng = random.Random(59)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    seen, pairs, joined = set(), 0, 0
+    for decide, p, q in _joining_pairs(rng, uni8, 20):
+        pairs += 1
+        cp, cq = desugar(p), desugar(q)
+        kp, kq = Kernel(cp, uni8), Kernel(cq, uni8)
+        rows = [(a, kp.row(cp, a), kq.row(cq, a)) for a in spec.rows()]
+        joined += any(_joins(decide, mu, nu, tol) for a, mu, nu in rows if len(a) == 1)
+        got = decide(p, q, spec, uni8, tol=tol)
+        assert got == _fresh_verdict(decide, rows, tol), (pretty(p), pretty(q))
+        seen.add(got.result)
+    assert pairs >= 60 and joined >= pairs // 2
+    assert seen == {"equal", "not-equal", "leq", "not-leq"}
+
+
+def test_a_point_mass_on_a_nonempty_set_is_kept_within_a_tolerance(uni8):
+    # f=1 packets go to v = {f1g1h1} on both sides; an f=0 packet takes
+    # {} or v with 1/2 each on the left, and {}, v, w or z with 2/5, 2/5,
+    # 1/10, 1/10 on the right, within 1/8.  On {f0g0h0, f1g0h0} the join
+    # with v merges {} and v on the left alone, so the rows differ by 1/5
+    # on v: without the f=1 packets the pair would be equal within 1/8.
+    pk = uni8.packet
+    v = frozenset({pk(f=1, g=1, h=1)})
+    to_v = "f:=1 ; g:=1 ; h:=1"
+    p = parse(f"f=1 ; {to_v} & f=0 ; (drop +[1/2] {to_v})", uni8)
+    q = parse(f"f=1 ; {to_v} & f=0 ; choice {{ 2/5: drop, 2/5: {to_v}, "
+              "1/10: g:=0 ; h:=0, 1/10: g:=1 ; h:=0 }", uni8)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    a = frozenset({pk(f=0, g=0, h=0), pk(f=1, g=0, h=0)})
+    want = Verdict("not-equal", Witness(a, v, Fraction(1), Fraction(4, 5)), 0.125)
+    assert equiv(p, q, spec, uni8, tol=0.125) == want
+    assert equiv(p, q, InputSpec.of_sets(spec.rows()), uni8, tol=0.125) == want
+    f0 = InputSpec.all_subsets([x for x in uni8.all_packets() if uni8.decode(x)[0] == 0])
+    assert equiv(p, q, f0, uni8, tol=0.125).result == "equal"
+    assert leq(p, q, spec, uni8, tol=0.125) == leq(p, q, InputSpec.of_sets(spec.rows()),
+                                                   uni8, tol=0.125)
+
+
+# One coin for both f=0 packets on the left, one per value of h on the
+# right: the rows agree on every singleton and first differ on
+# {f0g0h0, f0g0h1}, mask 17, 1/2 against 1/4.
+COIN = "(g:=1 +[1/2] g:=0)"
+ONE_COIN = f"f=0 ; {COIN}"
+TWO_COINS = f"f=0 ; h=0 ; {COIN} & f=0 ; h=1 ; {COIN}"
+
+
+@pytest.mark.parametrize("decide", [equiv, leq])
+def test_a_singleton_over_budget_after_the_verdict_is_not_raised(uni8, decide):
+    # The f1g0h1 packet enters a star whose chain exceeds a budget of 2
+    # states; its singleton comes after the failing row in mask order, so
+    # every row up to the verdict is decided as when each row was read in
+    # turn, and the star is never reached.
+    big = "f=1 ; g=0 ; h=1 ; (f:=0 +[1/2] f:=1)*"
+    p, q = parse(f"{ONE_COIN} & {big}", uni8), parse(f"{TWO_COINS} & {big}", uni8)
+    pk = uni8.packet
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    with pytest.raises(BudgetExceededError):
+        decide(p, q, InputSpec.of_sets([frozenset({pk(f=1, g=0, h=1)})]), uni8,
+               state_budget=2)
+    got = decide(p, q, spec, uni8, state_budget=2)
+    assert got == decide(p, q, InputSpec.of_sets(spec.rows()), uni8, state_budget=2)
+    assert got.witness.input_set == {pk(f=0, g=0, h=0), pk(f=0, g=0, h=1)}
+    assert (got.witness.left_prob, got.witness.right_prob) == (Fraction(1, 2), Fraction(1, 4))
+
+
+def test_the_singletons_are_read_up_to_the_first_that_fails(uni8, monkeypatch):
+    # The f0g0h1 singleton, the fifth, fails: the right side sets g where
+    # the left flips a coin.  The f=1 packets before it go to {} on both
+    # sides and are left out; the rows then run to the failing singleton.
+    p = parse(f"f=1 ; h:=1 ; drop & {ONE_COIN}", uni8)
+    q = parse(f"f=1 ; drop & f=0 ; h=0 ; {COIN} & f=0 ; h=1 ; g:=1", uni8)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    calls = _counting_rows(monkeypatch)
+    for decide in (equiv, leq):
+        want = _expected_rows(decide, p, q, uni8, "")
+        calls.clear()
+        got = decide(p, q, spec, uni8)
+        assert got.witness.input_set == {uni8.packet(f=0, g=0, h=1)}
+        assert want == [frozenset({x}) for x in range(5)] + [
+            frozenset(), frozenset({0}), frozenset({2}), frozenset({0, 2}), frozenset({4})]
+        assert calls == [a for a in want for _ in "pq"]
