@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigstep import Kernel
@@ -95,23 +95,9 @@ class InputSpec:
             raise _exceeds(n, self.cap)
 
     def rows(self):
-        """The explicit sets, or every subset of the base in mask order: bit
-        i of the mask takes ``subset_base[i]``.  Each subset is the one
-        without its lowest packet, which comes before it, plus that
-        packet: a union sizes the set for its packets, where one grown
-        from a generator takes about half again as much memory from five
-        packets on."""
-        if self.explicit is not None:
-            yield from self.explicit
-            return
-        base = self.subset_base
-        subsets = [EMPTY]
-        yield EMPTY
-        for mask in range(1, 1 << len(base)):
-            low = mask & -mask
-            s = subsets[mask ^ low] | {base[low.bit_length() - 1]}
-            subsets.append(s)
-            yield s
+        """The explicit sets, or every subset of the base in mask order (see
+        ``_subsets``)."""
+        return iter(self.explicit) if self.explicit is not None else _subsets(self.subset_base)
 
     def singleton_rows(self):
         """The empty set plus all singletons of the base; used by the
@@ -119,6 +105,24 @@ class InputSpec:
         yield EMPTY
         for p in self.subset_base:
             yield frozenset((p,))
+
+
+def _subsets(packets):
+    """Every subset of ``packets`` in mask order: bit i of the mask takes
+    the i-th packet.  Each subset is the one without its lowest packet,
+    which comes before it, plus that packet: a union sizes the set for its
+    packets, where one grown from a generator takes about half again as
+    much memory from five packets on.  The next packet is taken from
+    ``packets`` only once every subset of those before it is out."""
+    subsets, taken = [EMPTY], []
+    yield EMPTY
+    for x in packets:
+        taken.append(x)
+        for mask in range(len(subsets), 2 * len(subsets)):
+            low = mask & -mask
+            s = subsets[mask ^ low] | {taken[low.bit_length() - 1]}
+            subsets.append(s)
+            yield s
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -208,13 +212,15 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     differences, so for ``equiv`` at ``tol`` > 0 only S = {} qualifies.
     Such a row fails only if the row on a - {x} fails, which comes earlier
     in mask order, so the first failing row holds no such packet.  For an
-    all-subsets spec of a pair with a choice, the singleton rows are
-    therefore read first, in mask order, one per orbit (a singleton's
-    orbit is fixed by its packet's projection on the touched fields, and
-    phi maps {} to itself), up to the first that fails or exceeds the
-    state budget; the packets D before it that join one set are left out,
-    and the rows are the subsets of the base without D, in mask order,
-    one per orbit.  These come in the order of all subsets, and the first
+    all-subsets spec of a pair with a choice, the rows are therefore the
+    subsets of the base without D, in mask order, one per orbit, where D
+    are the packets that join one set before the first singleton that
+    fails or exceeds the state budget.  A packet's singleton row is read,
+    one per orbit (a singleton's orbit is fixed by its packet's projection
+    on the touched fields, and phi maps {} to itself), once every row of
+    the packets before it has passed, and the packet's own rows follow
+    unless it joins one set: so no singleton past the first failing row is
+    read.  These rows come in the order of all subsets, and the first
     failing row is among them, so the verdict and the witness are those
     of every row.  A row left out is not evaluated, so it can neither fail
     nor exceed the budget.
@@ -234,8 +240,7 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     elif base is None:
         rows = inputs.rows()
     else:
-        kept = _unjoined(k, p, q, base, clear, excess, tol)
-        rows = replace(inputs, subset_base=kept).rows()
+        rows = _subsets(_unjoined(k, p, q, base, clear, excess, tol))
     if clear is not None:
         rows = _orbit_firsts(rows, clear)
     for a in rows:
@@ -253,26 +258,28 @@ def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol):
     """The packets of ``base``, in order, but those before the first
     failing singleton (by ``excess``, or one that exceeds the state
     budget) whose rows on both sides are one point mass on a set S, with S
-    empty for ``equiv`` at ``tol`` > 0.  One singleton per projection on
-    the touched fields is evaluated (every packet's own, when ``clear`` is
-    None)."""
+    empty for ``equiv`` at ``tol`` > 0.  A packet's singleton is read when
+    the packet is asked for, and one per projection on the touched fields
+    (every packet's own, when ``clear`` is None); from the first that
+    fails on, the packets are passed on unread."""
     any_set = excess is _upset_excess or not tol  # closeness survives joining {} alone
-    joins, left_out = {}, set()  # joins: a singleton's projection -> whether it joins
-    for x in base:
+    joins = {}  # a singleton's projection -> whether it joins
+    for n, x in enumerate(base):
         key = x if clear is None else x - clear(x)
         if key not in joins:
             a = frozenset((x,))
             try:
                 mu, nu = k.row(p, a), k.row(q, a)
+                fails = mu != nu and excess(mu, nu, tol) is not None
             except BudgetExceededError:
-                break
-            if mu != nu and excess(mu, nu, tol) is not None:
-                break
+                fails = True
+            if fails:
+                yield from base[n:]
+                return
             joins[key] = (mu == nu and len(mu.nums) == 1
                           and (any_set or EMPTY in mu.nums))
-        if joins[key]:
-            left_out.add(x)
-    return tuple([x for x in base if x not in left_out])
+        if not joins[key]:
+            yield x
 
 
 def _orbit_firsts(rows, clear):

@@ -23,14 +23,23 @@ Weights are ``a/b`` rationals, integers, or decimal literals (converted
 exactly, e.g. ``0.8`` becomes ``4/5``).  ``//`` comments run to end of line.
 A program file may start with a header ``fields { name : size ; ... }``
 declaring the universe.
+
+The lexer is one regex pass that yields the token texts, and the parser
+reads them by index; a token's kind follows from its text, and its line
+and column are worked out only for an error.  Well-formedness is checked
+as atoms and guards are built (fields and values against the universe,
+predicates under ``!`` and as guards, n-ary weights): a failed check only
+marks the parse, which goes on, so a later syntax error wins, and once it
+ends ``syntax.validate`` raises the error of a marked program.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
-from .errors import ParseError, WellFormednessError
+from .errors import ParseError, PnkError, WellFormednessError
 from .syntax import (
     MAX_DEPTH, Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program,
     Skip, Star, Test, Var, While, seq, union, validate,
@@ -42,260 +51,258 @@ KEYWORDS = {
     "choice", "fields",
 }
 
-# One alternative per kind of token, tried in order at each position; the
-# unnamed ones are blanks.  Identifiers start with a letter or "_" and go on
-# with letters, digits and "_" (``str.isalnum``), as ``\w`` does.
-_TOKENS = re.compile(r"""
-    (?P<newline>\n) | [ \t\r]+ | (?P<comment>//[^\n]*)
-  | (?P<number>\d+\.\d+) | (?P<nat>\d+) | (?P<ident>[^\W\d]\w*)
-  | (?P<symbol>:= | \+\[ | [=;&!*(){}:,\]/])
-""", re.VERBOSE)
+_SYMBOLS = (":=", "+[", "=", ";", "&", "!", "*", "(", ")", "{", "}", ":", ",", "]", "/")
+
+# One match per token: the blanks, newlines and comments before it, then the
+# token text, the one group.  Its alternatives, in order: an identifier (a
+# ``\w`` that is not a digit, then ``\w``s), a symbol, a natural number or a
+# decimal, any other character and, at the end of the input only, the empty
+# text: eof.  A token of no kind (``_kind``: another character, or a word
+# that starts with neither a letter nor "_") is the lexer's error, looked
+# for only once a parse has failed.  The group always
+# matches, so the blanks and comments are never given back to it.  The eof
+# may come twice (after trailing blanks); the parser stops at the first.
+_TOKENS = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*([^\W\d]\w*|"
+                     + "|".join(map(re.escape, _SYMBOLS)) + r"|\d+(?:\.\d+)?|.|)")
+_lex = _TOKENS.findall
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # 'ident' | 'nat' | 'number' | symbol text | 'eof'
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r})"
+def _kind(text: str) -> str | None:
+    """'ident', 'nat', 'number', the symbol or 'eof' that a token text is,
+    or None for a character that starts no token."""
+    c = text[:1]
+    if c.isalpha() or c == "_":
+        return "ident"
+    if c.isdecimal():
+        return "nat" if text.isdecimal() else "number"
+    return text if text in _SYMBOLS else None if text else "eof"
 
 
-def _lex(src: str) -> list[_Token]:
-    """The tokens of ``src``, in one pass of ``_TOKENS``.  A column counts
-    characters from 1, and a comment adds none."""
-    toks, match = [], _TOKENS.match
-    pos, line, start, n = 0, 1, 0, len(src)  # start: where the line starts
-    while pos < n:
-        m = match(src, pos)
-        kind = m and m.lastgroup
-        if m is None or kind == "ident" and not (src[pos].isalpha() or src[pos] == "_"):
-            raise ParseError(f"unexpected character {src[pos]!r}", line, pos - start + 1)
-        end = m.end()
-        if kind == "newline":
-            line, start = line + 1, end
-        elif kind == "comment":
-            start += end - pos
-        elif kind is not None:
-            text = m.group()
-            toks.append(_Token(text if kind == "symbol" else kind, text, line, pos - start + 1))
-        pos = end
-    toks.append(_Token("eof", "", line, pos - start + 1))
-    return toks
+def _where(src: str, j: int) -> tuple[int, int]:
+    """The line and column, both from 1, of token ``j`` of ``src``; a
+    comment adds no column."""
+    at = next(itertools.islice(_TOKENS.finditer(src), j, None)).start(1)
+    start = src.rfind("\n", 0, at) + 1
+    comment = src.find("//", start, at)  # only the eof follows a comment on its line
+    return src.count("\n", 0, at) + 1, (at if comment < 0 else comment) - start + 1
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
-        self.depth = 0  # nested ``expr`` calls and ``!``s
+def _check_chars(src: str, toks: list) -> None:
+    """The lexer's error, at the first token text of no kind, if there is one."""
+    for j, t in enumerate(toks):
+        if _kind(t) is None:
+            raise ParseError(f"unexpected character {t[0]!r}", *_where(src, j))
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
 
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+def _parse(src: str, universe: PacketUniverse | None,
+           header: bool) -> tuple[PacketUniverse, Program]:
+    """``(universe, program)`` of ``src``, with a ``fields`` header read
+    first when ``header`` is set.  An error at a character that starts no
+    token comes first, as if the whole text were lexed before it is
+    parsed."""
+    toks = _lex(src)
+    i = depth = 0  # the next token; nested ``expr`` calls and ``!``s
+    ill = False  # a well-formedness check failed: ``validate`` says which
+    digits = None  # the universe's field -> (weight, size)
 
-    def expect(self, kind) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
+    def fail(msg, at=None):
+        raise ParseError(msg, *_where(src, i if at is None else at))
 
-    def enter(self) -> None:
+    def expect(word):
+        nonlocal i
+        if toks[i] != word:
+            fail(f"expected {word!r}, found {toks[i] or 'eof'!r}")
+        i += 1
+
+    def enter():
         """One level deeper; past ``MAX_DEPTH`` a ``ParseError``, raised
         before the recursion could exhaust the stack."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            t = self.peek()
-            raise ParseError(f"program nests deeper than {MAX_DEPTH} levels", t.line, t.col)
+        nonlocal depth
+        depth += 1
+        if depth > MAX_DEPTH:
+            fail(f"program nests deeper than {MAX_DEPTH} levels")
 
-    def accept(self, kind) -> bool:
-        """Take the next token if it is a ``kind``."""
-        if self.peek().kind != kind:
-            return False
-        self.pos += 1
-        return True
+    def nat():
+        nonlocal i
+        t = toks[i]
+        if not t.isdecimal():
+            fail(f"expected 'nat', found {t or 'eof'!r}")
+        i += 1
+        return int(t)
 
-    def at_keyword(self, word) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
-
-    def expect_keyword(self, word) -> _Token:
-        t = self.peek()
-        if not self.at_keyword(word):
-            raise ParseError(f"expected {word!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.next()
-
-    # -- weights ---------------------------------------------------------
-
-    def weight(self) -> Fraction:
-        t = self.peek()
-        if t.kind == "number":
-            self.next()
-            w = Fraction(t.text)  # exact decimal conversion
-        elif t.kind == "nat":
-            self.next()
-            num = int(t.text)
-            if self.accept("/"):
-                den = int(self.expect("nat").text)
+    def weight():
+        nonlocal i
+        at, t = i, toks[i]
+        if t.isdecimal():
+            i += 1
+            if toks[i] == "/":
+                i += 1
+                den = nat()
                 if den == 0:
-                    raise ParseError("weight denominator is zero", t.line, t.col)
-                w = Fraction(num, den)
+                    fail("weight denominator is zero", at)
+                w = Fraction(int(t), den)
             else:
-                w = Fraction(num)
+                w = Fraction(int(t))
+        elif t[:1].isdecimal():
+            i += 1
+            w = Fraction(t)  # exact decimal conversion
         else:
-            raise ParseError(f"expected a weight, found {t.text or t.kind!r}", t.line, t.col)
+            fail(f"expected a weight, found {t or 'eof'!r}")
         if not (0 <= w <= 1):
-            raise ParseError(f"weight {w} outside [0, 1]", t.line, t.col)
+            fail(f"weight {w} outside [0, 1]", at)
         return w
 
-    def nat(self) -> int:
-        return int(self.expect("nat").text)
+    def field_name():
+        nonlocal i
+        t = toks[i]
+        if not (t[:1].isalpha() or t[:1] == "_"):
+            fail(f"expected 'ident', found {t or 'eof'!r}")
+        if t in KEYWORDS:
+            fail(f"{t!r} is a reserved word")
+        i += 1
+        return t
 
-    # -- expression grammar ------------------------------------------------
-
-    def expr(self) -> Program:
+    def expr() -> Program:
         """``expr``, ``union`` and ``seqexp`` of the grammar, as loops in one
         frame: a level of parentheses costs three frames (expr, unary, atom)."""
-        self.enter()
+        nonlocal i, depth
+        enter()
         parts, weights = [], []
         while True:
             unions = []
             while True:
-                seqs = [self.unary()]
-                while self.accept(";"):
-                    seqs.append(self.unary())
+                seqs = [unary()]
+                while toks[i] == ";":
+                    i += 1
+                    seqs.append(unary())
                 unions.append(seq(*seqs))
-                if not self.accept("&"):
+                if toks[i] != "&":
                     break
+                i += 1
             parts.append(union(*unions))
-            if not self.accept("+["):
+            if toks[i] != "+[":
                 break
-            weights.append(self.weight())
-            self.expect("]")
-        self.depth -= 1
+            i += 1
+            weights.append(weight())
+            expect("]")
+        depth -= 1
         return Choice.chain(parts, weights)
 
-    def unary(self) -> Program:
+    def unary() -> Program:
         """``unary`` and ``postfix`` of the grammar: ``!``s, an atom, ``*``s."""
+        nonlocal i, depth, ill
         negs = 0
-        while self.accept("!"):
-            self.enter()
+        while toks[i] == "!":
+            i += 1
+            enter()
             negs += 1
-        out = self.atom()
-        while self.accept("*"):
+        out = atom()
+        while toks[i] == "*":
+            i += 1
             out = Star(out)
-        for _ in range(negs):
-            out = Neg(out)
-        self.depth -= negs
+        if negs:
+            ill |= not out.predicate
+            for _ in range(negs):
+                out = Neg(out)
+            depth -= negs
         return out
 
-    def atom(self) -> Program:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
-            out = self.expr()
-            self.expect(")")
+    def atom() -> Program:
+        nonlocal i, ill
+        t = toks[i]
+        i += 1
+        if t not in KEYWORDS and t != "(":  # a field test or assignment
+            if not (t[:1].isalpha() or t[:1] == "_"):
+                fail(f"expected a program, found {t or 'eof'!r}", i - 1)
+            op = toks[i]
+            if op != "=" and op != ":=":
+                fail(f"expected '=' or ':=' after field {t!r}")
+            i += 1
+            value = nat()
+            ill |= value >= digits.get(t, (0, 0))[1]  # an unknown field has size 0
+            return Test(t, value) if op == "=" else Assign(t, value)
+        if t == "(":
+            out = expr()
+            expect(")")
             return out
-        if t.kind != "ident":
-            raise ParseError(f"expected a program, found {t.text or t.kind!r}", t.line, t.col)
-        word = t.text
-        if word == "drop":
-            self.next()
+        if t == "drop":
             return Drop()
-        if word == "skip":
-            self.next()
+        if t == "skip":
             return Skip()
-        if word == "if":
-            self.next()
-            guard = self.expr()
-            self.expect_keyword("then")
-            then = self.expr()
-            self.expect_keyword("else")
-            other = self.expr()
+        if t == "if":
+            guard = expr()
+            expect("then")
+            then = expr()
+            expect("else")
+            other = expr()
+            ill |= not guard.predicate
             return If(guard, then, other)
-        if word == "while":
-            self.next()
-            guard = self.expr()
-            self.expect_keyword("do")
-            return While(guard, self.expr())
-        if word == "do":
-            self.next()
-            body = self.expr()
-            self.expect_keyword("while")
-            return DoWhile(body, self.expr())
-        if word == "var":
-            self.next()
-            name = self.field_name()
-            self.expect(":=")
-            value = self.nat()
-            self.expect_keyword("in")
-            return Var(name, value, self.expr())
-        if word == "choice":
-            self.next()
-            self.expect("{")
+        if t == "while":
+            guard = expr()
+            expect("do")
+            ill |= not guard.predicate
+            return While(guard, expr())
+        if t == "do":
+            body = expr()
+            expect("while")
+            guard = expr()
+            ill |= not guard.predicate
+            return DoWhile(body, guard)
+        if t == "var":
+            name = field_name()
+            expect(":=")
+            value = nat()
+            expect("in")
+            ill |= value >= digits.get(name, (0, 0))[1]
+            return Var(name, value, expr())
+        if t == "choice":
+            expect("{")
             branches = []
             while True:
-                w = self.weight()
-                self.expect(":")
-                branches.append((self.expr(), w))
-                if not self.accept(","):
+                w = weight()
+                expect(":")
+                branches.append((expr(), w))
+                if toks[i] != ",":
                     break
-            self.expect("}")
-            return NaryChoice(tuple((q, w) for q, w in branches))
-        if word in KEYWORDS:
-            raise ParseError(f"unexpected keyword {word!r}", t.line, t.col)
-        # Field test or assignment.
-        self.next()
-        nxt = self.peek()
-        if nxt.kind == "=":
-            self.next()
-            return Test(word, self.nat())
-        if nxt.kind == ":=":
-            self.next()
-            return Assign(word, self.nat())
-        raise ParseError(f"expected '=' or ':=' after field {word!r}", nxt.line, nxt.col)
+                i += 1
+            expect("}")
+            ill |= sum(w for _, w in branches) != 1
+            return NaryChoice(branches)
+        fail(f"unexpected keyword {t!r}", i - 1)
 
-    def field_name(self) -> str:
-        t = self.expect("ident")
-        if t.text in KEYWORDS:
-            raise ParseError(f"{t.text!r} is a reserved word", t.line, t.col)
-        return t.text
-
-    # -- fields header -------------------------------------------------------
-
-    def fields_header(self) -> PacketUniverse | None:
-        if not self.at_keyword("fields"):
-            return None
-        self.next()
-        self.expect("{")
-        decls = []
-        while not self.peek().kind == "}":
-            name = self.field_name()
-            self.expect(":")
-            size = self.nat()
-            decls.append(FieldDecl(name, size))
-            self.accept(";")
-        self.expect("}")
-        return PacketUniverse(decls)
+    try:
+        if header and toks[0] == "fields":
+            i = 1
+            expect("{")
+            decls = []
+            while toks[i] != "}":
+                name = field_name()
+                expect(":")
+                decls.append(FieldDecl(name, nat()))
+                if toks[i] == ";":
+                    i += 1
+            expect("}")
+            declared = PacketUniverse(decls)
+            if universe is not None and declared != universe:
+                raise WellFormednessError("program header disagrees with the supplied universe")
+            universe = declared
+        if universe is None:
+            raise WellFormednessError("no universe: pass one or add a fields header")
+        digits = universe._digits
+        prog = expr()
+        if toks[i]:
+            fail(f"trailing input {toks[i]!r}")
+    except PnkError:
+        _check_chars(src, toks)
+        raise
+    if ill:
+        validate(prog, universe)
+    return universe, prog
 
 
 def parse(text: str, universe: PacketUniverse) -> Program:
     """Parse a program expression and validate it against ``universe``."""
-    p = _Parser(_lex(text))
-    prog = p.expr()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    validate(prog, universe)
-    return prog
+    return _parse(text, universe, False)[1]
 
 
 def parse_file_text(text: str, universe: PacketUniverse | None = None):
@@ -304,16 +311,4 @@ def parse_file_text(text: str, universe: PacketUniverse | None = None):
     Returns ``(universe, program)``.  A universe passed in must agree with
     the header if both are present.
     """
-    p = _Parser(_lex(text))
-    header = p.fields_header()
-    if header is not None and universe is not None and header != universe:
-        raise WellFormednessError("program header disagrees with the supplied universe")
-    uni = header or universe
-    if uni is None:
-        raise WellFormednessError("no universe: pass one or add a fields header")
-    prog = p.expr()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    validate(prog, uni)
-    return uni, prog
+    return _parse(text, universe, True)

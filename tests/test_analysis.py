@@ -791,11 +791,14 @@ def _joins(decide, mu, nu, tol):
 
 def _expected_rows(decide, p, q, u, untouched, tol=0):
     """The rows a decision over all subsets reads, once per side, in order:
-    for a choice-free pair the empty row and the singletons; otherwise the
-    singletons, one per orbit, up to the first that fails, then the
-    subsets of the packets not left out before it (``_joins``), one per
-    orbit, up to the first that fails.  Orbits as ``_first_of_each_orbit``
-    finds them; rows from a kernel per side."""
+    for a choice-free pair the empty row and the singletons; otherwise two
+    scans merged.  One reads the singletons, one per orbit, up to the first
+    that fails; the other the subsets of the packets not left out before it
+    (``_joins``), one per orbit, up to the first that fails.  A packet's
+    singleton comes after the rows of the packets before it and before its
+    own, and no singleton of a packet after the first failing row's last
+    one is read.  Orbits as ``_first_of_each_orbit`` finds them; rows from
+    a kernel per side."""
     cp, cq = desugar(p), desugar(q)
     spec = InputSpec.all_subsets(u.all_packets())
     if not has_choice(cp) and not has_choice(cq):
@@ -813,11 +816,15 @@ def _expected_rows(decide, p, q, u, untouched, tol=0):
         if _joins(decide, mu, nu, tol):
             left_out |= a
     kept = InputSpec.all_subsets(set(spec.subset_base) - left_out)
+    rows, last = [], len(spec.subset_base)
     for a in _first_of_each_orbit(u, untouched, list(kept.rows())):
-        scan.append(a)
+        rows.append(a)
         if not _fresh_verdict(decide, [(a, kp.row(cp, a), kq.row(cq, a))], tol).holds():
+            last = max(a, default=-1)
             break
-    return scan
+    merged = [(x, 0, a) for a in scan for x in a if x <= last]
+    merged += [(max(a, default=-1), 1, a) for a in rows]
+    return [a for *_, a in sorted(merged, key=lambda m: m[:2])]
 
 
 def _counting_rows(monkeypatch):
@@ -998,7 +1005,8 @@ def test_a_singleton_over_budget_after_the_verdict_is_not_raised(uni8, decide):
 def test_the_singletons_are_read_up_to_the_first_that_fails(uni8, monkeypatch):
     # The f0g0h1 singleton, the fifth, fails: the right side sets g where
     # the left flips a coin.  The f=1 packets before it go to {} on both
-    # sides and are left out; the rows then run to the failing singleton.
+    # sides and are left out; each singleton is read once the rows of the
+    # packets before it have passed, and the rows run to the failing one.
     p = parse(f"f=1 ; h:=1 ; drop & {ONE_COIN}", uni8)
     q = parse(f"f=1 ; drop & f=0 ; h=0 ; {COIN} & f=0 ; h=1 ; g:=1", uni8)
     spec = InputSpec.all_subsets(uni8.all_packets())
@@ -1008,6 +1016,28 @@ def test_the_singletons_are_read_up_to_the_first_that_fails(uni8, monkeypatch):
         calls.clear()
         got = decide(p, q, spec, uni8)
         assert got.witness.input_set == {uni8.packet(f=0, g=0, h=1)}
-        assert want == [frozenset({x}) for x in range(5)] + [
-            frozenset(), frozenset({0}), frozenset({2}), frozenset({0, 2}), frozenset({4})]
+        assert want == [frozenset(), frozenset({0}), frozenset({0}), frozenset({1}),
+                        frozenset({2}), frozenset({2}), frozenset({0, 2}), frozenset({3}),
+                        frozenset({4}), frozenset({4})]
         assert calls == [a for a in want for _ in "pq"]
+
+
+@pytest.mark.parametrize("decide,left,right", [
+    (equiv, "f=1 ; h:=1 & " + ONE_COIN, "f=1 ; h:=1 & " + TWO_COINS),
+    (leq, "f=1 ; h:=1 & " + TWO_COINS, "f=1 ; h:=1 & " + ONE_COIN),
+])
+def test_no_singleton_past_the_first_failing_row_is_read(uni8, monkeypatch, decide,
+                                                         left, right):
+    # The CI pair: the f=1 packets go to {f1h1 with their g} on both sides
+    # and are left out, and the first failing row is {f0g0h0, f0g0h1}, mask
+    # 17.  The singletons of the packets after it, f1g0h1, f0g1h1 and
+    # f1g1h1 (masks 32 to 128), are never read, nor is any row that holds one.
+    p, q = parse(left, uni8), parse(right, uni8)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    want = _expected_rows(decide, p, q, uni8, "")
+    calls = _counting_rows(monkeypatch)
+    got = decide(p, q, spec, uni8)
+    assert got.witness.input_set == {0, 4}
+    assert calls == [a for a in want for _ in "pq"]
+    assert calls[-2:] == [frozenset({0, 4})] * 2
+    assert all(max(a, default=-1) < 5 for a in calls)

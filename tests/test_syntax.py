@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 from dataclasses import fields
 from fractions import Fraction
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from pnk import parser, syntax
 from pnk.analysis import estimate, sample_run
 from pnk.bigstep import Kernel
-from pnk.errors import ParseError, WellFormednessError
+from pnk.errors import ParseError, PnkError, UniverseError, WellFormednessError
+from pnk.netlib import F10_0, F10_3, F10_35, build_case_model, topology_by_name
 from pnk.parser import parse, parse_file_text
 from pnk.syntax import (
     Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Seq, Skip,
@@ -208,9 +210,17 @@ def _reference_lex(src):
 
 
 def _lexed(lex, src):
+    """The tokens of ``src`` as (kind, text, line, col), or the lexer's error
+    as (message, line, col).  ``parser._lex`` gives the token texts, up to
+    the first eof; their kinds, positions and error come from the parser's
+    own helpers."""
     try:
-        return [t if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
-                for t in lex(src)]
+        toks = lex(src)
+        if lex is parser._lex:
+            toks = toks[:toks.index("") + 1]
+            parser._check_chars(src, toks)
+            toks = [(parser._kind(t), t, *parser._where(src, j)) for j, t in enumerate(toks)]
+        return toks
     except ParseError as e:
         return str(e), e.line, e.col
 
@@ -231,6 +241,127 @@ def test_lexer_gives_the_tokens_of_the_reference_lexer(p):
 ])
 def test_lexer_gives_the_tokens_and_errors_of_the_reference_lexer(src):
     assert _lexed(parser._lex, src) == _lexed(_reference_lex, src)
+
+
+# Malformed sources and the error each raises: its class, message, line
+# and column (None for an error with no position).  A ``file`` source is a
+# program file, parsed with ``U`` when it has a ``fields`` header.
+MALFORMED = [
+    ("unclosed", "(sw=1 ; pt:=2", False, ParseError, "expected ')', found 'eof'", 1, 14),
+    ("unclosed-inner", "((skip) & drop", False, ParseError, "expected ')', found 'eof'", 1, 15),
+    ("no-bracket", "skip +[1/2 drop", False, ParseError, "expected ']', found 'drop'", 1, 12),
+    ("assign-at-end", "sw=1 ; pt :=", False, ParseError, "expected 'nat', found 'eof'", 1, 13),
+    ("keyword-var", "var then := 1 in skip", False, ParseError, "'then' is a reserved word", 1, 5),
+    ("keyword-field", "then=1", False, ParseError, "unexpected keyword 'then'", 1, 1),
+    ("empty-choice", "choice {}", False, ParseError, "expected a weight, found '}'", 1, 9),
+    ("char-after-comment", "skip // a comment\n  $ drop", False, ParseError,
+     "unexpected character '$'", 2, 3),
+    ("line-3-crlf-tabs", "sw=1 ;\r\n\tpt:=2 ;\r\n\t\t)", False, ParseError,
+     "expected a program, found ')'", 3, 3),
+    ("line-2-crlf-tab", "sw=1 ;\r\n\t@", False, ParseError, "unexpected character '@'", 2, 2),
+    ("syntax-after-unknown", "bogus=1 ; (", False, ParseError,
+     "expected a program, found 'eof'", 1, 12),
+    ("unknown-first", "bogus=1 ; sw=9", False, WellFormednessError, "unknown field 'bogus'",
+     None, None),
+    ("zero-denominator", "sw=9 ; f:=1 +[1/0] skip", False, ParseError,
+     "weight denominator is zero", 1, 15),
+    ("weight-above-1", "skip +[3/2] drop", False, ParseError, "weight 3/2 outside [0, 1]", 1, 8),
+    ("decimal-above-1", "skip +[1.5] drop", False, ParseError, "weight 3/2 outside [0, 1]", 1, 8),
+    ("trailing", "skip skip", False, ParseError, "trailing input 'skip'", 1, 6),
+    ("not-a-letter", "f:=\u00bd", False, ParseError, "unexpected character '\u00bd'", 1, 4),
+    ("too-deep", "(" * 151 + "skip" + ")" * 151, False, ParseError,
+     "program nests deeper than 150 levels", 1, 151),
+    ("eof-after-comment", "sw=1 ; // trailing", False, ParseError,
+     "expected a program, found 'eof'", 1, 8),
+    ("guard-first", "while f:=1 do bogus=1", False, WellFormednessError,
+     "loop guard is not a predicate", None, None),
+    ("syntax-after-guard", "if !(f:=1) then skip else drop ; ; ", False, ParseError,
+     "expected a program, found ';'", 1, 34),
+    ("nary-sum", "choice { 1/2: skip, 1/3: drop } ; pt=7", False, WellFormednessError,
+     "n-ary choice weights sum to 5/6, expected 1", None, None),
+    ("header-colon", "fields { sw : 4 ; pt 4 }\nskip", True, ParseError,
+     "expected ':', found '4'", 1, 22),
+    ("char-after-header", "fields { sw : 4 }\nsw=1 $", True, ParseError,
+     "unexpected character '$'", 2, 6),
+    ("header-duplicate", "fields { sw : 4 ; sw : 2 }\nskip", True, UniverseError,
+     "duplicate field 'sw'", None, None),
+    ("no-universe", "sw=1", True, WellFormednessError,
+     "no universe: pass one or add a fields header", None, None),
+]
+
+
+@pytest.mark.parametrize("src,file,cls,msg,line,col", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_sources_raise_their_pinned_errors(src, file, cls, msg, line, col):
+    with pytest.raises(PnkError) as err:
+        if file:
+            parse_file_text(src, U if src.startswith("fields") else None)
+        else:
+            parse(src, U)
+    e = err.value
+    assert type(e) is cls
+    assert (str(e), getattr(e, "line", None), getattr(e, "col", None)) == (
+        msg if line is None else f"{line}:{col}: {msg}", line, col)
+
+
+def faulty_strategy():
+    """``ast_strategy()`` trees with one or two ill-formed nodes: an unknown
+    field, a value out of range, a non-predicate under ``!`` or as a guard,
+    or n-ary weights that do not sum to 1; among them, faults in an ``if``
+    guard and its branches and in a ``do ... while`` body and its guard."""
+    trees = ast_strategy()
+    non_preds = trees.filter(lambda q: not is_predicate(q))
+    third = Fraction(1, 3)
+    fault = st.one_of(
+        st.sampled_from([Test("bogus", 1), Assign("nope", 0), Test("sw", 4), Assign("f", 8)]),
+        st.builds(lambda v, b: Var("f", v, b), st.integers(8, 12), trees),
+        st.builds(lambda b: Var("bogus", 0, b), trees),
+        st.builds(Neg, non_preds),
+        st.builds(If, non_preds, trees, trees),
+        st.builds(While, non_preds, trees),
+        st.builds(DoWhile, trees, non_preds),
+        st.builds(lambda a, b: NaryChoice(((a, third), (b, third))), trees, trees),
+    )
+    spot = st.one_of(fault, st.builds(Seq, trees, fault), st.builds(Union, fault, trees),
+                     st.builds(Star, fault), st.builds(Neg, fault))
+    return st.one_of(
+        spot,
+        st.builds(If, spot, trees, trees),
+        st.builds(If, trees.filter(is_predicate), spot, spot),
+        st.builds(If, spot, spot, trees),
+        st.builds(DoWhile, spot, trees.filter(is_predicate)),
+        st.builds(DoWhile, trees, spot),
+        st.builds(DoWhile, spot, spot),
+        st.builds(Seq, spot, spot),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_strategy())
+def test_parse_raises_what_validate_raises(p):
+    with pytest.raises(WellFormednessError) as want:
+        validate(p, U)
+    with pytest.raises(WellFormednessError) as got:
+        parse(pretty(p), U)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def _relaid(text, rng):
+    """``text`` with one of a space, newline, tab, CRLF or ``//`` comment
+    between each two tokens."""
+    layout = [" ", "\n", "\t", "\r\n", " // note\n", "\t// x := 1 +[\r\n"]
+    return "".join(t + rng.choice(layout) for t in re.findall(r":=|\+\[|\w+|\S", text))
+
+
+@pytest.mark.parametrize("topo", ["abfattree20", "abfattree45"])
+def test_case_study_programs_parse_back(topo):
+    # Texts of 4-32 KB, every F10 scheme at k = 0, 2 and inf.
+    rng = random.Random(11)
+    for scheme, k in itertools.product([F10_0, F10_3, F10_35], [0, 2, None]):
+        cm = build_case_model(scheme, topology_by_name(topo), k)
+        text = pretty(cm.program)
+        assert parse(text, cm.universe) is cm.program
+        assert parse(_relaid(text, rng), cm.universe) is cm.program
 
 
 @settings(max_examples=200, deadline=None)
