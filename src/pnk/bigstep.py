@@ -4,19 +4,24 @@ distributions.
 A kernel row is a ``Row`` (see ``row``).  The kernel computes exact rows
 only; in float mode, ``apply`` and ``row`` round them once.
 
-A kernel is a compiler.  On first use it compiles each node whose rows are
-requested, and each (star, filter) step of a sequence, once into a row
-function from a packet set to a ``Row`` (``Kernel._rows``) that owns its
-memo, keyed on the input set.  Nodes are interned (see ``syntax``), so
-equal subterms share one function.  Rows are shared, so nobody changes
-one.  No row function refers to its kernel, so a kernel is freed with its
-last reference, without the cycle collector.
+A kernel is a compiler.  *Node code*, a node's set map (below), union
+plan, sequence plan and factor facts, depends on nothing but the node and
+its *layout*, the weight and size of each field it reads or writes, so it
+is made once per node and layout and kept on the node (``Kernel._code``):
+the cells of a table over one topology share it.  *Kernel state* changes
+rows: each node whose rows are requested, and each (star, filter) step of
+a sequence, is compiled on first use into a row function from a packet
+set to a ``Row`` (``Kernel._rows``) that owns its memo, keyed on the input
+set.  Nodes are interned (see ``syntax``), so equal subterms share one
+function.  Rows are shared, so nobody changes one.  No code or row
+function refers to its kernel, so a kernel is freed with its last
+reference, without the cycle collector.
 
 Deterministic subterms are set maps.  A core program without ``+[r]`` is
 deterministic and additive: its row on a set a is the point mass on the
 union of its images of the packets in a (Anderson et al., POPL 2014).  So
-the kernel compiles each such node once (``Kernel._set_map``) into a map
-between packet sets; a star's is its body's reachability closure.  Such a
+each such node is compiled once (``Kernel._set_map``) into a map between
+packet sets; a star's is its body's reachability closure.  Such a
 node gets a row function only where its rows are requested, and it maps
 only the packets whose singleton row is not in its memo (``_additive``).
 Exact rows are built without ``Fraction``s and reduced where they are
@@ -24,15 +29,16 @@ made: by a choice's integer shares (``_shares``) and a bind's sum
 (``row.mixture``), and by a product (``&``) when two outcomes merge.
 
 ``Union`` and ``Seq`` nodes are n-ary, and each fixes its plan when it is
-compiled.  A union evaluates only the branches its guard table picks on
-a set: every other branch gives the empty set, whose point mass is the
-unit of ``&`` (every core program is strict).  A sequence is a fold of
+compiled.  A union evaluates only the branches its guard table, keyed on
+the fields every branch tests first, picks on a set: every other branch
+gives the empty set, whose point mass is the unit of ``&`` and where a
+bind stops (every core program is strict).  A sequence is a fold of
 binds over its plan's steps: a run of deterministic parts, or of factor
 nodes (below) that share a field, is one step, and the predicate parts
 after a star whose body has a choice are that star's filter, so ``p* ;
 t`` is one pair chain.  The row function of such a star owns its table of
-solved rows, keyed on the current set, which the chains it solves fill
-(see ``star``).
+solved rows, keyed on the current set, which holds the empty set's from
+the start and the chains it solves fill (see ``star``).
 
 Pending factors.  A *factor node* holds a choice and no star, reads only
 fields it writes (its fields), and kills one of them: assigns it on every
@@ -111,7 +117,7 @@ def _leading_tests(node: Program) -> dict:
 def _picked(plan, aset: PacketSet) -> list:
     """The indices, in chain order, of the branches of a union plan to
     evaluate on ``aset``: the unguarded ones and those listed under a
-    value the guard field takes in ``aset``."""
+    valuation of the guard fields in ``aset``."""
     _, read, table, unguarded, _ = plan
     if read is None:
         return unguarded
@@ -130,6 +136,9 @@ def _picked(plan, aset: PacketSet) -> list:
 
 
 # -- rows ----------------------------------------------------------------------
+
+_NOWHERE = Row(1, {EMPTY: 1})
+_MAP, _PLAN, _STEPS, _FACTOR = 1, 2, 3, 4  # kinds of node code (see ``Kernel._code``)
 
 
 def _point_masses():
@@ -261,11 +270,11 @@ def _product(mu: Row, nu: Row, universe: PacketUniverse) -> Row:
 
 
 def _bind(mu: Row, step) -> Row:
-    """The row of ``mu`` followed by the row function ``step``."""
+    """The row of ``mu`` followed by the strict row function ``step``."""
     c = _point(mu)
     if c is not None:
-        return step(c)
-    return mixture(mu.den, [(p, step(c)) for c, p in mu.nums.items()])
+        return step(c) if c else mu
+    return mixture(mu.den, [(p, step(c) if c else _NOWHERE) for c, p in mu.nums.items()])
 
 
 def _shares(node: Choice) -> tuple:
@@ -594,13 +603,11 @@ class Kernel:
         self.universe = universe
         self.exact = exact
         self.state_budget = state_budget
-        self._maps: dict = {}
         self._fns: dict = {}
         self._pends: dict = {}
-        self._factors: dict = {}
         self._marginals: dict = {}
         self._bits = tuple([(d.name, field_bit(d.name)) for d in universe.decls])
-        self._plans: dict = {}
+        self._layouts = universe.layouts
         self._dirac = _point_masses()
         # [a factor node, the only maker of pending sets, is compiled; the
         # number of factor tables being made]: a cell row functions read.
@@ -625,7 +632,7 @@ class Kernel:
 
     def _rows(self, node: Program, filt=None):
         """The row function of ``node``, or of the star ``node`` followed by
-        the predicate ``filt`` unless None, compiled once per kernel."""
+        the predicate ``filt`` unless None: kernel state, made once."""
         key = node if filt is None else (node, filt)
         fn = self._fns.get(key)
         if fn is None:
@@ -666,10 +673,9 @@ class Kernel:
                     return mixture(den, [(n, f(a)) for n, f in fns])
                 fn = choice
             case Star(body):
-                self._factors.setdefault(body, None)  # its rows are settled at once
                 body_rows = _settling(self._rows(body), self._factored, u)
                 keep = None if filt is None else self._set_map(filt)
-                cap, table = self.state_budget, {}
+                cap, table = self.state_budget, {EMPTY: self._dirac(EMPTY)}  # strict
                 text = partial(pretty, node)
 
                 def solved(a):
@@ -692,75 +698,76 @@ class Kernel:
         return _memoized(fn, pend, clear=u.projector(outside) if outside else None)
 
     def _factor_fields(self, node: Program):
-        """(fields, key) of a factor node (see the module), each a tuple in
-        the universe's order, or None if ``node`` is not one.  A star, a
-        sequence with a star part and a union whose first branch kills
-        nothing are none, and need no walk of the node."""
-        factor = self._factors.get(node, False) if node.choice else None
-        if factor is False:
-            parts, factor = getattr(node, "parts", ()), None
-            if not (type(node) is Star or Star in map(type, parts)
-                    or type(node) is Union and not footprint(parts[0])[2]):
-                reads, writes, kills, star = footprint(node)
-                if kills and not star and not reads & ~writes:
-                    factor = _names(self._bits, writes), _names(self._bits, writes & ~kills)
-            self._factors[node] = factor
-        return factor
+        """(fields, key) of a factor node (see the module), tuples in the
+        universe's order, or None.  A node with no choice, a star, a sequence
+        with a star part and a union whose first branch kills nothing are
+        none, with no walk of the node."""
+        parts = getattr(node, "parts", ())
+        if (not node.choice or type(node) is Star or Star in map(type, parts)
+                or type(node) is Union and not footprint(parts[0])[2]):
+            return None
+        return self._code(node, _FACTOR, self._make_factor_fields) or None
+
+    def _make_factor_fields(self, node: Program):
+        reads, writes, kills, star = footprint(node)
+        if kills and not star and not reads & ~writes:
+            return _names(self._bits, writes), _names(self._bits, writes & ~kills)
+        return ()
 
     def _union_plan(self, node: Union):
-        """(guard field, guard reader, value -> branch indices, unguarded
-        indices, fields every branch tests first) of the union chain at
-        ``node``; the guard and its reader are None if no branch starts with
-        a test.  Index lists are in chain order, and each value's list
-        includes the unguarded branches.  Made once per node and kernel."""
-        plan = self._plans.get(node)
-        if plan is None:
-            plan = self._plans[node] = self._make_union_plan(node)
-        return plan
+        """(guard fields, their projector, valuation -> branch indices,
+        unguarded indices, fields every branch tests first) of the union
+        chain at ``node``: the guard is those fields, or else the field most
+        branches test first, and () with no projector if none does.  Index
+        lists are in chain order, each including the unguarded branches."""
+        return self._code(node, _PLAN, self._make_union_plan)
 
     def _make_union_plan(self, node: Union):
         leads = [_leading_tests(b) for b in node.parts]
-        votes = Counter(f for tests in leads for f in tests)
-        guard = votes.most_common(1)[0][0] if votes else None
-        table: dict = {}
-        unguarded = []
+        first = tuple(sorted(frozenset(leads[0]).intersection(*leads[1:])))
+        guard = first or tuple([f for f, _ in Counter(f for t in leads for f in t).most_common(1)])
+        table, unguarded = {}, []
         for i, tests in enumerate(leads):
-            if guard in tests:
-                table.setdefault(tests[guard], []).append(i)
+            if guard and guard[0] in tests:
+                v = self.universe.valuation({f: tests[f] for f in guard})
+                table.setdefault(v, []).append(i)
             else:
                 unguarded.append(i)
-        for v, listed in table.items():
-            self.universe.check_value(guard, v)
-            table[v] = sorted(listed + unguarded)
-        read = None if guard is None else self.universe.reader(guard)
-        first = frozenset(leads[0]).intersection(*leads[1:])
+        table = {v: sorted(listed + unguarded) for v, listed in table.items()}
+        read = self.universe.projector(guard) if guard else None
         return guard, read, table, unguarded, first
 
     def _seq_plan(self, node: Seq) -> list:
         """The (part, filter) steps of the sequence at ``node``, in order
         (see the module); ``filter`` is the predicate parts after a star
         whose body has a choice as one node, or None.  A run of deterministic
-        parts is one step, their ``Seq``; so is a run of factor nodes each of
-        which shares a field with those before it, unless it is all of
-        ``node``."""
-        steps = []  # [part or a list of parts; filter; a factor run's fields]
-        for q in node.parts:
-            part, filt, run = steps[-1] if steps else (None, None, None)
+        parts is one step; so is a run of factor nodes each of which shares a
+        field with those before it, unless it is all of ``node``."""
+        parts = node.parts
+        return [(seq(*parts[i:j]), seq(*parts[j:k]) if k > j else None)
+                for i, j, k in self._code(node, _STEPS, self._make_seq_plan)]
+
+    def _make_seq_plan(self, node: Seq) -> tuple:
+        """``_seq_plan`` as (i, j, k): the parts i to j, the filter j to k."""
+        parts = node.parts
+        steps = []  # [i, j, k, a factor run's fields, None for a deterministic run, or False]
+        for n, q in enumerate(parts):
+            last = steps[-1] if steps else [0, 0, 0, False]
             factor = self._factor_fields(q)
-            if isinstance(part, Star) and is_predicate(q):
-                steps[-1][1] = q if filt is None else Seq(filt, q)
-            elif factor and run and not run.isdisjoint(factor[0]):
-                part.append(q)
-                run.update(factor[0])
+            if last[3] is False and type(parts[last[0]]) is Star and is_predicate(q):
+                last[2] = n + 1
+            elif factor and last[3] and not last[3].isdisjoint(factor[0]):
+                last[1:3] = n + 1, n + 1
+                last[3].update(factor[0])
             elif self._set_map(q) is None:
-                steps.append([[q], None, set(factor[0])] if factor else [q, None, None])
-            elif isinstance(part, list) and run is None:
-                part.append(q)
+                steps.append([n, n + 1, n + 1, set(factor[0]) if factor else False])
+            elif last[3] is None:
+                last[1:3] = n + 1, n + 1
             else:
-                steps.append([[q], None, None])
-        plan = [(seq(*part) if isinstance(part, list) else part, filt)
-                for part, filt, _ in steps]
-        return [(q, None) for q in node.parts] if plan[0][0] is node else plan
+                steps.append([n, n + 1, n + 1, None])
+        if steps[0][1] == len(parts):
+            return tuple([(n, n + 1, n + 1) for n in range(len(parts))])
+        return tuple([(i, j, k) for i, j, k, _ in steps])
 
     def _sequence(self, node: Seq):
         """The rows of the sequence at ``node``, which holds a choice, on a
@@ -825,7 +832,7 @@ class Kernel:
     def _union_pending(self, node: Union, past):
         """A union on a pending input (see the module): its one live branch
         gets the input, and none gives the empty set; otherwise, and when
-        the guard field has a factor, the union goes ``past`` it."""
+        a guard field has a factor, the union goes ``past`` it."""
         u, empty = self.universe, self._dirac(EMPTY)
         plan = self._union_plan(node)
         guard, parts = plan[0], node.parts
@@ -835,7 +842,7 @@ class Kernel:
 
         def union(x):
             fields = {f for factor in x.factors for f in factor[0]}
-            if guard in fields:
+            if not fields.isdisjoint(guard):
                 return past(x)
             base, live = x.base, []
             for i in _picked(plan, base):
@@ -884,17 +891,40 @@ class Kernel:
     # -- deterministic subterms ----------------------------------------------
 
     def _set_map(self, node: Program):
-        """The compiled set map of ``node``, made once per node (see
-        ``_compile``)."""
-        maps = self._maps
-        if node not in maps:
-            maps[node] = self._compile(node)
-        return maps[node]
+        """The set map of ``node`` (see ``_compile``): node code, and None
+        with no layout work for a node that holds a choice."""
+        if node.choice and type(node) is not Neg:
+            return None
+        return self._code(node, _MAP, self._compile)
+
+    def _code(self, node: Program, kind: int, make):
+        """The code ``kind`` of ``node`` for this kernel's layout of it (see
+        the module), made by ``make(node)`` once per node and layout and kept
+        on the node: its footprint mask, then (layout, set map, union plan,
+        sequence plan, factor facts) runs; a layout is each field's bit,
+        weight and size, one tuple per universe and mask."""
+        codes = getattr(node, "_code", None)
+        if codes is None:
+            reads, writes, _, _ = footprint(node)
+            object.__setattr__(node, "_code", codes := [reads | writes])
+        layout = self._layouts.get(codes[0])
+        if layout is None:
+            mask = codes[0]
+            layout = self._layouts[mask] = tuple([x for name, bit in self._bits if bit & mask
+                                                  for x in (bit, *self.universe.digit(name))])
+        i = 1
+        while i < len(codes) and codes[i] is not layout and codes[i] != layout:
+            i += 5
+        if i == len(codes):
+            codes += (layout, None, None, None, None)
+        if codes[i + kind] is None:
+            codes[i + kind] = make(node)
+        return codes[i + kind]
 
     def _compile(self, node: Program):
         """The set map of ``node`` (see the module), or None if ``node``
         contains a ``Choice`` or is not core.  Every map is additive, and
-        reads nothing of the kernel but its universe."""
+        reads nothing of the universe but its layout of ``node``."""
         u = self.universe
         match node:
             case Drop():

@@ -105,10 +105,11 @@ class Program:
                    the choices in it);
     ``predicate``  a predicate (see above).
 
-    A core node also keeps its ``footprint`` once it is asked for.
+    A core node also keeps its ``footprint`` once it is asked for, and a
+    kernel's code for it (see ``bigstep``).
     """
 
-    __slots__ = ("__weakref__", "depth", "core", "choice", "predicate", "_footprint")
+    __slots__ = ("__weakref__", "depth", "core", "choice", "predicate", "_footprint", "_code")
 
     def __new__(cls, *args):
         return _intern(cls, args, (cls, args, *map(type, args)))
@@ -422,29 +423,28 @@ def footprint(p: Program) -> tuple:
     ``field_bit``s.  A field is killed if every path assigns it before any
     step reads it, so the rows of ``p`` do not depend on its value.  Made
     once per node, and kept on it."""
-    try:
-        return p._footprint
-    except AttributeError:
-        pass
-    match p:
-        case Test(f, _):
-            facts = (field_bit(f), 0, 0, False)
-        case Assign(f, _):
-            facts = (0, field_bit(f), field_bit(f), False)
-        case Neg(b) | Star(b):
-            reads, writes, _, star = footprint(b)
-            facts = (reads, writes, 0, star or type(p) is Star)
-        case Seq(parts) | Union(parts) | Choice(parts):
-            reads, writes, kills, star = 0, 0, 0 if type(p) is Seq else -1, False
-            for q in parts:
-                r, w, k, s = footprint(q)
-                # a sequence kills what a part kills before a part reads it;
-                # a branching node what every part kills
-                kills = kills | (k & ~reads) if type(p) is Seq else kills & k
-                reads, writes, star = reads | r, writes | w, star or s
-            facts = (reads, writes, kills, star)
-        case _:
-            facts = (0, 0, 0, False)
+    facts = getattr(p, "_footprint", None)
+    if facts is not None:
+        return facts
+    cls = type(p)  # dispatched by hand: a class ``match`` costs more
+    if cls is Test:
+        facts = (field_bit(p.field), 0, 0, False)
+    elif cls is Assign:
+        facts = (0, field_bit(p.field), field_bit(p.field), False)
+    elif cls is Neg or cls is Star:
+        reads, writes, _, star = footprint(p.body)
+        facts = (reads, writes, 0, star or cls is Star)
+    elif cls is Seq or cls is Union or cls is Choice:
+        reads, writes, kills, star = 0, 0, 0 if cls is Seq else -1, False
+        for q in p.parts:
+            r, w, k, s = footprint(q)
+            # a sequence kills what a part kills before a part reads it;
+            # a branching node what every part kills
+            kills = kills | (k & ~reads) if cls is Seq else kills & k
+            reads, writes, star = reads | r, writes | w, star or s
+        facts = (reads, writes, kills, star)
+    else:
+        facts = (0, 0, 0, False)
     object.__setattr__(p, "_footprint", facts)
     return facts
 

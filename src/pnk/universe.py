@@ -58,6 +58,9 @@ class PacketUniverse:
         self.packet_count = w
         self._readers: dict = {}
         self._projectors: dict = {}
+        # Footprint mask -> the layout kernels key node code by, shared by
+        # every kernel over this universe (see ``bigstep.Kernel._code``).
+        self.layouts: dict = {}
 
     # -- field lookup -------------------------------------------------
 
@@ -69,6 +72,13 @@ class PacketUniverse:
 
     def check_value(self, name: str, value: int) -> None:
         self._digit(name, value)
+
+    def digit(self, name: str) -> tuple[int, int]:
+        """Mixed-radix weight and domain size of field ``name``."""
+        try:
+            return self._digits[name]
+        except KeyError:
+            raise UniverseError(f"unknown field {name!r}") from None
 
     def _digit(self, name: str, value: int) -> tuple[int, int]:
         """Weight and domain size of field ``name``, after checking that
@@ -157,6 +167,11 @@ class PacketUniverse:
             fn = self._projectors[names] = fn
         return fn
 
+    def valuation(self, values: dict) -> int:
+        """The valuation (see ``projector``) with the field values
+        ``values``, a dict from names to values, each one checked."""
+        return sum([self._digit(name, v)[0] * v for name, v in values.items()])
+
     def record(self, idx: int) -> dict[str, int]:
         vals = self.decode(idx)
         return {d.name: v for d, v in zip(self.decls, vals)}
@@ -174,7 +189,10 @@ class PacketUniverse:
     def modify(self, aset: PacketSet, name: str, value: int) -> PacketSet:
         """Image of ``aset`` under the field update ``name := value``."""
         w, size = self._digit(name, value)
-        return frozenset(i - ((i // w) % size) * w + value * w for i in aset)
+        if len(aset) == 1:
+            for i in aset:
+                return frozenset((i - i // w % size * w + value * w,))
+        return frozenset([i - i // w % size * w + value * w for i in aset])
 
     # -- serialization --------------------------------------------------
 

@@ -15,10 +15,12 @@ import pytest
 
 from pnk import bigstep, netlib
 from pnk import star as star_mod
+from pnk import syntax as syntax_mod
 from pnk.analysis import InputSpec, dist_leq, equiv, estimate, leq, sample_run
 from pnk.bigstep import Kernel, Pending
-from pnk.errors import WellFormednessError
+from pnk.errors import UniverseError, WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
+from pnk.row import Row
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, While,
     desugar, footprint, has_choice, pretty, restrict, seq, union,
@@ -1298,3 +1300,169 @@ def test_coin_chains_match_the_sampler(uni8):
             q = float(exact.get(b, 0))
             se = max((q * (1 - q) / n) ** 0.5, 1e-3)
             assert abs(est.prob(b) - q) <= 3 * se, (pretty(p), sorted(b))
+
+
+# -- node code: compiled once per node and layout --------------------------------
+
+
+def _compiled(monkeypatch) -> list:
+    """The nodes ``Kernel._compile`` makes a set map for, in order."""
+    made = []
+    compile_ = Kernel._compile
+    monkeypatch.setattr(Kernel, "_compile",
+                        lambda self, node: made.append(node) or compile_(self, node))
+    return made
+
+
+def test_a_kernel_reuses_the_code_of_nodes_its_universe_lays_out_alike(monkeypatch):
+    # At k=1 and k=2 the universes differ only in the size of ``budget``,
+    # the last field: the second kernel compiles no set map for the shared
+    # guarded topology, nor for any node that neither reads nor writes
+    # the budget.
+    made = _compiled(monkeypatch)
+    topo = netlib.abfattree20()
+    guarded = netlib.topo_program(topo, guarded=True)
+    per_kernel = []
+    for k in (1, 2):
+        cm = netlib.build_case_model(netlib.F10_3, topo, k)
+        kern = Kernel(desugar(cm.program), cm.universe)
+        before = len(made)
+        for s in cm.in_packets:
+            kern.apply(frozenset({s}))
+        per_kernel.append(made[before:])
+    first, second = per_kernel
+    assert guarded in first and guarded not in second
+    assert len(second) == len(set(second)) and len(second) < len(first) / 2
+    for node in set(first) & set(second):
+        reads, writes, _, _ = footprint(node)
+        assert "budget" in bigstep._names(kern._bits, reads | writes), pretty(node)
+
+
+def _rows_by_record(p, u) -> dict:
+    """The exact row of ``p`` on each packet of ``u``, with every packet
+    as its record, so rows over two orders of one field set compare."""
+    k = Kernel(p, u)
+    key = lambda i: tuple(sorted(u.record(i).items()))
+    out = {}
+    for i in range(u.packet_count):
+        row = k.row(p, frozenset({i})).as_dict()
+        out[key(i)] = {frozenset(map(key, b)): q for b, q in row.items()}
+    return out
+
+
+def test_a_field_of_another_size_or_position_gets_fresh_code(monkeypatch):
+    # Code is made per layout, the weight and size of each field a node
+    # reads or writes: a universe that adds an untouched field reuses it,
+    # one that reorders the fields or resizes one gets fresh code, which
+    # checks the values again and gives the rows of the reordered packets.
+    # (Its fields are its own, so no other test's nodes hold code for them.)
+    made = _compiled(monkeypatch)
+    f, g, h = "fresh_f", "fresh_g", "fresh_h"
+    f4 = PacketUniverse([FieldDecl(f, 4), FieldDecl(g, 2)])
+    wider = PacketUniverse([FieldDecl(f, 4), FieldDecl(g, 2), FieldDecl(h, 3)])
+    reordered = PacketUniverse([FieldDecl(g, 2), FieldDecl(f, 4)])
+    f2 = PacketUniverse([FieldDecl(f, 2), FieldDecl(g, 2)])
+    test = Test(f, 3)
+    p = Seq(Union(Seq(test, Assign(g, 1)), Seq(Test(f, 1), Assign(f, 3)), Test(g, 1)),
+            Choice(Fraction(1, 3), Skip(), Assign(g, 0)))
+    rows = _rows_by_record(p, f4)
+    assert made.count(test) == 1
+    k = Kernel(p, wider)
+    for i in range(wider.packet_count):
+        k.row(p, frozenset({i}))
+    assert made.count(test) == 1
+    assert _rows_by_record(p, reordered) == rows
+    assert made.count(test) == 2
+    with pytest.raises(UniverseError, match="out of range"):
+        Kernel(p, f2).apply(frozenset({0}))
+
+
+def test_node_code_goes_with_its_node():
+    # Code is kept on its node and nowhere else, and refers to neither its
+    # node nor a kernel: once the program and its kernel go, every node
+    # goes at once, without the cycle collector, and no table of the
+    # modules has grown.
+    def tables():
+        return {(mod.__name__, name): len(v) for mod in (bigstep, syntax_mod)
+                for name, v in vars(mod).items()
+                if isinstance(v, (dict, list, set)) and not name.startswith("__")}
+    u = PacketUniverse([FieldDecl("code_f", 3), FieldDecl("code_g", 2)])
+    Kernel(Skip(), u)  # the fields' footprint bits, made once per name
+    before = tables()
+    f, g = "code_f", "code_g"
+    p = Seq(Union(Seq(Test(f, 2), Assign(g, 1)), Seq(Test(f, 0), Assign(f, 1))),
+            Choice(Fraction(1, 2), Assign(f, 2), Star(Seq(Test(g, 0), Assign(g, 1)))),
+            Star(Choice(Fraction(1, 4), Assign(g, 0), Assign(f, 0))))
+    k = Kernel(p, u)
+    for i in range(u.packet_count):
+        k.row(p, frozenset({i}))
+    nodes, stack = set(), [p]
+    while stack:
+        node = stack.pop()
+        if node not in nodes:
+            nodes.add(node)
+            stack.extend(_parts(node))
+    assert sum(hasattr(n, "_code") for n in nodes) > 5
+    refs = [weakref.ref(n) for n in nodes]
+    del node, nodes, stack
+    gc.disable()
+    try:
+        del p, k
+        assert [r() for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
+    after = tables()
+    assert after.keys() == before.keys()
+    assert all(after[name] <= n for name, n in before.items())
+
+
+def test_every_grid_cell_after_the_others_has_the_rows_of_a_cold_kernel():
+    # Each cell of the abfattree20 F10 resilience grid, its kernel built
+    # while the other 17 cells' kernels live and have run, has the rows it
+    # has when it runs alone, on code made for it alone.
+    topo = netlib.abfattree20()
+    cells = [(k, scheme) for k in (0, 1, 2, 3, 4, None) for scheme in netlib.F10_VARIANTS]
+
+    def run(cell):
+        cm = netlib.build_case_model(cell[1], topo, cell[0])
+        kern = Kernel(desugar(cm.program), cm.universe)
+        return kern, [kern.apply(frozenset({s})).as_dict() for s in cm.in_packets]
+
+    def cold():
+        gc.collect()
+        return not hasattr(netlib.topo_program(topo, guarded=True), "_code")
+
+    alone = []
+    for cell in cells:
+        assert cold()
+        alone.append(run(cell)[1])
+    for cell, rows in zip(cells, alone):
+        assert cold()
+        others = [run(other)[0] for other in cells if other != cell]
+        assert run(cell)[1] == rows
+        del others
+
+
+def test_a_sequence_stops_at_the_point_mass_on_the_empty_set(uni8, monkeypatch):
+    # Every core program is strict, so the steps after one that gives the
+    # empty set for sure are not run: the star's chain is never built.
+    def refuse(*args, **kwargs):
+        raise _PairChain
+    monkeypatch.setattr(star_mod, "star_dist", refuse)
+    coin = Star(Choice(Fraction(1, 2), Assign("f", 1), Assign("f", 0)))
+    p = Seq(Drop(), coin)
+    k = Kernel(p, uni8)
+    for i in range(uni8.packet_count):
+        assert k.row(p, frozenset({i})).as_dict() == delta(EMPTY)
+    assert k.row(p, uni8.all_packets()).as_dict() == delta(EMPTY)
+    with pytest.raises(_PairChain):
+        k.row(coin, frozenset({0}))
+    # A bind runs no step on the empty set, whether it is the point mass
+    # or one outcome of a mixture.
+    def step(a):
+        assert a, "a step ran on the empty set"
+        return Row(1, {frozenset({i + 1 for i in a}): 1})
+    assert bigstep._bind(Row(1, {EMPTY: 1}), step).as_dict() == delta(EMPTY)
+    mu = Row(3, {EMPTY: 1, frozenset({0}): 2})
+    assert bigstep._bind(mu, step).as_dict() == {EMPTY: Fraction(1, 3),
+                                                 frozenset({1}): Fraction(2, 3)}

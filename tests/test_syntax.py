@@ -185,15 +185,15 @@ def _reference_lex(src):
         elif src.startswith("//", i):
             while i < n and src[i] != "\n":
                 i += 1
-        elif c.isdigit() or c.isalpha() or c == "_":
+        elif c.isdecimal() or c.isalpha() or c == "_":
             j, kind = i, "ident"
-            if c.isdigit():
+            if c.isdecimal():
                 kind = "nat"
-                while j < n and src[j].isdigit():
+                while j < n and src[j].isdecimal():
                     j += 1
-                if j + 1 < n and src[j] == "." and src[j + 1].isdigit():
+                if j + 1 < n and src[j] == "." and src[j + 1].isdecimal():
                     kind, j = "number", j + 1
-                    while j < n and src[j].isdigit():
+                    while j < n and src[j].isdecimal():
                         j += 1
             else:
                 while j < n and (src[j].isalnum() or src[j] == "_"):
@@ -237,7 +237,7 @@ def test_lexer_gives_the_tokens_of_the_reference_lexer(p):
 @pytest.mark.parametrize("src", [
     "", "\n\n", "f := 1.5 +[0.25] skip", "f=1.", "1.2.3", "x_1 := _y2", "é:=2 ; ñ3=٣",
     "f=1 // trailing", "// only\n", "a\r\nb", "f=1 ; $", "f:=1 +[1/2]\n  g := 2 #",
-    "½", "a\x0cb", "sw=1 ;\n; pt:=2",
+    "½", "a\x0cb", "sw=1 ;\n; pt:=2", "f=²",
 ])
 def test_lexer_gives_the_tokens_and_errors_of_the_reference_lexer(src):
     assert _lexed(parser._lex, src) == _lexed(_reference_lex, src)
@@ -269,6 +269,7 @@ MALFORMED = [
     ("decimal-above-1", "skip +[1.5] drop", False, ParseError, "weight 3/2 outside [0, 1]", 1, 8),
     ("trailing", "skip skip", False, ParseError, "trailing input 'skip'", 1, 6),
     ("not-a-letter", "f:=\u00bd", False, ParseError, "unexpected character '\u00bd'", 1, 4),
+    ("not-a-decimal", "f=\u00b2", False, ParseError, "unexpected character '\u00b2'", 1, 3),
     ("too-deep", "(" * 151 + "skip" + ")" * 151, False, ParseError,
      "program nests deeper than 150 levels", 1, 151),
     ("eof-after-comment", "sw=1 ; // trailing", False, ParseError,
