@@ -4,18 +4,28 @@ distributions.
 A kernel row is a ``Row`` (see ``row``).  The kernel computes exact rows
 only; in float mode, ``apply`` and ``row`` round them once.
 
-A kernel is a compiler.  *Node code*, a node's set map (below), union
-plan, sequence plan and factor facts, depends on nothing but the node and
+A kernel is a compiler.  *Node code* depends on nothing but the node and
 its *layout*, the weight and size of each field it reads or writes, so it
 is made once per node and layout and kept on the node (``Kernel._code``):
-the cells of a table over one topology share it.  *Kernel state* changes
-rows: each node whose rows are requested, and each (star, filter) step of
-a sequence, is compiled on first use into a row function from a packet
-set to a ``Row`` (``Kernel._rows``) that owns its memo, keyed on the input
-set.  Nodes are interned (see ``syntax``), so equal subterms share one
-function.  Rows are shared, so nobody changes one.  No code or row
-function refers to its kernel, so a kernel is freed with its last
-reference, without the cycle collector.
+the cells of a table over one topology share it.  There are six kinds: a
+node's set map (below), a union's plan, a sequence's steps, a choice's
+shares, the row facts of a node that holds a choice (a factor node's
+fields and projectors, or any other's projector for its shared rows), and
+the pending facts (the fields every path tests first, those it touches
+and kills, and a deterministic sequence's runs).  Code is tuples, ints,
+interned nodes, the universe's projectors and partials of this module's
+functions (a test's map is a closure), so live nodes hold few objects for
+the cycle collector to scan.  *Kernel state* is what changes rows: each
+node whose rows are requested, and each (star, filter) step of a
+sequence, is compiled on first use into a row function from a packet set
+to a ``Row`` (``Kernel._rows``) that owns its memo, keyed on the input
+set, and into a pending function when a pending input first reaches it
+(``Kernel._pending``); star tables, factor tables, marginals and point
+masses are kernel state too.  A kernel's compile looks its code up and
+binds these to it.  Nodes are interned (see ``syntax``), so equal
+subterms share one function.  Rows are shared, so nobody changes one.  No
+code or row function refers to its kernel, so a kernel is freed with its
+last reference, without the cycle collector.
 
 Deterministic subterms are set maps.  A core program without ``+[r]`` is
 deterministic and additive: its row on a set a is the point mass on the
@@ -24,6 +34,8 @@ each such node is compiled once (``Kernel._set_map``) into a map between
 packet sets; a star's is its body's reachability closure.  Such a
 node gets a row function only where its rows are requested, and it maps
 only the packets whose singleton row is not in its memo (``_additive``).
+A sequence maps each maximal run of assignments by one rewrite of several
+fields (``_runs``, ``PacketUniverse.modify``).
 Exact rows are built without ``Fraction``s and reduced where they are
 made: by a choice's integer shares (``_shares``) and a bind's sum
 (``row.mixture``), and by a product (``&``) when two outcomes merge.
@@ -61,7 +73,7 @@ with any step that neither reads nor writes F: variable elimination
 node takes a pending input by one rule.  First it splits the factors on
 the fields every path through it tests first by their marginal, each side
 conditioned (``_split``), and takes its rows on the outcomes.  Then a
-sequence steps through its parts (``_seq_run``), and a union with at most
+sequence steps through its runs (``_seq_run``), and a union with at most
 one *live* branch, one the guard table picks on the base whose leading
 tests on fields without a factor pass, hands the input to it or gives
 the empty set: at a core, the guarded topology splits on the flag of the
@@ -75,10 +87,11 @@ either side of a ``&`` product, whose branches drew their factors each for
 itself, unless the other side is the unit.
 
 Shared rows.  By the second law, a node's row on a packet x is its row on
-x - c, c being x's valuation of the fields outside its ``footprint``, with
-c added to every packet: one evaluation per valuation of the fields it
-touches suffices, as a NetKAT decision diagram branches only on the fields
-it tests (Smolka et al., ICFP 2015).  So a union, sequence or choice keeps
+x - c, c being x's valuation of the fields outside its ``footprint`` (x
+less its valuation of those it touches), with c added to every packet:
+one evaluation per valuation of the fields it touches suffices, as a
+NetKAT decision diagram branches only on the fields it tests (Smolka et
+al., ICFP 2015).  So a union, sequence or choice keeps
 its row on each input whose base is one packet x by x - c (and the factors)
 and hands it to each later such input, moved by c - c0 (``_memoized``):
 only digits the node never touches move, so rows stay reduced and exact.
@@ -138,7 +151,9 @@ def _picked(plan, aset: PacketSet) -> list:
 # -- rows ----------------------------------------------------------------------
 
 _NOWHERE = Row(1, {EMPTY: 1})
-_MAP, _PLAN, _STEPS, _FACTOR = 1, 2, 3, 4  # kinds of node code (see ``Kernel._code``)
+# The kinds of node code (see ``Kernel._code``): each is its index in a run.
+_MAP, _PLAN, _STEPS, _SHARES, _ROW, _PENDING = range(1, 7)
+_KINDS = 6
 
 
 def _point_masses():
@@ -153,21 +168,23 @@ def _point_masses():
     return dirac
 
 
-def _memoized(fn, pending, memo=None, clear=None):
-    """The row function ``fn`` with a memo keyed on the input, which is a
-    set (``fn`` computes its row) or a pending set (``pending`` does).
-    ``memo`` is a dict that ``fn`` may read, or None for a new one.  With
-    ``clear``, which projects on the fields the node never touches, the
-    rows on one packet are shared (see the module)."""
+def _memoized(fn, key, pending, memo=None, touched=None):
+    """The row function ``fn`` of the node ``key`` with a memo keyed on the
+    input, which is a set (``fn`` computes its row) or a pending set
+    (``pending(key, input)`` does).  ``memo`` is a dict that ``fn`` may
+    read, or None for a new one.  With ``touched``, which projects on the
+    fields the node reads or writes, the rows on one packet are shared (see
+    the module)."""
     if memo is None:
         memo = {}
+    if touched is None:
+        def rows(a) -> Row:
+            row = memo.get(a)
+            if row is None:
+                row = memo[a] = pending(key, a) if type(a) is Pending else fn(a)
+            return row
+        return rows
     shared: dict = {}  # x - c, with the factors if pending -> (row, c)
-
-    def rows(a) -> Row:
-        row = memo.get(a)
-        if row is None:
-            row = memo[a] = pending(a) if type(a) is Pending else fn(a)
-        return row
 
     def shared_rows(a) -> Row:
         row = memo.get(a)
@@ -176,20 +193,20 @@ def _memoized(fn, pending, memo=None, clear=None):
         pend = type(a) is Pending
         base = a[0] if pend else a
         if len(base) != 1:
-            row = memo[a] = pending(a) if pend else fn(a)
+            row = memo[a] = pending(key, a) if pend else fn(a)
             return row
         x, = base
-        c = clear(x)
-        key = (x - c, a[1]) if pend else x - c
-        hit = shared.get(key)
+        t = touched(x)
+        c, slot = x - t, (t, a[1]) if pend else t
+        hit = shared.get(slot)
         if hit is None:
-            row = pending(a) if pend else fn(a)
-            shared[key] = row, c
+            row = pending(key, a) if pend else fn(a)
+            shared[slot] = row, c
         else:
             row = hit[0] if c == hit[1] else _moved(hit[0], c - hit[1])
         memo[a] = row
         return row
-    return rows if clear is None else shared_rows
+    return shared_rows
 
 
 def _moved(row: Row, d: int) -> Row:
@@ -278,9 +295,10 @@ def _bind(mu: Row, step) -> Row:
 
 
 def _shares(node: Choice) -> tuple:
-    """(d, [(n, part), ...]): each part the choice ``node`` can take, in
-    order, with its chance n/d.  Part i takes weight w_i of the mass the
-    parts before it leave (see ``syntax``), and the last part the rest."""
+    """(d, n_1, n_2, ...): the chance n_i/d that the choice ``node`` takes
+    its part i, 0 for a part it never takes, up to the last part it can
+    take.  Part i takes weight w_i of the mass the parts before it leave
+    (see ``syntax``), and the last part the rest."""
     ratios = []
     for w in node.weights:
         n, d = w.as_integer_ratio()
@@ -290,13 +308,12 @@ def _shares(node: Choice) -> tuple:
     else:
         ratios.append((1, 1))
     den = prod(d for _, d in ratios)
-    rest, out = den, []  # the mass left, over den: each d divides it
-    for part, (n, d) in zip(node.parts, ratios):
-        if n:
-            share = rest // d * n
-            out.append((share, part))
-            rest -= share
-    return den, out
+    rest, out = den, [den]  # the mass left, over den: each d divides it
+    for n, d in ratios:
+        share = rest // d * n
+        out.append(share)
+        rest -= share
+    return tuple(out)
 
 
 # -- pending factors -----------------------------------------------------------
@@ -433,7 +450,7 @@ def _settled(row: Row, universe: PacketUniverse) -> Row:
                                  else Row(1, {b: 1})))
 
 
-def _past(x: Pending, touch, kills, plain, universe: PacketUniverse, marginals: dict) -> Row:
+def _past(touch, kills, plain, universe: PacketUniverse, marginals: dict, x: Pending) -> Row:
     """The row on ``x`` of a node whose row on a set is ``plain(set)``, and
     which reads or writes the fields ``touch`` and kills ``kills``."""
     x = _forgotten(x, kills, universe)
@@ -446,20 +463,23 @@ def _past(x: Pending, touch, kills, plain, universe: PacketUniverse, marginals: 
                  lambda y: _carried(plain(y.base), y.factors) if type(y) is Pending else plain(y))
 
 
-def _tabled(fn, pending, key, fields: tuple, universe: PacketUniverse,
+def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse,
             factored: list):
-    """The row function of a factor node (see the module) whose rows ``fn``
-    computes as any node's, ``pending`` on a pending set: on a set whose
-    packets share their key valuation ``key(packet)``, the row of its
-    ``_table``.  Memoized, but ``fn`` on a new set while a table is made."""
-    clear, tables, memo = universe.projector(fields), {}, {}
+    """The row function of the factor node ``node`` (see the module) whose
+    rows ``fn`` computes as any node's, ``pending(node, input)`` on a
+    pending set, with the factor facts ``factor`` (fields, key, clear): on
+    a set whose packets share their key valuation ``key(packet)``, the row
+    of its ``_table``.  Memoized, but ``fn`` on a new set while a table is
+    made."""
+    fields, key, clear = factor
+    tables, memo = {}, {}
 
     def rows(a) -> Row:
         row = memo.get(a)
         if row is not None:
             return row
         if type(a) is Pending:
-            row = memo[a] = pending(a)
+            row = memo[a] = pending(node, a)
             return row
         if factored[1]:
             return fn(a)
@@ -544,12 +564,67 @@ def _run(maps, a: PacketSet) -> PacketSet:
     return a
 
 
+def _dropped(a: PacketSet) -> PacketSet:
+    return EMPTY
+
+
+def _skipped(a: PacketSet) -> PacketSet:
+    return a
+
+
+def _negated(inner, a: PacketSet) -> PacketSet:
+    """The packets of ``a`` that fail the predicate whose set map is
+    ``inner``: a predicate keeps a subset of its input."""
+    b = inner(a)
+    return a if not b else EMPTY if len(b) == len(a) else a - b
+
+
+def _united(maps: tuple, plan, a: PacketSet) -> PacketSet:
+    """The union of the images of ``a`` under the set maps ``maps`` of the
+    branches a union ``plan`` picks on it."""
+    out = EMPTY
+    for i in _picked(plan, a):
+        b = maps[i](a)
+        if b:
+            out = out | b if out else b
+    return out
+
+
+def _reached(step, a: PacketSet) -> PacketSet:
+    """The packets the set map ``step`` reaches from ``a`` in any number of
+    steps: ``step`` is additive, so each packet is mapped once."""
+    new = step(a) - a
+    if not new:
+        return a
+    acc = set(a)
+    while new:
+        acc |= new
+        new = step(new) - acc
+    return frozenset(acc)
+
+
+def _rewritten(universe: PacketUniverse, fields, values, a: PacketSet) -> PacketSet:
+    """``a`` under ``fields := values``: the universe's ``modify``, looked up
+    on each call, is the one implementation of an assignment."""
+    return universe.modify(a, fields, values)
+
+
+def _runs(parts: tuple) -> tuple:
+    """The index of the first part of each run of the deterministic
+    sequence of ``parts``, then their number: a run is a maximal run of
+    assignments, which is one rewrite, or one other part."""
+    return tuple([i for i, q in enumerate(parts)
+                  if not (type(q) is Assign and i and type(parts[i - 1]) is Assign)]
+                 + [len(parts)])
+
+
 def _seq_run(state: tuple, i: int, y) -> Row:
-    """The row of the deterministic parts ``parts[i:]`` of a sequence on
-    ``y`` (see ``Kernel._seq_pending``); ``state`` holds the parts, their
-    pending functions, their facts, the kernel weakly and its helpers."""
-    parts, fns, maps, touch, kills, kernel, dirac, u = state
-    n = len(parts)
+    """The row of the runs ``i`` on (see ``_runs``) of a deterministic
+    sequence on ``y`` (see ``Kernel._compile_pending``); ``state`` holds its
+    parts, its facts (``Kernel._make_pending``), the runs' pending
+    functions, the kernel weakly and its helpers."""
+    parts, (starts, maps, touch, kills), fns, kernel, dirac, u = state
+    n = len(maps)
     while True:
         if type(y) is Pending:
             y = _forgotten(y, kills[i], u)
@@ -565,8 +640,9 @@ def _seq_run(state: tuple, i: int, y) -> Row:
         if i == n:
             return Row(1, {Pending(base, factors): 1})
         f = fns[i]
-        if f is None:
-            f = fns[i] = kernel()._pending(parts[i])
+        if f is None:  # a run of assignments kills what it touches: one part
+            lo, hi = starts[i], starts[i + 1]
+            f = fns[i] = kernel()._pending(parts[lo] if hi - lo == 1 else Seq(*parts[lo:hi]))
         row = f(Pending(base, factors))
         i += 1
         if len(row.nums) != 1:
@@ -588,6 +664,61 @@ def _passes(tests: list, pending, base: PacketSet) -> bool:
     return True
 
 
+def _union_rows(plan, parts: tuple, kernel, universe: PacketUniverse, empty: Row):
+    """The rows of a union with the plan ``plan`` and the branches ``parts``
+    on a set: the product of the rows of the branches ``_picked`` on it, the
+    row function of each made by the weakly held ``kernel`` on first use."""
+    fns = [None] * len(parts)
+
+    def union(a):
+        out = None
+        for i in _picked(plan, a):
+            f = fns[i]
+            if f is None:
+                f = fns[i] = kernel()._rows(parts[i])
+            row = f(a)
+            out = row if out is None else _product(out, row, universe)
+        return empty if out is None else out
+    return union
+
+
+def _chosen(den: int, fns: list, a) -> Row:
+    """The row on ``a`` of a choice whose parts have the row functions
+    ``fns``, each with its chance: (n, row function) pairs, n over ``den``."""
+    return mixture(den, [(n, f(a)) for n, f in fns])
+
+
+def _star_rows(body_rows, keep, cap: int, text, key, pending, table: dict):
+    """The rows of the star, or (star, filter) step, ``key``: on a set, its
+    row in ``table`` or else the one ``star.star_dist`` solves and adds;
+    on a pending input, ``pending(key, input)``."""
+    def solved(a):
+        if type(a) is Pending:
+            return pending(key, a)
+        row = table.get(a)
+        if row is None:
+            row = star_mod.star_dist(body_rows, a, cap, keep, text, table)
+        return row
+    return solved
+
+
+def _mapped(dirac, m, a: PacketSet) -> Row:
+    """The point mass on the image of ``a`` under the set map ``m``."""
+    return dirac(m(a))
+
+
+def _split_first(first, rest, plain, universe: PacketUniverse, marginals: dict,
+                 x: Pending) -> Row:
+    """The row on ``x`` of a node whose paths all test the fields ``first``
+    first: the factors on those fields are split (``_split``), and ``rest``
+    takes each pending outcome and ``plain`` each set."""
+    read = [f for factor in x.factors for f in factor[0] if f in first]
+    if not read:
+        return rest(x)
+    return _bind(_split(x, read, universe, marginals),
+                 lambda y: rest(y) if type(y) is Pending else plain(y))
+
+
 class Kernel:
     """Compiles a core (desugared) program into row functions.  With
     ``exact`` false, ``apply`` and ``row`` return float rows: the exact
@@ -607,11 +738,16 @@ class Kernel:
         self._pends: dict = {}
         self._marginals: dict = {}
         self._bits = tuple([(d.name, field_bit(d.name)) for d in universe.decls])
+        self._every = sum([bit for _, bit in self._bits])  # the mask of every field
         self._layouts = universe.layouts
         self._dirac = _point_masses()
         # [a factor node, the only maker of pending sets, is compiled; the
         # number of factor tables being made]: a cell row functions read.
         self._factored = [False, 0]
+        # Row functions hold their kernel weakly, and reach the pending row
+        # of a key through one function of the kernel's.
+        self._kernel = weakref.ref(self)
+        self._pending_row = partial(_pending_of, self._kernel)
 
     def apply(self, aset: PacketSet) -> Row:
         """The output row of the whole program on ``aset``."""
@@ -640,86 +776,63 @@ class Kernel:
         return fn
 
     def _compile_rows(self, node: Program, filt):
-        u, dirac = self.universe, self._dirac
-        pend = self._lazy_pending(node if filt is None else (node, filt))
+        key = node if filt is None else (node, filt)
+        u, dirac, pending = self.universe, self._dirac, self._pending_row
         m = self._set_map(node)
         if m is not None:
             memo: dict = {}
-            return _memoized(_additive(m, dirac, memo), pend, memo)
-        match node:
-            case Union(parts):
-                plan = self._union_plan(node)
-                fns = [None] * len(parts)
-                compiled = weakref.WeakMethod(self._rows)
-                empty = dirac(EMPTY)
-
-                def union(a):
-                    out = None
-                    for i in _picked(plan, a):
-                        f = fns[i]
-                        if f is None:
-                            f = fns[i] = compiled()(parts[i])
-                        row = f(a)
-                        out = row if out is None else _product(out, row, u)
-                    return empty if out is None else out
-                fn = union
-            case Seq():
-                fn = self._sequence(node)
-            case Choice():
-                den, shares = _shares(node)
-                fns = [(n, self._rows(q)) for n, q in shares]
-
-                def choice(a):
-                    return mixture(den, [(n, f(a)) for n, f in fns])
-                fn = choice
-            case Star(body):
-                body_rows = _settling(self._rows(body), self._factored, u)
-                keep = None if filt is None else self._set_map(filt)
-                cap, table = self.state_budget, {EMPTY: self._dirac(EMPTY)}  # strict
-                text = partial(pretty, node)
-
-                def solved(a):
-                    if type(a) is Pending:
-                        return pend(a)
-                    row = table.get(a)
-                    if row is None:
-                        row = star_mod.star_dist(body_rows, a, cap, keep, text, table)
-                    return row
-                return solved
-            case _:
-                raise WellFormednessError(f"non-core node {node!r}")
-        factor = self._factor_fields(node)
-        if factor is not None:
+            return _memoized(_additive(m, dirac, memo), key, pending, memo)
+        cls = type(node)
+        if cls is Star:
+            body_rows = _settling(self._rows(node.body), self._factored, u)
+            keep = None if filt is None else self._set_map(filt)
+            return _star_rows(body_rows, keep, self.state_budget, partial(pretty, node), key,
+                              pending, {EMPTY: dirac(EMPTY)})  # strict
+        if cls is Union:
+            fn = _union_rows(self._union_plan(node), node.parts, self._kernel, u, dirac(EMPTY))
+        elif cls is Seq:
+            fn = self._sequence(node)
+        elif cls is Choice:
+            den, *shares = self._code(node, _SHARES, _shares)
+            fns = [(n, self._rows(q)) for n, q in zip(shares, node.parts) if n]
+            fn = partial(_chosen, den, fns)
+        else:
+            raise WellFormednessError(f"non-core node {node!r}")
+        code = self._code(node, _ROW, self._make_row)
+        if type(code) is tuple:
             self._factored[0] = True
-            fields, key = factor
-            return _tabled(fn, pend, u.projector(key), fields, u, self._factored)
-        reads, writes, _, _ = footprint(node)
-        outside = _names(self._bits, ~(reads | writes))
-        return _memoized(fn, pend, clear=u.projector(outside) if outside else None)
+            return _tabled(fn, node, pending, code, u, self._factored)
+        if node._code[0] & self._every == self._every:
+            code = None  # no field is left to share rows across
+        return _memoized(fn, key, pending, touched=code)
 
     def _factor_fields(self, node: Program):
-        """(fields, key) of a factor node (see the module), tuples in the
-        universe's order, or None.  A node with no choice, a star, a sequence
-        with a star part and a union whose first branch kills nothing are
-        none, with no walk of the node."""
-        parts = getattr(node, "parts", ())
-        if (not node.choice or type(node) is Star or Star in map(type, parts)
-                or type(node) is Union and not footprint(parts[0])[2]):
+        """(fields, key, clear) of a factor node (see the module): its fields,
+        in the universe's order, and the projectors on its key and on its
+        fields; or None.  A node with no choice and a star are none, with no
+        walk of the node."""
+        if not node.choice or type(node) is Star:
             return None
-        return self._code(node, _FACTOR, self._make_factor_fields) or None
+        code = self._code(node, _ROW, self._make_row)
+        return code if type(code) is tuple else None
 
-    def _make_factor_fields(self, node: Program):
+    def _make_row(self, node: Program):
+        """The row facts of a node that holds a choice: a factor node's
+        (fields, key, clear) (see ``_factor_fields``), and any other's
+        projector on the fields it reads or writes, for its shared rows."""
         reads, writes, kills, star = footprint(node)
+        u, bits = self.universe, self._bits
         if kills and not star and not reads & ~writes:
-            return _names(self._bits, writes), _names(self._bits, writes & ~kills)
-        return ()
+            fields = _names(bits, writes)
+            return fields, u.projector(_names(bits, writes & ~kills)), u.projector(fields)
+        return u.projector(_names(bits, reads | writes))
 
     def _union_plan(self, node: Union):
         """(guard fields, their projector, valuation -> branch indices,
         unguarded indices, fields every branch tests first) of the union
         chain at ``node``: the guard is those fields, or else the field most
         branches test first, and () with no projector if none does.  Index
-        lists are in chain order, each including the unguarded branches."""
+        tuples are in chain order, each including the unguarded branches."""
         return self._code(node, _PLAN, self._make_union_plan)
 
     def _make_union_plan(self, node: Union):
@@ -733,22 +846,21 @@ class Kernel:
                 table.setdefault(v, []).append(i)
             else:
                 unguarded.append(i)
-        table = {v: sorted(listed + unguarded) for v, listed in table.items()}
+        table = {v: tuple(sorted(listed + unguarded)) for v, listed in table.items()}
         read = self.universe.projector(guard) if guard else None
-        return guard, read, table, unguarded, first
+        return guard, read, table, tuple(unguarded), first
 
-    def _seq_plan(self, node: Seq) -> list:
+    def _seq_plan(self, node: Seq) -> tuple:
         """The (part, filter) steps of the sequence at ``node``, in order
         (see the module); ``filter`` is the predicate parts after a star
         whose body has a choice as one node, or None.  A run of deterministic
         parts is one step; so is a run of factor nodes each of which shares a
         field with those before it, unless it is all of ``node``."""
-        parts = node.parts
-        return [(seq(*parts[i:j]), seq(*parts[j:k]) if k > j else None)
-                for i, j, k in self._code(node, _STEPS, self._make_seq_plan)]
+        code = self._code(node, _STEPS, self._make_seq_plan)
+        return zip(code[::2], code[1::2])
 
     def _make_seq_plan(self, node: Seq) -> tuple:
-        """``_seq_plan`` as (i, j, k): the parts i to j, the filter j to k."""
+        """``_seq_plan`` as one tuple: part, filter, part, filter..."""
         parts = node.parts
         steps = []  # [i, j, k, a factor run's fields, None for a deterministic run, or False]
         for n, q in enumerate(parts):
@@ -766,8 +878,9 @@ class Kernel:
             else:
                 steps.append([n, n + 1, n + 1, None])
         if steps[0][1] == len(parts):
-            return tuple([(n, n + 1, n + 1) for n in range(len(parts))])
-        return tuple([(i, j, k) for i, j, k, _ in steps])
+            return tuple([x for q in parts for x in (q, None)])
+        return tuple([x for i, j, k, _ in steps
+                      for x in (seq(*parts[i:j]), seq(*parts[j:k]) if k > j else None)])
 
     def _sequence(self, node: Seq):
         """The rows of the sequence at ``node``, which holds a choice, on a
@@ -776,12 +889,10 @@ class Kernel:
 
     # -- pending inputs ------------------------------------------------------
 
-    def _lazy_pending(self, key):
-        """The function from a pending input to the row of ``key`` (a node,
-        or a (star, filter) step) on it, compiled on its first call."""
-        return partial(_pending_of, weakref.ref(self), key)
-
     def _pending(self, key):
+        """The function from a pending input to the row of ``key`` (a node,
+        or a (star, filter) step) on it: kernel state, made when a pending
+        input first reaches ``key``."""
         fn = self._pends.get(key)
         if fn is None:
             fn = self._pends[key] = self._compile_pending(key)
@@ -789,56 +900,65 @@ class Kernel:
 
     def _compile_pending(self, key):
         """The row of ``key`` on a pending input (see the module)."""
-        node, filt = key if isinstance(key, tuple) else (key, None)
-        u, m, dirac, marginals = self.universe, self._set_map(node), self._dirac, self._marginals
+        node, filt = key if type(key) is tuple else (key, None)
+        u, marginals, m = self.universe, self._marginals, self._set_map(node)
         plain = (self._rows(node, filt) if m is None or key in self._fns  # its memo
-                 else lambda a: dirac(m(a)))
+                 else partial(_mapped, self._dirac, m))
+        first, touch, kills, facts = self._code(node if filt is None else Seq(node, filt),
+                                                _PENDING, self._make_pending)
         if filt is None and self._factor_fields(node):
-            return self._go_past(node, plain)
-        if isinstance(node, Seq):
-            rest = self._seq_pending(node, m)
+            return partial(_past, touch, kills, plain, u, marginals)
+        if facts is not None:
+            state = (node.parts, facts, [None] * len(facts[1]), self._kernel, self._dirac, u)
+            rest = partial(_seq_run, state, 0)
+        elif type(node) is Seq:
+            rest = self._sequence(node)
         else:
-            rest = self._go_past(node if filt is None else Seq(node, filt), plain)
-            if isinstance(node, Union):
+            rest = partial(_past, touch, kills, plain, u, marginals)
+            if type(node) is Union:
                 rest = self._union_pending(node, rest)
-        # The fields every path tests first, a union's or its own.
-        lead = node.parts[0] if isinstance(node, Seq) else node
-        first = (self._union_plan(lead)[4] if isinstance(lead, Union)
-                 else frozenset(_leading_tests(node)))
-        if not first:
-            return rest
+        return partial(_split_first, first, rest, plain, u, marginals) if first else rest
 
-        def pending(x):
-            read = [f for factor in x.factors for f in factor[0] if f in first]
-            if not read:
-                return rest(x)
-            return _bind(_split(x, read, u, marginals),
-                         lambda y: rest(y) if type(y) is Pending else plain(y))
-        return pending
-
-    def _go_past(self, node: Program, plain):
-        """``_past`` with the facts of ``node``, taken on its first call: a
-        union's are a walk over all its branches, which one live branch
-        never needs."""
-        u, marginals, bits, facts = self.universe, self._marginals, self._bits, []
-
-        def past(x):
-            if not facts:
-                reads, writes, kills, _ = footprint(node)
-                facts.extend((frozenset(_names(bits, reads | writes)), frozenset(_names(bits, kills))))
-            return _past(x, *facts, plain, u, marginals)
-        return past
+    def _make_pending(self, node: Program) -> tuple:
+        """(first, touch, kills, facts) of ``node`` on a pending input: the
+        fields every path through it tests first (a union's, or its own), the
+        fields it reads or writes and those it kills; and for a deterministic
+        sequence the facts ``_seq_run`` steps through (else None): the first
+        part of each run (``_runs``), the runs' set maps, the fields each run
+        reads or writes, and the fields each suffix of the runs kills."""
+        reads, writes, kills, _ = footprint(node)
+        lead = node.parts[0] if type(node) is Seq else node
+        first = (self._union_plan(lead)[4] if type(lead) is Union
+                 else tuple(_leading_tests(node)))
+        bits, facts = self._bits, None
+        m = self._set_map(node) if type(node) is Seq else None
+        if m is not None:
+            parts, starts, runs = node.parts, _runs(node.parts), []
+            for lo, hi in zip(starts, starts[1:]):
+                r = w = k = 0
+                for q in parts[lo:hi]:
+                    qr, qw, qk, _ = footprint(q)
+                    r, w, k = r | qr, w | qw, k | (qk & ~r)
+                runs.append((r, w, k))
+            suffix = [0] * (len(runs) + 1)
+            for i in reversed(range(len(runs))):
+                r, _, k = runs[i]
+                suffix[i] = k | (suffix[i + 1] & ~r)
+            facts = (starts, m.args[0],  # the runs' maps (see ``_compile``)
+                     tuple([frozenset(_names(bits, r | w)) for r, w, _ in runs]),
+                     tuple([frozenset(_names(bits, k)) for k in suffix]))
+        return (first, frozenset(_names(bits, reads | writes)), frozenset(_names(bits, kills)),
+                facts)
 
     def _union_pending(self, node: Union, past):
         """A union on a pending input (see the module): its one live branch
         gets the input, and none gives the empty set; otherwise, and when
         a guard field has a factor, the union goes ``past`` it."""
-        u, empty = self.universe, self._dirac(EMPTY)
+        u, empty, kernel = self.universe, self._dirac(EMPTY), self._kernel
         plan = self._union_plan(node)
         guard, parts = plan[0], node.parts
         leads = [None] * len(parts)  # [(field, value, reader)] of each branch's leading tests
         fns = [None] * len(parts)
-        kernel = weakref.ref(self)
 
         def union(x):
             fields = {f for factor in x.factors for f in factor[0]}
@@ -861,33 +981,6 @@ class Kernel:
             return f(x)
         return union
 
-    def _seq_pending(self, node: Seq, m):
-        """A sequence that holds a choice folds its steps from the pending
-        input; a deterministic one goes through its parts by ``_seq_run``:
-        it maps the base through each part that touches no factor's field,
-        sums out the fields the rest of its parts kill, and hands the input
-        to each other part."""
-        if m is None:
-            return self._sequence(node)
-        parts = node.parts
-        state = (parts, [None] * len(parts), *self._seq_facts(parts),
-                 weakref.ref(self), self._dirac, self.universe)
-        return partial(_seq_run, state, 0)
-
-    def _seq_facts(self, parts: tuple) -> tuple:
-        """The set maps of deterministic ``parts``, the fields each part reads
-        or writes, and the fields each suffix of the parts kills.  A union
-        or a star stands for every field, so the input is handed to it."""
-        facts = [(-1, -1, 0, True) if isinstance(q, (Union, Star)) else footprint(q)
-                 for q in parts]
-        kills = [0] * (len(parts) + 1)
-        for i in reversed(range(len(parts))):
-            r, _, k, _ = facts[i]
-            kills[i] = k | (kills[i + 1] & ~r)
-        return ([self._set_map(q) for q in parts],
-                [frozenset(_names(self._bits, r | w)) for r, w, _, _ in facts],
-                [frozenset(_names(self._bits, k)) for k in kills])
-
     # -- deterministic subterms ----------------------------------------------
 
     def _set_map(self, node: Program):
@@ -900,42 +993,51 @@ class Kernel:
     def _code(self, node: Program, kind: int, make):
         """The code ``kind`` of ``node`` for this kernel's layout of it (see
         the module), made by ``make(node)`` once per node and layout and kept
-        on the node: its footprint mask, then (layout, set map, union plan,
-        sequence plan, factor facts) runs; a layout is each field's bit,
-        weight and size, one tuple per universe and mask."""
+        on the node: its footprint mask, then one run per layout met, (layout,
+        set map, union plan, sequence plan, choice shares, row facts, pending
+        facts); a layout is each field's bit, weight and size, one tuple per
+        universe and mask.  Everything else is kernel state: the row and
+        pending functions with their memos, the union branches and sequence
+        runs they reach, star and factor tables, marginals, point masses."""
         codes = getattr(node, "_code", None)
         if codes is None:
             reads, writes, _, _ = footprint(node)
             object.__setattr__(node, "_code", codes := [reads | writes])
-        layout = self._layouts.get(codes[0])
+        mask = codes[0]
+        layout = self._layouts.get(mask)
         if layout is None:
-            mask = codes[0]
             layout = self._layouts[mask] = tuple([x for name, bit in self._bits if bit & mask
                                                   for x in (bit, *self.universe.digit(name))])
         i = 1
-        while i < len(codes) and codes[i] is not layout and codes[i] != layout:
-            i += 5
+        while i < len(codes) and codes[i] is not layout:
+            if codes[i] == layout:  # another universe's: take it, so the next test is `is`
+                layout = self._layouts[mask] = codes[i]
+                break
+            i += _KINDS + 1
         if i == len(codes):
-            codes += (layout, None, None, None, None)
-        if codes[i + kind] is None:
-            codes[i + kind] = make(node)
-        return codes[i + kind]
+            codes += (layout,) + (None,) * _KINDS
+        code = codes[i + kind]
+        if code is None:
+            code = codes[i + kind] = make(node)
+        return code
 
     def _compile(self, node: Program):
         """The set map of ``node`` (see the module), or None if ``node``
         contains a ``Choice`` or is not core.  Every map is additive, and
-        reads nothing of the universe but its layout of ``node``."""
+        reads nothing of the universe but its layout of ``node``.  A
+        sequence's map runs the maps of its runs (``_runs``): a run of
+        assignments is one rewrite of several fields."""
         u = self.universe
         match node:
             case Drop():
-                return lambda a: EMPTY
+                return _dropped
             case Skip():
-                return lambda a: a
+                return _skipped
             case Test(f, v):
                 u.check_value(f, v)
                 read = u.reader(f)
 
-                def test(a):
+                def test(a):  # a closure: the hottest map, and few nodes
                     if len(a) != 1:
                         return u.select(a, f, v)
                     for i in a:
@@ -943,49 +1045,31 @@ class Kernel:
                 return test
             case Assign(f, v):
                 u.check_value(f, v)
-                return lambda a: u.modify(a, f, v)
+                return partial(_rewritten, u, f, v)
             case Neg(t):
                 if not is_predicate(t):
                     raise WellFormednessError(f"not a predicate: {pretty(t)}")
-                inner = self._set_map(t)
-
-                def neg(a):  # a predicate keeps a subset of its input
-                    b = inner(a)
-                    return a if not b else EMPTY if len(b) == len(a) else a - b
-                return neg
+                return partial(_negated, self._set_map(t))
             case Seq(parts):
-                maps = [self._set_map(q) for q in parts]
+                starts, maps = _runs(parts), []
+                for lo, hi in zip(starts, starts[1:]):
+                    if hi - lo == 1:
+                        maps.append(self._set_map(parts[lo]))
+                        continue
+                    for q in parts[lo:hi]:
+                        u.check_value(q.field, q.value)
+                    maps.append(partial(_rewritten, u, tuple([q.field for q in parts[lo:hi]]),
+                                        tuple([q.value for q in parts[lo:hi]])))
                 if None in maps:
                     return None
-                return partial(_run, maps)
+                return partial(_run, tuple(maps))
             case Union(parts):
                 maps = [self._set_map(q) for q in parts]
                 if None in maps:
                     return None
-                plan = self._union_plan(node)
-
-                def union(a):
-                    out = EMPTY
-                    for i in _picked(plan, a):
-                        b = maps[i](a)
-                        if b:
-                            out = out | b if out else b
-                    return out
-                return union
+                return partial(_united, tuple(maps), self._union_plan(node))
             case Star(body):
                 step = self._set_map(body)
-                if step is None:
-                    return None
-
-                def closure(a):  # step is additive: map each packet once
-                    new = step(a) - a
-                    if not new:
-                        return a
-                    acc = set(a)
-                    while new:
-                        acc |= new
-                        new = step(new) - acc
-                    return frozenset(acc)
-                return closure
+                return None if step is None else partial(_reached, step)
             case _:
                 return None

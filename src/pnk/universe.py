@@ -33,6 +33,13 @@ class FieldDecl:
     size: int
 
 
+def _ints(value) -> bool:
+    """Whether ``value`` is an int, or a tuple of ints, and holds no bool."""
+    if type(value) is tuple:
+        return all([type(v) is int for v in value])
+    return type(value) is int
+
+
 class PacketUniverse:
     """The finite set of packets induced by an ordered field declaration list."""
 
@@ -58,6 +65,7 @@ class PacketUniverse:
         self.packet_count = w
         self._readers: dict = {}
         self._projectors: dict = {}
+        self._rewrites: dict = {}  # (name, value) of ``modify`` -> its rewrite
         # Footprint mask -> the layout kernels key node code by, shared by
         # every kernel over this universe (see ``bigstep.Kernel._code``).
         self.layouts: dict = {}
@@ -186,13 +194,35 @@ class PacketUniverse:
         w, size = self._digit(name, value)
         return frozenset([i for i in aset if (i // w) % size == value])
 
-    def modify(self, aset: PacketSet, name: str, value: int) -> PacketSet:
-        """Image of ``aset`` under the field update ``name := value``."""
-        w, size = self._digit(name, value)
+    def modify(self, aset: PacketSet, name, value) -> PacketSet:
+        """Image of ``aset`` under the field update ``name := value``, or,
+        with a tuple of names and one of values, under each update in turn,
+        so the last write of a field wins.  The fields and values are checked
+        once, when their rewrite is first made: the projector on the fields
+        and the valuation of the values (see ``projector``)."""
+        try:
+            hit = self._rewrites.get((name, value))
+        except TypeError:  # an unhashable value: ``_digit`` says what is wrong
+            hit = None
+        # An equal value is not enough (True == 1.0 == 1): the same object,
+        # or ints, as the checked one was.
+        if hit is None or hit[2] is not value and not _ints(value):
+            hit = self._rewrite(name, value)
+        clear, c, _ = hit
         if len(aset) == 1:
             for i in aset:
-                return frozenset((i - i // w % size * w + value * w,))
-        return frozenset([i - i // w % size * w + value * w for i in aset])
+                return frozenset((i - clear(i) + c,))
+        return frozenset([i - clear(i) + c for i in aset])
+
+    def _rewrite(self, name, value) -> tuple:
+        """(projector, valuation, ``value``) of the updates of ``modify``,
+        each checked in turn, kept under (``name``, ``value``)."""
+        names, values = (name, value) if type(name) is tuple else ((name,), (value,))
+        last = {}
+        for f, v in zip(names, values, strict=True):
+            last[f] = self._digit(f, v)[0] * v
+        out = self._rewrites[name, value] = self.projector(tuple(last)), sum(last.values()), value
+        return out
 
     # -- serialization --------------------------------------------------
 

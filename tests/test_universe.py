@@ -114,6 +114,49 @@ def test_modify_lands_in_test_set():
         assert u.select(moved, "f", v) == moved
 
 
+def test_a_rewrite_of_several_fields_is_their_updates_in_turn():
+    # ``modify`` over a tuple of fields equals one single-field ``modify``
+    # per field, chained in order, on random sets; a field that repeats
+    # takes its last value.
+    u = PacketUniverse([FieldDecl("f", 3), FieldDecl("g", 2), FieldDecl("h", 4),
+                        FieldDecl("k", 2)])
+    rng = random.Random(5)
+    names = [d.name for d in u.decls]
+    for _ in range(200):
+        fields = tuple(rng.choice(names) for _ in range(rng.randrange(1, 6)))
+        values = tuple(rng.randrange(u.field(f).size) for f in fields)
+        a = frozenset(i for i in range(u.packet_count) if rng.random() < 0.3)
+        for x in (a, frozenset(list(a)[:1])):
+            chained = x
+            for f, v in zip(fields, values):
+                chained = u.modify(chained, f, v)
+            assert u.modify(x, fields, values) == chained, (fields, values)
+    x = frozenset({u.packet(f=0, g=0, h=0, k=0), u.packet(f=2, g=1, h=3, k=1)})
+    assert u.modify(x, ("h", "g", "h"), (1, 1, 2)) == frozenset(
+        {u.packet(f=0, g=1, h=2, k=0), u.packet(f=2, g=1, h=2, k=1)})
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("x", 1, "unknown field 'x'"),
+    ("f", 2, r"value 2 out of range for field 'f' \(size 2\)"),
+    ("f", True, "value True of field 'f' is not an integer"),
+    ("f", 1.0, "value 1.0 of field 'f' is not an integer"),
+])
+def test_modify_checks_each_field_and_value(name, value, message):
+    # A bad field or value raises on every call, whatever set it is asked
+    # for, also once an equal good one (1 == True == 1.0) made its rewrite,
+    # and in a rewrite of several fields, the first bad one in order does.
+    u = make()
+    a = frozenset({u.packet(f=0, g=1)})
+    assert u.modify(a, "f", 1) == u.modify(a, ("g", "f"), (1, 1)) == frozenset({3})
+    for _ in range(2):
+        for x in (a, frozenset()):
+            with pytest.raises(UniverseError, match=f"^{message}$"):
+                u.modify(x, name, value)
+            with pytest.raises(UniverseError, match=f"^{message}$"):
+                u.modify(x, ("g", name, "f", "nowhere"), (0, value, 1, 9))
+
+
 def test_select():
     u = make()
     assert u.select(u.all_packets(), "f", 1) == frozenset(
