@@ -211,10 +211,15 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     up-set of c - S.  It can merge two outcomes, though, and add their
     differences, so for ``equiv`` at ``tol`` > 0 only S = {} qualifies.
     Such a row fails only if the row on a - {x} fails, which comes earlier
-    in mask order, so the first failing row holds no such packet.  For an
-    all-subsets spec of a pair with a choice, the rows are therefore the
-    subsets of the base without D, in mask order, one per orbit, where D
-    are the packets that join one set before the first singleton that
+    in mask order, so the first failing row holds no such packet.  For
+    ``leq`` the two sets may differ: when ``p`` maps {x} to the point mass
+    on S and ``q`` to the one on T, with S <= T, the up-set of b has mass
+    p(a - {x})(up(b - S)) on the left and q(a - {x})(up(b - T)) on the
+    right, and up(b - S) is inside up(b - T), so again the row on a fails
+    only if the row on a - {x} does.  For an all-subsets spec of a pair
+    with a choice, the rows are therefore the subsets of the base without
+    D, in mask order, one per orbit, where D are the packets that join one
+    set (or, for ``leq``, nested sets) before the first singleton that
     fails or exceeds the state budget.  A packet's singleton row is read,
     one per orbit (a singleton's orbit is fixed by its packet's projection
     on the touched fields, and phi maps {} to itself), once every row of
@@ -258,11 +263,12 @@ def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol):
     """The packets of ``base``, in order, but those before the first
     failing singleton (by ``excess``, or one that exceeds the state
     budget) whose rows on both sides are one point mass on a set S, with S
-    empty for ``equiv`` at ``tol`` > 0.  A packet's singleton is read when
-    the packet is asked for, and one per projection on the touched fields
-    (every packet's own, when ``clear`` is None); from the first that
-    fails on, the packets are passed on unread."""
-    any_set = excess is _upset_excess or not tol  # closeness survives joining {} alone
+    empty for ``equiv`` at ``tol`` > 0, or for ``leq`` point masses on S
+    and T with S <= T.  A packet's singleton is read when the packet is
+    asked for, and one per projection on the touched fields (every
+    packet's own, when ``clear`` is None); from the first that fails on,
+    the packets are passed on unread."""
+    order = excess is _upset_excess
     joins = {}  # a singleton's projection -> whether it joins
     for n, x in enumerate(base):
         key = x if clear is None else x - clear(x)
@@ -276,8 +282,10 @@ def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol):
             if fails:
                 yield from base[n:]
                 return
-            joins[key] = (mu == nu and len(mu.nums) == 1
-                          and (any_set or EMPTY in mu.nums))
+            joins[key] = (len(mu.nums) == 1 == len(nu.nums)
+                          and (next(iter(mu.nums)) <= next(iter(nu.nums)) if order
+                               # closeness survives joining {} alone
+                               else mu == nu and (not tol or EMPTY in mu.nums)))
         if not joins[key]:
             yield x
 

@@ -6,7 +6,7 @@ only; in float mode, ``apply`` and ``row`` round them once.
 
 A kernel is a compiler.  *Node code* depends on nothing but the node and
 its *layout*, the weight and size of each field it reads or writes, so it
-is made once per node and layout and kept on the node (``Kernel._code``):
+is made once per node and layout and kept on the node (``_State._code``):
 the cells of a table over one topology share it.  There are six kinds: a
 node's set map (below), a union's plan, a sequence's steps, a choice's
 shares, the row facts of a node that holds a choice (a factor node's
@@ -18,19 +18,27 @@ functions (a test's map is a closure), so live nodes hold few objects for
 the cycle collector to scan.  *Kernel state* is what changes rows: each
 node whose rows are requested, and each (star, filter) step of a
 sequence, is compiled on first use into a row function from a packet set
-to a ``Row`` (``Kernel._rows``) that owns its memo, keyed on the input
+to a ``Row`` (``_State._rows``) that owns its memo, keyed on the input
 set, and into a pending function when a pending input first reaches it
-(``Kernel._pending``); star tables, factor tables, marginals and point
-masses are kernel state too.  A kernel's compile looks its code up and
-binds these to it.  Nodes are interned (see ``syntax``), so equal
-subterms share one function.  Rows are shared, so nobody changes one.  No
-code or row function refers to its kernel, so a kernel is freed with its
-last reference, without the cycle collector.
+(``_State._pending``); star tables, factor tables, marginals and point
+masses are kernel state too.  A row depends only on its node, the
+universe and the input, so every live kernel over a universe with equal
+fields and an equal state budget uses one ``_State``, found in
+``_STATES``: the cells of a table built side by side compute the rows of
+the subterms they share once, as the unique and computed tables of one
+BDD manager serve every function built over its variable order (Brace,
+Rudell and Bryant, DAC 1990).  Kernels that never live at once start
+cold.  A compile looks its code up and binds the state's memos and tables
+to it.  Nodes are interned (see ``syntax``), so equal subterms share one
+function.  Rows are shared, so nobody changes one.  Kernels hold their
+state, and no code or row function refers to a kernel or holds a state
+but weakly, so a state is freed with the last kernel over it, without the
+cycle collector.
 
 Deterministic subterms are set maps.  A core program without ``+[r]`` is
 deterministic and additive: its row on a set a is the point mass on the
 union of its images of the packets in a (Anderson et al., POPL 2014).  So
-each such node is compiled once (``Kernel._set_map``) into a map between
+each such node is compiled once (``_State._set_map``) into a map between
 packet sets; a star's is its body's reachability closure.  Such a
 node gets a row function only where its rows are requested, and it maps
 only the packets whose singleton row is not in its memo (``_additive``).
@@ -151,7 +159,7 @@ def _picked(plan, aset: PacketSet) -> list:
 # -- rows ----------------------------------------------------------------------
 
 _NOWHERE = Row(1, {EMPTY: 1})
-# The kinds of node code (see ``Kernel._code``): each is its index in a run.
+# The kinds of node code (see ``_State._code``): each is its index in a run.
 _MAP, _PLAN, _STEPS, _SHARES, _ROW, _PENDING = range(1, 7)
 _KINDS = 6
 
@@ -528,7 +536,7 @@ def _table(fn, k, x: int, fields: tuple, universe: PacketUniverse, factored: lis
 
 
 def _settling(fn, factored: list, universe: PacketUniverse):
-    """The row function ``fn`` with its rows settled once the kernel's cell
+    """The row function ``fn`` with its rows settled once the state's cell
     ``factored`` says a factor node is compiled (``fn`` may compile one)."""
     def settled(a):
         row = fn(a)
@@ -542,9 +550,9 @@ def _names(bits: tuple, mask: int) -> tuple:
     return tuple([name for name, bit in bits if bit & mask])
 
 
-def _pending_of(kernel, key, x) -> Row:
-    """The row of ``key`` on ``x`` by the weakly held ``kernel``."""
-    return kernel()._pending(key)(x)
+def _pending_of(state, key, x) -> Row:
+    """The row of ``key`` on ``x`` by the weakly held ``state``."""
+    return state()._pending(key)(x)
 
 
 def _fold(steps, a) -> Row:
@@ -620,10 +628,10 @@ def _runs(parts: tuple) -> tuple:
 
 def _seq_run(state: tuple, i: int, y) -> Row:
     """The row of the runs ``i`` on (see ``_runs``) of a deterministic
-    sequence on ``y`` (see ``Kernel._compile_pending``); ``state`` holds its
-    parts, its facts (``Kernel._make_pending``), the runs' pending
-    functions, the kernel weakly and its helpers."""
-    parts, (starts, maps, touch, kills), fns, kernel, dirac, u = state
+    sequence on ``y`` (see ``_State._compile_pending``); ``state`` holds its
+    parts, its facts (``_State._make_pending``), the runs' pending
+    functions, the kernel state weakly and its helpers."""
+    parts, (starts, maps, touch, kills), fns, ref, dirac, u = state
     n = len(maps)
     while True:
         if type(y) is Pending:
@@ -642,7 +650,7 @@ def _seq_run(state: tuple, i: int, y) -> Row:
         f = fns[i]
         if f is None:  # a run of assignments kills what it touches: one part
             lo, hi = starts[i], starts[i + 1]
-            f = fns[i] = kernel()._pending(parts[lo] if hi - lo == 1 else Seq(*parts[lo:hi]))
+            f = fns[i] = ref()._pending(parts[lo] if hi - lo == 1 else Seq(*parts[lo:hi]))
         row = f(Pending(base, factors))
         i += 1
         if len(row.nums) != 1:
@@ -664,10 +672,10 @@ def _passes(tests: list, pending, base: PacketSet) -> bool:
     return True
 
 
-def _union_rows(plan, parts: tuple, kernel, universe: PacketUniverse, empty: Row):
+def _union_rows(plan, parts: tuple, ref, universe: PacketUniverse, empty: Row):
     """The rows of a union with the plan ``plan`` and the branches ``parts``
     on a set: the product of the rows of the branches ``_picked`` on it, the
-    row function of each made by the weakly held ``kernel`` on first use."""
+    row function of each made by the kernel state ``ref()`` on first use."""
     fns = [None] * len(parts)
 
     def union(a):
@@ -675,7 +683,7 @@ def _union_rows(plan, parts: tuple, kernel, universe: PacketUniverse, empty: Row
         for i in _picked(plan, a):
             f = fns[i]
             if f is None:
-                f = fns[i] = kernel()._rows(parts[i])
+                f = fns[i] = ref()._rows(parts[i])
             row = f(a)
             out = row if out is None else _product(out, row, universe)
         return empty if out is None else out
@@ -719,10 +727,16 @@ def _split_first(first, rest, plain, universe: PacketUniverse, marginals: dict,
                  lambda y: rest(y) if type(y) is Pending else plain(y))
 
 
+# (universe fields, state budget) -> the state of the live kernels over them.
+_STATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Kernel:
     """Compiles a core (desugared) program into row functions.  With
     ``exact`` false, ``apply`` and ``row`` return float rows: the exact
-    rows, each weight rounded to the nearest double."""
+    rows, each weight rounded to the nearest double.  Live kernels over
+    universes with equal fields and an equal ``state_budget`` share one
+    state (see the module)."""
 
     def __init__(self, program: Program, universe: PacketUniverse,
                  exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
@@ -731,23 +745,18 @@ class Kernel:
                 "kernel requires a core program; run desugar() first"
             )
         self.program = program
-        self.universe = universe
         self.exact = exact
-        self.state_budget = state_budget
-        self._fns: dict = {}
-        self._pends: dict = {}
-        self._marginals: dict = {}
-        self._bits = tuple([(d.name, field_bit(d.name)) for d in universe.decls])
-        self._every = sum([bit for _, bit in self._bits])  # the mask of every field
-        self._layouts = universe.layouts
-        self._dirac = _point_masses()
-        # [a factor node, the only maker of pending sets, is compiled; the
-        # number of factor tables being made]: a cell row functions read.
-        self._factored = [False, 0]
-        # Row functions hold their kernel weakly, and reach the pending row
-        # of a key through one function of the kernel's.
-        self._kernel = weakref.ref(self)
-        self._pending_row = partial(_pending_of, self._kernel)
+        key = (universe.decls, state_budget)
+        state = _STATES.get(key)
+        if state is None:
+            state = _STATES[key] = _State(universe, state_budget)
+        self._state = state
+
+    @property
+    def universe(self) -> PacketUniverse:
+        """The universe of the kernel's state: its fields are those of the
+        universe the kernel was made over."""
+        return self._state.universe
 
     def apply(self, aset: PacketSet) -> Row:
         """The output row of the whole program on ``aset``."""
@@ -759,16 +768,41 @@ class Kernel:
         return self._out(node, aset)
 
     def _out(self, node: Program, aset: PacketSet) -> Row:
-        row = self._rows(node)(aset)
-        if self._factored[0] and _holds_pending(row):
-            row = _settled(row, self.universe)
+        state = self._state
+        row = state._rows(node)(aset)
+        if state._factored[0] and _holds_pending(row):
+            row = _settled(row, state.universe)
         return row if self.exact else rounded(row)
+
+
+class _State:
+    """The state of the live kernels over one universe's fields and one
+    state budget (see the module): their row and pending functions, with
+    the memos and tables these own, marginals and point masses."""
+
+    def __init__(self, universe: PacketUniverse, state_budget: int):
+        self.universe = universe
+        self.state_budget = state_budget
+        self._fns: dict = {}
+        self._pends: dict = {}
+        self._marginals: dict = {}
+        self._bits = tuple([(d.name, field_bit(d.name)) for d in universe.decls])
+        self._every = sum([bit for _, bit in self._bits])  # the mask of every field
+        self._layouts = universe.layouts
+        self._dirac = _point_masses()
+        # [a factor node, the only maker of pending sets, is compiled; the
+        # number of factor tables being made]: a cell row functions read.
+        self._factored = [False, 0]
+        # Row functions hold the state weakly, and reach the pending row of
+        # a key through one function of the state's.
+        self._ref = weakref.ref(self)
+        self._pending_row = partial(_pending_of, self._ref)
 
     # -- row functions ---------------------------------------------------------
 
     def _rows(self, node: Program, filt=None):
         """The row function of ``node``, or of the star ``node`` followed by
-        the predicate ``filt`` unless None: kernel state, made once."""
+        the predicate ``filt`` unless None: state, made once."""
         key = node if filt is None else (node, filt)
         fn = self._fns.get(key)
         if fn is None:
@@ -789,7 +823,7 @@ class Kernel:
             return _star_rows(body_rows, keep, self.state_budget, partial(pretty, node), key,
                               pending, {EMPTY: dirac(EMPTY)})  # strict
         if cls is Union:
-            fn = _union_rows(self._union_plan(node), node.parts, self._kernel, u, dirac(EMPTY))
+            fn = _union_rows(self._union_plan(node), node.parts, self._ref, u, dirac(EMPTY))
         elif cls is Seq:
             fn = self._sequence(node)
         elif cls is Choice:
@@ -909,7 +943,7 @@ class Kernel:
         if filt is None and self._factor_fields(node):
             return partial(_past, touch, kills, plain, u, marginals)
         if facts is not None:
-            state = (node.parts, facts, [None] * len(facts[1]), self._kernel, self._dirac, u)
+            state = (node.parts, facts, [None] * len(facts[1]), self._ref, self._dirac, u)
             rest = partial(_seq_run, state, 0)
         elif type(node) is Seq:
             rest = self._sequence(node)
@@ -954,7 +988,7 @@ class Kernel:
         """A union on a pending input (see the module): its one live branch
         gets the input, and none gives the empty set; otherwise, and when
         a guard field has a factor, the union goes ``past`` it."""
-        u, empty, kernel = self.universe, self._dirac(EMPTY), self._kernel
+        u, empty, ref = self.universe, self._dirac(EMPTY), self._ref
         plan = self._union_plan(node)
         guard, parts = plan[0], node.parts
         leads = [None] * len(parts)  # [(field, value, reader)] of each branch's leading tests
@@ -977,7 +1011,7 @@ class Kernel:
             i = live[0]
             f = fns[i]
             if f is None:
-                f = fns[i] = kernel()._pending(parts[i])
+                f = fns[i] = ref()._pending(parts[i])
             return f(x)
         return union
 
@@ -991,7 +1025,7 @@ class Kernel:
         return self._code(node, _MAP, self._compile)
 
     def _code(self, node: Program, kind: int, make):
-        """The code ``kind`` of ``node`` for this kernel's layout of it (see
+        """The code ``kind`` of ``node`` for this state's layout of it (see
         the module), made by ``make(node)`` once per node and layout and kept
         on the node: its footprint mask, then one run per layout met, (layout,
         set map, union plan, sequence plan, choice shares, row facts, pending

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from pnk.bigstep import _STATES, Kernel
+from pnk.star import DEFAULT_STATE_BUDGET
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union,
 )
@@ -94,3 +96,22 @@ def random_dist(rng: random.Random, universe: PacketUniverse, support: int = 3):
         probs.append(Fraction(c - prev, 24))
         prev = c
     return {s: p for s, p in zip(sets, probs) if p != 0}
+
+
+def cold_kernel(p, u, **kwargs):
+    """A kernel of ``p`` over ``u`` with a state of its own: no kernel over
+    an equal universe and budget is alive when it is made, so its state
+    differs from that of every kernel made before it, and it is an oracle
+    for them.  (Live kernels over equal universes share one state.)"""
+    key = (u.decls, kwargs.get("state_budget", DEFAULT_STATE_BUDGET))
+    assert key not in _STATES, "a kernel over an equal universe is alive"
+    k = Kernel(p, u, **kwargs)
+    assert key in _STATES
+    return k
+
+
+def cold_rows(p, u, inputs, **kwargs):
+    """The rows of ``p`` on ``inputs`` from one kernel made by
+    ``cold_kernel``, which is gone on return."""
+    k = cold_kernel(p, u, **kwargs)
+    return [k.row(p, a) for a in inputs]

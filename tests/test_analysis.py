@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from pnk import star
+from pnk import analysis, star
 from pnk.analysis import (
     InputSpec, QuerySpec, TruncatedRun, Verdict, Witness, _below,
     _dist_mismatch, _meet_closure, dist_leq, dist_leq_bruteforce, equiv,
@@ -26,7 +26,8 @@ from pnk.syntax import (
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
 from conftest import (
-    WEIGHTS, random_dist, random_predicate, random_program, random_set,
+    WEIGHTS, cold_kernel, cold_rows, random_dist, random_predicate, random_program,
+    random_set,
 )
 
 UF = PacketUniverse([FieldDecl("f", 2)])
@@ -784,9 +785,11 @@ def _first_of_each_orbit(u, names, rows):
 def _joins(decide, mu, nu, tol):
     """Whether a packet whose singleton rows are ``mu`` and ``nu`` is left
     out of the rows: one point mass on both sides, on the empty set for
-    ``equiv`` at a ``tol`` above 0."""
-    return (mu == nu and len(mu.nums) == 1
-            and (decide is leq or not tol or EMPTY in mu.nums))
+    ``equiv`` at a ``tol`` above 0; for ``leq``, point masses on S and T
+    with S <= T."""
+    if decide is leq:
+        return len(mu.nums) == 1 == len(nu.nums) and min(mu.nums) <= min(nu.nums)
+    return mu == nu and len(mu.nums) == 1 and (not tol or EMPTY in mu.nums)
 
 
 def _expected_rows(decide, p, q, u, untouched, tol=0):
@@ -942,14 +945,73 @@ def test_leaving_out_joined_packets_keeps_every_verdict_and_witness(uni8, tol):
     for decide, p, q in _joining_pairs(rng, uni8, 20):
         pairs += 1
         cp, cq = desugar(p), desugar(q)
-        kp, kq = Kernel(cp, uni8), Kernel(cq, uni8)
+        kp, kq = cold_kernel(cp, uni8), Kernel(cq, uni8)
         rows = [(a, kp.row(cp, a), kq.row(cq, a)) for a in spec.rows()]
         joined += any(_joins(decide, mu, nu, tol) for a, mu, nu in rows if len(a) == 1)
+        del kp, kq  # the decision's kernel starts cold
         got = decide(p, q, spec, uni8, tol=tol)
         assert got == _fresh_verdict(decide, rows, tol), (pretty(p), pretty(q))
         seen.add(got.result)
     assert pairs >= 60 and joined >= pairs // 2
     assert seen == {"equal", "not-equal", "leq", "not-leq"}
+
+
+def _nested_pairs(rng, u, count):
+    """(left, right), each side ``t ; d & !t ; r`` as in ``_joining_pairs``:
+    the right side's d is the left's joined with a random choice-free e, so
+    the left maps each packet t passes to a point mass on a subset of the
+    right's set; its r is the left's, moved by 1/16, or another; and the
+    pair swapped, so the left's sets hold the right's."""
+    def side(t, d, r):
+        return Union(Seq(t, d), Seq(Neg(t), r))
+    for _ in range(count):
+        t, d, e = random_predicate(rng, u, 2), _choice_free(rng, u), _choice_free(rng, u)
+        r = Choice(rng.choice(WEIGHTS), *(random_program(rng, u, 2, stars=1) for _ in "ab"))
+        p = side(t, d, r)
+        for r2 in (r, _nudged(r, Fraction(1, 16)), random_program(rng, u, 2, stars=1)):
+            q = side(t, Union(d, e), r2)
+            yield p, q
+            yield q, p
+
+
+def test_leq_leaves_out_packets_it_maps_to_nested_point_masses(uni8):
+    # A packet that the left side maps to the point mass on S and the right
+    # to the one on T, with S <= T, is left out of a leq decision over all
+    # subsets.  Verdicts and witnesses must be those of every row, each
+    # checked over every subset of the universe by the brute-force order,
+    # with rows from a kernel per side made once the decision's is gone.
+    rng = random.Random(71)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    packets, base = sorted(uni8.all_packets()), list(spec.subset_base)
+    seen, pairs, fired = set(), 0, 0
+    for p, q in _nested_pairs(rng, uni8, 12):
+        pairs += 1
+        got = leq(p, q, spec, uni8)
+        cp, cq = desugar(p), desugar(q)
+        rows = list(spec.rows())
+        left, right = cold_rows(cp, uni8, rows), cold_rows(cq, uni8, rows)
+        first = next(((a, mu, nu) for a, mu, nu in zip(rows, left, right)
+                      if not dist_leq_bruteforce(mu.as_dict(), nu.as_dict(), packets)), None)
+        if first is None:
+            assert got == Verdict("leq", tolerance=0), (pretty(p), pretty(q))
+        else:
+            a, mu, nu = first
+            w = got.witness
+            assert got.result == "not-leq" and w.input_set == a, (pretty(p), pretty(q))
+            up = (ratio(upset_prob(mu.nums, w.output_set), mu.den),
+                  ratio(upset_prob(nu.nums, w.output_set), nu.den))
+            assert up == (w.left_prob, w.right_prob) and up[0] > up[1]
+        seen.add(got.result)
+        # The packets the decision leaves out that the rule of equal point
+        # masses would keep.
+        k = cold_kernel(cp, uni8)
+        kept = set(analysis._unjoined(k, cp, cq, base, None, analysis._upset_excess, 0))
+        del k
+        singles = dict(zip(rows, zip(left, right)))
+        fired += any(singles[frozenset({x})][0] != singles[frozenset({x})][1]
+                     for x in set(base) - kept)
+    assert pairs >= 60 and fired >= 12  # 13 of 72 pairs with this seed
+    assert seen == {"leq", "not-leq"}
 
 
 def test_a_point_mass_on_a_nonempty_set_is_kept_within_a_tolerance(uni8):

@@ -18,7 +18,7 @@ from pnk import star as star_mod
 from pnk import syntax as syntax_mod
 from pnk.analysis import InputSpec, dist_leq, equiv, estimate, leq, sample_run
 from pnk.bigstep import Kernel, Pending
-from pnk.errors import UniverseError, WellFormednessError
+from pnk.errors import BudgetExceededError, UniverseError, WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.row import Row
 from pnk.syntax import (
@@ -27,7 +27,9 @@ from pnk.syntax import (
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
-from conftest import WEIGHTS, random_predicate, random_program, random_set
+from conftest import (
+    WEIGHTS, cold_kernel, cold_rows, random_predicate, random_program, random_set,
+)
 
 UF = PacketUniverse([FieldDecl("f", 2)])
 
@@ -183,14 +185,15 @@ def test_weights_of_0_and_1_cut_off_the_parts_they_leave_no_mass(uni8):
                 chains.append(([Assign(d.name, v) for v in values], weights))
     for parts, weights in chains:
         p = Choice.chain(parts, weights)
-        k, part_kernels = Kernel(p, u), [Kernel(q, u) for q in parts]
-        for a in inputs:
+        part_rows = [cold_rows(q, u, inputs) for q in parts]
+        k = cold_kernel(p, u)
+        for n, a in enumerate(inputs):
             got = k.row(p, a)
             _assert_reduced_integer_row(got)
-            want = _binary_chain_row([kq.row(q, a).as_dict()
-                                      for kq, q in zip(part_kernels, parts)], weights)
+            want = _binary_chain_row([rows[n].as_dict() for rows in part_rows], weights)
             assert {b: Fraction(n, got.den) for b, n in got.nums.items()} == want, \
                 (pretty(p), sorted(a))
+        del k
 
 
 def test_monotone_in_inputs(uni2x2):
@@ -255,14 +258,12 @@ def test_union_dispatch_obeys_product_law(exact):
     rng = random.Random(8)
     for _ in range(300):
         branches = [_random_branch(rng, u) for _ in range(rng.randrange(2, 9))]
-        k = Kernel(union(*branches), u, exact=exact)
         inputs = [EMPTY, random_set(rng, u),
                   frozenset(rng.sample(range(u.packet_count), 1))]
-        for a in inputs:
-            rows = []
-            for b in branches:
-                kb = Kernel(b, u, exact=exact)
-                rows.append(kb.row(kb.program, a).as_dict())
+        branch_rows = [cold_rows(b, u, inputs, exact=exact) for b in branches]
+        k = cold_kernel(union(*branches), u, exact=exact)
+        for n, a in enumerate(inputs):
+            rows = [r[n].as_dict() for r in branch_rows]
             expected = _product_of_rows(rows, unit)
             got = k.row(k.program, a).as_dict()
             if exact:
@@ -270,6 +271,7 @@ def test_union_dispatch_obeys_product_law(exact):
             else:
                 assert got.keys() == expected.keys()
                 assert all(abs(got[b] - expected[b]) <= 1e-12 for b in got)
+        del k
 
 
 def _star_programs(rng, u):
@@ -292,11 +294,10 @@ def test_star_table_rows_equal_fresh_kernels(uni2x2, exact):
             prog = desugar(prog)
             expected = {}
             for a in inputs:
-                k = Kernel(prog, u, exact=exact)
-                expected[a] = k.row(k.program, a).as_dict()
+                expected[a] = cold_rows(prog, u, [a], exact=exact)[0].as_dict()
             order = list(inputs)
             for _ in range(2):
-                k = Kernel(prog, u, exact=exact)
+                k = cold_kernel(prog, u, exact=exact)
                 for a in order:
                     got = k.row(k.program, a).as_dict()
                     if exact:
@@ -306,6 +307,7 @@ def test_star_table_rows_equal_fresh_kernels(uni2x2, exact):
                         assert all(abs(got[b] - expected[a][b]) <= 1e-12
                                    for b in got)
                 rng.shuffle(order)
+                del k
 
 
 def test_row_hands_out_a_copy(uni2x2):
@@ -370,7 +372,7 @@ def test_compiled_set_maps_match_the_sampler(uni8):
     sets = [EMPTY, u.all_packets(), *(frozenset({i}) for i in range(u.packet_count))]
     for p in handmade + _deterministic_programs(rng, u, 400):
         k = Kernel(p, u)
-        assert k._set_map(p) is not None
+        assert k._state._set_map(p) is not None
         for a in sets + [random_set(rng, u) for _ in range(4)]:
             assert k.row(p, a).as_dict() == delta(sample_run(p, a, u, 0))
 
@@ -381,20 +383,20 @@ def _closure(fn):
 
 def _memos(k):
     """Node -> memo of each memoized row function of ``k``."""
-    return {key: c["memo"] for key, fn in k._fns.items() if "memo" in (c := _closure(fn))}
+    return {key: c["memo"] for key, fn in k._state._fns.items() if "memo" in (c := _closure(fn))}
 
 
 def _tables(k):
     """Key (a star node, or a (star, filter) step) -> table of solved rows
     of each star row function of ``k``."""
-    return {key: c["table"] for key, fn in k._fns.items() if "table" in (c := _closure(fn))}
+    return {key: c["table"] for key, fn in k._state._fns.items() if "table" in (c := _closure(fn))}
 
 
 def _images(k):
     """Node -> packet -> image index of each deterministic row function of
     ``k``."""
     out = {}
-    for key, fn in k._fns.items():
+    for key, fn in k._state._fns.items():
         inner = _closure(fn).get("fn")
         if inspect.isfunction(inner) and "images" in (c := _closure(inner)):
             out[key] = c["images"]
@@ -427,17 +429,17 @@ def test_no_memo_entries_inside_deterministic_subterms():
         if node not in nodes:
             nodes.add(node)
             stack.extend(_parts(node))
-    probabilistic = {n for n in nodes if k._set_map(n) is None}
+    probabilistic = {n for n in nodes if k._state._set_map(n) is None}
     evaluated = {k.program}
     for n in probabilistic:
         if isinstance(n, Seq):
-            evaluated.update(step for step, _ in k._seq_plan(n))
+            evaluated.update(step for step, _ in k._state._seq_plan(n))
         else:
             evaluated.update(_parts(n))
     stored = {**_memos(k), **_tables(k)}
     keys = {key for key, rows in stored.items() if rows and not isinstance(key, tuple)}
     assert keys <= evaluated
-    assert any(k._set_map(n) is not None for n in keys)
+    assert any(k._state._set_map(n) is not None for n in keys)
     # The deterministic top nodes hold one entry per input set, and no
     # node inside them has one of its own.
     deterministic = (nodes | evaluated) - probabilistic
@@ -471,13 +473,14 @@ def test_deterministic_rows_are_the_point_masses_of_their_set_maps(uni8):
         if has_choice(p):
             continue
         for order, indexed in ((rows, True), (masks, True), (rows[::-1], False)):
-            k = Kernel(p, u)
-            m = k._set_map(p)
+            k = cold_kernel(p, u)
+            m = k._state._set_map(p)
             for a in order:
                 assert k.row(p, a).as_dict() == delta(m(a)), (pretty(p), sorted(a))
             images = _images(k)[p]
             assert bool(images) == indexed
             assert all(b == m(frozenset({x})) for x, b in images.items())
+            del k
         stars += _stars(p)
     assert stars > 8  # 13 of 61 programs with this seed
 
@@ -497,7 +500,7 @@ def test_a_set_maps_only_its_packets_not_met_alone():
     # of whose singletons was met costs one closure, as it did before.
     u = PacketUniverse([FieldDecl("f", 8), FieldDecl("g", 2)])
     p = Star(union(*(Seq(Test("f", v), Assign("f", v + 1)) for v in range(7))))
-    m = Kernel(p, u)._set_map(p)
+    m = Kernel(p, u)._state._set_map(p)
     rows, calls = _additive_rows(m)
     x = [u.packet(f=v, g=0) for v in range(4)]
     a = frozenset(x)
@@ -524,7 +527,7 @@ def test_a_lone_packet_not_met_alone_is_indexed():
     # its image, so the next set that holds it maps nothing.
     u = PacketUniverse([FieldDecl("f", 8), FieldDecl("g", 2)])
     p = Star(union(*(Seq(Test("f", v), Assign("f", v + 1)) for v in range(7))))
-    m = Kernel(p, u)._set_map(p)
+    m = Kernel(p, u)._state._set_map(p)
     rows, calls = _additive_rows(m)
     x = [u.packet(f=v, g=0) for v in range(3)]
     rows(frozenset(x[:1]))
@@ -557,7 +560,7 @@ def test_a_kernel_is_freed_without_the_cycle_collector(uni8):
         k = Kernel(prog, uni8)
         for i in range(uni8.packet_count):
             k.row(prog, frozenset({i}))
-        assert bool(k._pends) == (prog is not p)
+        assert bool(k._state._pends) == (prog is not p)
         ref = weakref.ref(k)
         gc.disable()
         try:
@@ -599,7 +602,7 @@ def _loops(p, t):
 def _unrolled(body, filt, a, u):
     """The row on ``a`` of X ; filt, for X the fixed point of
     X <- skip & body;X, iterated from drop until its row stops changing."""
-    k = Kernel(Skip(), u)
+    k = cold_kernel(Skip(), u)
     x, last, got = Drop(), None, delta(EMPTY)
     while got != last:
         x, last = Union(Skip(), Seq(body, x)), got
@@ -619,15 +622,18 @@ def test_choice_free_stars_are_reachability_closures():
         inputs = [EMPTY, frozenset({rng.randrange(u.packet_count)}),
                   random_set(rng, u), u.all_packets()]
         for prog, body, filt in _loops(p, t):
-            k = Kernel(prog, u)
-            kb = Kernel(body, u)
+            k = cold_kernel(prog, u)
+            rows = [k.row(prog, a).as_dict() for a in inputs]
+            assert k._state._set_map(prog) is not None and not _tables(k)
+            del k
+            kb = cold_kernel(body, u)
             keep = None if filt is None else (lambda a, filt=filt: restrict(filt, a, u))
-            for a in inputs:
-                got = k.row(prog, a).as_dict()
+            for a, got in zip(inputs, rows):
                 chain = star_mod.star_dist(lambda b: kb.row(body, b), a, keep=keep)
                 assert got == chain.as_dict()
+            del kb
+            for a, got in zip(inputs, rows):
                 assert got == _unrolled(body, filt, a, u)
-            assert k._set_map(prog) is not None and not _tables(k)
 
 
 def _perfbench_programs():
@@ -775,8 +781,9 @@ def test_matrix_seq_is_product():
     rows = all_subsets(u)
     p = Choice(Fraction(1, 3), Assign("f", 0), Skip())
     q = Union(Test("f", 0), Assign("f", 1))
-    kp, kq, kpq = kernel(p, u), kernel(q, u), kernel(Seq(p, q), u)
-    assert _full(kpq, rows) == mat_mul(_full(kp, rows), _full(kq, rows))
+    mp = _full(cold_kernel(desugar(p), u), rows)
+    mq = _full(cold_kernel(desugar(q), u), rows)
+    assert _full(cold_kernel(desugar(Seq(p, q)), u), rows) == mat_mul(mp, mq)
 
 
 def test_matrix_choice_is_convex():
@@ -814,21 +821,24 @@ def test_rows_are_reduced_integer_rows():
         p = random_program(rng, UNI4, 2, stars=1)
         q = random_program(rng, UNI4, 2, stars=1)
         r = rng.choice(WEIGHTS)
-        mp, mq = _full(kernel(p, UNI4), rows4), _full(kernel(q, UNI4), rows4)
+        cp, cq = desugar(p), desugar(q)
+        mp, mq = _full(cold_kernel(cp, UNI4), rows4), _full(cold_kernel(cq, UNI4), rows4)
         laws = [(Seq(p, q), mat_mul(mp, mq)), (Choice(r, p, q), convex(r, mp, mq))]
         for prog, oracle in laws:
-            k = kernel(prog, UNI4)
+            k = cold_kernel(desugar(prog), UNI4)
             for i, a in enumerate(rows4):
                 got = k.row(k.program, a)
                 _assert_reduced_integer_row(got)
                 assert got.as_dict() == {rows4[j]: v for j, v in oracle.rows[i].items()}
-        k, kp, kq = kernel(Union(p, q), UNI4), kernel(p, UNI4), kernel(q, UNI4)
-        for a in rows4:
+            del k
+        rp, rq = cold_rows(cp, UNI4, rows4), cold_rows(cq, UNI4, rows4)
+        k = cold_kernel(desugar(Union(p, q)), UNI4)
+        for a, mu, nu in zip(rows4, rp, rq):
             got = k.row(k.program, a)
             _assert_reduced_integer_row(got)
-            assert got.as_dict() == _product_of_rows(
-                [kp.row(kp.program, a).as_dict(), kq.row(kq.program, a).as_dict()],
-                Fraction(1))
+            assert got.as_dict() == _product_of_rows([mu.as_dict(), nu.as_dict()],
+                                                     Fraction(1))
+        del k
     # On UNI8 every row the kernel made on the way holds the invariant too:
     # each memoized row is the row of its node, and each star table row
     # that of its (star, filter).
@@ -928,10 +938,11 @@ def _coin_program(rng, u, depth):
 
 
 def _same_rows_as_twin(p, u, inputs):
-    k, twin = Kernel(p, u), Kernel(_twin(p), u)
-    for a in inputs:
+    want = cold_rows(_twin(p), u, inputs)
+    k = cold_kernel(p, u)
+    for a, row in zip(inputs, want):
         got = k.row(p, a)
-        assert got == twin.row(twin.program, a), (pretty(p), sorted(a))
+        assert got == row, (pretty(p), sorted(a))
         _assert_reduced_integer_row(got)
 
 
@@ -980,11 +991,15 @@ def _same_f10_rows_as_twin(topo, k):
     for scheme in netlib.F10_VARIANTS:
         cm = netlib.build_case_model(scheme, netlib.topology_by_name(topo), k)
         p = desugar(cm.program)
-        kern, twin = Kernel(p, cm.universe), Kernel(_twin(p), cm.universe)
-        assert not twin._factored[0]
-        for src in cm.in_packets:
-            a = frozenset({src})
-            assert kern.apply(a) == twin.apply(a)
+        inputs = [frozenset({src}) for src in cm.in_packets]
+        twin = cold_kernel(_twin(p), cm.universe)
+        want = [twin.apply(a) for a in inputs]
+        assert not twin._state._factored[0]
+        del twin
+        kern = cold_kernel(p, cm.universe)
+        for a, row in zip(inputs, want):
+            assert kern.apply(a) == row
+        del kern
 
 
 @pytest.mark.parametrize("topo", ["abfattree20", "abfattree45"])
@@ -1008,7 +1023,7 @@ FLIP = Choice(Fraction(1, 4), F1, F0)  # f := 1 with chance 1/4
 
 def _unsettled(k, p, a):
     """The row of ``p`` on ``a`` as its row function makes it, coins pending."""
-    return k._rows(p)(a)
+    return k._state._rows(p)(a)
 
 
 def test_two_live_branches_that_test_one_coin_give_two_outcomes(uni8):
@@ -1040,6 +1055,7 @@ def test_a_second_coin_on_a_field_drops_the_first(uni8):
         (b,) = _unsettled(k, p, a).nums
         (c,) = _unsettled(k, second, a).nums
         assert isinstance(b, Pending) and b.factors == c.factors
+    del k
     _same_rows_as_twin(p, u, all_subsets(u))
 
 
@@ -1051,6 +1067,7 @@ def test_a_coin_never_read_stays_pending_to_the_end(uni8):
     (b,) = _unsettled(k, p, a).nums
     assert isinstance(b, Pending) and len(b.base) == 2
     assert len(k.row(p, a).nums) == 2
+    del k
     _same_rows_as_twin(p, u, all_subsets(u))
 
 
@@ -1064,6 +1081,7 @@ def test_a_coin_a_star_never_touches_stays_pending_past_it(uni8):
         k = Kernel(p, u)
         for a in all_subsets(u)[1:]:
             assert all(isinstance(b, Pending) for b in _unsettled(k, p, a).nums), sorted(a)
+        del k
         _same_rows_as_twin(p, u, all_subsets(u))
 
 
@@ -1117,7 +1135,7 @@ def test_rows_are_scanned_for_pending_sets_only_once_a_coin_is_compiled(uni8, mo
     # row pending: it is settled, since the flag is read after the call.
     p = dict(_forcing_cases())["a star body's output, its coin compiled in the body"]
     k = Kernel(p, uni8)
-    body_rows = _closure(k._rows(p))["body_rows"]
+    body_rows = _closure(k._state._rows(p))["body_rows"]
     a = frozenset({uni8.packet(f=0, g=1, h=0)})
     assert body_rows(a).as_dict() == {frozenset({uni8.packet(f=1, g=0, h=0)}): Fraction(1, 4),
                                       frozenset({uni8.packet(f=0, g=0, h=0)}): Fraction(3, 4)}
@@ -1152,7 +1170,7 @@ def test_a_core_flips_only_the_flag_its_link_reads():
     (x,) = _unsettled(k, flips, a).nums
     assert [c[0] for c in x.factors] == [(f"up{q}",) for q in ports]
     guarded = netlib.topo_program(topo, guarded=True)
-    row = k._pending(guarded)(x)
+    row = k._state._pending(guarded)(x)
     assert sorted(len(b.factors) if isinstance(b, Pending) else 0 for b in row.nums) == [
         0, len(ports) - 1]
     assert row.prob(EMPTY) == Fraction(1, 4)
@@ -1163,14 +1181,14 @@ def test_each_union_plan_is_made_once_per_kernel(monkeypatch):
     # plan: on the f10_35 model at k=inf, whose routing unions meet pending
     # flags, no union's plan is made twice.
     made = []
-    make = Kernel._make_union_plan
-    monkeypatch.setattr(Kernel, "_make_union_plan",
+    make = bigstep._State._make_union_plan
+    monkeypatch.setattr(bigstep._State, "_make_union_plan",
                         lambda self, node: made.append(node) or make(self, node))
     cm = netlib.build_case_model(netlib.F10_35, netlib.abfattree20(), None)
     k = Kernel(desugar(cm.program), cm.universe)
     for s in cm.in_packets:
         k.apply(frozenset({s}))
-    assert any(isinstance(key, Union) for key in k._pends)
+    assert any(isinstance(key, Union) for key in k._state._pends)
     assert made and len(made) == len(set(made))
 
 
@@ -1190,8 +1208,8 @@ def test_a_factor_table_is_made_once_per_node_and_valuation(monkeypatch):
     assert len(keys) == len(set(keys))
     flips = {fn for fn, _, fields in made if "budget" in fields}
     assert len(flips) == 1 and len([fn for fn, _, _ in made if fn in flips]) <= 5
-    rows = [f for node, f in kern._fns.items() if isinstance(node, Seq)
-            and "budget" in (kern._factor_fields(node) or ((),))[0]]
+    rows = [f for node, f in kern._state._fns.items() if isinstance(node, Seq)
+            and "budget" in (kern._state._factor_fields(node) or ((),))[0]]
     entered = {a for f in rows for a in _closure(f)["memo"] if not isinstance(a, Pending)}
     assert len(entered) > 5
 
@@ -1218,18 +1236,22 @@ def test_rows_shared_across_untouched_fields_are_the_fresh_rows():
         if n >= 60:
             q = Union(Seq(Test("g", 0), _coin(rng, small, "h")), Assign("g", 1))
             p = Union(Seq(Choice(Fraction(1, 4), F0, F1), q), Seq(Choice(Fraction(1, 3), F0, F1), q))
-        k, twin = Kernel(p, u), Kernel(_twin(p), u)
         rng.shuffle(singles)
-        for a in singles + [random_set(rng, u) for _ in range(4)]:
+        inputs = singles + [random_set(rng, u) for _ in range(4)]
+        fresh = [cold_rows(p, u, [a])[0] for a in inputs]
+        twins = cold_rows(_twin(p), u, inputs)
+        k = cold_kernel(p, u)
+        for a, row, twin_row in zip(inputs, fresh, twins):
             got = k.row(p, a)
-            assert got == Kernel(p, u).row(p, a), (pretty(p), [u.record(i) for i in a])
-            assert got == twin.row(twin.program, a), (pretty(p), [u.record(i) for i in a])
+            assert got == row, (pretty(p), [u.record(i) for i in a])
+            assert got == twin_row, (pretty(p), [u.record(i) for i in a])
             _assert_reduced_integer_row(got)
-        for fn in k._fns.values():
+        for fn in k._state._fns.values():
             c = _closure(fn)
             if "shared" in c:
                 met = [x for x in c["memo"] if isinstance(x, Pending) and len(x.base) == 1]
                 pending_hits += len(met) - sum(isinstance(key, tuple) for key in c["shared"])
+        del k
     assert pending_hits > 0
 
 
@@ -1277,21 +1299,26 @@ def test_a_run_of_assignments_is_one_rewrite_with_the_rows_of_its_parts(monkeypa
     for n in range(30):
         parts = _interleaved(rng, u, rng.randrange(3, 9))
         k = Kernel(Seq(*parts), u)
-        m = k._set_map(Seq(*parts))
+        m = k._state._set_map(Seq(*parts))
         for a in sets + [random_set(rng, u) for _ in range(6)]:
             b = a
             for q in parts:
-                b = k._set_map(q)(b) if b else b
+                b = k._state._set_map(q)(b) if b else b
             assert m(a) == b, ([pretty(q) for q in parts], sorted(a))
+    del k
     for n in range(40):
         p = (random_program(rng, small, rng.randrange(1, 4)) if n % 2
              else _coin_program(rng, small, 2))
         prog = Seq(p, _coin(rng, small), *_interleaved(rng, small, rng.randrange(3, 7)))
-        k, twin = Kernel(prog, u), Kernel(_twin(prog), u)
-        for a in sets[::3] + [random_set(rng, u) for _ in range(3)]:
+        inputs = sets[::3] + [random_set(rng, u) for _ in range(3)]
+        twins = cold_rows(_twin(prog), u, inputs)
+        fresh = [cold_rows(prog, u, [a])[0] for a in inputs]
+        k = cold_kernel(prog, u)
+        for a, twin_row, row in zip(inputs, twins, fresh):
             got = k.row(prog, a)
-            assert got == twin.row(twin.program, a), (pretty(prog), [u.record(i) for i in a])
-            assert got == Kernel(prog, u).row(prog, a)
+            assert got == twin_row, (pretty(prog), [u.record(i) for i in a])
+            assert got == row
+        del k
     assert fused and max(fused) > 2
 
 
@@ -1301,7 +1328,7 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
     # once per valuation of the fields it touches (with the factors, on a
     # pending input), however many counter values meet it.
     evaluated = defaultdict(list)
-    compile_rows, memoized, compiling = Kernel._compile_rows, bigstep._memoized, []
+    compile_rows, memoized, compiling = bigstep._State._compile_rows, bigstep._memoized, []
 
     def compiled(self, node, filt):
         compiling.append(node)
@@ -1314,7 +1341,7 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
         seen = evaluated[compiling[-1]]
         return memoized(lambda a: seen.append(a) or fn(a), key,
                         lambda k, x: seen.append(x) or pending(k, x), memo, touched)
-    monkeypatch.setattr(Kernel, "_compile_rows", compiled)
+    monkeypatch.setattr(bigstep._State, "_compile_rows", compiled)
     monkeypatch.setattr(bigstep, "_memoized", counted)
     cm = netlib.build_case_model(netlib.F10_35, netlib.abfattree20(), None, counter=True)
     k = Kernel(desugar(cm.program), cm.universe)
@@ -1325,10 +1352,10 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
     nodes = 0
     for node, inputs in evaluated.items():
         reads, writes, _, _ = footprint(node)
-        if k._set_map(node) is not None or "counter" in bigstep._names(k._bits, reads | writes):
+        if k._state._set_map(node) is not None or "counter" in bigstep._names(k._state._bits, reads | writes):
             continue
         nodes += 1
-        touched = u.projector(bigstep._names(k._bits, reads | writes))
+        touched = u.projector(bigstep._names(k._state._bits, reads | writes))
         keys = [(touched(min(a.base)), a.factors) if isinstance(a, Pending) else touched(min(a))
                 for a in inputs if len(a.base if isinstance(a, Pending) else a) == 1]
         assert len(keys) == len(set(keys)), pretty(node)
@@ -1336,7 +1363,7 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
     # The scheme meets 278 inputs over all 16 counter values, and is
     # evaluated on 54 of them.
     scheme = desugar(cm.scheme)
-    met = _closure(k._fns[scheme])["memo"]
+    met = _closure(k._state._fns[scheme])["memo"]
     assert len({counter(i) for a in met
                 for i in (a.base if isinstance(a, Pending) else a)}) == 16
     assert 4 * len(evaluated[scheme]) < len(met)
@@ -1368,10 +1395,10 @@ def test_coin_chains_match_the_sampler(uni8):
 
 
 def _compiled(monkeypatch) -> list:
-    """The nodes ``Kernel._compile`` makes a set map for, in order."""
+    """The nodes ``_State._compile`` makes a set map for, in order."""
     made = []
-    compile_ = Kernel._compile
-    monkeypatch.setattr(Kernel, "_compile",
+    compile_ = bigstep._State._compile
+    monkeypatch.setattr(bigstep._State, "_compile",
                         lambda self, node: made.append(node) or compile_(self, node))
     return made
 
@@ -1397,7 +1424,7 @@ def test_a_kernel_reuses_the_code_of_nodes_its_universe_lays_out_alike(monkeypat
     assert len(second) == len(set(second)) and len(second) < len(first) / 2
     for node in set(first) & set(second):
         reads, writes, _, _ = footprint(node)
-        assert "budget" in bigstep._names(kern._bits, reads | writes), pretty(node)
+        assert "budget" in bigstep._names(kern._state._bits, reads | writes), pretty(node)
 
 
 def test_a_second_kernel_only_binds_state(monkeypatch):
@@ -1411,7 +1438,7 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
     # made for a node that does not, and its rows are a cold kernel's.
     topo = netlib.abfattree20()
     budget = syntax_mod.field_bit("budget")
-    code, making, made = Kernel._code, [], []
+    code, making, made = bigstep._State._code, [], []
 
     def traced(self, node, kind, make):
         def maker(n):
@@ -1444,7 +1471,7 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
         kern = Kernel(desugar(cm.program), cm.universe)
         return kern, [kern.apply(frozenset({s})) for s in cm.in_packets]
 
-    monkeypatch.setattr(Kernel, "_code", traced)
+    monkeypatch.setattr(bigstep._State, "_code", traced)
     for scheme in netlib.F10_VARIANTS:
         calls = []
         first = cell(scheme, 1)
@@ -1620,6 +1647,97 @@ def test_every_grid_cell_after_the_others_has_the_rows_of_a_cold_kernel():
         others = [run(other)[0] for other in cells if other != cell]
         assert run(cell)[1] == rows
         del others
+
+
+# -- kernel state: shared by the live kernels over equal universes ---------------
+
+
+def test_a_state_goes_with_the_last_of_its_kernels():
+    # Three kernels over three universes with equal fields share one state.
+    # Row functions hold it weakly and kernels strongly, so with the
+    # collector off it stays while one of them lives and goes, with its
+    # entry in the table of states and every row and pending function, with
+    # the last one.
+    decls = [FieldDecl("life_f", 2), FieldDecl("life_g", 3)]
+    f, g = "life_f", "life_g"
+    flip = Choice(Fraction(1, 3), Assign(f, 1), Assign(f, 0))
+    loop = Star(Choice(Fraction(1, 2), Assign(g, 1), Seq(Test(f, 0), Assign(g, 2))))
+    programs = [Seq(flip, Union(Seq(Test(f, 1), Assign(g, 0)), Test(g, 1))),
+                Seq(loop, Test(g, 2)), Seq(flip, loop)]
+    key = (tuple(decls), star_mod.DEFAULT_STATE_BUDGET)
+    assert key not in bigstep._STATES
+    kernels = [Kernel(p, PacketUniverse(decls)) for p in programs]
+    assert len({id(k._state) for k in kernels}) == 1 and key in bigstep._STATES
+    for k in kernels:
+        for i in range(k.universe.packet_count):
+            k.apply(frozenset({i}))
+    state = kernels[0]._state
+    fns = [weakref.ref(fn) for fn in (*state._fns.values(), *state._pends.values())]
+    assert len(fns) > len(programs) and state._pends and _tables(kernels[1])
+    ref = weakref.ref(state)
+    gc.disable()
+    try:
+        del k, state
+        for _ in range(2):
+            kernels.pop()
+            assert ref() is not None and key in bigstep._STATES
+        kernels.pop()
+        assert ref() is None and key not in bigstep._STATES
+        assert [r for r in fns if r() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_kernels_with_other_budgets_never_share_a_state(uni8):
+    # A state's budget refusals are those of a kernel alone: a kernel with
+    # a budget of 3 states refuses the chain, with the counts it refuses it
+    # with alone, though a kernel with the default budget over an equal
+    # universe has solved it and lives.
+    p = Star(Choice(Fraction(1, 2), Seq(Test("f", 0), Assign("f", 1)),
+                    Choice(Fraction(1, 2), Assign("g", 1), Assign("h", 1))))
+    a = frozenset({0})
+
+    def refusal(k):
+        with pytest.raises(BudgetExceededError) as info:
+            k.apply(a)
+        e = info.value
+        counts = e.states_reached, e.states_expanded, e.accumulators
+        del info, e  # the traceback holds this frame, and so the kernel
+        return counts
+
+    alone = refusal(cold_kernel(p, uni8, state_budget=3))
+    assert alone[0] is not None
+    solved = cold_kernel(p, uni8)
+    row = solved.apply(a)
+    small = Kernel(p, PacketUniverse(uni8.decls), state_budget=3)
+    assert small._state is not solved._state
+    assert refusal(small) == alone
+    assert solved.apply(a) == row and Kernel(p, uni8)._state is solved._state
+
+
+def test_delivery_cells_run_interleaved_have_the_rows_of_each_cell_alone():
+    # Nine delivery cells, three schemes at three failure probabilities,
+    # are nine programs over equal universes.  Their kernels, all alive and
+    # asked for their ingress rows in turn, one row of each cell at a time,
+    # share one state and give the rows each cell's kernel gives alone.
+    topo = netlib.abfattree20()
+    models = [netlib.build_case_model(scheme, topo, None, p)
+              for p in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2))
+              for scheme in netlib.F10_VARIANTS]
+    programs = [desugar(cm.program) for cm in models]
+    assert len(set(programs)) == 9
+    assert len({cm.universe.decls for cm in models}) == 1
+    inputs = [[frozenset({s}) for s in cm.in_packets] for cm in models]
+    alone = [cold_rows(p, cm.universe, sets) for p, cm, sets in zip(programs, models, inputs)]
+    kernels = [cold_kernel(programs[0], models[0].universe)]
+    kernels += [Kernel(p, cm.universe) for p, cm in zip(programs[1:], models[1:])]
+    assert len({id(k._state) for k in kernels}) == 1
+    got = [[] for _ in kernels]
+    for j in range(max(map(len, inputs))):
+        for rows, k, sets in zip(got, kernels, inputs):
+            if j < len(sets):
+                rows.append(k.apply(sets[j]))
+    assert got == alone
 
 
 def test_a_sequence_stops_at_the_point_mass_on_the_empty_set(uni8, monkeypatch):
