@@ -14,8 +14,9 @@ witness, is unchanged (see ``_decide``).  A program without history is a
 mixture of deterministic programs, each of which distributes over
 unions, so a packet that both programs map to one point mass joins the
 same set to every row that holds it, and an all-subsets decision leaves
-such packets out of its rows (see ``_decide``).  ``dist_leq`` implements the
-distribution order via principal up-set probabilities, and ``query``
+such packets out of its rows, as it does every packet whose singleton
+passes in a pair without choice (see ``_decide``).  ``dist_leq`` implements
+the distribution order via principal up-set probabilities, and ``query``
 evaluates scalar measures of an output distribution.  All of them compute
 on exact rows and return exact numbers; a tolerance ``tol`` (0, an exact
 decision, by default) only widens the one comparison of two probabilities.
@@ -36,7 +37,7 @@ from .row import Row, ratio
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    desugar, field_bit, footprint, has_choice, is_core, restrict,
+    desugar, footprint, has_choice, is_core, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -55,10 +56,10 @@ class InputSpec:
     """Either an explicit list of input sets or all subsets of a packet list.
 
     The subset cap bounds the rows a decision lists, at 2^cap: a pair with a
-    choice needs all 2^n subsets of n packets, so n may not exceed the cap,
-    while a choice-free pair needs only the empty set and the n singletons
-    (see ``_decide``).  ``check_rows`` checks the count before any row is
-    listed."""
+    choice may need all 2^n subsets of n packets, so n may not exceed the
+    cap, while a choice-free pair needs only the empty set and at most the
+    n singletons (see ``_decide``).  ``check_rows`` checks the count before
+    any row is listed."""
 
     explicit: tuple | None = None
     subset_base: tuple | range | None = None  # packet indices
@@ -98,13 +99,6 @@ class InputSpec:
         """The explicit sets, or every subset of the base in mask order (see
         ``_subsets``)."""
         return iter(self.explicit) if self.explicit is not None else _subsets(self.subset_base)
-
-    def singleton_rows(self):
-        """The empty set plus all singletons of the base; used by the
-        deterministic fast path, where these rows determine all rows."""
-        yield EMPTY
-        for p in self.subset_base:
-            yield frozenset((p,))
 
 
 def _subsets(packets):
@@ -174,16 +168,6 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     one distribution, which neither order finds too far from itself at
     any ``tol`` >= 0: such a row is passed over without a scan.
 
-    When the spec is all-subsets and neither program contains a
-    probabilistic choice, both kernels are deterministic and distribute
-    over unions, so the empty row and the singleton rows settle every
-    subset row, and only those rows are evaluated.  Their rows are point
-    masses, and the point masses on X and Y are equal iff X == Y, and in
-    order iff X <= Y, within any ``tol`` < 1.  So when a subset row fails,
-    so does the empty row or one of its singletons, which come before it
-    in mask order: the first failing row, the verdict and the witness are
-    those of all subsets.
-
     One row per orbit.  Let U be the fields outside the footprints of both
     programs (the fields neither reads nor writes).  A permutation phi of
     the valuations of U, applied to each packet, commutes with every test,
@@ -196,9 +180,9 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     it decides as (``_orbit_firsts``): when a row fails, so does the first
     row that decides as it, which comes no later, and the first failing
     row, the verdict and the witness are unchanged (symmetry reduction,
-    Kwiatkowska, Norman and Parker, CAV 2006).  This
-    holds for every spec, explicit, all-subsets or singletons alike.  With
-    every field touched, no key is computed.
+    Kwiatkowska, Norman and Parker, CAV 2006).  This holds for every spec,
+    explicit or all-subsets alike.  With every field touched, no key is
+    computed.
 
     Packets that join one set.  A program without history is a mixture,
     over the ways its choices resolve, of deterministic programs, each of
@@ -216,36 +200,39 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     on S and ``q`` to the one on T, with S <= T, the up-set of b has mass
     p(a - {x})(up(b - S)) on the left and q(a - {x})(up(b - T)) on the
     right, and up(b - S) is inside up(b - T), so again the row on a fails
-    only if the row on a - {x} does.  For an all-subsets spec of a pair
-    with a choice, the rows are therefore the subsets of the base without
-    D, in mask order, one per orbit, where D are the packets that join one
-    set (or, for ``leq``, nested sets) before the first singleton that
-    fails or exceeds the state budget.  A packet's singleton row is read,
-    one per orbit (a singleton's orbit is fixed by its packet's projection
-    on the touched fields, and phi maps {} to itself), once every row of
-    the packets before it has passed, and the packet's own rows follow
-    unless it joins one set: so no singleton past the first failing row is
-    read.  These rows come in the order of all subsets, and the first
-    failing row is among them, so the verdict and the witness are those
-    of every row.  A row left out is not evaluated, so it can neither fail
-    nor exceed the budget.
+    only if the row on a - {x} does.  When neither program has a choice,
+    every packet whose singleton passes joins, at any ``tol``: the row of
+    either program on a is the point mass on the union of its images of
+    the packets of a, and two point masses pass within ``tol`` < 1 only
+    when equal (for ``leq``, nested), which a union with the images of a
+    passing packet keeps, and always within ``tol`` >= 1.  For an
+    all-subsets spec, the rows are therefore the subsets of the base
+    without D, in mask order, one per orbit, where D are the packets that
+    join before the first singleton that fails or exceeds the state
+    budget: for a choice-free pair, the empty row and the first failing
+    singleton, if any.  A packet's singleton row is read, one per orbit (a
+    singleton's orbit is fixed by its packet's projection on the touched
+    fields, and phi maps {} to itself), once every row of the packets
+    before it has passed, and the packet's own rows follow unless it
+    joins: so no singleton past the first failing row is read.  These rows
+    come in the order of all subsets, and the first failing row is among
+    them, so the verdict and the witness are those of every row.  A row
+    left out is not evaluated, so it can neither fail nor exceed the
+    budget.
     """
     p, q = _core(p), _core(q)
     k = Kernel(p, universe, state_budget=state_budget)
     base = inputs.subset_base
-    det = base is not None and not has_choice(p) and not has_choice(q)
+    choice_free = not has_choice(p) and not has_choice(q)
     if base is not None:
-        inputs.check_rows(det)
+        inputs.check_rows(choice_free)
     (rp, wp, _, _), (rq, wq, _, _) = footprint(p), footprint(q)
-    touched = rp | wp | rq | wq
-    outside = tuple([d.name for d in universe.decls if not field_bit(d.name) & touched])
-    clear = universe.projector(outside) if outside else None
-    if det:
-        rows = inputs.singleton_rows()
-    elif base is None:
+    untouched = universe.mask & ~(rp | wp | rq | wq)
+    clear = universe.projector(untouched) if untouched else None
+    if base is None:
         rows = inputs.rows()
     else:
-        rows = _subsets(_unjoined(k, p, q, base, clear, excess, tol))
+        rows = _subsets(_unjoined(k, p, q, base, clear, excess, tol, choice_free))
     if clear is not None:
         rows = _orbit_firsts(rows, clear)
     for a in rows:
@@ -259,12 +246,14 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     return Verdict(verdict[0], tolerance=tol)
 
 
-def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol):
+def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol,
+              choice_free: bool):
     """The packets of ``base``, in order, but those before the first
     failing singleton (by ``excess``, or one that exceeds the state
     budget) whose rows on both sides are one point mass on a set S, with S
     empty for ``equiv`` at ``tol`` > 0, or for ``leq`` point masses on S
-    and T with S <= T.  A packet's singleton is read when the packet is
+    and T with S <= T; every one of them when the pair is ``choice_free``
+    (see ``_decide``).  A packet's singleton is read when the packet is
     asked for, and one per projection on the touched fields (every
     packet's own, when ``clear`` is None); from the first that fails on,
     the packets are passed on unread."""
@@ -282,10 +271,11 @@ def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol):
             if fails:
                 yield from base[n:]
                 return
-            joins[key] = (len(mu.nums) == 1 == len(nu.nums)
-                          and (next(iter(mu.nums)) <= next(iter(nu.nums)) if order
-                               # closeness survives joining {} alone
-                               else mu == nu and (not tol or EMPTY in mu.nums)))
+            joins[key] = choice_free or (
+                len(mu.nums) == 1 == len(nu.nums)
+                and (next(iter(mu.nums)) <= next(iter(nu.nums)) if order
+                     # closeness survives joining {} alone
+                     else mu == nu and (not tol or EMPTY in mu.nums)))
         if not joins[key]:
             yield x
 

@@ -12,16 +12,17 @@ node's set map (below), a union's plan, a sequence's steps, a choice's
 shares, the row facts of a node that holds a choice (a factor node's
 fields and projectors, or any other's projector for its shared rows), and
 the pending facts (the fields every path tests first, those it touches
-and kills, and a deterministic sequence's runs).  Code is tuples, ints,
-interned nodes, the universe's projectors and partials of this module's
-functions (a test's map is a closure), so live nodes hold few objects for
-the cycle collector to scan.  *Kernel state* is what changes rows: each
-node whose rows are requested, and each (star, filter) step of a
-sequence, is compiled on first use into a row function from a packet set
-to a ``Row`` (``_State._rows``) that owns its memo, keyed on the input
-set, and into a pending function when a pending input first reaches it
-(``_State._pending``); star tables, factor tables, marginals and point
-masses are kernel state too.  A row depends only on its node, the
+and kills, and a deterministic sequence's runs).  A set of fields is a
+mask of ``field_bit``s throughout (see ``universe``), as in ``footprint``.
+Code is tuples, ints, interned nodes, the universe's projectors and
+partials of this module's functions (a test's map is a closure), so live
+nodes hold few objects for the cycle collector to scan.  *Kernel state*
+is what changes rows: each node whose rows are requested, and each (star,
+filter) step of a sequence, is compiled on first use into a row function
+from a packet set to a ``Row`` (``_State._rows``) that owns its memo,
+keyed on the input set, and into a pending function when a pending input
+first reaches it (``_State._pending``); star tables, factor tables,
+marginals and point masses are kernel state too.  A row depends only on its node, the
 universe and the input, so every live kernel over a universe with equal
 fields and an equal state budget uses one ``_State``, found in
 ``_STATES``: the cells of a table built side by side compute the rows of
@@ -71,7 +72,8 @@ bounded k, a core's chain of guarded flips, which also decrement
 packets share their key valuation, a factor node's row has one ``Pending``
 outcome besides the empty set: the set under one *factor*, an exact
 distribution over valuations of its fields, read off the node's row on
-one packet once per node and valuation (``_tabled``, ``_table``).  Rows
+one packet once per node and valuation (``_tabled``, ``_table``).  A
+factor's fields, like every set of fields here, are a mask.  Rows
 stay exact by two laws of *Probabilistic NetKAT* (Foster, Kozen,
 Mamouras, Reitblatt and Silva, ESOP 2016): ``;`` distributes over
 ``+[r]`` from the left, so a later step may run on the pending set as on
@@ -109,9 +111,9 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from math import gcd, prod
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from . import star as star_mod
 from .errors import WellFormednessError
@@ -119,9 +121,9 @@ from .row import Row, joined, mixture, reduced, rounded
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    field_bit, footprint, is_core, is_predicate, pretty, seq,
+    footprint, is_core, is_predicate, pretty, seq,
 )
-from .universe import EMPTY, PacketSet, PacketUniverse
+from .universe import EMPTY, PacketSet, PacketUniverse, field_bit
 
 
 def _leading_tests(node: Program) -> dict:
@@ -331,10 +333,10 @@ class Pending(tuple):
     """A packet set under pending factors (see the module): the outcome
     whose sets are ``base`` plus a valuation drawn from each factor, one
     draw for all of its packets.  A factor (fields, d, ((w, n), ...)) has
-    its fields in the universe's order and each valuation w of them
+    the mask of its fields and each valuation w of them
     (``PacketUniverse.projector``) with chance n/d, reduced, w ascending.
-    The factors are on disjoint fields, in order, and ``base`` is nonempty
-    and 0 in their fields.  A pair, so it hashes and compares as one, and
+    The factors are on disjoint fields, in the order of their masks, and
+    ``base`` is nonempty and 0 in their fields.  A pair, so it hashes and compares as one, and
     never equals a set."""
 
     __slots__ = ()
@@ -346,7 +348,7 @@ class Pending(tuple):
     factors = property(itemgetter(1))
 
 
-def _factor(fields: tuple, entries: list) -> tuple:
+def _factor(fields: int, entries: list) -> tuple:
     """(c, factor) of the distribution ``entries``, (valuation, weight)
     pairs over ``fields``, ascending: (0, the reduced factor), or the one
     valuation and None."""
@@ -357,23 +359,24 @@ def _factor(fields: tuple, entries: list) -> tuple:
                tuple([(w, n // g) for w, n in entries]))
 
 
-def _groups(factor, fields: tuple, universe: PacketUniverse) -> dict:
+def _groups(factor, fields: int, universe: PacketUniverse) -> dict:
     """The entries of ``factor`` by their valuation s of its ``fields``:
-    s -> [(w - s, n), ...], ascending."""
-    read, out = universe.projector(fields), {}
+    s -> [(w - s, n), ...], ascending.  Read off the universe's digits, as
+    kernel state makes no projector (node code holds those)."""
+    digits, out = [(wt, size) for bit, wt, size in universe.digits if bit & fields], {}
     for w, n in factor[2]:
-        s = read(w)
+        s = sum([w // wt % size * wt for wt, size in digits])
         out.setdefault(s, []).append((w - s, n))
     return out
 
 
-def _marginal(factor, hit: tuple, universe: PacketUniverse, marginals: dict) -> tuple:
+def _marginal(factor, hit: int, universe: PacketUniverse, marginals: dict) -> tuple:
     """(d, [(s, n, conditional), ...]): each valuation s of the fields
     ``hit`` of ``factor``, its reduced chance n/d and the conditional on
     the other fields (in s if constant); kept in ``marginals``."""
     out = marginals.get((factor, hit))
     if out is None:
-        left, parts = tuple([f for f in factor[0] if f not in hit]), []
+        left, parts = factor[0] & ~hit, []
         for s, es in _groups(factor, hit, universe).items():
             c, cond = _factor(left, es)
             parts.append((s + c, sum([n for _, n in es]), (cond,) if cond else ()))
@@ -390,11 +393,11 @@ def _split(x: Pending, fields, universe: PacketUniverse, marginals: dict) -> Row
     outs, den, rest = [(0, 1, ())], 1, []
     for factor in x.factors:
         fs, d, entries = factor
-        hit = fs if fields is None else tuple([f for f in fs if f in fields])
+        hit = fs if fields is None else fs & fields
         if not hit:
             rest.append(factor)
             continue
-        if len(hit) == len(fs):
+        if hit == fs:
             den *= d
             outs = [(w + v, p * n, cs) for w, p, cs in outs for v, n in entries]
             continue
@@ -413,12 +416,12 @@ def _split(x: Pending, fields, universe: PacketUniverse, marginals: dict) -> Row
 def _forgotten(x: Pending, kills, universe: PacketUniverse):
     """``x`` with the fields ``kills`` summed out of its factors: a pending
     set, or its base once no factor is left."""
-    if not kills or all(kills.isdisjoint(factor[0]) for factor in x.factors):
+    if not kills & sum([factor[0] for factor in x.factors]):
         return x
     factors, c = [], 0
     for factor in x.factors:
-        left = tuple([f for f in factor[0] if f not in kills])
-        if len(left) == len(factor[0]):
+        left = factor[0] & ~kills
+        if left == factor[0]:
             factors.append(factor)
         elif left:
             w, factor = _factor(left, sorted((s, sum([n for _, n in es])) for s, es
@@ -464,10 +467,9 @@ def _past(touch, kills, plain, universe: PacketUniverse, marginals: dict, x: Pen
     x = _forgotten(x, kills, universe)
     if type(x) is not Pending:
         return plain(x)
-    touched = [f for factor in x.factors for f in factor[0] if f in touch]
-    if not touched:
+    if not touch & sum([factor[0] for factor in x.factors]):
         return _carried(plain(x.base), x.factors)
-    return _bind(_split(x, touched, universe, marginals),
+    return _bind(_split(x, touch, universe, marginals),
                  lambda y: _carried(plain(y.base), y.factors) if type(y) is Pending else plain(y))
 
 
@@ -494,7 +496,7 @@ def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse,
         ks = [key(min(a))] if len(a) == 1 else list({key(i) for i in a})
         t = tables.get(k := ks[0], ()) if len(ks) == 1 else None
         if t == ():
-            t = tables[k] = _table(fn, k, min(a), fields, universe, factored)
+            t = tables[k] = _table(fn, k, min(a), fields, clear, universe, factored)
         if t is None:
             row = fn(a)
         elif not t[2]:
@@ -509,17 +511,18 @@ def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse,
     return rows
 
 
-def _table(fn, k, x: int, fields: tuple, universe: PacketUniverse, factored: list):
+def _table(fn, k, x: int, fields: int, clear, universe: PacketUniverse, factored: list):
     """The table of a factor node for its key valuation ``k``, read off its
     row on the packet ``x``, which has it: (den, the empty set's weight,
-    the rest's, c, factor), the rest being a set with ``fields`` at c plus
-    a valuation drawn from the factor; None if an outcome has two packets."""
+    the rest's, c, factor), the rest being a set with ``fields`` (which
+    ``clear`` projects on) at c plus a valuation drawn from the factor;
+    None if an outcome has two packets."""
     factored[1] += 1
     try:
         row = _settled(fn(frozenset((x,))), universe)
     finally:
         factored[1] -= 1
-    clear, empty, entries = universe.projector(fields), row.nums.get(EMPTY, 0), []
+    empty, entries = row.nums.get(EMPTY, 0), []
     for s, n in row.nums.items():
         if len(s) > 1:
             return None
@@ -527,10 +530,11 @@ def _table(fn, k, x: int, fields: tuple, universe: PacketUniverse, factored: lis
     if not entries:
         return 1, 1, 0, 0, None
     entries.sort()
-    fixed = tuple([f for f in fields if len({universe.reader(f)(w) for w, _ in entries}) == 1])
-    c = universe.projector(fixed)(entries[0][0])  # the fields every outcome sets alike
-    w, factor = _factor(tuple([f for f in fields if f not in fixed]),
-                        [(w - c, n) for w, n in entries])
+    fixed = c = 0  # the fields every outcome sets alike, and their valuation
+    for bit, wt, size in universe.digits:
+        if bit & fields and len(vs := {w // wt % size for w, _ in entries}) == 1:
+            fixed, c = fixed | bit, c + vs.pop() * wt
+    w, factor = _factor(fields & ~fixed, [(w - c, n) for w, n in entries])
     g = gcd(row.den, empty)
     return row.den // g, empty // g, (row.den - empty) // g, c + w, factor
 
@@ -542,12 +546,6 @@ def _settling(fn, factored: list, universe: PacketUniverse):
         row = fn(a)
         return _settled(row, universe) if factored[0] else row
     return settled
-
-
-def _names(bits: tuple, mask: int) -> tuple:
-    """The fields of the ``footprint`` mask ``mask`` among the (name, bit)
-    pairs ``bits``, in their order."""
-    return tuple([name for name, bit in bits if bit & mask])
 
 
 def _pending_of(state, key, x) -> Row:
@@ -639,8 +637,8 @@ def _seq_run(state: tuple, i: int, y) -> Row:
         if type(y) is not Pending:
             return dirac(_run(maps[i:], y))
         base, factors = y
-        fields = [f for factor in factors for f in factor[0]]
-        while i < n and touch[i].isdisjoint(fields):
+        fields = sum([factor[0] for factor in factors])
+        while i < n and not touch[i] & fields:
             base = maps[i](base)
             i += 1
             if not base:
@@ -658,14 +656,14 @@ def _seq_run(state: tuple, i: int, y) -> Row:
         y, = row.nums
 
 
-def _passes(tests: list, pending, base: PacketSet) -> bool:
-    """Whether a packet of ``base`` passes every test in ``tests``, (field,
-    value, reader) triples, on a field that is not ``pending``."""
+def _passes(tests: list, pending: int, base: PacketSet) -> bool:
+    """Whether a packet of ``base`` passes every test in ``tests``, (field
+    bit, value, reader) triples, on a field not in the mask ``pending``."""
     if len(base) == 1:
         for i in base:
-            return all(read(i) == v for f, v, read in tests if f not in pending)
+            return all(read(i) == v for f, v, read in tests if not f & pending)
     for f, v, read in tests:
-        if f not in pending:
+        if not f & pending:
             base = [i for i in base if read(i) == v]
             if not base:
                 return False
@@ -720,10 +718,9 @@ def _split_first(first, rest, plain, universe: PacketUniverse, marginals: dict,
     """The row on ``x`` of a node whose paths all test the fields ``first``
     first: the factors on those fields are split (``_split``), and ``rest``
     takes each pending outcome and ``plain`` each set."""
-    read = [f for factor in x.factors for f in factor[0] if f in first]
-    if not read:
+    if not first & sum([factor[0] for factor in x.factors]):
         return rest(x)
-    return _bind(_split(x, read, universe, marginals),
+    return _bind(_split(x, first, universe, marginals),
                  lambda y: rest(y) if type(y) is Pending else plain(y))
 
 
@@ -786,8 +783,6 @@ class _State:
         self._fns: dict = {}
         self._pends: dict = {}
         self._marginals: dict = {}
-        self._bits = tuple([(d.name, field_bit(d.name)) for d in universe.decls])
-        self._every = sum([bit for _, bit in self._bits])  # the mask of every field
         self._layouts = universe.layouts
         self._dirac = _point_masses()
         # [a factor node, the only maker of pending sets, is compiled; the
@@ -836,15 +831,15 @@ class _State:
         if type(code) is tuple:
             self._factored[0] = True
             return _tabled(fn, node, pending, code, u, self._factored)
-        if node._code[0] & self._every == self._every:
+        if node._code[0] & u.mask == u.mask:
             code = None  # no field is left to share rows across
         return _memoized(fn, key, pending, touched=code)
 
     def _factor_fields(self, node: Program):
-        """(fields, key, clear) of a factor node (see the module): its fields,
-        in the universe's order, and the projectors on its key and on its
-        fields; or None.  A node with no choice and a star are none, with no
-        walk of the node."""
+        """(fields, key, clear) of a factor node (see the module): the mask of
+        its fields, and the projectors on its key and on its fields; or
+        None.  A node with no choice and a star are none, with no walk of
+        the node."""
         if not node.choice or type(node) is Star:
             return None
         code = self._code(node, _ROW, self._make_row)
@@ -855,28 +850,30 @@ class _State:
         (fields, key, clear) (see ``_factor_fields``), and any other's
         projector on the fields it reads or writes, for its shared rows."""
         reads, writes, kills, star = footprint(node)
-        u, bits = self.universe, self._bits
+        u = self.universe
         if kills and not star and not reads & ~writes:
-            fields = _names(bits, writes)
-            return fields, u.projector(_names(bits, writes & ~kills)), u.projector(fields)
-        return u.projector(_names(bits, reads | writes))
+            return writes, u.projector(writes & ~kills), u.projector(writes)
+        return u.projector(reads | writes)
 
     def _union_plan(self, node: Union):
         """(guard fields, their projector, valuation -> branch indices,
         unguarded indices, fields every branch tests first) of the union
         chain at ``node``: the guard is those fields, or else the field most
-        branches test first, and () with no projector if none does.  Index
+        branches test first, and 0 with no projector if none does.  Index
         tuples are in chain order, each including the unguarded branches."""
         return self._code(node, _PLAN, self._make_union_plan)
 
     def _make_union_plan(self, node: Union):
         leads = [_leading_tests(b) for b in node.parts]
-        first = tuple(sorted(frozenset(leads[0]).intersection(*leads[1:])))
-        guard = first or tuple([f for f, _ in Counter(f for t in leads for f in t).most_common(1)])
+        masks = [sum([field_bit(f) for f in tests]) for tests in leads]
+        first = reduce(and_, masks)
+        guard = first or sum([field_bit(f) for f, _ in
+                              Counter(f for t in leads for f in t).most_common(1)])
         table, unguarded = {}, []
         for i, tests in enumerate(leads):
-            if guard and guard[0] in tests:
-                v = self.universe.valuation({f: tests[f] for f in guard})
+            if guard and masks[i] & guard == guard:
+                v = self.universe.valuation({f: n for f, n in tests.items()
+                                             if field_bit(f) & guard})
                 table.setdefault(v, []).append(i)
             else:
                 unguarded.append(i)
@@ -902,11 +899,11 @@ class _State:
             factor = self._factor_fields(q)
             if last[3] is False and type(parts[last[0]]) is Star and is_predicate(q):
                 last[2] = n + 1
-            elif factor and last[3] and not last[3].isdisjoint(factor[0]):
+            elif factor and last[3] and last[3] & factor[0]:
                 last[1:3] = n + 1, n + 1
-                last[3].update(factor[0])
+                last[3] |= factor[0]
             elif self._set_map(q) is None:
-                steps.append([n, n + 1, n + 1, set(factor[0]) if factor else False])
+                steps.append([n, n + 1, n + 1, factor[0] if factor else False])
             elif last[3] is None:
                 last[1:3] = n + 1, n + 1
             else:
@@ -963,8 +960,8 @@ class _State:
         reads, writes, kills, _ = footprint(node)
         lead = node.parts[0] if type(node) is Seq else node
         first = (self._union_plan(lead)[4] if type(lead) is Union
-                 else tuple(_leading_tests(node)))
-        bits, facts = self._bits, None
+                 else sum([field_bit(f) for f in _leading_tests(node)]))
+        facts = None
         m = self._set_map(node) if type(node) is Seq else None
         if m is not None:
             parts, starts, runs = node.parts, _runs(node.parts), []
@@ -979,10 +976,8 @@ class _State:
                 r, _, k = runs[i]
                 suffix[i] = k | (suffix[i + 1] & ~r)
             facts = (starts, m.args[0],  # the runs' maps (see ``_compile``)
-                     tuple([frozenset(_names(bits, r | w)) for r, w, _ in runs]),
-                     tuple([frozenset(_names(bits, k)) for k in suffix]))
-        return (first, frozenset(_names(bits, reads | writes)), frozenset(_names(bits, kills)),
-                facts)
+                     tuple([r | w for r, w, _ in runs]), tuple(suffix))
+        return first, reads | writes, kills, facts
 
     def _union_pending(self, node: Union, past):
         """A union on a pending input (see the module): its one live branch
@@ -991,18 +986,18 @@ class _State:
         u, empty, ref = self.universe, self._dirac(EMPTY), self._ref
         plan = self._union_plan(node)
         guard, parts = plan[0], node.parts
-        leads = [None] * len(parts)  # [(field, value, reader)] of each branch's leading tests
+        leads = [None] * len(parts)  # [(bit, value, reader)] of each branch's leading tests
         fns = [None] * len(parts)
 
         def union(x):
-            fields = {f for factor in x.factors for f in factor[0]}
-            if not fields.isdisjoint(guard):
+            fields = sum([factor[0] for factor in x.factors])
+            if fields & guard:
                 return past(x)
             base, live = x.base, []
             for i in _picked(plan, base):
                 tests = leads[i]
                 if tests is None:
-                    tests = leads[i] = [(f, v, u.reader(f))
+                    tests = leads[i] = [(field_bit(f), v, u.reader(f))
                                         for f, v in _leading_tests(parts[i]).items()]
                 if _passes(tests, fields, base):
                     live.append(i)
@@ -1040,8 +1035,8 @@ class _State:
         mask = codes[0]
         layout = self._layouts.get(mask)
         if layout is None:
-            layout = self._layouts[mask] = tuple([x for name, bit in self._bits if bit & mask
-                                                  for x in (bit, *self.universe.digit(name))])
+            layout = self._layouts[mask] = tuple([x for digit in self.universe.digits
+                                                  if digit[0] & mask for x in digit])
         i = 1
         while i < len(codes) and codes[i] is not layout:
             if codes[i] == layout:  # another universe's: take it, so the next test is `is`

@@ -121,8 +121,7 @@ def _resilience(topo: netlib.Topology, ks, p_fail: Fraction, schemes, tol: float
 
 
 def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
-                    p_fail: Fraction = Fraction(1, 4),
-                    schemes=netlib.F10_VARIANTS, tol: float = 0,
+                    p_fail: Fraction = Fraction(1, 4), tol: float = 0,
                     state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
     """Per failure bound k, does each scheme behave like teleportation, and
     what is its smallest per-source delivery probability?
@@ -133,7 +132,7 @@ def resilience_grid(topo: netlib.Topology, ks=K_VALUES,
     settles all ingress subsets.  A row agrees with the point mass on the
     target when every probability is within ``tol`` of it.
     """
-    return _resilience(topo, ks, p_fail, schemes, tol, state_budget)[0]
+    return _resilience(topo, ks, p_fail, netlib.F10_VARIANTS, tol, state_budget)[0]
 
 
 def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
@@ -149,14 +148,14 @@ def fattree_scheme_equivalence(topo: netlib.Topology, ks=K_VALUES,
 # -- delivery and latency tables ----------------------------------------------
 
 
-def delivery_sweep(topo: netlib.Topology, p_values, k: int | None = None,
-                   schemes=netlib.F10_VARIANTS,
+def delivery_sweep(topo: netlib.Topology, p_values,
                    state_budget: int = DEFAULT_STATE_BUDGET) -> list[dict]:
-    """Average delivery probability per (scheme, link-failure probability)."""
+    """Average delivery probability per (scheme, link-failure probability),
+    with no bound on the failures."""
     p_values = [Fraction(p) for p in p_values]
     rows = [{"p": str(p_fail)} for p_fail in p_values]
-    cells = [(row, scheme, netlib.build_case_model(scheme, topo, k, p_fail))
-             for row, p_fail in zip(rows, p_values) for scheme in schemes]
+    cells = [(row, scheme, netlib.build_case_model(scheme, topo, None, p_fail))
+             for row, p_fail in zip(rows, p_values) for scheme in netlib.F10_VARIANTS]
     shared = _ingress_rows([cm for _, _, cm in cells], state_budget)
     for (row, scheme, cm), dists in zip(cells, shared):
         delivered = sum((p for dist in dists
@@ -166,15 +165,15 @@ def delivery_sweep(topo: netlib.Topology, p_values, k: int | None = None,
 
 
 def hop_cdf(topo: netlib.Topology, p_fail: Fraction = Fraction(1, 4),
-            k: int | None = None, schemes=netlib.F10_VARIANTS,
             state_budget: int = DEFAULT_STATE_BUDGET) -> dict:
     """Fraction of traffic delivered within each hop count up to the
     counter's largest value (not conditioned), plus the expected hop count
-    conditioned on delivery, per scheme.  Traffic is uniform over the
-    ingress switches."""
+    conditioned on delivery, per scheme, with no bound on the failures.
+    Traffic is uniform over the ingress switches."""
     max_hops = netlib.COUNTER_DOMAIN - 1
     out: dict = {"max_hops": max_hops, "schemes": {}}
-    models = [netlib.build_case_model(scheme, topo, k, p_fail, counter=True)
+    schemes = netlib.F10_VARIANTS
+    models = [netlib.build_case_model(scheme, topo, None, p_fail, counter=True)
               for scheme in schemes]
     for scheme, cm, dists in zip(schemes, models, _ingress_rows(models, state_budget)):
         n = len(cm.in_packets)
@@ -217,8 +216,7 @@ def run_casestudy(name: str, topo_name: str = "abfattree20", ks=None,
     if name == "f10-latency":
         p_values = p_values or [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
                                 Fraction(2, 5), Fraction(1, 2)]
-        report["hop_cdf"] = hop_cdf(topo, p_fail, None, state_budget=state_budget)
-        report["delivery_vs_p"] = delivery_sweep(topo, p_values, None,
-                                                 state_budget=state_budget)
+        report["hop_cdf"] = hop_cdf(topo, p_fail, state_budget=state_budget)
+        report["delivery_vs_p"] = delivery_sweep(topo, p_values, state_budget=state_budget)
         return report
     raise ValueError(f"unknown case study {name!r}")

@@ -477,12 +477,13 @@ class CaseModel:
     teleport: Program     # in ; sw:=dest ; pt:=0
     in_packets: list[int]  # one pinned ingress packet per source switch
     target_packet: int    # the packet every delivered/teleported packet becomes
-    dest: int
 
 
 def build_case_model(variant: str, topo: Topology, k: int | None,
-                     p_fail: Fraction = Fraction(1, 4), dest: int = 1,
+                     p_fail: Fraction = Fraction(1, 4),
                      counter: bool = False) -> CaseModel:
+    """The F10 model of ``variant`` on ``topo``, routing to switch 1."""
+    dest = 1
     if not (0 <= p_fail < 1):
         raise WellFormednessError(f"failure probability {p_fail} outside [0, 1)")
     if k is not None and k < 0:
@@ -523,8 +524,7 @@ def build_case_model(variant: str, topo: Topology, k: int | None,
     teleport = seq(in_pred, Assign("sw", dest), Assign("pt", 0))
     in_packets = [universe.packet(sw=s, **pinned) for s in sources]
     target = universe.packet(sw=dest, **pinned)
-    return CaseModel(topo, universe, scheme, program, teleport,
-                     in_packets, target, dest)
+    return CaseModel(topo, universe, scheme, program, teleport, in_packets, target)
 
 
 TOPOLOGIES = {"fattree20": fattree20, "abfattree20": abfattree20,

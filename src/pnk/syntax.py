@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import WellFormednessError
-from .universe import EMPTY, PacketSet, PacketUniverse
+from .universe import EMPTY, PacketSet, PacketUniverse, field_bit
 
 # Intern key -> weak reference to the one live node of that value.
 _NODES: dict = {}
@@ -405,24 +405,12 @@ def has_choice(p: Program) -> bool:
     return p.choice
 
 
-# Field name -> its bit in a footprint mask, made as names are first met.
-_BITS: dict = {}
-
-
-def field_bit(name: str) -> int:
-    """The bit of the field ``name`` in a ``footprint`` mask."""
-    bit = _BITS.get(name)
-    if bit is None:
-        bit = _BITS[name] = 1 << len(_BITS)
-    return bit
-
-
 def footprint(p: Program) -> tuple:
     """(fields read, fields written, fields killed, whether a ``Star``
     shows) of the core program ``p``, each set of fields a mask of
-    ``field_bit``s.  A field is killed if every path assigns it before any
-    step reads it, so the rows of ``p`` do not depend on its value.  Made
-    once per node, and kept on it."""
+    ``field_bit``s (see ``universe``).  A field is killed if every path
+    assigns it before any step reads it, so the rows of ``p`` do not depend
+    on its value.  Made once per node, and kept on it."""
     facts = getattr(p, "_footprint", None)
     if facts is not None:
         return facts

@@ -33,6 +33,19 @@ class FieldDecl:
     size: int
 
 
+# Field name -> its bit in a field mask, made as names are first met.
+_BITS: dict = {}
+
+
+def field_bit(name: str) -> int:
+    """The bit of the field ``name`` in a field mask: a set of fields is
+    the sum of their bits (see ``syntax.footprint``), one int throughout."""
+    bit = _BITS.get(name)
+    if bit is None:
+        bit = _BITS[name] = 1 << len(_BITS)
+    return bit
+
+
 def _ints(value) -> bool:
     """Whether ``value`` is an int, or a tuple of ints, and holds no bool."""
     if type(value) is tuple:
@@ -56,12 +69,16 @@ class PacketUniverse:
             seen.add(d.name)
         self.decls = decls
         # Per field, its mixed-radix weight and domain size; the first
-        # field is least significant.
+        # field is least significant.  ``digits`` lists each field's (bit,
+        # weight, size) in declaration order, and ``mask`` is every field.
         self._digits = {}
-        w = 1
+        digits, w = [], 1
         for d in decls:
             self._digits[d.name] = (w, d.size)
+            digits.append((field_bit(d.name), w, d.size))
             w *= d.size
+        self.digits = tuple(digits)
+        self.mask = sum([bit for bit, _, _ in digits])
         self.packet_count = w
         self._readers: dict = {}
         self._projectors: dict = {}
@@ -80,13 +97,6 @@ class PacketUniverse:
 
     def check_value(self, name: str, value: int) -> None:
         self._digit(name, value)
-
-    def digit(self, name: str) -> tuple[int, int]:
-        """Mixed-radix weight and domain size of field ``name``."""
-        try:
-            return self._digits[name]
-        except KeyError:
-            raise UniverseError(f"unknown field {name!r}") from None
 
     def _digit(self, name: str, value: int) -> tuple[int, int]:
         """Weight and domain size of field ``name``, after checking that
@@ -150,17 +160,18 @@ class PacketUniverse:
             fn = self._readers[name] = lambda i: i // w % size
         return fn
 
-    def projector(self, names: tuple):
+    def projector(self, mask: int):
         """The function from a packet index to the index of the packet with
-        its values of the fields ``names`` and 0 in every other field: the
+        its values of the fields in ``mask`` and 0 in every other field: the
         packet's *valuation* of those fields.  Valuations of disjoint fields
         add up.  Fields adjacent in the mixed radix are read as one digit
-        run, one ``//`` and one ``%`` per run.  Made once per tuple of
-        names."""
-        fn = self._projectors.get(names)
+        run, one ``//`` and one ``%`` per run.  Made once per mask."""
+        fn = self._projectors.get(mask)
         if fn is None:
             runs = []  # [weight, size] of each run of adjacent fields
-            for w, size in sorted(self._digit(name, 0) for name in names):
+            for bit, w, size in self.digits:  # ascending weight
+                if not bit & mask:
+                    continue
                 if runs and runs[-1][0] * runs[-1][1] == w:
                     runs[-1][1] *= size
                 else:
@@ -172,7 +183,7 @@ class PacketUniverse:
                 fn = (lambda i: i % size) if w == 1 else (lambda i: i // w % size * w)
             else:
                 fn = lambda i: sum([i // w % size * w for w, size in runs])
-            fn = self._projectors[names] = fn
+            fn = self._projectors[mask] = fn
         return fn
 
     def valuation(self, values: dict) -> int:
@@ -221,7 +232,8 @@ class PacketUniverse:
         last = {}
         for f, v in zip(names, values, strict=True):
             last[f] = self._digit(f, v)[0] * v
-        out = self._rewrites[name, value] = self.projector(tuple(last)), sum(last.values()), value
+        mask = sum([field_bit(f) for f in last])
+        out = self._rewrites[name, value] = self.projector(mask), sum(last.values()), value
         return out
 
     # -- serialization --------------------------------------------------

@@ -307,14 +307,14 @@ def test_criterion_7():
 def test_criterion_8():
     ab = netlib.abfattree20()
     sweep = delivery_sweep(ab, [Fraction(1, 10), Fraction(1, 5), Fraction(3, 10),
-                                Fraction(2, 5), Fraction(1, 2)], k=None)
+                                Fraction(2, 5), Fraction(1, 2)])
     for scheme in netlib.F10_VARIANTS:
         values = [row[scheme] for row in sweep]
         assert all(x >= y for x, y in zip(values, values[1:])), scheme
     for row in sweep:
         assert row["f10_0"] <= row["f10_3"] <= row["f10_35"]
 
-    table = hop_cdf(ab, Fraction(1, 4), k=None)
+    table = hop_cdf(ab, Fraction(1, 4))
     cdfs = {s: d["cdf"] for s, d in table["schemes"].items()}
     at4 = {s: cdf[4] for s, cdf in cdfs.items()}
     assert len(set(at4.values())) == 1, at4

@@ -283,6 +283,12 @@ def test_float_mode_reports_tolerance(uni2x2):
 
 # -- one kernel for both sides ---------------------------------------------------
 
+def _singleton_rows(spec) -> list:
+    """The empty set, then the singleton of each packet of the base of the
+    all-subsets ``spec``: a choice-free pair's rows decide all of its rows."""
+    return [EMPTY] + [frozenset({x}) for x in spec.subset_base]
+
+
 def _two_kernel_verdict(decide, p, q, inputs, u, tol):
     """The verdict of ``decide`` from a fresh exact kernel per side, with
     probabilities compared as ``Fraction``s within ``tol``."""
@@ -291,7 +297,7 @@ def _two_kernel_verdict(decide, p, q, inputs, u, tol):
     slack = Fraction(tol)
     if decide is equiv:
         det = not has_choice(p) and not has_choice(q)
-        for a in inputs.singleton_rows() if det else inputs.rows():
+        for a in _singleton_rows(inputs) if det else inputs.rows():
             mu, nu = kp.row(p, a), kq.row(q, a)
             bad = [b for b in set(mu.nums) | set(nu.nums)
                    if abs(mu.prob(b) - nu.prob(b)) > slack]
@@ -805,7 +811,7 @@ def _expected_rows(decide, p, q, u, untouched, tol=0):
     cp, cq = desugar(p), desugar(q)
     spec = InputSpec.all_subsets(u.all_packets())
     if not has_choice(cp) and not has_choice(cq):
-        return _first_of_each_orbit(u, untouched, list(spec.singleton_rows()))
+        return _first_of_each_orbit(u, untouched, _singleton_rows(spec))
     kp, kq = Kernel(cp, u), Kernel(cq, u)
     singletons = [frozenset({x}) for x in spec.subset_base]
     firsts = set(_first_of_each_orbit(u, untouched, singletons))
@@ -857,7 +863,7 @@ def test_the_kernel_is_called_once_per_orbit_per_side(uni8, monkeypatch, left, r
     p, q = parse(left, uni8), parse(right, uni8)
     spec = InputSpec.all_subsets(uni8.all_packets())
     det = not has_choice(desugar(p)) and not has_choice(desugar(q))
-    rows = list(spec.singleton_rows() if det else spec.rows())
+    rows = _singleton_rows(spec) if det else list(spec.rows())
     firsts = _first_of_each_orbit(uni8, untouched, rows)
     assert len(firsts) < len(rows) if untouched else firsts == rows
     calls = _counting_rows(monkeypatch)
@@ -1005,7 +1011,7 @@ def test_leq_leaves_out_packets_it_maps_to_nested_point_masses(uni8):
         # The packets the decision leaves out that the rule of equal point
         # masses would keep.
         k = cold_kernel(cp, uni8)
-        kept = set(analysis._unjoined(k, cp, cq, base, None, analysis._upset_excess, 0))
+        kept = set(analysis._unjoined(k, cp, cq, base, None, analysis._upset_excess, 0, False))
         del k
         singles = dict(zip(rows, zip(left, right)))
         fired += any(singles[frozenset({x})][0] != singles[frozenset({x})][1]
@@ -1103,3 +1109,72 @@ def test_no_singleton_past_the_first_failing_row_is_read(uni8, monkeypatch, deci
     assert calls == [a for a in want for _ in "pq"]
     assert calls[-2:] == [frozenset({0, 4})] * 2
     assert all(max(a, default=-1) < 5 for a in calls)
+
+
+# -- pairs without a choice ------------------------------------------------------
+
+@pytest.mark.parametrize("tol", [0, 1e-9, 0.5, 1, 2])
+def test_choice_free_decisions_are_those_of_every_subset(uni8, tol):
+    # A pair without a choice takes the one decision path: every packet
+    # whose singleton passes is left out of the rows, so the decision reads
+    # the empty row and the singletons up to the first that fails.  Its
+    # verdicts and witnesses must be those of all 256 rows, from a kernel
+    # per side made once the decision's is gone: for equiv the first
+    # failing row and its least failing set; for leq the first row out of
+    # order over every subset by the brute-force order, and a witness
+    # up-set out of order by more than tol, with the rows' probabilities.
+    rng = random.Random(89)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    rows, packets = list(spec.rows()), sorted(uni8.all_packets())
+    seen = set()
+    for _ in range(5):
+        d, e = _choice_free(rng, uni8), _choice_free(rng, uni8)
+        for p, q in ((d, e), (d, Union(d, e)), (Union(d, e), d), (d, Union(d, Drop()))):
+            cp, cq = desugar(p), desugar(q)
+            left, right = cold_rows(cp, uni8, rows), cold_rows(cq, uni8, rows)
+            got = equiv(p, q, spec, uni8, tol=tol)
+            assert got == _fresh_verdict(equiv, zip(rows, left, right), tol), (
+                pretty(p), pretty(q))
+            seen.add(got.result)
+            got = leq(p, q, spec, uni8, tol=tol)
+            first = next(((a, mu, nu) for a, mu, nu in zip(rows, left, right)
+                          if not dist_leq_bruteforce(mu.as_dict(), nu.as_dict(), packets,
+                                                     tol)), None)
+            seen.add(got.result)
+            if first is None:
+                assert got == Verdict("leq", tolerance=tol), (pretty(p), pretty(q))
+                continue
+            a, mu, nu = first
+            w = got.witness
+            assert got.result == "not-leq" and w.input_set == a, (pretty(p), pretty(q))
+            up = (ratio(upset_prob(mu.nums, w.output_set), mu.den),
+                  ratio(upset_prob(nu.nums, w.output_set), nu.den))
+            assert up == (w.left_prob, w.right_prob) and up[0] > up[1] + Fraction(tol)
+    assert seen == ({"equal", "leq"} if tol >= 1 else {"equal", "not-equal", "leq", "not-leq"})
+
+
+@pytest.mark.parametrize("tol", [1, 2])
+def test_a_choice_free_pair_within_a_tolerance_of_1_reads_a_row_per_packet(monkeypatch, tol):
+    # Two point masses are within 1 of each other, so at a tol of 1 or more
+    # every singleton of a pair without a choice passes and is left out:
+    # over all 2^4096 subsets of a 12-field universe, whose every field
+    # the pair touches, the decision reads the empty row and the 4096
+    # singletons, each once per side, in order.
+    u = PacketUniverse([FieldDecl(f"wide_{i}", 2) for i in range(12)])
+    p = seq(*[Assign(d.name, 1) for d in u.decls])
+    q = Assign(u.decls[0].name, 0)
+    spec = InputSpec.full_universe(u, cap=13)
+    calls, row = [], Kernel.row
+
+    def counted(k, prog, a):  # stops a decision that reads past the singletons
+        calls.append(a)
+        assert len(calls) <= 2 * (1 + u.packet_count), "a row past the singletons"
+        return row(k, prog, a)
+    monkeypatch.setattr(Kernel, "row", counted)
+    for decide in (equiv, leq):
+        calls.clear()
+        assert decide(p, q, spec, u, tol=tol).holds()
+        assert calls == [a for a in [EMPTY] + [frozenset({x}) for x in range(4096)]
+                         for _ in "pq"]
+    with pytest.raises(WellFormednessError, match="exceeds the cap"):
+        equiv(p, q, InputSpec.all_subsets(u.all_packets(), cap=12), u, tol=tol)

@@ -25,7 +25,7 @@ from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, While,
     desugar, footprint, has_choice, pretty, restrict, seq, union,
 )
-from pnk.universe import EMPTY, FieldDecl, PacketUniverse
+from pnk.universe import EMPTY, FieldDecl, PacketUniverse, field_bit
 
 from conftest import (
     WEIGHTS, cold_kernel, cold_rows, random_predicate, random_program, random_set,
@@ -1168,7 +1168,7 @@ def test_a_core_flips_only_the_flag_its_link_reads():
     o = ports[0]
     a = frozenset({u.packet(sw=core, pt=o, default=1, **{f"up{q}": 1 for q in ports})})
     (x,) = _unsettled(k, flips, a).nums
-    assert [c[0] for c in x.factors] == [(f"up{q}",) for q in ports]
+    assert [c[0] for c in x.factors] == sorted(field_bit(f"up{q}") for q in ports)
     guarded = netlib.topo_program(topo, guarded=True)
     row = k._state._pending(guarded)(x)
     assert sorted(len(b.factors) if isinstance(b, Pending) else 0 for b in row.nums) == [
@@ -1206,10 +1206,10 @@ def test_a_factor_table_is_made_once_per_node_and_valuation(monkeypatch):
         kern.apply(frozenset({src}))
     keys = [(fn, k) for fn, k, _ in made]
     assert len(keys) == len(set(keys))
-    flips = {fn for fn, _, fields in made if "budget" in fields}
+    flips = {fn for fn, _, fields in made if fields & field_bit("budget")}
     assert len(flips) == 1 and len([fn for fn, _, _ in made if fn in flips]) <= 5
     rows = [f for node, f in kern._state._fns.items() if isinstance(node, Seq)
-            and "budget" in (kern._state._factor_fields(node) or ((),))[0]]
+            and (kern._state._factor_fields(node) or (0,))[0] & field_bit("budget")]
     entered = {a for f in rows for a in _closure(f)["memo"] if not isinstance(a, Pending)}
     assert len(entered) > 5
 
@@ -1352,10 +1352,10 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
     nodes = 0
     for node, inputs in evaluated.items():
         reads, writes, _, _ = footprint(node)
-        if k._state._set_map(node) is not None or "counter" in bigstep._names(k._state._bits, reads | writes):
+        if k._state._set_map(node) is not None or (reads | writes) & field_bit("counter"):
             continue
         nodes += 1
-        touched = u.projector(bigstep._names(k._state._bits, reads | writes))
+        touched = u.projector(reads | writes)
         keys = [(touched(min(a.base)), a.factors) if isinstance(a, Pending) else touched(min(a))
                 for a in inputs if len(a.base if isinstance(a, Pending) else a) == 1]
         assert len(keys) == len(set(keys)), pretty(node)
@@ -1424,14 +1424,14 @@ def test_a_kernel_reuses_the_code_of_nodes_its_universe_lays_out_alike(monkeypat
     assert len(second) == len(set(second)) and len(second) < len(first) / 2
     for node in set(first) & set(second):
         reads, writes, _, _ = footprint(node)
-        assert "budget" in bigstep._names(kern._state._bits, reads | writes), pretty(node)
+        assert (reads | writes) & field_bit("budget"), pretty(node)
 
 
 def test_a_second_kernel_only_binds_state(monkeypatch):
     # Node code holds every fact of a node and its layout that a row or
     # pending function needs.  The k=2 cell of each scheme, built after its
     # k=1 cell, lays out every field but ``budget`` alike, so its kernel
-    # calls ``_shares``, ``_names``, ``seq`` and ``footprint`` only while it
+    # calls ``_shares``, ``projector``, ``seq`` and ``footprint`` only while it
     # makes code (a node or kind that k=1 never reached, since k=2 takes
     # other paths, or a node that reads or writes the budget), or on a node
     # that reads or writes the budget.  It makes no code again that k=1
@@ -1462,7 +1462,7 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
     def counted(name, fn, on_budget):
         def wrapper(*args):
             if not any(making) and not on_budget(args):
-                calls.append((name, args[1] if name == "_names" else pretty(args[0])))
+                calls.append((name, args[1] if name == "projector" else pretty(args[0])))
             return fn(*args)
         return wrapper
 
@@ -1480,8 +1480,9 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(bigstep, "_shares", counted("_shares", bigstep._shares,
                                                   lambda a: touches(a[0])))
-            m.setattr(bigstep, "_names", counted("_names", bigstep._names,
-                                                 lambda a: bool(a[1] & budget)))
+            m.setattr(PacketUniverse, "projector",
+                      counted("projector", PacketUniverse.projector,
+                              lambda a: bool(a[1] & budget)))
             m.setattr(bigstep, "seq", counted("seq", bigstep.seq, lambda a: False))
             m.setattr(bigstep, "footprint", counted("footprint", bigstep.footprint,
                                                     lambda a: touches(a[0])))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pnk.errors import UniverseError
-from pnk.universe import FieldDecl, PacketUniverse
+from pnk.universe import FieldDecl, PacketUniverse, field_bit
 
 
 def make(fg=(2, 2)):
@@ -79,20 +79,26 @@ def test_malformed_records_raise_universe_errors(records):
 
 def test_projectors_are_the_field_by_field_valuations():
     # A projector reads each run of fields adjacent in the mixed radix as
-    # one digit: it must give the sum of the fields' own valuations, in any
-    # order of the names, with a field of size 1 inside a run.
-    u = PacketUniverse([FieldDecl(n, s) for n, s in zip("abcdef", (3, 2, 5, 1, 4, 2))])
+    # one digit: it must give the sum of the fields' own valuations, for
+    # every mask of the fields, with a field of size 1 inside a run, also
+    # in a universe that declares its fields in the reverse of the order
+    # their bits were made.  (The fields are this test's own, so their
+    # bits are made here, in order.)
+    names = [f"proj_{n}" for n in "abcdef"]
+    bits = [field_bit(n) for n in names]
+    assert bits == sorted(bits)
+    decls = [FieldDecl(n, s) for n, s in zip(names, (3, 2, 5, 1, 4, 2))]
     rng = random.Random(5)
-    packets = [rng.randrange(u.packet_count) for _ in range(40)] + [0, u.packet_count - 1]
-    for r in range(len(u.decls) + 1):
-        for names in itertools.combinations("abcdef", r):
-            for order in (names, names[::-1]):
-                read = u.projector(order)
+    for u in (PacketUniverse(decls), PacketUniverse(decls[::-1])):
+        packets = [rng.randrange(u.packet_count) for _ in range(40)] + [0, u.packet_count - 1]
+        for r in range(len(u.decls) + 1):
+            for chosen in itertools.combinations(names, r):
+                read = u.projector(sum([field_bit(n) for n in chosen]))
                 for i in packets:
-                    want = u.encode(v if d.name in names else 0
+                    want = u.encode(v if d.name in chosen else 0
                                     for d, v in zip(u.decls, u.decode(i)))
-                    assert read(i) == want, (order, u.record(i))
-            assert u.projector(names) is u.projector(names)
+                    assert read(i) == want, (chosen, u.record(i))
+                assert u.projector(sum([field_bit(n) for n in chosen])) is read
 
 
 def test_modify_empty_is_empty():
