@@ -19,9 +19,9 @@ from .parser import parse, parse_file_text
 from .row import Row
 from .star import PairStateGraph, explore, mark_saturated, star_dist, to_dot
 from .syntax import (
-    Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Seq, Skip,
-    Star, Test, Union, Var, While, desugar, is_core, is_predicate, pretty,
-    restrict, validate,
+    Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
+    desugar, do_while, if_then_else, is_predicate, nary_choice, pretty,
+    restrict, validate, var_in, while_do,
 )
 from .universe import EMPTY, FieldDecl, PacketSet, PacketUniverse
 

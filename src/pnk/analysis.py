@@ -35,9 +35,9 @@ from .bigstep import Kernel
 from .errors import BudgetExceededError, ConditioningError, WellFormednessError
 from .row import Row, ratio
 from .star import DEFAULT_STATE_BUDGET
-from .syntax import (
-    Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    desugar, footprint, has_choice, is_core, restrict,
+from .syntax import (  # desugar unused: the benchmark's layer trace patches it here
+    Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union, desugar,
+    footprint, has_choice, restrict,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse
 
@@ -140,10 +140,6 @@ class Verdict:
         return self.result in ("equal", "leq")
 
 
-def _core(p: Program) -> Program:
-    return p if is_core(p) else desugar(p)
-
-
 def _set_key(s: PacketSet):
     return sorted(s)
 
@@ -162,11 +158,11 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     """The first input row on which ``excess`` finds the row of ``p`` too
     far from that of ``q`` gives the witness and ``verdict[1]``; with no
     such row the verdict is ``verdict[0]``.  Both rows come from one exact
-    kernel over the core forms of the two programs: its row functions serve
-    the two sides alike, and a subterm the two have in common is one node
-    (nodes are interned).  Exact rows are reduced, so two equal rows are
-    one distribution, which neither order finds too far from itself at
-    any ``tol`` >= 0: such a row is passed over without a scan.
+    kernel over the two programs: its row functions serve the two sides
+    alike, and a subterm the two have in common is one node (nodes are
+    interned).  Exact rows are reduced, so two equal rows are one
+    distribution, which neither order finds too far from itself at any
+    ``tol`` >= 0: such a row is passed over without a scan.
 
     One row per orbit.  Let U be the fields outside the footprints of both
     programs (the fields neither reads nor writes).  A permutation phi of
@@ -220,7 +216,6 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     left out is not evaluated, so it can neither fail nor exceed the
     budget.
     """
-    p, q = _core(p), _core(q)
     k = Kernel(p, universe, state_budget=state_budget)
     base = inputs.subset_base
     choice_free = not has_choice(p) and not has_choice(q)
@@ -229,15 +224,17 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     (rp, wp, _, _), (rq, wq, _, _) = footprint(p), footprint(q)
     untouched = universe.mask & ~(rp | wp | rq | wq)
     clear = universe.projector(untouched) if untouched else None
+    read = {}  # a singleton ``_unjoined`` read -> its two rows, or its refusal
     if base is None:
         rows = inputs.rows()
     else:
-        rows = _subsets(_unjoined(k, p, q, base, clear, excess, tol, choice_free))
+        rows = _subsets(_unjoined(k, p, q, base, clear, excess, tol, choice_free, read))
     if clear is not None:
         rows = _orbit_firsts(rows, clear)
     for a in rows:
-        mu = k.row(p, a)
-        nu = k.row(q, a)
+        if isinstance(read.get(a), BudgetExceededError):
+            raise read.pop(a)  # bound to no name, so no frame of this call holds it
+        mu, nu = read.pop(a, None) or (k.row(p, a), k.row(q, a))
         if mu == nu:
             continue  # reduced rows: the same distribution, within any tol
         bad = excess(mu, nu, tol)
@@ -247,7 +244,7 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
 
 
 def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol,
-              choice_free: bool):
+              choice_free: bool, read: dict):
     """The packets of ``base``, in order, but those before the first
     failing singleton (by ``excess``, or one that exceeds the state
     budget) whose rows on both sides are one point mass on a set S, with S
@@ -256,7 +253,9 @@ def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol,
     (see ``_decide``).  A packet's singleton is read when the packet is
     asked for, and one per projection on the touched fields (every
     packet's own, when ``clear`` is None); from the first that fails on,
-    the packets are passed on unread."""
+    the packets are passed on unread.  Each singleton read goes into
+    ``read``, with its two rows or the ``BudgetExceededError`` it raised,
+    so the decision does not ask for them again."""
     order = excess is _upset_excess
     joins = {}  # a singleton's projection -> whether it joins
     for n, x in enumerate(base):
@@ -264,10 +263,10 @@ def _unjoined(k: Kernel, p: Program, q: Program, base, clear, excess, tol,
         if key not in joins:
             a = frozenset((x,))
             try:
-                mu, nu = k.row(p, a), k.row(q, a)
+                mu, nu = read[a] = k.row(p, a), k.row(q, a)
                 fails = mu != nu and excess(mu, nu, tol) is not None
-            except BudgetExceededError:
-                fails = True
+            except BudgetExceededError as e:
+                read[a], fails = e.with_traceback(None), True  # it holds no frame
             if fails:
                 yield from base[n:]
                 return
@@ -440,7 +439,7 @@ class QuerySpec:
 
 def query(p: Program, a: PacketSet, measure: QuerySpec, universe: PacketUniverse,
           state_budget: int = DEFAULT_STATE_BUDGET):
-    k = Kernel(_core(p), universe, state_budget=state_budget)
+    k = Kernel(p, universe, state_budget=state_budget)
     return query_dist(k.apply(a).as_dict(), measure, universe)
 
 
@@ -504,7 +503,7 @@ def sample_run(p: Program, a: PacketSet, universe: PacketUniverse,
     ``random.Random``.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return _sample(_core(p), a, universe, rng, star_depth)
+    return _sample(p, a, universe, rng, star_depth)
 
 
 def _below(r: float, w) -> bool:
@@ -555,7 +554,7 @@ def _sample(node: Program, a: PacketSet, universe, rng, star_depth) -> PacketSet
                 cur = _sample(body, cur, universe, rng, star_depth)
             raise TruncatedRun()
         case _:
-            raise WellFormednessError(f"non-core node {node!r}")
+            raise WellFormednessError(f"unknown node {node!r}")
 
 
 @dataclass
@@ -585,13 +584,12 @@ def estimate(p: Program, a: PacketSet, universe: PacketUniverse, n_samples: int,
     and independent of evaluation order.  Truncated runs are counted and
     excluded, never silently folded into the estimate.
     """
-    core = _core(p)
     counts: dict = {}
     truncated = 0
     for i in range(n_samples):
         rng = random.Random(f"{seed}:{i}")
         try:
-            out = _sample(core, a, universe, rng, star_depth)
+            out = _sample(p, a, universe, rng, star_depth)
         except TruncatedRun:
             truncated += 1
             continue

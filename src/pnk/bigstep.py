@@ -36,7 +36,7 @@ state, and no code or row function refers to a kernel or holds a state
 but weakly, so a state is freed with the last kernel over it, without the
 cycle collector.
 
-Deterministic subterms are set maps.  A core program without ``+[r]`` is
+Deterministic subterms are set maps.  A program without ``+[r]`` is
 deterministic and additive: its row on a set a is the point mass on the
 union of its images of the packets in a (Anderson et al., POPL 2014).  So
 each such node is compiled once (``_State._set_map``) into a map between
@@ -53,7 +53,7 @@ made: by a choice's integer shares (``_shares``) and a bind's sum
 compiled.  A union evaluates only the branches its guard table, keyed on
 the fields every branch tests first, picks on a set: every other branch
 gives the empty set, whose point mass is the unit of ``&`` and where a
-bind stops (every core program is strict).  A sequence is a fold of
+bind stops (every program is strict).  A sequence is a fold of
 binds over its plan's steps: a run of deterministic parts, or of factor
 nodes (below) that share a field, is one step, and the predicate parts
 after a star whose body has a choice are that star's filter, so ``p* ;
@@ -121,7 +121,7 @@ from .row import Row, joined, mixture, reduced, rounded
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    footprint, is_core, is_predicate, pretty, seq,
+    footprint, is_predicate, pretty, seq,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse, field_bit
 
@@ -729,7 +729,7 @@ _STATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class Kernel:
-    """Compiles a core (desugared) program into row functions.  With
+    """Compiles a program into row functions.  With
     ``exact`` false, ``apply`` and ``row`` return float rows: the exact
     rows, each weight rounded to the nearest double.  Live kernels over
     universes with equal fields and an equal ``state_budget`` share one
@@ -737,10 +737,6 @@ class Kernel:
 
     def __init__(self, program: Program, universe: PacketUniverse,
                  exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
-        if not is_core(program):
-            raise WellFormednessError(
-                "kernel requires a core program; run desugar() first"
-            )
         self.program = program
         self.exact = exact
         key = (universe.decls, state_budget)
@@ -826,7 +822,7 @@ class _State:
             fns = [(n, self._rows(q)) for n, q in zip(shares, node.parts) if n]
             fn = partial(_chosen, den, fns)
         else:
-            raise WellFormednessError(f"non-core node {node!r}")
+            raise WellFormednessError(f"unknown node {node!r}")
         code = self._code(node, _ROW, self._make_row)
         if type(code) is tuple:
             self._factored[0] = True
@@ -1052,7 +1048,7 @@ class _State:
 
     def _compile(self, node: Program):
         """The set map of ``node`` (see the module), or None if ``node``
-        contains a ``Choice`` or is not core.  Every map is additive, and
+        contains a ``Choice``.  Every map is additive, and
         reads nothing of the universe but its layout of ``node``.  A
         sequence's map runs the maps of its runs (``_runs``): a run of
         assignments is one rewrite of several fields."""

@@ -39,7 +39,6 @@ from .errors import PnkError
 from .netlib import TOPOLOGIES
 from .parser import parse, parse_file_text
 from .star import DEFAULT_STATE_BUDGET
-from .syntax import desugar
 from .universe import PacketUniverse
 
 FLOAT_TOL = 1e-9  # the tolerance of float mode unless --tol sets one
@@ -359,7 +358,7 @@ def _dispatch(args) -> int:
     elif args.cmd == "dist":
         uni, p = _load_program(args.file1, _load_universe(args))
         aset = _packets_arg(args.on, uni)
-        kern = Kernel(desugar(p), uni, exact=args.exact,
+        kern = Kernel(p, uni, exact=args.exact,
                       state_budget=args.max_states)
         report = kern.apply(aset).to_jsonable(uni, aset)
         table = "support"  # the input set is a list of packet records too

@@ -20,8 +20,8 @@ from functools import partial
 
 from .errors import WellFormednessError
 from .syntax import (
-    Assign, Choice, DoWhile, Drop, NaryChoice, Neg, Program, Seq, Skip, Star,
-    Test, Union, Var, seq, union, uniform,
+    Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union, do_while,
+    nary_choice, seq, union, uniform, var_in,
 )
 from .universe import FieldDecl, PacketUniverse
 
@@ -104,7 +104,7 @@ def refined_model(p: Program, topo: Topology, f: Program) -> Program:
     hop = Seq(f, p)
     body = Seq(Star(Seq(hop, t)), hop)
     for flag in reversed(topo.flag_fields()):
-        body = Var(flag, 1, body)
+        body = var_in(flag, 1, body)
     return body
 
 
@@ -184,7 +184,7 @@ def toy() -> ToyNet:
         Seq(Test("sw", 3), fwd),
     )
     f0 = Seq(Assign("up2", 1), Assign("up3", 1))
-    f1 = NaryChoice((
+    f1 = nary_choice((
         (f0, Fraction(1, 2)),
         (Seq(Assign("up2", 0), Assign("up3", 1)), Fraction(1, 4)),
         (Seq(Assign("up2", 1), Assign("up3", 0)), Fraction(1, 4)),
@@ -473,7 +473,7 @@ class CaseModel:
     topo: Topology
     universe: PacketUniverse
     scheme: Program
-    program: Program      # in ; var-wrapped do-while ; delivery normalization
+    program: Program      # in ; var_in-wrapped do_while ; pt:=0, in core nodes
     teleport: Program     # in ; sw:=dest ; pt:=0
     in_packets: list[int]  # one pinned ingress packet per source switch
     target_packet: int    # the packet every delivered/teleported packet becomes
@@ -498,12 +498,12 @@ def build_case_model(variant: str, topo: Topology, k: int | None,
         hop = Seq(hop, _saturating_increment("counter", COUNTER_DOMAIN - 1))
     if flags:
         hop = Seq(hop, seq(*[Assign(fl, 1) for fl in flags]))
-    loop = DoWhile(hop, Neg(Test("sw", dest)))
+    loop = do_while(hop, Neg(Test("sw", dest)))
     body = Seq(loop, Assign("pt", 0))
     if k is not None and k > 0:
-        body = Var("budget", k, body)
+        body = var_in("budget", k, body)
     for fl in reversed(flags):
-        body = Var(fl, 1, body)
+        body = var_in(fl, 1, body)
 
     sources = sorted(s for s, layer in topo.layers.items()
                      if layer == EDGE and s != dest)

@@ -15,9 +15,11 @@ Grammar (loosest binding first):
              | 'choice' '{' weight ':' expr (',' weight ':' expr)* '}'
              | '(' expr ')'
 
-Parentheses, keyword bodies and ``!`` may nest at most ``MAX_DEPTH`` deep,
-the bound on a program's depth, and deeper input is a ``ParseError``: the
-pretty-printed form of a core program within the bound always parses.
+A keyword form is built as the nodes it abbreviates (``syntax.if_then_else``
+and the like) where it is parsed, so its expansion counts toward the bound
+on a program's depth, ``MAX_DEPTH``.  Parentheses, keyword bodies and ``!``
+may nest at most that deep, and deeper input is a ``ParseError``: the
+pretty-printed form of a program within the bound always parses.
 
 Weights are ``a/b`` rationals, integers, or decimal literals (converted
 exactly, e.g. ``0.8`` becomes ``4/5``).  ``//`` comments run to end of line.
@@ -27,10 +29,13 @@ declaring the universe.
 The lexer is one regex pass that yields the token texts, and the parser
 reads them by index; a token's kind follows from its text, and its line
 and column are worked out only for an error.  Well-formedness is checked
-as atoms and guards are built (fields and values against the universe,
-predicates under ``!`` and as guards, n-ary weights): a failed check only
-marks the parse, which goes on, so a later syntax error wins, and once it
-ends ``syntax.validate`` raises the error of a marked program.
+as soon as the operands of a form are parsed (fields and values against
+the universe, predicates under ``!`` and as guards, n-ary weights): a
+failed check only marks its message, and the parse goes on, so a syntax
+error anywhere wins.  Once the parse ends, the first message marked is
+raised as a ``WellFormednessError``.  A predicate is written without
+keyword forms: ``!`` and a guard refuse an operand that holds one, even
+where its expansion is a predicate (``if t then u else v`` of predicates).
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from fractions import Fraction
 
 from .errors import ParseError, PnkError, WellFormednessError
 from .syntax import (
-    MAX_DEPTH, Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program,
-    Skip, Star, Test, Var, While, seq, union, validate,
+    MAX_DEPTH, Assign, Choice, Drop, Neg, Program, Skip, Star, Test, _value_error,
+    do_while, if_then_else, nary_choice, seq, union, uniform, var_in, while_do,
 )
 from .universe import FieldDecl, PacketUniverse
 
@@ -102,7 +107,8 @@ def _parse(src: str, universe: PacketUniverse | None,
     parsed."""
     toks = _lex(src)
     i = depth = 0  # the next token; nested ``expr`` calls and ``!``s
-    ill = False  # a well-formedness check failed: ``validate`` says which
+    marks = []  # the well-formedness errors found, in the order checked
+    forms = 0  # the keyword forms built so far
     digits = None  # the universe's field -> (weight, size)
 
     def fail(msg, at=None):
@@ -188,27 +194,37 @@ def _parse(src: str, universe: PacketUniverse | None,
         depth -= 1
         return Choice.chain(parts, weights)
 
+    def guard(message) -> Program:
+        """An ``expr``, marking ``message`` unless a predicate with no keyword form."""
+        start = forms
+        cond = expr()
+        if not cond.predicate or forms != start:
+            marks.append(message)
+        return cond
+
     def unary() -> Program:
         """``unary`` and ``postfix`` of the grammar: ``!``s, an atom, ``*``s."""
-        nonlocal i, depth, ill
+        nonlocal i, depth
         negs = 0
         while toks[i] == "!":
             i += 1
             enter()
             negs += 1
+        start = forms
         out = atom()
         while toks[i] == "*":
             i += 1
             out = Star(out)
         if negs:
-            ill |= not out.predicate
+            if not out.predicate or forms != start:
+                marks.append("negation applied to a non-predicate")
             for _ in range(negs):
                 out = Neg(out)
             depth -= negs
         return out
 
     def atom() -> Program:
-        nonlocal i, ill
+        nonlocal i, forms
         t = toks[i]
         i += 1
         if t not in KEYWORDS and t != "(":  # a field test or assignment
@@ -219,7 +235,8 @@ def _parse(src: str, universe: PacketUniverse | None,
                 fail(f"expected '=' or ':=' after field {t!r}")
             i += 1
             value = nat()
-            ill |= value >= digits.get(t, (0, 0))[1]  # an unknown field has size 0
+            if value >= digits.get(t, (0, 0))[1]:  # an unknown field has size 0
+                marks.append(_value_error(t, value, universe))
             return Test(t, value) if op == "=" else Assign(t, value)
         if t == "(":
             out = expr()
@@ -229,32 +246,29 @@ def _parse(src: str, universe: PacketUniverse | None,
             return Drop()
         if t == "skip":
             return Skip()
+        forms += 1
         if t == "if":
-            guard = expr()
+            cond = guard("if-guard is not a predicate")
             expect("then")
             then = expr()
             expect("else")
-            other = expr()
-            ill |= not guard.predicate
-            return If(guard, then, other)
+            return if_then_else(cond, then, expr())
         if t == "while":
-            guard = expr()
+            cond = guard("loop guard is not a predicate")
             expect("do")
-            ill |= not guard.predicate
-            return While(guard, expr())
+            return while_do(cond, expr())
         if t == "do":
             body = expr()
             expect("while")
-            guard = expr()
-            ill |= not guard.predicate
-            return DoWhile(body, guard)
+            return do_while(body, guard("loop guard is not a predicate"))
         if t == "var":
             name = field_name()
             expect(":=")
             value = nat()
+            if value >= digits.get(name, (0, 0))[1]:
+                marks.append(_value_error(name, value, universe))
             expect("in")
-            ill |= value >= digits.get(name, (0, 0))[1]
-            return Var(name, value, expr())
+            return var_in(name, value, expr())
         if t == "choice":
             expect("{")
             branches = []
@@ -266,8 +280,11 @@ def _parse(src: str, universe: PacketUniverse | None,
                     break
                 i += 1
             expect("}")
-            ill |= sum(w for _, w in branches) != 1
-            return NaryChoice(branches)
+            try:
+                return nary_choice(branches)
+            except WellFormednessError as e:  # parsed weights lie in [0, 1]: a sum off 1,
+                marks.append(str(e))  # or too deep, which ``uniform`` raises again
+                return uniform(*[q for q, _ in branches])
         fail(f"unexpected keyword {t!r}", i - 1)
 
     try:
@@ -295,8 +312,8 @@ def _parse(src: str, universe: PacketUniverse | None,
     except PnkError:
         _check_chars(src, toks)
         raise
-    if ill:
-        validate(prog, universe)
+    if marks:
+        raise WellFormednessError(marks[0])
     return universe, prog
 
 

@@ -1,8 +1,10 @@
-"""Program syntax: AST nodes, well-formedness, desugaring, pretty-printing.
+"""Program syntax: AST nodes, well-formedness, pretty-printing.
 
-Core nodes: Drop, Skip, Test, Assign, Neg, Union, Seq, Choice, Star.
-Sugar nodes: If, While, DoWhile, Var, NaryChoice.  ``desugar`` rewrites a
-well-formed program into core nodes only.
+Nodes: Drop, Skip, Test, Assign, Neg, Union, Seq, Choice, Star, the
+language of the paper.  Its ``if``, ``while``, ``do ... while``, ``var`` and
+n-ary ``choice`` are abbreviations, as in NetKAT: ``if_then_else``,
+``while_do``, ``do_while``, ``var_in`` and ``nary_choice`` build the nodes
+they stand for, so every program is made of these nodes alone.
 
 Nodes are interned (hash-consed) when they are built, through one weak
 table keyed by the class, the scalar fields with their types and the
@@ -20,12 +22,12 @@ spliced; a left one stays a nested part, since splicing it would rescale
 the weights and so change the sampler's draws.
 
 Each node records its facts when it is built, from those of its children
-(see ``Program``): its nesting ``depth``, whether it is ``core``, whether a
-``choice`` shows in it and whether it is a ``predicate``.  So a program is a
-DAG whose facts are read, never recomputed by a walk, and ``desugar`` and
-``validate`` visit each distinct node once.  A node deeper than
-``MAX_DEPTH`` is a ``WellFormednessError``: every recursive pass over a
-program then stays well inside Python's recursion limit, whoever built it.
+(see ``Program``): its nesting ``depth``, whether a ``choice`` shows in it
+and whether it is a ``predicate``.  So a program is a DAG whose facts are
+read, never recomputed by a walk, and ``validate`` visits each distinct
+node once.  A node deeper than ``MAX_DEPTH`` is a ``WellFormednessError``:
+every recursive pass over a program then stays well inside Python's
+recursion limit, whoever built it.
 
 A node is a *predicate* iff it is Drop, Skip, Test, or Neg/Union/Seq of
 predicates.  Choice and Star are never predicates, and Neg may only be
@@ -53,11 +55,6 @@ _NODES: dict = {}
 MAX_DEPTH = 150
 
 
-class _TooDeep(WellFormednessError):
-    """A node deeper than ``MAX_DEPTH``; ``desugar`` says when its own
-    rewriting made it so."""
-
-
 def _intern(cls, args: tuple, key: tuple, kids=None):
     """The live node under ``key``, or a new ``cls`` node with fields ``args``
     and the facts of ``Program``, read off its child programs ``kids`` (by
@@ -65,23 +62,20 @@ def _intern(cls, args: tuple, key: tuple, kids=None):
     ref = _NODES.get(key)
     node = None if ref is None else ref()
     if node is None:
-        depth, core, choice, predicate = 0, True, False, True
+        depth, choice, predicate = 0, False, True
         for k in args if kids is None else kids:
             if isinstance(k, Program):
                 if k.depth > depth:
                     depth = k.depth
-                core &= k.core
                 choice |= k.choice
                 predicate &= k.predicate
         depth += 2 if cls is Star else 1
         if depth > MAX_DEPTH:
-            raise _TooDeep(f"program nests deeper than {MAX_DEPTH} levels")
+            raise WellFormednessError(f"program nests deeper than {MAX_DEPTH} levels")
         node = object.__new__(cls)
         cls._fill(node, *args)
-        up = cls in _CORE  # a sugar node is not core and hides its choices
         object.__setattr__(node, "depth", depth)
-        object.__setattr__(node, "core", up and core)
-        object.__setattr__(node, "choice", cls is Choice or up and choice)
+        object.__setattr__(node, "choice", cls is Choice or choice)
         object.__setattr__(node, "predicate", predicate and cls in _PREDICATE)
         _NODES[key] = weakref.ref(node, partial(_forget, key))
     return node
@@ -95,21 +89,18 @@ def _forget(key: tuple, ref) -> None:
 class Program:
     """Base class for AST nodes.  Nodes are immutable and interned (see
     above): two nodes are equal exactly when they are one object.  Each node
-    carries four facts, set when it is built from those of its children;
+    carries three facts, set when it is built from those of its children;
     they are not fields:
 
     ``depth``      the nesting depth (see ``MAX_DEPTH``);
-    ``core``       the node holds no sugar;
-    ``choice``     the node is a ``Choice`` or reaches one through ``Neg``,
-                   ``Star``, ``Union`` and ``Seq`` nodes only (sugar hides
-                   the choices in it);
+    ``choice``     the node is a ``Choice`` or holds one;
     ``predicate``  a predicate (see above).
 
-    A core node also keeps its ``footprint`` once it is asked for, and a
+    A node also keeps its ``footprint`` once it is asked for, and a
     kernel's code for it (see ``bigstep``).
     """
 
-    __slots__ = ("__weakref__", "depth", "core", "choice", "predicate", "_footprint", "_code")
+    __slots__ = ("__weakref__", "depth", "choice", "predicate", "_footprint", "_code")
 
     def __new__(cls, *args):
         return _intern(cls, args, (cls, args, *map(type, args)))
@@ -216,56 +207,12 @@ class Star(Program):
     body: Program
 
 
-# -- sugar ----------------------------------------------------------------
-
-
-@_node
-class If(Program):
-    guard: Program
-    then: Program
-    other: Program
-
-
-@_node
-class While(Program):
-    guard: Program
-    body: Program
-
-
-@_node
-class DoWhile(Program):
-    body: Program
-    guard: Program
-
-
-@_node
-class Var(Program):
-    field: str
-    value: int
-    body: Program
-
-
-@_node
-class NaryChoice(Program):
-    branches: tuple[tuple[Program, Fraction], ...]
-
-    def __new__(cls, branches):  # the weights as in Choice
-        branches = tuple(branches)
-        key = (cls, *[(q, _weight_key(w)) for q, w in branches])
-        return _intern(cls, (branches,), key, [q for q, _ in branches])
-
-
-# The classes a core node may have, and those a predicate may have.
-_CORE = frozenset({Drop, Skip, Test, Assign, Neg, Union, Seq, Choice, Star})
+# The classes a predicate may have.
 _PREDICATE = frozenset({Drop, Skip, Test, Neg, Union, Seq})
 
 
 def is_predicate(p: Program) -> bool:
     return p.predicate
-
-
-def is_core(p: Program) -> bool:
-    return p.core
 
 
 def validate(p: Program, universe: PacketUniverse) -> None:
@@ -280,13 +227,9 @@ def validate(p: Program, universe: PacketUniverse) -> None:
         match node:
             case Drop() | Skip():
                 pass
-            case Test(f, v) | Assign(f, v) | Var(f, v):
-                if not universe.has_field(f):
-                    raise WellFormednessError(f"unknown field {f!r}")
-                if not (0 <= v < universe.field(f).size):
-                    raise WellFormednessError(f"value {v} out of range for field {f!r}")
-                if isinstance(node, Var):
-                    go(node.body)
+            case Test(f, v) | Assign(f, v):
+                if (error := _value_error(f, v, universe)) is not None:
+                    raise WellFormednessError(error)
             case Neg(b):
                 go(b)
                 if not is_predicate(b):
@@ -299,115 +242,36 @@ def validate(p: Program, universe: PacketUniverse) -> None:
                     go(q)
             case Star(b):
                 go(b)
-            case If(t, a, b):
-                go(t)
-                if not is_predicate(t):
-                    raise WellFormednessError("if-guard is not a predicate")
-                go(a)
-                go(b)
-            case While(t, b) | DoWhile(b, t):
-                go(t)
-                if not is_predicate(t):
-                    raise WellFormednessError("loop guard is not a predicate")
-                go(b)
-            case NaryChoice(branches):
-                if not branches:
-                    raise WellFormednessError("empty n-ary choice")
-                total = Fraction(0)
-                for q, w in branches:
-                    if w < 0:
-                        raise WellFormednessError(f"negative branch weight {w}")
-                    total += w
-                    go(q)
-                if total != 1:
-                    raise WellFormednessError(
-                        f"n-ary choice weights sum to {total}, expected 1"
-                    )
             case _:
                 raise WellFormednessError(f"unknown node {node!r}")
 
     go(p)
 
 
+def _value_error(f: str, v: int, universe: PacketUniverse) -> str | None:
+    """Why field ``f`` may not hold ``v`` in ``universe``, or None."""
+    if not universe.has_field(f):
+        return f"unknown field {f!r}"
+    if not (0 <= v < universe.field(f).size):
+        return f"value {v} out of range for field {f!r}"
+    return None
+
+
 def desugar(p: Program) -> Program:
-    """Rewrite sugar into core nodes.
-
-    If(t,p,q)    -> (t;p) & (!t;q)
-    While(t,p)   -> (t;p)* ; !t
-    DoWhile(p,t) -> p ; (t;p)* ; !t
-    Var(f,n,p)   -> f:=n ; p ; f:=0
-    NaryChoice   -> one Choice with rescaled weights
-
-    A core node is returned as it is, and each distinct node that is not
-    is rewritten once per call.  The rewriting deepens a program (a loop by
-    three levels, a branch by one), so a sugared program within
-    ``MAX_DEPTH`` may have a core form past it: that is a
-    ``WellFormednessError`` naming the desugared form.
-    """
-    try:
-        return _desugar(p, {})
-    except _TooDeep:
-        raise WellFormednessError(
-            f"the desugared program nests deeper than {MAX_DEPTH} levels "
-            "(desugaring deepens a program: a loop by three levels)") from None
-
-
-def _desugar(p: Program, memo: dict) -> Program:
-    """The core form of ``p``; ``memo`` holds the nodes rewritten so far."""
-    if p.core:
-        return p
-    if p in memo:
-        return memo[p]
-    match p:
-        case Neg(b) | Star(b):
-            new = type(p)(_desugar(b, memo))
-        case Union(parts) | Seq(parts):
-            new = type(p)(*[_desugar(q, memo) for q in parts])
-        case Choice(parts, weights):
-            new = Choice.chain([_desugar(q, memo) for q in parts], weights)
-        case If(t, a, b):
-            t = _desugar(t, memo)
-            new = Union(Seq(t, _desugar(a, memo)), Seq(Neg(t), _desugar(b, memo)))
-        case While(t, b):
-            t = _desugar(t, memo)
-            new = Seq(Star(Seq(t, _desugar(b, memo))), Neg(t))
-        case DoWhile(b, t):
-            t = _desugar(t, memo)
-            b = _desugar(b, memo)
-            new = Seq(b, Star(Seq(t, b)), Neg(t))
-        case Var(f, v, b):
-            new = Seq(Assign(f, v), _desugar(b, memo), Assign(f, 0))
-        case NaryChoice(branches):
-            new = _desugar_nary(list(branches), memo)
-        case _:
-            raise WellFormednessError(f"unknown node {p!r}")
-    memo[p] = new
-    return new
-
-
-def _desugar_nary(branches, memo: dict) -> Program:
-    """One choice over the branches, its parts gathered from the last branch
-    back: branch i is taken with its weight over the weight left from i on."""
-    head, total = branches[-1]
-    parts, weights = [_desugar(head, memo)], []
-    for head, w in reversed(branches[:-1]):
-        total += w
-        if total == 0:
-            parts, weights = [], []  # all-zero tail: any branch carries the (zero) mass
-        else:
-            weights.append(Fraction(w) / total)
-        parts.append(_desugar(head, memo))
-    return Choice.chain(parts[::-1], weights[::-1])
+    """``p`` itself, every program being core: kept for the benchmark's layer
+    trace, which patches it here and where ``casestudy`` and ``analysis``
+    import it."""
+    return p
 
 
 def has_choice(p: Program) -> bool:
-    """True iff the core program contains a probabilistic choice."""
+    """True iff the program contains a probabilistic choice."""
     return p.choice
 
 
 def footprint(p: Program) -> tuple:
     """(fields read, fields written, fields killed, whether a ``Star``
-    shows) of the core program ``p``, each set of fields a mask of
+    shows) of the program ``p``, each set of fields a mask of
     ``field_bit``s (see ``universe``).  A field is killed if every path
     assigns it before any step reads it, so the rows of ``p`` do not depend
     on its value.  Made once per node, and kept on it."""
@@ -500,23 +364,60 @@ def _pp(p: Program, ctx: int) -> str:
             text = [f"{_pp(q, _CHOICE + 1)} +[{w}] " for q, w in zip(parts, weights)]
             text.append(_pp(parts[-1], _CHOICE))
             return _wrap(ctx, _CHOICE, "".join(text))
-        case If(t, a, b):
-            # A keyword closes each body, so none needs parentheses.
-            body = f"if {_pp(t, _CHOICE + 1)} then {_pp(a, _CHOICE)} else {_pp(b, _CHOICE)}"
-            return _wrap(ctx, _CHOICE, body)
-        case While(t, b):
-            return _wrap(ctx, _CHOICE, f"while {_pp(t, _CHOICE + 1)} do {_pp(b, _CHOICE)}")
-        case DoWhile(b, t):
-            return _wrap(ctx, _CHOICE, f"do {_pp(b, _CHOICE)} while {_pp(t, _CHOICE)}")
-        case Var(f, v, b):
-            return _wrap(ctx, _CHOICE, f"var {f}:={v} in {_pp(b, _CHOICE)}")
-        case NaryChoice(branches):
-            inner = ", ".join(
-                f"{w}: {_pp(q, _CHOICE)}" for q, w in branches
-            )
-            return f"choice {{ {inner} }}"
         case _:
             raise WellFormednessError(f"unknown node {p!r}")
+
+
+# -- the abbreviations ------------------------------------------------------
+# Each builds the nodes its keyword form stands for.  A guard that is not a
+# predicate shows as its ``Neg``, which ``validate`` refuses.
+
+
+def if_then_else(t: Program, p: Program, q: Program) -> Program:
+    """``if t then p else q``: ``(t;p) & (!t;q)``."""
+    return Union(Seq(t, p), Seq(Neg(t), q))
+
+
+def while_do(t: Program, p: Program) -> Program:
+    """``while t do p``: ``(t;p)* ; !t``."""
+    return Seq(Star(Seq(t, p)), Neg(t))
+
+
+def do_while(p: Program, t: Program) -> Program:
+    """``do p while t``: ``p ; (t;p)* ; !t``."""
+    return Seq(p, Star(Seq(t, p)), Neg(t))
+
+
+def var_in(f: str, n: int, p: Program) -> Program:
+    """``var f:=n in p``: ``f:=n ; p ; f:=0``, the local field erased."""
+    return Seq(Assign(f, n), p, Assign(f, 0))
+
+
+def nary_choice(branches) -> Program:
+    """``choice { w1: p1, ..., wn: pn }`` over the (program, weight)
+    ``branches``, one or more with finite weights >= 0 of sum 1: one
+    ``Choice`` that takes branch i with its weight over the weight left
+    from i on, its parts gathered from the last branch back, in a loop."""
+    branches = list(branches)
+    if not branches:
+        raise WellFormednessError("empty n-ary choice")
+    for _, w in branches:
+        _weight_key(w)  # refuses nan and inf
+    if (w := next((w for _, w in branches if w < 0), None)) is not None:
+        raise WellFormednessError(f"negative branch weight {w}")
+    total = sum((w for _, w in branches), Fraction(0))
+    if total != 1:
+        raise WellFormednessError(f"n-ary choice weights sum to {total}, expected 1")
+    head, total = branches[-1]
+    parts, weights = [head], []
+    for head, w in reversed(branches[:-1]):
+        total += w
+        if total == 0:
+            parts, weights = [], []  # all-zero tail: any branch carries the (zero) mass
+        else:
+            weights.append(Fraction(w) / total)
+        parts.append(head)
+    return Choice.chain(parts[::-1], weights[::-1])
 
 
 # -- small constructors used throughout -------------------------------------
@@ -537,8 +438,8 @@ def union(*parts: Program) -> Program:
 
 
 def uniform(*parts: Program) -> Program:
-    """Uniform n-ary choice over the given programs."""
+    """``nary_choice`` over the given programs with equal weights, built
+    without its sums: the weights over the weight left are 1/n, ..., 1/2."""
     if not parts:
         raise WellFormednessError("uniform choice over nothing")
-    n = len(parts)
-    return NaryChoice(tuple((q, Fraction(1, n)) for q in parts))
+    return Choice.chain(parts, [Fraction(1, k) for k in range(len(parts), 1, -1)])

@@ -20,8 +20,8 @@ from pnk.errors import (
 from pnk.parser import parse
 from pnk.row import Row, ratio
 from pnk.syntax import (
-    Assign, Choice, Drop, NaryChoice, Neg, Seq, Skip, Star, Test, Union, desugar,
-    footprint, has_choice, is_core, pretty, seq, union, validate,
+    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar, footprint,
+    has_choice, nary_choice, pretty, seq, union, validate,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
@@ -59,7 +59,7 @@ def test_long_union_chain_decides_without_recursion_error(tmp_path, capsys):
                 for i in range(15) for j in range(10) for k in range(20)]
     p = union(*branches)
     q = union(*reversed(branches))
-    assert is_core(p) and not has_choice(p)
+    assert not has_choice(p)
     assert desugar(p).parts == tuple(branches)
     validate(p, u)
     assert parse(pretty(p), u) == p
@@ -85,14 +85,14 @@ def test_long_union_chain_decides_without_recursion_error(tmp_path, capsys):
 
 
 def test_long_choice_spine_decides_without_recursion_error(tmp_path, capsys):
-    # choice { 1/2000: f:=0, 1/2000: f:=1, ... } desugars to one Choice of
-    # 2,000 parts, which every pass walks with a loop.
+    # choice { 1/2000: f:=0, 1/2000: f:=1, ... } is one Choice of 2,000
+    # parts, which every pass, and the parser, walks with a loop.
     u = UF
     n = 2000
     branches = tuple((Assign("f", i % 2), Fraction(1, n)) for i in range(n))
-    p, q = NaryChoice(branches), NaryChoice(branches[::-1])
+    p, q = nary_choice(branches), nary_choice(branches[::-1])
     core = desugar(p)
-    assert is_core(core) and has_choice(core)
+    assert core is p and has_choice(core)
     assert type(core) is Choice and len(core.parts) == n
     a = frozenset({u.packet(f=0)})
     half = {frozenset({u.packet(f=v)}): Fraction(1, 2) for v in (0, 1)}
@@ -100,8 +100,10 @@ def test_long_choice_spine_decides_without_recursion_error(tmp_path, capsys):
     assert equiv(p, q, InputSpec.full_universe(u), u).result == "equal"
     est = estimate(p, a, u, 200, seed=5)
     assert est.n_completed == 200 and set(est.counts) == set(half)
+    text = "choice { " + ", ".join(f"1/{n}: f:={i % 2}" for i in range(n)) + " }"
+    assert parse(text, u) is p
     path = tmp_path / "spine.pnk"
-    path.write_text("fields { f : 2 }\n" + pretty(p))
+    path.write_text("fields { f : 2 }\n" + text)
     assert main(["dist", str(path), "--on", '[{"f": 0}]']) == 0
     out = json.loads(capsys.readouterr().out)
     assert [s["prob"] for s in out["support"]] == ["1/2", "1/2"]
@@ -806,8 +808,9 @@ def _expected_rows(decide, p, q, u, untouched, tol=0):
     (``_joins``), one per orbit, up to the first that fails.  A packet's
     singleton comes after the rows of the packets before it and before its
     own, and no singleton of a packet after the first failing row's last
-    one is read.  Orbits as ``_first_of_each_orbit`` finds them; rows from
-    a kernel per side."""
+    one is read.  A singleton that both scans meet is read once, by the
+    first.  Orbits as ``_first_of_each_orbit`` finds them; rows from a
+    kernel per side."""
     cp, cq = desugar(p), desugar(q)
     spec = InputSpec.all_subsets(u.all_packets())
     if not has_choice(cp) and not has_choice(cq):
@@ -832,7 +835,8 @@ def _expected_rows(decide, p, q, u, untouched, tol=0):
             last = max(a, default=-1)
             break
     merged = [(x, 0, a) for a in scan for x in a if x <= last]
-    merged += [(max(a, default=-1), 1, a) for a in rows]
+    once = {a for *_, a in merged}
+    merged += [(max(a, default=-1), 1, a) for a in rows if a not in once]
     return [a for *_, a in sorted(merged, key=lambda m: m[:2])]
 
 
@@ -1011,7 +1015,8 @@ def test_leq_leaves_out_packets_it_maps_to_nested_point_masses(uni8):
         # The packets the decision leaves out that the rule of equal point
         # masses would keep.
         k = cold_kernel(cp, uni8)
-        kept = set(analysis._unjoined(k, cp, cq, base, None, analysis._upset_excess, 0, False))
+        kept = set(analysis._unjoined(k, cp, cq, base, None, analysis._upset_excess, 0,
+                                      False, {}))
         del k
         singles = dict(zip(rows, zip(left, right)))
         fired += any(singles[frozenset({x})][0] != singles[frozenset({x})][1]
@@ -1073,8 +1078,8 @@ def test_a_singleton_over_budget_after_the_verdict_is_not_raised(uni8, decide):
 def test_the_singletons_are_read_up_to_the_first_that_fails(uni8, monkeypatch):
     # The f0g0h1 singleton, the fifth, fails: the right side sets g where
     # the left flips a coin.  The f=1 packets before it go to {} on both
-    # sides and are left out; each singleton is read once the rows of the
-    # packets before it have passed, and the rows run to the failing one.
+    # sides and are left out; each singleton is read once, when the rows of
+    # the packets before it have passed, and the rows run to the failing one.
     p = parse(f"f=1 ; h:=1 ; drop & {ONE_COIN}", uni8)
     q = parse(f"f=1 ; drop & f=0 ; h=0 ; {COIN} & f=0 ; h=1 ; g:=1", uni8)
     spec = InputSpec.all_subsets(uni8.all_packets())
@@ -1084,10 +1089,36 @@ def test_the_singletons_are_read_up_to_the_first_that_fails(uni8, monkeypatch):
         calls.clear()
         got = decide(p, q, spec, uni8)
         assert got.witness.input_set == {uni8.packet(f=0, g=0, h=1)}
-        assert want == [frozenset(), frozenset({0}), frozenset({0}), frozenset({1}),
-                        frozenset({2}), frozenset({2}), frozenset({0, 2}), frozenset({3}),
-                        frozenset({4}), frozenset({4})]
+        assert want == [frozenset(), frozenset({0}), frozenset({1}), frozenset({2}),
+                        frozenset({0, 2}), frozenset({3}), frozenset({4})]
         assert calls == [a for a in want for _ in "pq"]
+
+
+def _budget_counts(fn):
+    """The counts of the BudgetExceededError ``fn`` raises, or None."""
+    try:
+        fn()
+    except BudgetExceededError as e:
+        return e.states_reached, e.states_expanded, e.accumulators
+    return None
+
+
+@pytest.mark.parametrize("decide", [equiv, leq])
+def test_a_singleton_over_budget_is_read_once_and_raised_with_its_counts(uni8, monkeypatch,
+                                                                       decide):
+    # The first packet's star chain exceeds a budget of 3 states.  The
+    # decision reads the empty row, then that singleton once, on the left,
+    # and raises what the singleton raised as the rows reach it.  Its
+    # kernel is gone on return (the next case's cold kernel checks that).
+    big = "(f:=1 +[1/2] g:=1)* ; (h:=1 +[1/2] f:=0)*"
+    p, q = parse(big, uni8), parse("skip ; " + big, uni8)
+    first = frozenset({0})
+    assert _budget_counts(lambda: cold_kernel(p, uni8, state_budget=3).row(p, first)) == (
+        4, 1, 3)
+    calls = _counting_rows(monkeypatch)
+    spec = InputSpec.all_subsets(uni8.all_packets())
+    assert _budget_counts(lambda: decide(p, q, spec, uni8, state_budget=3)) == (4, 1, 3)
+    assert calls == [EMPTY, EMPTY, first]
 
 
 @pytest.mark.parametrize("decide,left,right", [

@@ -22,8 +22,8 @@ from pnk.errors import BudgetExceededError, UniverseError, WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.row import Row
 from pnk.syntax import (
-    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, While,
-    desugar, footprint, has_choice, pretty, restrict, seq, union,
+    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
+    footprint, has_choice, pretty, restrict, seq, union, while_do,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse, field_bit
 
@@ -331,12 +331,6 @@ def test_row_of_a_freed_node_is_not_reused():
     assert k.row(Assign("f", 1), a).as_dict() == delta(frozenset({UF.packet(f=1)}))
 
 
-def test_kernel_rejects_sugar(uni2x2):
-    from pnk.syntax import If
-    with pytest.raises(WellFormednessError):
-        Kernel(If(Skip(), Skip(), Skip()), uni2x2)
-
-
 # -- deterministic subterms: compiled set maps --------------------------------
 
 
@@ -596,7 +590,7 @@ def _loops(p, t):
     """(program, star body, filter or None) of ``p*``, ``p* ; t`` and
     ``while t do p``."""
     return [(Star(p), p, None), (Seq(Star(p), t), p, t),
-            (desugar(While(t, p)), Seq(t, p), Neg(t))]
+            (while_do(t, p), Seq(t, p), Neg(t))]
 
 
 def _unrolled(body, filt, a, u):
@@ -663,7 +657,7 @@ def test_choice_free_programs_build_no_pair_chain(monkeypatch):
     spec = InputSpec.all_subsets(u.all_packets())
     rng = random.Random(21)
     f0 = Test("f", 0)
-    sides = [desugar(While(f0, Seq(Assign("f", 1), Star(Assign("g", 1)))))]
+    sides = [while_do(f0, Seq(Assign("f", 1), Star(Assign("g", 1))))]
     for kind, decide in (("unfold", equiv), ("unroll", leq)):
         for steps in range(12):
             pair = programs.make_pair(kind, rng, False, steps % 3)

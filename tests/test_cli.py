@@ -381,13 +381,13 @@ def test_max_states_bounds_only_chains_of_stars_with_a_choice(progdir, capsys):
 
 
 def test_a_program_too_deep_once_desugared_says_so(progdir, capsys):
-    # 61 nested loops are 62 levels deep as written, and desugaring adds
-    # three levels per loop.
+    # 61 nested loops are 62 levels deep as written, and each loop is built
+    # as the core nodes it stands for, three or four levels deeper than its
+    # body.
     deep = progdir("deep.pnk", "fields { f : 2 }\n" + "while f=0 do " * 61 + "f:=1\n")
     assert main(["dist", deep, "--on", '[{"f": 0}]']) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: the desugared program nests deeper than 150 levels")
-    assert "desugaring" in err
+    assert err.startswith("error: program nests deeper than 150 levels")
 
 
 # Explicit ids keep each case's name in the suite's output as cases come and go.

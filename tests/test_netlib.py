@@ -14,7 +14,7 @@ from pnk.netlib import (
     Link, Topology, abfattree12, abfattree20, case_failure, fattree20,
     link_program, model, refined_model, routing_info, topo_program, toy,
 )
-from pnk.syntax import Drop, Seq, desugar, pretty, validate
+from pnk.syntax import Drop, Seq, desugar, pretty, seq, validate
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
 from conftest import cold_kernel, cold_rows
@@ -344,8 +344,9 @@ def test_ingress_init_fixes_marked_packets():
     bad = u.packet(sw=7, pt=0, default=0, up1=0, up2=0, up3=0, up4=0)
     k = Kernel(desugar(cm.program), u)
     # The pinned ingress predicate rejects it at the model boundary; route
-    # the raw wrapped body instead to exercise the scheme itself.
-    body = cm.program.parts[-1]
+    # the raw wrapped body, every part after it, instead to exercise the
+    # scheme itself.
+    body = seq(*cm.program.parts[1:])
     kb = Kernel(desugar(body), u)
     dist = kb.apply(frozenset({bad})).as_dict()
     ((b, pr),) = dist.items()
@@ -360,7 +361,9 @@ def test_model_forms():
     mh = refined_model(net.p, net.topo, net.f0)
     validate(m, net.universe)
     validate(mh, net.universe)
-    assert pretty(mh).startswith("var up2:=1 in var up3:=1 in")
+    # The health flags are local: set to 1 first, and erased last.
+    text = pretty(mh)
+    assert text.startswith("up2:=1 ; up3:=1 ; ") and text.endswith(" ; up3:=0 ; up2:=0")
 
 
 def test_case_failure_only_flips_at_cores():

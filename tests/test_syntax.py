@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -13,12 +14,14 @@ from pnk import parser, syntax
 from pnk.analysis import estimate, sample_run
 from pnk.bigstep import Kernel
 from pnk.errors import ParseError, PnkError, UniverseError, WellFormednessError
-from pnk.netlib import F10_0, F10_3, F10_35, build_case_model, topology_by_name
+from pnk.netlib import (
+    F10_0, F10_3, F10_35, F10_VARIANTS, build_case_model, toy, topology_by_name,
+)
 from pnk.parser import parse, parse_file_text
 from pnk.syntax import (
-    Assign, Choice, DoWhile, Drop, If, NaryChoice, Neg, Program, Seq, Skip,
-    Star, Test, Union, Var, While, desugar, is_predicate, pretty,
-    restrict, validate,
+    Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union, desugar,
+    do_while, if_then_else, is_predicate, nary_choice, pretty, restrict,
+    uniform, validate, var_in, while_do,
 )
 from pnk.universe import FieldDecl, PacketUniverse
 
@@ -77,14 +80,14 @@ def test_neg_binds_tighter_than_seq():
 
 
 def test_parse_sugar_forms():
-    assert parse("if sw=1 then pt:=2 else pt:=3", U) == If(
+    assert parse("if sw=1 then pt:=2 else pt:=3", U) is if_then_else(
         Test("sw", 1), Assign("pt", 2), Assign("pt", 3))
-    assert parse("while !(f=0) do f:=0", U) == While(Neg(Test("f", 0)), Assign("f", 0))
-    assert parse("do f:=1 while f=0", U) == DoWhile(Assign("f", 1), Test("f", 0))
-    assert parse("var f:=5 in skip", U) == Var("f", 5, Skip())
+    assert parse("while !(f=0) do f:=0", U) is while_do(Neg(Test("f", 0)), Assign("f", 0))
+    assert parse("do f:=1 while f=0", U) is do_while(Assign("f", 1), Test("f", 0))
+    assert parse("var f:=5 in skip", U) is var_in("f", 5, Skip())
     p = parse("choice { 1/3: skip, 1/3: drop, 1/3: f:=1 }", U)
-    assert p == NaryChoice(((Skip(), Fraction(1, 3)), (Drop(), Fraction(1, 3)),
-                            (Assign("f", 1), Fraction(1, 3))))
+    assert p is nary_choice(((Skip(), Fraction(1, 3)), (Drop(), Fraction(1, 3)),
+                             (Assign("f", 1), Fraction(1, 3))))
 
 
 def test_parse_error_has_position():
@@ -155,12 +158,12 @@ def ast_strategy():
                       children, children),
             st.builds(Star, children),
             pred,
-            st.builds(If, children.filter(is_predicate), children, children),
-            st.builds(While, children.filter(is_predicate), children),
-            st.builds(DoWhile, children, children.filter(is_predicate)),
-            st.builds(lambda v, b: Var("f", v, b), st.integers(0, 7), children),
+            st.builds(if_then_else, children.filter(is_predicate), children, children),
+            st.builds(while_do, children.filter(is_predicate), children),
+            st.builds(do_while, children, children.filter(is_predicate)),
+            st.builds(lambda v, b: var_in("f", v, b), st.integers(0, 7), children),
             st.builds(
-                lambda a, b: NaryChoice(((a, Fraction(1, 4)), (b, Fraction(3, 4)))),
+                lambda a, b: nary_choice(((a, Fraction(1, 4)), (b, Fraction(3, 4)))),
                 children, children),
         )
     return st.recursive(st.sampled_from(ATOMS), extend, max_leaves=12)
@@ -280,6 +283,14 @@ MALFORMED = [
      "expected a program, found ';'", 1, 34),
     ("nary-sum", "choice { 1/2: skip, 1/3: drop } ; pt=7", False, WellFormednessError,
      "n-ary choice weights sum to 5/6, expected 1", None, None),
+    ("if-guard-first", "if f:=1 then bogus=1 else skip", False, WellFormednessError,
+     "if-guard is not a predicate", None, None),
+    ("var-value-first", "var f:=9 in bogus=1", False, WellFormednessError,
+     "value 9 out of range for field 'f'", None, None),
+    ("if-is-no-guard", "while (if f=3 then drop else f=3) do f:=0", False,
+     WellFormednessError, "loop guard is not a predicate", None, None),
+    ("choice-is-no-predicate", "!choice { 1: f=1 }", False, WellFormednessError,
+     "negation applied to a non-predicate", None, None),
     ("header-colon", "fields { sw : 4 ; pt 4 }\nskip", True, ParseError,
      "expected ':', found '4'", 1, 22),
     ("char-after-header", "fields { sw : 4 }\nsw=1 $", True, ParseError,
@@ -307,32 +318,31 @@ def test_malformed_sources_raise_their_pinned_errors(src, file, cls, msg, line, 
 
 def faulty_strategy():
     """``ast_strategy()`` trees with one or two ill-formed nodes: an unknown
-    field, a value out of range, a non-predicate under ``!`` or as a guard,
-    or n-ary weights that do not sum to 1; among them, faults in an ``if``
-    guard and its branches and in a ``do ... while`` body and its guard."""
+    field, a value out of range, or a non-predicate under ``!`` or as a
+    guard; among them, faults in an ``if`` guard and its branches and in a
+    ``do ... while`` body and its guard.  (Weights that do not sum to 1
+    build no tree: ``nary_choice`` refuses them.)"""
     trees = ast_strategy()
     non_preds = trees.filter(lambda q: not is_predicate(q))
-    third = Fraction(1, 3)
     fault = st.one_of(
         st.sampled_from([Test("bogus", 1), Assign("nope", 0), Test("sw", 4), Assign("f", 8)]),
-        st.builds(lambda v, b: Var("f", v, b), st.integers(8, 12), trees),
-        st.builds(lambda b: Var("bogus", 0, b), trees),
+        st.builds(lambda v, b: var_in("f", v, b), st.integers(8, 12), trees),
+        st.builds(lambda b: var_in("bogus", 0, b), trees),
         st.builds(Neg, non_preds),
-        st.builds(If, non_preds, trees, trees),
-        st.builds(While, non_preds, trees),
-        st.builds(DoWhile, trees, non_preds),
-        st.builds(lambda a, b: NaryChoice(((a, third), (b, third))), trees, trees),
+        st.builds(if_then_else, non_preds, trees, trees),
+        st.builds(while_do, non_preds, trees),
+        st.builds(do_while, trees, non_preds),
     )
     spot = st.one_of(fault, st.builds(Seq, trees, fault), st.builds(Union, fault, trees),
                      st.builds(Star, fault), st.builds(Neg, fault))
     return st.one_of(
         spot,
-        st.builds(If, spot, trees, trees),
-        st.builds(If, trees.filter(is_predicate), spot, spot),
-        st.builds(If, spot, spot, trees),
-        st.builds(DoWhile, spot, trees.filter(is_predicate)),
-        st.builds(DoWhile, trees, spot),
-        st.builds(DoWhile, spot, spot),
+        st.builds(if_then_else, spot, trees, trees),
+        st.builds(if_then_else, trees.filter(is_predicate), spot, spot),
+        st.builds(if_then_else, spot, spot, trees),
+        st.builds(do_while, spot, trees.filter(is_predicate)),
+        st.builds(do_while, trees, spot),
+        st.builds(do_while, spot, spot),
         st.builds(Seq, spot, spot),
     )
 
@@ -365,48 +375,71 @@ def test_case_study_programs_parse_back(topo):
         assert parse(_relaid(text, rng), cm.universe) is cm.program
 
 
+def test_case_study_programs_print_as_their_desugared_forms_did():
+    # The pretty text of every F10 model (program and teleport) on three
+    # trees, at k = 0, 1, 2 and inf, with and without the hop counter, and
+    # of the toy network's programs, as one sha256: the digest of
+    # ``pretty(desugar(...))`` when the keyword forms were nodes of their
+    # own, so building them as core nodes changes no program.
+    digest = hashlib.sha256()
+    for topo, k, counter, scheme in itertools.product(
+            ["abfattree20", "fattree20", "abfattree45"], [0, 1, 2, None], [False, True],
+            F10_VARIANTS):
+        cm = build_case_model(scheme, topology_by_name(topo), k, counter=counter)
+        for p in (cm.program, cm.teleport):
+            digest.update(pretty(p).encode() + b"\n")
+    t = toy()
+    for p in (t.p, t.p_hat, t.t, t.t_hat, t.f0, t.f1, t.in_pred, t.out_pred, t.teleport,
+              t.f2(), t.M(t.p), t.M_hat(t.p_hat, t.f1), t.wrapped(t.p_hat, t.f1)):
+        digest.update(pretty(p).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "dcbbcf7e2f909bf265ec7860abf94e66a9ec6142939a77c1767b927c6310d8f6")
+
+
 @settings(max_examples=200, deadline=None)
 @given(ast_strategy())
 def test_desugar_idempotent(p):
-    d = desugar(p)
-    assert desugar(d) == d
+    # Every program is built of core nodes, so ``desugar`` is the identity.
+    assert desugar(p) is p
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_desugar_preserves_predicates(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    t = random_predicate(rng, U, 3)
-    assert is_predicate(desugar(t))
+    t, p, q = (random_predicate(rng, U, 3) for _ in range(3))
+    assert is_predicate(desugar(t)) and is_predicate(if_then_else(t, p, q))
 
 
-# -- desugaring shapes --------------------------------------------------------
+# -- the abbreviations' shapes ----------------------------------------------------
 
 def test_desugar_if():
     t, p, q = Test("sw", 1), Assign("pt", 2), Assign("pt", 3)
-    assert desugar(If(t, p, q)) == Union(Seq(t, p), Seq(Neg(t), q))
+    assert if_then_else(t, p, q) is Union(Seq(t, p), Seq(Neg(t), q))
 
 
 def test_desugar_var_erases():
-    assert desugar(Var("f", 5, Skip())) == Seq(Seq(Assign("f", 5), Skip()),
-                                               Assign("f", 0))
+    assert var_in("f", 5, Skip()) is Seq(Seq(Assign("f", 5), Skip()), Assign("f", 0))
 
 
 def test_desugar_while():
     t, p = Test("f", 0), Assign("f", 1)
-    assert desugar(While(t, p)) == Seq(Star(Seq(t, p)), Neg(t))
+    assert while_do(t, p) is Seq(Star(Seq(t, p)), Neg(t))
 
 
 def test_desugar_dowhile():
     t, p = Test("f", 0), Assign("f", 1)
-    assert desugar(DoWhile(p, t)) == Seq(Seq(p, Star(Seq(t, p))), Neg(t))
+    assert do_while(p, t) is Seq(Seq(p, Star(Seq(t, p))), Neg(t))
 
 
 def test_desugar_nary_rescales():
     p, q, s = Assign("f", 1), Assign("f", 2), Assign("f", 3)
     third = Fraction(1, 3)
-    got = desugar(NaryChoice(((p, third), (q, third), (s, third))))
-    assert got == Choice(third, p, Choice(Fraction(1, 2), q, s))
+    got = nary_choice(((p, third), (q, third), (s, third)))
+    assert got is Choice(third, p, Choice(Fraction(1, 2), q, s))
+    assert uniform(p, q, s) is got and uniform(p) is p
+    # An all-zero tail is dropped: the branch before it carries its mass.
+    assert nary_choice(((p, Fraction(1)), (q, 0), (s, 0))) is Choice(Fraction(1), p, q)
 
 
 def test_validate_choice_weight_range():
@@ -418,8 +451,21 @@ def test_validate_choice_weight_range():
 def test_non_finite_choice_weight_is_ill_formed(w):
     with pytest.raises(WellFormednessError):
         Choice(w, Skip(), Drop())
-    with pytest.raises(WellFormednessError):
-        NaryChoice(((Skip(), w), (Drop(), 0.5)))
+    with pytest.raises(WellFormednessError, match="not finite"):
+        nary_choice(((Skip(), w), (Drop(), 0.5)))
+
+
+@pytest.mark.parametrize("branches,msg", [
+    ((), "empty n-ary choice"),
+    (((Skip(), Fraction(3, 2)), (Drop(), Fraction(-1, 2))), "negative branch weight -1/2"),
+    (((Skip(), Fraction(1, 2)), (Drop(), Fraction(1, 3))),
+     "n-ary choice weights sum to 5/6, expected 1"),
+    (((Skip(), 0.5), (Drop(), 0.25)), "n-ary choice weights sum to 0.75, expected 1"),
+], ids=["empty", "negative", "sum", "float-sum"])
+def test_nary_choice_refuses_what_validate_refused(branches, msg):
+    with pytest.raises(WellFormednessError) as err:
+        nary_choice(branches)
+    assert str(err.value) == msg
 
 
 # -- predicate sets: restrict on the whole universe -----------------------------
@@ -595,9 +641,9 @@ def test_intern_keeps_scalar_types():
     assert type(half.weights[0]) is float and type(exact.weights[0]) is Fraction
     assert Choice(0.5, a, b) is half and Choice(Fraction(1, 2), a, b) is exact
     assert Test("f", True) is not Test("f", 1)
-    n1 = NaryChoice(((a, 0.5), (b, 0.5)))
-    n2 = NaryChoice(((a, Fraction(1, 2)), (b, Fraction(1, 2))))
-    assert n1 is not n2 and type(n2.branches[0][1]) is Fraction
+    n1 = nary_choice(((a, 0.5), (b, 0.5)))
+    n2 = nary_choice(((a, Fraction(1, 2)), (b, Fraction(1, 2))))
+    assert n1 is half and n2 is exact
 
 
 def test_intern_table_drops_unheld_nodes():
@@ -655,19 +701,6 @@ def _old_is_predicate(p):
             return False
 
 
-def _old_is_core(p):
-    """The recursive definition the ``core`` fact replaces."""
-    match p:
-        case Drop() | Skip() | Test() | Assign():
-            return True
-        case Neg(b) | Star(b):
-            return _old_is_core(b)
-        case Union(parts) | Seq(parts) | Choice(parts):
-            return all(_old_is_core(q) for q in parts)
-        case _:
-            return False
-
-
 def _old_has_choice(p):
     """The recursive definition the ``choice`` fact replaces."""
     match p:
@@ -682,7 +715,7 @@ def _old_has_choice(p):
 
 
 def _all_nodes(p):
-    """Every distinct node of the program DAG ``p``, sugar included."""
+    """Every distinct node of the program DAG ``p``."""
     seen, stack = set(), [p]
     while stack:
         node = stack.pop()
@@ -691,19 +724,15 @@ def _all_nodes(p):
         seen.add(node)
         for f in fields(node):
             v = getattr(node, f.name)
-            if isinstance(v, tuple):  # parts, or a NaryChoice's (part, weight)s
-                v = [x[0] if isinstance(x, tuple) else x for x in v]
-            else:
-                v = [v]
-            stack.extend(x for x in v if isinstance(x, Program))
+            stack.extend(x for x in (v if isinstance(v, tuple) else [v])
+                         if isinstance(x, Program))
     return seen
 
 
 @settings(max_examples=300, deadline=None)
 @given(ast_strategy())
 def test_each_fact_equals_its_recursive_definition(p):
-    for node in _all_nodes(p) | _all_nodes(desugar(p)):
-        assert node.core is _old_is_core(node) is syntax.is_core(node)
+    for node in _all_nodes(p):
         assert node.choice is _old_has_choice(node) is syntax.has_choice(node)
         assert node.predicate is _old_is_predicate(node) is is_predicate(node)
 
@@ -711,26 +740,22 @@ def test_each_fact_equals_its_recursive_definition(p):
 def test_shared_subterms_cost_their_distinct_nodes_not_their_paths(monkeypatch):
     u = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2)])
     p = Choice(Fraction(1, 2), Assign("g", 1), Assign("g", 0))
-    for i in range(18):  # 18 sugared nodes, 2^18 paths
-        p = If(Test("f", i % 2), p, p)
-    calls = {"_desugar": 0, "has_field": 0}
+    for i in range(18):  # 18 branchings, 2^18 paths
+        p = if_then_else(Test("f", i % 2), p, p)
+    calls = 0
 
-    def counted(owner, name):
-        fn = getattr(owner, name)
+    def has_field(universe, name):
+        nonlocal calls
+        calls += 1
+        return real(universe, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(syntax, "_desugar")  # desugar recurses through this binding
-    counted(PacketUniverse, "has_field")
+    real = PacketUniverse.has_field
+    monkeypatch.setattr(PacketUniverse, "has_field", has_field)
     validate(p, u)
-    assert calls["has_field"] <= 4  # f=0, f=1, g:=1, g:=0
-    d = desugar(p)
-    assert calls["_desugar"] <= 3 * 18 + 1
-    assert syntax.is_core(d) and syntax.has_choice(d)
-    then, other = d.parts
+    assert calls <= 4  # f=0, f=1, g:=1, g:=0
+    assert _census(p)[0] <= 4 * 18 + 5  # four nodes per branching
+    assert syntax.has_choice(p)
+    then, other = p.parts
     assert then.parts[0] is Test("f", 1) and then.parts[-1] is other.parts[-1]
 
 
@@ -765,7 +790,7 @@ def test_depth_counts_a_star_twice():
     assert (t.depth, Neg(t).depth, Star(t).depth) == (1, 2, 3)
     assert Seq(Star(t), Neg(t), t).depth == 4
     assert Choice(half, Neg(t), Choice(half, t, Neg(Neg(t)))).depth == 4
-    assert NaryChoice(((t, half), (Star(t), half))).depth == 4
+    assert nary_choice(((t, half), (Star(t), half))).depth == 4
 
 
 @pytest.mark.parametrize("kind", DEEPENERS)
@@ -774,7 +799,7 @@ def test_every_pass_works_at_the_depth_bound(kind):
     # A star's two levels may stop the wrapping one short of the bound.
     assert syntax.MAX_DEPTH - ("star" in kind) <= p.depth <= syntax.MAX_DEPTH
     validate(p, UD)
-    assert syntax.is_core(p) and desugar(p) is p
+    assert desugar(p) is p
     assert parse(pretty(p), UD) is p
     a = frozenset({UD.packet(f=0, g=0)})
     exact = Kernel(p, UD).apply(a)
@@ -809,12 +834,15 @@ def test_long_left_nested_choice_is_ill_formed_not_a_recursion_error():
 
 
 def test_desugaring_past_the_depth_bound_is_ill_formed():
-    # A loop desugars three levels deeper than it is.
-    p = Assign("f", 1)
-    while p.depth < syntax.MAX_DEPTH:
-        p = While(Test("f", 0), p)
+    # A loop is built three or four levels deeper than its body, and one
+    # past the bound is refused as it is built.
+    p, loops = Assign("f", 1), 0
     with pytest.raises(WellFormednessError, match="nests deeper"):
-        desugar(p)
+        while loops <= syntax.MAX_DEPTH:
+            p, loops = while_do(Test("f", 0), p), loops + 1
+    assert syntax.MAX_DEPTH - 4 < p.depth <= syntax.MAX_DEPTH
+    with pytest.raises(WellFormednessError, match="nests deeper"):
+        parse("while f=0 do " * (loops + 1) + "f:=1", UD)
 
 
 @pytest.mark.parametrize("text", [
@@ -829,18 +857,29 @@ def test_deep_input_is_a_parse_error(text):
     assert err.value.line == 1 and err.value.col > syntax.MAX_DEPTH
 
 
-@pytest.mark.parametrize("wrap", [
-    lambda p: If(Test("f", 0), p, Skip()),
-    lambda p: DoWhile(p, Test("f", 0)),
+@pytest.mark.parametrize("wrap,opening,closing", [
+    (lambda p: if_then_else(Test("f", 0), p, Skip()), "if f=0 then ", " else skip"),
+    (lambda p: do_while(p, Test("f", 0)), "do ", " while f=0"),
 ], ids=["if-then", "do-while"])
-def test_keyword_bodies_at_the_depth_bound_parse_back(wrap):
-    # A keyword closes the body of `then` and of `do`, so the printer adds
-    # no parentheses there, and each level costs the parser one level.
+def test_keyword_bodies_at_the_depth_bound_parse_back(wrap, opening, closing):
+    # A keyword closes the body of `then` and of `do`, so a body needs no
+    # parentheses there, and each level costs the parser one level.
+    p, n = Assign("f", 1), 0
+    while True:
+        try:
+            p, n = wrap(p), n + 1
+        except WellFormednessError:
+            break
+    assert p.depth > syntax.MAX_DEPTH - 4
+    assert parse(opening * n + "f:=1" + closing * n, UD) is p
+    assert parse(f"{opening}skip +[1/2] drop{closing}", UD) is wrap(
+        Choice(Fraction(1, 2), Skip(), Drop()))
+    # The core form of ``do`` holds its body twice, so its text doubles
+    # with each level: the printed form is read back ten levels deep.
     p = Assign("f", 1)
-    while p.depth < syntax.MAX_DEPTH:
+    for _ in range(10):
         p = wrap(p)
     assert parse(pretty(p), UD) is p
-    assert pretty(wrap(Choice(Fraction(1, 2), Skip(), Drop()))).count("(") == 0
 
 
 def test_parentheses_at_the_depth_bound_parse():
