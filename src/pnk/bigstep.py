@@ -57,9 +57,9 @@ bind stops (every program is strict).  A sequence is a fold of
 binds over its plan's steps: a run of deterministic parts, or of factor
 nodes (below) that share a field, is one step, and the predicate parts
 after a star whose body has a choice are that star's filter, so ``p* ;
-t`` is one pair chain.  The row function of such a star owns its table of
-solved rows, keyed on the current set, which holds the empty set's from
-the start and the chains it solves fill (see ``star``).
+t`` is one pair chain.  The memo of such a star's row function is its
+table of solved rows, keyed on the current set, which holds the empty
+set's from the start and the chains it solves fill (see ``star``).
 
 Pending factors.  A *factor node* holds a choice and no star, reads only
 fields it writes (its fields), and kills one of them: assigns it on every
@@ -121,7 +121,7 @@ from .row import Row, joined, mixture, reduced, rounded
 from .star import DEFAULT_STATE_BUDGET
 from .syntax import (
     Assign, Choice, Drop, Neg, Program, Seq, Skip, Star, Test, Union,
-    footprint, is_predicate, pretty, seq,
+    excerpt, footprint, is_predicate, seq,
 )
 from .universe import EMPTY, PacketSet, PacketUniverse, field_bit
 
@@ -182,9 +182,9 @@ def _memoized(fn, key, pending, memo=None, touched=None):
     """The row function ``fn`` of the node ``key`` with a memo keyed on the
     input, which is a set (``fn`` computes its row) or a pending set
     (``pending(key, input)`` does).  ``memo`` is a dict that ``fn`` may
-    read, or None for a new one.  With ``touched``, which projects on the
-    fields the node reads or writes, the rows on one packet are shared (see
-    the module)."""
+    read and fill (a star's table), or None for a new one.  With
+    ``touched``, which projects on the fields the node reads or writes, the
+    rows on one packet are shared (see the module)."""
     if memo is None:
         memo = {}
     if touched is None:
@@ -467,20 +467,17 @@ def _past(touch, kills, plain, universe: PacketUniverse, marginals: dict, x: Pen
     x = _forgotten(x, kills, universe)
     if type(x) is not Pending:
         return plain(x)
-    if not touch & sum([factor[0] for factor in x.factors]):
-        return _carried(plain(x.base), x.factors)
-    return _bind(_split(x, touch, universe, marginals),
-                 lambda y: _carried(plain(y.base), y.factors) if type(y) is Pending else plain(y))
+    return _split_first(touch, lambda y: _carried(plain(y.base), y.factors), plain,
+                        universe, marginals, x)
 
 
-def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse,
-            factored: list):
+def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse, making: list):
     """The row function of the factor node ``node`` (see the module) whose
     rows ``fn`` computes as any node's, ``pending(node, input)`` on a
     pending set, with the factor facts ``factor`` (fields, key, clear): on
     a set whose packets share their key valuation ``key(packet)``, the row
-    of its ``_table``.  Memoized, but ``fn`` on a new set while a table is
-    made."""
+    of its ``_table``.  Memoized, but ``fn`` on a new set while the
+    state's cell ``making`` counts a table being made."""
     fields, key, clear = factor
     tables, memo = {}, {}
 
@@ -491,12 +488,12 @@ def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse,
         if type(a) is Pending:
             row = memo[a] = pending(node, a)
             return row
-        if factored[1]:
+        if making[0]:
             return fn(a)
         ks = [key(min(a))] if len(a) == 1 else list({key(i) for i in a})
         t = tables.get(k := ks[0], ()) if len(ks) == 1 else None
         if t == ():
-            t = tables[k] = _table(fn, k, min(a), fields, clear, universe, factored)
+            t = tables[k] = _table(fn, k, min(a), fields, clear, universe, making)
         if t is None:
             row = fn(a)
         elif not t[2]:
@@ -511,17 +508,17 @@ def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse,
     return rows
 
 
-def _table(fn, k, x: int, fields: int, clear, universe: PacketUniverse, factored: list):
+def _table(fn, k, x: int, fields: int, clear, universe: PacketUniverse, making: list):
     """The table of a factor node for its key valuation ``k``, read off its
     row on the packet ``x``, which has it: (den, the empty set's weight,
     the rest's, c, factor), the rest being a set with ``fields`` (which
     ``clear`` projects on) at c plus a valuation drawn from the factor;
     None if an outcome has two packets."""
-    factored[1] += 1
+    making[0] += 1
     try:
         row = _settled(fn(frozenset((x,))), universe)
     finally:
-        factored[1] -= 1
+        making[0] -= 1
     empty, entries = row.nums.get(EMPTY, 0), []
     for s, n in row.nums.items():
         if len(s) > 1:
@@ -539,12 +536,10 @@ def _table(fn, k, x: int, fields: int, clear, universe: PacketUniverse, factored
     return row.den // g, empty // g, (row.den - empty) // g, c + w, factor
 
 
-def _settling(fn, factored: list, universe: PacketUniverse):
-    """The row function ``fn`` with its rows settled once the state's cell
-    ``factored`` says a factor node is compiled (``fn`` may compile one)."""
+def _settling(fn, universe: PacketUniverse):
+    """The row function ``fn`` with its rows settled."""
     def settled(a):
-        row = fn(a)
-        return _settled(row, universe) if factored[0] else row
+        return _settled(fn(a), universe)
     return settled
 
 
@@ -694,18 +689,10 @@ def _chosen(den: int, fns: list, a) -> Row:
     return mixture(den, [(n, f(a)) for n, f in fns])
 
 
-def _star_rows(body_rows, keep, cap: int, text, key, pending, table: dict):
-    """The rows of the star, or (star, filter) step, ``key``: on a set, its
-    row in ``table`` or else the one ``star.star_dist`` solves and adds;
-    on a pending input, ``pending(key, input)``."""
-    def solved(a):
-        if type(a) is Pending:
-            return pending(key, a)
-        row = table.get(a)
-        if row is None:
-            row = star_mod.star_dist(body_rows, a, cap, keep, text, table)
-        return row
-    return solved
+def _solved(body_rows, keep, cap: int, text, table: dict, a: PacketSet) -> Row:
+    """The row on ``a`` of a star, or (star, filter) step, that
+    ``star.star_dist`` solves, filling ``table``, the step's memo."""
+    return star_mod.star_dist(body_rows, a, cap, keep, text, table)
 
 
 def _mapped(dirac, m, a: PacketSet) -> Row:
@@ -762,9 +749,7 @@ class Kernel:
 
     def _out(self, node: Program, aset: PacketSet) -> Row:
         state = self._state
-        row = state._rows(node)(aset)
-        if state._factored[0] and _holds_pending(row):
-            row = _settled(row, state.universe)
+        row = _settled(state._rows(node)(aset), state.universe)
         return row if self.exact else rounded(row)
 
 
@@ -781,9 +766,8 @@ class _State:
         self._marginals: dict = {}
         self._layouts = universe.layouts
         self._dirac = _point_masses()
-        # [a factor node, the only maker of pending sets, is compiled; the
-        # number of factor tables being made]: a cell row functions read.
-        self._factored = [False, 0]
+        # The number of factor tables being made: a cell row functions read.
+        self._making = [0]
         # Row functions hold the state weakly, and reach the pending row of
         # a key through one function of the state's.
         self._ref = weakref.ref(self)
@@ -809,10 +793,11 @@ class _State:
             return _memoized(_additive(m, dirac, memo), key, pending, memo)
         cls = type(node)
         if cls is Star:
-            body_rows = _settling(self._rows(node.body), self._factored, u)
             keep = None if filt is None else self._set_map(filt)
-            return _star_rows(body_rows, keep, self.state_budget, partial(pretty, node), key,
-                              pending, {EMPTY: dirac(EMPTY)})  # strict
+            table = {EMPTY: dirac(EMPTY)}  # strict
+            fn = partial(_solved, _settling(self._rows(node.body), u), keep,
+                         self.state_budget, partial(excerpt, node), table)
+            return _memoized(fn, key, pending, table)
         if cls is Union:
             fn = _union_rows(self._union_plan(node), node.parts, self._ref, u, dirac(EMPTY))
         elif cls is Seq:
@@ -825,8 +810,7 @@ class _State:
             raise WellFormednessError(f"unknown node {node!r}")
         code = self._code(node, _ROW, self._make_row)
         if type(code) is tuple:
-            self._factored[0] = True
-            return _tabled(fn, node, pending, code, u, self._factored)
+            return _tabled(fn, node, pending, code, u, self._making)
         if node._code[0] & u.mask == u.mask:
             code = None  # no field is left to share rows across
         return _memoized(fn, key, pending, touched=code)
@@ -1073,7 +1057,7 @@ class _State:
                 return partial(_rewritten, u, f, v)
             case Neg(t):
                 if not is_predicate(t):
-                    raise WellFormednessError(f"not a predicate: {pretty(t)}")
+                    raise WellFormednessError(f"not a predicate: {excerpt(t)}")
                 return partial(_negated, self._set_map(t))
             case Seq(parts):
                 starts, maps = _runs(parts), []

@@ -324,7 +324,7 @@ def restrict(t: Program, aset: PacketSet, universe: PacketUniverse) -> PacketSet
                 aset = restrict(q, aset, universe)
             return aset
         case _:
-            raise WellFormednessError(f"not a predicate: {pretty(t)}")
+            raise WellFormednessError(f"not a predicate: {excerpt(t)}")
 
 
 # -- pretty-printing --------------------------------------------------------
@@ -333,37 +333,84 @@ def restrict(t: Program, aset: PacketSet, universe: PacketUniverse) -> PacketSet
 _CHOICE, _UNION, _SEQ, _NEG, _STAR, _ATOM = range(6)
 
 
+# How many characters of a program's text ``excerpt`` keeps.
+EXCERPT_CHARS = 300
+
+
 def pretty(p: Program) -> str:
     """Canonical concrete syntax; ``parse(pretty(p))`` returns ``p``."""
-    return _pp(p, _CHOICE)
+    out: list = []
+    _pp(p, _CHOICE, out.append)
+    return "".join(out)
 
 
-def _wrap(ctx: int, level: int, text: str) -> str:
-    return f"({text})" if ctx > level else text
+class _Spent(Exception):
+    """An excerpt has its characters."""
 
 
-def _pp(p: Program, ctx: int) -> str:
+def excerpt(p: Program) -> str:
+    """The first ``EXCERPT_CHARS`` characters of ``pretty(p)``, cut with
+    ``…`` if there are more: the walk stops there, so a program costs no
+    more than that, while the text of nested ``do … while``s doubles with
+    each level (each holds its body twice)."""
+    out: list = []
+    n = 0
+
+    def put(piece: str) -> None:
+        nonlocal n
+        out.append(piece)
+        n += len(piece)
+        if n > EXCERPT_CHARS:
+            raise _Spent
+
+    try:
+        _pp(p, _CHOICE, put)
+    except _Spent:
+        return "".join(out)[:EXCERPT_CHARS] + "…"
+    return "".join(out)
+
+
+def _pp(p: Program, ctx: int, put) -> None:
+    """Hand the text of ``p`` at the precedence ``ctx`` to ``put``, piece
+    by piece, left to right."""
     match p:
         case Drop():
-            return "drop"
+            put("drop")
         case Skip():
-            return "skip"
+            put("skip")
         case Test(f, v):
-            return f"{f}={v}"
+            put(f"{f}={v}")
         case Assign(f, v):
-            return f"{f}:={v}"
+            put(f"{f}:={v}")
         case Neg(b):
-            return _wrap(ctx, _NEG, f"!{_pp(b, _NEG)}")
+            put("(!" if ctx > _NEG else "!")
+            _pp(b, _NEG, put)
+            if ctx > _NEG:
+                put(")")
         case Star(b):
-            return _wrap(ctx, _STAR, f"{_pp(b, _ATOM)}*")
-        case Seq(parts):
-            return _wrap(ctx, _SEQ, " ; ".join([_pp(q, _SEQ + 1) for q in parts]))
-        case Union(parts):
-            return _wrap(ctx, _UNION, " & ".join([_pp(q, _UNION + 1) for q in parts]))
+            if ctx > _STAR:
+                put("(")
+            _pp(b, _ATOM, put)
+            put("*)" if ctx > _STAR else "*")
+        case Seq(parts) | Union(parts):
+            level, sep = (_SEQ, " ; ") if type(p) is Seq else (_UNION, " & ")
+            if ctx > level:
+                put("(")
+            _pp(parts[0], level + 1, put)
+            for q in parts[1:]:
+                put(sep)
+                _pp(q, level + 1, put)
+            if ctx > level:
+                put(")")
         case Choice(parts, weights):
-            text = [f"{_pp(q, _CHOICE + 1)} +[{w}] " for q, w in zip(parts, weights)]
-            text.append(_pp(parts[-1], _CHOICE))
-            return _wrap(ctx, _CHOICE, "".join(text))
+            if ctx > _CHOICE:
+                put("(")
+            for q, w in zip(parts, weights):
+                _pp(q, _CHOICE + 1, put)
+                put(f" +[{w}] ")
+            _pp(parts[-1], _CHOICE, put)
+            if ctx > _CHOICE:
+                put(")")
         case _:
             raise WellFormednessError(f"unknown node {p!r}")
 

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import random
 import sys
+import time
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
@@ -22,8 +23,8 @@ from pnk.errors import BudgetExceededError, UniverseError, WellFormednessError
 from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.row import Row
 from pnk.syntax import (
-    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar,
-    footprint, has_choice, pretty, restrict, seq, union, while_do,
+    Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar, do_while,
+    excerpt, footprint, has_choice, pretty, restrict, seq, union, while_do,
 )
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse, field_bit
 
@@ -382,8 +383,9 @@ def _memos(k):
 
 def _tables(k):
     """Key (a star node, or a (star, filter) step) -> table of solved rows
-    of each star row function of ``k``."""
-    return {key: c["table"] for key, fn in k._state._fns.items() if "table" in (c := _closure(fn))}
+    of each star row function of ``k``: its memo."""
+    return {key: c["memo"] for key, fn in k._state._fns.items()
+            if getattr((c := _closure(fn)).get("fn"), "func", None) is bigstep._solved}
 
 
 def _images(k):
@@ -695,6 +697,25 @@ def test_a_filtered_star_step_is_compiled_once_per_kernel(uni8, monkeypatch):
     assert calls
 
 
+def test_a_star_solves_a_set_once_and_its_table_is_its_memo(uni8, monkeypatch):
+    # A star's row function is memoized as any node's, and its memo is the
+    # table of solved rows that ``star.star_dist`` fills: a second row on a
+    # set reads it there.
+    calls = []
+    solve = star_mod.star_dist
+    monkeypatch.setattr(star_mod, "star_dist",
+                        lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+    loop = Star(Choice(Fraction(1, 2), Assign("f", 1), Seq(Test("g", 0), Assign("g", 1))))
+    k = Kernel(loop, uni8)
+    a = frozenset({uni8.packet(f=0, g=0, h=0)})
+    row = k.row(loop, a)
+    assert k.row(loop, a) is row
+    (args,) = calls
+    memo = _closure(k._state._fns[loop])["memo"]
+    assert args[1] == a and args[5] is memo and memo[a] is row
+    assert _tables(k) == {loop: memo}
+
+
 # -- matrices: the "`;` is matrix product" oracle ------------------------------
 
 DEFAULT_MATRIX_ROW_CAP = 4096
@@ -988,7 +1009,7 @@ def _same_f10_rows_as_twin(topo, k):
         inputs = [frozenset({src}) for src in cm.in_packets]
         twin = cold_kernel(_twin(p), cm.universe)
         want = [twin.apply(a) for a in inputs]
-        assert not twin._state._factored[0]
+        assert not [fn for fn in twin._state._fns.values() if "tables" in _closure(fn)]
         del twin
         kern = cold_kernel(p, cm.universe)
         for a, row in zip(inputs, want):
@@ -1111,29 +1132,6 @@ def _forcing_cases():
 def test_each_forcing_point_gives_the_rows_of_the_eager_twin(uni8, name):
     p = dict(_forcing_cases())[name]
     _same_rows_as_twin(p, uni8, all_subsets(uni8))
-
-
-def test_rows_are_scanned_for_pending_sets_only_once_a_coin_is_compiled(uni8, monkeypatch):
-    # Only coins make pending sets, so neither a star body's rows nor the
-    # rows ``apply`` hands out are scanned for them in a kernel without one.
-    scanned = []
-    settled = bigstep._settled
-    monkeypatch.setattr(bigstep, "_settled",
-                        lambda row, u: scanned.append(row) or settled(row, u))
-    loop = Star(Choice(Fraction(1, 2), Assign("f", 1), Seq(Test("g", 0), Assign("g", 1))))
-    k = Kernel(Seq(loop, Test("h", 0)), uni8)
-    for a in all_subsets(uni8):
-        k.apply(a)
-    assert not scanned
-    # A coin compiled inside the body, on its first call, makes that call's
-    # row pending: it is settled, since the flag is read after the call.
-    p = dict(_forcing_cases())["a star body's output, its coin compiled in the body"]
-    k = Kernel(p, uni8)
-    body_rows = _closure(k._state._rows(p))["body_rows"]
-    a = frozenset({uni8.packet(f=0, g=1, h=0)})
-    assert body_rows(a).as_dict() == {frozenset({uni8.packet(f=1, g=0, h=0)}): Fraction(1, 4),
-                                      frozenset({uni8.packet(f=0, g=0, h=0)}): Fraction(3, 4)}
-    assert scanned
 
 
 def test_two_branches_that_carry_one_coin_keep_it_pending(uni8):
@@ -1708,6 +1706,44 @@ def test_kernels_with_other_budgets_never_share_a_state(uni8):
     assert small._state is not solved._state
     assert refusal(small) == alone
     assert solved.apply(a) == row and Kernel(p, uni8)._state is solved._state
+
+
+def test_a_refused_star_prints_the_start_of_its_text():
+    # A do ... while holds its body twice, so the text of a star over 48
+    # nested ones (the depth bound allows about that many) has some 2^48
+    # pieces.  The refusal prints about EXCERPT_CHARS of it, cut with "…",
+    # by a walk that stops there; a short program prints whole.
+    head = Choice(Fraction(1, 2), Assign("f", 1), Assign("f", 2))
+    body = Assign("g", 0)
+    for n in range(48):
+        body = do_while(body, Test("g", 1))
+        if n == 5:
+            shallow = Star(Seq(head, body))
+    assert excerpt(head) == pretty(head)
+    u = PacketUniverse([FieldDecl("f", 3), FieldDecl("g", 2)])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        Kernel(Star(Seq(head, body)), u, state_budget=2).apply(frozenset({0}))
+    assert time.perf_counter() - start < 1
+    message, text = str(info.value), info.value.program_text
+    del info  # the traceback holds the kernel
+    assert len(message.encode()) < 1024 and message.endswith(f"(while analyzing: {text})")
+    assert text.endswith("…") and pretty(shallow).startswith(text[:-1])
+
+
+def test_a_negated_program_with_a_choice_is_named_by_the_start_of_its_text():
+    # The kernel refuses !p for a p with a choice, and names p by its
+    # excerpt: over 48 nested do ... while loops its whole text has some
+    # 2^48 pieces.
+    body = Choice(Fraction(1, 2), Assign("g", 0), Assign("g", 1))
+    for _ in range(48):
+        body = do_while(body, Test("g", 1))
+    u = PacketUniverse([FieldDecl("f", 3), FieldDecl("g", 2)])
+    with pytest.raises(WellFormednessError) as info:
+        Kernel(Seq(Neg(body), Assign("f", 1)), u).apply(frozenset({0}))
+    message = str(info.value)
+    del info  # the traceback holds the kernel
+    assert message == f"not a predicate: {excerpt(body)}" and len(message.encode()) < 1024
 
 
 def test_delivery_cells_run_interleaved_have_the_rows_of_each_cell_alone():

@@ -387,36 +387,43 @@ def test_grid_of_an_unnamed_instance_runs():
     assert [row["f10_0"] for row in grid] == ["yes", "no"]
 
 
-def test_case_studies_build_one_kernel_per_universe(monkeypatch):
-    # All models over one universe share a kernel: the schemes of each k of
-    # the grid and of the scheme comparison, the fattree20 report's grid and
-    # comparison together, and the two universes of f10-latency (the hop
-    # CDF's, with its counter, and the sweep's).  Each shared row equals the
-    # row of a fresh kernel on its model alone.
-    from pnk import casestudy
-    built, rows = [], []
+def test_case_studies_share_one_kernel_state_per_universe(monkeypatch):
+    # Each model gets a kernel of its own, and the kernels of all models
+    # over one universe live at once, so they share one kernel state: the
+    # schemes of each k of the grid and of the scheme comparison, the
+    # fattree20 report's grid and comparison together, and the two
+    # universes of f10-latency (the hop CDF's, with its counter, and the
+    # sweep's).  Each row equals the row of a fresh kernel on its model.
+    from pnk import bigstep, casestudy
+    made, rows = {"kernels": 0, "states": 0}, []
 
     class Counting(Kernel):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            built.append(self)
+            made["kernels"] += 1
 
-        def row(self, node, aset):
-            out = super().row(node, aset)
-            rows.append((self.universe, node, aset, out))
+        def apply(self, aset):
+            out = super().apply(aset)
+            rows.append((self.universe, self.program, aset, out))
             return out
 
+    init = bigstep._State.__init__
+
+    def counted(self, *args):
+        made["states"] += 1
+        init(self, *args)
     monkeypatch.setattr(casestudy, "Kernel", Counting)
+    monkeypatch.setattr(bigstep._State, "__init__", counted)
     topo, ks = netlib.abfattree12(), casestudy.K_VALUES
-    for run, kernels in (
-            (lambda: casestudy.resilience_grid(topo, ks), len(ks)),
-            (lambda: casestudy.fattree_scheme_equivalence(topo, ks), len(ks)),
+    for run, models, states in (
+            (lambda: casestudy.resilience_grid(topo, ks), 3 * len(ks), len(ks)),
+            (lambda: casestudy.fattree_scheme_equivalence(topo, ks), 2 * len(ks), len(ks)),
             (lambda: casestudy.run_casestudy("f10-resilience", "fattree20", ks),
-             len(ks)),
-            (lambda: casestudy.run_casestudy("f10-latency", "abfattree12"), 2)):
-        built.clear()
+             3 * len(ks), len(ks)),
+            (lambda: casestudy.run_casestudy("f10-latency", "abfattree12"), 3 + 3 * 5, 2)):
+        made.update(kernels=0, states=0)
         run()
-        assert len(built) == kernels
+        assert made == {"kernels": models, "states": states}
     assert rows
     fresh = {}
     for universe, program, aset, row in rows:
