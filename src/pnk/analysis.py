@@ -26,7 +26,6 @@ of the matrix pipeline and is used as a statistical oracle in tests.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,6 +94,17 @@ class InputSpec:
         if (n.bit_length() > self.cap) if choice_free else n > self.cap:
             raise _exceeds(n, self.cap)
 
+    def check_packets(self, universe: PacketUniverse) -> None:
+        """Refuse a packet outside ``universe``: the sorted base's two ends,
+        or the extremes of the explicit sets."""
+        base = self.subset_base
+        if base is None:
+            sets = [a for a in self.explicit if a]
+            if sets:
+                universe.check_packets(min(map(min, sets)), max(map(max, sets)))
+        elif base:
+            universe.check_packets(base[0], base[-1])
+
     def rows(self):
         """The explicit sets, or every subset of the base in mask order (see
         ``_subsets``)."""
@@ -148,7 +158,8 @@ def equiv(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
           tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
     """Decide whether the kernels of ``p`` and ``q`` agree (within ``tol``)
     on every input row; the least disagreeing output set of the first
-    disagreeing row is the witness."""
+    disagreeing row is the witness.  A packet of ``inputs`` outside
+    ``universe`` raises UniverseError, here and in ``leq``."""
     return _decide(p, q, inputs, universe, tol, state_budget,
                    _mismatch, ("equal", "not-equal"))
 
@@ -216,6 +227,7 @@ def _decide(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
     left out is not evaluated, so it can neither fail nor exceed the
     budget.
     """
+    inputs.check_packets(universe)
     k = Kernel(p, universe, state_budget=state_budget)
     base = inputs.subset_base
     choice_free = not has_choice(p) and not has_choice(q)
@@ -384,17 +396,6 @@ def dist_leq(mu, nu, tol: float = 0) -> bool:
     return _upset_excess(Row(1, mu), Row(1, nu), tol) is None
 
 
-def dist_leq_bruteforce(mu, nu, packets, tol: float = 0) -> bool:
-    """Reference implementation quantifying over all subsets of ``packets``."""
-    packets = sorted(packets)
-    for r in range(len(packets) + 1):
-        for combo in itertools.combinations(packets, r):
-            a = frozenset(combo)
-            if upset_prob(mu, a) > upset_prob(nu, a) + tol:
-                return False
-    return True
-
-
 def leq(p: Program, q: Program, inputs: InputSpec, universe: PacketUniverse,
         tol: float = 0, state_budget: int = DEFAULT_STATE_BUDGET) -> Verdict:
     """Pointwise distribution order (within ``tol``) over the input rows;
@@ -439,6 +440,10 @@ class QuerySpec:
 
 def query(p: Program, a: PacketSet, measure: QuerySpec, universe: PacketUniverse,
           state_budget: int = DEFAULT_STATE_BUDGET):
+    """``measure`` of the output distribution of ``p`` on ``a``; a packet
+    of ``a`` outside ``universe`` raises UniverseError."""
+    if a:
+        universe.check_packets(min(a), max(a))
     k = Kernel(p, universe, state_budget=state_budget)
     return query_dist(k.apply(a).as_dict(), measure, universe)
 

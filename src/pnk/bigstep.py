@@ -718,9 +718,11 @@ _STATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class Kernel:
     """Compiles a program into row functions.  With
     ``exact`` false, ``apply`` and ``row`` return float rows: the exact
-    rows, each weight rounded to the nearest double.  Live kernels over
-    universes with equal fields and an equal ``state_budget`` share one
-    state (see the module)."""
+    rows, each weight rounded to the nearest double.  Only the benchmark's
+    float workload (``perfbench/workloads.py``) and tests build such a
+    kernel, since the CLI rounds exact rows itself; ROADMAP.md items 1 and
+    12 delete it.  Live kernels over universes with equal fields and an
+    equal ``state_budget`` share one state (see the module)."""
 
     def __init__(self, program: Program, universe: PacketUniverse,
                  exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):

@@ -358,9 +358,11 @@ def _dispatch(args) -> int:
     elif args.cmd == "dist":
         uni, p = _load_program(args.file1, _load_universe(args))
         aset = _packets_arg(args.on, uni)
-        kern = Kernel(p, uni, exact=args.exact,
-                      state_budget=args.max_states)
-        report = kern.apply(aset).to_jsonable(uni, aset)
+        row = Kernel(p, uni, state_budget=args.max_states).apply(aset)
+        prob = str if args.exact else lambda x: repr(float(x))
+        report = {"support": [{"set": uni.set_to_records(b), "prob": prob(x)}
+                              for b, x in row.as_dict().items()],
+                  "input": uni.set_to_records(aset)}
         table = "support"  # the input set is a list of packet records too
     elif args.cmd == "query":
         uni, p = _load_program(args.file1, _load_universe(args))

@@ -1,200 +1,74 @@
-"""Sparse matrices and exact absorbing-chain solves.
+"""The exact absorbing-chain solve.
 
-Matrices are row-major: ``rows[i]`` is a dict column -> nonzero scalar.
-The scalar type is whatever the entries carry; ``mat_mul``, ``convex`` and
-``power_series_absorption`` are generic over ``Fraction``s and floats, and
-are independent checks of the laws for ``;``, ``+[r]`` and iteration.
-
-``solve_absorption_row(Q, R, i, den=...)`` computes row i of
+``solve_absorption_row(Q, R, rows, den)`` computes the wanted rows of
 A = (I - Q)^-1 R by state elimination ordered by the strongly connected
-classes of Q (Daws, ICTAC 2004): it walks the classes that row i reaches,
-each after the classes it leaves to, solves a one-state class by direct
-substitution, and eliminates the states of a cyclic class, fewest fill
-first, then solves them by the same substitution from the last removed
-back.  A cyclic class is first lumped: its states are partitioned into the
-coarsest ordinary lumping (the probabilistic bisimulation of Larsen and
-Skou, POPL 1989), refined by splitters (Valmari and Franceschinis, TACAS
-2010), and only one state per block is eliminated.  This is exact, because
-states in one block have equal absorption rows (Kemeny and Snell, *Finite
-Markov Chains*, 1960).  It works on the pair chain's own rows: row i of Q
-and R holds integer numerators over ``den[i]``, and R's columns are any
-hashable keys (a pair chain's are its accumulator sets), which the solved
-rows keep.
+classes of Q (Daws, ICTAC 2004): it walks the classes that the wanted rows
+reach, each after the classes it leaves to, solves a one-state class by
+direct substitution, and eliminates the states of a cyclic class, fewest
+fill first, then solves them by the same substitution from the last
+removed back.  A cyclic class is first lumped: its states are partitioned
+into the coarsest ordinary lumping (the probabilistic bisimulation of
+Larsen and Skou, POPL 1989), refined by splitters (Valmari and
+Franceschinis, TACAS 2010), and only one state per block is eliminated.
+This is exact, because states in one block have equal absorption rows
+(Kemeny and Snell, *Finite Markov Chains*, 1960).  It works on the pair
+chain's own rows: row i of Q and R holds integer numerators over
+``den[i]``, and R's columns are any hashable keys (a pair chain's are its
+accumulator sets), which the solved rows keep.
 Every solved row is a reduced ``Row``.  The weighted sums of solved rows,
 each substitution and the exits a cyclic class's members fold into their
 R rows, are ``row.mixture``s; the elimination inside a cyclic class keeps
 one denominator per row and reduces a row by its gcd after each fold.  So
 the result is exact and A = Q A + R holds with zero residual, with no
-``Fraction`` built.  ``solve_absorption`` is the thin wrapper for
-``Fraction`` matrices: it moves each row onto the lcm of its denominators,
-solves, and turns the rows back into ``Fraction``s.
+``Fraction`` built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DimensionError, SingularMatrixError
-from .row import Row, mixture, ratio
+from .row import Row, mixture
 
 
 class SparseMatrix:
+    """Q or R of a chain: ``nrows`` x ``ncols``, row-major, ``rows[i]`` a
+    dict column -> nonzero entry."""
+
     def __init__(self, nrows: int, ncols: int, rows=None):
         self.nrows = nrows
         self.ncols = ncols
         self.rows: list[dict] = rows if rows is not None else [dict() for _ in range(nrows)]
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i].get(j, 0)
 
-    def set(self, i: int, j: int, v) -> None:
-        if v == 0:
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = v
+def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, rows, den) -> list:
+    """The list of rows ``rows`` (an iterable of state indices, read once)
+    of (I - Q)^-1 R, each a ``Row`` keyed by R's absorbing columns.
 
-    def add(self, i: int, j: int, v) -> None:
-        self.set(i, j, self.rows[i].get(j, 0) + v)
-
-    def row_sums(self) -> list:
-        return [sum(r.values()) if r else 0 for r in self.rows]
-
-    def is_stochastic(self, tol=0) -> bool:
-        return all(abs(s - 1) <= tol for s in self.row_sums())
-
-    def copy(self) -> "SparseMatrix":
-        return SparseMatrix(self.nrows, self.ncols, [dict(r) for r in self.rows])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and all(a == b for a, b in zip(self.rows, other.rows))
-        )
-
-    def max_abs_diff(self, other: "SparseMatrix"):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("matrix shapes differ")
-        worst = 0
-        for ra, rb in zip(self.rows, other.rows):
-            for j in ra.keys() | rb.keys():
-                d = abs(ra.get(j, 0) - rb.get(j, 0))
-                if d > worst:
-                    worst = d
-        return worst
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={sum(map(len, self.rows))})"
-
-
-def identity(n: int) -> SparseMatrix:
-    m = SparseMatrix(n, n)
-    for i in range(n):
-        m.rows[i][i] = Fraction(1)
-    return m
-
-
-def mat_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    if a.ncols != b.nrows:
-        raise DimensionError(f"cannot multiply {a.ncols}-col by {b.nrows}-row")
-    out = SparseMatrix(a.nrows, b.ncols)
-    for i, ra in enumerate(a.rows):
-        acc = out.rows[i]
-        for k, v in ra.items():
-            for j, w in b.rows[k].items():
-                acc[j] = acc.get(j, 0) + v * w
-        out.rows[i] = {j: v for j, v in acc.items() if v != 0}
-    return out
-
-
-def convex(r, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise DimensionError("convex combination of different shapes")
-    if not (0 <= r <= 1):
-        raise DimensionError(f"weight {r} outside [0, 1]")
-    s = 1 - r
-    out = SparseMatrix(a.nrows, a.ncols)
-    for i in range(a.nrows):
-        acc = {}
-        for j, v in a.rows[i].items():
-            acc[j] = r * v
-        for j, v in b.rows[i].items():
-            acc[j] = acc.get(j, 0) + s * v
-        out.rows[i] = {j: v for j, v in acc.items() if v != 0}
-    return out
-
-
-# -- state elimination ------------------------------------------------------
-
-
-def solve_absorption(Q: SparseMatrix, R: SparseMatrix) -> SparseMatrix:
-    """Absorption probabilities A = (I - Q)^-1 R of an absorbing chain.
-
-    Q is the transient-to-transient block, R the transient-to-absorbing
-    block, over ``Fraction``s; every transient state must reach an
-    absorbing state (otherwise the system is singular, which signals a bug
-    upstream).  The rows are those of ``solve_absorption_row`` on
-    ``integer_form(Q, R)``, as ``Fraction``s.
+    Row i of Q and R holds integer numerators over ``den[i]``.  R's
+    columns are any hashable keys (ints, or a pair chain's accumulator
+    sets), and a solved row is keyed by them.  Only the strongly connected
+    classes of Q that the wanted rows reach are solved, one at a time, each
+    after every class it reaches (``_classes``).  Solved rows are reduced
+    ``Row``s.  A one-state class is solved by substitution: A_k = (R_k +
+    sum_j q_kj A_j) / (den_k - q_kk), one ``row.mixture``
+    (``_substituted``).  A larger class is lumped into blocks of states
+    with equal futures, whose representatives are eliminated, then solved
+    by the same substitution from the last removed back; each other state
+    takes its representative's row (``_solve_class``).  Entries are sums
+    of positive terms, so none cancel: a state whose row is empty once its
+    self-loop is popped lies in a closed class that never absorbs, and
+    raises SingularMatrixError.  Q and R are not changed.
     """
-    Q, R, den = integer_form(Q, R)
-    rows = solve_absorption_row(Q, R, range(Q.nrows), den)
-    return SparseMatrix(Q.nrows, R.ncols, [fraction_row(r) for r in rows])
-
-
-def integer_form(Q: SparseMatrix, R: SparseMatrix):
-    """(Q', R', den): each row of Q and R over ``Fraction``s put on the lcm
-    ``den[i]`` of its denominators, as integer numerators."""
-    iq, ir, den = SparseMatrix(Q.nrows, Q.ncols), SparseMatrix(R.nrows, R.ncols), []
-    for q, r, qi, ri in zip(Q.rows, R.rows, iq.rows, ir.rows):
-        d = lcm(*[Fraction(v).denominator for v in (*q.values(), *r.values())])
-        for src, dst in ((q, qi), (r, ri)):
-            for j, v in src.items():
-                v = Fraction(v)
-                dst[j] = v.numerator * (d // v.denominator)
-        den.append(d)
-    return iq, ir, den
-
-
-def fraction_row(row: Row) -> dict:
-    """Column -> ``Fraction`` probability of a solved row."""
-    return {j: ratio(v, row.den) for j, v in row.nums.items()}
-
-
-def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
-    """Row ``row`` of (I - Q)^-1 R as a ``Row`` keyed by R's absorbing
-    columns; for an iterable of rows, the list of their rows.
-
-    Row i of Q and R holds integer numerators over ``den[i]`` (1 for every
-    row when ``den`` is None).  R's columns are any hashable keys (ints,
-    or a pair chain's accumulator sets), and a solved row is keyed by them.
-    Only the strongly connected classes of Q that the wanted rows reach are
-    solved, one at a time, each after every class it reaches
-    (``_classes``).  Solved rows are reduced ``Row``s.  A one-state class
-    is solved by substitution: A_k = (R_k + sum_j q_kj A_j) / (den_k -
-    q_kk), one ``row.mixture`` (``_substituted``).  A larger class is
-    lumped into blocks of states with equal futures, whose representatives
-    are eliminated, then solved by the same substitution from the last
-    removed back; each other state takes its representative's row
-    (``_solve_class``).  Entries are sums of positive terms, so
-    none cancel: a state whose row is empty once its self-loop is popped
-    lies in a closed class that never absorbs, and raises
-    SingularMatrixError.  Q and R are not changed.
-    """
-    single = isinstance(row, int)
-    wanted = (row,) if single else tuple(row)
+    wanted = tuple(rows)
     n = Q.nrows
     if Q.ncols != n or R.nrows != n:
         raise DimensionError(f"Q is {n}x{Q.ncols} and R has {R.nrows} rows")
     for k in wanted:
         if not 0 <= k < n:
             raise DimensionError(f"row {k} outside a {n}-state chain")
-    if den is None:
-        den = [1] * n
-    elif len(den) != n:
+    if len(den) != n:
         raise DimensionError(f"{len(den)} denominators for a {n}-state chain")
     qrows, rrows = Q.rows, R.rows
     solved: list = [None] * n  # solved[k]: the reduced row of state k
@@ -204,8 +78,7 @@ def solve_absorption_row(Q: SparseMatrix, R: SparseMatrix, row, den=None):
             solved[k] = _substituted(k, qrows[k], rrows[k], den[k], solved)
         else:
             _solve_class(members, qrows, rrows, den, solved)
-    out = [solved[k] for k in wanted]
-    return out[0] if single else out
+    return [solved[k] for k in wanted]
 
 
 def _classes(qrows: list, roots) -> list:
@@ -433,29 +306,3 @@ def _pivot(q: dict, r: dict, k: int, d: int) -> int:
     if not (q or r) or e <= 0:
         raise SingularMatrixError(f"state {k} never absorbs (1 - q_kk = {e / d})")
     return e
-
-
-def absorption_residual(Q: SparseMatrix, R: SparseMatrix, A: SparseMatrix):
-    """Max-norm of (I - Q) A - R; exactly zero in rational mode."""
-    QA = mat_mul(Q, A)
-    worst = 0
-    for i in range(A.nrows):
-        cols = A.rows[i].keys() | QA.rows[i].keys() | R.rows[i].keys()
-        for j in cols:
-            d = abs(A.rows[i].get(j, 0) - QA.rows[i].get(j, 0) - R.rows[i].get(j, 0))
-            if d > worst:
-                worst = d
-    return worst
-
-
-def power_series_absorption(Q: SparseMatrix, R: SparseMatrix, terms: int) -> SparseMatrix:
-    """Truncated Neumann series sum_{k<terms} Q^k R, an independent check."""
-    acc = R.copy()
-    for _ in range(terms - 1):
-        nxt = mat_mul(Q, acc)
-        for i in range(R.nrows):
-            row = nxt.rows[i]
-            for j, v in R.rows[i].items():
-                row[j] = row.get(j, 0) + v
-        acc = nxt
-    return acc

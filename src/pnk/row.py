@@ -9,12 +9,12 @@ and the probability of an outcome is its weight over ``den``.
   reduced: ``gcd(den, *nums) == 1``, so equal distributions have equal
   rows.  ``reduced`` builds one.  Every row the engine computes is exact.
 - Float rows have ``den == 1`` and float weights.  ``rounded`` makes one
-  from an exact row, once, where float mode hands a row out: each weight
-  is the nearest double to its exact probability.
+  from an exact row, once, where a float kernel hands a row out: each
+  weight is the nearest double to its exact probability.
 
 Rows are shared (a kernel's memo and star tables hand out the same row to
 every caller), so nobody changes one after it is built.  ``Fraction``s are
-built only at the API boundary: ``prob``, ``as_dict`` and ``to_jsonable``.
+built only at the API boundary: ``prob`` and ``as_dict``.
 """
 
 from __future__ import annotations
@@ -39,18 +39,6 @@ class Row:
         den = self.den
         return {b: ratio(n, den)
                 for b, n in sorted(self.nums.items(), key=_by_members) if n}
-
-    def to_jsonable(self, universe, input_set=None) -> dict:
-        obj = {
-            "support": [
-                {"set": universe.set_to_records(s),
-                 "prob": str(p) if isinstance(p, Fraction) else repr(p)}
-                for s, p in self.as_dict().items()
-            ]
-        }
-        if input_set is not None:
-            obj["input"] = universe.set_to_records(input_set)
-        return obj
 
 
 def _by_members(item):

@@ -27,7 +27,9 @@ and whether it is a ``predicate``.  So a program is a DAG whose facts are
 read, never recomputed by a walk, and ``validate`` visits each distinct
 node once.  A node deeper than ``MAX_DEPTH`` is a ``WellFormednessError``:
 every recursive pass over a program then stays well inside Python's
-recursion limit, whoever built it.
+recursion limit, whoever built it.  So is a choice with a weight that is
+not a number in [0, 1], or with other than one weight fewer than its
+parts: every ``Choice`` is a distribution once built.
 
 A node is a *predicate* iff it is Drop, Skip, Test, or Neg/Union/Seq of
 predicates.  Choice and Star are never predicates, and Neg may only be
@@ -172,12 +174,21 @@ class Seq(_Chain):
     parts: tuple
 
 
-def _weight_key(w) -> tuple:
-    """A weight's type and exact ratio (a ``Fraction`` is slow to hash)."""
+def _ratio(w) -> tuple:
+    """A weight's exact ratio (n, d), d > 0; refuses nan and inf."""
     try:
-        return type(w), w.as_integer_ratio()
+        return w.as_integer_ratio()
     except (ValueError, OverflowError):  # nan, inf
         raise WellFormednessError(f"choice weight {w} is not finite") from None
+
+
+def _weight_key(w) -> tuple:
+    """A choice weight's type and exact ratio (a ``Fraction`` is slow to
+    hash and compare); refuses a weight outside [0, 1]."""
+    n, d = r = _ratio(w)
+    if not 0 <= n <= d:
+        raise WellFormednessError(f"choice weight {w} outside [0, 1]")
+    return type(w), r
 
 
 @_node
@@ -190,11 +201,16 @@ class Choice(Program):
 
     @classmethod
     def chain(cls, parts, weights) -> Program:
-        """The choice over ``parts`` with ``weights``, in one intern call; a
-        ``Choice`` last part is spliced in, and a lone part is returned."""
+        """The choice over ``parts`` with ``weights``, one fewer, each in
+        [0, 1], in one intern call; a ``Choice`` last part is spliced in,
+        and a lone part is returned."""
+        parts, weights = tuple(parts), tuple(weights)
+        if len(weights) != len(parts) - 1:
+            raise WellFormednessError(
+                f"a choice over {len(parts)} parts takes {len(parts) - 1} weights, "
+                f"not {len(weights)}")
         if not weights:
             return parts[0]
-        parts, weights = tuple(parts), tuple(weights)
         if type(parts[-1]) is cls:
             *parts, last = parts
             parts, weights = (*parts, *last.parts), weights + last.weights
@@ -234,9 +250,6 @@ def validate(p: Program, universe: PacketUniverse) -> None:
                 go(b)
                 if not is_predicate(b):
                     raise WellFormednessError("negation applied to a non-predicate")
-            case Choice(_, weights) if not all(0 <= w <= 1 for w in weights):
-                bad = ", ".join(str(w) for w in weights if not 0 <= w <= 1)
-                raise WellFormednessError(f"choice weight {bad} outside [0, 1]")
             case Union(parts) | Seq(parts) | Choice(parts):
                 for q in parts:
                     go(q)
@@ -449,7 +462,7 @@ def nary_choice(branches) -> Program:
     if not branches:
         raise WellFormednessError("empty n-ary choice")
     for _, w in branches:
-        _weight_key(w)  # refuses nan and inf
+        _ratio(w)  # refuses nan and inf
     if (w := next((w for _, w in branches if w < 0), None)) is not None:
         raise WellFormednessError(f"negative branch weight {w}")
     total = sum((w for _, w in branches), Fraction(0))

@@ -127,9 +127,15 @@ class PacketUniverse:
             idx += self._digit(d.name, v)[0] * v
         return idx
 
+    def check_packets(self, *packets: int) -> None:
+        """Refuse a packet index outside ``0 .. packet_count - 1``.  Given
+        the least and the greatest of a collection, this checks all of it."""
+        for idx in packets:
+            if not (0 <= idx < self.packet_count):
+                raise UniverseError(f"packet index {idx} out of range")
+
     def decode(self, idx: int) -> tuple[int, ...]:
-        if not (0 <= idx < self.packet_count):
-            raise UniverseError(f"packet index {idx} out of range")
+        self.check_packets(idx)
         out = []
         for d in self.decls:
             out.append(idx % d.size)

@@ -11,15 +11,13 @@ from fractions import Fraction
 
 from pnk import netlib
 from pnk.analysis import (
-    InputSpec, QuerySpec, dist_leq, dist_leq_bruteforce, equiv, estimate,
-    query_dist,
+    InputSpec, QuerySpec, dist_leq, equiv, estimate, query_dist,
 )
 from pnk.bigstep import Kernel
 from pnk.casestudy import (
     delivery_sweep, fattree_scheme_equivalence, hop_cdf, resilience_grid,
     toy_overview,
 )
-from pnk.linalg import mat_mul
 from pnk.parser import parse
 from pnk.star import explore, mark_saturated
 from pnk.syntax import (
@@ -29,6 +27,9 @@ from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
 from conftest import (
     cold_kernel, cold_rows, random_dist, random_predicate, random_program, random_set,
+)
+from oracles import (
+    SparseMatrix, dist_leq_bruteforce, mat_mul, power_series_absorption, solve_absorption,
 )
 from test_star import chain_matrices, unrolling
 
@@ -243,7 +244,6 @@ def test_criterion_6():
 
     # Exact solve against the 64-term truncated series, in floats, on
     # contractive chains.
-    from pnk.linalg import SparseMatrix, power_series_absorption, solve_absorption
     for _ in range(50):
         size = rng.randrange(2, 7)
         q = SparseMatrix(size, size)

@@ -9,8 +9,8 @@ import pytest
 from pnk import analysis, star
 from pnk.analysis import (
     InputSpec, QuerySpec, TruncatedRun, Verdict, Witness, _below,
-    _dist_mismatch, _meet_closure, dist_leq, dist_leq_bruteforce, equiv,
-    estimate, leq, query, sample_run, upset_prob,
+    _dist_mismatch, _meet_closure, dist_leq, equiv, estimate, leq, query,
+    sample_run, upset_prob,
 )
 from pnk.bigstep import Kernel
 from pnk.cli import FLOAT_TOL, _rounded, main
@@ -29,6 +29,7 @@ from conftest import (
     WEIGHTS, cold_kernel, cold_rows, random_dist, random_predicate, random_program,
     random_set,
 )
+from oracles import dist_leq_bruteforce
 
 UF = PacketUniverse([FieldDecl("f", 2)])
 
@@ -420,6 +421,26 @@ def test_identical_sides_over_budget_still_raise(decide):
         with pytest.raises(BudgetExceededError):
             decide(p, q, spec, UF, state_budget=2)
 
+
+@pytest.mark.parametrize("decide", [equiv, leq])
+def test_decisions_refuse_packets_outside_the_universe(decide):
+    # Over six packets, the kernel maps packet 99 under f:=1 to packet 100,
+    # and a decision would compare such rows.  Each spec's packets are
+    # checked before any row is read: a subset base by its ends, explicit
+    # sets by their extremes.
+    u = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 3)])
+    p = Assign("f", 1)
+    inside = frozenset({0, 5})
+    for bad in (99, 6, -1):
+        for spec in (InputSpec.all_subsets([0, 3, bad]),
+                     InputSpec.of_sets([inside, frozenset(), frozenset({2, bad})])):
+            with pytest.raises(UniverseError, match=f"packet index {bad} out of range"):
+                decide(p, p, spec, u)
+        with pytest.raises(UniverseError, match=f"packet index {bad} out of range"):
+            query(p, frozenset({1, bad}), QuerySpec.prob_nonempty(), u)
+    assert decide(p, p, InputSpec.of_sets([inside, frozenset()]), u).holds()
+    assert decide(p, p, InputSpec.all_subsets(range(6)), u).holds()
+    assert query(p, frozenset(), QuerySpec.prob_nonempty(), u) == 0
 
 # -- queries -------------------------------------------------------------------
 

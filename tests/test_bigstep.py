@@ -20,7 +20,6 @@ from pnk import syntax as syntax_mod
 from pnk.analysis import InputSpec, dist_leq, equiv, estimate, leq, sample_run
 from pnk.bigstep import Kernel, Pending
 from pnk.errors import BudgetExceededError, UniverseError, WellFormednessError
-from pnk.linalg import SparseMatrix, convex, mat_mul
 from pnk.row import Row
 from pnk.syntax import (
     Assign, Choice, Drop, Neg, Seq, Skip, Star, Test, Union, desugar, do_while,
@@ -31,6 +30,7 @@ from pnk.universe import EMPTY, FieldDecl, PacketUniverse, field_bit
 from conftest import (
     WEIGHTS, cold_kernel, cold_rows, random_predicate, random_program, random_set,
 )
+from oracles import SparseMatrix, convex, mat_mul
 
 UF = PacketUniverse([FieldDecl("f", 2)])
 

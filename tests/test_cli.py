@@ -258,6 +258,37 @@ def test_float_casestudy_output_is_pinned(capsys, args, kwargs, output_sha, repo
     assert hashlib.sha256(repr(report).encode()).hexdigest() == report_sha
 
 
+# ``pnk dist --float`` on three inputs, as (program, packets, sha256 of the
+# JSON output, sha256 of the CSV output): a coin, a two-packet input, and
+# nested stars.  Each probability prints as ``repr`` of the double nearest
+# the exact one, as it did when a float kernel made the report.
+PINNED_FLOAT_DISTS = {
+    "coin": (COIN, '[{"f": 0}]',
+             "9b72f5e010eec8055206551d1a4c89188f6a6c1879d0feebf114e6590f95ee9f",
+             "21a935cb0cc72ddb05c44971a03cfa29586b2b5a57fe165a73df274541bea803"),
+    "two-packets": (
+        "fields { f : 3 ; g : 2 }\n(f:=1 +[1/3] (f:=2 +[2/5] drop)) ; (g:=1 +[1/7] skip)\n",
+        '[{"f": 0, "g": 0}, {"f": 2, "g": 1}]',
+        "11e91af95c1ee7c16296007ace47c83e8f8782ab42c4c3fb6d4e6d6676091596",
+        "ff89f3600780124ee933e51b7f197f3d4b0d63569d9239ecaca091ec96355ce4"),
+    "nested-stars": (
+        "fields { f : 4 ; g : 2 }\n((f:=1 +[1/4] drop)* ; (g:=1 +[2/3] drop))*\n",
+        '[{"f": 0, "g": 0}, {"f": 2, "g": 0}]',
+        "56c266fa1b570af10b6a2c4eb490d7e46d0456451d84fb2125c9c31d459fa63f",
+        "b046620cc5bc026589d96ac5d2f923d321e90d7776fb1a0aea56adcf79505709"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_FLOAT_DISTS)
+def test_float_dist_output_is_pinned(progdir, capsys, name):
+    text, on, json_sha, csv_sha = PINNED_FLOAT_DISTS[name]
+    path = progdir("p.pnk", text)
+    for fmt, sha in (("json", json_sha), ("csv", csv_sha)):
+        assert main(["dist", path, "--on", on, "--float", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 # Per case study: its arguments, the extra ones of float mode, and the
 # number of floats in its float JSON.  For f10-latency, per scheme, a cdf
 # point per counter value, the delivery and the expected hop count, and in

@@ -7,7 +7,6 @@ from pnk.analysis import dist_leq
 from pnk import star as star_mod
 from pnk.bigstep import Kernel
 from pnk.errors import BudgetExceededError, SingularMatrixError
-from pnk.linalg import SparseMatrix, mat_mul
 from pnk.row import Row
 from pnk.star import explore, mark_saturated, star_dist, to_dot
 from pnk.syntax import (
@@ -16,6 +15,7 @@ from pnk.syntax import (
 from pnk.universe import EMPTY, FieldDecl, PacketUniverse
 
 from conftest import cold_kernel, cold_rows, random_predicate, random_program, random_set
+from oracles import SparseMatrix, mat_mul
 
 UF = PacketUniverse([FieldDecl("f", 2)])
 FLIP = Choice(Fraction(1, 2), Assign("f", 0), Assign("f", 1))

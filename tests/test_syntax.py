@@ -443,8 +443,36 @@ def test_desugar_nary_rescales():
 
 
 def test_validate_choice_weight_range():
-    with pytest.raises(WellFormednessError):
-        validate(Choice(Fraction(3, 2), Skip(), Drop()), U)
+    # A weight outside [0, 1] is refused when the choice is built.
+    for w in (Fraction(3, 2), Fraction(-1, 4), 1.5, -0.5):
+        with pytest.raises(WellFormednessError, match=r"outside \[0, 1\]"):
+            Choice(w, Skip(), Drop())
+    with pytest.raises(WellFormednessError, match=r"choice weight 3/2 outside \[0, 1\]"):
+        Choice.chain((Skip(), Drop(), Skip()), (Fraction(1, 2), Fraction(3, 2)))
+
+
+def test_a_choice_outside_the_unit_interval_is_never_built():
+    # A weight of 3/2 made a kernel row with a negative probability,
+    # {f=1: 3/2, f=2: -1/2}, with no error.
+    u = PacketUniverse([FieldDecl("f", 3)])
+    with pytest.raises(WellFormednessError, match="outside"):
+        Kernel(Choice(Fraction(3, 2), Assign("f", 1), Assign("f", 2)), u)
+    row = Kernel(Choice(Fraction(1), Assign("f", 1), Assign("f", 2)), u).apply(
+        frozenset({u.packet(f=0)}))
+    assert row.as_dict() == {frozenset({u.packet(f=1)}): 1}
+
+
+def test_a_choice_takes_one_weight_fewer_than_its_parts():
+    # Three parts with one weight printed as a two-part choice, which the
+    # kernel and the sampler read differently.
+    a, b, c = Assign("f", 1), Assign("f", 2), Assign("f", 3)
+    half = Fraction(1, 2)
+    for parts, weights in (((a, b, c), (half,)), ((a, b), ()), ((a, b), (half, half)),
+                           ((), ())):
+        with pytest.raises(WellFormednessError, match="weights, not"):
+            Choice.chain(parts, weights)
+    assert Choice.chain((a,), ()) is a
+    assert Choice.chain((a, b, c), (half, half)) is Choice(half, a, Choice(half, b, c))
 
 
 @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
