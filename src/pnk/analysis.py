@@ -502,11 +502,14 @@ _TWO_53 = float(1 << 53)
 
 def sample_run(p: Program, a: PacketSet, universe: PacketUniverse,
                seed, star_depth: int = DEFAULT_STAR_DEPTH) -> PacketSet:
-    """One operational run; raises TruncatedRun if a star fails to stabilize.
+    """One operational run; raises TruncatedRun if a star fails to stabilize,
+    and UniverseError for a packet of ``a`` outside ``universe``.
 
     ``seed`` is an integer (or any hashable) or an already-constructed
     ``random.Random``.
     """
+    if a:
+        universe.check_packets(min(a), max(a))
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return _sample(p, a, universe, rng, star_depth)
 
@@ -587,8 +590,11 @@ def estimate(p: Program, a: PacketSet, universe: PacketUniverse, n_samples: int,
 
     Each run draws from its own seeded generator, so runs are reproducible
     and independent of evaluation order.  Truncated runs are counted and
-    excluded, never silently folded into the estimate.
+    excluded, never silently folded into the estimate.  A packet of ``a``
+    outside ``universe`` raises UniverseError.
     """
+    if a:
+        universe.check_packets(min(a), max(a))
     counts: dict = {}
     truncated = 0
     for i in range(n_samples):

@@ -9,6 +9,13 @@ This module also ships the three-switch example network used throughout
 the test suite, one generator of k-ary FatTrees and AB FatTrees (``fattree``,
 ``abfattree``; ``TOPOLOGIES`` names its instances by switch count), and the
 three-stage F10 routing scheme with 3-hop and 5-hop rerouting.
+
+A topology keeps the programs that depend only on it, made on first use
+(``Topology.kept``): its link programs, routing, F10 schemes and failure
+steps.  The models of a grid over one topology share them, and F10 builds
+the policy of each shape of switch once, so building a model costs little
+beyond its own wrapping.  A topology is read-only once a model is built
+from it; nothing here changes one.
 """
 
 from __future__ import annotations
@@ -39,11 +46,16 @@ class Link:
 
 @dataclass
 class Topology:
+    """Switches, links and, for the F10 schemes, each switch's layer and
+    subtree type.  It keeps the programs derived from it (see ``kept``), so
+    it is read-only once one is built."""
+
     switches: int
     links: list[Link]
     layers: dict[int, str] = field(default_factory=dict)
     agg_type: dict[int, str] = field(default_factory=dict)
     name: str = ""
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -53,6 +65,18 @@ class Topology:
                     f"duplicate source port {l.srcport} on switch {l.src}"
                 )
             seen.add((l.src, l.srcport))
+
+    def kept(self, make, *args):
+        """``make(self, *args)``, made on first use and kept on this topology
+        under the arguments and their types, as the intern key is (a failure
+        probability of ``0.25`` and one of ``Fraction(1, 4)`` make different
+        nodes).  Only values are kept: an error is raised on every call."""
+        key = (make, *args, *map(type, args))
+        try:
+            return self._kept[key]
+        except KeyError:
+            value = self._kept[key] = make(self, *args)
+            return value
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         adj: dict[int, list[tuple[int, int]]] = {}
@@ -87,6 +111,10 @@ def link_program(link: Link, guarded: bool = False) -> Program:
 
 
 def topo_program(topo: Topology, guarded: bool = False) -> Program:
+    return topo.kept(_topo_program, bool(guarded))
+
+
+def _topo_program(topo: Topology, guarded: bool) -> Program:
     return union(*[link_program(l, guarded) for l in topo.links])
 
 
@@ -270,7 +298,12 @@ F10_VARIANTS = (F10_0, F10_3, F10_35)
 
 
 def routing_info(topo: Topology, dest: int):
-    """Hop distances to ``dest`` and the minimum-length ports per switch."""
+    """Hop distances to ``dest``, the minimum-length ports per switch and
+    the adjacency, kept on ``topo``: read them, do not change them."""
+    return topo.kept(_routing_info, dest)
+
+
+def _routing_info(topo: Topology, dest: int):
     adj = topo.adjacency()
     radj: dict[int, list[int]] = {}
     for l in topo.links:
@@ -319,8 +352,14 @@ def f10(variant: str, topo: Topology, dest: int) -> Program:
     the opposite subtree type.  f10_35 additionally falls back to a
     same-type aggregation switch, marking the packet (default := 0) so the
     next hop forwards it downward and restores the mark; the mark is
-    initialized to 1 at the ingress.
+    initialized to 1 at the ingress.  The policy is kept on ``topo``.
     """
+    return topo.kept(_f10, variant, dest)
+
+
+def _f10(topo: Topology, variant: str, dest: int) -> Program:
+    """``f10``'s policy; a switch's policy depends only on its ports' roles
+    (its shape), so it is built once per shape."""
     if variant not in F10_VARIANTS:
         raise WellFormednessError(f"unknown F10 variant {variant!r}")
     if not topo.layers:
@@ -329,31 +368,26 @@ def f10(variant: str, topo: Topology, dest: int) -> Program:
         raise WellFormednessError(f"{variant} needs subtree types on the topology")
     dist, min_ports, adj = routing_info(topo, dest)
     with_mark = variant == F10_35
+    shapes: dict = {}
 
-    def ecmp(s: int, arrivals: list[int], init_mark_on: int | None = None) -> Program:
+    def shaped(make, *shape) -> Program:
+        key = (make, *shape)
+        pol = shapes.get(key)
+        if pol is None:
+            pol = shapes[key] = make(*shape)
+        return pol
+
+    def ecmp(arrivals: tuple, min_ports: tuple, init_mark_on: int | None) -> Program:
         branches = []
         for r in arrivals:
-            ports = [q for q in min_ports[s] if q != r]
+            ports = [q for q in min_ports if q != r]
             body = uniform(*[Assign("pt", q) for q in ports]) if ports else Drop()
             if init_mark_on is not None and r == init_mark_on:
                 body = Seq(Assign("default", 1), body)
             branches.append(Seq(Test("pt", r), body))
         return union(*branches)
 
-    def core_policy(s: int) -> Program:
-        onpath = min_ports[s]
-        if len(onpath) != 1:
-            raise WellFormednessError(
-                f"core {s} has {len(onpath)} minimum-length ports, expected 1")
-        o = onpath[0]
-        neighbors = dict(adj[s])
-        target_type = topo.agg_type[neighbors[o]]
-        if variant == F10_0:
-            return Assign("pt", o)
-        opposite = sorted(q for q, n in adj[s]
-                          if q != o and topo.agg_type[n] != target_type)
-        same = sorted(q for q, n in adj[s]
-                      if q != o and topo.agg_type[n] == target_type)
+    def core_policy(o: int, opposite: tuple, same: tuple) -> Program:
         dead_end = Assign("pt", o)  # dropped by the guarded link
         if variant == F10_3:
             fallback = dead_end
@@ -372,12 +406,10 @@ def f10(variant: str, topo: Topology, dest: int) -> Program:
         return Union(Seq(Test(f"up{o}", 1), Assign("pt", o)),
                      Seq(Test(f"up{o}", 0), reroute))
 
-    def agg_policy(s: int) -> Program:
-        arrivals = [q for q, _ in adj[s]]
-        normal = ecmp(s, arrivals)
+    def agg_policy(arrivals: tuple, min_ports: tuple, downs: tuple) -> Program:
+        normal = ecmp(arrivals, min_ports, None)
         if not with_mark:
             return normal
-        downs = sorted(q for q, n in adj[s] if topo.layers[n] == EDGE)
         marked = Seq(Assign("default", 1),
                      uniform(*[Assign("pt", q) for q in downs]))
         return Union(Seq(Test("default", 0), marked),
@@ -388,13 +420,28 @@ def f10(variant: str, topo: Topology, dest: int) -> Program:
         if s == dest:
             continue
         layer = topo.layers[s]
+        ports = tuple(q for q, _ in adj[s])
         if layer == EDGE:
-            pol = ecmp(s, [0] + [q for q, _ in adj[s]],
-                       init_mark_on=0 if with_mark else None)
+            pol = shaped(ecmp, (0, *ports), tuple(min_ports[s]),
+                         0 if with_mark else None)
         elif layer == AGG:
-            pol = agg_policy(s)
+            downs = tuple(q for q, n in adj[s] if topo.layers[n] == EDGE) if with_mark else ()
+            pol = shaped(agg_policy, ports, tuple(min_ports[s]), downs)
         else:
-            pol = core_policy(s)
+            onpath = min_ports[s]
+            if len(onpath) != 1:
+                raise WellFormednessError(
+                    f"core {s} has {len(onpath)} minimum-length ports, expected 1")
+            o = onpath[0]
+            if variant == F10_0:
+                pol = Assign("pt", o)
+            else:
+                target_type = topo.agg_type[dict(adj[s])[o]]
+                opposite = tuple(q for q, n in adj[s]
+                                 if q != o and topo.agg_type[n] != target_type)
+                same = tuple(q for q, n in adj[s]
+                             if q != o and topo.agg_type[n] == target_type)
+                pol = shaped(core_policy, o, opposite, same)
         branches.append(Seq(Test("sw", s), pol))
     return union(*branches)
 
@@ -435,7 +482,12 @@ def case_failure(topo: Topology, k: int | None, p_fail: Fraction) -> Program:
     flags of its (downward) ports are re-flipped, gated on the shared
     failure budget when k is finite; elsewhere it is a no-op.  Flags are
     freshly sampled each hop, so a flag only describes the current
-    switch's ports."""
+    switch's ports.  The step is kept on ``topo``."""
+    return topo.kept(_case_failure, k, p_fail)
+
+
+def _case_failure(topo: Topology, k: int | None, p_fail: Fraction) -> Program:
+    """``case_failure``'s step; the flips of a set of ports are built once."""
     if k == 0:
         return Skip()
     by_core: dict[int, list[int]] = {}
@@ -444,22 +496,26 @@ def case_failure(topo: Topology, k: int | None, p_fail: Fraction) -> Program:
     if not by_core:
         return Skip()
     keep = 1 - p_fail
+    if k is not None:
+        decrement = _decrement("budget", k)
+
+    def flip(fl: str) -> Program:
+        if k is None:
+            return Choice(keep, Assign(fl, 1), Assign(fl, 0))
+        return Union(
+            Seq(Neg(Test("budget", 0)),
+                Choice(keep, Assign(fl, 1), Seq(Assign(fl, 0), decrement))),
+            Seq(Test("budget", 0), Assign(fl, 1)),
+        )
+
+    flips: dict[tuple, Program] = {}
     branches = []
     core_tests = []
     for c in sorted(by_core):
-        flips = []
-        for q in sorted(by_core[c]):
-            fl = f"up{q}"
-            if k is None:
-                flips.append(Choice(keep, Assign(fl, 1), Assign(fl, 0)))
-            else:
-                flip = Choice(keep, Assign(fl, 1),
-                              Seq(Assign(fl, 0), _decrement("budget", k)))
-                flips.append(Union(
-                    Seq(Neg(Test("budget", 0)), flip),
-                    Seq(Test("budget", 0), Assign(fl, 1)),
-                ))
-        branches.append(Seq(Test("sw", c), seq(*flips)))
+        ports = tuple(sorted(by_core[c]))
+        if ports not in flips:
+            flips[ports] = seq(*[flip(f"up{q}") for q in ports])
+        branches.append(Seq(Test("sw", c), flips[ports]))
         core_tests.append(Test("sw", c))
     branches.append(Seq(Neg(union(*core_tests)), Skip()))
     return union(*branches)
@@ -515,11 +571,8 @@ def build_case_model(variant: str, topo: Topology, k: int | None,
     if counter:
         pinned["counter"] = 0
 
-    def ingress_pred(s: int) -> Program:
-        tests = [Test("sw", s)] + [Test(f, v) for f, v in pinned.items()]
-        return seq(*tests)
-
-    in_pred = union(*[ingress_pred(s) for s in sources])
+    tests = [Test(f, v) for f, v in pinned.items()]
+    in_pred = union(*[seq(Test("sw", s), *tests) for s in sources])
     program = Seq(in_pred, body)
     teleport = seq(in_pred, Assign("sw", dest), Assign("pt", 0))
     in_packets = [universe.packet(sw=s, **pinned) for s in sources]

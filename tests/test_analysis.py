@@ -442,6 +442,20 @@ def test_decisions_refuse_packets_outside_the_universe(decide):
     assert decide(p, p, InputSpec.all_subsets(range(6)), u).holds()
     assert query(p, frozenset(), QuerySpec.prob_nonempty(), u) == 0
 
+
+def test_sampling_refuses_packets_outside_the_universe():
+    # The sampler would return {99} for f:=1 on {99}, where the kernel
+    # gives {100}: a run, like a decision, checks its input packets first.
+    u = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 3)])
+    p = Assign("f", 1)
+    for bad in (99, 6, -1):
+        with pytest.raises(UniverseError, match=f"packet index {bad} out of range"):
+            sample_run(p, frozenset({bad}), u, 0)
+        with pytest.raises(UniverseError, match=f"packet index {bad} out of range"):
+            estimate(p, frozenset({1, bad}), u, 5)
+    assert sample_run(p, frozenset({0, 5}), u, 0) == frozenset({1, 5})
+    assert estimate(p, frozenset(), u, 5).counts == {frozenset(): 5}
+
 # -- queries -------------------------------------------------------------------
 
 def test_query_drop_nonempty_is_zero(uni2x2):

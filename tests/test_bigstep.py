@@ -1427,8 +1427,10 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
     # makes code (a node or kind that k=1 never reached, since k=2 takes
     # other paths, or a node that reads or writes the budget), or on a node
     # that reads or writes the budget.  It makes no code again that k=1
-    # made for a node that does not, and its rows are a cold kernel's.
-    topo = netlib.abfattree20()
+    # made for a node that does not, and its rows are a cold kernel's.  A
+    # topology keeps the programs built from it, and a node its code while
+    # it lives, so each scheme's cells share a topology of their own and
+    # the cold kernel's model is built over a fresh one.
     budget = syntax_mod.field_bit("budget")
     code, making, made = bigstep._State._code, [], []
 
@@ -1458,15 +1460,15 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def cell(scheme, k):
+    def cell(scheme, k, topo):
         cm = netlib.build_case_model(scheme, topo, k)
         kern = Kernel(desugar(cm.program), cm.universe)
         return kern, [kern.apply(frozenset({s})) for s in cm.in_packets]
 
     monkeypatch.setattr(bigstep._State, "_code", traced)
     for scheme in netlib.F10_VARIANTS:
-        calls = []
-        first = cell(scheme, 1)
+        calls, topo = [], netlib.abfattree20()
+        first = cell(scheme, 1, topo)
         before, n = set(made), len(made)
         assert (netlib.topo_program(topo, guarded=True), bigstep._MAP) in before
         with monkeypatch.context() as m:
@@ -1478,14 +1480,14 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
             m.setattr(bigstep, "seq", counted("seq", bigstep.seq, lambda a: False))
             m.setattr(bigstep, "footprint", counted("footprint", bigstep.footprint,
                                                     lambda a: touches(a[0])))
-            second = cell(scheme, 2)
+            second = cell(scheme, 2, topo)
         assert calls == [] and any(touches(x) for x, _ in made[n:])
         assert [(pretty(x), kind) for x, kind in set(made[n:]) & before if not touches(x)] == []
         rows = second[1]
-        del first, second, before, made[:]
+        del first, second, before, made[:], topo
         gc.collect()
-        assert not hasattr(netlib.topo_program(topo, guarded=True), "_code")
-        assert cell(scheme, 2)[1] == rows
+        assert not hasattr(netlib.topo_program(netlib.abfattree20(), guarded=True), "_code")
+        assert cell(scheme, 2, netlib.abfattree20())[1] == rows
 
 
 def _rows_by_record(p, u) -> dict:
@@ -1618,18 +1620,19 @@ def test_node_code_stays_light():
 def test_every_grid_cell_after_the_others_has_the_rows_of_a_cold_kernel():
     # Each cell of the abfattree20 F10 resilience grid, its kernel built
     # while the other 17 cells' kernels live and have run, has the rows it
-    # has when it runs alone, on code made for it alone.
-    topo = netlib.abfattree20()
+    # has when it runs alone, on code made for it alone.  A topology keeps
+    # the programs built from it, and a node its code while it lives, so
+    # each cell is built over a fresh topology.
     cells = [(k, scheme) for k in (0, 1, 2, 3, 4, None) for scheme in netlib.F10_VARIANTS]
 
     def run(cell):
-        cm = netlib.build_case_model(cell[1], topo, cell[0])
+        cm = netlib.build_case_model(cell[1], netlib.abfattree20(), cell[0])
         kern = Kernel(desugar(cm.program), cm.universe)
         return kern, [kern.apply(frozenset({s})).as_dict() for s in cm.in_packets]
 
     def cold():
         gc.collect()
-        return not hasattr(netlib.topo_program(topo, guarded=True), "_code")
+        return not hasattr(netlib.topo_program(netlib.abfattree20(), guarded=True), "_code")
 
     alone = []
     for cell in cells:

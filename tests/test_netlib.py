@@ -430,3 +430,143 @@ def test_case_studies_share_one_kernel_state_per_universe(monkeypatch):
         if (universe, program) not in fresh:
             fresh[universe, program] = Kernel(program, universe)
         assert fresh[universe, program].apply(aset) == row
+
+
+# -- the programs a topology keeps ----------------------------------------------
+
+GRID = [(k, v) for k in (0, 1, 2, 3, 4, None) for v in netlib.F10_VARIANTS]
+
+
+def _core_shapes(topo, dest=1):
+    """Each core's on-path port and its other ports of the opposite and of
+    the same subtree type, as F10 routes from it."""
+    _, min_ports, adj = routing_info(topo, dest)
+    shapes = set()
+    for s, layer in topo.layers.items():
+        if layer == "core":
+            (o,) = min_ports[s]
+            kinds = {q: topo.agg_type[n] == topo.agg_type[dict(adj[s])[o]] for q, n in adj[s]}
+            shapes.add((o, tuple(q for q in kinds if q != o and not kinds[q]),
+                        tuple(q for q in kinds if q != o and kinds[q])))
+    return shapes
+
+
+def test_models_of_one_topology_share_its_parts(monkeypatch):
+    # The guarded topology, each scheme and each failure step are built
+    # once per topology: later models take the very nodes the first made.
+    made = []
+    for name in ("_topo_program", "_f10", "_case_failure", "_routing_info"):
+        fn = getattr(netlib, name)
+        monkeypatch.setattr(netlib, name, lambda *a, fn=fn, name=name:
+                            made.append(name) or fn(*a))
+    topo = abfattree20()
+    first = netlib.build_case_model(netlib.F10_3, topo, 2)
+    assert sorted(made) == ["_case_failure", "_f10", "_routing_info", "_topo_program"]
+    again = netlib.build_case_model(netlib.F10_3, topo, 2)
+    other_k = netlib.build_case_model(netlib.F10_3, topo, 4)
+    assert len(made) == 5  # k=4's failure step alone is new
+    assert again.scheme is first.scheme is other_k.scheme
+    assert again.program is first.program
+    guarded = topo_program(topo, guarded=True)
+    assert guarded is topo_program(topo, True)
+    assert case_failure(topo, 2, Fraction(1, 4)) is case_failure(topo, 2, Fraction(1, 4))
+    for m, k in ((first, 2), (other_k, 4)):
+        parts = _subterms(m.program).keys()
+        assert {id(first.scheme), id(guarded), id(case_failure(topo, k, Fraction(1, 4)))} <= parts
+    assert len(made) == 5
+
+
+def _subterms(p) -> dict:
+    """Every node of ``p``, by id."""
+    seen, stack = {}, [p]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parts if hasattr(node, "parts") else
+                         [node.body] if hasattr(node, "body") else [])
+    return seen
+
+
+def test_a_switch_policy_is_built_once_per_shape(monkeypatch):
+    # On abfattree45 every core reaches the destination through pod 0, so
+    # all 9 cores have one shape: f10_3 branches on the flags of its
+    # opposite-type ports once, and f10_35 also on its same-type ports.
+    calls = []
+    up_cases = netlib._up_cases
+    monkeypatch.setattr(netlib, "_up_cases", lambda *a: calls.append(a[0]) or up_cases(*a))
+    topo = netlib.topology_by_name("abfattree45")
+    shapes = _core_shapes(topo)
+    assert len(shapes) < sum(layer == "core" for layer in topo.layers.values())
+    for variant, per_shape in ((netlib.F10_0, 0), (netlib.F10_3, 1), (netlib.F10_35, 2)):
+        calls.clear()
+        netlib.f10(variant, topo, 1)
+        netlib.f10(variant, topo, 1)
+        assert len(calls) == per_shape * len(shapes)
+
+
+def test_errors_are_never_kept():
+    # A refused build raises again on the next call: only values are kept.
+    links = [Link(1, 1, 2, 1), Link(2, 1, 1, 1), Link(1, 2, 3, 1), Link(3, 1, 1, 2),
+             Link(2, 2, 4, 1), Link(4, 1, 2, 2, True),
+             Link(3, 2, 4, 2), Link(4, 2, 3, 2, True)]
+    two_ports = Topology(4, links, layers={1: "edge", 2: "agg", 3: "agg", 4: "core"},
+                         agg_type={1: "A", 2: "A", 3: "B"})
+    bare = Topology(3, [Link(1, 1, 2, 1), Link(2, 1, 1, 1)])
+    for _ in range(2):
+        with pytest.raises(WellFormednessError, match="unknown F10 variant"):
+            netlib.f10("f10_99", fattree20(), 1)
+        with pytest.raises(WellFormednessError, match="2 minimum-length ports"):
+            netlib.f10(netlib.F10_3, two_ports, 1)
+        with pytest.raises(WellFormednessError, match="layer annotations"):
+            netlib.build_case_model(netlib.F10_0, bare, None)
+
+
+def test_a_float_failure_probability_is_kept_apart_from_its_fraction():
+    # 0.25 and 1/4 are equal and hash alike, but make different nodes
+    # (+[0.75] and +[3/4]), so the memo keys them by type as well.
+    topo = abfattree20()
+    exact = netlib.build_case_model(netlib.F10_35, topo, None, Fraction(1, 4))
+    rounded = netlib.build_case_model(netlib.F10_35, topo, None, 0.25)
+    assert rounded.program is netlib.build_case_model(netlib.F10_35, abfattree20(),
+                                                      None, 0.25).program
+    assert rounded.program is not exact.program
+    assert "+[0.75]" in pretty(case_failure(topo, None, 0.25))
+    assert "+[3/4]" in pretty(case_failure(topo, None, Fraction(1, 4)))
+
+
+# The intern calls that building the 18 grid models of one abfattree80
+# topology makes: 182,466 when every model was built from scratch, 6,917
+# since a topology keeps its parts and F10 builds a policy once per shape.
+GRID80_INTERN_CALLS = 9_000
+
+
+def test_the_grid_of_one_topology_makes_few_intern_calls(monkeypatch):
+    from pnk import syntax
+    calls = [0]
+    intern = syntax._intern
+
+    def counted(*args):
+        calls[0] += 1
+        return intern(*args)
+    topo = netlib.topology_by_name("abfattree80")
+    monkeypatch.setattr(syntax, "_intern", counted)
+    models = [netlib.build_case_model(v, topo, k) for k, v in GRID]
+    assert len(models) == 18 and calls[0] <= GRID80_INTERN_CALLS
+
+
+def test_grid_cells_over_one_topology_equal_cells_over_fresh_ones():
+    # The 18 abfattree20 cells, built over one topology with every kernel
+    # live (as the case study runs them), have the rows of cells each built
+    # over a fresh topology and run by a kernel of its own.
+    topo = abfattree20()
+    shared = [netlib.build_case_model(v, topo, k) for k, v in GRID]
+    kernels = [Kernel(cm.program, cm.universe) for cm in shared]
+    rows = [[kern.apply(frozenset({s})) for s in cm.in_packets]
+            for kern, cm in zip(kernels, shared)]
+    del kernels
+    for (k, v), cm, got in zip(GRID, shared, rows):
+        fresh = netlib.build_case_model(v, abfattree20(), k)
+        assert fresh.program is cm.program and fresh.in_packets == cm.in_packets
+        assert cold_rows(fresh.program, fresh.universe,
+                         [frozenset({s}) for s in fresh.in_packets]) == got
