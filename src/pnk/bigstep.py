@@ -5,41 +5,52 @@ A kernel row is a ``Row`` (see ``row``).  The kernel computes exact rows
 only; in float mode, ``apply`` and ``row`` round them once.
 
 A kernel is a compiler.  *Node code* depends on nothing but the node and
-its *layout*, the weight and size of each field it reads or writes, so it
-is made once per node and layout and kept on the node (``_State._code``):
-the cells of a table over one topology share it.  There are six kinds: a
-node's set map (below), a union's plan, a sequence's steps, a choice's
-shares, the row facts of a node that holds a choice (a factor node's
-fields and projectors, or any other's projector for its shared rows), and
-the pending facts (the fields every path tests first, those it touches
-and kills, and a deterministic sequence's runs).  A set of fields is a
-mask of ``field_bit``s throughout (see ``universe``), as in ``footprint``.
-Code is tuples, ints, interned nodes, the universe's projectors and
-partials of this module's functions (a test's map is a closure), so live
-nodes hold few objects for the cycle collector to scan.  *Kernel state*
-is what changes rows: each node whose rows are requested, and each (star,
-filter) step of a sequence, is compiled on first use into a row function
-from a packet set to a ``Row`` (``_State._rows``) that owns its memo,
-keyed on the input set, and into a pending function when a pending input
-first reaches it (``_State._pending``); star tables, factor tables,
-marginals and point masses are kernel state too.  A row depends only on its node, the
-universe and the input, so every live kernel over a universe with equal
-fields and an equal state budget uses one ``_State``, found in
-``_STATES``: the cells of a table built side by side compute the rows of
-the subterms they share once, as the unique and computed tables of one
-BDD manager serve every function built over its variable order (Brace,
-Rudell and Bryant, DAC 1990).  Kernels that never live at once start
-cold.  A compile looks its code up and binds the state's memos and tables
-to it.  Nodes are interned (see ``syntax``), so equal subterms share one
-function.  Rows are shared, so nobody changes one.  Kernels hold their
-state, and no code or row function refers to a kernel or holds a state
-but weakly, so a state is freed with the last kernel over it, without the
-cycle collector.
+its *layout*, the bit, weight and size of each field it reads or writes,
+so it is made once per node and layout and kept on the node
+(``_View._code``): the cells of a table over one topology share it.  There
+are six kinds: a node's set map (below), a union's plan, a sequence's
+steps, a choice's shares, the row facts of a node that holds a choice (a
+factor node's fields and projectors, or any other's projector for its
+shared rows), and the pending facts (the fields every path tests first,
+those it touches and kills, and a deterministic sequence's runs).  A set
+of fields is a mask of ``field_bit``s throughout (see ``universe``), as in
+``footprint``.  Code is tuples, ints, interned nodes, the universe's
+projectors and partials of this module's functions (a test's map is a
+closure), so live nodes hold few objects for the cycle collector to scan.
+
+*Kernel state* is what changes rows: each node whose rows are requested,
+and each (star, filter) step of a sequence, is compiled on first use into
+a row function from a packet set to a ``Row`` (``_View._rows``) that owns
+its memo, keyed on the input set, and into a pending function when a
+pending input first reaches it (``_View._pending``); star tables, factor
+tables, marginals and point masses are kernel state too.  Rows, like code,
+are shared by layout.  A row function reads no digit of a packet but
+those of its key's fields (a node's, or those of ``Seq(star, filter)``
+for a step): the rest of a packet index is an offset it carries
+unchanged.  So its rows hold in every universe that lays out those fields
+alike, and every live kernel with an equal state budget uses one
+``_State``, found in ``_STATES``, which keeps each function under its key
+and the key's layout.  The cells of a table built side by side, over one
+universe or over universes that differ in a field some subterms never
+touch (``budget`` at each failure bound k), compute the rows of the
+subterms they share once, as one BDD manager's unique and computed tables
+serve every function built over a compatible variable order (Brace,
+Rudell and Bryant, DAC 1990), and a NetKAT decision diagram depends only
+on the fields it tests (Smolka et al., ICFP 2015).  Kernels that never
+live at once start cold.  Each universe's fields have a ``_View`` of the
+state: the universe, its layouts and marginals, and front dicts that find
+a key's functions by the key alone.  A compile looks its code up and binds
+the state's memos and tables to it.  Nodes are interned (see ``syntax``),
+so equal subterms share one function.  Rows are shared, so nobody changes
+one.  Kernels hold their state and their view; the state holds its views,
+a view holds the state's tables but not the state, and no code or row
+function refers to a kernel or holds a view but weakly, so a state is
+freed with the last kernel over any universe, without the cycle collector.
 
 Deterministic subterms are set maps.  A program without ``+[r]`` is
 deterministic and additive: its row on a set a is the point mass on the
 union of its images of the packets in a (Anderson et al., POPL 2014).  So
-each such node is compiled once (``_State._set_map``) into a map between
+each such node is compiled once (``_View._set_map``) into a map between
 packet sets; a star's is its body's reachability closure.  Such a
 node gets a row function only where its rows are requested, and it maps
 only the packets whose singleton row is not in its memo (``_additive``).
@@ -161,8 +172,9 @@ def _picked(plan, aset: PacketSet) -> list:
 # -- rows ----------------------------------------------------------------------
 
 _NOWHERE = Row(1, {EMPTY: 1})
-# The kinds of node code (see ``_State._code``): each is its index in a run.
-_MAP, _PLAN, _STEPS, _SHARES, _ROW, _PENDING = range(1, 7)
+# The kinds of node code (see ``_View._code``): each is its index in a run,
+# whose layout is kind 0.
+_LAYOUT, _MAP, _PLAN, _STEPS, _SHARES, _ROW, _PENDING = range(7)
 _KINDS = 6
 
 
@@ -271,7 +283,7 @@ def _point(row: Row):
     return s if p == row.den else None
 
 
-def _product(mu: Row, nu: Row, universe: PacketUniverse) -> Row:
+def _product(mu: Row, nu: Row) -> Row:
     """The row of ``l & r`` from the rows of ``l`` and ``r``, settled first
     unless one side is the unit (see the module)."""
     s, t = _point(nu), _point(mu)
@@ -280,7 +292,7 @@ def _product(mu: Row, nu: Row, universe: PacketUniverse) -> Row:
     if t is not None and not t:
         return nu
     if _holds_pending(mu) or _holds_pending(nu):
-        return _product(_settled(mu, universe), _settled(nu, universe), universe)
+        return _product(_settled(mu), _settled(nu))
     if s is not None:
         return joined(mu, s)
     if t is not None:
@@ -359,25 +371,45 @@ def _factor(fields: int, entries: list) -> tuple:
                tuple([(w, n // g) for w, n in entries]))
 
 
-def _groups(factor, fields: int, universe: PacketUniverse) -> dict:
+def _digit_runs(fields: int, layout: tuple) -> list:
+    """The (weight, size) of each run of adjacent fields of the mask
+    ``fields`` in ``layout``, a key's layout (see ``_View._code``), which
+    holds them all: a packet's valuation of those fields is the sum of its
+    ``i // w % size * w`` over the runs, as ``PacketUniverse.projector``
+    reads it."""
+    runs = []
+    for i in range(0, len(layout), 3):
+        bit, w, size = layout[i:i + 3]
+        if bit & fields:
+            if runs and runs[-1][0] * runs[-1][1] == w:
+                runs[-1] = runs[-1][0], runs[-1][1] * size
+            else:
+                runs.append((w, size))
+    return runs
+
+
+def _groups(factor, fields: int, layout: tuple) -> dict:
     """The entries of ``factor`` by their valuation s of its ``fields``:
-    s -> [(w - s, n), ...], ascending.  Read off the universe's digits, as
-    kernel state makes no projector (node code holds those)."""
-    digits, out = [(wt, size) for bit, wt, size in universe.digits if bit & fields], {}
+    s -> [(w - s, n), ...], ascending.  Read off the digits of ``fields``
+    alone in ``layout``: a row function reads no other digit, so that its
+    rows hold in every universe that lays out its key's fields alike (see
+    the module), and kernel state makes no projector (node code holds
+    those)."""
+    runs, out = _digit_runs(fields, layout), {}
     for w, n in factor[2]:
-        s = sum([w // wt % size * wt for wt, size in digits])
+        s = sum([w // wt % size * wt for wt, size in runs])
         out.setdefault(s, []).append((w - s, n))
     return out
 
 
-def _marginal(factor, hit: int, universe: PacketUniverse, marginals: dict) -> tuple:
+def _marginal(factor, hit: int, layout: tuple, marginals: dict) -> tuple:
     """(d, [(s, n, conditional), ...]): each valuation s of the fields
     ``hit`` of ``factor``, its reduced chance n/d and the conditional on
     the other fields (in s if constant); kept in ``marginals``."""
     out = marginals.get((factor, hit))
     if out is None:
         left, parts = factor[0] & ~hit, []
-        for s, es in _groups(factor, hit, universe).items():
+        for s, es in _groups(factor, hit, layout).items():
             c, cond = _factor(left, es)
             parts.append((s + c, sum([n for _, n in es]), (cond,) if cond else ()))
         g = gcd(factor[1], *[n for _, n, _ in parts])
@@ -385,9 +417,10 @@ def _marginal(factor, hit: int, universe: PacketUniverse, marginals: dict) -> tu
     return out
 
 
-def _split(x: Pending, fields, universe: PacketUniverse, marginals: dict) -> Row:
+def _split(x: Pending, fields, layout, marginals) -> Row:
     """The row of ``x`` with its factors split by their marginals on
-    ``fields`` (all if None; see ``_marginal``): each outcome sets those
+    ``fields`` (all if None, with no ``layout`` or ``marginals``; see
+    ``_marginal``): each outcome sets those
     fields in the base, and keeps the conditionals pending.  The marginals
     are reduced and the outcomes distinct, so their product is."""
     outs, den, rest = [(0, 1, ())], 1, []
@@ -401,7 +434,7 @@ def _split(x: Pending, fields, universe: PacketUniverse, marginals: dict) -> Row
             den *= d
             outs = [(w + v, p * n, cs) for w, p, cs in outs for v, n in entries]
             continue
-        d, parts = _marginal(factor, hit, universe, marginals)
+        d, parts = _marginal(factor, hit, layout, marginals)
         den *= d
         outs = [(w + s, p * n, cs + c) for w, p, cs in outs for s, n, c in parts]
     base, rest = x.base, tuple(rest)
@@ -413,19 +446,25 @@ def _split(x: Pending, fields, universe: PacketUniverse, marginals: dict) -> Row
     return Row(den, out)
 
 
-def _forgotten(x: Pending, kills, universe: PacketUniverse):
+def _forgotten(x: Pending, kills, layout: tuple):
     """``x`` with the fields ``kills`` summed out of its factors: a pending
-    set, or its base once no factor is left."""
+    set, or its base once no factor is left.  Each valuation w of a factor
+    loses its valuation of the killed fields, read off their digits in
+    ``layout``, which lays them out: the other fields of a factor may lie
+    outside the key whose layout it is."""
     if not kills & sum([factor[0] for factor in x.factors]):
         return x
     factors, c = [], 0
     for factor in x.factors:
-        left = factor[0] & ~kills
-        if left == factor[0]:
+        hit = factor[0] & kills
+        if not hit:
             factors.append(factor)
-        elif left:
-            w, factor = _factor(left, sorted((s, sum([n for _, n in es])) for s, es
-                                             in _groups(factor, left, universe).items()))
+        elif hit != factor[0]:
+            runs, left = _digit_runs(hit, layout), {}  # valuation of the rest -> weight
+            for w, n in factor[2]:
+                s = w - sum([w // wt % size * wt for wt, size in runs])
+                left[s] = left.get(s, 0) + n
+            w, factor = _factor(factor[0] & ~hit, sorted(left.items()))
             c += w
             factors += [factor] if factor else []
     base = frozenset([i + c for i in x.base]) if c else x.base
@@ -453,31 +492,33 @@ def _holds_pending(row: Row) -> bool:
     return False
 
 
-def _settled(row: Row, universe: PacketUniverse) -> Row:
+def _settled(row: Row) -> Row:
     """``row`` with every factor split whole: a row of packet sets."""
     if not _holds_pending(row):
         return row
-    return _bind(row, lambda b: (_split(b, None, universe, None) if type(b) is Pending
+    return _bind(row, lambda b: (_split(b, None, None, None) if type(b) is Pending
                                  else Row(1, {b: 1})))
 
 
-def _past(touch, kills, plain, universe: PacketUniverse, marginals: dict, x: Pending) -> Row:
+def _past(touch, kills, plain, layout: tuple, marginals: dict, x: Pending) -> Row:
     """The row on ``x`` of a node whose row on a set is ``plain(set)``, and
-    which reads or writes the fields ``touch`` and kills ``kills``."""
-    x = _forgotten(x, kills, universe)
+    which reads or writes the fields ``touch`` (laid out by ``layout``) and
+    kills ``kills``."""
+    x = _forgotten(x, kills, layout)
     if type(x) is not Pending:
         return plain(x)
     return _split_first(touch, lambda y: _carried(plain(y.base), y.factors), plain,
-                        universe, marginals, x)
+                        layout, marginals, x)
 
 
-def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse, making: list):
+def _tabled(fn, node, pending, factor: tuple, layout: tuple, making: list):
     """The row function of the factor node ``node`` (see the module) whose
     rows ``fn`` computes as any node's, ``pending(node, input)`` on a
-    pending set, with the factor facts ``factor`` (fields, key, clear): on
-    a set whose packets share their key valuation ``key(packet)``, the row
-    of its ``_table``.  Memoized, but ``fn`` on a new set while the
-    state's cell ``making`` counts a table being made."""
+    pending set, with the factor facts ``factor`` (fields, key, clear) and
+    its fields' ``layout``: on a set whose packets share their key
+    valuation ``key(packet)``, the row of its ``_table``.  Memoized, but
+    ``fn`` on a new set while the state's cell ``making`` counts a table
+    being made."""
     fields, key, clear = factor
     tables, memo = {}, {}
 
@@ -493,7 +534,7 @@ def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse, making: 
         ks = [key(min(a))] if len(a) == 1 else list({key(i) for i in a})
         t = tables.get(k := ks[0], ()) if len(ks) == 1 else None
         if t == ():
-            t = tables[k] = _table(fn, k, min(a), fields, clear, universe, making)
+            t = tables[k] = _table(fn, k, min(a), fields, clear, layout, making)
         if t is None:
             row = fn(a)
         elif not t[2]:
@@ -508,15 +549,15 @@ def _tabled(fn, node, pending, factor: tuple, universe: PacketUniverse, making: 
     return rows
 
 
-def _table(fn, k, x: int, fields: int, clear, universe: PacketUniverse, making: list):
+def _table(fn, k, x: int, fields: int, clear, layout: tuple, making: list):
     """The table of a factor node for its key valuation ``k``, read off its
     row on the packet ``x``, which has it: (den, the empty set's weight,
     the rest's, c, factor), the rest being a set with ``fields`` (which
-    ``clear`` projects on) at c plus a valuation drawn from the factor;
-    None if an outcome has two packets."""
+    ``clear`` projects on, and ``layout`` lays out) at c plus a valuation
+    drawn from the factor; None if an outcome has two packets."""
     making[0] += 1
     try:
-        row = _settled(fn(frozenset((x,))), universe)
+        row = _settled(fn(frozenset((x,))))
     finally:
         making[0] -= 1
     empty, entries = row.nums.get(EMPTY, 0), []
@@ -528,7 +569,8 @@ def _table(fn, k, x: int, fields: int, clear, universe: PacketUniverse, making: 
         return 1, 1, 0, 0, None
     entries.sort()
     fixed = c = 0  # the fields every outcome sets alike, and their valuation
-    for bit, wt, size in universe.digits:
+    for i in range(0, len(layout), 3):
+        bit, wt, size = layout[i:i + 3]
         if bit & fields and len(vs := {w // wt % size for w, _ in entries}) == 1:
             fixed, c = fixed | bit, c + vs.pop() * wt
     w, factor = _factor(fields & ~fixed, [(w - c, n) for w, n in entries])
@@ -536,16 +578,16 @@ def _table(fn, k, x: int, fields: int, clear, universe: PacketUniverse, making: 
     return row.den // g, empty // g, (row.den - empty) // g, c + w, factor
 
 
-def _settling(fn, universe: PacketUniverse):
+def _settling(fn):
     """The row function ``fn`` with its rows settled."""
     def settled(a):
-        return _settled(fn(a), universe)
+        return _settled(fn(a))
     return settled
 
 
-def _pending_of(state, key, x) -> Row:
-    """The row of ``key`` on ``x`` by the weakly held ``state``."""
-    return state()._pending(key)(x)
+def _pending_of(view, key, x) -> Row:
+    """The row of ``key`` on ``x`` by the weakly held ``view``."""
+    return view()._pending(key)(x)
 
 
 def _fold(steps, a) -> Row:
@@ -621,14 +663,15 @@ def _runs(parts: tuple) -> tuple:
 
 def _seq_run(state: tuple, i: int, y) -> Row:
     """The row of the runs ``i`` on (see ``_runs``) of a deterministic
-    sequence on ``y`` (see ``_State._compile_pending``); ``state`` holds its
-    parts, its facts (``_State._make_pending``), the runs' pending
-    functions, the kernel state weakly and its helpers."""
-    parts, (starts, maps, touch, kills), fns, ref, dirac, u = state
+    sequence on ``y`` (see ``_View._compile_pending``); ``state`` holds its
+    parts, its facts (``_View._make_pending``), the runs' pending
+    functions, the view that made it weakly, its point masses and its
+    layout."""
+    parts, (starts, maps, touch, kills), fns, ref, dirac, layout = state
     n = len(maps)
     while True:
         if type(y) is Pending:
-            y = _forgotten(y, kills[i], u)
+            y = _forgotten(y, kills[i], layout)
         if type(y) is not Pending:
             return dirac(_run(maps[i:], y))
         base, factors = y
@@ -665,10 +708,10 @@ def _passes(tests: list, pending: int, base: PacketSet) -> bool:
     return True
 
 
-def _union_rows(plan, parts: tuple, ref, universe: PacketUniverse, empty: Row):
+def _union_rows(plan, parts: tuple, ref, empty: Row):
     """The rows of a union with the plan ``plan`` and the branches ``parts``
     on a set: the product of the rows of the branches ``_picked`` on it, the
-    row function of each made by the kernel state ``ref()`` on first use."""
+    row function of each found by the view ``ref()`` on first use."""
     fns = [None] * len(parts)
 
     def union(a):
@@ -678,7 +721,7 @@ def _union_rows(plan, parts: tuple, ref, universe: PacketUniverse, empty: Row):
             if f is None:
                 f = fns[i] = ref()._rows(parts[i])
             row = f(a)
-            out = row if out is None else _product(out, row, universe)
+            out = row if out is None else _product(out, row)
         return empty if out is None else out
     return union
 
@@ -700,19 +743,25 @@ def _mapped(dirac, m, a: PacketSet) -> Row:
     return dirac(m(a))
 
 
-def _split_first(first, rest, plain, universe: PacketUniverse, marginals: dict,
+def _split_first(first, rest, plain, layout: tuple, marginals: dict,
                  x: Pending) -> Row:
     """The row on ``x`` of a node whose paths all test the fields ``first``
     first: the factors on those fields are split (``_split``), and ``rest``
     takes each pending outcome and ``plain`` each set."""
     if not first & sum([factor[0] for factor in x.factors]):
         return rest(x)
-    return _bind(_split(x, first, universe, marginals),
+    return _bind(_split(x, first, layout, marginals),
                  lambda y: rest(y) if type(y) is Pending else plain(y))
 
 
-# (universe fields, state budget) -> the state of the live kernels over them.
-_STATES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# State budget -> a weak reference to the state of the live kernels with
+# it, whose callback takes the entry out when the state goes.
+_STATES: dict = {}
+
+
+def _forget_state(budget: int, ref) -> None:
+    if _STATES.get(budget) is ref:  # not already taken by a newer state
+        del _STATES[budget]
 
 
 class Kernel:
@@ -721,24 +770,29 @@ class Kernel:
     rows, each weight rounded to the nearest double.  Only the benchmark's
     float workload (``perfbench/workloads.py``) and tests build such a
     kernel, since the CLI rounds exact rows itself; ROADMAP.md items 1 and
-    12 delete it.  Live kernels over universes with equal fields and an
-    equal ``state_budget`` share one state (see the module)."""
+    12 delete it.  Live kernels with an equal ``state_budget`` share one
+    state, which shares rows, like code, by layout; live kernels over
+    universes with equal fields also share one view of it (see the
+    module)."""
 
     def __init__(self, program: Program, universe: PacketUniverse,
                  exact: bool = True, state_budget: int = DEFAULT_STATE_BUDGET):
         self.program = program
         self.exact = exact
-        key = (universe.decls, state_budget)
-        state = _STATES.get(key)
+        ref = _STATES.get(state_budget)
+        state = None if ref is None else ref()
         if state is None:
-            state = _STATES[key] = _State(universe, state_budget)
-        self._state = state
+            state = _State(state_budget)
+        view = state.views.get(universe.decls)
+        if view is None:
+            view = state.views[universe.decls] = _View(universe, state)
+        self._state, self._view = state, view
 
     @property
     def universe(self) -> PacketUniverse:
-        """The universe of the kernel's state: its fields are those of the
+        """The universe of the kernel's view: its fields are those of the
         universe the kernel was made over."""
-        return self._state.universe
+        return self._view.universe
 
     def apply(self, aset: PacketSet) -> Row:
         """The output row of the whole program on ``aset``."""
@@ -750,45 +804,81 @@ class Kernel:
         return self._out(node, aset)
 
     def _out(self, node: Program, aset: PacketSet) -> Row:
-        state = self._state
-        row = _settled(state._rows(node)(aset), state.universe)
+        row = _settled(self._view._rows(node)(aset))
         return row if self.exact else rounded(row)
 
 
 class _State:
-    """The state of the live kernels over one universe's fields and one
-    state budget (see the module): their row and pending functions, with
-    the memos and tables these own, marginals and point masses."""
+    """The state of the live kernels with one state budget (see the
+    module): their row and pending functions, each under the layout of its
+    key's fields and its key, with the memos and tables these own, the
+    point masses, the cell that counts the factor tables being made, and
+    the views, one per universe's fields.  Kernels hold it, and nothing
+    else does but weakly."""
 
-    def __init__(self, universe: PacketUniverse, state_budget: int):
-        self.universe = universe
+    __slots__ = ("state_budget", "_fns", "_pends", "_dirac", "_making", "views",
+                 "__weakref__")
+
+    def __init__(self, state_budget: int):
         self.state_budget = state_budget
         self._fns: dict = {}
         self._pends: dict = {}
-        self._marginals: dict = {}
-        self._layouts = universe.layouts
         self._dirac = _point_masses()
-        # The number of factor tables being made: a cell row functions read.
         self._making = [0]
-        # Row functions hold the state weakly, and reach the pending row of
-        # a key through one function of the state's.
+        self.views: dict = {}
+        _STATES[state_budget] = weakref.ref(self, partial(_forget_state, state_budget))
+
+
+class _View:
+    """A state as the kernels over one universe's fields see it (see the
+    module): the universe, its layouts and its marginals, and front dicts
+    of the row and pending functions it found, keyed by node (or (star,
+    filter) step) alone.  It compiles the functions the state lacks.  It
+    holds the state's tables but not the state, and the functions it makes
+    hold it weakly, so the state holds its views and goes with its last
+    kernel, without the cycle collector."""
+
+    def __init__(self, universe: PacketUniverse, state: _State):
+        self.universe = universe
+        self.state_budget = state.state_budget
+        self._layouts = universe.layouts
+        self._marginals: dict = {}
+        self._fns: dict = {}
+        self._pends: dict = {}
+        self._state_fns, self._state_pends = state._fns, state._pends
+        self._dirac, self._making = state._dirac, state._making
+        # Row functions reach the pending row of a key, and the row
+        # functions of the parts they meet late, through the view weakly.
         self._ref = weakref.ref(self)
         self._pending_row = partial(_pending_of, self._ref)
+
+    def _found(self, table: dict, key, make):
+        """The function under ``key`` (a node, or a (star, filter) step) and
+        its fields' layout here in the state's ``table`` (layout -> key ->
+        function), or else made by ``make(key, layout)`` and put there."""
+        layout = self._code(key if type(key) is not tuple else Seq(*key), _LAYOUT, None)
+        fns = table.get(layout)
+        if fns is None:
+            fns = table[layout] = {}
+        fn = fns.get(key)
+        if fn is None:
+            fn = fns[key] = make(key, layout)
+        return fn
 
     # -- row functions ---------------------------------------------------------
 
     def _rows(self, node: Program, filt=None):
         """The row function of ``node``, or of the star ``node`` followed by
-        the predicate ``filt`` unless None: state, made once."""
+        the predicate ``filt`` unless None: state, made once per layout."""
         key = node if filt is None else (node, filt)
         fn = self._fns.get(key)
         if fn is None:
-            fn = self._fns[key] = self._compile_rows(node, filt)
+            fn = self._fns[key] = self._found(self._state_fns, key, self._compile_rows)
         return fn
 
-    def _compile_rows(self, node: Program, filt):
-        key = node if filt is None else (node, filt)
-        u, dirac, pending = self.universe, self._dirac, self._pending_row
+    def _compile_rows(self, key, layout: tuple):
+        node, filt = key if type(key) is tuple else (key, None)
+        dirac, pending = self._dirac, self._pending_row
         m = self._set_map(node)
         if m is not None:
             memo: dict = {}
@@ -797,11 +887,11 @@ class _State:
         if cls is Star:
             keep = None if filt is None else self._set_map(filt)
             table = {EMPTY: dirac(EMPTY)}  # strict
-            fn = partial(_solved, _settling(self._rows(node.body), u), keep,
+            fn = partial(_solved, _settling(self._rows(node.body)), keep,
                          self.state_budget, partial(excerpt, node), table)
             return _memoized(fn, key, pending, table)
         if cls is Union:
-            fn = _union_rows(self._union_plan(node), node.parts, self._ref, u, dirac(EMPTY))
+            fn = _union_rows(self._union_plan(node), node.parts, self._ref, dirac(EMPTY))
         elif cls is Seq:
             fn = self._sequence(node)
         elif cls is Choice:
@@ -812,7 +902,8 @@ class _State:
             raise WellFormednessError(f"unknown node {node!r}")
         code = self._code(node, _ROW, self._make_row)
         if type(code) is tuple:
-            return _tabled(fn, node, pending, code, u, self._making)
+            return _tabled(fn, node, pending, code, layout, self._making)
+        u = self.universe
         if node._code[0] & u.mask == u.mask:
             code = None  # no field is left to share rows across
         return _memoized(fn, key, pending, touched=code)
@@ -904,33 +995,33 @@ class _State:
 
     def _pending(self, key):
         """The function from a pending input to the row of ``key`` (a node,
-        or a (star, filter) step) on it: kernel state, made when a pending
-        input first reaches ``key``."""
+        or a (star, filter) step) on it: state, made once per layout when a
+        pending input first reaches ``key``."""
         fn = self._pends.get(key)
         if fn is None:
-            fn = self._pends[key] = self._compile_pending(key)
+            fn = self._pends[key] = self._found(self._state_pends, key, self._compile_pending)
         return fn
 
-    def _compile_pending(self, key):
+    def _compile_pending(self, key, layout: tuple):
         """The row of ``key`` on a pending input (see the module)."""
         node, filt = key if type(key) is tuple else (key, None)
-        u, marginals, m = self.universe, self._marginals, self._set_map(node)
-        plain = (self._rows(node, filt) if m is None or key in self._fns  # its memo
-                 else partial(_mapped, self._dirac, m))
+        marginals, m = self._marginals, self._set_map(node)
+        plain = (self._rows(node, filt) if m is None or key in self._state_fns.get(layout, ())
+                 else partial(_mapped, self._dirac, m))  # its memo, if it has one
         first, touch, kills, facts = self._code(node if filt is None else Seq(node, filt),
                                                 _PENDING, self._make_pending)
         if filt is None and self._factor_fields(node):
-            return partial(_past, touch, kills, plain, u, marginals)
+            return partial(_past, touch, kills, plain, layout, marginals)
         if facts is not None:
-            state = (node.parts, facts, [None] * len(facts[1]), self._ref, self._dirac, u)
+            state = (node.parts, facts, [None] * len(facts[1]), self._ref, self._dirac, layout)
             rest = partial(_seq_run, state, 0)
         elif type(node) is Seq:
             rest = self._sequence(node)
         else:
-            rest = partial(_past, touch, kills, plain, u, marginals)
+            rest = partial(_past, touch, kills, plain, layout, marginals)
             if type(node) is Union:
                 rest = self._union_pending(node, rest)
-        return partial(_split_first, first, rest, plain, u, marginals) if first else rest
+        return partial(_split_first, first, rest, plain, layout, marginals) if first else rest
 
     def _make_pending(self, node: Program) -> tuple:
         """(first, touch, kills, facts) of ``node`` on a pending input: the
@@ -964,7 +1055,9 @@ class _State:
     def _union_pending(self, node: Union, past):
         """A union on a pending input (see the module): its one live branch
         gets the input, and none gives the empty set; otherwise, and when
-        a guard field has a factor, the union goes ``past`` it."""
+        a guard field has a factor, the union goes ``past`` it.  The branches'
+        leading tests read fields the union reads, so their readers read
+        only digits of its key."""
         u, empty, ref = self.universe, self._dirac(EMPTY), self._ref
         plan = self._union_plan(node)
         guard, parts = plan[0], node.parts
@@ -1002,7 +1095,7 @@ class _State:
         return self._code(node, _MAP, self._compile)
 
     def _code(self, node: Program, kind: int, make):
-        """The code ``kind`` of ``node`` for this state's layout of it (see
+        """The code ``kind`` of ``node`` for this view's layout of it (see
         the module), made by ``make(node)`` once per node and layout and kept
         on the node: its footprint mask, then one run per layout met, (layout,
         set map, union plan, sequence plan, choice shares, row facts, pending

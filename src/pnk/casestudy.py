@@ -9,10 +9,14 @@ parameters a report echoes are strings), and a verdict compares within
 
 The F10 runners keep one kernel per model live while they compute the
 rows of all the models over one universe: all schemes of a failure bound
-k, and all (scheme, p) pairs of a sweep.  Live kernels over universes with
-equal fields share one state (see ``bigstep``), and the programs share the
-topology and routing subterms, which are interned, so the models share
-rows: each shared subterm's rows are computed once.
+k, and all (scheme, p) pairs of a sweep.  Live kernels share one state,
+whose rows, like node code, are shared by layout (see ``bigstep``), and
+the programs share the topology and routing subterms, which are interned,
+so the models share rows: each shared subterm's rows are computed once.
+The kernels of one bound go before the next bound's are built, so a grid
+holds one bound's rows at a time; a caller that keeps the kernels of every
+bound live, as the benchmark does, also shares the rows of the subterms
+that never touch ``budget`` across bounds.
 """
 
 from __future__ import annotations

@@ -359,8 +359,7 @@ def _dispatch(args) -> int:
         uni, p = _load_program(args.file1, _load_universe(args))
         aset = _packets_arg(args.on, uni)
         row = Kernel(p, uni, state_budget=args.max_states).apply(aset)
-        prob = str if args.exact else lambda x: repr(float(x))
-        report = {"support": [{"set": uni.set_to_records(b), "prob": prob(x)}
+        report = {"support": [{"set": uni.set_to_records(b), "prob": x}
                               for b, x in row.as_dict().items()],
                   "input": uni.set_to_records(aset)}
         table = "support"  # the input set is a list of packet records too

@@ -84,7 +84,7 @@ class PacketUniverse:
         self._projectors: dict = {}
         self._rewrites: dict = {}  # (name, value) of ``modify`` -> its rewrite
         # Footprint mask -> the layout kernels key node code by, shared by
-        # every kernel over this universe (see ``bigstep._State._code``).
+        # every kernel over this universe (see ``bigstep._View._code``).
         self.layouts: dict = {}
 
     # -- field lookup -------------------------------------------------

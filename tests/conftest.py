@@ -99,14 +99,14 @@ def random_dist(rng: random.Random, universe: PacketUniverse, support: int = 3):
 
 
 def cold_kernel(p, u, **kwargs):
-    """A kernel of ``p`` over ``u`` with a state of its own: no kernel over
-    an equal universe and budget is alive when it is made, so its state
-    differs from that of every kernel made before it, and it is an oracle
-    for them.  (Live kernels over equal universes share one state.)"""
-    key = (u.decls, kwargs.get("state_budget", DEFAULT_STATE_BUDGET))
-    assert key not in _STATES, "a kernel over an equal universe is alive"
+    """A kernel of ``p`` over ``u`` with a state of its own: no kernel with
+    its state budget is alive when it is made, so its state differs from
+    that of every kernel made before it, and it is an oracle for them.
+    (Live kernels with equal budgets share one state, over any universe.)"""
+    budget = kwargs.get("state_budget", DEFAULT_STATE_BUDGET)
+    assert budget not in _STATES, "a kernel with an equal state budget is alive"
     k = Kernel(p, u, **kwargs)
-    assert key in _STATES
+    assert budget in _STATES
     return k
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from pnk import bigstep, netlib
+from pnk.casestudy import K_VALUES
 from pnk import star as star_mod
 from pnk import syntax as syntax_mod
 from pnk.analysis import InputSpec, dist_leq, equiv, estimate, leq, sample_run
@@ -367,7 +368,7 @@ def test_compiled_set_maps_match_the_sampler(uni8):
     sets = [EMPTY, u.all_packets(), *(frozenset({i}) for i in range(u.packet_count))]
     for p in handmade + _deterministic_programs(rng, u, 400):
         k = Kernel(p, u)
-        assert k._state._set_map(p) is not None
+        assert k._view._set_map(p) is not None
         for a in sets + [random_set(rng, u) for _ in range(4)]:
             assert k.row(p, a).as_dict() == delta(sample_run(p, a, u, 0))
 
@@ -378,13 +379,13 @@ def _closure(fn):
 
 def _memos(k):
     """Node -> memo of each memoized row function of ``k``."""
-    return {key: c["memo"] for key, fn in k._state._fns.items() if "memo" in (c := _closure(fn))}
+    return {key: c["memo"] for key, fn in k._view._fns.items() if "memo" in (c := _closure(fn))}
 
 
 def _tables(k):
     """Key (a star node, or a (star, filter) step) -> table of solved rows
     of each star row function of ``k``: its memo."""
-    return {key: c["memo"] for key, fn in k._state._fns.items()
+    return {key: c["memo"] for key, fn in k._view._fns.items()
             if getattr((c := _closure(fn)).get("fn"), "func", None) is bigstep._solved}
 
 
@@ -392,7 +393,7 @@ def _images(k):
     """Node -> packet -> image index of each deterministic row function of
     ``k``."""
     out = {}
-    for key, fn in k._state._fns.items():
+    for key, fn in k._view._fns.items():
         inner = _closure(fn).get("fn")
         if inspect.isfunction(inner) and "images" in (c := _closure(inner)):
             out[key] = c["images"]
@@ -425,17 +426,17 @@ def test_no_memo_entries_inside_deterministic_subterms():
         if node not in nodes:
             nodes.add(node)
             stack.extend(_parts(node))
-    probabilistic = {n for n in nodes if k._state._set_map(n) is None}
+    probabilistic = {n for n in nodes if k._view._set_map(n) is None}
     evaluated = {k.program}
     for n in probabilistic:
         if isinstance(n, Seq):
-            evaluated.update(step for step, _ in k._state._seq_plan(n))
+            evaluated.update(step for step, _ in k._view._seq_plan(n))
         else:
             evaluated.update(_parts(n))
     stored = {**_memos(k), **_tables(k)}
     keys = {key for key, rows in stored.items() if rows and not isinstance(key, tuple)}
     assert keys <= evaluated
-    assert any(k._state._set_map(n) is not None for n in keys)
+    assert any(k._view._set_map(n) is not None for n in keys)
     # The deterministic top nodes hold one entry per input set, and no
     # node inside them has one of its own.
     deterministic = (nodes | evaluated) - probabilistic
@@ -470,7 +471,7 @@ def test_deterministic_rows_are_the_point_masses_of_their_set_maps(uni8):
             continue
         for order, indexed in ((rows, True), (masks, True), (rows[::-1], False)):
             k = cold_kernel(p, u)
-            m = k._state._set_map(p)
+            m = k._view._set_map(p)
             for a in order:
                 assert k.row(p, a).as_dict() == delta(m(a)), (pretty(p), sorted(a))
             images = _images(k)[p]
@@ -496,7 +497,7 @@ def test_a_set_maps_only_its_packets_not_met_alone():
     # of whose singletons was met costs one closure, as it did before.
     u = PacketUniverse([FieldDecl("f", 8), FieldDecl("g", 2)])
     p = Star(union(*(Seq(Test("f", v), Assign("f", v + 1)) for v in range(7))))
-    m = Kernel(p, u)._state._set_map(p)
+    m = Kernel(p, u)._view._set_map(p)
     rows, calls = _additive_rows(m)
     x = [u.packet(f=v, g=0) for v in range(4)]
     a = frozenset(x)
@@ -523,7 +524,7 @@ def test_a_lone_packet_not_met_alone_is_indexed():
     # its image, so the next set that holds it maps nothing.
     u = PacketUniverse([FieldDecl("f", 8), FieldDecl("g", 2)])
     p = Star(union(*(Seq(Test("f", v), Assign("f", v + 1)) for v in range(7))))
-    m = Kernel(p, u)._state._set_map(p)
+    m = Kernel(p, u)._view._set_map(p)
     rows, calls = _additive_rows(m)
     x = [u.packet(f=v, g=0) for v in range(3)]
     rows(frozenset(x[:1]))
@@ -556,7 +557,7 @@ def test_a_kernel_is_freed_without_the_cycle_collector(uni8):
         k = Kernel(prog, uni8)
         for i in range(uni8.packet_count):
             k.row(prog, frozenset({i}))
-        assert bool(k._state._pends) == (prog is not p)
+        assert bool(k._view._pends) == (prog is not p)
         ref = weakref.ref(k)
         gc.disable()
         try:
@@ -620,7 +621,7 @@ def test_choice_free_stars_are_reachability_closures():
         for prog, body, filt in _loops(p, t):
             k = cold_kernel(prog, u)
             rows = [k.row(prog, a).as_dict() for a in inputs]
-            assert k._state._set_map(prog) is not None and not _tables(k)
+            assert k._view._set_map(prog) is not None and not _tables(k)
             del k
             kb = cold_kernel(body, u)
             keep = None if filt is None else (lambda a, filt=filt: restrict(filt, a, u))
@@ -711,7 +712,7 @@ def test_a_star_solves_a_set_once_and_its_table_is_its_memo(uni8, monkeypatch):
     row = k.row(loop, a)
     assert k.row(loop, a) is row
     (args,) = calls
-    memo = _closure(k._state._fns[loop])["memo"]
+    memo = _closure(k._view._fns[loop])["memo"]
     assert args[1] == a and args[5] is memo and memo[a] is row
     assert _tables(k) == {loop: memo}
 
@@ -1009,7 +1010,7 @@ def _same_f10_rows_as_twin(topo, k):
         inputs = [frozenset({src}) for src in cm.in_packets]
         twin = cold_kernel(_twin(p), cm.universe)
         want = [twin.apply(a) for a in inputs]
-        assert not [fn for fn in twin._state._fns.values() if "tables" in _closure(fn)]
+        assert not [fn for fn in twin._view._fns.values() if "tables" in _closure(fn)]
         del twin
         kern = cold_kernel(p, cm.universe)
         for a, row in zip(inputs, want):
@@ -1038,7 +1039,7 @@ FLIP = Choice(Fraction(1, 4), F1, F0)  # f := 1 with chance 1/4
 
 def _unsettled(k, p, a):
     """The row of ``p`` on ``a`` as its row function makes it, coins pending."""
-    return k._state._rows(p)(a)
+    return k._view._rows(p)(a)
 
 
 def test_two_live_branches_that_test_one_coin_give_two_outcomes(uni8):
@@ -1162,7 +1163,7 @@ def test_a_core_flips_only_the_flag_its_link_reads():
     (x,) = _unsettled(k, flips, a).nums
     assert [c[0] for c in x.factors] == sorted(field_bit(f"up{q}") for q in ports)
     guarded = netlib.topo_program(topo, guarded=True)
-    row = k._state._pending(guarded)(x)
+    row = k._view._pending(guarded)(x)
     assert sorted(len(b.factors) if isinstance(b, Pending) else 0 for b in row.nums) == [
         0, len(ports) - 1]
     assert row.prob(EMPTY) == Fraction(1, 4)
@@ -1173,14 +1174,14 @@ def test_each_union_plan_is_made_once_per_kernel(monkeypatch):
     # plan: on the f10_35 model at k=inf, whose routing unions meet pending
     # flags, no union's plan is made twice.
     made = []
-    make = bigstep._State._make_union_plan
-    monkeypatch.setattr(bigstep._State, "_make_union_plan",
+    make = bigstep._View._make_union_plan
+    monkeypatch.setattr(bigstep._View, "_make_union_plan",
                         lambda self, node: made.append(node) or make(self, node))
     cm = netlib.build_case_model(netlib.F10_35, netlib.abfattree20(), None)
     k = Kernel(desugar(cm.program), cm.universe)
     for s in cm.in_packets:
         k.apply(frozenset({s}))
-    assert any(isinstance(key, Union) for key in k._state._pends)
+    assert any(isinstance(key, Union) for key in k._view._pends)
     assert made and len(made) == len(set(made))
 
 
@@ -1200,8 +1201,8 @@ def test_a_factor_table_is_made_once_per_node_and_valuation(monkeypatch):
     assert len(keys) == len(set(keys))
     flips = {fn for fn, _, fields in made if fields & field_bit("budget")}
     assert len(flips) == 1 and len([fn for fn, _, _ in made if fn in flips]) <= 5
-    rows = [f for node, f in kern._state._fns.items() if isinstance(node, Seq)
-            and (kern._state._factor_fields(node) or (0,))[0] & field_bit("budget")]
+    rows = [f for node, f in kern._view._fns.items() if isinstance(node, Seq)
+            and (kern._view._factor_fields(node) or (0,))[0] & field_bit("budget")]
     entered = {a for f in rows for a in _closure(f)["memo"] if not isinstance(a, Pending)}
     assert len(entered) > 5
 
@@ -1238,7 +1239,7 @@ def test_rows_shared_across_untouched_fields_are_the_fresh_rows():
             assert got == row, (pretty(p), [u.record(i) for i in a])
             assert got == twin_row, (pretty(p), [u.record(i) for i in a])
             _assert_reduced_integer_row(got)
-        for fn in k._state._fns.values():
+        for fn in k._view._fns.values():
             c = _closure(fn)
             if "shared" in c:
                 met = [x for x in c["memo"] if isinstance(x, Pending) and len(x.base) == 1]
@@ -1291,11 +1292,11 @@ def test_a_run_of_assignments_is_one_rewrite_with_the_rows_of_its_parts(monkeypa
     for n in range(30):
         parts = _interleaved(rng, u, rng.randrange(3, 9))
         k = Kernel(Seq(*parts), u)
-        m = k._state._set_map(Seq(*parts))
+        m = k._view._set_map(Seq(*parts))
         for a in sets + [random_set(rng, u) for _ in range(6)]:
             b = a
             for q in parts:
-                b = k._state._set_map(q)(b) if b else b
+                b = k._view._set_map(q)(b) if b else b
             assert m(a) == b, ([pretty(q) for q in parts], sorted(a))
     del k
     for n in range(40):
@@ -1320,12 +1321,12 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
     # once per valuation of the fields it touches (with the factors, on a
     # pending input), however many counter values meet it.
     evaluated = defaultdict(list)
-    compile_rows, memoized, compiling = bigstep._State._compile_rows, bigstep._memoized, []
+    compile_rows, memoized, compiling = bigstep._View._compile_rows, bigstep._memoized, []
 
-    def compiled(self, node, filt):
-        compiling.append(node)
+    def compiled(self, key, layout):
+        compiling.append(key[0] if isinstance(key, tuple) else key)
         try:
-            return compile_rows(self, node, filt)
+            return compile_rows(self, key, layout)
         finally:
             compiling.pop()
 
@@ -1333,7 +1334,7 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
         seen = evaluated[compiling[-1]]
         return memoized(lambda a: seen.append(a) or fn(a), key,
                         lambda k, x: seen.append(x) or pending(k, x), memo, touched)
-    monkeypatch.setattr(bigstep._State, "_compile_rows", compiled)
+    monkeypatch.setattr(bigstep._View, "_compile_rows", compiled)
     monkeypatch.setattr(bigstep, "_memoized", counted)
     cm = netlib.build_case_model(netlib.F10_35, netlib.abfattree20(), None, counter=True)
     k = Kernel(desugar(cm.program), cm.universe)
@@ -1344,7 +1345,7 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
     nodes = 0
     for node, inputs in evaluated.items():
         reads, writes, _, _ = footprint(node)
-        if k._state._set_map(node) is not None or (reads | writes) & field_bit("counter"):
+        if k._view._set_map(node) is not None or (reads | writes) & field_bit("counter"):
             continue
         nodes += 1
         touched = u.projector(reads | writes)
@@ -1355,7 +1356,7 @@ def test_f10_latency_evaluates_a_node_once_per_valuation_it_touches(monkeypatch)
     # The scheme meets 278 inputs over all 16 counter values, and is
     # evaluated on 54 of them.
     scheme = desugar(cm.scheme)
-    met = _closure(k._state._fns[scheme])["memo"]
+    met = _closure(k._view._fns[scheme])["memo"]
     assert len({counter(i) for a in met
                 for i in (a.base if isinstance(a, Pending) else a)}) == 16
     assert 4 * len(evaluated[scheme]) < len(met)
@@ -1387,10 +1388,10 @@ def test_coin_chains_match_the_sampler(uni8):
 
 
 def _compiled(monkeypatch) -> list:
-    """The nodes ``_State._compile`` makes a set map for, in order."""
+    """The nodes ``_View._compile`` makes a set map for, in order."""
     made = []
-    compile_ = bigstep._State._compile
-    monkeypatch.setattr(bigstep._State, "_compile",
+    compile_ = bigstep._View._compile
+    monkeypatch.setattr(bigstep._View, "_compile",
                         lambda self, node: made.append(node) or compile_(self, node))
     return made
 
@@ -1432,7 +1433,7 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
     # it lives, so each scheme's cells share a topology of their own and
     # the cold kernel's model is built over a fresh one.
     budget = syntax_mod.field_bit("budget")
-    code, making, made = bigstep._State._code, [], []
+    code, making, made = bigstep._View._code, [], []
 
     def traced(self, node, kind, make):
         def maker(n):
@@ -1465,7 +1466,7 @@ def test_a_second_kernel_only_binds_state(monkeypatch):
         kern = Kernel(desugar(cm.program), cm.universe)
         return kern, [kern.apply(frozenset({s})) for s in cm.in_packets]
 
-    monkeypatch.setattr(bigstep._State, "_code", traced)
+    monkeypatch.setattr(bigstep._View, "_code", traced)
     for scheme in netlib.F10_VARIANTS:
         calls, topo = [], netlib.abfattree20()
         first = cell(scheme, 1, topo)
@@ -1645,41 +1646,149 @@ def test_every_grid_cell_after_the_others_has_the_rows_of_a_cold_kernel():
         del others
 
 
-# -- kernel state: shared by the live kernels over equal universes ---------------
+# -- kernel state: shared by the live kernels with one budget, by layout --------
+
+
+def _coin_over(rng, u, fields):
+    """A coin whose parts each assign every field of ``fields``: a factor
+    node over them all, which kills them."""
+    parts = [seq(*[Assign(f, rng.randrange(u.field(f).size)) for f in fields])
+             for _ in range(rng.randrange(2, 4))]
+    return Choice.chain(parts, [rng.choice(WEIGHTS) for _ in parts[1:]])
+
+
+def _rows_beside(first, small, second, big, inputs):
+    """The rows of ``second`` over ``big`` on ``inputs``, from a kernel made
+    while a kernel of ``first`` over ``small`` lives, having run on every
+    packet of ``small``: the two share one state.  Then the number of row
+    and pending functions the second found that the first had made."""
+    k = Kernel(first, small)
+    for i in range(small.packet_count):
+        k.apply(frozenset({i}))
+    kb = Kernel(second, big)
+    assert kb._state is k._state and kb._view is not k._view
+    rows = [kb.apply(a) for a in inputs]
+    made = {id(f) for f in (*k._view._fns.values(), *k._view._pends.values())}
+    return rows, sum(id(f) in made for f in (*kb._view._fns.values(), *kb._view._pends.values()))
+
+
+def _shared_rows_are_cold_rows(seed, big):
+    """``coin ; N`` over UNI4 runs on every packet; then, beside it,
+    ``(a coin over h and f) ; N ; (f=0 & g=1)`` over ``big`` must give a
+    cold kernel's rows on every singleton and two larger sets.  The coin
+    over h and f hands N's pending functions a factor over a field, h, that
+    N never reads and UNI4 lacks.  Returns the number of functions the
+    second kernel found that the first had made."""
+    rng = random.Random(seed)
+    n = _coin_program(rng, UNI4, 2)
+    first = Seq(_coin(rng, UNI4, rng.choice("fg")), n)
+    second = Seq(_coin_over(rng, big, ("h", "f")), n, Union(Test("f", 0), Test("g", 1)))
+    inputs = [frozenset({i}) for i in range(big.packet_count)]
+    inputs += [frozenset(rng.sample(range(big.packet_count), m)) for m in (2, 5)]
+    want = cold_rows(second, big, inputs)
+    got, shared = _rows_beside(first, UNI4, second, big, inputs)
+    assert got == want, (seed, pretty(second))
+    return shared
+
+
+@pytest.mark.parametrize("between", [[], [FieldDecl("x", 3)]], ids=["fgh", "fxgh"])
+def test_rows_shared_across_universes_are_cold_rows(between):
+    # The kernel over {f, g, h} finds N's rows and pending functions under
+    # N's layout of f and g, which it shares with the kernel over {f, g}.
+    # A function made there and handed a factor over h and f sums f out of
+    # it by f's digits alone (``_forgotten``): the other fields of a factor
+    # need not lie in the key's layout, or in the universe it was made in.
+    # With a field inserted between f and g, g's digit moves: N's nodes
+    # that read or write g get functions of their own, and those that
+    # touch only f share theirs.
+    big = PacketUniverse([FieldDecl("f", 2), *between, FieldDecl("g", 2), FieldDecl("h", 3)])
+    shared = [_shared_rows_are_cold_rows(seed, big) for seed in range(300)]
+    assert sum(map(bool, shared)) > 200  # 258 and 229 of the 300 seeds share some
+
+
+def test_a_star_step_is_keyed_by_its_filter_fields_too():
+    # A (star, filter) step keeps the layout of the star's and the
+    # filter's fields: a filter on h, 2 values in one universe and 3 in
+    # the other, makes the star's step over {f, g, h:3} its own, though the
+    # star's body reads only f and g and shares its rows.  Read with h's
+    # digit of the other universe, h=0 would pass packets with h=2.
+    small = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2), FieldDecl("h", 2)])
+    big = PacketUniverse([FieldDecl("f", 2), FieldDecl("g", 2), FieldDecl("h", 3)])
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = Star(Seq(_coin(rng, UNI4), random_program(rng, UNI4, 2, stars=0)))
+        t = rng.choice([Test("h", 0), Union(Test("h", 0), Test("f", 1))])
+        inputs = [frozenset({i}) for i in range(big.packet_count)]
+        second = Seq(_coin_over(rng, big, ("h", "f")), n, t)
+        want = cold_rows(second, big, inputs)
+        assert _rows_beside(Seq(n, t), small, second, big, inputs)[0] == want, seed
+
+
+def test_grid_cells_built_side_by_side_have_the_rows_of_cold_kernels():
+    # The 18 abfattree20 cells, built in K_VALUES order over one topology
+    # with every kernel live, have each cell's cold rows, though the cells
+    # of all six failure bounds share one state, and so the rows of the
+    # subterms that never touch ``budget``, across six universes.
+    topo = netlib.abfattree20()
+    cells = [netlib.build_case_model(v, topo, k) for k in K_VALUES for v in netlib.F10_VARIANTS]
+    inputs = [[frozenset({s}) for s in cm.in_packets] for cm in cells]
+    cold = [cold_rows(cm.program, cm.universe, sets) for cm, sets in zip(cells, inputs)]
+    kernels = [Kernel(cm.program, cm.universe) for cm in cells]
+    assert len({id(k._state) for k in kernels}) == 1
+    views = {id(k._view): k._view for k in kernels}.values()
+    assert len(views) == len({cm.universe.decls for cm in cells}) == 5  # k=0 is k=inf's
+    assert [[k.apply(a) for a in sets] for k, sets in zip(kernels, inputs)] == cold
+    found = [id(f) for view in views for f in view._fns.values()]
+    assert len(set(found)) < len(found)  # some views found one function
 
 
 def test_a_state_goes_with_the_last_of_its_kernels():
-    # Three kernels over three universes with equal fields share one state.
-    # Row functions hold it weakly and kernels strongly, so with the
-    # collector off it stays while one of them lives and goes, with its
-    # entry in the table of states and every row and pending function, with
-    # the last one.
-    decls = [FieldDecl("life_f", 2), FieldDecl("life_g", 3)]
-    f, g = "life_f", "life_g"
+    # Five kernels with one state budget share one state: two over
+    # universes with equal fields share one view of it, and three over
+    # universes that add a field, or resize one, a view per fields.  Row
+    # functions hold their views weakly, views hold the state's tables but
+    # not the state, and kernels hold the state and their view, so with the
+    # collector off the state stays while one of them lives and goes, with
+    # its entry in the table of states, every view and every row and
+    # pending function, with the last one, whatever its universe.
+    f, g, h = "life_f", "life_g", "life_h"
+    decls = [FieldDecl(f, 2), FieldDecl(g, 3)]
+    wider = PacketUniverse(decls + [FieldDecl(h, 2)])
+    universes = [PacketUniverse(decls), PacketUniverse(decls), wider, wider,
+                 PacketUniverse([FieldDecl(f, 2), FieldDecl(g, 4)])]
     flip = Choice(Fraction(1, 3), Assign(f, 1), Assign(f, 0))
     loop = Star(Choice(Fraction(1, 2), Assign(g, 1), Seq(Test(f, 0), Assign(g, 2))))
     programs = [Seq(flip, Union(Seq(Test(f, 1), Assign(g, 0)), Test(g, 1))),
-                Seq(loop, Test(g, 2)), Seq(flip, loop)]
-    key = (tuple(decls), star_mod.DEFAULT_STATE_BUDGET)
-    assert key not in bigstep._STATES
-    kernels = [Kernel(p, PacketUniverse(decls)) for p in programs]
-    assert len({id(k._state) for k in kernels}) == 1 and key in bigstep._STATES
+                Seq(flip, loop), Seq(flip, loop), Seq(loop, Test(g, 2)), Seq(flip, loop)]
+    budget = star_mod.DEFAULT_STATE_BUDGET
+    assert budget not in bigstep._STATES
+    kernels = [Kernel(p, u) for p, u in zip(programs, universes)]
+    assert len({id(k._state) for k in kernels}) == 1 and budget in bigstep._STATES
+    assert len({id(k._view) for k in kernels}) == 3
     for k in kernels:
         for i in range(k.universe.packet_count):
             k.apply(frozenset({i}))
     state = kernels[0]._state
-    fns = [weakref.ref(fn) for fn in (*state._fns.values(), *state._pends.values())]
+    fns = [weakref.ref(fn) for table in (state._fns, state._pends)
+           for by_key in table.values() for fn in by_key.values()]
     assert len(fns) > len(programs) and state._pends and _tables(kernels[1])
+    # The third kernel found the rows of ``flip ; loop`` that the first view
+    # made, as its fields lie alike there; the last, whose g is wider, made
+    # its own, and found those of ``flip``, which reads only f.
+    fronts, p = [k._view._fns for k in kernels], programs[1]
+    assert fronts[2][p] is fronts[1][p] and fronts[4][p] is not fronts[1][p]
+    assert fronts[4][flip] is fronts[0][flip]
+    views = [weakref.ref(k._view) for k in kernels]
     ref = weakref.ref(state)
     gc.disable()
     try:
-        del k, state
-        for _ in range(2):
-            kernels.pop()
-            assert ref() is not None and key in bigstep._STATES
+        del k, state, fronts
+        for _ in range(4):
+            kernels.pop(0)
+            assert ref() is not None and budget in bigstep._STATES
         kernels.pop()
-        assert ref() is None and key not in bigstep._STATES
-        assert [r for r in fns if r() is not None] == []
+        assert ref() is None and budget not in bigstep._STATES
+        assert [r for r in fns + views if r() is not None] == []
     finally:
         gc.enable()
 

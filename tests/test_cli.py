@@ -260,22 +260,22 @@ def test_float_casestudy_output_is_pinned(capsys, args, kwargs, output_sha, repo
 
 # ``pnk dist --float`` on three inputs, as (program, packets, sha256 of the
 # JSON output, sha256 of the CSV output): a coin, a two-packet input, and
-# nested stars.  Each probability prints as ``repr`` of the double nearest
-# the exact one, as it did when a float kernel made the report.
+# nested stars.  Each probability prints as a number, the double nearest
+# the exact one to 12 digits, as every other float report prints one.
 PINNED_FLOAT_DISTS = {
     "coin": (COIN, '[{"f": 0}]',
-             "9b72f5e010eec8055206551d1a4c89188f6a6c1879d0feebf114e6590f95ee9f",
+             "863b0ffaf5fc4b4e49c584859a4c54e8637983bd9281b1d6714407227c72c210",
              "21a935cb0cc72ddb05c44971a03cfa29586b2b5a57fe165a73df274541bea803"),
     "two-packets": (
         "fields { f : 3 ; g : 2 }\n(f:=1 +[1/3] (f:=2 +[2/5] drop)) ; (g:=1 +[1/7] skip)\n",
         '[{"f": 0, "g": 0}, {"f": 2, "g": 1}]',
-        "11e91af95c1ee7c16296007ace47c83e8f8782ab42c4c3fb6d4e6d6676091596",
-        "ff89f3600780124ee933e51b7f197f3d4b0d63569d9239ecaca091ec96355ce4"),
+        "eeac3fad07be6f30dea0c3f409eb01e89bc4e611ac986ad8738bb396ba985914",
+        "8af25f54ddf35c4760f25f23204023c663891721fb19505a86c9ac9d6aff97fc"),
     "nested-stars": (
         "fields { f : 4 ; g : 2 }\n((f:=1 +[1/4] drop)* ; (g:=1 +[2/3] drop))*\n",
         '[{"f": 0, "g": 0}, {"f": 2, "g": 0}]',
-        "56c266fa1b570af10b6a2c4eb490d7e46d0456451d84fb2125c9c31d459fa63f",
-        "b046620cc5bc026589d96ac5d2f923d321e90d7776fb1a0aea56adcf79505709"),
+        "cfd1e86c369d3b646a7edab676f2d958b318ab56eeb10e3bd7dd4b708eabc097",
+        "18c86cc214b169bfecdc916fb9548fa81ba3f27f886734543cf35c44056a492e"),
 }
 
 

@@ -389,13 +389,15 @@ def test_grid_of_an_unnamed_instance_runs():
 
 def test_case_studies_share_one_kernel_state_per_universe(monkeypatch):
     # Each model gets a kernel of its own, and the kernels of all models
-    # over one universe live at once, so they share one kernel state: the
-    # schemes of each k of the grid and of the scheme comparison, the
-    # fattree20 report's grid and comparison together, and the two
-    # universes of f10-latency (the hop CDF's, with its counter, and the
-    # sweep's).  Each row equals the row of a fresh kernel on its model.
+    # over one universe live at once, so they share one kernel state, and
+    # one view of it: the schemes of each k of the grid and of the scheme
+    # comparison, the fattree20 report's grid and comparison together, and
+    # the two universes of f10-latency (the hop CDF's, with its counter,
+    # and the sweep's).  The kernels of one universe go before the next
+    # universe's are built, so each state has one view.  Each row equals
+    # the row of a fresh kernel on its model.
     from pnk import bigstep, casestudy
-    made, rows = {"kernels": 0, "states": 0}, []
+    made, rows = {"kernels": 0, "states": 0, "views": 0}, []
 
     class Counting(Kernel):
         def __init__(self, *args, **kwargs):
@@ -407,13 +409,16 @@ def test_case_studies_share_one_kernel_state_per_universe(monkeypatch):
             rows.append((self.universe, self.program, aset, out))
             return out
 
-    init = bigstep._State.__init__
+    def counted(cls, name):
+        init = cls.__init__
 
-    def counted(self, *args):
-        made["states"] += 1
-        init(self, *args)
+        def counting(self, *args):
+            made[name] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
     monkeypatch.setattr(casestudy, "Kernel", Counting)
-    monkeypatch.setattr(bigstep._State, "__init__", counted)
+    counted(bigstep._State, "states")
+    counted(bigstep._View, "views")
     topo, ks = netlib.abfattree12(), casestudy.K_VALUES
     for run, models, states in (
             (lambda: casestudy.resilience_grid(topo, ks), 3 * len(ks), len(ks)),
@@ -421,9 +426,9 @@ def test_case_studies_share_one_kernel_state_per_universe(monkeypatch):
             (lambda: casestudy.run_casestudy("f10-resilience", "fattree20", ks),
              3 * len(ks), len(ks)),
             (lambda: casestudy.run_casestudy("f10-latency", "abfattree12"), 3 + 3 * 5, 2)):
-        made.update(kernels=0, states=0)
+        made.update(kernels=0, states=0, views=0)
         run()
-        assert made == {"kernels": models, "states": states}
+        assert made == {"kernels": models, "states": states, "views": states}
     assert rows
     fresh = {}
     for universe, program, aset, row in rows:
